@@ -45,13 +45,13 @@ def _metadata(generator: str, **extra) -> dict:
 
 def _cmd_construct(args) -> int:
     try:
-        family = build_family(args.d)
+        family, report = build_family(args.d, with_report=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = FamilyDocument.from_family(family, metadata=_metadata("construct", dimension=args.d))
     _emit(doc.to_payload(), args.out)
-    print(verify_family(family).summary(), file=sys.stderr)
+    print(report.summary(), file=sys.stderr)
     return 0
 
 

@@ -84,30 +84,38 @@ def build_family(
     d: int,
     include_computational: bool = True,
     tol: float = 1e-10,
-) -> MubFamily:
+    *,
+    with_report: bool = False,
+):
     """Construct a complete family in prime dimension ``d``.
 
     The result is self-certified: construction runs verify_family at
     ``tol`` and raises rather than hand out a family with violations.
     With ``include_computational`` the family has d + 1 bases (complete),
-    otherwise just the d rotated ones.
+    otherwise just the d rotated ones.  With ``with_report`` the return
+    value is (family, report), so a caller that shows the certificate
+    need not verify a second time.
+
+    Every phase exponent is an integer mod 2d, so the entries are gathered
+    from a table of the 2d distinct coefficients; each table entry is
+    computed exactly as :func:`w_coefficient` computes it, so the family
+    is bit-identical to one assembled coefficient by coefficient.
     """
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
     num_bases = d + 1 if include_computational else d
+    a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
+    exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
+    table = np.array([_phase(k, d) / d for k in range(2 * d)])
     mats = np.zeros((num_bases, d, d, d), dtype=complex)
-    for a in range(d):
-        for alpha in range(d):
-            for p in range(d):
-                for q in range(d):
-                    mats[a, alpha, p, q] = w_coefficient(d, a, alpha, p, q)
+    mats[:d] = table[exponent]
     if include_computational:
-        for alpha in range(d):
-            mats[d, alpha, alpha, alpha] = 1.0
+        labels = np.arange(d)
+        mats[d, labels, labels, labels] = 1.0
 
     family = MubFamily(mats)
     report = verify_family(family, tolerance=tol)
     if not report.passed:
         raise ValueError(f"constructed family failed its own certificate: {report.summary()}")
-    return family
+    return (family, report) if with_report else family

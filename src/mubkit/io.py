@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily
-from .reconstruct import eigen_hermitian
-from .verify import VerificationReport
+from .verify import VerificationReport, _projector_invariants
 
 __all__ = [
     "FORMAT_VERSION",
@@ -37,6 +36,15 @@ FORMAT_VERSION = "1"
 # Looser than construction tolerances: serialized third-party families may
 # carry a few more ulps of noise than freshly built ones.
 LOAD_TOLERANCE = 1e-9
+
+
+def _is_number(x) -> bool:
+    """A JSON number; ``bool`` subclasses ``int`` but true/false are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _pair(z: complex) -> list:
@@ -126,7 +134,7 @@ class FamilyDocument:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
         dimension = payload.get("dimension")
-        if not isinstance(dimension, int) or dimension < 1:
+        if not _is_index(dimension) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         bases = payload.get("bases")
         if not isinstance(bases, list) or not bases:
@@ -149,29 +157,31 @@ class FamilyDocument:
         d = self.dimension
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
-        out = np.zeros((d, d), dtype=complex)
         for p, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != d:
                 raise ValueError(f"{where}: row {p} must have {d} entries")
             for q, pair in enumerate(row):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) for x in pair)
-                ):
+                if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
                     raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
-                out[p, q] = complex(pair[0], pair[1])
-        if not np.all(np.isfinite(out.view(float))):
+        try:
+            pairs = np.array(raw, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            pairs = None
+        if pairs is None or not np.all(np.isfinite(pairs)):
             raise ValueError(f"{where}: matrix entries must be finite")
-        return out
+        return pairs.view(complex).reshape(d, d)
 
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
-        Checks structure (index completeness, matrix shapes) and then the
-        projector invariants per matrix at ``tolerance``: Hermitian
-        symmetry (worst entry named), unit trace, and no eigenvalue below
-        ``-tolerance``.
+        Checks structure first (index completeness, projector counts, matrix
+        shapes and entries), so nothing larger than the document itself is
+        allocated for a document that declares a huge dimension.  Then the
+        projector invariants at ``tolerance``, for all matrices in one
+        stack: Hermitian symmetry (worst entry named), unit trace, and no
+        eigenvalue below ``-tolerance``.  The first failing matrix, by basis
+        index and then document order, is reported with its first failed
+        check in that order.
         """
         d = self.dimension
         indexed = {}
@@ -179,14 +189,16 @@ class FamilyDocument:
             if not isinstance(item, dict) or "basis_index" not in item:
                 raise ValueError("each basis must be an object with a 'basis_index'")
             a = item["basis_index"]
-            if not isinstance(a, int) or a in indexed:
+            if not _is_index(a) or a in indexed:
                 raise ValueError(f"basis_index {a!r} is invalid or duplicated")
             indexed[a] = item
         n = len(indexed)
         if sorted(indexed) != list(range(n)):
             raise ValueError(f"basis_index values must cover 0..{n - 1}, got {sorted(indexed)}")
+        if not 1 <= n <= d + 1:
+            raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        mats = np.zeros((n, d, d, d), dtype=complex)
+        labels, rows, parsed = [], [], []
         for a in range(n):
             projectors = indexed[a].get("projectors")
             if not isinstance(projectors, list) or len(projectors) != d:
@@ -196,34 +208,36 @@ class FamilyDocument:
                 if not isinstance(entry, dict) or "alpha" not in entry:
                     raise ValueError(f"basis {a}: each projector needs an 'alpha'")
                 alpha = entry["alpha"]
-                if not isinstance(alpha, int) or not 0 <= alpha < d or alpha in seen:
+                if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
                     raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
                 seen.add(alpha)
-                where = f"basis {a}, vector {alpha}"
-                m = self._parse_matrix(entry.get("matrix"), where)
+                labels.append(f"basis {a}, vector {alpha}")
+                rows.append(a * d + alpha)
+                parsed.append(self._parse_matrix(entry.get("matrix"), labels[-1]))
 
-                defect = np.abs(m - m.conj().T)
-                worst = float(defect.max())
-                if worst > tolerance:
-                    p, q = np.unravel_index(int(defect.argmax()), defect.shape)
-                    raise ValueError(
-                        f"{where}, entry ({p}, {q}): Hermitian symmetry violated "
-                        f"by {worst:.3e} (tolerance {tolerance:.1e})"
-                    )
-                trace_defect = abs(complex(np.trace(m)) - 1.0)
-                if trace_defect > tolerance:
-                    raise ValueError(
-                        f"{where}: trace deviates from 1 by {trace_defect:.3e} "
-                        f"(tolerance {tolerance:.1e})"
-                    )
-                decomp = eigen_hermitian(m, hermiticity_tol=tolerance)
-                low = float(decomp.eigenvalues[-1])
-                if low < -tolerance:
-                    raise ValueError(
-                        f"{where}: eigenvalue {low:.3e} below -{tolerance:.1e}; not positive-semidefinite"
-                    )
-                mats[a, alpha] = m
-        return MubFamily(mats)
+        stack = np.array(parsed)
+        hermiticity, worst_entry, trace, lowest = _projector_invariants(stack)
+        failing = (hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance)
+        if failing.any():
+            i = int(np.argmax(failing))
+            where = labels[i]
+            if hermiticity[i] > tolerance:
+                p, q = divmod(int(worst_entry[i]), d)
+                raise ValueError(
+                    f"{where}, entry ({p}, {q}): Hermitian symmetry violated "
+                    f"by {hermiticity[i]:.3e} (tolerance {tolerance:.1e})"
+                )
+            if trace[i] > tolerance:
+                raise ValueError(
+                    f"{where}: trace deviates from 1 by {trace[i]:.3e} "
+                    f"(tolerance {tolerance:.1e})"
+                )
+            raise ValueError(
+                f"{where}: eigenvalue {lowest[i]:.3e} below -{tolerance:.1e}; not positive-semidefinite"
+            )
+        mats = np.empty_like(stack)
+        mats[rows] = stack
+        return MubFamily(mats.reshape(n, d, d, d))
 
 
 def write_json(payload: dict, path: str) -> None:

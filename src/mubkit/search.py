@@ -176,20 +176,19 @@ class SearchState:
         floor are clamped to zero.
         """
         n, d = family.num_bases, family.dim
-        factors = np.zeros((n, d, d, d), dtype=complex)
-        for a in range(n):
-            for alpha in range(d):
-                decomp = eigen_hermitian(family.projector(a, alpha))
-                vals = decomp.eigenvalues
-                if float(vals.min()) < psd_floor:
-                    raise ValueError(
-                        f"projector (basis {a}, vector {alpha}) has eigenvalue "
-                        f"{vals.min():.3e} below {psd_floor:.1e}; no real square root"
-                    )
-                roots = np.sqrt(np.clip(vals, 0.0, None))
-                vecs = decomp.eigenvectors
-                factors[a, alpha] = (vecs * roots) @ vecs.conj().T
-        return cls(factors)
+        decomp = eigen_hermitian(family.projectors.reshape(n * d, d, d))
+        vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+        low = vals[:, -1]
+        bad = np.flatnonzero(low < psd_floor)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"projector (basis {i // d}, vector {i % d}) has eigenvalue "
+                f"{low[i]:.3e} below {psd_floor:.1e}; no real square root"
+            )
+        roots = np.sqrt(np.clip(vals, 0.0, None))
+        factors = np.einsum("nij,nj,nkj->nik", vecs, roots, vecs.conj())
+        return cls(factors.reshape(n, d, d, d))
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,6 +86,26 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
+def _projector_invariants(mats: np.ndarray):
+    """Per-matrix projector invariants of an (N, d, d) stack.
+
+    Returns (hermiticity, worst_entry, trace, lowest): the Hermitian defect
+    max |M - M^dagger|, the row-major index of the first entry attaining it,
+    the unit-trace defect |Tr M - 1|, and the smallest eigenvalue.  The
+    eigenvalues come from one eigensolve of the symmetrized stack, so a
+    non-Hermitian matrix shows up in its defect, not as a crash here.  The
+    verifier takes the maximum of each; the loader reports the first
+    matrix that fails one.
+    """
+    n, d = mats.shape[0], mats.shape[-1]
+    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).reshape(n, d * d)
+    worst_entry = defect.argmax(axis=1)
+    hermiticity = defect[np.arange(n), worst_entry]
+    trace = np.abs(np.einsum("nii->n", mats) - 1.0)
+    lowest = eigen_hermitian(mats, hermiticity_tol=np.inf).eigenvalues[:, -1]
+    return hermiticity, worst_entry, trace, lowest
+
+
 def verify_family(
     family: MubFamily,
     tolerance: float = 1e-10,
@@ -101,26 +121,16 @@ def verify_family(
     malformed shapes: a corrupted family yields a failing report.
     """
     n, d = family.num_bases, family.dim
-    mats = family.projectors
-
-    hermiticity = float(np.max(np.abs(mats - mats.conj().transpose(0, 1, 3, 2))))
-    traces = np.einsum("abii->ab", mats).real
-    trace_residual = float(np.max(np.abs(traces - 1.0)))
-
-    # Eigenvalues come from the symmetrized matrices so a non-Hermitian
-    # corruption shows up in the hermiticity residual, not as a crash here.
-    min_eig = np.inf
-    for a in range(n):
-        for alpha in range(d):
-            decomp = eigen_hermitian(mats[a, alpha], hermiticity_tol=np.inf)
-            min_eig = min(min_eig, float(decomp.eigenvalues[-1]))
+    hermiticity, _, traces, lowest = _projector_invariants(family.projectors.reshape(n * d, d, d))
+    trace_residual = float(traces.max())
+    min_eig = float(lowest.min())
 
     vectors = family.as_vectors()
     gram_complex = vectors.conj() @ vectors.T
     gram = gram_complex.real
     # Trace products of Hermitian matrices are real; any imaginary leakage
     # is another symptom of broken Hermitian symmetry.
-    hermiticity = max(hermiticity, float(np.max(np.abs(gram_complex.imag))))
+    hermiticity = max(float(hermiticity.max()), float(np.max(np.abs(gram_complex.imag))))
 
     target = unbiased_gram_target(n, d)
     deviation = np.abs(gram - target)
@@ -153,7 +163,7 @@ def verify_family(
         max_cross_residual=max_cross,
         trace_residual=trace_residual,
         hermiticity_residual=hermiticity,
-        psd_min_eigenvalue=float(min_eig),
+        psd_min_eigenvalue=min_eig,
         angle_check=angle_check,
         passed=passed,
         gram=gram if keep_gram else None,

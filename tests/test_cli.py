@@ -42,6 +42,23 @@ class TestConstruct:
         assert "requires prime d" in proc.stderr
 
 
+    def test_verifies_once(self, tmp_path, monkeypatch):
+        import mubkit.cli
+        import mubkit.construct
+
+        calls = []
+        real = mubkit.construct.verify_family
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mubkit.construct, "verify_family", counting)
+        monkeypatch.setattr(mubkit.cli, "verify_family", counting)
+        assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
+        assert len(calls) == 1
+
+
 class TestVerify:
     def test_failing_family_exits_one(self, tmp_path):
         path = construct(tmp_path)
@@ -84,6 +101,28 @@ class TestVerify:
         path = construct(tmp_path, d=7)
         proc = run("verify", str(path), "--tol", "1e-6")
         assert proc.returncode == 0
+
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p.update(dimension=True),
+            lambda p: p["bases"][0].update(basis_index=False),
+            # Entry (0, 0) of computational projector 0 is [1.0, 0.0], so a
+            # coerced [true, false] would load and verify.
+            lambda p: p["bases"][2]["projectors"][0]["matrix"][0].__setitem__(0, [True, False]),
+        ],
+        ids=["dimension", "basis_index", "matrix_entry"],
+    )
+    def test_json_booleans_are_usage_errors(self, tmp_path, mutate):
+        path = construct(tmp_path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        proc = run("verify", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestReconstruct:

@@ -166,3 +166,22 @@ class TestBuildFamily:
     def test_rejects_one(self):
         with pytest.raises(ValueError, match="requires prime d"):
             build_family(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    def test_phase_table_matches_coefficient_loop(self, d):
+        family = build_family(d)
+        looped = np.array(
+            [
+                [
+                    [[w_coefficient(d, a, alpha, p, q) for q in range(d)] for p in range(d)]
+                    for alpha in range(d)
+                ]
+                for a in range(d)
+            ]
+        )
+        assert np.array_equal(family.projectors[:d], looped)
+
+    def test_with_report_returns_its_certificate(self):
+        family, report = build_family(5, with_report=True)
+        assert report.passed
+        assert report.summary() == verify_family(family).summary()

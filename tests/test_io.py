@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,76 @@ class TestRejection:
 
         write_doc(path, mutate)
         with pytest.raises(ValueError, match="finite"):
+            load_family(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda p: p.update(dimension=True), "dimension"),
+            (lambda p: p["bases"][1].update(basis_index=True), "basis_index"),
+            (lambda p: p["bases"][0]["projectors"][1].update(alpha=True), "alpha"),
+            (
+                # The computational projector's entry (0, 0) is [1.0, 0.0]:
+                # a coerced [true, false] would load unnoticed.
+                lambda p: p["bases"][2]["projectors"][0]["matrix"][0].__setitem__(0, [True, False]),
+                r"entry \(0, 0\): expected an \[re, im\] pair",
+            ),
+        ],
+        ids=["dimension", "basis_index", "alpha", "matrix_entry"],
+    )
+    def test_json_booleans_rejected(self, tmp_path, mutate, fragment):
+        path = tmp_path / "family.json"
+        write_doc(path, mutate)
+        with pytest.raises(ValueError, match=fragment):
+            load_family(str(path))
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "family.json"
+        write_doc(path)
+        text = path.read_text().replace("0.5", str(10**400), 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            load_family(str(path))
+
+    def test_huge_dimension_rejected_before_allocating(self):
+        payload = {
+            "format_version": FORMAT_VERSION,
+            "dimension": 100000,
+            "bases": [
+                {
+                    "basis_index": 0,
+                    "projectors": [{"alpha": 0, "matrix": [[[1.0, 0.0]]]}],
+                }
+            ],
+        }
+        doc = FamilyDocument.from_payload(payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 100000 projectors"):
+                doc.to_family()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_first_failing_matrix_reported_with_first_failed_check(self, tmp_path):
+        path = tmp_path / "family.json"
+
+        def mutate(p):
+            # Basis 0, vector 1 breaks the trace; basis 1, vector 0 breaks
+            # Hermitian symmetry and the trace.  Basis order decides which
+            # matrix is named; within it, symmetry is checked before trace.
+            p["bases"][1]["projectors"][0]["matrix"][0][0] = [0.75, 0.0]
+            p["bases"][1]["projectors"][0]["matrix"][0][1] = [0.9, 0.0]
+            p["bases"][0]["projectors"][1]["matrix"][0][0] = [0.75, 0.0]
+
+        write_doc(path, mutate)
+        with pytest.raises(ValueError, match=r"^basis 0, vector 1: trace deviates"):
+            load_family(str(path))
+        payload = json.loads(path.read_text())
+        payload["bases"][0]["projectors"][1]["matrix"][0][0] = [0.5, 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"^basis 1, vector 0, entry \(0, 1\): Hermitian"):
             load_family(str(path))
 
     def test_unwritable_path(self, tmp_path):
