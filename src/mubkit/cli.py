@@ -2,15 +2,17 @@
 
 A thin shell over the library: every subcommand parses flags, calls one
 module operation, and serializes the result.  No numerical logic lives
-here.  Machine-readable output goes to files or stdout; all diagnostics go
-to stderr.  Exit codes: 0 success or verification pass, 1 verification
-failure or non-convergence, 2 usage or IO error.
+here.  Machine-readable output goes through :func:`mubkit.io.write_json`
+to files or stdout, as one line of compact JSON; all diagnostics go to
+stderr.  Exit codes: 0 success or verification pass, 1 verification
+failure, non-convergence or a failed reconstruction or polish, 2 usage or
+IO error.  :func:`cli_dispatch` maps every ``OSError`` and ``ValueError``
+to exit 2 in one place, so no command can leak a traceback for bad input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timezone
 
@@ -25,14 +27,6 @@ from .verify import verify_family
 __all__ = ["cli_dispatch", "main"]
 
 
-def _emit(payload: dict, out_path) -> None:
-    if out_path:
-        write_json(payload, out_path)
-    else:
-        json.dump(payload, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-
-
 def _metadata(generator: str, **extra) -> dict:
     meta = {
         "generator": generator,
@@ -44,41 +38,24 @@ def _metadata(generator: str, **extra) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        family, report = build_family(args.d, with_report=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family, report = build_family(args.d, with_report=True)
     doc = FamilyDocument.from_family(family, metadata=_metadata("construct", dimension=args.d))
-    _emit(doc.to_payload(), args.out)
+    write_json(doc.to_payload(), args.out)
     print(report.summary(), file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        family = load_family(args.family)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family = load_family(args.family)
     report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram)
     if args.report:
-        payload = report_payload(report, __version__, source_path=args.family)
-        try:
-            write_json(payload, args.report)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        write_json(report_payload(report, __version__, source_path=args.family), args.report)
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def _cmd_reconstruct(args) -> int:
-    try:
-        family = load_family(args.family)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family = load_family(args.family)
     try:
         states = reconstruct_all(family, tol=args.tol)
     except (ValueError, RuntimeError) as exc:
@@ -87,11 +64,7 @@ def _cmd_reconstruct(args) -> int:
     doc = FamilyDocument.from_family(
         family, states=states, metadata=_metadata("reconstruct", source=args.family)
     )
-    try:
-        _emit(doc.to_payload(), args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    write_json(doc.to_payload(), args.out)
     print(
         f"reconstructed {family.num_bases * family.dim} states "
         f"(d={family.dim}, bases={family.num_bases})",
@@ -101,24 +74,16 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        cfg = SearchConfig(
-            dim=args.d,
-            num_bases=args.bases,
-            restarts=args.restarts,
-            max_iterations=args.iters,
-            seed=args.seed,
-            target_residual=args.target,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "from_family", None):
-        try:
-            start = load_family(args.from_family)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    cfg = SearchConfig(
+        dim=args.d,
+        num_bases=args.bases,
+        restarts=args.restarts,
+        max_iterations=args.iters,
+        seed=args.seed,
+        target_residual=args.target,
+    )
+    if args.from_family:
+        start = load_family(args.from_family)
         try:
             result = polish(start, cfg)
         except ValueError as exc:
@@ -136,32 +101,28 @@ def _cmd_search(args) -> int:
         converged=result.converged,
     )
     doc = FamilyDocument.from_family(result.best_family, metadata=meta)
-    try:
-        _emit(doc.to_payload(), args.out)
-        if args.log:
-            write_json(
-                {
-                    "tool_version": __version__,
-                    "config": {
-                        "dim": cfg.dim,
-                        "num_bases": cfg.num_bases,
-                        "restarts": cfg.restarts,
-                        "max_iterations": cfg.max_iterations,
-                        "seed": cfg.seed,
-                        "target_residual": cfg.target_residual,
-                    },
-                    "best_objective": result.best_objective,
-                    "converged": result.converged,
-                    "iterations_used": result.iterations_used,
-                    "restarts_used": result.restarts_used,
-                    "restart_objectives": list(result.history),
-                    "restart_iterations": list(result.restart_iterations),
+    write_json(doc.to_payload(), args.out)
+    if args.log:
+        write_json(
+            {
+                "tool_version": __version__,
+                "config": {
+                    "dim": cfg.dim,
+                    "num_bases": cfg.num_bases,
+                    "restarts": cfg.restarts,
+                    "max_iterations": cfg.max_iterations,
+                    "seed": cfg.seed,
+                    "target_residual": cfg.target_residual,
                 },
-                args.log,
-            )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                "best_objective": result.best_objective,
+                "converged": result.converged,
+                "iterations_used": result.iterations_used,
+                "restarts_used": result.restarts_used,
+                "restart_objectives": list(result.history),
+                "restart_iterations": list(result.restart_iterations),
+            },
+            args.log,
+        )
     status = "converged" if result.converged else "residual floor reached"
     print(
         f"{status}: best objective {result.best_objective:.3e} after "
@@ -172,11 +133,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
-    try:
-        params = GaussSumParams(u=args.u, v=args.v, w=args.w)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = GaussSumParams(u=args.u, v=args.v, w=args.w)
     value = gauss_sum(params)
     print(f"S({params.u}, {params.v}, {params.w}) = {value.real!r} + {value.imag!r}j")
     print(f"|S|^2 = {abs(value) ** 2!r}")
@@ -250,7 +207,12 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Unreadable or unwritable files and rejected input, from any command.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -1,17 +1,19 @@
 """JSON persistence for families, reconstructed states, and certificates.
 
 The interchange document stores every complex entry as an [re, im] pair.
-Numbers are written in Python's shortest round-trippable decimal form, so a
-save followed by a load reproduces each float bit for bit.  The loader
-validates everything it reads at a fixed tolerance and names the offending
-(basis, vector, entry) when a matrix fails; a document is never trusted
-just because this package wrote it.
+:func:`write_json` writes every document and certificate as one line of
+compact JSON, with numbers in Python's shortest round-trippable decimal
+form, so a save followed by a load reproduces each float bit for bit.  The
+loader validates everything it reads at a fixed tolerance and names the
+offending (basis, vector, entry) when a matrix fails; a document is never
+trusted just because this package wrote it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,12 +49,9 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[_pair(m[p, q]) for q in range(m.shape[1])] for p in range(m.shape[0])]
+def _pairs(array: np.ndarray) -> list:
+    """Nested lists of a complex array, each entry an [re, im] pair of floats."""
+    return np.ascontiguousarray(array).view(float).reshape(*array.shape, 2).tolist()
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,10 @@ class FamilyDocument:
             {
                 "basis_index": a,
                 "projectors": [
-                    {"alpha": alpha, "matrix": _matrix_pairs(family.projector(a, alpha))}
-                    for alpha in range(family.dim)
+                    {"alpha": alpha, "matrix": matrix} for alpha, matrix in enumerate(matrices)
                 ],
             }
-            for a in range(family.num_bases)
+            for a, matrices in enumerate(_pairs(family.projectors))
         ]
         states_doc = None
         if states is not None:
@@ -101,11 +99,11 @@ class FamilyDocument:
                 {
                     "basis_index": a,
                     "vectors": [
-                        {"alpha": alpha, "amplitudes": [_pair(z) for z in arr[a, alpha]]}
-                        for alpha in range(family.dim)
+                        {"alpha": alpha, "amplitudes": amplitudes}
+                        for alpha, amplitudes in enumerate(vectors)
                     ],
                 }
-                for a in range(family.num_bases)
+                for a, vectors in enumerate(_pairs(arr))
             ]
         return cls(
             format_version=FORMAT_VERSION,
@@ -240,12 +238,19 @@ class FamilyDocument:
         return MubFamily(mats.reshape(n, d, d, d))
 
 
-def write_json(payload: dict, path: str) -> None:
-    """Serialize a payload to a JSON file with full-precision floats."""
+def write_json(payload: dict, path: Optional[str]) -> None:
+    """Write a payload as one line of JSON to ``path``, or to stdout without one.
+
+    The package's only JSON encoder: one-shot ``json.dumps`` without
+    indentation runs in json's C encoder and keeps full-precision floats.
+    """
+    text = json.dumps(payload) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise OSError(f"could not write {path!r}: {exc}") from exc
 
@@ -313,5 +318,5 @@ def report_payload(
         payload["input_path"] = source_path
         payload["input_sha256"] = file_sha256(source_path)
     if report.gram is not None:
-        payload["gram"] = [[float(x) for x in row] for row in report.gram]
+        payload["gram"] = report.gram.tolist()
     return payload

@@ -161,10 +161,10 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     """Eigenvalues and eigenvectors of Hermitian matrices, descending order.
 
     ``matrix`` is one (d, d) matrix or an (N, d, d) stack of them; the
-    result carries the same leading axis.  Rejects matrices whose Hermitian
-    defect max|M - M^dagger| exceeds ``hermiticity_tol``; the iteration
-    itself then works on the symmetrized matrix (M + M^dagger) / 2 so the
-    arithmetic sees exact Hermitian data.
+    result carries the same leading axis.  Rejects non-finite entries and
+    matrices whose Hermitian defect max|M - M^dagger| exceeds
+    ``hermiticity_tol``; the iteration itself then works on the symmetrized
+    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
@@ -173,6 +173,13 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
         )
     single = m.ndim == 2
     stack = m.reshape(-1, *m.shape[-2:])
+    # Checked first: NaN passes every "> tol" test below, and inf - inf in
+    # the Hermitian defect would warn before anything could reject it.
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        label = "matrix" if single else f"matrix {i}"
+        raise ValueError(f"{label} has non-finite entries")
     defects = _hermitian_defects(stack)
     bad = np.flatnonzero(defects > hermiticity_tol)
     if bad.size:

@@ -53,6 +53,15 @@ DEGENERATE_TRACE = 1e-14
 # precision; the restart terminates where it stands.
 _MIN_STEP = 1e-20
 
+# Armijo backtracking: first gradient trial step, shrink factor for a
+# rejected trial, and the fraction of the predicted decrease to achieve.
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_SLOPE = 1e-4
+
+# Starting factors: projector eigenvalues below this have no real square root.
+_PSD_FLOOR = -1e-8
+
 # Fallback growth for the trial step when the Barzilai-Borwein curvature
 # estimate is unusable (non-positive); backtracking still shrinks every
 # trial that fails the acceptance slope.
@@ -79,9 +88,8 @@ class SearchConfig:
 
     ``dim`` and ``num_bases`` fix the problem; the rest control the
     optimizer.  ``target_residual`` is the objective value counted as
-    convergence.  ``initial_step``, ``shrink``, and ``slope`` drive the
-    Armijo backtracking line search.  Identical configurations (seed
-    included) give bit-identical runs.
+    convergence.  Identical configurations (seed included) give
+    bit-identical runs.
     """
 
     dim: int
@@ -90,9 +98,6 @@ class SearchConfig:
     max_iterations: int = 50000
     seed: int = 0
     target_residual: float = 1e-16
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    slope: float = 1e-4
 
     def __post_init__(self):
         if self.dim < 2:
@@ -109,12 +114,6 @@ class SearchConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.target_residual > 0.0:
             raise ValueError(f"target_residual must be positive, got {self.target_residual}")
-        if not self.initial_step > 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if not 0.0 < self.slope < 1.0:
-            raise ValueError(f"slope must lie in (0, 1), got {self.slope}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,24 +166,24 @@ class SearchState:
         return MubFamily(self.projectors())
 
     @classmethod
-    def from_family(cls, family: MubFamily, psd_floor: float = -1e-8) -> "SearchState":
+    def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
 
         Each factor is the Hermitian square root of its projector, so the
-        state starts exactly at the family.  Eigenvalues below ``psd_floor``
-        have no real square root and are refused; small negatives above the
-        floor are clamped to zero.
+        state starts exactly at the family.  Eigenvalues below -1e-8 have no
+        real square root and are refused; small negatives above that floor
+        are clamped to zero.
         """
         n, d = family.num_bases, family.dim
         decomp = eigen_hermitian(family.projectors.reshape(n * d, d, d))
         vals, vecs = decomp.eigenvalues, decomp.eigenvectors
         low = vals[:, -1]
-        bad = np.flatnonzero(low < psd_floor)
+        bad = np.flatnonzero(low < _PSD_FLOOR)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"projector (basis {i // d}, vector {i % d}) has eigenvalue "
-                f"{low[i]:.3e} below {psd_floor:.1e}; no real square root"
+                f"{low[i]:.3e} below {_PSD_FLOOR:.1e}; no real square root"
             )
         roots = np.sqrt(np.clip(vals, 0.0, None))
         factors = np.einsum("nij,nj,nkj->nik", vecs, roots, vecs.conj())
@@ -354,7 +353,7 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     f = _objective_value(r)
     g = _gradient_array(b, m, traces, r)
     trajectory = [f]
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     window_f = np.inf
     iterations = 0
     while iterations < cfg.max_iterations:
@@ -386,11 +385,11 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
             try:
                 m_t, traces_t = _derive(candidate)
             except _DegenerateFactor:
-                trial *= cfg.shrink
+                trial *= _SHRINK
                 continue
             r_t = _residual(m_t, target)
             f_t = _objective_value(r_t)
-            if f_t <= f + cfg.slope * trial * slope_term:
+            if f_t <= f + _SLOPE * trial * slope_term:
                 delta_b = candidate - b
                 b, m, traces, r, f = candidate, m_t, traces_t, r_t, f_t
                 g_next = _gradient_array(b, m, traces, r)
@@ -408,7 +407,7 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
                 trajectory.append(f)
                 accepted = True
                 break
-            trial *= cfg.shrink
+            trial *= _SHRINK
         if not accepted:
             break
     return b, f, iterations, trajectory

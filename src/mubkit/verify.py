@@ -10,7 +10,7 @@ report never says "unbiased", it says how far from unbiased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,10 +48,22 @@ class VerificationReport:
     hermiticity_residual: float
     psd_min_eigenvalue: float
     angle_check: float
-    passed: bool
+    passed: bool = field(init=False)
     gram: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # Comparisons, not max(): a NaN residual fails its comparison,
+        # while max() may drop it depending on argument order.
+        tol = self.tolerance
+        passed = (
+            self.hermiticity_residual <= tol
+            and self.trace_residual <= tol
+            and self.psd_min_eigenvalue >= -tol
+            and self.max_self_residual <= tol
+            and self.max_cross_residual <= tol
+            and self.angle_check <= tol
+        )
+        object.__setattr__(self, "passed", passed)
         if self.gram is not None:
             g = np.array(self.gram, dtype=float)
             g.setflags(write=False)
@@ -106,6 +118,30 @@ def _projector_invariants(mats: np.ndarray):
     return hermiticity, worst_entry, trace, lowest
 
 
+def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray] = None):
+    """(max_self, max_cross, angle_check) of an (n*d, n*d) overlap matrix.
+
+    ``overlaps[i, j]`` is the trace product of projectors i and j, rows
+    ordered a*d + alpha, and is compared against
+    :func:`unbiased_gram_target`.  The cross-basis entries, divided by the
+    outer product of ``norms`` when given, are the cosines whose angles are
+    compared against arccos(1/d).  A single basis has no cross-basis terms.
+    """
+    n = overlaps.shape[0] // d
+    deviation = np.abs(overlaps - unbiased_gram_target(n, d))
+    labels = np.repeat(np.arange(n), d)
+    same_basis = labels[:, None] == labels[None, :]
+    max_self = float(deviation[same_basis].max())
+    if n == 1:
+        return max_self, 0.0, 0.0
+    max_cross = float(deviation[~same_basis].max())
+    cosines = overlaps[~same_basis]
+    if norms is not None:
+        cosines = cosines / np.outer(norms, norms)[~same_basis]
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    return max_self, max_cross, float(np.max(np.abs(angles - np.arccos(1.0 / d))))
+
+
 def verify_family(
     family: MubFamily,
     tolerance: float = 1e-10,
@@ -132,29 +168,8 @@ def verify_family(
     # is another symptom of broken Hermitian symmetry.
     hermiticity = max(float(hermiticity.max()), float(np.max(np.abs(gram_complex.imag))))
 
-    target = unbiased_gram_target(n, d)
-    deviation = np.abs(gram - target)
-    labels = np.repeat(np.arange(n), d)
-    same_basis = labels[:, None] == labels[None, :]
-    max_self = float(deviation[same_basis].max())
-    max_cross = float(deviation[~same_basis].max()) if n > 1 else 0.0
-
-    if n > 1:
-        norms = np.sqrt(np.einsum("ij,ij->i", vectors.conj(), vectors).real)
-        cosines = gram[~same_basis] / np.outer(norms, norms)[~same_basis]
-        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-        angle_check = float(np.max(np.abs(angles - np.arccos(1.0 / d))))
-    else:
-        angle_check = 0.0
-
-    passed = (
-        hermiticity <= tolerance
-        and trace_residual <= tolerance
-        and min_eig >= -tolerance
-        and max_self <= tolerance
-        and max_cross <= tolerance
-        and angle_check <= tolerance
-    )
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors.conj(), vectors).real)
+    max_self, max_cross, angle_check = _overlap_residuals(gram, d, norms)
     return VerificationReport(
         dim=d,
         num_bases=n,
@@ -165,7 +180,6 @@ def verify_family(
         hermiticity_residual=hermiticity,
         psd_min_eigenvalue=min_eig,
         angle_check=angle_check,
-        passed=passed,
         gram=gram if keep_gram else None,
     )
 
@@ -191,36 +205,17 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
     flat = arr.reshape(n * d, d)
     norms = np.linalg.norm(flat, axis=1)
     trace_residual = float(np.max(np.abs(norms**2 - 1.0)))
-    if trace_residual > tolerance:
+    if not trace_residual <= tolerance:  # a NaN residual is not normalized either
         worst = int(np.argmax(np.abs(norms**2 - 1.0)))
         raise ValueError(
             f"state (basis {worst // d}, vector {worst % d}) is not normalized: "
             f"squared norm deviates by {trace_residual:.3e}"
         )
 
+    # The squared overlap is exactly the trace product of the rank-1
+    # projectors these states generate, and also the cosine between them.
     overlap_sq = np.abs(flat.conj() @ flat.T) ** 2
-    target = unbiased_gram_target(n, d)
-    deviation = np.abs(overlap_sq - target)
-    labels = np.repeat(np.arange(n), d)
-    same_basis = labels[:, None] == labels[None, :]
-    max_self = float(deviation[same_basis].max())
-    max_cross = float(deviation[~same_basis].max()) if n > 1 else 0.0
-
-    if n > 1:
-        # Angles between the rank-1 projectors these states generate; the
-        # squared overlap is exactly the projector trace product.
-        cosines = overlap_sq[~same_basis]
-        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-        angle_check = float(np.max(np.abs(angles - np.arccos(1.0 / d))))
-    else:
-        angle_check = 0.0
-
-    passed = (
-        trace_residual <= tolerance
-        and max_self <= tolerance
-        and max_cross <= tolerance
-        and angle_check <= tolerance
-    )
+    max_self, max_cross, angle_check = _overlap_residuals(overlap_sq, d)
     return VerificationReport(
         dim=d,
         num_bases=n,
@@ -231,5 +226,4 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
         hermiticity_residual=0.0,
         psd_min_eigenvalue=0.0,
         angle_check=angle_check,
-        passed=passed,
     )

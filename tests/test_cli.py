@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.cli import cli_dispatch
 
@@ -41,6 +45,13 @@ class TestConstruct:
         assert proc.returncode == 2
         assert "requires prime d" in proc.stderr
 
+
+    def test_unwritable_out_is_io_error(self, tmp_path):
+        proc = run("construct", "--d", "2", "--out", str(tmp_path / "missing" / "f.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: could not write")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_verifies_once(self, tmp_path, monkeypatch):
         import mubkit.cli
@@ -214,6 +225,42 @@ class TestDispatch:
         assert proc.returncode == 0
         for name in ("construct", "verify", "reconstruct", "search", "gauss"):
             assert name in proc.stdout
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 5]),
+        seed=st.integers(0, 2**16),
+        iters=st.integers(1, 40),
+    )
+    def test_property_stdout_matches_file(self, tmp_path_factory, d, seed, iters):
+        def dispatch(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_dispatch(argv)
+            return code, out.getvalue()
+
+        def value(text):
+            payload = json.loads(text)
+            del payload["metadata"]["timestamp"]
+            return payload
+
+        work = tmp_path_factory.mktemp("stdout")
+        family = str(work / "family.json")
+        commands = [
+            ["construct", "--d", str(d)],
+            ["reconstruct", family],
+            ["search", "--d", "2", "--bases", "3", "--restarts", "1",
+             "--iters", str(iters), "--seed", str(seed)],
+        ]
+        assert dispatch(commands[0] + ["--out", family]) == (0, "")
+        for argv in commands:
+            path = work / "out.json"
+            file_code, printed = dispatch(argv + ["--out", str(path)])
+            stdout_code, text = dispatch(argv)
+            assert printed == ""
+            assert stdout_code == file_code
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert value(text) == value(path.read_text())
 
     def test_dispatch_in_process(self, tmp_path, capsys):
         path = tmp_path / "family.json"

@@ -3,7 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mubkit.algebra import MubFamily
 from mubkit.construct import build_family
 from mubkit.io import (
     FORMAT_VERSION,
@@ -62,6 +66,27 @@ class TestRoundTrip:
             ]
         )
         assert np.array_equal(flat.reshape(states.shape), states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.integers(1, d + 1).flatmap(
+                lambda n: hnp.arrays(
+                    np.float64, (2, n, d, d), elements=st.floats(-1.0, 1.0, width=64)
+                )
+            )
+        )
+    )
+    def test_property_random_states_bit_exact(self, tmp_path_factory, parts):
+        states = parts[0] + 1j * parts[1]
+        # Keep every vector away from zero so it can be normalized; the
+        # other entries stay arbitrary, signed zeros and subnormals included.
+        states[..., 0] += 2.0
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        family = MubFamily.from_states(states)
+        path = tmp_path_factory.mktemp("roundtrip") / "family.json"
+        save_family(family, str(path))
+        assert load_family(str(path)).projectors.tobytes() == family.projectors.tobytes()
 
     def test_loaded_family_verifies(self, tmp_path):
         family = build_family(5)

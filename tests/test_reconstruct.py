@@ -175,6 +175,18 @@ class TestBatchedEigen:
         with pytest.raises(ValueError, match="matrix 2 is not Hermitian"):
             eigen_hermitian(stack)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_before_any_warning(self, bad):
+        matrix = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        stack = random_stack(np.random.default_rng(7), 3, 2)
+        stack[1] = matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries"):
+                eigen_hermitian(matrix)
+            with pytest.raises(ValueError, match="^matrix 1 has non-finite entries"):
+                eigen_hermitian(stack)
+
     @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4), (2, 2, 3, 3), (3,)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError, match="square"):

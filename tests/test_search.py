@@ -37,9 +37,6 @@ class TestSearchConfig:
             (dict(dim=3, num_bases=4, max_iterations=0), "max_iterations"),
             (dict(dim=3, num_bases=4, seed=-1), "seed"),
             (dict(dim=3, num_bases=4, target_residual=0.0), "target_residual"),
-            (dict(dim=3, num_bases=4, initial_step=0.0), "initial_step"),
-            (dict(dim=3, num_bases=4, shrink=1.0), "shrink"),
-            (dict(dim=3, num_bases=4, slope=0.0), "slope"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, fragment):

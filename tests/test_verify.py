@@ -4,7 +4,7 @@ import pytest
 from mubkit.algebra import MubFamily, flatten, projector_from_state
 from mubkit.construct import build_family
 from mubkit.reconstruct import reconstruct_all
-from mubkit.verify import pairwise_angle, verify_family, verify_states
+from mubkit.verify import VerificationReport, pairwise_angle, verify_family, verify_states
 
 
 def computational_family(d):
@@ -123,6 +123,39 @@ class TestVerifyStates:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shaped"):
             verify_states(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 1), slice(None)])
+    def test_rejects_nan_states_as_unnormalized(self, where):
+        states = qubit_trio_states()
+        states[where] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            verify_states(states)
+
+
+class TestVerificationReport:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_self_residual",
+            "max_cross_residual",
+            "trace_residual",
+            "hermiticity_residual",
+            "psd_min_eigenvalue",
+            "angle_check",
+        ],
+    )
+    def test_nan_residual_never_passes(self, field):
+        residuals = dict(
+            max_self_residual=0.0,
+            max_cross_residual=0.0,
+            trace_residual=0.0,
+            hermiticity_residual=0.0,
+            psd_min_eigenvalue=0.0,
+            angle_check=0.0,
+        )
+        assert VerificationReport(dim=2, num_bases=3, tolerance=1e-10, **residuals).passed
+        residuals[field] = float("nan")
+        assert not VerificationReport(dim=2, num_bases=3, tolerance=1e-10, **residuals).passed
 
 
 class TestPairwiseAngle:
