@@ -137,7 +137,14 @@ def canonical_phase(state) -> np.ndarray:
     if top == 0.0:
         raise ValueError("cannot fix the phase of a zero vector")
     pivot = int(np.argmax(mods >= top * (1.0 - _PIVOT_SLACK)))
-    return v * (v[pivot].conjugate() / mods[pivot])
+    # Python's complex division rounds each part once; numpy's scalar
+    # division goes through a reciprocal, so an already real pivot would
+    # not map to a phase of exactly 1.
+    out = v * (complex(v[pivot]).conjugate() / float(mods[pivot]))
+    # The rotated pivot equals |v_pivot| only to rounding; pinning it makes
+    # the pivot exactly real and a second call a no-op.
+    out[pivot] = mods[pivot]
+    return out
 
 
 def unbiased_gram_target(num_bases: int, dim: int) -> np.ndarray:

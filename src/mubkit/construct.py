@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+# Largest projector array, in bytes, that build_family allocates.  A
+# complete family takes 16 (d + 1) d^3 bytes, which outgrows memory long
+# before anything else does; 1 GiB admits every prime d up to 89.
+MAX_FAMILY_BYTES = 1 << 30
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test; fine for the small dimensions used here."""
     if n < 2:
@@ -96,6 +102,9 @@ def build_family(
     value is (family, report), so a caller that shows the certificate
     need not verify a second time.
 
+    Dimensions whose (num_bases, d, d, d) projector array would exceed
+    :data:`MAX_FAMILY_BYTES` are refused before anything is allocated.
+
     Every phase exponent is an integer mod 2d, so the entries are gathered
     from a table of the 2d distinct coefficients; each table entry is
     computed exactly as :func:`w_coefficient` computes it, so the family
@@ -105,6 +114,12 @@ def build_family(
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
     num_bases = d + 1 if include_computational else d
+    nbytes = num_bases * d**3 * np.dtype(complex).itemsize
+    if nbytes > MAX_FAMILY_BYTES:
+        raise ValueError(
+            f"a family in dimension d = {d} needs {nbytes} bytes of projectors, "
+            f"above the {MAX_FAMILY_BYTES}-byte limit"
+        )
     a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
     exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
     table = np.array([_phase(k, d) / d for k in range(2 * d)])

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,25 @@ def _is_number(x) -> bool:
 
 def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_plain_matrix(raw: list, d: int) -> bool:
+    """True when ``raw`` holds d rows of d [re, im] pairs of plain numbers.
+
+    Exact-type checks through ``set(map(...))`` run at C speed, so a
+    well-formed matrix costs no per-entry Python call.  False means only
+    that the per-entry checks must look, not that the matrix is invalid:
+    numeric subclasses such as ``np.float64`` fail this test but are
+    accepted there.  ``bool`` is its own type, so true/false never pass.
+    """
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {d}:
+        return False
+    entries = list(chain.from_iterable(raw))
+    return (
+        set(map(type, entries)) == {list}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    )
 
 
 def _pairs(array: np.ndarray) -> list:
@@ -155,12 +175,17 @@ class FamilyDocument:
         d = self.dimension
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
-        for p, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != d:
-                raise ValueError(f"{where}: row {p} must have {d} entries")
-            for q, pair in enumerate(row):
-                if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-                    raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
+        if not _is_plain_matrix(raw, d):
+            for p, row in enumerate(raw):
+                if not isinstance(row, list) or len(row) != d:
+                    raise ValueError(f"{where}: row {p} must have {d} entries")
+                for q, pair in enumerate(row):
+                    if (
+                        not isinstance(pair, list)
+                        or len(pair) != 2
+                        or not all(map(_is_number, pair))
+                    ):
+                        raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
         try:
             pairs = np.array(raw, dtype=float)
         except OverflowError:  # an integer literal beyond the float range

@@ -72,8 +72,10 @@ _STEP_GROWTH = 2.0
 # pointless far from one.
 _REFINE_CROSSOVER = 1e-5
 
-# Skip the least-squares refinement when the residual count would make the
-# normal equations quadratically large; gradient steps still apply.
+# Skip the least-squares refinement above this many residual rows (one per
+# unordered projector pair plus one per self term): the step assembles a
+# rows x rows normal matrix and solves it in O(rows^3); gradient steps
+# still apply.
 _REFINE_ROWS_CAP = 4000
 
 # A restart that cannot shave 0.1 percent off the objective across this
@@ -215,10 +217,13 @@ def _derive(b: np.ndarray):
     Returns (projectors, traces).  Raises on degenerate factors; callers in
     the line search catch this and treat the trial step as rejected.
     """
-    raw = np.einsum("nki,nkj->nij", b.conj(), b)
-    traces = np.einsum("nii->n", raw).real
-    bad = np.flatnonzero(traces < DEGENERATE_TRACE)
-    if bad.size:
+    n_total = b.shape[0]
+    raw = b.conj().swapaxes(-1, -2) @ b
+    # Tr(B^dagger B) is the squared Frobenius norm of B.
+    flat = b.reshape(n_total, -1).view(float)
+    traces = np.einsum("ij,ij->i", flat, flat)
+    if traces.min() < DEGENERATE_TRACE:
+        bad = np.flatnonzero(traces < DEGENERATE_TRACE)
         raise _DegenerateFactor(int(bad[0]), float(traces[bad[0]]))
     return raw / traces[:, None, None], traces
 
@@ -230,19 +235,24 @@ class _DegenerateFactor(ValueError):
         super().__init__(f"factor {index} has trace norm {trace:.3e} below {DEGENERATE_TRACE:.1e}")
 
 
+def _gram(m: np.ndarray):
+    """G_ij = Re Tr(M_i^dagger M_j), one real product of the (re, im) views."""
+    w = m.reshape(m.shape[0], -1).view(float)
+    return w @ w.T
+
+
 def _residual(m: np.ndarray, target: np.ndarray):
     """Gram residual R = G - target for derived projectors m."""
-    n_total = m.shape[0]
-    w = m.reshape(n_total, -1)
-    return (w.conj() @ w.T).real - target
+    return _gram(m) - target
 
 
 def _objective_value(r: np.ndarray) -> float:
     # Unordered pairs once each plus the rank-1 self terms: R is symmetric,
     # so the Frobenius mass counts off-diagonal pairs twice and the
     # diagonal once; adding the diagonal again and halving fixes both.
+    v = r.reshape(-1)
     diag = np.diagonal(r)
-    return 0.5 * float(np.sum(r * r) + np.sum(diag * diag))
+    return 0.5 * float(v @ v + diag @ diag)
 
 
 def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndarray):
@@ -251,10 +261,17 @@ def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndar
     Entry (i, p, q) holds d(objective)/d(Re B_i[p, q]) in its real part and
     d(objective)/d(Im B_i[p, q]) in its imaginary part.
     """
-    # Matrix-space direction: K_i = 2 (sum_j R_ij M_j + R_ii M_i).
-    k = 2.0 * (np.einsum("ij,jkl->ikl", r, m) + np.diagonal(r)[:, None, None] * m)
+    n_total = m.shape[0]
+    # Matrix-space direction: K_i = 2 (sum_j R_ij M_j + R_ii M_i), one real
+    # product of the doubled-diagonal residual with the (re, im) view of M.
+    coeff = 2.0 * r
+    coeff.flat[:: n_total + 1] *= 2.0
+    mv = m.reshape(n_total, -1).view(float)
+    kv = coeff @ mv
+    k = kv.view(complex).reshape(m.shape)
     bk = b @ k
-    tr_mk = np.einsum("nij,nji->n", m, k).real
+    # M_i and K_i are Hermitian, so Tr(M_i K_i) = Re <M_i, K_i>.
+    tr_mk = np.einsum("ij,ij->i", mv, kv)
     return (2.0 / traces)[:, None, None] * (bk - tr_mk[:, None, None] * b)
 
 
@@ -293,41 +310,81 @@ def gradient(state: SearchState) -> np.ndarray:
     return _gradient_array(b, m, traces, r).reshape(n, d, d, d)
 
 
-def _refine_direction(b, m, traces, r, g, pair_rows):
+def _row_layout(n_total: int):
+    """Index maps of the stacked residual vector for ``n_total`` factors.
+
+    Row k is the residual R[ends[0][k], ends[1][k]]: first the unordered
+    pairs i < j in ``np.triu_indices`` order, then the self terms.
+    ``row_of[n, j]`` is the row factor n shares with factor j (its self row
+    when j == n), so each row touches at most two factors.  ``scatter``
+    places entry (n, j, k) of the per-factor blocks at flat position
+    (row_of[n, j], row_of[n, k]) of the normal matrix.
+    """
+    iu, ju = np.triu_indices(n_total, k=1)
+    diag = np.arange(n_total)
+    ends = (np.concatenate([iu, diag]), np.concatenate([ju, diag]))
+    rows = ends[0].size
+    row_of = np.empty((n_total, n_total), dtype=np.intp)
+    row_of[ends] = np.arange(rows)
+    row_of[ends[::-1]] = np.arange(rows)
+    scatter = (row_of[:, :, None] * rows + row_of[:, None, :]).reshape(-1)
+    return ends, row_of, scatter
+
+
+def _normal_system(b, m, traces, r, layout):
+    """Per-factor Jacobian blocks, normal matrix and residual vector.
+
+    The Jacobian of the stacked residuals is never formed: row (i, j)
+    touches only factors i and j, so Re(J J^dagger) is the sum over factors
+    n of the Gram matrices of n's blocks, scattered to the rows n shares.
+    Returns (v, normal, rvec) with v[n, j] the (re, im) view of the block
+    factor n contributes to row ``row_of[n, j]``.
+    """
+    ends, _, scatter = layout
+    n_total, d = b.shape[0], b.shape[1]
+    rows = ends[0].size
+    gram = _gram(m)
+    # Block (n, j) is the derivative of Tr(M_n M_j) in factor n,
+    # (2/s_n)(B_n M_j - G_nj B_n), complex-packed like the gradient; the
+    # self term Tr(M_n^2) has twice that derivative.  Every B_n M_j comes
+    # from one (n p, k) x (k, j q) product.
+    prods = b.reshape(-1, d) @ m.transpose(1, 0, 2).reshape(d, -1)
+    prods = prods.reshape(n_total, d, n_total, d).transpose(0, 2, 1, 3)
+    v = np.ascontiguousarray(prods).reshape(n_total, n_total, -1).view(float)
+    v -= gram[:, :, None] * b.reshape(n_total, 1, -1).view(float)
+    coeff = np.repeat((2.0 / traces)[:, None], n_total, axis=1)
+    coeff.flat[:: n_total + 1] *= 2.0
+    v *= coeff[:, :, None]
+    normal = np.bincount(
+        scatter, weights=(v @ v.transpose(0, 2, 1)).reshape(-1), minlength=rows * rows
+    ).reshape(rows, rows)
+    return v, normal, r[ends]
+
+
+def _pull_back(z, v, row_of):
+    """z @ J for a row-space vector z: one flattened complex row per factor."""
+    return (z[row_of][:, None, :] @ v).view(complex).reshape(row_of.shape[0], -1)
+
+
+def _refine_direction(b, m, traces, r, g, layout):
     """Damped least-squares step on the stacked residuals, complex-packed.
 
     Each residual is linear in the derived projectors; the step solves the
     damped normal equations in row space, which is small (one row per
-    unordered pair plus one per self term).  Returns None when the solve
-    fails or does not yield a descent direction; the caller falls back to
-    the gradient.
+    unordered pair plus one per self term), assembled block by block by
+    :func:`_normal_system` without forming the Jacobian.  Returns None when
+    the solve fails or does not yield a descent direction; the caller falls
+    back to the gradient.
     """
-    n_total, d = b.shape[0], b.shape[1]
-    iu, ju = pair_rows
-    n_pairs = iu.size
-    rows = n_pairs + n_total
-    # The derivative of Tr(M_i M_j) in factor i is (2/s_i)(B_i M_j - G_ij B_i),
-    # complex-packed like the gradient.
-    gij = np.einsum("ik,jk->ij", m.reshape(n_total, -1).conj(), m.reshape(n_total, -1)).real
-    c = (2.0 / traces)[:, None, None, None] * (
-        np.einsum("ipk,jkq->ijpq", b, m) - gij[:, :, None, None] * b[:, None, :, :]
-    )
-    jac = np.zeros((rows, n_total, d * d), dtype=complex)
-    jac[np.arange(n_pairs), iu] = c[iu, ju].reshape(n_pairs, -1)
-    jac[np.arange(n_pairs), ju] = c[ju, iu].reshape(n_pairs, -1)
-    jac[n_pairs + np.arange(n_total), np.arange(n_total)] = 2.0 * c[
-        np.arange(n_total), np.arange(n_total)
-    ].reshape(n_total, -1)
-    jac = jac.reshape(rows, -1)
-    rvec = np.concatenate([r[iu, ju], np.diagonal(r)])
-
-    normal = (jac @ jac.conj().T).real
+    _, row_of, _ = layout
+    v, normal, rvec = _normal_system(b, m, traces, r, layout)
+    rows = rvec.size
     damping = 1e-10 * (float(np.trace(normal)) / rows + 1.0)
     try:
         z = np.linalg.solve(normal + damping * np.eye(rows), rvec)
     except np.linalg.LinAlgError:
         return None, 0.0
-    direction = -(z @ jac).reshape(b.shape)
+    direction = -_pull_back(z, v, row_of).reshape(b.shape)
     slope_term = float(np.vdot(g, direction).real)
     if not slope_term < 0.0:
         return None, 0.0
@@ -346,8 +403,8 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     """
     b = b0
     n_total = b.shape[0]
-    pair_rows = np.triu_indices(n_total, k=1)
-    refine_ok = pair_rows[0].size + n_total <= _REFINE_ROWS_CAP
+    rows = n_total * (n_total + 1) // 2
+    layout = _row_layout(n_total) if rows <= _REFINE_ROWS_CAP else None
     m, traces = _derive(b)
     r = _residual(m, target)
     f = _objective_value(r)
@@ -369,8 +426,8 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         iterations += 1
 
         direction = None
-        if refine_ok and f < _REFINE_CROSSOVER:
-            direction, slope_term = _refine_direction(b, m, traces, r, g, pair_rows)
+        if layout is not None and f < _REFINE_CROSSOVER:
+            direction, slope_term = _refine_direction(b, m, traces, r, g, layout)
         gradient_step = direction is None
         if gradient_step:
             direction = -g

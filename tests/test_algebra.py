@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mubkit.algebra import (
     MubFamily,
@@ -176,6 +179,18 @@ class TestCanonicalPhase:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             canonical_phase([0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            complex,
+            st.integers(1, 8),
+            elements=st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e150),
+        ).filter(lambda v: np.any(v != 0))
+    )
+    def test_idempotent(self, v):
+        once = canonical_phase(v)
+        assert np.array_equal(canonical_phase(once), once)
 
 
 class TestUnbiasedGramTarget:

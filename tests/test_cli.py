@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubkit.cli import cli_dispatch
+from mubkit.construct import build_family
+from mubkit.io import FamilyDocument, load_family
 
 
 def run(*args):
@@ -25,6 +27,41 @@ def construct(tmp_path, d=2, name="family.json"):
     proc = run("construct", "--d", str(d), "--out", str(path))
     assert proc.returncode == 0, proc.stderr
     return path
+
+
+def leaf_paths(node, path=()):
+    """Paths to every scalar in a JSON value, in document order."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from leaf_paths(child, path + (key,))
+
+
+def replace_at(node, path, value):
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+FAMILY_PAYLOAD = FamilyDocument.from_family(
+    build_family(3), metadata={"generator": "test"}
+).to_payload()
+
+CORRUPT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(),
+    st.integers(min_value=10**308, max_value=10**400),
+    st.floats(),
+    st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
 
 
 class TestConstruct:
@@ -45,6 +82,13 @@ class TestConstruct:
         assert proc.returncode == 2
         assert "requires prime d" in proc.stderr
 
+
+    def test_oversized_dimension_is_usage_error(self):
+        proc = run("construct", "--d", "1009")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: a family in dimension d = 1009 needs")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
     def test_unwritable_out_is_io_error(self, tmp_path):
         proc = run("construct", "--d", "2", "--out", str(tmp_path / "missing" / "f.json"))
@@ -113,6 +157,34 @@ class TestVerify:
         proc = run("verify", str(path), "--tol", "1e-6")
         assert proc.returncode == 0
 
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        path=st.sampled_from(list(leaf_paths(FAMILY_PAYLOAD))),
+        value=CORRUPT_LEAVES,
+    )
+    def test_property_corrupted_leaf(self, tmp_path_factory, path, value):
+        # One leaf anywhere in the document replaced by an arbitrary JSON
+        # value: the loader either accepts the document or raises
+        # ValueError, and the CLI turns every refusal into exit 2.
+        payload = json.loads(json.dumps(FAMILY_PAYLOAD))
+        replace_at(payload, path, value)
+        doc = tmp_path_factory.mktemp("fuzz") / "family.json"
+        doc.write_text(json.dumps(payload))
+        try:
+            load_family(str(doc))
+            refused = False
+        except ValueError:
+            refused = True
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_dispatch(["verify", str(doc)])
+        if refused:
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 1)
 
     @pytest.mark.parametrize(
         "mutate",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,3 +186,13 @@ class TestBuildFamily:
         family, report = build_family(5, with_report=True)
         assert report.passed
         assert report.summary() == verify_family(family).summary()
+
+    def test_oversized_dimension_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"d = 1009 needs 16600258660640 bytes"):
+                build_family(1009)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -222,6 +222,21 @@ class TestRejection:
         with pytest.raises(ValueError, match=fragment):
             load_family(str(path))
 
+    def test_numeric_subclass_entries_accepted(self):
+        # Not plain int/float, so the per-entry checks decide, and they
+        # accept numpy floats built in process.
+        family = build_family(2)
+        payload = FamilyDocument.from_family(family).to_payload()
+        payload["bases"][0]["projectors"][0]["matrix"][0][0] = [np.float64(0.5), np.float64(0.0)]
+        loaded = FamilyDocument.from_payload(payload).to_family()
+        assert loaded.projectors.tobytes() == family.projectors.tobytes()
+
+    def test_tuple_entry_rejected(self):
+        payload = FamilyDocument.from_family(build_family(2)).to_payload()
+        payload["bases"][1]["projectors"][1]["matrix"][1][0] = (0.5, 0.0)
+        with pytest.raises(ValueError, match=r"basis 1, vector 1, entry \(1, 0\): expected"):
+            FamilyDocument.from_payload(payload).to_family()
+
     def test_integer_beyond_float_range(self, tmp_path):
         path = tmp_path / "family.json"
         write_doc(path)

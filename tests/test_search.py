@@ -6,7 +6,14 @@ from mubkit.construct import build_family
 from mubkit.search import (
     SearchConfig,
     SearchState,
+    _derive,
+    _gradient_array,
     _minimize,
+    _normal_system,
+    _objective_value,
+    _pull_back,
+    _residual,
+    _row_layout,
     gradient,
     objective,
     polish,
@@ -19,6 +26,80 @@ def random_state(seed, num_bases, d):
     rng = np.random.default_rng(seed)
     shape = (num_bases, d, d, d)
     return SearchState((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2))
+
+
+def reference_kernels(b, target):
+    """The search kernels as plain einsum formulas over a dense Jacobian.
+
+    Kept as an oracle for the BLAS-shaped kernels in ``mubkit.search``.
+    """
+    n_total, d = b.shape[0], b.shape[1]
+    raw = np.einsum("nki,nkj->nij", b.conj(), b)
+    traces = np.einsum("nii->n", raw).real
+    m = raw / traces[:, None, None]
+    w = m.reshape(n_total, -1)
+    gram = (w.conj() @ w.T).real
+    r = gram - target
+    diag = np.diagonal(r)
+    value = 0.5 * float(np.sum(r * r) + np.sum(diag * diag))
+    k = 2.0 * (np.einsum("ij,jkl->ikl", r, m) + diag[:, None, None] * m)
+    tr_mk = np.einsum("nij,nji->n", m, k).real
+    grad = (2.0 / traces)[:, None, None] * (b @ k - tr_mk[:, None, None] * b)
+
+    iu, ju = np.triu_indices(n_total, k=1)
+    n_pairs = iu.size
+    rows = n_pairs + n_total
+    c = (2.0 / traces)[:, None, None, None] * (
+        np.einsum("ipk,jkq->ijpq", b, m) - gram[:, :, None, None] * b[:, None, :, :]
+    )
+    jac = np.zeros((rows, n_total, d * d), dtype=complex)
+    jac[np.arange(n_pairs), iu] = c[iu, ju].reshape(n_pairs, -1)
+    jac[np.arange(n_pairs), ju] = c[ju, iu].reshape(n_pairs, -1)
+    every = np.arange(n_total)
+    jac[n_pairs + every, every] = 2.0 * c[every, every].reshape(n_total, -1)
+    jac = jac.reshape(rows, -1)
+    normal = (jac @ jac.conj().T).real
+    rvec = np.concatenate([r[iu, ju], diag])
+    return m, traces, r, value, grad, jac, normal, rvec
+
+
+def assert_close(actual, expected, rel=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rel * scale
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("d,num_bases", [(2, 3), (3, 4), (4, 5), (6, 3)])
+    def test_kernels_match_reference(self, d, num_bases):
+        n_total = num_bases * d
+        b = random_state(100 + d, num_bases, d).factors.reshape(n_total, d, d)
+        target = unbiased_gram_target(num_bases, d)
+        m_ref, traces_ref, r_ref, value_ref, grad_ref, jac, normal_ref, rvec_ref = (
+            reference_kernels(b, target)
+        )
+
+        m, traces = _derive(b)
+        assert_close(m, m_ref)
+        assert_close(traces, traces_ref)
+        r = _residual(m, target)
+        assert_close(r, r_ref)
+        assert _objective_value(r) == pytest.approx(value_ref, rel=1e-12)
+        assert_close(_gradient_array(b, m, traces, r), grad_ref)
+
+        # The normal matrix is singular along gauge directions, so solved
+        # steps may differ far above roundoff; compare what feeds the solve.
+        layout = _row_layout(n_total)
+        v, normal, rvec = _normal_system(b, m, traces, r, layout)
+        assert_close(normal, normal_ref)
+        assert_close(rvec, rvec_ref)
+        z = np.random.default_rng(d).standard_normal(rvec.size)
+        assert_close(_pull_back(z, v, layout[1]), (z @ jac).reshape(n_total, -1))
+
+    def test_degenerate_factor_message(self):
+        b = random_state(1, 2, 3).factors.reshape(6, 3, 3).copy()
+        b[4] = 0.0
+        with pytest.raises(ValueError, match=r"factor 4 has trace norm 0\.000e\+00"):
+            _derive(b)
 
 
 class TestSearchConfig:

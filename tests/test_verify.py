@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.algebra import MubFamily, flatten, projector_from_state
 from mubkit.construct import build_family
@@ -24,6 +26,63 @@ def qubit_trio_states():
         ],
         dtype=complex,
     )
+
+
+RESIDUALS = (
+    "max_self_residual",
+    "max_cross_residual",
+    "trace_residual",
+    "hermiticity_residual",
+    "psd_min_eigenvalue",
+    "angle_check",
+)
+
+
+def seeded_family(d, n, seed):
+    """A closed-form family for seed 0, otherwise one from random unit states."""
+    if seed == 0:
+        return MubFamily(build_family(d).projectors[:n])
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    return MubFamily.from_states(states)
+
+
+family_shapes = st.sampled_from([2, 3, 5]).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d + 1), st.integers(0, 2**32))
+)
+
+
+class TestInvariances:
+    @settings(max_examples=40, deadline=None)
+    @given(family_shapes, st.integers(0, 2**32))
+    def test_global_unitary_conjugation(self, shape, useed):
+        d, n, seed = shape
+        family = seeded_family(d, n, seed)
+        rng = np.random.default_rng(useed)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rotated = MubFamily(u @ family.projectors @ u.conj().T)
+        before, after = verify_family(family), verify_family(rotated)
+        for name in RESIDUALS:
+            assert abs(getattr(after, name) - getattr(before, name)) <= 1e-12, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_shapes, st.randoms(use_true_random=False))
+    def test_basis_and_vector_permutations(self, shape, random):
+        d, n, seed = shape
+        family = seeded_family(d, n, seed)
+        bases = random.sample(range(n), n)
+        mats = np.array([family.projectors[a][random.sample(range(d), d)] for a in bases])
+        before, after = verify_family(family), verify_family(MubFamily(mats))
+        # Per-matrix checks see the same matrices and agree exactly.  The
+        # Gram matrix comes from one BLAS product, which may round an entry
+        # differently at a different position, so its maxima agree to 1 ulp.
+        for name in ("trace_residual", "psd_min_eigenvalue"):
+            assert getattr(after, name) == getattr(before, name), name
+        gram_derived = ("max_self_residual", "max_cross_residual", "angle_check")
+        for name in gram_derived + ("hermiticity_residual",):
+            value = getattr(before, name)
+            assert abs(getattr(after, name) - value) <= max(np.spacing(value), 1e-15), name
 
 
 class TestVerifyFamily:
