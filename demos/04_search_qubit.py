@@ -2,10 +2,10 @@
 Finding unbiased bases by numerical search
 ==========================================
 
-No closed form is needed to find small families: parameterize each
-projector as B^dagger B / Tr(B^dagger B) and drive the Gram matrix to
-its target by descent.  Restarts are seeded deterministically, so runs
-are exactly reproducible.
+No closed form is needed to find small families: move one unitary per
+basis, whose columns are the basis vectors, and drive the Gram matrix of
+their projectors to its target by descent.  Restarts are seeded
+deterministically, so runs are exactly reproducible.
 """
 
 from mubkit import SearchConfig, run_search, verify_family
@@ -17,7 +17,7 @@ print(f"converged: {result.converged}")
 print(f"best objective: {result.best_objective:.3e} (target {cfg.target_residual:.0e})")
 print(f"restarts used: {result.restarts_used}, iterations: {result.iterations_used}")
 
-# The search returns projectors, not vectors, so the usual certificate
+# The search returns its family as projectors, so the usual certificate
 # applies directly.
 report = verify_family(result.best_family, tolerance=1e-6)
 print(report.summary())

@@ -178,7 +178,7 @@ class MubFamily:
     projectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.projectors, dtype=complex)
+        arr = np.array(self.projectors, dtype=complex, order="C")
         if arr.ndim != 4:
             raise ValueError(
                 f"projectors must be a (num_bases, d, d, d) array, got {arr.ndim} axes"

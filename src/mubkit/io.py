@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily
+from .reconstruct import _MAX_ENTRY
 from .verify import VerificationReport, _projector_invariants
 
 __all__ = [
@@ -190,8 +191,12 @@ class FamilyDocument:
             pairs = np.array(raw, dtype=float)
         except OverflowError:  # an integer literal beyond the float range
             pairs = None
-        if pairs is None or not np.all(np.isfinite(pairs)):
-            raise ValueError(f"{where}: matrix entries must be finite")
+        # One comparison refuses NaN and inf as well as parts so large that
+        # the invariant checks would overflow.
+        if pairs is None or not np.all(np.abs(pairs) <= _MAX_ENTRY):
+            raise ValueError(
+                f"{where}: matrix entries must be finite, with parts up to {_MAX_ENTRY:.0e}"
+            )
         return pairs.view(complex).reshape(d, d)
 
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:

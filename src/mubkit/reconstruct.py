@@ -30,6 +30,9 @@ __all__ = [
 
 _MAX_SWEEPS = 30
 _CONVERGED = 1e-13  # off-diagonal mass, relative to the Frobenius norm
+# Largest accepted real or imaginary part of an entry: the Frobenius norms
+# and Hermitian parts the solver forms stay finite for any d up to ~9000.
+_MAX_ENTRY = 1e150
 
 
 @dataclass(frozen=True)
@@ -173,13 +176,15 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
         )
     single = m.ndim == 2
     stack = m.reshape(-1, *m.shape[-2:])
-    # Checked first: NaN passes every "> tol" test below, and inf - inf in
-    # the Hermitian defect would warn before anything could reject it.
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    # Checked first: NaN passes every "> tol" test below, inf - inf in the
+    # Hermitian defect would warn before anything could reject it, and
+    # squares of entries near the float limit overflow the norms.
+    parts = np.maximum(np.abs(stack.real), np.abs(stack.imag))
+    finite = (parts <= _MAX_ENTRY).all(axis=(1, 2))
     if not finite.all():
         i = int(np.argmin(finite))
         label = "matrix" if single else f"matrix {i}"
-        raise ValueError(f"{label} has non-finite entries")
+        raise ValueError(f"{label} has non-finite entries or parts above {_MAX_ENTRY:.0e}")
     defects = _hermitian_defects(stack)
     bad = np.flatnonzero(defects > hermiticity_tol)
     if bad.size:

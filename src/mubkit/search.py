@@ -1,24 +1,26 @@
-"""Numerical search for unbiased projector families in arbitrary dimension.
+"""Numerical search for mutually unbiased bases in arbitrary dimension.
 
-Each candidate projector is parameterized as M = B^dagger B / Tr(B^dagger B)
-with an unconstrained complex d x d factor B, so Hermiticity, positive
-semidefiniteness, and unit trace hold by construction and the optimizer
-never leaves the feasible set.  Rank 1 is a soft constraint: for PSD unit
-trace M the self trace product Tr(M^2) is 1 exactly when M has rank 1, so
-the penalty includes [Tr(M^2) - 1]^2 alongside the pairwise terms.
+Basis a is a unitary U_a whose columns are its vectors, so orthonormality
+within a basis and rank 1 of every projector hold by construction.  With
+the columns stacked as X (d x nd), the objective is the Gram penalty of the
+projectors written through overlaps, R = |X^dagger X|^2 - target, where the
+target is 1 on the diagonal, 0 within a basis and 1/d across bases.
 
-The optimizer is monotone descent with Armijo backtracking and seeded
-random restarts.  Far from a solution the direction is steepest descent
-with a Barzilai-Borwein trial step; once the objective is small the
-penalty's least-squares structure takes over and damped normal-equation
-steps finish the job, since pure gradient steps crawl on the last ten
-decades.  Every accepted step satisfies the slope condition, so the
-objective trajectory never increases.  Everything is deterministic for a
-fixed configuration.
+The optimizer is monotone Riemannian descent with Armijo backtracking and
+seeded Haar-random restarts.  Far from a solution it steps along the
+Riemannian gradient with a Barzilai-Borwein trial step; once the objective
+is small, damped Gauss-Newton steps in skew-Hermitian coordinates
+U_a -> U_a (I + Omega_a) finish the job, since gradient steps crawl on the
+last decades.  Both step kinds return to the unitary group through one QR
+retraction, every accepted step satisfies the slope condition, and runs
+are deterministic for a fixed configuration.
 
-Non-convergence is an outcome, not an error: the result reports the best
-residual floor reached and never interprets it as evidence that no family
-exists.
+:func:`objective` and :func:`gradient` keep the paper's factor form
+M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
+reports that penalty evaluated on the projectors it returns, each its own
+factor.  Non-convergence is an outcome, not an error: the result reports
+the best residual floor reached and never interprets it as evidence that
+no family exists.
 """
 
 from __future__ import annotations
@@ -67,16 +69,15 @@ _PSD_FLOOR = -1e-8
 # trial that fails the acceptance slope.
 _STEP_GROWTH = 2.0
 
-# Hand the endgame to least-squares steps only once the objective is this
+# Hand the endgame to Gauss-Newton steps only once the objective is this
 # small; the damped normal equations are reliable near a solution and
 # pointless far from one.
-_REFINE_CROSSOVER = 1e-5
+_GAUSS_NEWTON_CROSSOVER = 1e-5
 
-# Skip the least-squares refinement above this many residual rows (one per
-# unordered projector pair plus one per self term): the step assembles a
-# rows x rows normal matrix and solves it in O(rows^3); gradient steps
-# still apply.
-_REFINE_ROWS_CAP = 4000
+# Skip the Gauss-Newton endgame above this many real parameters (d^2 per
+# basis): the step solves a dense normal system in O(params^3); gradient
+# steps still apply.
+_GAUSS_NEWTON_CAP = 4000
 
 # A restart that cannot shave 0.1 percent off the objective across this
 # many iterations sits at a residual floor and stops.
@@ -131,7 +132,7 @@ class SearchState:
     factors: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.factors, dtype=complex)
+        arr = np.array(self.factors, dtype=complex, order="C")
         if arr.ndim != 4 or arr.shape[2] != arr.shape[1] or arr.shape[3] != arr.shape[1]:
             raise ValueError(
                 f"factors must be shaped (num_bases, d, d, d), got {arr.shape}"
@@ -197,9 +198,9 @@ class SearchResult:
     """Outcome of a search: best point found plus per-restart accounting.
 
     ``converged`` means ``best_objective <= target_residual``.  ``history``
-    holds each restart's final objective and ``restart_iterations`` its
-    iteration count, in restart order; both stop at the restart where the
-    search first converged.
+    holds the penalty of each restart's returned family and
+    ``restart_iterations`` its iteration count, in restart order; both stop
+    at the restart where the search first converged.
     """
 
     best_family: MubFamily
@@ -214,36 +215,31 @@ class SearchResult:
 def _derive(b: np.ndarray):
     """Projectors M = B^dagger B / Tr(B^dagger B) for a stack of factors.
 
-    Returns (projectors, traces).  Raises on degenerate factors; callers in
-    the line search catch this and treat the trial step as rejected.
+    ``b`` stacks the (d, d) factors of every (basis, vector) in label order.
+    Returns (projectors, traces).  A factor whose trace norm is at roundoff
+    scale has no derived projector; the error names its labels.
     """
-    n_total = b.shape[0]
+    n_total, d = b.shape[0], b.shape[1]
     raw = b.conj().swapaxes(-1, -2) @ b
     # Tr(B^dagger B) is the squared Frobenius norm of B.
     flat = b.reshape(n_total, -1).view(float)
     traces = np.einsum("ij,ij->i", flat, flat)
     if traces.min() < DEGENERATE_TRACE:
-        bad = np.flatnonzero(traces < DEGENERATE_TRACE)
-        raise _DegenerateFactor(int(bad[0]), float(traces[bad[0]]))
+        i = int(np.flatnonzero(traces < DEGENERATE_TRACE)[0])
+        raise ValueError(
+            f"factor (basis {i // d}, vector {i % d}) has trace norm {traces[i]:.3e} "
+            f"below {DEGENERATE_TRACE:.1e}; derived projector undefined"
+        )
     return raw / traces[:, None, None], traces
 
 
-class _DegenerateFactor(ValueError):
-    def __init__(self, index: int, trace: float):
-        self.index = index
-        self.trace = trace
-        super().__init__(f"factor {index} has trace norm {trace:.3e} below {DEGENERATE_TRACE:.1e}")
-
-
-def _gram(m: np.ndarray):
-    """G_ij = Re Tr(M_i^dagger M_j), one real product of the (re, im) views."""
-    w = m.reshape(m.shape[0], -1).view(float)
-    return w @ w.T
-
-
 def _residual(m: np.ndarray, target: np.ndarray):
-    """Gram residual R = G - target for derived projectors m."""
-    return _gram(m) - target
+    """Gram residual R = G - target for derived projectors m.
+
+    G_ij = Re Tr(M_i^dagger M_j) is one real product of the (re, im) views.
+    """
+    w = m.reshape(m.shape[0], -1).view(float)
+    return w @ w.T - target
 
 
 def _objective_value(r: np.ndarray) -> float:
@@ -275,6 +271,13 @@ def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndar
     return (2.0 / traces)[:, None, None] * (bk - tr_mk[:, None, None] * b)
 
 
+def _penalty(factors: np.ndarray) -> float:
+    """The Gram penalty of the projectors derived from (n, d, d, d) factors."""
+    n, d = factors.shape[0], factors.shape[1]
+    m, _ = _derive(factors.reshape(n * d, d, d))
+    return _objective_value(_residual(m, unbiased_gram_target(n, d)))
+
+
 def objective(state: SearchState) -> float:
     """Penalty value of a state: squared Gram residuals plus rank-1 terms.
 
@@ -283,10 +286,7 @@ def objective(state: SearchState) -> float:
     [Tr(M_i^2) - 1]^2 for every projector.  Zero exactly on families of
     mutually unbiased bases.
     """
-    n, d = state.num_bases, state.dim
-    b = state.factors.reshape(n * d, d, d)
-    m, _ = _derive(b)
-    return _objective_value(_residual(m, unbiased_gram_target(n, d)))
+    return _penalty(state.factors)
 
 
 def gradient(state: SearchState) -> np.ndarray:
@@ -299,116 +299,114 @@ def gradient(state: SearchState) -> np.ndarray:
     """
     n, d = state.num_bases, state.dim
     b = state.factors.reshape(n * d, d, d)
-    try:
-        m, traces = _derive(b)
-    except _DegenerateFactor as exc:
-        raise ValueError(
-            f"factor (basis {exc.index // d}, vector {exc.index % d}) has trace norm "
-            f"{exc.trace:.3e} below {DEGENERATE_TRACE:.1e}; derived projector undefined"
-        ) from None
+    m, traces = _derive(b)
     r = _residual(m, unbiased_gram_target(n, d))
     return _gradient_array(b, m, traces, r).reshape(n, d, d, d)
 
 
-def _row_layout(n_total: int):
-    """Index maps of the stacked residual vector for ``n_total`` factors.
+def _retract(y: np.ndarray) -> np.ndarray:
+    """The unitary QR factor of each (d, d) matrix, with R's diagonal made positive.
 
-    Row k is the residual R[ends[0][k], ends[1][k]]: first the unordered
-    pairs i < j in ``np.triu_indices`` order, then the self terms.
-    ``row_of[n, j]`` is the row factor n shares with factor j (its self row
-    when j == n), so each row touches at most two factors.  ``scatter``
-    places entry (n, j, k) of the per-factor blocks at flat position
-    (row_of[n, j], row_of[n, k]) of the normal matrix.
+    Fixing the phases makes the factor unique, so the retraction is smooth
+    and a Gaussian matrix maps to a Haar-random unitary.  A rank-deficient
+    input still yields a unitary (its zero pivots keep phase 1).
     """
-    iu, ju = np.triu_indices(n_total, k=1)
-    diag = np.arange(n_total)
-    ends = (np.concatenate([iu, diag]), np.concatenate([ju, diag]))
-    rows = ends[0].size
-    row_of = np.empty((n_total, n_total), dtype=np.intp)
-    row_of[ends] = np.arange(rows)
-    row_of[ends[::-1]] = np.arange(rows)
-    scatter = (row_of[:, :, None] * rows + row_of[:, None, :]).reshape(-1)
-    return ends, row_of, scatter
+    q, r = np.linalg.qr(y)
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.exp(1j * np.angle(pivots))[..., None, :]
 
 
-def _normal_system(b, m, traces, r, layout):
-    """Per-factor Jacobian blocks, normal matrix and residual vector.
+def _evaluate(u: np.ndarray, target: np.ndarray):
+    """Stacked columns X, overlaps Q = X^dagger X, residual R = |Q|^2 - target, objective."""
+    n, d = u.shape[0], u.shape[1]
+    x = u.transpose(1, 0, 2).reshape(d, n * d)
+    q = x.conj().T @ x
+    r = q.real**2 + q.imag**2 - target
+    return x, q, r, _objective_value(r)
 
-    The Jacobian of the stacked residuals is never formed: row (i, j)
-    touches only factors i and j, so Re(J J^dagger) is the sum over factors
-    n of the Gram matrices of n's blocks, scattered to the rows n shares.
-    Returns (v, normal, rvec) with v[n, j] the (re, im) view of the block
-    factor n contributes to row ``row_of[n, j]``.
+
+def _tangent_gradient(u, x, q, r):
+    """Riemannian gradient of the objective, one (d, d) block per basis.
+
+    The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
+    diagonal doubled; its tangent part at U_a is G_a - U_a herm(U_a^dagger G_a).
     """
-    ends, _, scatter = layout
-    n_total, d = b.shape[0], b.shape[1]
-    rows = ends[0].size
-    gram = _gram(m)
-    # Block (n, j) is the derivative of Tr(M_n M_j) in factor n,
-    # (2/s_n)(B_n M_j - G_nj B_n), complex-packed like the gradient; the
-    # self term Tr(M_n^2) has twice that derivative.  Every B_n M_j comes
-    # from one (n p, k) x (k, j q) product.
-    prods = b.reshape(-1, d) @ m.transpose(1, 0, 2).reshape(d, -1)
-    prods = prods.reshape(n_total, d, n_total, d).transpose(0, 2, 1, 3)
-    v = np.ascontiguousarray(prods).reshape(n_total, n_total, -1).view(float)
-    v -= gram[:, :, None] * b.reshape(n_total, 1, -1).view(float)
-    coeff = np.repeat((2.0 / traces)[:, None], n_total, axis=1)
-    coeff.flat[:: n_total + 1] *= 2.0
-    v *= coeff[:, :, None]
-    normal = np.bincount(
-        scatter, weights=(v @ v.transpose(0, 2, 1)).reshape(-1), minlength=rows * rows
-    ).reshape(rows, rows)
-    return v, normal, r[ends]
+    n, d = u.shape[0], u.shape[1]
+    c = r.copy()
+    c.flat[:: n * d + 1] *= 2.0
+    g = (4.0 * (x @ (c * q))).reshape(d, n, d).transpose(1, 0, 2)
+    h = u.conj().swapaxes(-1, -2) @ g
+    return g - u @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
-def _pull_back(z, v, row_of):
-    """z @ J for a row-space vector z: one flattened complex row per factor."""
-    return (z[row_of][:, None, :] @ v).view(complex).reshape(row_of.shape[0], -1)
+def _skew_basis(d: int) -> np.ndarray:
+    """An orthonormal basis of the d x d skew-Hermitian matrices, shaped (d^2, d, d)."""
+    k, l = np.triu_indices(d, k=1)
+    pairs = np.arange(k.size)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[pairs, k, l], basis[pairs, l, k] = np.sqrt(0.5), -np.sqrt(0.5)
+    imag = pairs + k.size
+    basis[imag, k, l] = basis[imag, l, k] = 1j * np.sqrt(0.5)
+    basis[2 * k.size + np.arange(d), np.arange(d), np.arange(d)] = 1j
+    return basis
 
 
-def _refine_direction(b, m, traces, r, g, layout):
-    """Damped least-squares step on the stacked residuals, complex-packed.
+def _gauss_newton_direction(u, q, r, g, basis):
+    """Damped Gauss-Newton step in skew-Hermitian coordinates, as a tangent direction.
 
-    Each residual is linear in the derived projectors; the step solves the
-    damped normal equations in row space, which is small (one row per
-    unordered pair plus one per self term), assembled block by block by
-    :func:`_normal_system` without forming the Jacobian.  Returns None when
-    the solve fails or does not yield a descent direction; the caller falls
+    Basis a moves as U_a (I + Omega_a) with Omega_a = sum_k theta_ak E_k, so
+    the overlap block Q_ab = U_a^dagger U_b changes by Q_ab Omega_b -
+    Omega_a Q_ab.  Only the d^2 cross-basis residuals of pair (a, b) depend
+    on bases a and b, through a d^2 x 2 d^2 Jacobian block; the normal
+    matrix accumulates one such block per pair, and the full Jacobian is
+    never formed.  The gauge directions (a common left unitary, phases of
+    single vectors) are left to the damping.  Returns (None, 0) when the
+    solve fails or does not yield a descent direction; the caller falls
     back to the gradient.
     """
-    _, row_of, _ = layout
-    v, normal, rvec = _normal_system(b, m, traces, r, layout)
-    rows = rvec.size
-    damping = 1e-10 * (float(np.trace(normal)) / rows + 1.0)
+    n, d = u.shape[0], u.shape[1]
+    dof = d * d
+    normal = np.zeros((n * dof, n * dof))
+    rhs = np.zeros(n * dof)
+    for a, b in zip(*np.triu_indices(n, k=1)):
+        block = q[a * d : (a + 1) * d, b * d : (b + 1) * d]
+        w = 2.0 * block.conj()
+        # Transposed Jacobian block: row k holds the derivatives of the
+        # pair's residuals |Q_ab|^2 - 1/d in theta_ak (Q_ab moves by
+        # -E_k Q_ab), then in theta_bk (Q_ab moves by Q_ab E_k).
+        jt = np.concatenate([-(w * (basis @ block)).real, (w * (block @ basis)).real])
+        jt = jt.reshape(2 * dof, dof)
+        rows = np.r_[a * dof : (a + 1) * dof, b * dof : (b + 1) * dof]
+        normal[np.ix_(rows, rows)] += jt @ jt.T
+        rhs[rows] += jt @ r[a * d : (a + 1) * d, b * d : (b + 1) * d].reshape(-1)
+    normal.flat[:: n * dof + 1] += 1e-10 * (float(np.trace(normal)) / (n * dof) + 1.0)
     try:
-        z = np.linalg.solve(normal + damping * np.eye(rows), rvec)
+        theta = np.linalg.solve(normal, -rhs)
     except np.linalg.LinAlgError:
         return None, 0.0
-    direction = -_pull_back(z, v, row_of).reshape(b.shape)
+    direction = u @ np.tensordot(theta.reshape(n, dof), basis, axes=1)
     slope_term = float(np.vdot(g, direction).real)
     if not slope_term < 0.0:
         return None, 0.0
     return direction, slope_term
 
 
-def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
-    """Descend from factors b0; returns (factors, objective, iterations, trajectory).
+def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
+    """Descend from unitaries u0; returns (unitaries, objective, iterations, trajectory).
 
-    Armijo backtracking along either the steepest-descent direction (with a
-    Barzilai-Borwein trial step) or, once the objective is small, the
-    damped least-squares direction.  Stops on the objective target, on
+    Armijo backtracking along either the Riemannian steepest-descent
+    direction (with a Barzilai-Borwein trial step) or, once the objective
+    is small, the damped Gauss-Newton direction; every trial point is
+    retracted to the unitary group.  Stops on the objective target, on
     gradient norms at the floor, on a stalled line search or stalled
     progress window, or at the iteration cap.  The trajectory of accepted
     objective values is non-increasing by construction.
     """
-    b = b0
-    n_total = b.shape[0]
-    rows = n_total * (n_total + 1) // 2
-    layout = _row_layout(n_total) if rows <= _REFINE_ROWS_CAP else None
-    m, traces = _derive(b)
-    r = _residual(m, target)
-    f = _objective_value(r)
-    g = _gradient_array(b, m, traces, r)
+    u = u0
+    n, d = u.shape[0], u.shape[1]
+    basis = _skew_basis(d) if n * d * d <= _GAUSS_NEWTON_CAP else None
+    x, q, r, f = _evaluate(u, target)
+    g = _tangent_gradient(u, x, q, r)
     trajectory = [f]
     step = _INITIAL_STEP
     window_f = np.inf
@@ -426,8 +424,8 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         iterations += 1
 
         direction = None
-        if layout is not None and f < _REFINE_CROSSOVER:
-            direction, slope_term = _refine_direction(b, m, traces, r, g, layout)
+        if basis is not None and f < _GAUSS_NEWTON_CROSSOVER:
+            direction, slope_term = _gauss_newton_direction(u, q, r, g, basis)
         gradient_step = direction is None
         if gradient_step:
             direction = -g
@@ -438,25 +436,19 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
         accepted = False
         while trial >= _MIN_STEP:
-            candidate = b + trial * direction
-            try:
-                m_t, traces_t = _derive(candidate)
-            except _DegenerateFactor:
-                trial *= _SHRINK
-                continue
-            r_t = _residual(m_t, target)
-            f_t = _objective_value(r_t)
+            candidate = _retract(u + trial * direction)
+            x_t, q_t, r_t, f_t = _evaluate(candidate, target)
             if f_t <= f + _SLOPE * trial * slope_term:
-                delta_b = candidate - b
-                b, m, traces, r, f = candidate, m_t, traces_t, r_t, f_t
-                g_next = _gradient_array(b, m, traces, r)
+                delta_u = candidate - u
+                u, x, q, r, f = candidate, x_t, q_t, r_t, f_t
+                g_next = _tangent_gradient(u, x, q, r)
                 if gradient_step:
                     # Barzilai-Borwein curvature estimate seeds the next
                     # trial step; unusable estimates fall back to growth.
                     delta_g = g_next - g
-                    denom = float(np.vdot(delta_b, delta_g).real)
+                    denom = float(np.vdot(delta_u, delta_g).real)
                     if denom > 0.0 and np.isfinite(denom):
-                        ratio = float(np.vdot(delta_b, delta_b).real) / denom
+                        ratio = float(np.vdot(delta_u, delta_u).real) / denom
                         step = min(max(ratio, 1e-12), 1e8)
                     else:
                         step = trial * _STEP_GROWTH
@@ -467,45 +459,51 @@ def _minimize(b0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
             trial *= _SHRINK
         if not accepted:
             break
-    return b, f, iterations, trajectory
+    return u, f, iterations, trajectory
+
+
+def _family_and_penalty(u: np.ndarray):
+    """The family of U's columns and its Gram penalty, each projector its own factor."""
+    states = u.swapaxes(-1, -2)
+    family = MubFamily(states[..., :, None] * states.conj()[..., None, :])
+    return family, _penalty(family.projectors)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Multi-restart search for ``cfg.num_bases`` unbiased bases in dimension ``cfg.dim``.
 
-    Each restart draws independent standard complex Gaussian factors from a
-    counter-based generator keyed by ``cfg.seed`` plus the restart index,
-    then descends.  The best restart wins (ties go to the lowest index);
-    later restarts are skipped once one converges.  Non-convergence is
-    reported through ``converged`` and the residual floor in
-    ``best_objective``, never as an exception.
+    Each restart draws one Haar-random unitary per basis (the QR retraction
+    of a standard complex Gaussian matrix) from a counter-based generator
+    keyed by ``cfg.seed`` plus the restart index, then descends.  A
+    restart's objective is the Gram penalty of the family it returns.  The
+    best restart wins (ties go to the lowest index); later restarts are
+    skipped once one converges.  Non-convergence is reported through
+    ``converged`` and the residual floor in ``best_objective``, never as an
+    exception.
     """
     n, d = cfg.num_bases, cfg.dim
     target = unbiased_gram_target(n, d)
-    best_b = None
+    best_family = None
     best_f = np.inf
     finals = []
     iteration_counts = []
-    total_iterations = 0
     for restart in range(cfg.restarts):
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + restart))
-        x = rng.standard_normal((n * d, d, d))
-        y = rng.standard_normal((n * d, d, d))
-        b0 = (x + 1j * y) / np.sqrt(2.0)
-        b, f, iterations, _ = _minimize(b0, target, cfg)
+        x = rng.standard_normal((n, d, d))
+        y = rng.standard_normal((n, d, d))
+        u, _, iterations, _ = _minimize(_retract(x + 1j * y), target, cfg)
+        family, f = _family_and_penalty(u)
         finals.append(f)
         iteration_counts.append(iterations)
-        total_iterations += iterations
         if f < best_f:
             best_f = f
-            best_b = b
+            best_family = family
         if best_f <= cfg.target_residual:
             break
-    m, _ = _derive(best_b)
     return SearchResult(
-        best_family=MubFamily(m.reshape(n, d, d, d)),
+        best_family=best_family,
         best_objective=best_f,
-        iterations_used=total_iterations,
+        iterations_used=sum(iteration_counts),
         restarts_used=len(finals),
         converged=bool(best_f <= cfg.target_residual),
         history=tuple(finals),
@@ -514,26 +512,26 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 
 
 def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
-    """Refine an existing family by descending from its own factors.
+    """Refine an existing family by descending from its own states.
 
-    Initialization takes each projector's Hermitian square root, so an
-    already unbiased family converges immediately.  Runs a single descent;
-    ``cfg.restarts`` is ignored.  Rejects projectors with eigenvalues below
-    -1e-8 (no real square root exists).
+    The start takes each projector's top eigenvector (from one stacked
+    eigensolve) and re-orthonormalizes every basis by the QR retraction,
+    so an already unbiased family converges immediately and a mixed or
+    indefinite projector contributes its dominant direction.  Runs a
+    single descent; ``cfg.restarts`` is ignored.
     """
     if family.dim != cfg.dim or family.num_bases != cfg.num_bases:
         raise ValueError(
             f"family shape ({family.num_bases} bases, dim {family.dim}) does not match "
             f"config ({cfg.num_bases} bases, dim {cfg.dim})"
         )
-    state = SearchState.from_family(family)
     n, d = cfg.num_bases, cfg.dim
-    target = unbiased_gram_target(n, d)
-    b0 = state.factors.reshape(n * d, d, d)
-    b, f, iterations, _ = _minimize(b0, target, cfg)
-    m, _ = _derive(b)
+    decomp = eigen_hermitian(family.projectors.reshape(n * d, d, d))
+    u0 = _retract(decomp.eigenvectors[:, :, 0].reshape(n, d, d).swapaxes(-1, -2))
+    u, _, iterations, _ = _minimize(u0, unbiased_gram_target(n, d), cfg)
+    best, f = _family_and_penalty(u)
     return SearchResult(
-        best_family=MubFamily(m.reshape(n, d, d, d)),
+        best_family=best,
         best_objective=f,
         iterations_used=iterations,
         restarts_used=1,

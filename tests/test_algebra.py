@@ -255,6 +255,22 @@ class TestMubFamily:
         with pytest.raises(ValueError, match="finite"):
             MubFamily(mats)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda p: p.swapaxes(-1, -2).conj()],
+        ids=["fortran", "swapped"],
+    )
+    def test_accepts_non_contiguous_projectors(self, layout):
+        # The swapped layout is the conjugate transpose of every projector,
+        # so it holds the same Hermitian family.
+        plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+        right, left = np.array([1.0, 1j]) / np.sqrt(2), np.array([1.0, -1j]) / np.sqrt(2)
+        mats = layout(MubFamily.from_states([[plus, minus], [right, left]]).projectors)
+        assert not mats.flags.c_contiguous
+        fam = MubFamily(mats)
+        assert fam.projectors.flags.c_contiguous
+        assert np.array_equal(fam.projectors, mats)
+
     def test_from_states(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         minus = np.array([1.0, -1.0]) / np.sqrt(2)

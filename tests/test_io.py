@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ class TestRejection:
         payload["bases"][1]["projectors"][1]["matrix"][1][0] = (0.5, 0.0)
         with pytest.raises(ValueError, match=r"basis 1, vector 1, entry \(1, 0\): expected"):
             FamilyDocument.from_payload(payload).to_family()
+
+    @pytest.mark.parametrize("entry", [[1e308, 0.0], [0.0, -1e308], [2e150, 0.0]])
+    def test_huge_finite_entry_refused_before_any_warning(self, tmp_path, entry):
+        path = tmp_path / "family.json"
+
+        def mutate(p):
+            p["bases"][1]["projectors"][0]["matrix"][0][0] = entry
+
+        write_doc(path, mutate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^basis 1, vector 0: matrix entries must be"):
+                load_family(str(path))
 
     def test_integer_beyond_float_range(self, tmp_path):
         path = tmp_path / "family.json"

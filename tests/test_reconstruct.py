@@ -187,6 +187,18 @@ class TestBatchedEigen:
             with pytest.raises(ValueError, match="^matrix 1 has non-finite entries"):
                 eigen_hermitian(stack)
 
+    @pytest.mark.parametrize("huge", [1e308, -1e308j, 2e150])
+    def test_rejects_huge_entries_before_any_warning(self, huge):
+        stack = random_stack(np.random.default_rng(8), 3, 2)
+        stack[2, 0, 0] = huge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix 2 has non-finite entries or parts above"):
+                eigen_hermitian(stack)
+        # The bound itself is accepted.
+        stack[2, 0, 0] = 1e150
+        assert eigen_hermitian(stack).eigenvalues.shape == (3, 2)
+
     @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4), (2, 2, 3, 3), (3,)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError, match="square"):

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubkit.algebra import unbiased_gram_target
+from mubkit.algebra import MubFamily, unbiased_gram_target
 from mubkit.construct import build_family
+from mubkit.reconstruct import reconstruct_all
 from mubkit.search import (
     SearchConfig,
     SearchState,
     _derive,
+    _evaluate,
+    _gauss_newton_direction,
     _gradient_array,
     _minimize,
-    _normal_system,
     _objective_value,
-    _pull_back,
     _residual,
-    _row_layout,
+    _retract,
+    _skew_basis,
+    _tangent_gradient,
     gradient,
     objective,
     polish,
@@ -29,7 +34,7 @@ def random_state(seed, num_bases, d):
 
 
 def reference_kernels(b, target):
-    """The search kernels as plain einsum formulas over a dense Jacobian.
+    """The factor-penalty kernels as plain einsum formulas.
 
     Kept as an oracle for the BLAS-shaped kernels in ``mubkit.search``.
     """
@@ -46,21 +51,7 @@ def reference_kernels(b, target):
     tr_mk = np.einsum("nij,nji->n", m, k).real
     grad = (2.0 / traces)[:, None, None] * (b @ k - tr_mk[:, None, None] * b)
 
-    iu, ju = np.triu_indices(n_total, k=1)
-    n_pairs = iu.size
-    rows = n_pairs + n_total
-    c = (2.0 / traces)[:, None, None, None] * (
-        np.einsum("ipk,jkq->ijpq", b, m) - gram[:, :, None, None] * b[:, None, :, :]
-    )
-    jac = np.zeros((rows, n_total, d * d), dtype=complex)
-    jac[np.arange(n_pairs), iu] = c[iu, ju].reshape(n_pairs, -1)
-    jac[np.arange(n_pairs), ju] = c[ju, iu].reshape(n_pairs, -1)
-    every = np.arange(n_total)
-    jac[n_pairs + every, every] = 2.0 * c[every, every].reshape(n_total, -1)
-    jac = jac.reshape(rows, -1)
-    normal = (jac @ jac.conj().T).real
-    rvec = np.concatenate([r[iu, ju], diag])
-    return m, traces, r, value, grad, jac, normal, rvec
+    return m, traces, r, value, grad
 
 
 def assert_close(actual, expected, rel=1e-12):
@@ -74,9 +65,7 @@ class TestKernelOracle:
         n_total = num_bases * d
         b = random_state(100 + d, num_bases, d).factors.reshape(n_total, d, d)
         target = unbiased_gram_target(num_bases, d)
-        m_ref, traces_ref, r_ref, value_ref, grad_ref, jac, normal_ref, rvec_ref = (
-            reference_kernels(b, target)
-        )
+        m_ref, traces_ref, r_ref, value_ref, grad_ref = reference_kernels(b, target)
 
         m, traces = _derive(b)
         assert_close(m, m_ref)
@@ -86,19 +75,14 @@ class TestKernelOracle:
         assert _objective_value(r) == pytest.approx(value_ref, rel=1e-12)
         assert_close(_gradient_array(b, m, traces, r), grad_ref)
 
-        # The normal matrix is singular along gauge directions, so solved
-        # steps may differ far above roundoff; compare what feeds the solve.
-        layout = _row_layout(n_total)
-        v, normal, rvec = _normal_system(b, m, traces, r, layout)
-        assert_close(normal, normal_ref)
-        assert_close(rvec, rvec_ref)
-        z = np.random.default_rng(d).standard_normal(rvec.size)
-        assert_close(_pull_back(z, v, layout[1]), (z @ jac).reshape(n_total, -1))
-
     def test_degenerate_factor_message(self):
         b = random_state(1, 2, 3).factors.reshape(6, 3, 3).copy()
         b[4] = 0.0
-        with pytest.raises(ValueError, match=r"factor 4 has trace norm 0\.000e\+00"):
+        with pytest.raises(
+            ValueError,
+            match=r"^factor \(basis 1, vector 1\) has trace norm 0\.000e\+00 below 1\.0e-14; "
+            r"derived projector undefined$",
+        ):
             _derive(b)
 
 
@@ -180,10 +164,12 @@ class TestGradient:
             assert abs(fd - analytic) < 1e-5 * max(1.0, abs(fd))
 
     def test_degenerate_factor_named(self):
+        # objective and gradient refuse with the same text.
         factors = random_state(0, 2, 3).factors.copy()
         factors[1, 0] = 0.0
-        with pytest.raises(ValueError, match=r"basis 1, vector 0"):
-            gradient(SearchState(factors))
+        for function in (objective, gradient):
+            with pytest.raises(ValueError, match=r"factor \(basis 1, vector 0\) has trace norm"):
+                function(SearchState(factors))
 
     def test_invariant_under_unitary_mixing(self):
         # The objective sees factors only through B^dagger B, so B -> UB
@@ -245,15 +231,128 @@ class TestRunSearch:
         assert all(n <= cfg.max_iterations for n in result.restart_iterations)
 
 
+def haar_unitaries(seed, num_bases, d):
+    rng = np.random.default_rng(seed)
+    shape = (num_bases, d, d)
+    return _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def random_skew(rng, num_bases, d):
+    z = rng.standard_normal((num_bases, d, d)) + 1j * rng.standard_normal((num_bases, d, d))
+    return z - z.conj().swapaxes(-1, -2)
+
+
 class TestMinimizeTrajectory:
     def test_objective_history_non_increasing(self):
         cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
         n, d = cfg.num_bases, cfg.dim
-        b0 = (rng.standard_normal((n * d, d, d)) + 1j * rng.standard_normal((n * d, d, d))) / np.sqrt(2)
-        _, _, _, trajectory = _minimize(b0, unbiased_gram_target(n, d), cfg)
+        u, f, _, trajectory = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
         assert len(trajectory) >= 2
+        assert trajectory[-1] == f
         assert all(later <= earlier for earlier, later in zip(trajectory, trajectory[1:]))
+        assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d))) < 1e-12
+
+
+class TestUnitaryModel:
+    def test_objective_is_the_projector_penalty(self):
+        # The overlap route |X^dagger X|^2 computes the factor penalty of
+        # the rank-1 projectors of U's columns.
+        u = haar_unitaries(3, 3, 4)
+        states = u.swapaxes(-1, -2)
+        projectors = states[..., :, None] * states.conj()[..., None, :]
+        _, _, _, f = _evaluate(u, unbiased_gram_target(3, 4))
+        assert f == pytest.approx(objective(SearchState(projectors)), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_gradient_matches_finite_differences(self, d):
+        # Criterion 7's step and tolerance, along random tangent directions
+        # U_a Omega_a with Omega_a skew-Hermitian, through the retraction.
+        num_bases, h = 3, 1e-6
+        target = unbiased_gram_target(num_bases, d)
+        rng = np.random.default_rng(70 + d)
+        for trial in range(5):
+            u = haar_unitaries(100 * d + trial, num_bases, d)
+            x, q, r, _ = _evaluate(u, target)
+            g = _tangent_gradient(u, x, q, r)
+            direction = u @ random_skew(rng, num_bases, d)
+            plus = _evaluate(_retract(u + h * direction), target)[3]
+            minus = _evaluate(_retract(u - h * direction), target)[3]
+            fd = (plus - minus) / (2 * h)
+            analytic = float(np.vdot(g, direction).real)
+            assert abs(fd - analytic) < 1e-5 * abs(fd)
+
+    def test_gradient_is_tangent(self):
+        u = haar_unitaries(5, 3, 4)
+        g = _tangent_gradient(u, *_evaluate(u, unbiased_gram_target(3, 4))[:3])
+        h = u.conj().swapaxes(-1, -2) @ g
+        assert np.max(np.abs(h + h.conj().swapaxes(-1, -2))) < 1e-12
+
+    def test_retraction_is_unitary_and_fixes_unitaries(self):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        u = _retract(y)
+        assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(5))) < 1e-14
+        assert np.max(np.abs(_retract(u) - u)) < 1e-14
+        # Rank-deficient input (two equal columns) still gives a unitary.
+        y[:, :, 1] = y[:, :, 0]
+        v = _retract(y)
+        assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(5))) < 1e-14
+
+    def test_skew_basis_is_orthonormal(self):
+        basis = _skew_basis(4)
+        assert np.array_equal(basis, -basis.conj().swapaxes(-1, -2))
+        gram = np.einsum("pij,qij->pq", basis.conj(), basis).real
+        assert np.max(np.abs(gram - np.eye(16))) < 1e-15
+
+    def test_gauss_newton_step_converges_quadratically(self):
+        # Near a solution one damped Gauss-Newton step takes the objective
+        # from its order eps^2 to about eps^4.
+        d, num_bases = 5, 6
+        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
+        rng = np.random.default_rng(9)
+        u = _retract(u + 1e-5 * (u @ random_skew(rng, num_bases, d)))
+        target = unbiased_gram_target(num_bases, d)
+        x, q, r, f = _evaluate(u, target)
+        g = _tangent_gradient(u, x, q, r)
+        direction, slope_term = _gauss_newton_direction(u, q, r, g, _skew_basis(d))
+        assert slope_term < 0.0
+        f_next = _evaluate(_retract(u + direction), target)[3]
+        assert 1e-10 < f < 1e-6
+        assert f_next < 1e-6 * f
+
+
+class TestResultContract:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+        iterations=st.integers(1, 80),
+        use_polish=st.booleans(),
+    )
+    def test_orthonormal_states_and_honest_objective(self, d, extra, seed, iterations, use_polish):
+        num_bases = min(2 + extra, d + 1)
+        cfg = SearchConfig(
+            dim=d, num_bases=num_bases, restarts=1, max_iterations=iterations, seed=seed
+        )
+        if use_polish:
+            rng = np.random.default_rng(seed)
+            states = rng.standard_normal((num_bases, d, d)) + 1j * rng.standard_normal(
+                (num_bases, d, d)
+            )
+            states /= np.linalg.norm(states, axis=-1, keepdims=True)
+            result = polish(MubFamily.from_states(states), cfg)
+        else:
+            result = run_search(cfg)
+        # Converged or not, every basis is orthonormal: its projectors are
+        # rank-1 and mutually orthogonal, so their Gram matrix is I.
+        mats = result.best_family.projectors.reshape(num_bases, d, d * d)
+        gram = np.einsum("aip,ajp->aij", mats.conj(), mats).real
+        assert np.max(np.abs(gram - np.eye(d))) < 1e-12
+        assert result.history == (result.best_objective,)
+        recomputed = objective(SearchState(result.best_family.projectors))
+        assert result.best_objective == pytest.approx(recomputed, rel=1e-12, abs=0.0)
+        assert result.converged == (result.best_objective <= cfg.target_residual)
 
 
 class TestPolish:
@@ -266,9 +365,6 @@ class TestPolish:
         assert result.restarts_used == 1
 
     def test_recovers_from_small_noise(self):
-        from mubkit.algebra import MubFamily
-        from mubkit.reconstruct import reconstruct_all
-
         family = build_family(2)
         rng = np.random.default_rng(15)
         states = reconstruct_all(family)
@@ -285,16 +381,6 @@ class TestPolish:
         cfg = SearchConfig(dim=3, num_bases=3)
         with pytest.raises(ValueError, match="does not match"):
             polish(family, cfg)
-
-    def test_indefinite_projector_rejected(self):
-        family = build_family(2)
-        mats = family.projectors.copy()
-        mats[0, 0] = 1.5 * mats[0, 0] - 0.5 * mats[0, 1]
-        from mubkit.algebra import MubFamily
-
-        cfg = SearchConfig(dim=2, num_bases=3)
-        with pytest.raises(ValueError, match="no real square root"):
-            polish(MubFamily(mats), cfg)
 
 
 class TestSearchState:
@@ -316,6 +402,19 @@ class TestSearchState:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shaped"):
             SearchState(np.zeros((2, 3, 3, 2), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda f: f.swapaxes(-1, -2).conj()],
+        ids=["fortran", "swapped"],
+    )
+    def test_accepts_non_contiguous_factors(self, layout):
+        factors = layout(random_state(31, 2, 3).factors)
+        assert not factors.flags.c_contiguous
+        state = SearchState(factors)
+        assert state.factors.flags.c_contiguous
+        assert np.array_equal(state.factors, factors)
+        assert state.objective == objective(SearchState(np.ascontiguousarray(factors)))
 
     def test_rejects_non_finite(self):
         factors = np.zeros((1, 2, 2, 2), dtype=complex)
