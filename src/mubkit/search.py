@@ -7,13 +7,11 @@ projectors written through overlaps, R = |X^dagger X|^2 - target, where the
 target is 1 on the diagonal, 0 within a basis and 1/d across bases.
 
 The optimizer is monotone Riemannian descent with Armijo backtracking and
-seeded Haar-random restarts.  Far from a solution it steps along the
-Riemannian gradient with a Barzilai-Borwein trial step; once the objective
-is small, damped Gauss-Newton steps in skew-Hermitian coordinates
-U_a -> U_a (I + Omega_a) finish the job, since gradient steps crawl on the
-last decades.  Both step kinds return to the unitary group through one QR
-retraction, every accepted step satisfies the slope condition, and runs
-are deterministic for a fixed configuration.
+seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
+solution, then damped Gauss-Newton steps in skew-Hermitian coordinates
+U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
+Both step kinds return to the unitary group through one QR retraction, and
+runs are deterministic for a fixed configuration.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
@@ -75,9 +73,10 @@ _STEP_GROWTH = 2.0
 _GAUSS_NEWTON_CROSSOVER = 1e-5
 
 # Skip the Gauss-Newton endgame above this many real parameters (d^2 per
-# basis): the step solves a dense normal system in O(params^3); gradient
-# steps still apply.
-_GAUSS_NEWTON_CAP = 4000
+# basis; complete families up to d = 8); gradient steps still apply.  At 1
+# BLAS thread a step costs 0.03 s and 7 MB at 576 parameters, 0.64 s and
+# 94 MB at 2366 (complete d = 13), where gradient steps alone converge.
+_GAUSS_NEWTON_CAP = 800
 
 # A restart that cannot shave 0.1 percent off the objective across this
 # many iterations sits at a residual floor and stops.
@@ -361,8 +360,8 @@ def _gauss_newton_direction(u, q, r, g, basis):
     matrix accumulates one such block per pair, and the full Jacobian is
     never formed.  The gauge directions (a common left unitary, phases of
     single vectors) are left to the damping.  Returns (None, 0) when the
-    solve fails or does not yield a descent direction; the caller falls
-    back to the gradient.
+    solve fails or yields no descent direction (the caller then takes a
+    gradient step).
     """
     n, d = u.shape[0], u.shape[1]
     dof = d * d
@@ -514,11 +513,11 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     """Refine an existing family by descending from its own states.
 
-    The start takes each projector's top eigenvector (from one stacked
-    eigensolve) and re-orthonormalizes every basis by the QR retraction,
-    so an already unbiased family converges immediately and a mixed or
-    indefinite projector contributes its dominant direction.  Runs a
-    single descent; ``cfg.restarts`` is ignored.
+    The start is :meth:`SearchState.from_family` (which refuses indefinite
+    projectors).  Each derived projector gives its column at its largest
+    diagonal entry, which for rank 1 is its state up to scale and phase,
+    and the QR retraction orthonormalizes every basis; an unbiased family
+    thus converges at once.  Runs one descent; ``cfg.restarts`` is ignored.
     """
     if family.dim != cfg.dim or family.num_bases != cfg.num_bases:
         raise ValueError(
@@ -526,8 +525,9 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
             f"config ({cfg.num_bases} bases, dim {cfg.dim})"
         )
     n, d = cfg.num_bases, cfg.dim
-    decomp = eigen_hermitian(family.projectors.reshape(n * d, d, d))
-    u0 = _retract(decomp.eigenvectors[:, :, 0].reshape(n, d, d).swapaxes(-1, -2))
+    m = SearchState.from_family(family).projectors().reshape(n * d, d, d)
+    pivot = np.argmax(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1)
+    u0 = _retract(m[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
     u, _, iterations, _ = _minimize(u0, unbiased_gram_target(n, d), cfg)
     best, f = _family_and_penalty(u)
     return SearchResult(

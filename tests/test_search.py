@@ -382,6 +382,13 @@ class TestPolish:
         with pytest.raises(ValueError, match="does not match"):
             polish(family, cfg)
 
+    def test_indefinite_projector_rejected(self):
+        mats = build_family(2).projectors.copy()
+        mats[0, 0] = 1.5 * mats[0, 0] - 0.5 * mats[0, 1]
+        cfg = SearchConfig(dim=2, num_bases=3)
+        with pytest.raises(ValueError, match="no real square root"):
+            polish(MubFamily(mats), cfg)
+
 
 class TestSearchState:
     def test_projectors_are_unit_trace_hermitian_psd(self):
@@ -398,6 +405,12 @@ class TestSearchState:
         family = build_family(5)
         state = SearchState.from_family(family)
         assert np.max(np.abs(state.projectors() - family.projectors)) < 1e-12
+
+    def test_from_family_rejects_indefinite_projector(self):
+        mats = build_family(2).projectors.copy()
+        mats[0, 0] = 1.5 * mats[0, 0] - 0.5 * mats[0, 1]
+        with pytest.raises(ValueError, match=r"\(basis 0, vector 0\).*no real square root"):
+            SearchState.from_family(MubFamily(mats))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shaped"):
