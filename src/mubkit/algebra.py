@@ -12,6 +12,7 @@ operations are pure and never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,10 @@ DEFAULT_TOL = 1e-12
 # have many exactly-equal moduli, so an ulp-sensitive argmax would make the
 # canonical representative unstable.
 _PIVOT_SLACK = 1e-8
+
+# Largest real or imaginary part accepted by families, the loader and the
+# eigensolver: their Frobenius norms stay finite for any d up to ~9000.
+_MAX_ENTRY = 1e150
 
 
 def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:
@@ -190,8 +195,8 @@ class MubFamily:
             raise ValueError("dimension must be positive")
         if num_bases < 1 or num_bases > d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {num_bases}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("projector entries must be finite")
+        if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
+            raise ValueError(f"projector entries must be finite, with parts up to {_MAX_ENTRY:.0e}")
         arr.setflags(write=False)
         object.__setattr__(self, "projectors", arr)
 
@@ -202,6 +207,20 @@ class MubFamily:
     @property
     def num_bases(self) -> int:
         return self.projectors.shape[0]
+
+    @cached_property
+    def spectrum(self):
+        """Eigendecomposition of the (n*d, d, d) projector stack, in label order.
+
+        Solved once, on first use, for the symmetrized matrices with no
+        Hermitian gate; each reader (verifier, loader, reconstruction,
+        search start) judges the Hermitian defect itself.  The projectors
+        are read-only, so the cached solve never goes stale.
+        """
+        from .reconstruct import eigen_hermitian  # reconstruct imports this module
+
+        n, d = self.num_bases, self.dim
+        return eigen_hermitian(self.projectors.reshape(n * d, d, d), hermiticity_tol=np.inf)
 
     def projector(self, a: int, alpha: int) -> np.ndarray:
         """The projector for vector ``alpha`` of basis ``a``."""

@@ -13,6 +13,7 @@ to exit 2 in one place, so no command can leak a traceback for bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from datetime import datetime, timezone
 
@@ -106,14 +107,7 @@ def _cmd_search(args) -> int:
         write_json(
             {
                 "tool_version": __version__,
-                "config": {
-                    "dim": cfg.dim,
-                    "num_bases": cfg.num_bases,
-                    "restarts": cfg.restarts,
-                    "max_iterations": cfg.max_iterations,
-                    "seed": cfg.seed,
-                    "target_residual": cfg.target_residual,
-                },
+                "config": dataclasses.asdict(cfg),
                 "best_objective": result.best_objective,
                 "converged": result.converged,
                 "iterations_used": result.iterations_used,

@@ -25,10 +25,6 @@ __all__ = [
     "mub_gauss_params",
 ]
 
-# Above this many terms the naive running sum starts losing digits; switch
-# to compensated summation of the real and imaginary parts.
-_FSUM_CUTOFF = 1000
-
 
 @dataclass(frozen=True)
 class GaussSumParams:
@@ -72,19 +68,16 @@ def gauss_sum(params: GaussSumParams) -> complex:
 
     The phase integer k (u k + v) is reduced mod 2 w in exact arithmetic
     before exponentiation, so terms with equal phases are bit-identical and
-    the result does not degrade for large labels.  For parameters passing
-    :class:`GaussSumParams` validation, |result|^2 = |w|.
+    the result does not degrade for large labels.  The real and imaginary
+    parts are each summed by ``math.fsum``, exactly rounded at any length.
+    For parameters passing :class:`GaussSumParams` validation,
+    |result|^2 = |w|.
     """
     u, v, w = params.u, params.v, params.w
     n = params.length
     modulus = 2 * w
     terms = [cmath.exp(1j * math.pi * ((k * (u * k + v)) % modulus) / w) for k in range(n)]
-    if n > _FSUM_CUTOFF:
-        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    total = 0.0 + 0.0j
-    for t in terms:
-        total += t
-    return total
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def mub_gauss_params(a: int, b: int, alpha: int, beta: int, d: int) -> GaussSumParams:

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily
-from .reconstruct import _MAX_ENTRY
+from .algebra import _MAX_ENTRY, MubFamily
 from .verify import VerificationReport, _projector_invariants
 
 __all__ = [
@@ -205,11 +204,11 @@ class FamilyDocument:
         Checks structure first (index completeness, projector counts, matrix
         shapes and entries), so nothing larger than the document itself is
         allocated for a document that declares a huge dimension.  Then the
-        projector invariants at ``tolerance``, for all matrices in one
-        stack: Hermitian symmetry (worst entry named), unit trace, and no
-        eigenvalue below ``-tolerance``.  The first failing matrix, by basis
-        index and then document order, is reported with its first failed
-        check in that order.
+        projector invariants of the family at ``tolerance``: Hermitian
+        symmetry (worst entry named), unit trace, and no eigenvalue below
+        ``-tolerance``.  The first failing matrix, by basis index and then
+        document order, is reported with its first failed check in that
+        order.  The returned family keeps the spectrum this check solved.
         """
         d = self.dimension
         indexed = {}
@@ -226,7 +225,7 @@ class FamilyDocument:
         if not 1 <= n <= d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        labels, rows, parsed = [], [], []
+        labels, rows, parsed = [], [], {}
         for a in range(n):
             projectors = indexed[a].get("projectors")
             if not isinstance(projectors, list) or len(projectors) != d:
@@ -241,14 +240,15 @@ class FamilyDocument:
                 seen.add(alpha)
                 labels.append(f"basis {a}, vector {alpha}")
                 rows.append(a * d + alpha)
-                parsed.append(self._parse_matrix(entry.get("matrix"), labels[-1]))
+                parsed[rows[-1]] = self._parse_matrix(entry.get("matrix"), labels[-1])
 
-        stack = np.array(parsed)
-        hermiticity, worst_entry, trace, lowest = _projector_invariants(stack)
-        failing = (hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance)
+        family = MubFamily(np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d))
+        hermiticity, worst_entry, trace, lowest = _projector_invariants(family)
+        # The invariants come in label order; read them in document order.
+        failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
-            i = int(np.argmax(failing))
-            where = labels[i]
+            k = int(np.argmax(failing))
+            where, i = labels[k], rows[k]
             if hermiticity[i] > tolerance:
                 p, q = divmod(int(worst_entry[i]), d)
                 raise ValueError(
@@ -263,9 +263,7 @@ class FamilyDocument:
             raise ValueError(
                 f"{where}: eigenvalue {lowest[i]:.3e} below -{tolerance:.1e}; not positive-semidefinite"
             )
-        mats = np.empty_like(stack)
-        mats[rows] = stack
-        return MubFamily(mats.reshape(n, d, d, d))
+        return family
 
 
 def write_json(payload: dict, path: Optional[str]) -> None:

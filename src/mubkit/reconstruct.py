@@ -6,8 +6,8 @@ off-diagonal pivot once and annihilates it with a unitary plane rotation.
 Off-diagonal mass never increases, so convergence is monotone and the sweep
 cap is a hard safety net, not a tuning knob.  :func:`eigen_hermitian` takes
 one (d, d) matrix or an (N, d, d) stack; a stack is solved in one pass, each
-pivot rotating every still-unconverged matrix at once, so the family-wide
-callers (verifier, loader, reconstruction, search start) make one call each.
+pivot rotating every still-unconverged matrix at once; a family's stack is
+solved once and cached on :attr:`MubFamily.spectrum` for all its readers.
 For a projector known to have rank 1 the eigenvector of the top eigenvalue
 recovers the state up to a global phase, which :func:`canonical_phase` then
 fixes.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MubFamily, canonical_phase
+from .algebra import _MAX_ENTRY, MubFamily, canonical_phase
 
 __all__ = [
     "EigenDecomposition",
@@ -30,9 +30,6 @@ __all__ = [
 
 _MAX_SWEEPS = 30
 _CONVERGED = 1e-13  # off-diagonal mass, relative to the Frobenius norm
-# Largest accepted real or imaginary part of an entry: the Frobenius norms
-# and Hermitian parts the solver forms stay finite for any d up to ~9000.
-_MAX_ENTRY = 1e150
 
 
 @dataclass(frozen=True)
@@ -215,24 +212,16 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     return EigenDecomposition(vals, vecs, sweeps=sweeps)
 
 
-class _ProjectorError(ValueError):
-    """A projector of a stack failed a rank-1 check; ``index`` is its position."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(message)
-
-
-def _rank_one_states(projectors: np.ndarray, tol: float) -> np.ndarray:
+def _rank_one_states(projectors, decomp: EigenDecomposition, tol: float, prefix: str):
     """Canonical-phase unit states of an (N, d, d) stack of rank-1 projectors.
 
-    One eigensolve covers the stack.  The first projector in stack order
-    that fails raises :class:`_ProjectorError` naming its first failed
-    check, in the order: Hermitian symmetry, a top eigenvalue separated
-    from the rest by more than ``tol``, vanishing remaining eigenvalues, a
-    top eigenvalue of 1.
+    ``decomp`` is the spectrum of the symmetrized stack.  The first
+    projector in stack order that fails raises ``ValueError`` naming its
+    first failed check, in the order: Hermitian symmetry, a top eigenvalue
+    separated from the rest by more than ``tol``, vanishing remaining
+    eigenvalues, a top eigenvalue of 1; the message starts with ``prefix``
+    formatted with the labels ``a``, ``alpha`` of stack index a*d + alpha.
     """
-    decomp = eigen_hermitian(projectors, hermiticity_tol=np.inf)
     vals = decomp.eigenvalues
     defects = _hermitian_defects(projectors)
     top = vals[:, 0]
@@ -252,7 +241,8 @@ def _rank_one_states(projectors: np.ndarray, tol: float) -> np.ndarray:
             message = f"matrix has rank above 1: residual eigenvalue mass {residual[i]:.3e}"
         else:
             message = f"top eigenvalue {top[i]!r} deviates from 1 beyond {tol:.1e}"
-        raise _ProjectorError(i, message)
+        a, alpha = divmod(i, vals.shape[1])
+        raise ValueError(prefix.format(a=a, alpha=alpha) + message)
     return np.array([canonical_phase(vec) for vec in decomp.eigenvectors[:, :, 0]])
 
 
@@ -269,20 +259,18 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(projector, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _rank_one_states(m[None], tol)[0]
+    return _rank_one_states(m[None], eigen_hermitian(m[None], hermiticity_tol=np.inf), tol, "")[0]
 
 
 def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     """State vectors for every projector of a family.
 
     Returns a (num_bases, d, d) array; entry [a, alpha] is the state for
-    projector (a, alpha).  The whole family is one eigensolver stack; a
-    failing projector is annotated with its labels so bad entries are easy
-    to locate.
+    projector (a, alpha).  The states come from the family's cached
+    :attr:`~MubFamily.spectrum`; a failing projector is annotated with its
+    labels so bad entries are easy to locate.
     """
     n, d = family.num_bases, family.dim
-    try:
-        states = _rank_one_states(family.projectors.reshape(n * d, d, d), tol)
-    except _ProjectorError as exc:
-        raise ValueError(f"projector (basis {exc.index // d}, vector {exc.index % d}): {exc}") from exc
+    prefix = "projector (basis {a}, vector {alpha}): "
+    states = _rank_one_states(family.projectors.reshape(n * d, d, d), family.spectrum, tol, prefix)
     return states.reshape(n, d, d)

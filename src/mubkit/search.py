@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import MubFamily, unbiased_gram_target
-from .reconstruct import eigen_hermitian
+from .verify import _projector_invariants
 
 __all__ = [
     "SearchConfig",
@@ -59,7 +59,8 @@ _INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _SLOPE = 1e-4
 
-# Starting factors: projector eigenvalues below this have no real square root.
+# Starting factors: largest accepted Hermitian defect and lowest accepted eigenvalue.
+_HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-8
 
 # Fallback growth for the trial step when the Barzilai-Borwein curvature
@@ -171,15 +172,20 @@ class SearchState:
     def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
 
-        Each factor is the Hermitian square root of its projector, so the
-        state starts exactly at the family.  Eigenvalues below -1e-8 have no
-        real square root and are refused; small negatives above that floor
-        are clamped to zero.
+        Each factor is the Hermitian square root of its projector, from the
+        family's cached spectrum, so the state starts exactly at the family.
+        Hermitian defects above 1e-10 are refused, then eigenvalues below
+        -1e-8 (no real square root); smaller negatives are clamped to zero.
         """
         n, d = family.num_bases, family.dim
-        decomp = eigen_hermitian(family.projectors.reshape(n * d, d, d))
-        vals, vecs = decomp.eigenvalues, decomp.eigenvectors
-        low = vals[:, -1]
+        hermiticity, _, _, low = _projector_invariants(family)
+        bad = np.flatnonzero(hermiticity > _HERMITIAN_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"projector (basis {i // d}, vector {i % d}) is not Hermitian: "
+                f"max deviation {hermiticity[i]:.3e} exceeds {_HERMITIAN_TOL:.1e}"
+            )
         bad = np.flatnonzero(low < _PSD_FLOOR)
         if bad.size:
             i = int(bad[0])
@@ -187,6 +193,7 @@ class SearchState:
                 f"projector (basis {i // d}, vector {i % d}) has eigenvalue "
                 f"{low[i]:.3e} below {_PSD_FLOOR:.1e}; no real square root"
             )
+        vals, vecs = family.spectrum.eigenvalues, family.spectrum.eigenvectors
         roots = np.sqrt(np.clip(vals, 0.0, None))
         factors = np.einsum("nij,nj,nkj->nik", vecs, roots, vecs.conj())
         return cls(factors.reshape(n, d, d, d))

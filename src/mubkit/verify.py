@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily, unbiased_gram_target
-from .reconstruct import eigen_hermitian
 
 __all__ = [
     "VerificationReport",
@@ -98,23 +97,24 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
-def _projector_invariants(mats: np.ndarray):
-    """Per-matrix projector invariants of an (N, d, d) stack.
+def _projector_invariants(family: MubFamily):
+    """Per-projector invariants of a family, in stack order a*d + alpha.
 
     Returns (hermiticity, worst_entry, trace, lowest): the Hermitian defect
     max |M - M^dagger|, the row-major index of the first entry attaining it,
     the unit-trace defect |Tr M - 1|, and the smallest eigenvalue.  The
-    eigenvalues come from one eigensolve of the symmetrized stack, so a
-    non-Hermitian matrix shows up in its defect, not as a crash here.  The
-    verifier takes the maximum of each; the loader reports the first
-    matrix that fails one.
+    eigenvalues come from the family's cached :attr:`~MubFamily.spectrum`
+    of the symmetrized stack, so a non-Hermitian matrix shows up in its
+    defect, not as a crash here.  The verifier takes the maximum of each;
+    the loader and the search start report the first projector that fails.
     """
-    n, d = mats.shape[0], mats.shape[-1]
-    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).reshape(n, d * d)
+    n, d = family.num_bases, family.dim
+    mats = family.projectors.reshape(n * d, d, d)
+    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).reshape(n * d, d * d)
     worst_entry = defect.argmax(axis=1)
-    hermiticity = defect[np.arange(n), worst_entry]
+    hermiticity = defect[np.arange(n * d), worst_entry]
     trace = np.abs(np.einsum("nii->n", mats) - 1.0)
-    lowest = eigen_hermitian(mats, hermiticity_tol=np.inf).eigenvalues[:, -1]
+    lowest = family.spectrum.eigenvalues[:, -1]
     return hermiticity, worst_entry, trace, lowest
 
 
@@ -157,7 +157,7 @@ def verify_family(
     malformed shapes: a corrupted family yields a failing report.
     """
     n, d = family.num_bases, family.dim
-    hermiticity, _, traces, lowest = _projector_invariants(family.projectors.reshape(n * d, d, d))
+    hermiticity, _, traces, lowest = _projector_invariants(family)
     trace_residual = float(traces.max())
     min_eig = float(lowest.min())
 

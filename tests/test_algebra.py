@@ -255,6 +255,27 @@ class TestMubFamily:
         with pytest.raises(ValueError, match="finite"):
             MubFamily(mats)
 
+    @pytest.mark.parametrize("huge", [1e200, -1e200j, 2e150])
+    def test_rejects_huge_entries(self, huge):
+        # Refused here, so verify_family and reconstruct_all never meet
+        # entries their norms would overflow on.
+        mats = np.zeros((3, 2, 2, 2), dtype=complex)
+        mats[2, 1, 0, 1] = huge
+        with pytest.raises(ValueError, match=r"^projector entries must be finite, with parts up to"):
+            MubFamily(mats)
+
+    def test_spectrum_is_one_cached_label_order_solve(self):
+        rng = np.random.default_rng(7)
+        mats = np.array([[random_hermitian(rng, 3) for _ in range(3)] for _ in range(2)])
+        mats[1, 2, 0, 1] += 0.5  # no Hermitian gate: the readers judge the defect
+        fam = MubFamily(mats)
+        assert fam.spectrum is fam.spectrum
+        sym = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+        for a in range(2):
+            for alpha in range(3):
+                row = fam.spectrum.eigenvalues[3 * a + alpha]
+                assert np.allclose(row, np.linalg.eigvalsh(sym[a, alpha])[::-1], atol=1e-12)
+
     @pytest.mark.parametrize(
         "layout",
         [np.asfortranarray, lambda p: p.swapaxes(-1, -2).conj()],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mubkit.cli import cli_dispatch
 from mubkit.construct import build_family
-from mubkit.io import FamilyDocument, load_family
+from mubkit.io import FamilyDocument, load_family, save_family
 
 
 def run(*args):
@@ -112,6 +112,35 @@ class TestConstruct:
         monkeypatch.setattr(mubkit.cli, "verify_family", counting)
         assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
         assert len(calls) == 1
+
+
+class TestEigensolves:
+    @pytest.mark.parametrize("command", ["construct", "verify", "reconstruct", "search"])
+    def test_one_stack_solve_per_command(self, tmp_path, monkeypatch, command):
+        import mubkit.reconstruct
+
+        path = tmp_path / "family.json"
+        save_family(build_family(3), str(path))
+        out = str(tmp_path / "out.json")
+        argv = {
+            "construct": ["construct", "--d", "3", "--out", out],
+            "verify": ["verify", str(path)],
+            "reconstruct": ["reconstruct", str(path), "--out", out],
+            "search": ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", out],
+        }[command]
+        shapes = []
+        real = mubkit.reconstruct.eigen_hermitian
+
+        def counting(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return real(matrix, *args, **kwargs)
+
+        # Every module that binds the solver by name, not just its home.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mubkit" and vars(module).get("eigen_hermitian") is real:
+                monkeypatch.setattr(module, "eigen_hermitian", counting)
+        assert cli_dispatch(argv) == 0
+        assert shapes == [(12, 3, 3)]
 
 
 class TestVerify:
@@ -244,7 +273,14 @@ class TestSearch:
         assert verdict.returncode == 0
         payload = json.loads(log.read_text())
         assert payload["converged"] is True
-        assert payload["config"]["seed"] == 42
+        assert list(payload["config"].items()) == [
+            ("dim", 2),
+            ("num_bases", 3),
+            ("restarts", 20),
+            ("max_iterations", 50000),
+            ("seed", 42),
+            ("target_residual", 1e-16),
+        ]
         assert len(payload["restart_objectives"]) == payload["restarts_used"]
 
     def test_non_convergence_exits_one(self, tmp_path):

@@ -300,6 +300,30 @@ class TestRejection:
         with pytest.raises(ValueError, match=r"^basis 1, vector 0, entry \(0, 1\): Hermitian"):
             load_family(str(path))
 
+    def test_first_failure_in_document_order_within_a_basis(self, tmp_path):
+        path = tmp_path / "family.json"
+
+        def mutate(p):
+            # Basis 1 lists alpha 1 before alpha 0.  Alpha 1 (first in the
+            # document) breaks the trace, alpha 0 (first by label) breaks
+            # Hermitian symmetry; the document order decides.
+            projectors = p["bases"][1]["projectors"]
+            projectors.reverse()
+            projectors[0]["matrix"][0][0] = [0.75, 0.0]
+            projectors[1]["matrix"][0][1] = [0.9, 0.0]
+
+        write_doc(path, mutate)
+        with pytest.raises(ValueError, match=r"^basis 1, vector 1: trace deviates from 1 by 2\.500e-01"):
+            load_family(str(path))
+
+    def test_reordered_document_loads_in_label_order(self, tmp_path):
+        path = tmp_path / "family.json"
+        write_doc(path, lambda p: p["bases"][1]["projectors"].reverse())
+        family = load_family(str(path))
+        assert np.array_equal(family.projectors, build_family(2).projectors)
+        # The loader's check solved the stack; the family keeps that solve.
+        assert "spectrum" in vars(family)
+
     def test_unwritable_path(self, tmp_path):
         family = build_family(2)
         with pytest.raises(OSError, match="could not write"):

@@ -389,6 +389,16 @@ class TestPolish:
         with pytest.raises(ValueError, match="no real square root"):
             polish(MubFamily(mats), cfg)
 
+    def test_non_hermitian_projector_named_by_labels(self):
+        p = build_family(3).projectors.copy()
+        p[2, 1, 0, 1] += 0.1
+        cfg = SearchConfig(dim=3, num_bases=4)
+        with pytest.raises(
+            ValueError,
+            match=r"^projector \(basis 2, vector 1\) is not Hermitian: max deviation 1\.000e-01",
+        ):
+            polish(MubFamily(p), cfg)
+
 
 class TestSearchState:
     def test_projectors_are_unit_trace_hermitian_psd(self):
