@@ -42,6 +42,16 @@ _PIVOT_SLACK = 1e-8
 _MAX_ENTRY = 1e150
 
 
+def _check_tolerance(tol) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative, naming it.
+
+    Against NaN every ``x > tol`` test is False, so such a tolerance would
+    switch off the checks it gates instead of failing them.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:
     """Matrix unit |p><q|: all zeros except a single one at row p, column q."""
     if not (0 <= p < dim and 0 <= q < dim):
@@ -70,6 +80,7 @@ def unflatten(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
     components violate Hermitian symmetry (component (p, q) must equal the
     conjugate of component (q, p)) beyond ``tol``.
     """
+    _check_tolerance(tol)
     v = np.asarray(vec, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
@@ -117,6 +128,7 @@ def projector_from_state(state, tol: float = 1e-10) -> np.ndarray:
     The result is Hermitian, positive-semidefinite, and has unit trace; its
     only nonzero eigenvalue is 1.
     """
+    _check_tolerance(tol)
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
@@ -240,6 +252,7 @@ class MubFamily:
     @classmethod
     def from_states(cls, bases, tol: float = 1e-10) -> "MubFamily":
         """Build a family from nested state vectors ``bases[a][alpha]``."""
+        _check_tolerance(tol)
         groups = [list(group) for group in bases]
         if not groups or any(not group for group in groups):
             raise ValueError("need at least one basis with at least one state")

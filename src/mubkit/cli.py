@@ -2,12 +2,14 @@
 
 A thin shell over the library: every subcommand parses flags, calls one
 module operation, and serializes the result.  No numerical logic lives
-here.  Machine-readable output goes through :func:`mubkit.io.write_json`
-to files or stdout, as one line of compact JSON; all diagnostics go to
-stderr.  Exit codes: 0 success or verification pass, 1 verification
-failure, non-convergence or a failed reconstruction or polish, 2 usage or
-IO error.  :func:`cli_dispatch` maps every ``OSError`` and ``ValueError``
-to exit 2 in one place, so no command can leak a traceback for bad input.
+here.  Family documents are written by :func:`mubkit.io.save_family`, the
+certificate and the search log by :func:`mubkit.io.write_json`; each goes
+to a file or, without a path, to stdout, as one line of compact JSON, and
+all diagnostics go to stderr.  Exit codes: 0 success or verification
+pass, 1 verification failure, non-convergence or a failed reconstruction
+or polish, 2 usage or IO error.  :func:`cli_dispatch` maps every
+``OSError`` and ``ValueError`` to exit 2 in one place, so no command can
+leak a traceback for bad input.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+from .algebra import _check_tolerance
 from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
-from .io import FamilyDocument, load_family, report_payload, save_family, write_json
+from .io import load_family, report_payload, save_family, write_json
 from .reconstruct import reconstruct_all
 from .search import SearchConfig, polish, run_search
 from .verify import verify_family
@@ -40,8 +43,7 @@ def _metadata(generator: str, **extra) -> dict:
 
 def _cmd_construct(args) -> int:
     family, report = build_family(args.d, with_report=True)
-    doc = FamilyDocument.from_family(family, metadata=_metadata("construct", dimension=args.d))
-    write_json(doc.to_payload(), args.out)
+    save_family(family, args.out, metadata=_metadata("construct", dimension=args.d))
     print(report.summary(), file=sys.stderr)
     return 0
 
@@ -56,16 +58,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    _check_tolerance(args.tol)  # a usage error (exit 2), not a failed reconstruction
     family = load_family(args.family)
     try:
         states = reconstruct_all(family, tol=args.tol)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = FamilyDocument.from_family(
-        family, states=states, metadata=_metadata("reconstruct", source=args.family)
-    )
-    write_json(doc.to_payload(), args.out)
+    meta = _metadata("reconstruct", source=args.family)
+    save_family(family, args.out, states=states, metadata=meta)
     print(
         f"reconstructed {family.num_bases * family.dim} states "
         f"(d={family.dim}, bases={family.num_bases})",
@@ -101,8 +102,7 @@ def _cmd_search(args) -> int:
         best_objective=result.best_objective,
         converged=result.converged,
     )
-    doc = FamilyDocument.from_family(result.best_family, metadata=meta)
-    write_json(doc.to_payload(), args.out)
+    save_family(result.best_family, args.out, metadata=meta)
     if args.log:
         write_json(
             {

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import MubFamily
+from .algebra import MubFamily, _check_tolerance
 from .verify import verify_family
 
 __all__ = [
@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-# Largest projector array, in bytes, that build_family allocates.  A
-# complete family takes 16 (d + 1) d^3 bytes, which outgrows memory long
-# before anything else does; 1 GiB admits every prime d up to 89.
+# Largest projector array, in bytes, that build_family or a search
+# allocates.  A complete family takes 16 (d + 1) d^3 bytes, which outgrows
+# memory long before anything else does; 1 GiB admits every prime d up to 89.
 MAX_FAMILY_BYTES = 1 << 30
 
 
@@ -110,6 +110,7 @@ def build_family(
     computed exactly as :func:`w_coefficient` computes it, so the family
     is bit-identical to one assembled coefficient by coefficient.
     """
+    _check_tolerance(tol)
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily
+from .algebra import _MAX_ENTRY, MubFamily, _check_tolerance
 from .verify import VerificationReport, _projector_invariants
 
 __all__ = [
@@ -210,6 +210,7 @@ class FamilyDocument:
         document order, is reported with its first failed check in that
         order.  The returned family keeps the spectrum this check solved.
         """
+        _check_tolerance(tolerance)
         d = self.dimension
         indexed = {}
         for item in self.bases:
@@ -285,14 +286,15 @@ def write_json(payload: dict, path: Optional[str]) -> None:
 
 def save_family(
     family: MubFamily,
-    path: str,
+    path: Optional[str],
     states=None,
     metadata: Optional[dict] = None,
 ) -> None:
     """Write a family (optionally with its states) to a JSON document.
 
-    The save/load round trip reproduces every projector entry bit-exactly.
-    Filesystem problems surface as errors carrying the path.
+    Without a path the document goes to stdout, as :func:`write_json` writes
+    it.  The save/load round trip reproduces every projector entry
+    bit-exactly.  Filesystem problems surface as errors carrying the path.
     """
     doc = FamilyDocument.from_family(family, states=states, metadata=metadata)
     write_json(doc.to_payload(), path)
@@ -304,6 +306,7 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     Raises on unreadable files, malformed JSON, structural inconsistencies,
     and projector-invariant violations (named per basis, vector, entry).
     """
+    _check_tolerance(tolerance)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -328,23 +331,18 @@ def report_payload(
     tool_version: str,
     source_path: Optional[str] = None,
 ) -> dict:
-    """JSON payload for a verification certificate, with provenance fields."""
-    payload = {
-        "tool_version": tool_version,
-        "dim": report.dim,
-        "num_bases": report.num_bases,
-        "tolerance": report.tolerance,
-        "max_self_residual": report.max_self_residual,
-        "max_cross_residual": report.max_cross_residual,
-        "trace_residual": report.trace_residual,
-        "hermiticity_residual": report.hermiticity_residual,
-        "psd_min_eigenvalue": report.psd_min_eigenvalue,
-        "angle_check": report.angle_check,
-        "passed": report.passed,
-    }
+    """JSON payload for a verification certificate, with provenance fields.
+
+    Every report field is a key, in field order; array fields (the Gram
+    matrix) come last, after the provenance, and fields left at ``None``
+    are omitted.
+    """
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    arrays = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
+    payload = {"tool_version": tool_version}
+    payload.update((k, v) for k, v in values.items() if k not in arrays and v is not None)
     if source_path is not None:
         payload["input_path"] = source_path
         payload["input_sha256"] = file_sha256(source_path)
-    if report.gram is not None:
-        payload["gram"] = report.gram.tolist()
+    payload.update(arrays)
     return payload

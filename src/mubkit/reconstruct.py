@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, canonical_phase
+from .algebra import _MAX_ENTRY, MubFamily, _check_tolerance, canonical_phase
 
 __all__ = [
     "EigenDecomposition",
@@ -256,6 +256,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     The returned vector has its global phase fixed by
     :func:`canonical_phase`.
     """
+    _check_tolerance(tol)
     m = np.asarray(projector, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -270,6 +271,7 @@ def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     :attr:`~MubFamily.spectrum`; a failing projector is annotated with its
     labels so bad entries are easy to locate.
     """
+    _check_tolerance(tol)
     n, d = family.num_bases, family.dim
     prefix = "projector (basis {a}, vector {alpha}): "
     states = _rank_one_states(family.projectors.reshape(n * d, d, d), family.spectrum, tol, prefix)

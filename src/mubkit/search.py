@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import MubFamily, unbiased_gram_target
+from .algebra import _MAX_ENTRY, MubFamily, unbiased_gram_target
+from .construct import MAX_FAMILY_BYTES
 from .verify import _projector_invariants
 
 __all__ = [
@@ -92,7 +93,9 @@ class SearchConfig:
     ``dim`` and ``num_bases`` fix the problem; the rest control the
     optimizer.  ``target_residual`` is the objective value counted as
     convergence.  Identical configurations (seed included) give
-    bit-identical runs.
+    bit-identical runs.  Problems whose (num_bases, d, d, d) family array
+    would exceed :data:`~mubkit.construct.MAX_FAMILY_BYTES` are refused
+    here, before a search allocates anything.
     """
 
     dim: int
@@ -109,6 +112,12 @@ class SearchConfig:
             raise ValueError(
                 f"num_bases must lie in 2..dim+1 = 2..{self.dim + 1}, got {self.num_bases}"
             )
+        nbytes = self.num_bases * self.dim**3 * np.dtype(complex).itemsize
+        if nbytes > MAX_FAMILY_BYTES:
+            raise ValueError(
+                f"a family of {self.num_bases} bases in dimension d = {self.dim} needs "
+                f"{nbytes} bytes of projectors, above the {MAX_FAMILY_BYTES}-byte limit"
+            )
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iterations < 1:
@@ -124,9 +133,10 @@ class SearchState:
     """A point in parameter space: one complex factor per (basis, vector).
 
     ``factors[a, alpha]`` is the d x d factor whose derived projector is
-    B^dagger B / Tr(B^dagger B).  The factors are unconstrained; objective
-    and gradient norm are computed on demand and fail only if some factor
-    is degenerate (trace norm at roundoff scale).
+    B^dagger B / Tr(B^dagger B).  The factors are unconstrained apart from
+    finite parts up to 1e150, which keeps every trace norm finite;
+    objective and gradient norm are computed on demand and fail only if
+    some factor is degenerate (trace norm at roundoff scale).
     """
 
     factors: np.ndarray
@@ -137,8 +147,8 @@ class SearchState:
             raise ValueError(
                 f"factors must be shaped (num_bases, d, d, d), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("factor entries must be finite")
+        if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
+            raise ValueError(f"factor entries must be finite, with parts up to {_MAX_ENTRY:.0e}")
         arr.setflags(write=False)
         object.__setattr__(self, "factors", arr)
 
@@ -163,10 +173,6 @@ class SearchState:
         n, d = self.num_bases, self.dim
         m, _ = _derive(self.factors.reshape(n * d, d, d))
         return m.reshape(n, d, d, d)
-
-    def family(self) -> MubFamily:
-        """The derived projectors as a family, converged or not."""
-        return MubFamily(self.projectors())
 
     @classmethod
     def from_family(cls, family: MubFamily) -> "SearchState":
@@ -475,29 +481,15 @@ def _family_and_penalty(u: np.ndarray):
     return family, _penalty(family.projectors)
 
 
-def run_search(cfg: SearchConfig) -> SearchResult:
-    """Multi-restart search for ``cfg.num_bases`` unbiased bases in dimension ``cfg.dim``.
-
-    Each restart draws one Haar-random unitary per basis (the QR retraction
-    of a standard complex Gaussian matrix) from a counter-based generator
-    keyed by ``cfg.seed`` plus the restart index, then descends.  A
-    restart's objective is the Gram penalty of the family it returns.  The
-    best restart wins (ties go to the lowest index); later restarts are
-    skipped once one converges.  Non-convergence is reported through
-    ``converged`` and the residual floor in ``best_objective``, never as an
-    exception.
-    """
-    n, d = cfg.num_bases, cfg.dim
-    target = unbiased_gram_target(n, d)
+def _descend(starts, cfg: SearchConfig) -> SearchResult:
+    """The restart loop of :func:`run_search`, over the (n, d, d) unitaries ``starts`` yields."""
+    target = unbiased_gram_target(cfg.num_bases, cfg.dim)
     best_family = None
     best_f = np.inf
     finals = []
     iteration_counts = []
-    for restart in range(cfg.restarts):
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + restart))
-        x = rng.standard_normal((n, d, d))
-        y = rng.standard_normal((n, d, d))
-        u, _, iterations, _ = _minimize(_retract(x + 1j * y), target, cfg)
+    for u0 in starts:
+        u, _, iterations, _ = _minimize(u0, target, cfg)
         family, f = _family_and_penalty(u)
         finals.append(f)
         iteration_counts.append(iterations)
@@ -517,6 +509,30 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     )
 
 
+def run_search(cfg: SearchConfig) -> SearchResult:
+    """Multi-restart search for ``cfg.num_bases`` unbiased bases in dimension ``cfg.dim``.
+
+    Each restart draws one Haar-random unitary per basis (the QR retraction
+    of a standard complex Gaussian matrix) from a counter-based generator
+    keyed by ``cfg.seed`` plus the restart index, then descends through the
+    loop that :func:`polish` shares.  A restart's objective is the Gram
+    penalty of the family it returns.  The best restart wins (ties go to
+    the lowest index); later restarts are skipped once one converges.
+    Non-convergence is reported through ``converged`` and the residual
+    floor in ``best_objective``, never as an exception.
+    """
+    n, d = cfg.num_bases, cfg.dim
+
+    def haar_starts():
+        for restart in range(cfg.restarts):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed + restart))
+            x = rng.standard_normal((n, d, d))
+            y = rng.standard_normal((n, d, d))
+            yield _retract(x + 1j * y)
+
+    return _descend(haar_starts(), cfg)
+
+
 def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     """Refine an existing family by descending from its own states.
 
@@ -524,7 +540,8 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     projectors).  Each derived projector gives its column at its largest
     diagonal entry, which for rank 1 is its state up to scale and phase,
     and the QR retraction orthonormalizes every basis; an unbiased family
-    thus converges at once.  Runs one descent; ``cfg.restarts`` is ignored.
+    thus converges at once.  This is one descent of the loop that
+    :func:`run_search` runs per restart; ``cfg.restarts`` is ignored.
     """
     if family.dim != cfg.dim or family.num_bases != cfg.num_bases:
         raise ValueError(
@@ -535,14 +552,4 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     m = SearchState.from_family(family).projectors().reshape(n * d, d, d)
     pivot = np.argmax(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1)
     u0 = _retract(m[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
-    u, _, iterations, _ = _minimize(u0, unbiased_gram_target(n, d), cfg)
-    best, f = _family_and_penalty(u)
-    return SearchResult(
-        best_family=best,
-        best_objective=f,
-        iterations_used=iterations,
-        restarts_used=1,
-        converged=bool(f <= cfg.target_residual),
-        history=(f,),
-        restart_iterations=(iterations,),
-    )
+    return _descend([u0], cfg)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, unbiased_gram_target
+from .algebra import MubFamily, _check_tolerance, unbiased_gram_target
 
 __all__ = [
     "VerificationReport",
@@ -156,6 +156,7 @@ def verify_family(
     eigenvalues allows ``-tolerance``.  Never raises on bad numbers, only on
     malformed shapes: a corrupted family yields a failing report.
     """
+    _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
     hermiticity, _, traces, lowest = _projector_invariants(family)
     trace_residual = float(traces.max())
@@ -195,6 +196,7 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
     overlap targets assume normalization, so checking unnormalized input
     would misreport.
     """
+    _check_tolerance(tolerance)
     arr = np.asarray(states, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected states shaped (num_bases, d, d), got {arr.shape}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,10 @@ from mubkit.algebra import (
     unflatten,
     w_inner,
 )
+from mubkit.construct import build_family
+from mubkit.io import FamilyDocument, load_family, save_family
+from mubkit.reconstruct import reconstruct_all, state_from_projector
+from mubkit.verify import verify_family, verify_states
 
 HALVES = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 CIRCLE = 0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)
@@ -298,3 +304,36 @@ class TestMubFamily:
         fam = MubFamily.from_states([[plus, minus]])
         assert np.allclose(fam.projector(0, 0), HALVES, atol=1e-15)
         assert fam.num_bases == 1
+
+
+def _load_at(tol, path):
+    save_family(build_family(3), str(path))
+    return load_family(str(path), tol)
+
+
+# Every public function that takes a tolerance, called on valid input.
+TOLERANCE_CALLS = {
+    "unflatten": lambda tol, path: unflatten(flatten(HALVES), tol),
+    "projector_from_state": lambda tol, path: projector_from_state(np.array([1.0, 0.0]), tol),
+    "MubFamily.from_states": lambda tol, path: MubFamily.from_states([np.eye(2)], tol),
+    "build_family": lambda tol, path: build_family(3, tol=tol),
+    "verify_family": lambda tol, path: verify_family(build_family(3), tolerance=tol),
+    "verify_states": lambda tol, path: verify_states(reconstruct_all(build_family(3)), tol),
+    "reconstruct_all": lambda tol, path: reconstruct_all(build_family(3), tol=tol),
+    "state_from_projector": lambda tol, path: state_from_projector(HALVES, tol),
+    "FamilyDocument.to_family": lambda tol, path: FamilyDocument.from_family(
+        build_family(3)
+    ).to_family(tol),
+    "load_family": _load_at,
+}
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("call", list(TOLERANCE_CALLS.values()), ids=list(TOLERANCE_CALLS))
+    def test_refused_and_named(self, call, tol, tmp_path):
+        # Against NaN no "x > tol" check can fail, so the value must be
+        # refused before any check runs rather than silently pass them all.
+        expected = rf"^tolerance must be finite and non-negative, got {re.escape(repr(tol))}$"
+        with pytest.raises(ValueError, match=expected):
+            call(tol, tmp_path / "family.json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubkit.algebra import MubFamily
 from mubkit.cli import cli_dispatch
 from mubkit.construct import build_family
 from mubkit.io import FamilyDocument, load_family, save_family
@@ -259,6 +260,22 @@ class TestReconstruct:
         assert proc.returncode == 1
         assert "degenerate" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command,tol", [("reconstruct", "nan"), ("reconstruct", "-1"), ("verify", "nan")]
+    )
+    def test_bad_tolerance_is_usage_error(self, tmp_path, command, tol):
+        # Projector (0, 0) is the mixed 0.5 (P_00 + P_01): it loads, and any
+        # working rank-1 check refuses it, but none can fail against NaN.
+        mats = build_family(3).projectors.copy()
+        mats[0, 0] = 0.5 * (mats[0, 0] + mats[0, 1])
+        path = tmp_path / "mixed.json"
+        save_family(MubFamily(mats), str(path))
+        proc = run(command, str(path), "--tol", tol)
+        assert proc.returncode == 2
+        message = f"tolerance must be finite and non-negative, got {float(tol)!r}"
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
 
 class TestSearch:
     def test_qubit_search_with_log(self, tmp_path):
@@ -304,6 +321,16 @@ class TestSearch:
     def test_bad_config_is_usage_error(self):
         proc = run("search", "--d", "3", "--bases", "9")
         assert proc.returncode == 2
+
+    def test_oversized_problem_is_usage_error(self, monkeypatch, capsys):
+        # Without the config check the guard fails the test instead of
+        # letting a search allocate the 238 GiB family.
+        monkeypatch.setattr("mubkit.cli.run_search", lambda cfg: pytest.fail("search ran"))
+        assert cli_dispatch(["search", "--d", "2000", "--bases", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a family of 2 bases in dimension d = 2000 needs")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestGauss:

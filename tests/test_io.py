@@ -374,6 +374,23 @@ class TestHashingAndReports:
         assert payload["passed"] is True
         assert payload["dim"] == 2
         assert len(payload["gram"]) == 6
+        # Report fields in field order, then provenance, then the Gram matrix.
+        assert list(payload) == [
+            "tool_version",
+            "dim",
+            "num_bases",
+            "tolerance",
+            "max_self_residual",
+            "max_cross_residual",
+            "trace_residual",
+            "hermiticity_residual",
+            "psd_min_eigenvalue",
+            "angle_check",
+            "passed",
+            "input_path",
+            "input_sha256",
+            "gram",
+        ]
 
     def test_format_version_recorded(self, tmp_path):
         path = tmp_path / "family.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,11 +104,18 @@ class TestSearchConfig:
             (dict(dim=3, num_bases=4, max_iterations=0), "max_iterations"),
             (dict(dim=3, num_bases=4, seed=-1), "seed"),
             (dict(dim=3, num_bases=4, target_residual=0.0), "target_residual"),
+            (dict(dim=2000, num_bases=2), "bytes of projectors"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             SearchConfig(**kwargs)
+
+    def test_family_size_limit(self):
+        # 2 * 322^3 * 16 bytes fit in MAX_FAMILY_BYTES (1 GiB); 2 * 323^3 * 16 do not.
+        assert SearchConfig(dim=322, num_bases=2).dim == 322
+        with pytest.raises(ValueError, match=r"needs 1078344544 bytes"):
+            SearchConfig(dim=323, num_bases=2)
 
 
 class TestObjective:
@@ -444,3 +453,22 @@ class TestSearchState:
         factors[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             SearchState(factors)
+
+    @pytest.mark.parametrize("entry", [1e200, -1e200j, 1e151])
+    def test_rejects_parts_above_max_entry(self, entry):
+        factors = random_state(32, 2, 3).factors.copy()
+        factors[1, 2, 0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^factor entries must be finite, with parts up to 1e\+150$"
+            with pytest.raises(ValueError, match=message):
+                SearchState(factors)
+
+    def test_parts_at_max_entry_evaluate_without_warnings(self):
+        factors = random_state(32, 2, 3).factors.copy()
+        factors[1, 2, 0, 1] = 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = SearchState(factors)
+            assert np.isfinite(state.objective)
+            assert np.all(np.isfinite(gradient(state)))
