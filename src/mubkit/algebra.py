@@ -225,9 +225,12 @@ class MubFamily:
         """Eigendecomposition of the (n*d, d, d) projector stack, in label order.
 
         Solved once, on first use, for the symmetrized matrices with no
-        Hermitian gate; each reader (verifier, loader, reconstruction,
-        search start) judges the Hermitian defect itself.  The projectors
-        are read-only, so the cached solve never goes stale.
+        Hermitian gate; each reader judges the Hermitian defect itself.
+        The verifier always reads it.  The loader, reconstruction and the
+        search start read it only for a family whose projectors the
+        one-column rank-1 certificate cannot settle, so a rank-1 family
+        they read holds no eigenvector stack.  The projectors are
+        read-only, so the cached solve never goes stale.
         """
         from .reconstruct import eigen_hermitian  # reconstruct imports this module
 

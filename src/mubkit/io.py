@@ -69,6 +69,20 @@ def _is_plain_matrix(raw: list, d: int) -> bool:
     )
 
 
+class _FloatTable(dict):
+    """Float literal -> value, parsed once per distinct literal.
+
+    Keyed by the literal's text, so ``-0.0`` and ``0.0``, or ``1.0`` and
+    ``1e0``, stay separate keys and each maps to exactly what ``float`` makes
+    of it.  A closed-form document repeats a few dozen values tens of
+    thousands of times.
+    """
+
+    def __missing__(self, literal: str) -> float:
+        value = self[literal] = float(literal)
+        return value
+
+
 def _pairs(array: np.ndarray) -> list:
     """Nested lists of a complex array, each entry an [re, im] pair of floats."""
     return np.ascontiguousarray(array).view(float).reshape(*array.shape, 2).tolist()
@@ -208,7 +222,10 @@ class FamilyDocument:
         symmetry (worst entry named), unit trace, and no eigenvalue below
         ``-tolerance``.  The first failing matrix, by basis index and then
         document order, is reported with its first failed check in that
-        order.  The returned family keeps the spectrum this check solved.
+        order.  A family whose every projector is certified rank 1 within
+        ``tolerance`` by its one-column residual passes the eigenvalue check
+        without an eigensolve; any other is solved once, and the returned
+        family keeps that spectrum.
         """
         _check_tolerance(tolerance)
         d = self.dimension
@@ -244,7 +261,7 @@ class FamilyDocument:
                 parsed[rows[-1]] = self._parse_matrix(entry.get("matrix"), labels[-1])
 
         family = MubFamily(np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d))
-        hermiticity, worst_entry, trace, lowest = _projector_invariants(family)
+        hermiticity, worst_entry, trace, lowest = _projector_invariants(family, settle=tolerance)
         # The invariants come in label order; read them in document order.
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
@@ -305,11 +322,12 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 
     Raises on unreadable files, malformed JSON, structural inconsistencies,
     and projector-invariant violations (named per basis, vector, entry).
+    Each distinct float literal is parsed once per load.
     """
     _check_tolerance(tolerance)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_float=_FloatTable().__getitem__)
     except OSError as exc:
         raise OSError(f"could not read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

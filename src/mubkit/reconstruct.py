@@ -1,4 +1,15 @@
-"""State vectors from rank-1 projectors via a complex Jacobi eigensolver.
+"""State vectors from rank-1 projectors: a one-column certificate, else Jacobi.
+
+A Hermitian M that is rank 1 up to noise is certified from one column:
+with k the index of its largest diagonal entry, v = M[:, k] / sqrt(M_kk)
+and r = ||M - v v^dagger||_F, Weyl's inequality puts every eigenvalue of M
+within r of the spectrum (||v||^2, 0, ..., 0) of v v^dagger.  When r is
+small that settles every rank-1 check without an eigensolve, and one power
+step M v gives the state with a Davis-Kahan angle of order r^2 to the top
+eigenvector.  The family loader, :func:`reconstruct_all`,
+:func:`state_from_projector` and the search start read the certificate; only
+a stack it cannot settle falls back to the spectrum, so every rejection
+keeps its message.
 
 The eigensolver is a cyclic-by-row Jacobi iteration for complex Hermitian
 matrices, written out here rather than delegated: each sweep visits every
@@ -7,15 +18,15 @@ Off-diagonal mass never increases, so convergence is monotone and the sweep
 cap is a hard safety net, not a tuning knob.  :func:`eigen_hermitian` takes
 one (d, d) matrix or an (N, d, d) stack; a stack is solved in one pass, each
 pivot rotating every still-unconverged matrix at once; a family's stack is
-solved once and cached on :attr:`MubFamily.spectrum` for all its readers.
-For a projector known to have rank 1 the eigenvector of the top eigenvalue
-recovers the state up to a global phase, which :func:`canonical_phase` then
-fixes.
+solved at most once and cached on :attr:`MubFamily.spectrum`, which the
+verifier always reads.  The recovered states have their global phase fixed
+by :func:`canonical_phase`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +41,11 @@ __all__ = [
 
 _MAX_SWEEPS = 30
 _CONVERGED = 1e-13  # off-diagonal mass, relative to the Frobenius norm
+
+# Largest one-column residual at which a certified state is returned without
+# a solve: the power step's angle to the top eigenvector is of order r^2,
+# below double-precision roundoff from here down, whatever the tolerance.
+_EXACT_RESIDUAL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,12 +64,23 @@ class EigenDecomposition:
     sweeps: int
 
     def __post_init__(self):
+        # Copied, so a caller's arrays are neither frozen nor aliased.
         vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=complex)
+        self._freeze(vals, np.array(self.eigenvectors, dtype=complex))
+
+    def _freeze(self, vals: np.ndarray, vecs: np.ndarray) -> None:
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
+
+    @classmethod
+    def _adopt(cls, vals: np.ndarray, vecs: np.ndarray, sweeps: int) -> "EigenDecomposition":
+        """Wrap float and complex arrays nobody else holds, without copying them."""
+        decomp = object.__new__(cls)
+        decomp._freeze(vals, vecs)
+        object.__setattr__(decomp, "sweeps", sweeps)
+        return decomp
 
     @property
     def dim(self) -> int:
@@ -157,6 +184,37 @@ def _hermitian_defects(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(1, 2))
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _checked_stack(matrix):
+    """``matrix`` as an (N, d, d) complex stack, and whether it was one matrix.
+
+    Refuses anything but a nonempty square matrix or stack of them, and
+    entries that are non-finite or have a part above 1e150, naming the
+    first such stack member.  Checked before any arithmetic: NaN passes
+    every "> tol" test, inf - inf in a Hermitian defect would warn before
+    anything could reject it, and squares of entries near the float limit
+    overflow the norms.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValueError(
+            f"expected a nonempty square matrix or stack of them, got shape {m.shape}"
+        )
+    single = m.ndim == 2
+    stack = m.reshape(-1, *m.shape[-2:])
+    parts = np.maximum(np.abs(stack.real), np.abs(stack.imag))
+    finite = (parts <= _MAX_ENTRY).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        label = "matrix" if single else f"matrix {i}"
+        raise ValueError(f"{label} has non-finite entries or parts above {_MAX_ENTRY:.0e}")
+    return stack, single
+
+
 def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
     """Eigenvalues and eigenvectors of Hermitian matrices, descending order.
 
@@ -166,22 +224,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     ``hermiticity_tol``; the iteration itself then works on the symmetrized
     matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
-        raise ValueError(
-            f"expected a nonempty square matrix or stack of them, got shape {m.shape}"
-        )
-    single = m.ndim == 2
-    stack = m.reshape(-1, *m.shape[-2:])
-    # Checked first: NaN passes every "> tol" test below, inf - inf in the
-    # Hermitian defect would warn before anything could reject it, and
-    # squares of entries near the float limit overflow the norms.
-    parts = np.maximum(np.abs(stack.real), np.abs(stack.imag))
-    finite = (parts <= _MAX_ENTRY).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        label = "matrix" if single else f"matrix {i}"
-        raise ValueError(f"{label} has non-finite entries or parts above {_MAX_ENTRY:.0e}")
+    stack, single = _checked_stack(matrix)
     defects = _hermitian_defects(stack)
     bad = np.flatnonzero(defects > hermiticity_tol)
     if bad.size:
@@ -191,7 +234,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
             f"{label} is not Hermitian: max deviation {defects[i]:.3e} "
             f"exceeds {hermiticity_tol:.1e}"
         )
-    sym = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    sym = _symmetrized(stack)
     vals, vecs, history = _jacobi(sym)
     scale = np.linalg.norm(sym, axis=(1, 2))
     final = np.array([h[-1] for h in history])
@@ -207,23 +250,75 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     vals = np.take_along_axis(vals, order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     sweeps = sum(len(h) - 1 for h in history)
+    # Both arrays were built here and are referenced nowhere else.
     if single:
-        return EigenDecomposition(vals[0], vecs[0], sweeps=sweeps)
-    return EigenDecomposition(vals, vecs, sweeps=sweeps)
+        return EigenDecomposition._adopt(vals[0], vecs[0], sweeps)
+    return EigenDecomposition._adopt(vals, vecs, sweeps)
 
 
-def _rank_one_states(projectors, decomp: EigenDecomposition, tol: float, prefix: str):
+def _rank_one_certificate(sym: np.ndarray):
+    """One-column rank-1 certificate (v, r) of an (N, d, d) Hermitian stack.
+
+    For each M, k is the index of its largest diagonal entry,
+    v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F.  By Weyl's
+    inequality each eigenvalue of M lies within r of the matching one of
+    (||v||^2, 0, ..., 0); in particular none is below -r.  Where M_kk is not
+    positive, or the column is too large against it for v v^dagger to stay
+    within 1e150 (a positive-semidefinite M has |M_pk|^2 <= M_kk^2), v is
+    zero and r is inf: the certificate settles nothing there.  Parts up to
+    1e150 raise no floating-point warning.
+    """
+    n = sym.shape[0]
+    rows = np.arange(n)
+    diag = np.diagonal(sym, axis1=1, axis2=2).real
+    k = np.argmax(diag, axis=1)
+    pivot = diag[rows, k]
+    column = sym[rows, :, k]
+    largest = np.max(np.abs(column), axis=1)
+    usable = (pivot > 0.0) & (largest * largest <= _MAX_ENTRY * pivot)
+    v = np.where(usable[:, None], column, 0.0) / np.sqrt(np.where(usable, pivot, 1.0))[:, None]
+    size = np.abs(sym - v[:, :, None] * v[:, None, :].conj())
+    # Scaled by the largest entry, so squares neither overflow nor underflow.
+    scale = np.max(size, axis=(1, 2))
+    unit = size / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    r = scale * np.sqrt(np.einsum("nij,nij->n", unit, unit))
+    return v, np.where(usable, r, np.inf)
+
+
+def _rank_one_states(projectors, spectrum, tol: float, prefix: str):
     """Canonical-phase unit states of an (N, d, d) stack of rank-1 projectors.
 
-    ``decomp`` is the spectrum of the symmetrized stack.  The first
-    projector in stack order that fails raises ``ValueError`` naming its
-    first failed check, in the order: Hermitian symmetry, a top eigenvalue
-    separated from the rest by more than ``tol``, vanishing remaining
-    eigenvalues, a top eigenvalue of 1; the message starts with ``prefix``
-    formatted with the labels ``a``, ``alpha`` of stack index a*d + alpha.
+    Each projector must pass, in order: Hermitian symmetry, a top
+    eigenvalue separated from the rest by at least ``tol``, vanishing
+    remaining eigenvalues, a top eigenvalue of 1.  The one-column
+    certificate (v, r) of the symmetrized stack settles the last three by
+    Weyl's bounds: remaining eigenvalues at most r, the top within
+    |(||v||^2) - 1| + r of 1, the gap at least ||v||^2 - 2r.  When it settles
+    every projector with r at most 1e-8 the state is the power step M v,
+    normalized, equal to the top eigenvector to roundoff.  Otherwise
+    ``spectrum()`` supplies the decomposition of the symmetrized stack, the
+    states are its top eigenvectors, and the first projector in stack order
+    that fails raises ``ValueError`` naming its first failed check; the
+    message starts with ``prefix`` formatted with the labels ``a``,
+    ``alpha`` of stack index a*d + alpha.
     """
-    vals = decomp.eigenvalues
     defects = _hermitian_defects(projectors)
+    sym = _symmetrized(projectors)
+    v, r = _rank_one_certificate(sym)
+    mass = np.einsum("ni,ni->n", v.conj(), v).real
+    settled = (
+        (defects <= tol)
+        & (r <= min(tol, _EXACT_RESIDUAL))
+        & (abs(mass - 1.0) + r <= tol)
+        & (mass - 2 * r >= tol)
+    )
+    if settled.all():
+        states = np.einsum("nij,nj->ni", sym, v)
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        return np.array([canonical_phase(state) for state in states])
+
+    decomp = spectrum()
+    vals = decomp.eigenvalues
     top = vals[:, 0]
     gap = top - vals[:, 1] if vals.shape[1] > 1 else np.full(top.shape, np.inf)
     residual = np.max(np.abs(vals[:, 1:]), axis=1, initial=0.0)
@@ -253,6 +348,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     is separated from the rest by more than ``tol`` (a degenerate top
     eigenvalue means no single ray is defined, so an arbitrary pick is
     refused), the remaining eigenvalues vanish, and the top eigenvalue is 1.
+    A projector the one-column certificate settles needs no eigensolve.
     The returned vector has its global phase fixed by
     :func:`canonical_phase`.
     """
@@ -260,19 +356,23 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(projector, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _rank_one_states(m[None], eigen_hermitian(m[None], hermiticity_tol=np.inf), tol, "")[0]
+    stack, _ = _checked_stack(m[None])
+    spectrum = partial(eigen_hermitian, stack, hermiticity_tol=np.inf)
+    return _rank_one_states(stack, spectrum, tol, "")[0]
 
 
 def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     """State vectors for every projector of a family.
 
     Returns a (num_bases, d, d) array; entry [a, alpha] is the state for
-    projector (a, alpha).  The states come from the family's cached
-    :attr:`~MubFamily.spectrum`; a failing projector is annotated with its
-    labels so bad entries are easy to locate.
+    projector (a, alpha).  The one-column certificate settles a rank-1
+    family without an eigensolve; otherwise the states come from the
+    family's cached :attr:`~MubFamily.spectrum`.  A failing projector is
+    annotated with its labels so bad entries are easy to locate.
     """
     _check_tolerance(tol)
     n, d = family.num_bases, family.dim
     prefix = "projector (basis {a}, vector {alpha}): "
-    states = _rank_one_states(family.projectors.reshape(n * d, d, d), family.spectrum, tol, prefix)
+    stack = family.projectors.reshape(n * d, d, d)
+    states = _rank_one_states(stack, lambda: family.spectrum, tol, prefix)
     return states.reshape(n, d, d)

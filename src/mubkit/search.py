@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import _MAX_ENTRY, MubFamily, unbiased_gram_target
 from .construct import MAX_FAMILY_BYTES
-from .verify import _projector_invariants
+from .reconstruct import _hermitian_defects, _rank_one_certificate, _symmetrized
 
 __all__ = [
     "SearchConfig",
@@ -60,7 +60,9 @@ _INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _SLOPE = 1e-4
 
-# Starting factors: largest accepted Hermitian defect and lowest accepted eigenvalue.
+# Starting factors: largest accepted Hermitian defect (and largest rank-1
+# residual of a projector taken as its own factor) and lowest accepted
+# eigenvalue.
 _HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-8
 
@@ -124,8 +126,11 @@ class SearchConfig:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.target_residual > 0.0:
-            raise ValueError(f"target_residual must be positive, got {self.target_residual}")
+        # Against inf every objective "converges" before the first step.
+        if not 0.0 < self.target_residual < np.inf:
+            raise ValueError(
+                f"target_residual must be positive and finite, got {self.target_residual}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,13 +183,18 @@ class SearchState:
     def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
 
-        Each factor is the Hermitian square root of its projector, from the
-        family's cached spectrum, so the state starts exactly at the family.
-        Hermitian defects above 1e-10 are refused, then eigenvalues below
-        -1e-8 (no real square root); smaller negatives are clamped to zero.
+        Hermitian defects above 1e-10 are refused first.  When every
+        symmetrized projector has a one-column rank-1 residual r of at most
+        1e-10, each is its own square root to within r and is its own
+        factor; no eigenvalue is below -r, so none needs a solve.
+        Otherwise each factor is the Hermitian square root of its projector,
+        from the family's cached spectrum: eigenvalues below -1e-8 are
+        refused (no real square root) and smaller negatives are clamped to
+        zero.  Either way the state starts at the family.
         """
         n, d = family.num_bases, family.dim
-        hermiticity, _, _, low = _projector_invariants(family)
+        mats = family.projectors.reshape(n * d, d, d)
+        hermiticity = _hermitian_defects(mats)
         bad = np.flatnonzero(hermiticity > _HERMITIAN_TOL)
         if bad.size:
             i = int(bad[0])
@@ -192,14 +202,18 @@ class SearchState:
                 f"projector (basis {i // d}, vector {i % d}) is not Hermitian: "
                 f"max deviation {hermiticity[i]:.3e} exceeds {_HERMITIAN_TOL:.1e}"
             )
-        bad = np.flatnonzero(low < _PSD_FLOOR)
+        sym = _symmetrized(mats)
+        _, r = _rank_one_certificate(sym)
+        if np.all(r <= _HERMITIAN_TOL):
+            return cls(sym.reshape(n, d, d, d))
+        vals, vecs = family.spectrum.eigenvalues, family.spectrum.eigenvectors
+        bad = np.flatnonzero(vals[:, -1] < _PSD_FLOOR)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"projector (basis {i // d}, vector {i % d}) has eigenvalue "
-                f"{low[i]:.3e} below {_PSD_FLOOR:.1e}; no real square root"
+                f"{vals[i, -1]:.3e} below {_PSD_FLOOR:.1e}; no real square root"
             )
-        vals, vecs = family.spectrum.eigenvalues, family.spectrum.eigenvectors
         roots = np.sqrt(np.clip(vals, 0.0, None))
         factors = np.einsum("nij,nj,nkj->nik", vecs, roots, vecs.conj())
         return cls(factors.reshape(n, d, d, d))

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily, _check_tolerance, unbiased_gram_target
+from .reconstruct import _rank_one_certificate, _symmetrized
 
 __all__ = [
     "VerificationReport",
@@ -97,7 +98,7 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
-def _projector_invariants(family: MubFamily):
+def _projector_invariants(family: MubFamily, settle: Optional[float] = None):
     """Per-projector invariants of a family, in stack order a*d + alpha.
 
     Returns (hermiticity, worst_entry, trace, lowest): the Hermitian defect
@@ -105,8 +106,11 @@ def _projector_invariants(family: MubFamily):
     the unit-trace defect |Tr M - 1|, and the smallest eigenvalue.  The
     eigenvalues come from the family's cached :attr:`~MubFamily.spectrum`
     of the symmetrized stack, so a non-Hermitian matrix shows up in its
-    defect, not as a crash here.  The verifier takes the maximum of each;
-    the loader and the search start report the first projector that fails.
+    defect, not as a crash here.  With ``settle`` given, a family whose
+    every symmetrized projector has a one-column rank-1 residual r of at
+    most ``settle`` is not solved: ``lowest`` is then Weyl's lower bound
+    -r, which no check at -``settle`` or below can fail.  The verifier takes
+    the maximum of each; the loader reports the first projector that fails.
     """
     n, d = family.num_bases, family.dim
     mats = family.projectors.reshape(n * d, d, d)
@@ -114,6 +118,10 @@ def _projector_invariants(family: MubFamily):
     worst_entry = defect.argmax(axis=1)
     hermiticity = defect[np.arange(n * d), worst_entry]
     trace = np.abs(np.einsum("nii->n", mats) - 1.0)
+    if settle is not None:
+        _, r = _rank_one_certificate(_symmetrized(mats))
+        if np.all(r <= settle):
+            return hermiticity, worst_entry, trace, -r
     lowest = family.spectrum.eigenvalues[:, -1]
     return hermiticity, worst_entry, trace, lowest
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from mubkit.algebra import MubFamily
 from mubkit.cli import cli_dispatch
 from mubkit.construct import build_family
 from mubkit.io import FamilyDocument, load_family, save_family
+from mubkit.verify import verify_family
 
 
 def run(*args):
@@ -115,11 +117,29 @@ class TestConstruct:
         assert len(calls) == 1
 
 
+def counting_solves(monkeypatch):
+    """Record the stack shape of every eigensolve; returns the list."""
+    import mubkit.reconstruct
+
+    shapes = []
+    real = mubkit.reconstruct.eigen_hermitian
+
+    def counting(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    # Every module that binds the solver by name, not just its home.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mubkit" and vars(module).get("eigen_hermitian") is real:
+            monkeypatch.setattr(module, "eigen_hermitian", counting)
+    return shapes
+
+
 class TestEigensolves:
+    # construct and verify certify with exact eigenvalues; reconstruct and
+    # search --from read a rank-1 family through the one-column certificate.
     @pytest.mark.parametrize("command", ["construct", "verify", "reconstruct", "search"])
     def test_one_stack_solve_per_command(self, tmp_path, monkeypatch, command):
-        import mubkit.reconstruct
-
         path = tmp_path / "family.json"
         save_family(build_family(3), str(path))
         out = str(tmp_path / "out.json")
@@ -129,19 +149,25 @@ class TestEigensolves:
             "reconstruct": ["reconstruct", str(path), "--out", out],
             "search": ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", out],
         }[command]
-        shapes = []
-        real = mubkit.reconstruct.eigen_hermitian
-
-        def counting(matrix, *args, **kwargs):
-            shapes.append(matrix.shape)
-            return real(matrix, *args, **kwargs)
-
-        # Every module that binds the solver by name, not just its home.
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "mubkit" and vars(module).get("eigen_hermitian") is real:
-                monkeypatch.setattr(module, "eigen_hermitian", counting)
+        solves = {"construct": 1, "verify": 1, "reconstruct": 0, "search": 0}[command]
+        shapes = counting_solves(monkeypatch)
         assert cli_dispatch(argv) == 0
-        assert shapes == [(12, 3, 3)]
+        assert shapes == [(12, 3, 3)] * solves
+
+    def test_mixed_document_loads_with_one_solve(self, tmp_path, monkeypatch):
+        # The maximally mixed I/2 is a valid density matrix the certificate
+        # cannot settle, so the loader solves the stack once, and the
+        # verifier reads that solve instead of making its own.
+        mats = build_family(2).projectors.copy()
+        mats[0, 0] = 0.5 * np.eye(2)
+        path = tmp_path / "mixed.json"
+        save_family(MubFamily(mats), str(path))
+        shapes = counting_solves(monkeypatch)
+        family = load_family(str(path))
+        assert shapes == [(6, 2, 2)]
+        assert "spectrum" in vars(family)
+        assert not verify_family(family).passed
+        assert shapes == [(6, 2, 2)]
 
 
 class TestVerify:
@@ -331,6 +357,18 @@ class TestSearch:
         assert captured.err.startswith("error: a family of 2 bases in dimension d = 2000 needs")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+    def test_infinite_target_is_usage_error(self, tmp_path, capsys):
+        # Against an infinite target the random start "converged" after 0
+        # iterations, and the log held the non-JSON token Infinity.
+        log = tmp_path / "log.json"
+        argv = ["search", "--d", "3", "--bases", "4", "--target", "inf", "--restarts", "1"]
+        assert cli_dispatch([*argv, "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: target_residual must be positive and finite, got inf\n"
+        assert captured.out == ""
+        assert not log.exists()
 
 
 class TestGauss:

@@ -96,6 +96,67 @@ class TestRoundTrip:
         assert verify_family(load_family(str(path))).passed
 
 
+ONE = ["1.0", "1.00", "1e0", "1E+0", "10e-1", "0.1e1", "1"]
+ZERO = ["0.0", "-0.0", "0e0", "-0e0", "0", "5e-324", "-5e-324", "1e-320", "2.2250738585072014e-308"]
+HUGE = ["1e999", "-1e999"]
+
+
+@st.composite
+def literal_documents(draw):
+    """The d = 2 computational basis, each number spelled its own way."""
+
+    def leaf(value):
+        spellings = ONE if value else ZERO
+        return draw(st.sampled_from(spellings + HUGE if draw(st.booleans()) else spellings))
+
+    matrices = []
+    for alpha in range(2):
+        rows = [
+            "[" + ", ".join(f"[{leaf(p == q == alpha)}, {leaf(False)}]" for q in range(2)) + "]"
+            for p in range(2)
+        ]
+        matrices.append(f'{{"alpha": {alpha}, "matrix": [{", ".join(rows)}]}}')
+    return (
+        f'{{"format_version": "1", "dimension": 2, "bases": [{{"basis_index": 0, '
+        f'"projectors": [{", ".join(matrices)}]}}]}}'
+    )
+
+
+class TestFloatLiteralTable:
+    @settings(max_examples=60, deadline=None)
+    @given(literal_documents())
+    def test_loads_like_plain_json(self, tmp_path_factory, text):
+        # Signed zeros, subnormals, several spellings of one value and
+        # out-of-range literals come out bit for bit as json's own floats.
+        path = tmp_path_factory.mktemp("literals") / "family.json"
+        path.write_text(text)
+
+        def plain():
+            return FamilyDocument.from_payload(json.loads(text)).to_family().projectors
+
+        def tabled():
+            return load_family(str(path)).projectors
+
+        try:
+            expected = plain()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                tabled()
+            assert str(caught.value) == str(exc)
+            return
+        assert tabled().tobytes() == expected.tobytes()
+
+    def test_signed_zero_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "family.json"
+        # 0.0 == -0.0, so a table keyed by value would hand back the 0.0
+        # read first; keyed by literal, each keeps its own sign.
+        path.write_text(
+            '{"metadata": {"first": 0.0}, "format_version": "1", "dimension": 1, "bases": '
+            '[{"basis_index": 0, "projectors": [{"alpha": 0, "matrix": [[[1.0, -0.0]]]}]}]}'
+        )
+        assert np.signbit(load_family(str(path)).projectors[0, 0, 0, 0].imag)
+
+
 class TestRejection:
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "family.json"
@@ -321,8 +382,9 @@ class TestRejection:
         write_doc(path, lambda p: p["bases"][1]["projectors"].reverse())
         family = load_family(str(path))
         assert np.array_equal(family.projectors, build_family(2).projectors)
-        # The loader's check solved the stack; the family keeps that solve.
-        assert "spectrum" in vars(family)
+        # A rank-1 document passes the loader's eigenvalue check on the
+        # one-column certificate, so no spectrum is solved or kept.
+        assert "spectrum" not in vars(family)
 
     def test_unwritable_path(self, tmp_path):
         family = build_family(2)

@@ -1,4 +1,7 @@
+import sys
 import warnings
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +11,16 @@ from hypothesis.extra import numpy as hnp
 
 from mubkit.algebra import MubFamily, canonical_phase, projector_from_state
 from mubkit.construct import build_family
+from mubkit.io import FamilyDocument
 from mubkit.reconstruct import (
+    EigenDecomposition,
     _jacobi,
+    _rank_one_certificate,
     eigen_hermitian,
     reconstruct_all,
     state_from_projector,
 )
+from mubkit.search import SearchState
 
 HALVES = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 CIRCLE = 0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)
@@ -303,3 +310,189 @@ class TestReconstructAll:
         mats[0, 1] = 0.5 * np.eye(2)
         with pytest.raises(ValueError, match=r"basis 0, vector 1"):
             reconstruct_all(MubFamily(mats))
+
+
+class TestEigenDecompositionArrays:
+    def test_public_arrays_are_copied_not_frozen(self):
+        vals, vecs = np.array([1.0, 0.0]), np.eye(2, dtype=complex)
+        decomp = EigenDecomposition(vals, vecs, sweeps=0)
+        assert vals.flags.writeable and vecs.flags.writeable
+        assert not decomp.eigenvalues.flags.writeable
+        assert not decomp.eigenvectors.flags.writeable
+        assert not np.shares_memory(decomp.eigenvalues, vals)
+        assert not np.shares_memory(decomp.eigenvectors, vecs)
+        vals[0] = 5.0
+        assert decomp.eigenvalues[0] == 1.0
+
+    @pytest.mark.parametrize("single", [True, False], ids=["matrix", "stack"])
+    def test_solver_hands_its_arrays_over(self, monkeypatch, single):
+        # The copying constructor is never entered, and the result is frozen.
+        monkeypatch.setattr(
+            EigenDecomposition, "__post_init__", lambda self: pytest.fail("arrays copied")
+        )
+        stack = random_stack(np.random.default_rng(9), 4, 3)
+        matrix = stack[0] if single else stack
+        decomp = eigen_hermitian(matrix)
+        assert decomp.eigenvectors.shape == matrix.shape
+        assert not decomp.eigenvalues.flags.writeable
+        assert not decomp.eigenvectors.flags.writeable
+        assert decomp.sweeps > 0
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Hermitian stacks near rank 1 (either sign), with parts up to 1e150."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    parts = st.floats(-1.0, 1.0, width=64)
+    u = draw(hnp.arrays(np.float64, (2, n, d), elements=parts))
+    e = draw(hnp.arrays(np.float64, (2, n, d, d), elements=parts))
+    u, e = u[0] + 1j * u[1], e[0] + 1j * e[1]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    noise = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]))
+    scale = draw(st.sampled_from([1e-300, 1e-10, 1.0, 1e10, 1e149]))
+    m = sign * u[:, :, None] * u[:, None, :].conj() + noise * e
+    return scale * 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+class TestRankOneCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(hermitian_stacks())
+    def test_weyl_bounds_hold(self, sym):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, r = _rank_one_certificate(sym)
+        assert np.all(r >= 0.0)
+        for m, vec, bound in zip(sym, v, r):
+            diag = np.diagonal(m).real
+            if diag.max() > 0.0 and np.linalg.eigvalsh(m).min() >= 0.0:
+                assert np.isfinite(bound)  # a PSD matrix is always usable
+            if not np.isfinite(bound):
+                continue
+            # Rounding slack of both computations, relative to the largest entry.
+            mass = float(np.vdot(vec, vec).real)
+            slack = 64 * np.finfo(float).eps * m.shape[0] * (np.abs(m).max() + mass)
+            eigs = np.linalg.eigvalsh(m)[::-1]
+            target = np.zeros_like(eigs)
+            target[0] = mass
+            assert eigs.min() >= -bound - slack
+            assert np.all(np.abs(eigs - target) <= bound + slack)
+
+    def test_parts_at_max_entry_raise_no_warning(self):
+        big = 1e150
+        sym = np.array(
+            [
+                [[big, big + big * 1j], [big - big * 1j, big]],  # indefinite, column > pivot
+                [[big, big], [big, big]],  # rank 1 at the bound
+                [[-big, big * 1j], [-big * 1j, -big]],  # no positive diagonal
+                [[5e-324, big], [big, 5e-324]],  # subnormal pivot under a huge column
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, r = _rank_one_certificate(sym)
+        assert np.isinf(r[[0, 2, 3]]).all()
+        assert r[1] <= 1e-15 * big
+
+    def test_exact_projector_has_roundoff_residual(self):
+        mats = build_family(13).projectors.reshape(-1, 13, 13)
+        v, r = _rank_one_certificate(mats)
+        assert r.max() < 1e-15
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-15)
+
+
+def settles_nothing(sym):
+    return np.zeros(sym.shape[:2], dtype=complex), np.full(sym.shape[0], np.inf)
+
+
+def spectrum_path():
+    """Every reader decides from the spectrum, as without the certificate."""
+    stack = ExitStack()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mubkit" and hasattr(module, "_rank_one_certificate"):
+            stack.enter_context(mock.patch.object(module, "_rank_one_certificate", settles_nothing))
+    return stack
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+KINDS = ["rank_one", "scaled", "noisy", "mixed", "non_hermitian"]
+
+
+@st.composite
+def projector_families(draw):
+    """(n, d, d, d) projectors: each rank 1, scaled, noisy (<= 1e-9), mixed or non-Hermitian."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, d + 1))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * d, max_size=n * d))
+    size = draw(st.sampled_from([1e-15, 1e-12, 1e-11, 1e-10, 1e-9]))
+    # Off the tolerances drawn below by at least a factor of 1.2, so no
+    # decision rests on the last bits of an eigenvalue.
+    weight = draw(st.sampled_from([0.45, 0.75, 0.9, 1.0 - 3e-9, 1.0 - 3e-11]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit():
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return z / np.linalg.norm(z)
+
+    mats = []
+    for kind in kinds:
+        u = unit()
+        m = np.outer(u, u.conj())
+        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kind == "scaled":
+            m = weight * m
+        elif kind == "noisy":
+            m = m + size * 0.5 * (e + e.conj().T) / np.abs(e).max()
+        elif kind == "mixed":
+            w = unit()
+            m = weight * m + (1.0 - weight) * np.outer(w, w.conj())
+        elif kind == "non_hermitian":
+            m = m + 100 * size * e / np.abs(e).max()
+        mats.append(m)
+    return np.array(mats).reshape(n, d, d, d)
+
+
+class TestCertificateAgreesWithSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(projector_families(), st.sampled_from([1e-10, 1e-9, 1e-6, 0.3, 0.6]))
+    def test_same_decisions_and_messages(self, mats, tol):
+        n, d = mats.shape[:2]
+        doc = FamilyDocument.from_family(MubFamily(mats))
+        calls = {
+            "loader": lambda: doc.to_family(tol).projectors,
+            "reconstruct_all": lambda: reconstruct_all(MubFamily(mats), tol),
+            "state_from_projector": lambda: np.array(
+                [state_from_projector(m, tol) for m in mats.reshape(n * d, d, d)]
+            ),
+            "from_family": lambda: SearchState.from_family(MubFamily(mats)).projectors(),
+        }
+        new = {name: outcome(call) for name, call in calls.items()}
+        with spectrum_path():
+            old = {name: outcome(call) for name, call in calls.items()}
+        for name in calls:
+            assert new[name][0] == old[name][0], name
+            if new[name][0] != "ok":
+                assert new[name][1] == old[name][1], name
+        if new["loader"][0] == "ok":
+            assert np.array_equal(new["loader"][1], old["loader"][1])
+        if new["from_family"][0] == "ok":
+            # A projector is its own factor only at r <= 1e-10, which moves
+            # its derived projector by a few r.
+            assert np.max(np.abs(new["from_family"][1] - old["from_family"][1])) < 5e-10
+        sym = 0.5 * (mats + mats.conj().swapaxes(-1, -2)).reshape(n * d, d, d)
+        top = np.array([canonical_phase(np.linalg.eigh(m)[1][:, -1]) for m in sym])
+        for name in ("reconstruct_all", "state_from_projector"):
+            if new[name][0] == "ok":
+                states, spectral = new[name][1].reshape(n * d, d), old[name][1].reshape(n * d, d)
+                # Jacobi stops at off-diagonal mass 1e-13, so its top
+                # eigenvectors can be about 1e-13 off; certified states are
+                # within roundoff of LAPACK's, and the rest are Jacobi's own.
+                assert np.max(np.abs(states - spectral)) < 1e-12
+                exact = np.max(np.abs(states - top), axis=1) < 1e-14
+                assert np.all(exact | np.all(states == spectral, axis=1))

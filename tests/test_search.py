@@ -111,6 +111,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=fragment):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize("target", [np.inf, np.nan, -np.inf])
+    def test_refuses_non_finite_target(self, target):
+        # inf would count every start as converged before its first step.
+        with pytest.raises(ValueError, match=r"^target_residual must be positive and finite, got"):
+            SearchConfig(dim=3, num_bases=4, target_residual=target)
+
     def test_family_size_limit(self):
         # 2 * 322^3 * 16 bytes fit in MAX_FAMILY_BYTES (1 GiB); 2 * 323^3 * 16 do not.
         assert SearchConfig(dim=322, num_bases=2).dim == 322
