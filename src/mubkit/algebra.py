@@ -227,8 +227,8 @@ class MubFamily:
         Solved once, on first use, for the symmetrized matrices with no
         Hermitian gate; each reader judges the Hermitian defect itself.
         The verifier always reads it.  The loader, reconstruction and the
-        search start read it only for a family whose projectors the
-        one-column rank-1 certificate cannot settle, so a rank-1 family
+        search start read it only for a family whose projectors
+        :attr:`rank_one_certificate` cannot settle, so a rank-1 family
         they read holds no eigenvector stack.  The projectors are
         read-only, so the cached solve never goes stale.
         """
@@ -236,6 +236,26 @@ class MubFamily:
 
         n, d = self.num_bases, self.dim
         return eigen_hermitian(self.projectors.reshape(n * d, d, d), hermiticity_tol=np.inf)
+
+    @cached_property
+    def rank_one_certificate(self):
+        """One-column rank-1 certificate (v, r) of the symmetrized stack, in label order.
+
+        For each symmetrized projector M, with k the index of its largest
+        diagonal entry, v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F:
+        every eigenvalue of M lies within r of (||v||^2, 0, ..., 0).  r is
+        inf where M_kk is not positive.  Computed once, on first use; each
+        reader compares r with its own threshold and reads :attr:`spectrum`
+        for what the certificate cannot settle.  Both arrays are read-only.
+        """
+        from . import reconstruct  # looked up at call time, like eigen_hermitian
+
+        n, d = self.num_bases, self.dim
+        sym = reconstruct._symmetrized(self.projectors.reshape(n * d, d, d))
+        v, r = reconstruct._rank_one_certificate(sym)
+        v.setflags(write=False)
+        r.setflags(write=False)
+        return v, r
 
     def projector(self, a: int, alpha: int) -> np.ndarray:
         """The projector for vector ``alpha`` of basis ``a``."""

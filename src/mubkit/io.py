@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -39,6 +40,11 @@ FORMAT_VERSION = "1"
 # Looser than construction tolerances: serialized third-party families may
 # carry a few more ulps of noise than freshly built ones.
 LOAD_TOLERANCE = 1e-9
+
+# Distinct float literals a load remembers, least recently used out first.
+# A closed-form document spells a few dozen values tens of thousands of
+# times; the bound caps what a document of distinct literals costs.
+_FLOAT_LITERALS = 1024
 
 
 def _is_number(x) -> bool:
@@ -67,20 +73,6 @@ def _is_plain_matrix(raw: list, d: int) -> bool:
         and set(map(len, entries)) == {2}
         and set(map(type, chain.from_iterable(entries))) <= {int, float}
     )
-
-
-class _FloatTable(dict):
-    """Float literal -> value, parsed once per distinct literal.
-
-    Keyed by the literal's text, so ``-0.0`` and ``0.0``, or ``1.0`` and
-    ``1e0``, stay separate keys and each maps to exactly what ``float`` makes
-    of it.  A closed-form document repeats a few dozen values tens of
-    thousands of times.
-    """
-
-    def __missing__(self, literal: str) -> float:
-        value = self[literal] = float(literal)
-        return value
 
 
 def _pairs(array: np.ndarray) -> list:
@@ -224,8 +216,8 @@ class FamilyDocument:
         document order, is reported with its first failed check in that
         order.  A family whose every projector is certified rank 1 within
         ``tolerance`` by its one-column residual passes the eigenvalue check
-        without an eigensolve; any other is solved once, and the returned
-        family keeps that spectrum.
+        without an eigensolve; any other is solved once.  The returned
+        family keeps its certificate and any spectrum this check solved.
         """
         _check_tolerance(tolerance)
         d = self.dimension
@@ -261,7 +253,11 @@ class FamilyDocument:
                 parsed[rows[-1]] = self._parse_matrix(entry.get("matrix"), labels[-1])
 
         family = MubFamily(np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d))
-        hermiticity, worst_entry, trace, lowest = _projector_invariants(family, settle=tolerance)
+        hermiticity, worst_entry, trace = _projector_invariants(family)
+        # Weyl's inequality puts no eigenvalue below -r, so a family whose
+        # every residual is within tolerance passes without a solve.
+        _, r = family.rank_one_certificate
+        lowest = -r if np.all(r <= tolerance) else family.spectrum.eigenvalues[:, -1]
         # The invariants come in label order; read them in document order.
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
@@ -322,12 +318,13 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 
     Raises on unreadable files, malformed JSON, structural inconsistencies,
     and projector-invariant violations (named per basis, vector, entry).
-    Each distinct float literal is parsed once per load.
+    Each float literal is parsed through a bounded per-load cache, so a
+    repeated literal costs a lookup.
     """
     _check_tolerance(tolerance)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_float=_FloatTable().__getitem__)
+            payload = json.load(handle, parse_float=lru_cache(maxsize=_FLOAT_LITERALS)(float))
     except OSError as exc:
         raise OSError(f"could not read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,10 +6,10 @@ and r = ||M - v v^dagger||_F, Weyl's inequality puts every eigenvalue of M
 within r of the spectrum (||v||^2, 0, ..., 0) of v v^dagger.  When r is
 small that settles every rank-1 check without an eigensolve, and one power
 step M v gives the state with a Davis-Kahan angle of order r^2 to the top
-eigenvector.  The family loader, :func:`reconstruct_all`,
-:func:`state_from_projector` and the search start read the certificate; only
-a stack it cannot settle falls back to the spectrum, so every rejection
-keeps its message.
+eigenvector.  A family's certificate is computed once and cached on
+:attr:`MubFamily.rank_one_certificate`, which the family loader,
+:func:`reconstruct_all` and the search start read; only a stack it cannot
+settle falls back to the spectrum, so every rejection keeps its message.
 
 The eigensolver is a cyclic-by-row Jacobi iteration for complex Hermitian
 matrices, written out here rather than delegated: each sweep visits every
@@ -285,13 +285,13 @@ def _rank_one_certificate(sym: np.ndarray):
     return v, np.where(usable, r, np.inf)
 
 
-def _rank_one_states(projectors, spectrum, tol: float, prefix: str):
+def _rank_one_states(projectors, certificate, spectrum, tol: float, prefix: str):
     """Canonical-phase unit states of an (N, d, d) stack of rank-1 projectors.
 
     Each projector must pass, in order: Hermitian symmetry, a top
     eigenvalue separated from the rest by at least ``tol``, vanishing
     remaining eigenvalues, a top eigenvalue of 1.  The one-column
-    certificate (v, r) of the symmetrized stack settles the last three by
+    ``certificate`` (v, r) of the symmetrized stack settles the last three by
     Weyl's bounds: remaining eigenvalues at most r, the top within
     |(||v||^2) - 1| + r of 1, the gap at least ||v||^2 - 2r.  When it settles
     every projector with r at most 1e-8 the state is the power step M v,
@@ -303,8 +303,7 @@ def _rank_one_states(projectors, spectrum, tol: float, prefix: str):
     ``alpha`` of stack index a*d + alpha.
     """
     defects = _hermitian_defects(projectors)
-    sym = _symmetrized(projectors)
-    v, r = _rank_one_certificate(sym)
+    v, r = certificate
     mass = np.einsum("ni,ni->n", v.conj(), v).real
     settled = (
         (defects <= tol)
@@ -313,7 +312,7 @@ def _rank_one_states(projectors, spectrum, tol: float, prefix: str):
         & (mass - 2 * r >= tol)
     )
     if settled.all():
-        states = np.einsum("nij,nj->ni", sym, v)
+        states = np.einsum("nij,nj->ni", _symmetrized(projectors), v)
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         return np.array([canonical_phase(state) for state in states])
 
@@ -357,22 +356,26 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     stack, _ = _checked_stack(m[None])
+    certificate = _rank_one_certificate(_symmetrized(stack))
     spectrum = partial(eigen_hermitian, stack, hermiticity_tol=np.inf)
-    return _rank_one_states(stack, spectrum, tol, "")[0]
+    return _rank_one_states(stack, certificate, spectrum, tol, "")[0]
 
 
 def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     """State vectors for every projector of a family.
 
     Returns a (num_bases, d, d) array; entry [a, alpha] is the state for
-    projector (a, alpha).  The one-column certificate settles a rank-1
-    family without an eigensolve; otherwise the states come from the
-    family's cached :attr:`~MubFamily.spectrum`.  A failing projector is
+    projector (a, alpha).  The family's cached
+    :attr:`~MubFamily.rank_one_certificate` settles a rank-1 family without
+    an eigensolve; otherwise the states come from its cached
+    :attr:`~MubFamily.spectrum`.  A failing projector is
     annotated with its labels so bad entries are easy to locate.
     """
     _check_tolerance(tol)
     n, d = family.num_bases, family.dim
     prefix = "projector (basis {a}, vector {alpha}): "
     stack = family.projectors.reshape(n * d, d, d)
-    states = _rank_one_states(stack, lambda: family.spectrum, tol, prefix)
+    states = _rank_one_states(
+        stack, family.rank_one_certificate, lambda: family.spectrum, tol, prefix
+    )
     return states.reshape(n, d, d)

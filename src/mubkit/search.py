@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import _MAX_ENTRY, MubFamily, unbiased_gram_target
 from .construct import MAX_FAMILY_BYTES
-from .reconstruct import _hermitian_defects, _rank_one_certificate, _symmetrized
+from .reconstruct import _hermitian_defects, _symmetrized
 
 __all__ = [
     "SearchConfig",
@@ -60,11 +60,13 @@ _INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _SLOPE = 1e-4
 
-# Starting factors: largest accepted Hermitian defect (and largest rank-1
-# residual of a projector taken as its own factor) and lowest accepted
-# eigenvalue.
+# Starting factors: largest accepted Hermitian defect and lowest accepted eigenvalue.
 _HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-8
+
+# Largest one-column rank-1 residual, relative to ||v||^2, at which a
+# projector's scaled copy M / ||v|| is taken as its square root.
+_RANK_ONE_TOL = 1e-10
 
 # Fallback growth for the trial step when the Barzilai-Borwein curvature
 # estimate is unusable (non-positive); backtracking still shrinks every
@@ -184,13 +186,15 @@ class SearchState:
         """Factors whose derived projectors reproduce ``family``.
 
         Hermitian defects above 1e-10 are refused first.  When every
-        symmetrized projector has a one-column rank-1 residual r of at most
-        1e-10, each is its own square root to within r and is its own
-        factor; no eigenvalue is below -r, so none needs a solve.
-        Otherwise each factor is the Hermitian square root of its projector,
-        from the family's cached spectrum: eigenvalues below -1e-8 are
-        refused (no real square root) and smaller negatives are clamped to
-        zero.  Either way the state starts at the family.
+        symmetrized projector M has a one-column rank-1 certificate (v, r),
+        read from :attr:`MubFamily.rank_one_certificate`, with r at most
+        1e-10 ||v||^2, its factor is M / ||v||, the exact square root of a
+        rank-1 matrix at any scale; no eigenvalue is below -r, so none needs
+        a solve.  Otherwise each factor is the Hermitian square root of its
+        projector, from the family's cached spectrum: eigenvalues below
+        -1e-8 are refused (no real square root) and smaller negatives are
+        clamped to zero.  Either way B^dagger B reproduces each symmetrized
+        projector, to within r on the first path.
         """
         n, d = family.num_bases, family.dim
         mats = family.projectors.reshape(n * d, d, d)
@@ -202,10 +206,11 @@ class SearchState:
                 f"projector (basis {i // d}, vector {i % d}) is not Hermitian: "
                 f"max deviation {hermiticity[i]:.3e} exceeds {_HERMITIAN_TOL:.1e}"
             )
-        sym = _symmetrized(mats)
-        _, r = _rank_one_certificate(sym)
-        if np.all(r <= _HERMITIAN_TOL):
-            return cls(sym.reshape(n, d, d, d))
+        v, r = family.rank_one_certificate
+        mass = np.einsum("ni,ni->n", v.conj(), v).real
+        if np.all(r <= _RANK_ONE_TOL * mass):
+            factors = _symmetrized(mats) / np.sqrt(mass)[:, None, None]
+            return cls(factors.reshape(n, d, d, d))
         vals, vecs = family.spectrum.eigenvalues, family.spectrum.eigenvectors
         bad = np.flatnonzero(vals[:, -1] < _PSD_FLOOR)
         if bad.size:

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily, _check_tolerance, unbiased_gram_target
-from .reconstruct import _rank_one_certificate, _symmetrized
 
 __all__ = [
     "VerificationReport",
@@ -98,19 +97,13 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
-def _projector_invariants(family: MubFamily, settle: Optional[float] = None):
+def _projector_invariants(family: MubFamily):
     """Per-projector invariants of a family, in stack order a*d + alpha.
 
-    Returns (hermiticity, worst_entry, trace, lowest): the Hermitian defect
+    Returns (hermiticity, worst_entry, trace): the Hermitian defect
     max |M - M^dagger|, the row-major index of the first entry attaining it,
-    the unit-trace defect |Tr M - 1|, and the smallest eigenvalue.  The
-    eigenvalues come from the family's cached :attr:`~MubFamily.spectrum`
-    of the symmetrized stack, so a non-Hermitian matrix shows up in its
-    defect, not as a crash here.  With ``settle`` given, a family whose
-    every symmetrized projector has a one-column rank-1 residual r of at
-    most ``settle`` is not solved: ``lowest`` is then Weyl's lower bound
-    -r, which no check at -``settle`` or below can fail.  The verifier takes
-    the maximum of each; the loader reports the first projector that fails.
+    and the unit-trace defect |Tr M - 1|.  The verifier takes the maximum of
+    each; the loader reports the first projector that fails.
     """
     n, d = family.num_bases, family.dim
     mats = family.projectors.reshape(n * d, d, d)
@@ -118,12 +111,7 @@ def _projector_invariants(family: MubFamily, settle: Optional[float] = None):
     worst_entry = defect.argmax(axis=1)
     hermiticity = defect[np.arange(n * d), worst_entry]
     trace = np.abs(np.einsum("nii->n", mats) - 1.0)
-    if settle is not None:
-        _, r = _rank_one_certificate(_symmetrized(mats))
-        if np.all(r <= settle):
-            return hermiticity, worst_entry, trace, -r
-    lowest = family.spectrum.eigenvalues[:, -1]
-    return hermiticity, worst_entry, trace, lowest
+    return hermiticity, worst_entry, trace
 
 
 def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray] = None):
@@ -166,9 +154,12 @@ def verify_family(
     """
     _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
-    hermiticity, _, traces, lowest = _projector_invariants(family)
+    hermiticity, _, traces = _projector_invariants(family)
     trace_residual = float(traces.max())
-    min_eig = float(lowest.min())
+    # The exact eigenvalues, from the family's cached spectrum of the
+    # symmetrized stack: a non-Hermitian matrix shows up in its defect, not
+    # as a crash here.
+    min_eig = float(family.spectrum.eigenvalues[:, -1].min())
 
     vectors = family.as_vectors()
     gram_complex = vectors.conj() @ vectors.T

@@ -135,9 +135,25 @@ def counting_solves(monkeypatch):
     return shapes
 
 
+def counting_certificates(monkeypatch):
+    """Record the stack shape of every one-column rank-1 certificate; returns the list."""
+    import mubkit.reconstruct
+
+    shapes = []
+    real = mubkit.reconstruct._rank_one_certificate
+
+    def counting(sym):
+        shapes.append(sym.shape)
+        return real(sym)
+
+    monkeypatch.setattr(mubkit.reconstruct, "_rank_one_certificate", counting)
+    return shapes
+
+
 class TestEigensolves:
     # construct and verify certify with exact eigenvalues; reconstruct and
-    # search --from read a rank-1 family through the one-column certificate.
+    # search --from read a rank-1 family through the one-column certificate,
+    # which the loader computes once and the readers after it reuse.
     @pytest.mark.parametrize("command", ["construct", "verify", "reconstruct", "search"])
     def test_one_stack_solve_per_command(self, tmp_path, monkeypatch, command):
         path = tmp_path / "family.json"
@@ -150,9 +166,12 @@ class TestEigensolves:
             "search": ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", out],
         }[command]
         solves = {"construct": 1, "verify": 1, "reconstruct": 0, "search": 0}[command]
+        certificates = {"construct": 0, "verify": 1, "reconstruct": 1, "search": 1}[command]
         shapes = counting_solves(monkeypatch)
+        certified = counting_certificates(monkeypatch)
         assert cli_dispatch(argv) == 0
         assert shapes == [(12, 3, 3)] * solves
+        assert certified == [(12, 3, 3)] * certificates
 
     def test_mixed_document_loads_with_one_solve(self, tmp_path, monkeypatch):
         # The maximally mixed I/2 is a valid density matrix the certificate

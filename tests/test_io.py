@@ -122,7 +122,7 @@ def literal_documents(draw):
     )
 
 
-class TestFloatLiteralTable:
+class TestFloatLiteralCache:
     @settings(max_examples=60, deadline=None)
     @given(literal_documents())
     def test_loads_like_plain_json(self, tmp_path_factory, text):
@@ -148,7 +148,7 @@ class TestFloatLiteralTable:
 
     def test_signed_zero_keeps_its_sign(self, tmp_path):
         path = tmp_path / "family.json"
-        # 0.0 == -0.0, so a table keyed by value would hand back the 0.0
+        # 0.0 == -0.0, so a cache keyed by value would hand back the 0.0
         # read first; keyed by literal, each keeps its own sign.
         path.write_text(
             '{"metadata": {"first": 0.0}, "format_version": "1", "dimension": 1, "bases": '

@@ -426,7 +426,12 @@ KINDS = ["rank_one", "scaled", "noisy", "mixed", "non_hermitian"]
 
 @st.composite
 def projector_families(draw):
-    """(n, d, d, d) projectors: each rank 1, scaled, noisy (<= 1e-9), mixed or non-Hermitian."""
+    """(n, d, d, d) projectors: each rank 1, scaled, noisy (<= 1e-9), mixed or non-Hermitian.
+
+    The whole stack is then scaled by 1, 1e-8 or 1e-11; at the small scales
+    no projector has unit trace, and a residual is small or large only
+    relative to its projector.
+    """
     d = draw(st.integers(2, 5))
     n = draw(st.integers(1, d + 1))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * d, max_size=n * d))
@@ -434,6 +439,7 @@ def projector_families(draw):
     # Off the tolerances drawn below by at least a factor of 1.2, so no
     # decision rests on the last bits of an eigenvalue.
     weight = draw(st.sampled_from([0.45, 0.75, 0.9, 1.0 - 3e-9, 1.0 - 3e-11]))
+    family_scale = draw(st.sampled_from([1.0, 1.0, 1e-8, 1e-11]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def unit():
@@ -455,7 +461,7 @@ def projector_families(draw):
         elif kind == "non_hermitian":
             m = m + 100 * size * e / np.abs(e).max()
         mats.append(m)
-    return np.array(mats).reshape(n, d, d, d)
+    return family_scale * np.array(mats).reshape(n, d, d, d)
 
 
 class TestCertificateAgreesWithSpectrum:
@@ -482,8 +488,8 @@ class TestCertificateAgreesWithSpectrum:
         if new["loader"][0] == "ok":
             assert np.array_equal(new["loader"][1], old["loader"][1])
         if new["from_family"][0] == "ok":
-            # A projector is its own factor only at r <= 1e-10, which moves
-            # its derived projector by a few r.
+            # A scaled projector is its own factor only at r <= 1e-10 ||v||^2,
+            # which moves its unit-trace derived projector by a few 1e-10.
             assert np.max(np.abs(new["from_family"][1] - old["from_family"][1])) < 5e-10
         sym = 0.5 * (mats + mats.conj().swapaxes(-1, -2)).reshape(n * d, d, d)
         top = np.array([canonical_phase(np.linalg.eigh(m)[1][:, -1]) for m in sym])
