@@ -49,7 +49,8 @@ def _check_tolerance(tol) -> None:
     switch off the checks it gates instead of failing them.
     """
     if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+        shown = tol.item() if isinstance(tol, np.generic) else tol  # no np.float64(...) repr
+        raise ValueError(f"tolerance must be finite and non-negative, got {shown!r}")
 
 
 def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 The interchange document stores every complex entry as an [re, im] pair.
 :func:`write_json` writes every document and certificate as one line of
-compact JSON, with numbers in Python's shortest round-trippable decimal
-form, so a save followed by a load reproduces each float bit for bit.  The
-loader validates everything it reads at a fixed tolerance and names the
-offending (basis, vector, entry) when a matrix fails; a document is never
-trusted just because this package wrote it.
+compact JSON, byte for byte what ``json.dumps`` writes, with numbers in
+Python's shortest round-trippable decimal form, so a save followed by a
+load reproduces each float bit for bit.  A family document repeats few
+distinct floats (26 among the 61 516 of a closed-form family at d = 13),
+so the writer formats each distinct float once and joins the pair blocks
+from a table of those texts; the loader likewise parses each distinct
+literal once through a bounded cache.  The loader validates everything
+it reads at a fixed tolerance and names the offending (basis, vector,
+entry) when a matrix fails; a document is never trusted just because this
+package wrote it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -280,19 +286,135 @@ class FamilyDocument:
         return family
 
 
+def _pair_block(value: list) -> Optional[tuple]:
+    """(nested, rows, pairs per row) when ``value`` is a block of [float, float] pairs.
+
+    A block is a row of pairs (not nested, one row) or a list of equally
+    long rows of pairs (nested), as :func:`_pairs` builds them.  Like
+    :func:`_is_plain_matrix`, exact-type checks run at C speed; every part
+    must be exactly ``float``, so ints, bools and float subclasses are left
+    to ``json.dumps``.  None for anything else.
+    """
+    lengths = set(map(len, value))
+    inner = list(chain.from_iterable(value))
+    kinds = set(map(type, inner))
+    if lengths == {2} and kinds == {float}:
+        return False, 1, len(value)
+    if (
+        len(lengths) == 1
+        and kinds == {list}
+        and set(map(len, inner)) == {2}
+        and set(map(type, chain.from_iterable(inner))) == {float}
+    ):
+        return True, len(value), len(inner) // len(value)
+    return None
+
+
+def _walk(value, pieces: list, blocks: list, open_ids: set) -> None:
+    """Append the JSON text of ``value`` to ``pieces``, with a block index where pairs go.
+
+    ``blocks`` receives (block, nested, rows, pairs per row) for each pair
+    block.  Lists that hold lists or dicts and nonempty dicts with only
+    ``str`` keys are walked; everything else is encoded by ``json.dumps``,
+    which raises for what it cannot encode.
+    """
+    kind = type(value)
+    kinds = set(map(type, value)) if kind in (list, dict) else None
+    if kind is list and kinds == {list} and (shape := _pair_block(value)):
+        blocks.append((value, *shape))
+        pieces.append(len(blocks) - 1)
+        return
+    if kind is list and not kinds.isdisjoint((list, dict)):
+        items, opener, closer = value, "[", "]"
+    elif kind is dict and kinds == {str}:
+        items, opener, closer = value.items(), "{", "}"
+    else:
+        pieces.append(json.dumps(value))
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")  # json's own message
+    open_ids.add(id(value))
+    pieces.append(opener)
+    for i, item in enumerate(items):
+        if i:
+            pieces.append(", ")
+        if kind is dict:
+            pieces.append(encode_basestring_ascii(item[0]) + ": ")
+            item = item[1]
+        _walk(item, pieces, blocks, open_ids)
+    pieces.append(closer)
+    open_ids.discard(id(value))
+
+
+def _value_table(blocks: list) -> tuple:
+    """(text of each distinct float of the blocks, each float's index into it), in order.
+
+    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart.
+    One ``json.dumps`` call formats the distinct values, so each is spelled
+    exactly as json spells it, NaN and Infinity included.
+    """
+    pairs = chain.from_iterable(
+        chain.from_iterable(block) if nested else block for block, nested, _, _ in blocks
+    )
+    count = 2 * sum(rows * cols for _, _, rows, cols in blocks)
+    parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=count)
+    values, index = np.unique(parts.view(np.uint64), return_inverse=True)
+    texts = json.dumps(values.view(float).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object), index
+
+
+def _block_text(block: tuple, numbers: np.ndarray) -> str:
+    """JSON text of a pair block whose floats, in order, are spelled ``numbers``.
+
+    The numbers are interleaved with the separators that fall between
+    them, so one join builds the block.
+    """
+    _, nested, _, cols = block
+    parts = np.empty(2 * len(numbers) - 1, dtype=object)
+    parts[0::2] = numbers
+    parts[1::2] = ", "
+    parts[3::4] = "], ["
+    if not nested:
+        return "[[" + "".join(parts) + "]]"
+    parts[4 * cols - 1 :: 4 * cols] = "]], [["
+    return "[[[" + "".join(parts) + "]]]"
+
+
 def write_json(payload: dict, path: Optional[str]) -> None:
     """Write a payload as one line of JSON to ``path``, or to stdout without one.
 
-    The package's only JSON encoder: one-shot ``json.dumps`` without
-    indentation runs in json's C encoder and keeps full-precision floats.
+    The package's only JSON encoder.  The bytes are exactly
+    ``json.dumps(payload) + "\\n"`` for every payload.  The pair blocks
+    that hold a family document's numbers (lists of [re, im] float pairs,
+    or of rows of them) are encoded from one value table per call: each
+    distinct float is formatted once, by ``json.dumps``, and each block is
+    joined from those texts.  Keys are escaped by json's own string
+    encoder; every other value goes through ``json.dumps``.  The payload is
+    walked and the table built before the target is opened, so a payload
+    that cannot be encoded raises and leaves an existing file untouched;
+    each block's text is then built only as it is written, so the whole
+    document is never held as one string.
     """
-    text = json.dumps(payload) + "\n"
+    pieces, blocks = [], []
+    _walk(payload, pieces, blocks, set())
+    if blocks:
+        texts, index = _value_table(blocks)
+        bounds = np.cumsum([0] + [2 * rows * cols for _, _, rows, cols in blocks]).tolist()
+
+    def write(handle) -> None:
+        for piece in pieces:
+            if type(piece) is int:
+                numbers = texts[index[bounds[piece] : bounds[piece + 1]]]
+                piece = _block_text(blocks[piece], numbers)
+            handle.write(piece)
+        handle.write("\n")
+
     if not path:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(handle)
     except OSError as exc:
         raise OSError(f"could not write {path!r}: {exc}") from exc
 

@@ -334,7 +334,7 @@ def _rank_one_states(projectors, certificate, spectrum, tol: float, prefix: str)
         elif residual[i] > tol:
             message = f"matrix has rank above 1: residual eigenvalue mass {residual[i]:.3e}"
         else:
-            message = f"top eigenvalue {top[i]!r} deviates from 1 beyond {tol:.1e}"
+            message = f"top eigenvalue {top[i]:.3e} deviates from 1 beyond {tol:.1e}"
         a, alpha = divmod(i, vals.shape[1])
         raise ValueError(prefix.format(a=a, alpha=alpha) + message)
     return np.array([canonical_phase(vec) for vec in decomp.eigenvectors[:, :, 0]])

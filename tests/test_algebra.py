@@ -337,3 +337,13 @@ class TestToleranceValidation:
         expected = rf"^tolerance must be finite and non-negative, got {re.escape(repr(tol))}$"
         with pytest.raises(ValueError, match=expected):
             call(tol, tmp_path / "family.json")
+
+    @pytest.mark.parametrize(
+        "tol,shown",
+        [(np.float64("nan"), "nan"), (np.float32(-1.0), "-1.0"), (np.int64(-3), "-3")],
+        ids=["float64-nan", "float32-negative", "int64-negative"],
+    )
+    def test_numpy_scalar_named_as_plain_number(self, tol, shown):
+        expected = rf"^tolerance must be finite and non-negative, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=expected):
+            unflatten(flatten(HALVES), tol)

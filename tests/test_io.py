@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tracemalloc
 import warnings
@@ -17,7 +19,9 @@ from mubkit.io import (
     load_family,
     report_payload,
     save_family,
+    write_json,
 )
+from mubkit.io import _walk
 from mubkit.reconstruct import reconstruct_all
 from mubkit.search import SearchConfig, run_search
 from mubkit.verify import verify_family
@@ -155,6 +159,152 @@ class TestFloatLiteralCache:
             '[{"basis_index": 0, "projectors": [{"alpha": 0, "matrix": [[[1.0, -0.0]]]}]}]}'
         )
         assert np.signbit(load_family(str(path)).projectors[0, 0, 0, 0].imag)
+
+
+# Floats where a formatter could go wrong: signed zero, the smallest
+# subnormal and other subnormals, the largest double, and json's own
+# spellings of NaN and the infinities.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+PAIRS = st.lists(EDGE_FLOATS, min_size=2, max_size=2)
+# Near misses of a pair block: ints or bools among the parts, triples, ragged rows.
+NEAR_PAIRS = st.one_of(
+    st.lists(st.one_of(EDGE_FLOATS, st.integers(), st.booleans()), min_size=2, max_size=2),
+    st.lists(EDGE_FLOATS, min_size=3, max_size=3),
+)
+PAIR_BLOCKS = st.one_of(
+    st.lists(PAIRS, min_size=1, max_size=4),
+    st.integers(1, 3).flatmap(
+        lambda cols: st.lists(st.lists(PAIRS, min_size=cols, max_size=cols), min_size=1, max_size=3)
+    ),
+    st.lists(st.lists(st.one_of(PAIRS, NEAR_PAIRS), max_size=3), max_size=3),
+)
+# Text with non-ASCII, control and lone surrogate characters, for strings and keys alike.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), EDGE_FLOATS, TEXT, PAIR_BLOCKS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def written(payload, path) -> str:
+    """What write_json puts in ``path``, or on stdout without a path."""
+    if path is None:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            write_json(payload, None)
+        return out.getvalue()
+    write_json(payload, str(path))
+    return path.read_bytes().decode("utf-8")
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=JSON_VALUES, to_file=st.booleans())
+    def test_bytes_are_json_dumps(self, tmp_path_factory, payload, to_file):
+        path = tmp_path_factory.mktemp("written") / "out.json" if to_file else None
+        assert written(payload, path) == json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            [[]],
+            [[], [[]]],
+            {},
+            {"a": [[[]]]},
+            [[[0.0, -0.0]], [[-0.0, 0.0]]],
+            [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
+            {1: [[1.0, 2.0]], 2.5: None, True: 0, None: "\x00\u00e9\U0001f600"},
+            {"\u00e9\n": [[np.float64(0.1), 0.2]]},
+        ],
+        ids=["empty", "nested-empty", "deeper-empty", "empty-dict", "empty-in-dict",
+             "signed-zeros", "ragged-matrices", "non-str-keys", "float-subclass"],
+    )
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_edge_payloads(self, tmp_path, payload, to_file):
+        path = tmp_path / "out.json" if to_file else None
+        assert written(payload, path) == json.dumps(payload) + "\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        bases=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        with_states=st.booleans(),
+        to_file=st.booleans(),
+    )
+    def test_family_documents(self, tmp_path_factory, d, bases, seed, with_states, to_file):
+        rng = np.random.default_rng(seed)
+        shape = (min(bases, d + 1), d, d)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        family = MubFamily.from_states(states)
+        kept = states if with_states else None
+        meta = {"seed": seed, "note": "caf\u00e9"}
+        expected = FamilyDocument.from_family(family, states=kept, metadata=meta).to_payload()
+        if to_file:
+            path = tmp_path_factory.mktemp("family") / "family.json"
+            save_family(family, str(path), states=kept, metadata=meta)
+            text = path.read_text()
+        else:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                save_family(family, None, states=kept, metadata=meta)
+            text = out.getvalue()
+        assert text == json.dumps(expected) + "\n"
+
+    def test_family_document_numbers_are_pair_blocks(self):
+        # Every matrix and every amplitude vector goes through the value
+        # table, so none of them is formatted by json.dumps.
+        family = build_family(3)
+        payload = FamilyDocument.from_family(family, states=reconstruct_all(family)).to_payload()
+        pieces, blocks = [], []
+        _walk(payload, pieces, blocks, set())
+        assert [(nested, rows, cols) for _, nested, rows, cols in blocks] == (
+            [(True, 3, 3)] * 12 + [(False, 1, 3)] * 12
+        )
+
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ({"bases": [[[1.0, 2.0]]], "metadata": {"tags": {"a"}}}, TypeError),
+            ({"bases": [[[1.0, 2.0]]], "metadata": {("a", 1): 0}}, TypeError),
+            ({"metadata": {"x": [[0.5, 0.5]]}, "bad": object()}, TypeError),
+        ],
+        ids=["set", "tuple-key", "object"],
+    )
+    def test_failed_encode_leaves_the_file_untouched(self, tmp_path, payload, error):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"previous contents\n")
+        with pytest.raises(error):
+            json.dumps(payload)
+        with pytest.raises(error):
+            write_json(payload, str(path))
+        assert path.read_bytes() == b"previous contents\n"
+
+    def test_circular_payload_fails_like_json(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"previous contents\n")
+        payload = {"bases": [[[1.0, 2.0]]]}
+        payload["metadata"] = [payload]
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json.dumps(payload)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            write_json(payload, str(path))
+        assert path.read_bytes() == b"previous contents\n"
+
+    def test_failed_save_family_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "family.json"
+        save_family(build_family(3), str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_family(build_family(3), str(path), metadata={"tags": {"a", "b"}})
+        assert path.read_bytes() == before
 
 
 class TestRejection:

@@ -259,6 +259,12 @@ class TestStateFromProjector:
         with pytest.raises(ValueError, match="deviates from 1"):
             state_from_projector(0.9 * HALVES, tol=1e-3)
 
+    def test_scaled_projector_message_prints_a_plain_number(self):
+        # The top eigenvalue is a numpy scalar; its repr would read np.float64(...).
+        message = r"^top eigenvalue 9\.000e-01 deviates from 1 beyond 1\.0e-03$"
+        with pytest.raises(ValueError, match=message):
+            state_from_projector(0.9 * HALVES, tol=1e-3)
+
     def test_round_trip_from_random_states(self):
         rng = np.random.default_rng(77)
         for trial in range(100):
