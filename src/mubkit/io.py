@@ -346,38 +346,54 @@ def _walk(value, pieces: list, blocks: list, open_ids: set) -> None:
     open_ids.discard(id(value))
 
 
-def _value_table(blocks: list) -> tuple:
-    """(text of each distinct float of the blocks, each float's index into it), in order.
+def _spell(values: np.ndarray) -> list:
+    """JSON text of each float in ``values``, from one ``json.dumps`` call."""
+    return json.dumps(values.tolist())[1:-1].split(", ") if len(values) else []
 
-    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart.
-    One ``json.dumps`` call formats the distinct values, so each is spelled
-    exactly as json spells it, NaN and Infinity included.
+
+class _PairBlocks:
+    """The pair blocks of one payload, encoded from one table of their distinct floats.
+
+    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart,
+    and spelled by ``json.dumps``, so each reads exactly as json writes
+    it, NaN and Infinity included.  A value that occurs more than once is
+    spelled here, once; a value that occurs once is spelled with its block
+    in :meth:`text`, so a document of distinct values never holds all
+    their texts at once.
     """
-    pairs = chain.from_iterable(
-        chain.from_iterable(block) if nested else block for block, nested, _, _ in blocks
-    )
-    count = 2 * sum(rows * cols for _, _, rows, cols in blocks)
-    parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=count)
-    values, index = np.unique(parts.view(np.uint64), return_inverse=True)
-    texts = json.dumps(values.view(float).tolist())[1:-1].split(", ")
-    return np.array(texts, dtype=object), index
 
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+        sizes = [2 * rows * cols for _, _, rows, cols in blocks]
+        self.bounds = np.cumsum([0] + sizes).tolist()
+        pairs = chain.from_iterable(
+            chain.from_iterable(block) if nested else block for block, nested, _, _ in blocks
+        )
+        parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=self.bounds[-1])
+        bits, self.index, counts = np.unique(
+            parts.view(np.uint64), return_inverse=True, return_counts=True
+        )
+        del parts
+        self.values = bits.view(float)
+        self.repeated = counts > 1
+        self.texts = np.empty(len(bits), dtype=object)
+        self.texts[self.repeated] = _spell(self.values[self.repeated])
 
-def _block_text(block: tuple, numbers: np.ndarray) -> str:
-    """JSON text of a pair block whose floats, in order, are spelled ``numbers``.
-
-    The numbers are interleaved with the separators that fall between
-    them, so one join builds the block.
-    """
-    _, nested, _, cols = block
-    parts = np.empty(2 * len(numbers) - 1, dtype=object)
-    parts[0::2] = numbers
-    parts[1::2] = ", "
-    parts[3::4] = "], ["
-    if not nested:
-        return "[[" + "".join(parts) + "]]"
-    parts[4 * cols - 1 :: 4 * cols] = "]], [["
-    return "[[[" + "".join(parts) + "]]]"
+    def text(self, k: int) -> str:
+        """JSON text of block ``k``: its numbers interleaved with their separators, joined once."""
+        _, nested, _, cols = self.blocks[k]
+        index = self.index[self.bounds[k] : self.bounds[k + 1]]
+        numbers = self.texts[index]
+        once = np.flatnonzero(~self.repeated[index])
+        numbers[once] = _spell(self.values[index[once]])
+        parts = np.empty(2 * len(numbers) - 1, dtype=object)
+        parts[0::2] = numbers
+        parts[1::2] = ", "
+        parts[3::4] = "], ["
+        if not nested:
+            return "[[" + "".join(parts) + "]]"
+        parts[4 * cols - 1 :: 4 * cols] = "]], [["
+        return "[[[" + "".join(parts) + "]]]"
 
 
 def write_json(payload: dict, path: Optional[str]) -> None:
@@ -397,16 +413,11 @@ def write_json(payload: dict, path: Optional[str]) -> None:
     """
     pieces, blocks = [], []
     _walk(payload, pieces, blocks, set())
-    if blocks:
-        texts, index = _value_table(blocks)
-        bounds = np.cumsum([0] + [2 * rows * cols for _, _, rows, cols in blocks]).tolist()
+    encoded = _PairBlocks(blocks)
 
     def write(handle) -> None:
         for piece in pieces:
-            if type(piece) is int:
-                numbers = texts[index[bounds[piece] : bounds[piece + 1]]]
-                piece = _block_text(blocks[piece], numbers)
-            handle.write(piece)
+            handle.write(encoded.text(piece) if type(piece) is int else piece)
         handle.write("\n")
 
     if not path:
