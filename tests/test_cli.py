@@ -173,6 +173,19 @@ class TestEigensolves:
         assert shapes == [(12, 3, 3)] * solves
         assert certified == [(12, 3, 3)] * certificates
 
+    def test_construct_saves_without_the_eigenvector_stack(self, tmp_path, monkeypatch):
+        import mubkit.cli
+
+        held = []
+
+        def spy(family, path, **kwargs):
+            held.append("spectrum" in vars(family))
+            save_family(family, path, **kwargs)
+
+        monkeypatch.setattr(mubkit.cli, "save_family", spy)
+        assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
+        assert held == [False]
+
     def test_mixed_document_loads_with_one_solve(self, tmp_path, monkeypatch):
         # The maximally mixed I/2 is a valid density matrix the certificate
         # cannot settle, so the loader solves the stack once, and the
