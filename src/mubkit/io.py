@@ -4,25 +4,26 @@ The interchange document stores every complex entry as an [re, im] pair.
 :func:`write_json` writes every document and certificate as one line of
 compact JSON, byte for byte what ``json.dumps`` writes, with numbers in
 Python's shortest round-trippable decimal form, so a save followed by a
-load reproduces each float bit for bit.  A family document repeats few
-distinct floats (26 among the 61 516 of a closed-form family at d = 13),
-so the writer formats each distinct float once and joins the pair blocks
-from a table of those texts; the loader likewise parses each distinct
-literal once through a bounded cache.  The loader validates everything
-it reads at a fixed tolerance and names the offending (basis, vector,
-entry) when a matrix fails; a document is never trusted just because this
-package wrote it.
+load reproduces each float bit for bit.  A save hands the writer the
+family's arrays as float [re, im] views, never as nested lists; they are
+spelled from a table of their distinct floats (26 among the 61 516 of a
+closed-form family at d = 13).  The loader parses a document whose
+numbers repeat through a bounded table of literals.  It validates all it
+reads at a fixed tolerance and names the offending (basis, vector, entry)
+when a matrix fails; a document is never trusted because this package
+wrote it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from functools import partial
+from itertools import chain, count, groupby
 from typing import Optional
 
 import numpy as np
@@ -47,10 +48,16 @@ FORMAT_VERSION = "1"
 # carry a few more ulps of noise than freshly built ones.
 LOAD_TOLERANCE = 1e-9
 
-# Distinct float literals a load remembers, least recently used out first.
-# A closed-form document spells a few dozen values tens of thousands of
-# times; the bound caps what a document of distinct literals costs.
+# Distinct float literals a load remembers.  A closed-form document spells
+# a few dozen values tens of thousands of times; the bound caps what a
+# document of distinct literals costs.  A load uses the table only when at
+# most an eighth of the float literals in its first _HEAD characters differ.
 _FLOAT_LITERALS = 1024
+_HEAD = 4096
+_FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
+
+# Numbers whose texts the writer builds at once, from equally shaped arrays.
+_RUN = 1 << 14
 
 
 def _is_number(x) -> bool:
@@ -81,9 +88,24 @@ def _is_plain_matrix(raw: list, d: int) -> bool:
     )
 
 
-def _pairs(array: np.ndarray) -> list:
-    """Nested lists of a complex array, each entry an [re, im] pair of floats."""
-    return np.ascontiguousarray(array).view(float).reshape(*array.shape, 2).tolist()
+def _indexed(array: np.ndarray, items: str, key: str) -> list:
+    """Document shape of a C-contiguous complex (n, d, ...) array, entries as [re, im] views."""
+    pairs = array.view(float).reshape(*array.shape, 2)
+    return [
+        {"basis_index": a, items: [{"alpha": alpha, key: v} for alpha, v in enumerate(group)]}
+        for a, group in enumerate(pairs)
+    ]
+
+
+def _listed(value):
+    """``value`` with each array in it, among nested dicts and lists, as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_listed(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,8 @@ class FamilyDocument:
     ``basis_index`` and a ``projectors`` list of {alpha, matrix} dicts.
     ``states`` optionally mirrors that structure with amplitude vectors.
     ``metadata`` is free-form (generator, seed, timestamp and the like).
+    Read from JSON, matrices and amplitudes are nested [re, im] lists; built
+    by :meth:`from_family`, float (..., 2) views of the family's arrays.
     """
 
     format_version: str
@@ -109,34 +133,25 @@ class FamilyDocument:
         states=None,
         metadata: Optional[dict] = None,
     ) -> "FamilyDocument":
-        """Build a document from a family, optionally with its state vectors."""
-        bases = [
-            {
-                "basis_index": a,
-                "projectors": [
-                    {"alpha": alpha, "matrix": matrix} for alpha, matrix in enumerate(matrices)
-                ],
-            }
-            for a, matrices in enumerate(_pairs(family.projectors))
-        ]
+        """Build a document from a family, optionally with its state vectors.
+
+        The states are copied; their parts must be finite and at most
+        1e150 in magnitude, like a family's projector entries.
+        """
+        bases = _indexed(family.projectors, "projectors", "matrix")
         states_doc = None
         if states is not None:
-            arr = np.asarray(states, dtype=complex)
+            arr = np.array(states, dtype=complex)
             if arr.shape != (family.num_bases, family.dim, family.dim):
                 raise ValueError(
                     f"states shaped {arr.shape} do not match the family "
                     f"({family.num_bases} bases, dim {family.dim})"
                 )
-            states_doc = [
-                {
-                    "basis_index": a,
-                    "vectors": [
-                        {"alpha": alpha, "amplitudes": amplitudes}
-                        for alpha, amplitudes in enumerate(vectors)
-                    ],
-                }
-                for a, vectors in enumerate(_pairs(arr))
-            ]
+            if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
+                raise ValueError(
+                    f"state amplitudes must be finite, with parts up to {_MAX_ENTRY:.0e}"
+                )
+            states_doc = _indexed(arr, "vectors", "amplitudes")
         return cls(
             format_version=FORMAT_VERSION,
             dimension=family.dim,
@@ -145,14 +160,20 @@ class FamilyDocument:
             metadata=dict(metadata or {}),
         )
 
-    def to_payload(self) -> dict:
+    def to_payload(self, arrays: bool = False) -> dict:
+        """The document as a JSON payload of plain nested lists.
+
+        With ``arrays``, the float arrays of a document built by
+        :meth:`from_family` stay arrays, for :func:`write_json` to encode.
+        """
+        listed = (lambda value: value) if arrays else _listed
         payload = {
             "format_version": self.format_version,
             "dimension": self.dimension,
-            "bases": self.bases,
+            "bases": listed(self.bases),
         }
         if self.states is not None:
-            payload["states"] = self.states
+            payload["states"] = listed(self.states)
         payload["metadata"] = self.metadata
         return payload
 
@@ -185,6 +206,8 @@ class FamilyDocument:
 
     def _parse_matrix(self, raw, where: str) -> np.ndarray:
         d = self.dimension
+        if isinstance(raw, np.ndarray):  # a document built by from_family
+            raw = raw.tolist()
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
         if not _is_plain_matrix(raw, d):
@@ -286,64 +309,14 @@ class FamilyDocument:
         return family
 
 
-def _pair_block(value: list) -> Optional[tuple]:
-    """(nested, rows, pairs per row) when ``value`` is a block of [float, float] pairs.
-
-    A block is a row of pairs (not nested, one row) or a list of equally
-    long rows of pairs (nested), as :func:`_pairs` builds them.  Like
-    :func:`_is_plain_matrix`, exact-type checks run at C speed; every part
-    must be exactly ``float``, so ints, bools and float subclasses are left
-    to ``json.dumps``.  None for anything else.
-    """
-    lengths = set(map(len, value))
-    inner = list(chain.from_iterable(value))
-    kinds = set(map(type, inner))
-    if lengths == {2} and kinds == {float}:
-        return False, 1, len(value)
-    if (
-        len(lengths) == 1
-        and kinds == {list}
-        and set(map(len, inner)) == {2}
-        and set(map(type, chain.from_iterable(inner))) == {float}
-    ):
-        return True, len(value), len(inner) // len(value)
-    return None
-
-
-def _walk(value, pieces: list, blocks: list, open_ids: set) -> None:
-    """Append the JSON text of ``value`` to ``pieces``, with a block index where pairs go.
-
-    ``blocks`` receives (block, nested, rows, pairs per row) for each pair
-    block.  Lists that hold lists or dicts and nonempty dicts with only
-    ``str`` keys are walked; everything else is encoded by ``json.dumps``,
-    which raises for what it cannot encode.
-    """
-    kind = type(value)
-    kinds = set(map(type, value)) if kind in (list, dict) else None
-    if kind is list and kinds == {list} and (shape := _pair_block(value)):
-        blocks.append((value, *shape))
-        pieces.append(len(blocks) - 1)
-        return
-    if kind is list and not kinds.isdisjoint((list, dict)):
-        items, opener, closer = value, "[", "]"
-    elif kind is dict and kinds == {str}:
-        items, opener, closer = value.items(), "{", "}"
-    else:
-        pieces.append(json.dumps(value))
-        return
-    if id(value) in open_ids:
-        raise ValueError("Circular reference detected")  # json's own message
-    open_ids.add(id(value))
-    pieces.append(opener)
-    for i, item in enumerate(items):
-        if i:
-            pieces.append(", ")
-        if kind is dict:
-            pieces.append(encode_basestring_ascii(item[0]) + ": ")
-            item = item[1]
-        _walk(item, pieces, blocks, open_ids)
-    pieces.append(closer)
-    open_ids.discard(id(value))
+def _hold(arrays: list, slot: str, value):
+    """``json.dumps`` hook: note a nonempty float array and stand ``slot`` in its place."""
+    if type(value) is np.ndarray and value.dtype == float:
+        if not value.size:
+            return value.tolist()
+        arrays.append(value)
+        return slot
+    return json.JSONEncoder().default(value)  # raises json's own TypeError
 
 
 def _spell(values: np.ndarray) -> list:
@@ -351,74 +324,82 @@ def _spell(values: np.ndarray) -> list:
     return json.dumps(values.tolist())[1:-1].split(", ") if len(values) else []
 
 
-class _PairBlocks:
-    """The pair blocks of one payload, encoded from one table of their distinct floats.
+def _separators(shape: tuple) -> np.ndarray:
+    """What ``json.dumps`` writes between consecutive numbers of an array shaped ``shape``."""
+    seps = np.full(math.prod(shape) - 1, ", ", dtype=object)
+    step = 1
+    for depth, length in enumerate(reversed(shape[1:]), 1):
+        step *= length
+        seps[step - 1 :: step] = "]" * depth + ", " + "[" * depth
+    return seps
 
-    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart,
-    and spelled by ``json.dumps``, so each reads exactly as json writes
-    it, NaN and Infinity included.  A value that occurs more than once is
-    spelled here, once; a value that occurs once is spelled with its block
-    in :meth:`text`, so a document of distinct values never holds all
-    their texts at once.
+
+class _FloatTable:
+    """``json.dumps`` texts of nonempty float arrays' nested lists, from one value table.
+
+    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart, and
+    spelled by ``json.dumps``, NaN and Infinity included.  A value that
+    occurs more than once is spelled here, once; a value that occurs once
+    is spelled with its run of up to ``_RUN`` numbers in equally shaped
+    arrays, whose texts are built together as they are read, so a document
+    of distinct values never holds all of their texts at once.
     """
 
-    def __init__(self, blocks: list):
-        self.blocks = blocks
-        sizes = [2 * rows * cols for _, _, rows, cols in blocks]
-        self.bounds = np.cumsum([0] + sizes).tolist()
-        pairs = chain.from_iterable(
-            chain.from_iterable(block) if nested else block for block, nested, _, _ in blocks
-        )
-        parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=self.bounds[-1])
-        bits, self.index, counts = np.unique(
-            parts.view(np.uint64), return_inverse=True, return_counts=True
-        )
-        del parts
+    def __init__(self, arrays: list):
+        self.arrays = arrays
+        self.bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
+        numbers = np.concatenate([np.empty(0)] + [a.ravel() for a in arrays]).view(np.uint64)
+        bits, self.index, counts = np.unique(numbers, return_inverse=True, return_counts=True)
+        del numbers
         self.values = bits.view(float)
         self.repeated = counts > 1
-        self.texts = np.empty(len(bits), dtype=object)
-        self.texts[self.repeated] = _spell(self.values[self.repeated])
+        self.spelled = np.empty(len(bits), dtype=object)
+        self.spelled[self.repeated] = _spell(self.values[self.repeated])
 
-    def text(self, k: int) -> str:
-        """JSON text of block ``k``: its numbers interleaved with their separators, joined once."""
-        _, nested, _, cols = self.blocks[k]
-        index = self.index[self.bounds[k] : self.bounds[k + 1]]
-        numbers = self.texts[index]
-        once = np.flatnonzero(~self.repeated[index])
-        numbers[once] = _spell(self.values[index[once]])
-        parts = np.empty(2 * len(numbers) - 1, dtype=object)
-        parts[0::2] = numbers
-        parts[1::2] = ", "
-        parts[3::4] = "], ["
-        if not nested:
-            return "[[" + "".join(parts) + "]]"
-        parts[4 * cols - 1 :: 4 * cols] = "]], [["
-        return "[[[" + "".join(parts) + "]]]"
+    def texts(self):
+        """Yield the text of each array in turn."""
+        start = 0
+        for shape, group in groupby(a.shape for a in self.arrays):
+            size, stop = math.prod(shape), start + len(list(group))
+            step = max(1, _RUN // size)
+            separators, opener, closer = _separators(shape), "[" * len(shape), "]" * len(shape)
+            for first in range(start, stop, step):
+                index = self.index[self.bounds[first] : self.bounds[min(first + step, stop)]]
+                numbers = self.spelled[index]
+                once = np.flatnonzero(~self.repeated[index])
+                numbers[once] = _spell(self.values[index[once]])
+                parts = np.empty((len(index) // size, 2 * size - 1), dtype=object)
+                parts[:, 0::2] = numbers.reshape(-1, size)
+                parts[:, 1::2] = separators
+                yield from (opener + "".join(row) + closer for row in parts.tolist())
+            start = stop
 
 
 def write_json(payload: dict, path: Optional[str]) -> None:
     """Write a payload as one line of JSON to ``path``, or to stdout without one.
 
     The package's only JSON encoder.  The bytes are exactly
-    ``json.dumps(payload) + "\\n"`` for every payload.  The pair blocks
-    that hold a family document's numbers (lists of [re, im] float pairs,
-    or of rows of them) are encoded from one value table per call: each
-    distinct float is formatted once, by ``json.dumps``, and each block is
-    joined from those texts.  Keys are escaped by json's own string
-    encoder; every other value goes through ``json.dumps``.  The payload is
-    walked and the table built before the target is opened, so a payload
-    that cannot be encoded raises and leaves an existing file untouched;
-    each block's text is then built only as it is written, so the whole
+    ``json.dumps(payload) + "\\n"``, with each float64 ``np.ndarray`` read
+    as its ``tolist()``.  One ``json.dumps`` call encodes the skeleton, with
+    a placeholder string for each array; the arrays (a family document's
+    [re, im] pairs) are spelled from one table of their distinct floats.
+    Both are built before the target is opened, so a payload that cannot be
+    encoded raises json's own error and leaves an existing file untouched;
+    the arrays' texts are then built as they are written, so the whole
     document is never held as one string.
     """
-    pieces, blocks = [], []
-    _walk(payload, pieces, blocks, set())
-    encoded = _PairBlocks(blocks)
+    for attempt in count():
+        arrays, slot = [], f"\0array {attempt}"
+        pieces = json.dumps(payload, default=partial(_hold, arrays, slot)).split(json.dumps(slot))
+        if len(pieces) == len(arrays) + 1:  # no string of the payload reads as the slot
+            break
+    texts = _FloatTable(arrays).texts()
 
     def write(handle) -> None:
-        for piece in pieces:
-            handle.write(encoded.text(piece) if type(piece) is int else piece)
-        handle.write("\n")
+        for piece, text in zip(pieces, texts):
+            handle.write(piece)
+            handle.write(text)
+        handle.write(pieces[-1] + "\n")
 
     if not path:
         write(sys.stdout)
@@ -443,7 +424,7 @@ def save_family(
     bit-exactly.  Filesystem problems surface as errors carrying the path.
     """
     doc = FamilyDocument.from_family(family, states=states, metadata=metadata)
-    write_json(doc.to_payload(), path)
+    write_json(doc.to_payload(arrays=True), path)
 
 
 def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
@@ -451,18 +432,37 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 
     Raises on unreadable files, malformed JSON, structural inconsistencies,
     and projector-invariant violations (named per basis, vector, entry).
-    Each float literal is parsed through a bounded per-load cache, so a
-    repeated literal costs a lookup.
+    When the numbers at the head of the document repeat, as in a
+    closed-form family, float literals are parsed through a bounded
+    per-load table keyed by their text, so a repeated literal costs a
+    lookup; otherwise each is parsed by ``float``.
     """
     _check_tolerance(tolerance)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_float=lru_cache(maxsize=_FLOAT_LITERALS)(float))
+            text = handle.read()
+        payload = json.loads(text, parse_float=_parse_float(text))
     except OSError as exc:
         raise OSError(f"could not read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
     return FamilyDocument.from_payload(payload).to_family(tolerance)
+
+
+class _FloatLiterals(dict):
+    """Float of each literal text, parsed once; the first _FLOAT_LITERALS are kept."""
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if len(self) < _FLOAT_LITERALS:
+            self[text] = value
+        return value
+
+
+def _parse_float(text: str):
+    """``parse_float`` for a document: a literal table if the floats at its head repeat."""
+    head = _FLOAT.findall(text, 0, _HEAD)
+    return _FloatLiterals().__getitem__ if 8 * len(set(head)) <= len(head) else float
 
 
 def file_sha256(path: str) -> str:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mubkit.cli
 from mubkit.algebra import MubFamily
 from mubkit.cli import cli_dispatch
 from mubkit.construct import build_family
@@ -414,6 +415,41 @@ class TestGauss:
         proc = run("gauss", "--u", "2", "--v", "0", "--w", "4")
         assert proc.returncode == 2
         assert "gcd(u, w) must be 1" in proc.stderr
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_every_document_is_json_dumps_of_its_list_payload(self, tmp_path, monkeypatch, d):
+        expected = {}
+        real_save, real_write = mubkit.cli.save_family, mubkit.cli.write_json
+
+        def save(family, path, states=None, metadata=None):
+            doc = FamilyDocument.from_family(family, states=states, metadata=metadata)
+            expected[path] = json.dumps(doc.to_payload()) + "\n"
+            real_save(family, path, states=states, metadata=metadata)
+
+        def write(payload, path):
+            expected[path] = json.dumps(payload) + "\n"
+            real_write(payload, path)
+
+        monkeypatch.setattr(mubkit.cli, "save_family", save)
+        monkeypatch.setattr(mubkit.cli, "write_json", write)
+        family = str(tmp_path / "family.json")
+        commands = [
+            ["construct", "--d", str(d), "--out", family],
+            ["verify", family, "--report", str(tmp_path / "report.json")],
+            ["verify", family, "--report", str(tmp_path / "gram.json"), "--full-gram"],
+            ["reconstruct", family, "--out", str(tmp_path / "states.json")],
+            ["search", "--d", str(d), "--bases", str(d + 1), "--from", family,
+             "--out", str(tmp_path / "polished.json"), "--log", str(tmp_path / "log.json")],
+        ]
+        with contextlib.redirect_stderr(io.StringIO()):
+            for argv in commands:
+                assert cli_dispatch(argv) == 0, argv
+        assert len(expected) == 6
+        for path, text in expected.items():
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == text, path
 
 
 class TestDispatch:

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from mubkit.io import (
     save_family,
     write_json,
 )
-from mubkit.io import _walk
+import mubkit.io
+from mubkit.io import _FloatLiterals, _FloatTable
 from mubkit.reconstruct import reconstruct_all
 from mubkit.search import SearchConfig, run_search
 from mubkit.verify import verify_family
@@ -149,6 +152,26 @@ class TestFloatLiteralCache:
             assert str(caught.value) == str(exc)
             return
         assert tabled().tobytes() == expected.tobytes()
+        # The same through the literal table, whichever parser the load chose.
+        payload = json.loads(text, parse_float=_FloatLiterals().__getitem__)
+        assert FamilyDocument.from_payload(payload).to_family().projectors.tobytes() == (
+            expected.tobytes()
+        )
+
+    def test_table_only_for_documents_whose_numbers_repeat(self, tmp_path):
+        family = build_family(13)
+        noise = np.random.default_rng(13).standard_normal(family.projectors.shape)
+        noisy = MubFamily(family.projectors + 1e-12 * (noise + noise.swapaxes(-1, -2)))
+        for fam, tabled in [(family, True), (noisy, False)]:
+            save_family(fam, str(tmp_path / "family.json"))
+            text = (tmp_path / "family.json").read_text()
+            assert (mubkit.io._parse_float(text) is float) != tabled
+
+    def test_table_is_bounded(self):
+        table = _FloatLiterals()
+        literals = [repr(0.001 * k) for k in range(3 * mubkit.io._FLOAT_LITERALS)]
+        assert [table[x] for x in literals + literals] == [float(x) for x in literals + literals]
+        assert len(table) == mubkit.io._FLOAT_LITERALS
 
     def test_signed_zero_keeps_its_sign(self, tmp_path):
         path = tmp_path / "family.json"
@@ -159,6 +182,7 @@ class TestFloatLiteralCache:
             '[{"basis_index": 0, "projectors": [{"alpha": 0, "matrix": [[[1.0, -0.0]]]}]}]}'
         )
         assert np.signbit(load_family(str(path)).projectors[0, 0, 0, 0].imag)
+        assert np.signbit(json.loads("[0.0, -0.0]", parse_float=_FloatLiterals().__getitem__))[1]
 
 
 # Floats where a formatter could go wrong: signed zero, the smallest
@@ -186,6 +210,26 @@ PAIR_BLOCKS = st.one_of(
 TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), EDGE_FLOATS, TEXT, PAIR_BLOCKS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+# Float arrays, which the writer encodes from its value table, among other JSON values.
+ARRAY_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.integers(),
+        EDGE_FLOATS,
+        TEXT,
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+            elements=EDGE_FLOATS,
+        ),
+    ),
     lambda children: st.one_of(
         st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4)
     ),
@@ -258,16 +302,58 @@ class TestWriteJson:
             text = out.getvalue()
         assert text == json.dumps(expected) + "\n"
 
-    def test_family_document_numbers_are_pair_blocks(self):
-        # Every matrix and every amplitude vector goes through the value
-        # table, so none of them is formatted by json.dumps.
+    def test_family_document_numbers_go_through_the_value_table(self, tmp_path, monkeypatch):
+        # Every matrix and every amplitude vector reaches the value table as
+        # a float array, so none of them is formatted by json.dumps.
         family = build_family(3)
-        payload = FamilyDocument.from_family(family, states=reconstruct_all(family)).to_payload()
-        pieces, blocks = [], []
-        _walk(payload, pieces, blocks, set())
-        assert [(nested, rows, cols) for _, nested, rows, cols in blocks] == (
-            [(True, 3, 3)] * 12 + [(False, 1, 3)] * 12
-        )
+        shapes = []
+
+        class Recording(_FloatTable):
+            def __init__(self, arrays):
+                shapes.extend(a.shape for a in arrays)
+                super().__init__(arrays)
+
+        monkeypatch.setattr(mubkit.io, "_FloatTable", Recording)
+        save_family(family, str(tmp_path / "family.json"), states=reconstruct_all(family))
+        assert shapes == [(3, 3, 2)] * 12 + [(3, 2)] * 12
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=ARRAY_VALUES, to_file=st.booleans())
+    def test_arrays_read_as_their_lists(self, tmp_path_factory, payload, to_file):
+        path = tmp_path_factory.mktemp("written") / "out.json" if to_file else None
+        assert written(payload, path) == json.dumps(payload, default=np.ndarray.tolist) + "\n"
+
+    def test_string_that_reads_as_the_placeholder(self, tmp_path):
+        # Strings that read as the first placeholders, whole or after a quote.
+        payload = {"a": "\0array 0", "b": np.array([[1.0, -0.0]]), "c": ["z\"\0array 1"]}
+        expected = json.dumps(payload, default=np.ndarray.tolist) + "\n"
+        assert written(payload, tmp_path / "out.json") == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.arange(3), np.ones(2, dtype=complex), np.ones(2, ">f8"), np.ones(2, np.float32)],
+    )
+    def test_other_arrays_fail_like_json(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"previous contents\n")
+        with pytest.raises(TypeError) as expected:
+            json.dumps({"x": value})
+        with pytest.raises(TypeError, match=f"^{expected.value}$"):
+            write_json({"x": np.zeros(2), "y": value}, str(path))
+        assert path.read_bytes() == b"previous contents\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e151 + 0j, -2e150j])
+    def test_states_refused_unless_finite_and_bounded(self, tmp_path, bad):
+        path = tmp_path / "family.json"
+        family = build_family(2)
+        save_family(family, str(path))
+        before = path.read_bytes()
+        states = reconstruct_all(family)
+        states[1, 0, 1] = bad
+        message = r"^state amplitudes must be finite, with parts up to 1e\+150$"
+        with pytest.raises(ValueError, match=message):
+            save_family(family, str(path), states=states)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize(
         "payload,error",
@@ -305,6 +391,53 @@ class TestWriteJson:
         with pytest.raises(TypeError):
             save_family(build_family(3), str(path), metadata={"tags": {"a", "b"}})
         assert path.read_bytes() == before
+
+
+# Floats around the points where repr changes form: exponent notation from
+# 1e16 up and below 1e-4 (1e-05), and the ends of the exponent range.
+BOUNDARY_FLOATS = st.sampled_from(
+    [1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-5, 1e-4, 9.999999999999999e-05,
+     1.0000000000000001e-05, 1e-308, 1e308, 1.5e-300, -2.5e300, 123456789.0, 0.1]
+)
+TABLE_FLOATS = st.one_of(EDGE_FLOATS, BOUNDARY_FLOATS, st.floats(-1e6, 1e6))
+
+
+@st.composite
+def float_stacks(draw):
+    """A (B, rows, cols, 2) or (B, cols, 2) stack of all-distinct, all-repeated or mixed floats."""
+    blocks, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(blocks, d, d, 2), (blocks, d, 2)]))
+    kind = draw(st.sampled_from(["distinct", "repeated", "mixed"]))
+    if kind == "repeated":
+        return np.full(shape, draw(TABLE_FLOATS))
+    if kind == "distinct":
+        return draw(hnp.arrays(float, shape, elements=st.floats(allow_nan=False), unique=True))
+    return draw(hnp.arrays(float, shape, elements=TABLE_FLOATS))
+
+
+class TestFloatTable:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=float_stacks(), run=st.sampled_from([1, 5, 1 << 14]))
+    def test_block_texts_are_json_dumps(self, stack, run):
+        blocks = list(stack)
+        with mock.patch.object(mubkit.io, "_RUN", run):
+            texts = list(_FloatTable(blocks).texts())
+        assert texts == [json.dumps(b.tolist()) for b in blocks]
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 1, 2), (3,), (2, 3, 1)])
+    def test_any_shape(self, shape):
+        arrays = [np.full(shape, -0.0), np.arange(math.prod(shape), dtype=float).reshape(shape)]
+        assert list(_FloatTable(arrays).texts()) == [json.dumps(a.tolist()) for a in arrays]
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3, 2)])
+    def test_empty_arrays_are_written_by_json(self, tmp_path, shape):
+        payload = {"a": [np.ones(2), np.empty(shape), np.ones(2)]}
+        expected = json.dumps({"a": [[1.0, 1.0], np.empty(shape).tolist(), [1.0, 1.0]]}) + "\n"
+        assert written(payload, tmp_path / "out.json") == expected
+
+    def test_signed_zeros_keep_their_sign(self):
+        blocks = [np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0]])]
+        assert list(_FloatTable(blocks).texts()) == ["[[0.0, -0.0]]", "[[-0.0, 0.0]]"]
 
 
 class TestRejection:
