@@ -51,7 +51,9 @@ LOAD_TOLERANCE = 1e-9
 # Distinct float literals a load remembers.  A closed-form document spells
 # a few dozen values tens of thousands of times; the bound caps what a
 # document of distinct literals costs.  A load uses the table only when at
-# most an eighth of the float literals in its first _HEAD characters differ.
+# most an eighth of the float literals differ, both in its first and in its
+# last _HEAD characters: a document can repeat its first basis and spell
+# every later number once.
 _FLOAT_LITERALS = 1024
 _HEAD = 4096
 _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
@@ -432,8 +434,8 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 
     Raises on unreadable files, malformed JSON, structural inconsistencies,
     and projector-invariant violations (named per basis, vector, entry).
-    When the numbers at the head of the document repeat, as in a
-    closed-form family, float literals are parsed through a bounded
+    When the numbers at the head and the tail of the document repeat, as
+    in a closed-form family, float literals are parsed through a bounded
     per-load table keyed by their text, so a repeated literal costs a
     lookup; otherwise each is parsed by ``float``.
     """
@@ -460,9 +462,11 @@ class _FloatLiterals(dict):
 
 
 def _parse_float(text: str):
-    """``parse_float`` for a document: a literal table if the floats at its head repeat."""
-    head = _FLOAT.findall(text, 0, _HEAD)
-    return _FloatLiterals().__getitem__ if 8 * len(set(head)) <= len(head) else float
+    """``parse_float`` for a document: a literal table if its head and tail floats repeat."""
+    samples = _FLOAT.findall(text, 0, _HEAD), _FLOAT.findall(text, max(len(text) - _HEAD, 0))
+    if all(8 * len(set(sample)) <= len(sample) for sample in samples):
+        return _FloatLiterals().__getitem__
+    return float
 
 
 def file_sha256(path: str) -> str:

@@ -19,8 +19,14 @@ cap is a hard safety net, not a tuning knob.  :func:`eigen_hermitian` takes
 one (d, d) matrix or an (N, d, d) stack; a stack is solved in one pass, each
 pivot rotating every still-unconverged matrix at once; a family's stack is
 solved at most once and cached on :attr:`MubFamily.spectrum`, which the
-verifier always reads.  The recovered states have their global phase fixed
-by :func:`canonical_phase`.
+verifier always reads.  A member that would sweep but whose one-column
+certificate already meets the stopping rule, r <= 1e-13 ||M||_F, is deflated
+first (Householder deflation; Golub & Van Loan, *Matrix Computations*,
+ch. 8): with H the reflector taking v to a multiple of e_1, the sweeps run on
+H M H, which is diagonal up to r, and the eigenvectors are H V.  A
+closed-form family's stack thus solves in zero sweeps, and every other
+member is swept exactly as it stands.  The recovered states have their
+global phase fixed by :func:`canonical_phase`.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ class EigenDecomposition:
     axis; column j of ``eigenvectors`` is the unit eigenvector for
     ``eigenvalues[..., j]``.  For an (N, d, d) input both carry the leading
     stack axis.  ``sweeps`` counts full Jacobi passes until the off-diagonal
-    mass fell below the convergence threshold, summed over the stack.
+    mass fell below the convergence threshold, summed over the stack; a
+    deflated member counts the sweeps it ran, 0 for a closed form.
     """
 
     eigenvalues: np.ndarray
@@ -179,6 +186,23 @@ def _jacobi(matrices: np.ndarray):
     return vals, v, history
 
 
+def _householder(v: np.ndarray) -> np.ndarray:
+    """Householder reflectors H, one per nonzero row of an (N, d) stack v.
+
+    Each H = I - 2 w w^dagger / (w^dagger w) with w = u + e^{i theta} ||u|| e_1
+    for u = v / max|v_p| and theta the angle of u_0, so H v is a multiple of
+    e_1 and H is Hermitian and unitary.  Scaling by the largest part keeps
+    ||u|| in [1, sqrt(d)] for parts from subnormal up to 1e150, and the sign
+    choice keeps w^dagger w at least 2.
+    """
+    d = v.shape[1]
+    u = v / np.max(np.abs(v), axis=1, keepdims=True)
+    w = u.copy()
+    w[:, 0] += np.exp(1j * np.angle(u[:, 0])) * np.linalg.norm(u, axis=1)
+    mass = np.einsum("ni,ni->n", w.conj(), w).real
+    return np.eye(d) - (2.0 / mass)[:, None, None] * w[:, :, None] * w[:, None, :].conj()
+
+
 def _hermitian_defects(m: np.ndarray) -> np.ndarray:
     """max |M - M^dagger| of each matrix in an (N, d, d) stack."""
     return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(1, 2))
@@ -223,6 +247,9 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     matrices whose Hermitian defect max|M - M^dagger| exceeds
     ``hermiticity_tol``; the iteration itself then works on the symmetrized
     matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data.
+    A member that would sweep and whose one-column certificate meets the
+    stopping rule is swept after Householder deflation; all others are
+    swept as they stand.
     """
     stack, single = _checked_stack(matrix)
     defects = _hermitian_defects(stack)
@@ -235,7 +262,16 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
             f"exceeds {hermiticity_tol:.1e}"
         )
     sym = _symmetrized(stack)
+    v, r = _rank_one_certificate(sym)
+    threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))
+    deflate = np.flatnonzero((r <= threshold) & (_off_mass(sym) > threshold))
+    if deflate.size:
+        reflectors = _householder(v[deflate])
+        sym[deflate] = _symmetrized(reflectors @ sym[deflate] @ reflectors)
     vals, vecs, history = _jacobi(sym)
+    if deflate.size:
+        vecs[deflate] = reflectors @ vecs[deflate]
+    # Norms of the matrices swept, deflated ones included: their stopping scale.
     scale = np.linalg.norm(sym, axis=(1, 2))
     final = np.array([h[-1] for h in history])
     stuck = np.flatnonzero(final > _CONVERGED * scale)

@@ -137,14 +137,19 @@ def counting_solves(monkeypatch):
 
 
 def counting_certificates(monkeypatch):
-    """Record the stack shape of every one-column rank-1 certificate; returns the list."""
+    """Record (caller, stack shape) of every one-column rank-1 certificate; returns the list.
+
+    The caller is ``eigen_hermitian`` for the certificate each solve takes
+    to pick the members it deflates, and ``rank_one_certificate`` for the
+    family certificate the readers share.
+    """
     import mubkit.reconstruct
 
     shapes = []
     real = mubkit.reconstruct._rank_one_certificate
 
     def counting(sym):
-        shapes.append(sym.shape)
+        shapes.append((sys._getframe(1).f_code.co_name, sym.shape))
         return real(sym)
 
     monkeypatch.setattr(mubkit.reconstruct, "_rank_one_certificate", counting)
@@ -172,7 +177,10 @@ class TestEigensolves:
         certified = counting_certificates(monkeypatch)
         assert cli_dispatch(argv) == 0
         assert shapes == [(12, 3, 3)] * solves
-        assert certified == [(12, 3, 3)] * certificates
+        assert sorted(certified) == sorted(
+            [("eigen_hermitian", (12, 3, 3))] * solves
+            + [("rank_one_certificate", (12, 3, 3))] * certificates
+        )
 
     def test_construct_saves_without_the_eigenvector_stack(self, tmp_path, monkeypatch):
         import mubkit.cli

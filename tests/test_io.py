@@ -26,7 +26,7 @@ from mubkit.io import (
 import mubkit.io
 from mubkit.io import _FloatLiterals, _FloatTable
 from mubkit.reconstruct import reconstruct_all
-from mubkit.search import SearchConfig, run_search
+from mubkit.search import SearchConfig, polish, run_search
 from mubkit.verify import verify_family
 
 
@@ -161,10 +161,22 @@ class TestFloatLiteralCache:
     def test_table_only_for_documents_whose_numbers_repeat(self, tmp_path):
         family = build_family(13)
         noise = np.random.default_rng(13).standard_normal(family.projectors.shape)
-        noisy = MubFamily(family.projectors + 1e-12 * (noise + noise.swapaxes(-1, -2)))
-        for fam, tabled in [(family, True), (noisy, False)]:
-            save_family(fam, str(tmp_path / "family.json"))
-            text = (tmp_path / "family.json").read_text()
+        noisy = family.projectors + 1e-12 * (noise + noise.swapaxes(-1, -2))
+        # Closed-form basis 0 at the head, distinct numbers everywhere after it.
+        mixed = np.concatenate([family.projectors[:1], noisy[1:]])
+        path = str(tmp_path / "family.json")
+        polished = polish(family, SearchConfig(dim=13, num_bases=14)).best_family
+        documents = [
+            (family, {}, True),
+            (family, {"states": reconstruct_all(family)}, True),
+            (polished, {}, True),
+            (MubFamily(noisy), {}, False),
+            (MubFamily(mixed), {}, False),
+        ]
+        for fam, extra, tabled in documents:
+            save_family(fam, path, **extra)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
             assert (mubkit.io._parse_float(text) is float) != tabled
 
     def test_table_is_bounded(self):

@@ -14,8 +14,11 @@ from mubkit.construct import build_family
 from mubkit.io import FamilyDocument
 from mubkit.reconstruct import (
     EigenDecomposition,
+    _CONVERGED,
     _jacobi,
+    _off_mass,
     _rank_one_certificate,
+    _symmetrized,
     eigen_hermitian,
     reconstruct_all,
     state_from_projector,
@@ -130,15 +133,14 @@ class TestBatchedEigen:
     def test_members_match_their_single_solves(self, make_stack):
         stack = make_stack()
         batched = eigen_hermitian(stack)
-        _, _, histories = _jacobi(stack)
-        total = 0
-        for m, vals, history in zip(stack, batched.eigenvalues, histories):
+        for i, (m, vals) in enumerate(zip(stack, batched.eigenvalues)):
             single = eigen_hermitian(m)
             scale = max(np.linalg.norm(m), 1.0)
             assert np.max(np.abs(vals - single.eigenvalues)) <= 1e-13 * scale
-            assert len(history) - 1 == single.sweeps
-            total += single.sweeps
-        assert batched.sweeps == total
+            # Member i's share of the stack's sweeps is what it takes alone.
+            if len(stack) > 1:
+                rest = eigen_hermitian(np.delete(stack, i, axis=0))
+                assert batched.sweeps - rest.sweeps == single.sweeps
 
     @pytest.mark.parametrize("make_stack", STACKS)
     def test_eigenvalues_agree_with_lapack(self, make_stack):
@@ -151,9 +153,12 @@ class TestBatchedEigen:
     def test_edge_cases_converge_at_their_own_depths(self):
         stack = edge_case_stack()
         batched = eigen_hermitian(stack)
-        sweeps = [len(h) - 1 for h in _jacobi(stack)[2]]
-        assert sweeps[0] == 0 and sweeps[2] == 0
+        sweeps = [eigen_hermitian(m).sweeps for m in stack]
+        # The zero and diagonal members need no sweep, nor does the exact
+        # rank-1 projector once deflated.
+        assert sweeps[0] == 0 and sweeps[2] == 0 and sweeps[5] == 0
         assert len(set(sweeps)) > 2
+        assert batched.sweeps == sum(sweeps)
         assert np.array_equal(batched.eigenvectors[0], np.eye(4))
         assert np.array_equal(batched.eigenvalues[2], [4.0, 0.25, 0.0, -1.0])
 
@@ -229,6 +234,8 @@ class TestBatchedEigen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             decomp = eigen_hermitian(stack)
+            singles = [eigen_hermitian(m) for m in stack]
+        assert decomp.sweeps == sum(single.sweeps for single in singles)
         vecs = decomp.eigenvectors
         assert np.max(np.abs(decomp.reconstruct() - stack)) < 1e-10
         traces = np.einsum("nii->n", stack).real
@@ -236,6 +243,116 @@ class TestBatchedEigen:
         gram = vecs.conj().swapaxes(1, 2) @ vecs
         assert np.max(np.abs(gram - np.eye(d))) < 1e-10
         assert np.all(np.diff(decomp.eigenvalues, axis=1) <= 0)
+
+
+def undeflated(stack):
+    """eigen_hermitian's sorted result, with every member swept as it stands."""
+    vals, vecs, history = _jacobi(_symmetrized(stack))
+    order = np.argsort(-vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    return vals, vecs, [len(h) - 1 for h in history]
+
+
+def in_gate(stack):
+    """Members that would sweep and whose one-column certificate meets the stopping rule."""
+    sym = _symmetrized(stack)
+    threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))
+    _, r = _rank_one_certificate(sym)
+    return (r <= threshold) & (_off_mass(sym) > threshold)
+
+
+MEMBER_KINDS = ["closed_form", "rank_one", "diagonal", "hermitian"]
+
+
+@st.composite
+def mixed_stacks(draw):
+    """Closed-form projectors, noisy rank-1 projectors, diagonal and random Hermitian members."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    kinds = draw(st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    closed = build_family(d).projectors.reshape(-1, d, d)
+    members = []
+    for kind in kinds:
+        if kind == "closed_form":
+            members.append(closed[rng.integers(len(closed))])
+        elif kind == "rank_one":
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            noise = random_hermitian(rng, d)
+            # Frobenius-size noise on both sides of the 1e-13 stopping rule.
+            size = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-12]))
+            noise *= size / np.linalg.norm(noise)
+            members.append(projector_from_state(z / np.linalg.norm(z)) + noise)
+        elif kind == "diagonal":
+            members.append(np.diag(rng.standard_normal(d)).astype(complex))
+        else:
+            members.append(random_hermitian(rng, d))
+    return np.array(members)
+
+
+class TestDeflation:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_stacks())
+    def test_agrees_with_the_undeflated_solve(self, stack):
+        decomp = eigen_hermitian(stack)
+        vals, vecs, sweeps = undeflated(stack)
+        gate = in_gate(stack)
+        scale = np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(decomp.eigenvalues - vals) <= _CONVERGED * scale[:, None])
+        for i in np.flatnonzero(gate):
+            gap = vals[i, 0] - vals[i, 1]
+            if gap > 1e-3 * scale[i]:
+                x, y = decomp.eigenvectors[i, :, 0], vecs[i, :, 0]
+                overlap = np.vdot(y, x)
+                assert np.linalg.norm(x - overlap / abs(overlap) * y) <= 1e-12 * scale[i] / gap
+        outside = ~gate
+        assert np.array_equal(decomp.eigenvalues[outside], vals[outside])
+        assert np.array_equal(decomp.eigenvectors[outside], vecs[outside])
+        assert decomp.sweeps - sum(np.array(sweeps)[outside]) == sum(
+            eigen_hermitian(m).sweeps for m in stack[gate]
+        )
+
+    def test_closed_form_solves_in_zero_sweeps(self):
+        family = build_family(13)
+        assert family.spectrum.sweeps == 0
+        reference = np.linalg.eigvalsh(family.projectors.reshape(-1, 13, 13))[:, ::-1]
+        assert np.max(np.abs(family.spectrum.eigenvalues - reference)) < 1e-14
+
+    def test_noisy_stack_keeps_its_undeflated_solve(self):
+        stack = build_family(13).projectors.reshape(-1, 13, 13)
+        noise = random_stack(np.random.default_rng(13), len(stack), 13)
+        noisy = stack + 1e-12 * noise / np.linalg.norm(noise, axis=(1, 2))[:, None, None]
+        assert not in_gate(noisy).any()
+        decomp = eigen_hermitian(noisy)
+        vals, vecs, sweeps = undeflated(noisy)
+        assert decomp.sweeps == sum(sweeps) > 0
+        assert np.array_equal(decomp.eigenvalues, vals)
+        assert np.array_equal(decomp.eigenvectors, vecs)
+
+    def test_extreme_scales_raise_no_warning(self):
+        # Rank-1 members with parts from subnormal up to 1e150, all deflated.
+        states = [
+            [5e-324, 1.0, 1e-160, 0.5],
+            [1e-310, 1.0, 1.0, 1e-200j],
+            [1e-154, 1e-154j, 0.0, 0.0],
+        ]
+        stack = np.array(
+            [
+                size * projector_from_state(np.array(z) / np.linalg.norm(z))
+                for z in states
+                for size in (1e-150, 1.0, 1e150)
+            ]
+        )
+        assert in_gate(stack).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decomp = eigen_hermitian(stack, hermiticity_tol=np.inf)
+        assert decomp.sweeps == 0
+        scale = np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+        assert np.max(np.abs(decomp.reconstruct() - stack) / scale) < 1e-15
+        expected = np.zeros(4)
+        expected[0] = 1.0
+        assert np.max(np.abs(decomp.eigenvalues / scale[:, :, 0] - expected)) < 1e-15
 
 
 class TestStateFromProjector:
