@@ -186,17 +186,23 @@ def _jacobi(matrices: np.ndarray):
     return vals, v, history
 
 
-def _householder(v: np.ndarray) -> np.ndarray:
-    """Householder reflectors H, one per nonzero row of an (N, d) stack v.
+def _householder(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Householder reflectors H taking the power step M v of each member to e_1.
 
-    Each H = I - 2 w w^dagger / (w^dagger w) with w = u + e^{i theta} ||u|| e_1
-    for u = v / max|v_p| and theta the angle of u_0, so H v is a multiple of
-    e_1 and H is Hermitian and unitary.  Scaling by the largest part keeps
-    ||u|| in [1, sqrt(d)] for parts from subnormal up to 1e150, and the sign
-    choice keeps w^dagger w at least 2.
+    ``m`` is an (N, d, d) Hermitian stack and ``v`` its certificate columns.
+    One power step M v turns the certificate's O(r) angle to the top
+    eigenvector into O(r^2), so the first row of H M H is negligible and
+    its top eigenvector is H e_1 to roundoff.  Each
+    H = I - 2 w w^dagger / (w^dagger w) with w = u + e^{i theta} ||u|| e_1,
+    for u the power step scaled by its largest part and theta the angle of
+    u_0; H is Hermitian and unitary.  Scaling by the largest part, before
+    and after the step, keeps ||u|| in [1, sqrt(d)] for parts from
+    subnormal up to 1e150, and the sign choice keeps w^dagger w at least 2.
     """
     d = v.shape[1]
     u = v / np.max(np.abs(v), axis=1, keepdims=True)
+    u = np.einsum("nij,nj->ni", m, u)
+    u /= np.max(np.abs(u), axis=1, keepdims=True)
     w = u.copy()
     w[:, 0] += np.exp(1j * np.angle(u[:, 0])) * np.linalg.norm(u, axis=1)
     mass = np.einsum("ni,ni->n", w.conj(), w).real
@@ -266,7 +272,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))
     deflate = np.flatnonzero((r <= threshold) & (_off_mass(sym) > threshold))
     if deflate.size:
-        reflectors = _householder(v[deflate])
+        reflectors = _householder(sym[deflate], v[deflate])
         sym[deflate] = _symmetrized(reflectors @ sym[deflate] @ reflectors)
     vals, vecs, history = _jacobi(sym)
     if deflate.size:
