@@ -22,8 +22,9 @@ solved at most once and cached on :attr:`MubFamily.spectrum`, which the
 verifier always reads.  A member that would sweep but whose one-column
 certificate already meets the stopping rule, r <= 1e-13 ||M||_F, is deflated
 first (Householder deflation; Golub & Van Loan, *Matrix Computations*,
-ch. 8): with H the reflector taking v to a multiple of e_1, the sweeps run on
-H M H, which is diagonal up to r, and the eigenvectors are H V.  A
+ch. 8): with H the reflector taking the power step M v to a multiple of
+e_1, the sweeps run on H M H, which is diagonal up to r, and the
+eigenvectors are H V.  A
 closed-form family's stack thus solves in zero sweeps, and every other
 member is swept exactly as it stands.  The recovered states have their
 global phase fixed by :func:`canonical_phase`.
@@ -187,7 +188,7 @@ def _jacobi(matrices: np.ndarray):
 
 
 def _householder(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Householder reflectors H taking the power step M v of each member to e_1.
+    """Householder reflectors H taking the power step M v of each member onto e_1.
 
     ``m`` is an (N, d, d) Hermitian stack and ``v`` its certificate columns.
     One power step M v turns the certificate's O(r) angle to the top
