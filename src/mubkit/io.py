@@ -8,10 +8,13 @@ load reproduces each float bit for bit.  A save hands the writer the
 family's arrays as float [re, im] views, never as nested lists; they are
 spelled from a table of their distinct floats (26 among the 61 516 of a
 closed-form family at d = 13).  The loader parses a document whose
-numbers repeat through a bounded table of literals.  It validates all it
-reads at a fixed tolerance and names the offending (basis, vector, entry)
-when a matrix fails; a document is never trusted because this package
-wrote it.
+numbers repeat through a bounded table of literals.  It checks the types
+and shapes of all of a document's matrices level by level, flattened, and
+converts their numbers with one ``np.array`` call; it reads matrix by
+matrix only when that check misses, to name the bad entry.  It validates
+all it reads at a fixed tolerance and names the offending (basis, vector,
+entry) when a matrix fails; a document is never trusted because this
+package wrote it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ LOAD_TOLERANCE = 1e-9
 # Distinct float literals a load remembers.  A closed-form document spells
 # a few dozen values tens of thousands of times; the bound caps what a
 # document of distinct literals costs.  A load uses the table only when at
-# most an eighth of the float literals differ, both in its first and in its
+# most a quarter of the float literals differ, both in its first and in its
 # last _HEAD characters: a document can repeat its first basis and spell
 # every later number once.
 _FLOAT_LITERALS = 1024
@@ -71,23 +74,31 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_plain_matrix(raw: list, d: int) -> bool:
-    """True when ``raw`` holds d rows of d [re, im] pairs of plain numbers.
+def _plain_numbers(matrices: list, d: int) -> Optional[np.ndarray]:
+    """Every number of ``matrices``, in order, as one float array; None unless all are plain.
 
-    Exact-type checks through ``set(map(...))`` run at C speed, so a
-    well-formed matrix costs no per-entry Python call.  False means only
-    that the per-entry checks must look, not that the matrix is invalid:
-    numeric subclasses such as ``np.float64`` fail this test but are
-    accepted there.  ``bool`` is its own type, so true/false never pass.
+    Plain means each matrix is a list of d rows of d [re, im] lists of
+    ``int`` and ``float`` values whose parts are finite and at most 1e150.
+    Each level is flattened with ``chain.from_iterable`` and checked by
+    exact type and length through ``set(map(...))``, at C speed, so a
+    well-formed document costs no Python call per matrix or entry.  None
+    means only that the per-matrix checks must look, not that a matrix is
+    invalid: numeric subclasses such as ``np.float64`` miss here but are
+    accepted there, and only there is a bad entry named.  ``bool`` is its
+    own type, so true/false never pass.
     """
-    if set(map(type, raw)) != {list} or set(map(len, raw)) != {d}:
-        return False
-    entries = list(chain.from_iterable(raw))
-    return (
-        set(map(type, entries)) == {list}
-        and set(map(len, entries)) == {2}
-        and set(map(type, chain.from_iterable(entries))) <= {int, float}
-    )
+    level = matrices
+    for length in (d, d, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        numbers = np.array(level, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return numbers if np.all(np.abs(numbers) <= _MAX_ENTRY) else None  # False for NaN too
 
 
 def _indexed(array: np.ndarray, items: str, key: str) -> list:
@@ -212,17 +223,12 @@ class FamilyDocument:
             raw = raw.tolist()
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
-        if not _is_plain_matrix(raw, d):
-            for p, row in enumerate(raw):
-                if not isinstance(row, list) or len(row) != d:
-                    raise ValueError(f"{where}: row {p} must have {d} entries")
-                for q, pair in enumerate(row):
-                    if (
-                        not isinstance(pair, list)
-                        or len(pair) != 2
-                        or not all(map(_is_number, pair))
-                    ):
-                        raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
+        for p, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != d:
+                raise ValueError(f"{where}: row {p} must have {d} entries")
+            for q, pair in enumerate(row):
+                if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+                    raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
         try:
             pairs = np.array(raw, dtype=float)
         except OverflowError:  # an integer literal beyond the float range
@@ -235,12 +241,30 @@ class FamilyDocument:
             )
         return pairs.view(complex).reshape(d, d)
 
+    def _stacked(self, matrices: list, labels: list) -> np.ndarray:
+        """The raw matrices as one (N, d, d) complex array, in their order.
+
+        All at once when every number is plain; otherwise each matrix in
+        turn, so the first bad one is named with its first bad entry.
+        """
+        d = self.dimension
+        numbers = _plain_numbers(matrices, d)
+        if numbers is None:
+            parsed = [self._parse_matrix(raw, where) for raw, where in zip(matrices, labels)]
+            return np.array(parsed, dtype=complex).reshape(-1, d, d)
+        return numbers.view(complex).reshape(-1, d, d)
+
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
         Checks structure first (index completeness, projector counts, matrix
         shapes and entries), so nothing larger than the document itself is
-        allocated for a document that declares a huge dimension.  Then the
+        allocated for a document that declares a huge dimension.  The
+        matrices are checked and converted together, every level of their
+        nesting at once; only a document with a bad or non-plain number (a
+        numeric subclass such as ``np.float64``) is read matrix by matrix,
+        which names the first bad entry.  A structural error is reported
+        after any bad matrix before it in the document.  Then the
         projector invariants of the family at ``tolerance``: Hermitian
         symmetry (worst entry named), unit trace, and no eigenvalue below
         ``-tolerance``.  The first failing matrix, by basis index and then
@@ -266,24 +290,33 @@ class FamilyDocument:
         if not 1 <= n <= d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        labels, rows, parsed = [], [], {}
-        for a in range(n):
-            projectors = indexed[a].get("projectors")
-            if not isinstance(projectors, list) or len(projectors) != d:
-                raise ValueError(f"basis {a}: expected {d} projectors")
-            seen = set()
-            for entry in projectors:
-                if not isinstance(entry, dict) or "alpha" not in entry:
-                    raise ValueError(f"basis {a}: each projector needs an 'alpha'")
-                alpha = entry["alpha"]
-                if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
-                    raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
-                seen.add(alpha)
-                labels.append(f"basis {a}, vector {alpha}")
-                rows.append(a * d + alpha)
-                parsed[rows[-1]] = self._parse_matrix(entry.get("matrix"), labels[-1])
+        labels, rows, matrices = [], [], []
+        try:
+            for a in range(n):
+                projectors = indexed[a].get("projectors")
+                if not isinstance(projectors, list) or len(projectors) != d:
+                    raise ValueError(f"basis {a}: expected {d} projectors")
+                seen = set()
+                for entry in projectors:
+                    if not isinstance(entry, dict) or "alpha" not in entry:
+                        raise ValueError(f"basis {a}: each projector needs an 'alpha'")
+                    alpha = entry["alpha"]
+                    if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
+                        raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
+                    seen.add(alpha)
+                    labels.append(f"basis {a}, vector {alpha}")
+                    rows.append(a * d + alpha)
+                    matrices.append(entry.get("matrix"))
+        except ValueError:
+            # The document is checked in order: a bad matrix before the
+            # structural error is named instead.
+            self._stacked(matrices, labels)
+            raise
 
-        family = MubFamily(np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d))
+        stacked = self._stacked(matrices, labels)
+        stack = np.empty_like(stacked)
+        stack[rows] = stacked  # label order
+        family = MubFamily(stack.reshape(n, d, d, d))
         hermiticity, worst_entry, trace = _projector_invariants(family)
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
@@ -464,7 +497,7 @@ class _FloatLiterals(dict):
 def _parse_float(text: str):
     """``parse_float`` for a document: a literal table if its head and tail floats repeat."""
     samples = _FLOAT.findall(text, 0, _HEAD), _FLOAT.findall(text, max(len(text) - _HEAD, 0))
-    if all(8 * len(set(sample)) <= len(sample) for sample in samples):
+    if all(4 * len(set(sample)) <= len(sample) for sample in samples):
         return _FloatLiterals().__getitem__
     return float
 

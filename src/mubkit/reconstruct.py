@@ -220,6 +220,22 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def _normalized(sym: np.ndarray):
+    """Each member of an (N, d, d) stack times an even power of two, and its exponent.
+
+    The power brings the member's largest real or imaginary part into
+    [0.5, 2), so the squares in its norms neither underflow nor overflow:
+    unscaled, a member whose entries are all below about 1e-154 has zero
+    off-diagonal mass and zero norm, and would never be swept.  Scaling by
+    a power of two is exact, and an even one also scales the certificate's
+    square root exactly, so a solve at ordinary scale keeps every bit.
+    A member already in that range, or zero, is unchanged.
+    """
+    _, exponent = np.frexp(np.max(np.abs(sym.view(float)), axis=(1, 2)))
+    shift = -2 * (exponent // 2)
+    return np.ldexp(sym.view(float), shift[:, None, None]).view(complex), shift
+
+
 def _checked_stack(matrix):
     """``matrix`` as an (N, d, d) complex stack, and whether it was one matrix.
 
@@ -253,7 +269,9 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     result carries the same leading axis.  Rejects non-finite entries and
     matrices whose Hermitian defect max|M - M^dagger| exceeds
     ``hermiticity_tol``; the iteration itself then works on the symmetrized
-    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data.
+    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
+    scaled by an even power of two that brings its largest part near 1, so
+    that entries as small as subnormals are swept like any others.
     A member that would sweep and whose one-column certificate meets the
     stopping rule is swept after Householder deflation; all others are
     swept as they stand.
@@ -268,7 +286,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
             f"{label} is not Hermitian: max deviation {defects[i]:.3e} "
             f"exceeds {hermiticity_tol:.1e}"
         )
-    sym = _symmetrized(stack)
+    sym, shift = _normalized(_symmetrized(stack))
     v, r = _rank_one_certificate(sym)
     threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))
     deflate = np.flatnonzero((r <= threshold) & (_off_mass(sym) > threshold))
@@ -287,10 +305,11 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
         label = "" if single else f" (matrix {i})"
         raise RuntimeError(
             f"eigensolver did not converge within {_MAX_SWEEPS} sweeps{label}: "
-            f"off-diagonal mass {final[i]:.3e} against scale {scale[i]:.3e}"
+            f"off-diagonal mass {np.ldexp(final[i], -shift[i]):.3e} "
+            f"against scale {np.ldexp(scale[i], -shift[i]):.3e}"
         )
     order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
+    vals = np.take_along_axis(np.ldexp(vals, -shift[:, None]), order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     sweeps = sum(len(h) - 1 for h in history)
     # Both arrays were built here and are referenced nowhere else.

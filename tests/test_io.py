@@ -159,25 +159,32 @@ class TestFloatLiteralCache:
         )
 
     def test_table_only_for_documents_whose_numbers_repeat(self, tmp_path):
-        family = build_family(13)
-        noise = np.random.default_rng(13).standard_normal(family.projectors.shape)
-        noisy = family.projectors + 1e-12 * (noise + noise.swapaxes(-1, -2))
-        # Closed-form basis 0 at the head, distinct numbers everywhere after it.
-        mixed = np.concatenate([family.projectors[:1], noisy[1:]])
         path = str(tmp_path / "family.json")
-        polished = polish(family, SearchConfig(dim=13, num_bases=14)).best_family
-        documents = [
-            (family, {}, True),
-            (family, {"states": reconstruct_all(family)}, True),
-            (polished, {}, True),
-            (MubFamily(noisy), {}, False),
-            (MubFamily(mixed), {}, False),
-        ]
-        for fam, extra, tabled in documents:
-            save_family(fam, path, **extra)
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            assert (mubkit.io._parse_float(text) is float) != tabled
+        for d in (5, 7, 13):
+            family = build_family(d)
+            rng = np.random.default_rng(d)
+            real = rng.standard_normal(family.projectors.shape)
+            noise = real + 1j * rng.standard_normal(family.projectors.shape)
+            real_noisy = family.projectors + 1e-12 * (real + real.swapaxes(-1, -2))
+            noisy = family.projectors + 1e-12 * (noise + noise.conj().swapaxes(-1, -2))
+            # Closed-form basis 0 at the head, distinct numbers everywhere after it.
+            mixed = np.concatenate([family.projectors[:1], noisy[1:]])
+            polished = polish(family, SearchConfig(dim=d, num_bases=d + 1)).best_family
+            documents = [
+                (family, {}, True),
+                # A distinct share of 0.16-0.17 in the tail at d = 5 and 7.
+                (family, {"states": reconstruct_all(family)}, True),
+                # A head share of 0.31-0.33 at d = 5 and 7, 0.05 at d = 13.
+                (polished, {}, d == 13),
+                (MubFamily(real_noisy), {}, False),
+                (MubFamily(noisy), {}, False),
+                (MubFamily(mixed), {}, False),
+            ]
+            for fam, extra, tabled in documents:
+                save_family(fam, path, **extra)
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+                assert (mubkit.io._parse_float(text) is float) != tabled
 
     def test_table_is_bounded(self):
         table = _FloatLiterals()
@@ -685,6 +692,149 @@ class TestRejection:
         family = build_family(2)
         with pytest.raises(OSError, match="could not write"):
             save_family(family, str(tmp_path / "no" / "such" / "dir.json"))
+
+
+def per_matrix_projectors(doc):
+    """The label-ordered projector stack as a matrix-by-matrix loader reads it, or its error.
+
+    A copy of the loader's structure checks with the per-matrix parse it
+    used before it checked all matrices at once: the reference for which
+    error wins and for every bit of what loads.
+    """
+    d = doc.dimension
+
+    def is_index(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def parse(raw, where):
+        if not isinstance(raw, list) or len(raw) != d:
+            raise ValueError(f"{where}: matrix must have {d} rows")
+        for p, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != d:
+                raise ValueError(f"{where}: row {p} must have {d} entries")
+            for q, pair in enumerate(row):
+                if not isinstance(pair, list) or len(pair) != 2 or not all(map(is_number, pair)):
+                    raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
+        try:
+            pairs = np.array(raw, dtype=float)
+        except OverflowError:
+            pairs = None
+        if pairs is None or not np.all(np.abs(pairs) <= 1e150):
+            raise ValueError(f"{where}: matrix entries must be finite, with parts up to 1e+150")
+        return pairs.view(complex).reshape(d, d)
+
+    indexed = {}
+    for item in doc.bases:
+        if not isinstance(item, dict) or "basis_index" not in item:
+            raise ValueError("each basis must be an object with a 'basis_index'")
+        a = item["basis_index"]
+        if not is_index(a) or a in indexed:
+            raise ValueError(f"basis_index {a!r} is invalid or duplicated")
+        indexed[a] = item
+    n = len(indexed)
+    if sorted(indexed) != list(range(n)):
+        raise ValueError(f"basis_index values must cover 0..{n - 1}, got {sorted(indexed)}")
+    if not 1 <= n <= d + 1:
+        raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
+    parsed = {}
+    for a in range(n):
+        projectors = indexed[a].get("projectors")
+        if not isinstance(projectors, list) or len(projectors) != d:
+            raise ValueError(f"basis {a}: expected {d} projectors")
+        seen = set()
+        for entry in projectors:
+            if not isinstance(entry, dict) or "alpha" not in entry:
+                raise ValueError(f"basis {a}: each projector needs an 'alpha'")
+            alpha = entry["alpha"]
+            if not is_index(alpha) or not 0 <= alpha < d or alpha in seen:
+                raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
+            seen.add(alpha)
+            parsed[a * d + alpha] = parse(entry.get("matrix"), f"basis {a}, vector {alpha}")
+    return np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d)
+
+
+# One entry of a matrix, replaced: the value to put at (row, column, part),
+# or a function of the row, the pair or the number found there.
+NUMBER_MUTATIONS = [True, False, "0.5", None, 10**400, 1e151, math.nan, -math.inf]
+PAIR_MUTATIONS = {
+    "triple": lambda pair: pair + [0.0],
+    "nested": lambda pair: [pair],
+    "numpy float": lambda pair: [np.float64(pair[0]), pair[1]],
+}
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A closed-form or noisy family payload, d <= 7, with at most one bad entry
+    and, at times, a duplicated alpha in some basis."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, d + 1))
+    projectors = build_family(d).projectors[:n]
+    size = draw(st.sampled_from([0.0, 1e-13, 1e-11]))
+    if size:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = rng.standard_normal(projectors.shape) + 1j * rng.standard_normal(projectors.shape)
+        projectors = projectors + size * (noise + noise.conj().swapaxes(-1, -2))
+    payload = FamilyDocument.from_family(MubFamily(projectors)).to_payload()
+    if draw(st.booleans()):
+        a, alpha, p, q = (draw(st.integers(0, k - 1)) for k in (n, d, d, d))
+        row = payload["bases"][a]["projectors"][alpha]["matrix"][p]
+        kind = draw(st.sampled_from(["number", "pair", "ragged"]))
+        if kind == "number":
+            row[q][draw(st.integers(0, 1))] = draw(st.sampled_from(NUMBER_MUTATIONS))
+        elif kind == "pair":
+            row[q] = PAIR_MUTATIONS[draw(st.sampled_from(sorted(PAIR_MUTATIONS)))](row[q])
+        else:
+            del row[q]
+    if draw(st.booleans()):
+        b, alpha = draw(st.integers(0, n - 1)), draw(st.integers(1, d - 1))
+        entries = payload["bases"][b]["projectors"]
+        entries[alpha]["alpha"] = entries[alpha - 1]["alpha"]
+    return payload
+
+
+def counting_parses():
+    """A spy on the per-matrix parse that still parses."""
+    return mock.patch.object(
+        FamilyDocument, "_parse_matrix", autospec=True, side_effect=FamilyDocument._parse_matrix
+    )
+
+
+class TestBatchedParse:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_payloads())
+    def test_matches_the_per_matrix_loader(self, payload):
+        doc = FamilyDocument.from_payload(payload)
+        try:
+            expected = per_matrix_projectors(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                doc.to_family()
+            assert str(caught.value) == str(exc)
+        else:
+            assert doc.to_family().projectors.tobytes() == expected.tobytes()
+
+    def test_well_formed_document_parses_no_matrix_alone(self, tmp_path):
+        family = build_family(13)
+        path = str(tmp_path / "family.json")
+        save_family(family, path)
+        with counting_parses() as spy:
+            loaded = load_family(path)
+        assert spy.call_count == 0
+        assert loaded.projectors.tobytes() == family.projectors.tobytes()
+
+    def test_numpy_float_entry_loads_matrix_by_matrix(self):
+        family = build_family(13)
+        payload = FamilyDocument.from_family(family).to_payload()
+        pair = payload["bases"][3]["projectors"][5]["matrix"][2][1]
+        pair[0] = np.float64(pair[0])
+        with counting_parses() as spy:
+            loaded = FamilyDocument.from_payload(payload).to_family()
+        assert spy.call_count == 14 * 13
+        assert loaded.projectors.tobytes() == family.projectors.tobytes()
 
 
 class TestLoadTolerance:

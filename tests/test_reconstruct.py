@@ -16,6 +16,7 @@ from mubkit.reconstruct import (
     EigenDecomposition,
     _CONVERGED,
     _jacobi,
+    _normalized,
     _off_mass,
     _rank_one_certificate,
     _symmetrized,
@@ -357,6 +358,57 @@ class TestDeflation:
         expected = np.zeros(4)
         expected[0] = 1.0
         assert np.max(np.abs(decomp.eigenvalues / scale[:, :, 0] - expected)) < 1e-15
+
+
+class TestScaling:
+    @pytest.mark.parametrize("size", [1e-310, 2e-308, 1e-200])
+    def test_tiny_projector_is_solved(self, size):
+        # Unscaled, the squares in the norms underflow to 0 below about
+        # 1e-154, so the diagonal came back as the spectrum.
+        projector = build_family(5).projectors[1, 2]
+        top = np.linalg.eigh(projector)[1][:, -1]
+        m = size * projector
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decomp = eigen_hermitian(m)
+        vals = decomp.eigenvalues
+        assert abs(vals[0] - size) <= 1e-12 * size
+        assert np.max(np.abs(vals[1:])) <= 1e-12 * size
+        assert 1.0 - abs(np.vdot(top, decomp.eigenvectors[:, 0])) <= 1e-12
+        assert np.max(np.abs(decomp.reconstruct() - m)) <= 1e-12 * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_stacks(), st.integers(-300, 245))
+    def test_power_of_four_scales_only_the_eigenvalues(self, stack, k):
+        # Parts stay within 1e150 and above the subnormals.  A power of
+        # four, like the solver's own scaling: an odd power of two would
+        # round the certificate's square root, and with it a deflated
+        # member's eigenvectors, differently.
+        decomp = eigen_hermitian(stack, hermiticity_tol=np.inf)
+        scaled = np.ldexp(stack.view(float), 2 * k).view(complex)
+        assert np.array_equal(np.ldexp(scaled.view(float), -2 * k).view(complex), stack)
+        solved = eigen_hermitian(scaled, hermiticity_tol=np.inf)
+        assert np.array_equal(solved.eigenvalues, np.ldexp(decomp.eigenvalues, 2 * k))
+        assert np.array_equal(solved.eigenvectors, decomp.eigenvectors)
+        assert solved.sweeps == decomp.sweeps
+
+    @pytest.mark.parametrize("size", [0.0, 1e-12, 1e-10])
+    def test_ordinary_solves_keep_every_bit(self, size):
+        stack = build_family(13).projectors.reshape(-1, 13, 13)
+        noise = random_stack(np.random.default_rng(13), len(stack), 13)
+        stack = stack + size * noise / np.linalg.norm(noise, axis=(1, 2))[:, None, None]
+        # Members with parts of 1/13 are scaled by 16; the computational
+        # basis, with parts of 1, is not.
+        _, shift = _normalized(_symmetrized(stack))
+        assert np.count_nonzero(shift == 4) == len(stack) - 13 == np.count_nonzero(shift)
+        decomp = eigen_hermitian(stack)
+        with mock.patch(
+            "mubkit.reconstruct._normalized", lambda sym: (sym, np.zeros(len(sym), dtype=int))
+        ):
+            unscaled = eigen_hermitian(stack)
+        assert decomp.sweeps == unscaled.sweeps
+        assert decomp.eigenvalues.tobytes() == unscaled.eigenvalues.tobytes()
+        assert decomp.eigenvectors.tobytes() == unscaled.eigenvectors.tobytes()
 
 
 class TestStateFromProjector:
