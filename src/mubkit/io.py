@@ -219,8 +219,6 @@ class FamilyDocument:
 
     def _parse_matrix(self, raw, where: str) -> np.ndarray:
         d = self.dimension
-        if isinstance(raw, np.ndarray):  # a document built by from_family
-            raw = raw.tolist()
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
         for p, row in enumerate(raw):
@@ -248,6 +246,8 @@ class FamilyDocument:
         turn, so the first bad one is named with its first bad entry.
         """
         d = self.dimension
+        # A document built by from_family holds arrays: read as their lists.
+        matrices = [raw.tolist() if isinstance(raw, np.ndarray) else raw for raw in matrices]
         numbers = _plain_numbers(matrices, d)
         if numbers is None:
             parsed = [self._parse_matrix(raw, where) for raw, where in zip(matrices, labels)]
@@ -313,10 +313,8 @@ class FamilyDocument:
             self._stacked(matrices, labels)
             raise
 
-        stacked = self._stacked(matrices, labels)
-        stack = np.empty_like(stacked)
-        stack[rows] = stacked  # label order
-        family = MubFamily(stack.reshape(n, d, d, d))
+        # In label order; no stack but the family's own outlives this line.
+        family = MubFamily(self._stacked(matrices, labels)[np.argsort(rows)].reshape(n, d, d, d))
         hermiticity, worst_entry, trace = _projector_invariants(family)
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.

@@ -364,7 +364,7 @@ class TestScaling:
     @pytest.mark.parametrize("size", [1e-310, 2e-308, 1e-200])
     def test_tiny_projector_is_solved(self, size):
         # Unscaled, the squares in the norms underflow to 0 below about
-        # 1e-154, so the diagonal came back as the spectrum.
+        # 1e-154, and the diagonal would come back as the spectrum.
         projector = build_family(5).projectors[1, 2]
         top = np.linalg.eigh(projector)[1][:, -1]
         m = size * projector
