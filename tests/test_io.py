@@ -756,8 +756,8 @@ def per_matrix_projectors(doc):
     return np.array([parsed[row] for row in range(n * d)]).reshape(n, d, d, d)
 
 
-# One entry of a matrix, replaced: the value to put at (row, column, part),
-# or a function of the row, the pair or the number found there.
+# Replacements for one number or one [re, im] pair of a matrix; all are
+# refused but the numpy float, which the per-matrix parse accepts.
 NUMBER_MUTATIONS = [True, False, "0.5", None, 10**400, 1e151, math.nan, -math.inf]
 PAIR_MUTATIONS = {
     "triple": lambda pair: pair + [0.0],
