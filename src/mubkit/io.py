@@ -6,15 +6,16 @@ compact JSON, byte for byte what ``json.dumps`` writes, with numbers in
 Python's shortest round-trippable decimal form, so a save followed by a
 load reproduces each float bit for bit.  A save hands the writer the
 family's arrays as float [re, im] views, never as nested lists; they are
-spelled from a table of their distinct floats (26 among the 61 516 of a
-closed-form family at d = 13).  The loader parses a document whose
-numbers repeat through a bounded table of literals.  It checks the types
-and shapes of all of a document's matrices level by level, flattened, and
-converts their numbers with one ``np.array`` call; it reads matrix by
-matrix only when that check misses, to name the bad entry.  It validates
-all it reads at a fixed tolerance and names the offending (basis, vector,
-entry) when a matrix fails; a document is never trusted because this
-package wrote it.
+spelled run by run, each run of up to 16 384 numbers from a table of its
+own distinct floats (at most 26 in a closed-form family at d = 13), so
+the writer's memory does not grow with the document.  The loader parses
+a document whose numbers repeat through a bounded table of literals.  It
+checks the types and shapes of all of a document's matrices level by
+level, flattened, and converts their numbers with one ``np.array`` call;
+it reads matrix by matrix only when that check misses, to name the bad
+entry.  It validates all it reads at a fixed tolerance and names the
+offending (basis, vector, entry) when a matrix fails; a document is never
+trusted because this package wrote it.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ LOAD_TOLERANCE = 1e-9
 # Distinct float literals a load remembers.  A closed-form document spells
 # a few dozen values tens of thousands of times; the bound caps what a
 # document of distinct literals costs.  A load uses the table only when at
-# most a quarter of the float literals differ, both in its first and in its
-# last _HEAD characters: a document can repeat its first basis and spell
-# every later number once.
+# most a quarter of the float literals in its first and last _HEAD
+# characters, pooled, differ: a document can repeat its first basis and
+# spell every later number once.
 _FLOAT_LITERALS = 1024
 _HEAD = 4096
 _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
@@ -367,45 +368,29 @@ def _separators(shape: tuple) -> np.ndarray:
     return seps
 
 
-class _FloatTable:
-    """``json.dumps`` texts of nonempty float arrays' nested lists, from one value table.
+def _texts(arrays: list):
+    """Yield the ``json.dumps`` text of each nonempty float array's nested list, in turn.
 
-    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart, and
-    spelled by ``json.dumps``, NaN and Infinity included.  A value that
-    occurs more than once is spelled here, once; a value that occurs once
-    is spelled with its run of up to ``_RUN`` numbers in equally shaped
-    arrays, whose texts are built together as they are read, so a document
-    of distinct values never holds all of their texts at once.
+    Equally shaped arrays are read in runs of up to ``_RUN`` numbers.  Each
+    run is spelled from its own table of distinct floats, keyed by bit
+    pattern so that -0.0 and 0.0 stay apart, with one ``json.dumps`` call
+    that spells NaN and Infinity as it would.  No more than one run's texts
+    are held at once, so the writer's memory does not grow with the document.
     """
-
-    def __init__(self, arrays: list):
-        self.arrays = arrays
-        self.bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
-        numbers = np.concatenate([np.empty(0)] + [a.ravel() for a in arrays]).view(np.uint64)
-        bits, self.index, counts = np.unique(numbers, return_inverse=True, return_counts=True)
-        del numbers
-        self.values = bits.view(float)
-        self.repeated = counts > 1
-        self.spelled = np.empty(len(bits), dtype=object)
-        self.spelled[self.repeated] = _spell(self.values[self.repeated])
-
-    def texts(self):
-        """Yield the text of each array in turn."""
-        start = 0
-        for shape, group in groupby(a.shape for a in self.arrays):
-            size, stop = math.prod(shape), start + len(list(group))
-            step = max(1, _RUN // size)
-            separators, opener, closer = _separators(shape), "[" * len(shape), "]" * len(shape)
-            for first in range(start, stop, step):
-                index = self.index[self.bounds[first] : self.bounds[min(first + step, stop)]]
-                numbers = self.spelled[index]
-                once = np.flatnonzero(~self.repeated[index])
-                numbers[once] = _spell(self.values[index[once]])
-                parts = np.empty((len(index) // size, 2 * size - 1), dtype=object)
-                parts[:, 0::2] = numbers.reshape(-1, size)
-                parts[:, 1::2] = separators
-                yield from (opener + "".join(row) + closer for row in parts.tolist())
-            start = stop
+    start = 0
+    for shape, group in groupby(a.shape for a in arrays):
+        size, stop = math.prod(shape), start + len(list(group))
+        step = max(1, _RUN // size)
+        separators, opener, closer = _separators(shape), "[" * len(shape), "]" * len(shape)
+        for first in range(start, stop, step):
+            run = np.concatenate([a.ravel() for a in arrays[first : min(first + step, stop)]])
+            bits, index = np.unique(run.view(np.uint64), return_inverse=True)
+            numbers = np.array(_spell(bits.view(float)), dtype=object)[index]
+            parts = np.empty((len(index) // size, 2 * size - 1), dtype=object)
+            parts[:, 0::2] = numbers.reshape(-1, size)
+            parts[:, 1::2] = separators
+            yield from (opener + "".join(row) + closer for row in parts.tolist())
+        start = stop
 
 
 def write_json(payload: dict, path: Optional[str]) -> None:
@@ -414,19 +399,19 @@ def write_json(payload: dict, path: Optional[str]) -> None:
     The package's only JSON encoder.  The bytes are exactly
     ``json.dumps(payload) + "\\n"``, with each float64 ``np.ndarray`` read
     as its ``tolist()``.  One ``json.dumps`` call encodes the skeleton, with
-    a placeholder string for each array; the arrays (a family document's
-    [re, im] pairs) are spelled from one table of their distinct floats.
-    Both are built before the target is opened, so a payload that cannot be
-    encoded raises json's own error and leaves an existing file untouched;
-    the arrays' texts are then built as they are written, so the whole
-    document is never held as one string.
+    a placeholder string for each array.  The skeleton is built before the
+    target is opened, so a payload that cannot be encoded raises json's own
+    error and leaves an existing file untouched.  The arrays' texts (a
+    family document's [re, im] pairs) are built while writing, each run of
+    equally shaped arrays from its own table of distinct floats, so the
+    whole document is never held as one string.
     """
     for attempt in count():
         arrays, slot = [], f"\0array {attempt}"
         pieces = json.dumps(payload, default=partial(_hold, arrays, slot)).split(json.dumps(slot))
         if len(pieces) == len(arrays) + 1:  # no string of the payload reads as the slot
             break
-    texts = _FloatTable(arrays).texts()
+    texts = _texts(arrays)
 
     def write(handle) -> None:
         for piece, text in zip(pieces, texts):
@@ -494,8 +479,9 @@ class _FloatLiterals(dict):
 
 def _parse_float(text: str):
     """``parse_float`` for a document: a literal table if its head and tail floats repeat."""
-    samples = _FLOAT.findall(text, 0, _HEAD), _FLOAT.findall(text, max(len(text) - _HEAD, 0))
-    if all(4 * len(set(sample)) <= len(sample) for sample in samples):
+    tail = max(len(text) - _HEAD, _HEAD)  # a short document's literals are sampled once
+    sample = _FLOAT.findall(text, 0, _HEAD) + _FLOAT.findall(text, tail)
+    if 4 * len(set(sample)) <= len(sample):
         return _FloatLiterals().__getitem__
     return float
 

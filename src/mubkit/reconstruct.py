@@ -237,14 +237,15 @@ def _normalized(sym: np.ndarray):
 
 
 def _checked_stack(matrix):
-    """``matrix`` as an (N, d, d) complex stack, and whether it was one matrix.
+    """``matrix`` as an (N, d, d) complex stack, whether it was one matrix, and sizes.
 
-    Refuses anything but a nonempty square matrix or stack of them, and
-    entries that are non-finite or have a part above 1e150, naming the
-    first such stack member.  Checked before any arithmetic: NaN passes
-    every "> tol" test, inf - inf in a Hermitian defect would warn before
-    anything could reject it, and squares of entries near the float limit
-    overflow the norms.
+    The sizes are each member's largest real or imaginary part.  Refuses
+    anything but a nonempty square matrix or stack of them, and entries
+    that are non-finite or have a part above 1e150, naming the first such
+    stack member.  Checked before any arithmetic: NaN passes every "> tol"
+    test, inf - inf in a Hermitian defect would warn before anything could
+    reject it, and squares of entries near the float limit overflow the
+    norms.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
@@ -253,13 +254,13 @@ def _checked_stack(matrix):
         )
     single = m.ndim == 2
     stack = m.reshape(-1, *m.shape[-2:])
-    parts = np.maximum(np.abs(stack.real), np.abs(stack.imag))
-    finite = (parts <= _MAX_ENTRY).all(axis=(1, 2))
+    largest = np.max(np.maximum(np.abs(stack.real), np.abs(stack.imag)), axis=(1, 2))
+    finite = largest <= _MAX_ENTRY  # False for NaN too
     if not finite.all():
         i = int(np.argmin(finite))
         label = "matrix" if single else f"matrix {i}"
         raise ValueError(f"{label} has non-finite entries or parts above {_MAX_ENTRY:.0e}")
-    return stack, single
+    return stack, single, largest
 
 
 def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
@@ -268,23 +269,26 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     ``matrix`` is one (d, d) matrix or an (N, d, d) stack of them; the
     result carries the same leading axis.  Rejects non-finite entries and
     matrices whose Hermitian defect max|M - M^dagger| exceeds
-    ``hermiticity_tol``; the iteration itself then works on the symmetrized
-    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
+    ``hermiticity_tol`` times the larger of 1 and the member's largest real
+    or imaginary part: an absolute gate at ordinary scale, a relative one
+    above it, so a scaled matrix's roundoff asymmetry scales with its
+    bound.  The iteration itself then works on the symmetrized matrix
+    (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
     scaled by an even power of two that brings its largest part near 1, so
     that entries as small as subnormals are swept like any others.
     A member that would sweep and whose one-column certificate meets the
     stopping rule is swept after Householder deflation; all others are
     swept as they stand.
     """
-    stack, single = _checked_stack(matrix)
+    stack, single, largest = _checked_stack(matrix)
     defects = _hermitian_defects(stack)
-    bad = np.flatnonzero(defects > hermiticity_tol)
+    bounds = hermiticity_tol * np.maximum(1.0, largest)
+    bad = np.flatnonzero(defects > bounds)
     if bad.size:
         i = int(bad[0])
         label = "matrix" if single else f"matrix {i}"
         raise ValueError(
-            f"{label} is not Hermitian: max deviation {defects[i]:.3e} "
-            f"exceeds {hermiticity_tol:.1e}"
+            f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
         )
     sym, shift = _normalized(_symmetrized(stack))
     v, r = _rank_one_certificate(sym)
@@ -417,7 +421,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(projector, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    stack, _ = _checked_stack(m[None])
+    stack = _checked_stack(m[None])[0]
     certificate = _rank_one_certificate(_symmetrized(stack))
     spectrum = partial(eigen_hermitian, stack, hermiticity_tol=np.inf)
     return _rank_one_states(stack, certificate, spectrum, tol, "")[0]

@@ -377,6 +377,23 @@ class TestScaling:
         assert 1.0 - abs(np.vdot(top, decomp.eigenvectors[:, 0])) <= 1e-12
         assert np.max(np.abs(decomp.reconstruct() - m)) <= 1e-12 * size
 
+    @pytest.mark.parametrize("size", [1e6, 1e100, 1e149, 1e-200])
+    def test_scaled_projector_passes_the_hermitian_gate(self, size):
+        # The projector's roundoff asymmetry, about 8e-17, scales with it;
+        # the gate allows 1e-10 times the largest part once that exceeds 1.
+        projector = build_family(5).projectors[1, 2]
+        vals = eigen_hermitian(size * projector).eigenvalues
+        assert abs(vals[0] - size) <= 1e-15 * size
+        assert np.max(np.abs(vals[1:])) <= 1e-16 * size
+
+    @pytest.mark.parametrize(
+        "size, message", [(1.0, "1.000e+00 exceeds 1.0e-10"), (1e100, "1.000e+100 exceeds 1.0e+90")]
+    )
+    def test_scaled_non_hermitian_is_refused(self, size, message):
+        with pytest.raises(ValueError) as caught:
+            eigen_hermitian(size * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert str(caught.value) == f"matrix is not Hermitian: max deviation {message}"
+
     @settings(max_examples=60, deadline=None)
     @given(mixed_stacks(), st.integers(-300, 245))
     def test_power_of_four_scales_only_the_eigenvalues(self, stack, k):
