@@ -377,20 +377,18 @@ def _texts(arrays: list):
     that spells NaN and Infinity as it would.  No more than one run's texts
     are held at once, so the writer's memory does not grow with the document.
     """
-    start = 0
-    for shape, group in groupby(a.shape for a in arrays):
-        size, stop = math.prod(shape), start + len(list(group))
+    for shape, group in groupby(arrays, key=np.shape):
+        group, size = list(group), math.prod(shape)
         step = max(1, _RUN // size)
         separators, opener, closer = _separators(shape), "[" * len(shape), "]" * len(shape)
-        for first in range(start, stop, step):
-            run = np.concatenate([a.ravel() for a in arrays[first : min(first + step, stop)]])
+        for first in range(0, len(group), step):
+            run = np.concatenate([a.ravel() for a in group[first : first + step]])
             bits, index = np.unique(run.view(np.uint64), return_inverse=True)
             numbers = np.array(_spell(bits.view(float)), dtype=object)[index]
             parts = np.empty((len(index) // size, 2 * size - 1), dtype=object)
             parts[:, 0::2] = numbers.reshape(-1, size)
             parts[:, 1::2] = separators
             yield from (opener + "".join(row) + closer for row in parts.tolist())
-        start = stop
 
 
 def write_json(payload: dict, path: Optional[str]) -> None:
