@@ -53,6 +53,19 @@ def _check_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {shown!r}")
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _hermitian_defects(m: np.ndarray):
+    """Each (N, d, d) member's max |M - M^dagger| and the row-major index where it first occurs."""
+    n = m.shape[0]
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(n, -1)
+    worst_entry = defect.argmax(axis=1)
+    return defect[np.arange(n), worst_entry], worst_entry
+
+
 def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:
     """Matrix unit |p><q|: all zeros except a single one at row p, column q."""
     if not (0 <= p < dim and 0 <= q < dim):
@@ -222,16 +235,31 @@ class MubFamily:
         return self.projectors.shape[0]
 
     @cached_property
+    def invariants(self):
+        """Per-projector (hermiticity, worst_entry, trace), in label order, computed once.
+
+        max |M - M^dagger|, the row-major index of its first worst entry, and
+        |Tr M - 1|, as read-only arrays; each reader applies its own tolerance.
+        """
+        n, d = self.num_bases, self.dim
+        mats = self.projectors.reshape(n * d, d, d)
+        hermiticity, worst_entry = _hermitian_defects(mats)
+        trace = np.abs(np.einsum("nii->n", mats) - 1.0)
+        for array in (hermiticity, worst_entry, trace):
+            array.setflags(write=False)
+        return hermiticity, worst_entry, trace
+
+    @cached_property
     def spectrum(self):
         """Eigendecomposition of the (n*d, d, d) projector stack, in label order.
 
         Solved once, on first use, for the symmetrized matrices with no
-        Hermitian gate; each reader judges the Hermitian defect itself.
-        The verifier always reads it.  The loader, reconstruction and the
-        search start read it only for a family whose projectors
-        :attr:`rank_one_certificate` cannot settle, so a rank-1 family
-        they read holds no eigenvector stack.  The projectors are
-        read-only, so the cached solve never goes stale.
+        Hermitian gate; each reader judges the Hermitian defect from
+        :attr:`invariants`.  The verifier always reads it.  The loader,
+        reconstruction and the search start read it only for a family
+        whose projectors :attr:`rank_one_certificate` cannot settle, so a
+        rank-1 family they read holds no eigenvector stack.  The projectors
+        are read-only, so the cached solve never goes stale.
         """
         from .reconstruct import eigen_hermitian  # reconstruct imports this module
 
@@ -252,7 +280,7 @@ class MubFamily:
         from . import reconstruct  # looked up at call time, like eigen_hermitian
 
         n, d = self.num_bases, self.dim
-        sym = reconstruct._symmetrized(self.projectors.reshape(n * d, d, d))
+        sym = _symmetrized(self.projectors.reshape(n * d, d, d))
         v, r = reconstruct._rank_one_certificate(sym)
         v.setflags(write=False)
         r.setflags(write=False)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _MAX_ENTRY, MubFamily, _check_tolerance
-from .verify import VerificationReport, _projector_invariants
+from .verify import VerificationReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -240,7 +240,10 @@ class FamilyDocument:
             )
         return pairs.view(complex).reshape(d, d)
 
-    def _stacked(self, matrices: list, labels: list) -> np.ndarray:
+    def _where(self, row: int) -> str:
+        return "basis {}, vector {}".format(*divmod(row, self.dimension))
+
+    def _stacked(self, matrices: list, rows: list) -> np.ndarray:
         """The raw matrices as one (N, d, d) complex array, in their order.
 
         All at once when every number is plain; otherwise each matrix in
@@ -251,7 +254,7 @@ class FamilyDocument:
         matrices = [raw.tolist() if isinstance(raw, np.ndarray) else raw for raw in matrices]
         numbers = _plain_numbers(matrices, d)
         if numbers is None:
-            parsed = [self._parse_matrix(raw, where) for raw, where in zip(matrices, labels)]
+            parsed = [self._parse_matrix(raw, self._where(row)) for raw, row in zip(matrices, rows)]
             return np.array(parsed, dtype=complex).reshape(-1, d, d)
         return numbers.view(complex).reshape(-1, d, d)
 
@@ -265,8 +268,8 @@ class FamilyDocument:
         nesting at once; only a document with a bad or non-plain number (a
         numeric subclass such as ``np.float64``) is read matrix by matrix,
         which names the first bad entry.  A structural error is reported
-        after any bad matrix before it in the document.  Then the
-        projector invariants of the family at ``tolerance``: Hermitian
+        after any bad matrix before it in the document.  Then the family's
+        cached :attr:`~MubFamily.invariants` at ``tolerance``: Hermitian
         symmetry (worst entry named), unit trace, and no eigenvalue below
         ``-tolerance``.  The first failing matrix, by basis index and then
         document order, is reported with its first failed check in that
@@ -291,7 +294,7 @@ class FamilyDocument:
         if not 1 <= n <= d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        labels, rows, matrices = [], [], []
+        rows, matrices = [], []
         try:
             for a in range(n):
                 projectors = indexed[a].get("projectors")
@@ -305,18 +308,17 @@ class FamilyDocument:
                     if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
                         raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
                     seen.add(alpha)
-                    labels.append(f"basis {a}, vector {alpha}")
                     rows.append(a * d + alpha)
                     matrices.append(entry.get("matrix"))
         except ValueError:
             # The document is checked in order: a bad matrix before the
             # structural error is named instead.
-            self._stacked(matrices, labels)
+            self._stacked(matrices, rows)
             raise
 
         # In label order; no stack but the family's own outlives this line.
-        family = MubFamily(self._stacked(matrices, labels)[np.argsort(rows)].reshape(n, d, d, d))
-        hermiticity, worst_entry, trace = _projector_invariants(family)
+        family = MubFamily(self._stacked(matrices, rows)[np.argsort(rows)].reshape(n, d, d, d))
+        hermiticity, worst_entry, trace = family.invariants
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
         _, r = family.rank_one_certificate
@@ -324,8 +326,8 @@ class FamilyDocument:
         # The invariants come in label order; read them in document order.
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
-            k = int(np.argmax(failing))
-            where, i = labels[k], rows[k]
+            i = rows[int(np.argmax(failing))]
+            where = self._where(i)
             if hermiticity[i] > tolerance:
                 p, q = divmod(int(worst_entry[i]), d)
                 raise ValueError(

@@ -6,10 +6,11 @@ and r = ||M - v v^dagger||_F, Weyl's inequality puts every eigenvalue of M
 within r of the spectrum (||v||^2, 0, ..., 0) of v v^dagger.  When r is
 small that settles every rank-1 check without an eigensolve, and one power
 step M v gives the state with a Davis-Kahan angle of order r^2 to the top
-eigenvector.  A family's certificate is computed once and cached on
-:attr:`MubFamily.rank_one_certificate`, which the family loader,
-:func:`reconstruct_all` and the search start read; only a stack it cannot
-settle falls back to the spectrum, so every rejection keeps its message.
+eigenvector.  A family caches its certificate on
+:attr:`MubFamily.rank_one_certificate`, beside its Hermitian defects on
+:attr:`MubFamily.invariants`; the loader, :func:`reconstruct_all` and the
+search start read both, and only a stack the certificate cannot settle
+falls back to the spectrum, so every rejection keeps its message.
 
 The eigensolver is a cyclic-by-row Jacobi iteration for complex Hermitian
 matrices, written out here rather than delegated: each sweep visits every
@@ -37,7 +38,14 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, _check_tolerance, canonical_phase
+from .algebra import (
+    _MAX_ENTRY,
+    MubFamily,
+    _check_tolerance,
+    _hermitian_defects,
+    _symmetrized,
+    canonical_phase,
+)
 
 __all__ = [
     "EigenDecomposition",
@@ -148,25 +156,21 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
 
 
 def _jacobi(matrices: np.ndarray):
-    """Diagonalize complex Hermitian matrices by cyclic Jacobi rotations.
+    """Diagonalize an (N, d, d) stack of complex Hermitian matrices by cyclic Jacobi rotations.
 
-    ``matrices`` is one (d, d) matrix or an (N, d, d) stack.  Every sweep
-    visits the pivots in cyclic-by-row order and applies each to the whole
-    stack at once; a matrix leaves the sweep loop as soon as its own
-    off-diagonal mass is within 1e-13 of its Frobenius norm.
-
-    Returns (eigenvalues, eigenvectors, off_history) where off_history[k] is
-    the off-diagonal Frobenius mass after sweep k.  For a stack the first
-    two carry the stack axis and off_history is one such list per matrix.
-    Unsorted; the caller orders the spectrum.
+    Every sweep visits the pivots in cyclic-by-row order and applies each to
+    the whole stack at once; a matrix leaves the sweep loop as soon as its
+    own off-diagonal mass is within 1e-13 of its Frobenius norm.  Returns
+    the unsorted (eigenvalues, eigenvectors) and, per matrix, the sweeps it
+    ran, its off-diagonal mass after the last of them and its Frobenius norm.
     """
-    single = matrices.ndim == 2
-    a = np.array(matrices, dtype=complex, ndmin=3)
+    a = np.array(matrices, dtype=complex)
     n, d = a.shape[0], a.shape[-1]
     v = np.broadcast_to(np.eye(d, dtype=complex), a.shape).copy()
-    threshold = _CONVERGED * np.linalg.norm(a, axis=(1, 2))
+    norms = np.linalg.norm(a, axis=(1, 2))
+    threshold = _CONVERGED * norms
     off = _off_mass(a)
-    history = [[float(x)] for x in off]
+    sweeps = np.zeros(n, dtype=int)
     pivots = [(p, q) for p in range(d - 1) for q in range(p + 1, d)]
 
     for _ in range(_MAX_SWEEPS):
@@ -178,13 +182,10 @@ def _jacobi(matrices: np.ndarray):
             _rotate(sub_a, sub_v, p, q)
         a[active], v[active] = sub_a, sub_v
         off[active] = _off_mass(sub_a)
-        for i in active:
-            history[i].append(float(off[i]))
+        sweeps[active] += 1
 
     vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    if single:
-        return vals[0], v[0], history[0]
-    return vals, v, history
+    return vals, v, sweeps, off, norms
 
 
 def _householder(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,16 +209,6 @@ def _householder(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     w[:, 0] += np.exp(1j * np.angle(u[:, 0])) * np.linalg.norm(u, axis=1)
     mass = np.einsum("ni,ni->n", w.conj(), w).real
     return np.eye(d) - (2.0 / mass)[:, None, None] * w[:, :, None] * w[:, None, :].conj()
-
-
-def _hermitian_defects(m: np.ndarray) -> np.ndarray:
-    """max |M - M^dagger| of each matrix in an (N, d, d) stack."""
-    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(1, 2))
-
-
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _normalized(sym: np.ndarray):
@@ -281,7 +272,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     swept as they stand.
     """
     stack, single, largest = _checked_stack(matrix)
-    defects = _hermitian_defects(stack)
+    defects, _ = _hermitian_defects(stack)
     bounds = hermiticity_tol * np.maximum(1.0, largest)
     bad = np.flatnonzero(defects > bounds)
     if bad.size:
@@ -297,29 +288,26 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     if deflate.size:
         reflectors = _householder(sym[deflate], v[deflate])
         sym[deflate] = _symmetrized(reflectors @ sym[deflate] @ reflectors)
-    vals, vecs, history = _jacobi(sym)
+    # The norms are of the matrices swept, deflated ones included.
+    vals, vecs, sweeps, off, norms = _jacobi(sym)
     if deflate.size:
         vecs[deflate] = reflectors @ vecs[deflate]
-    # Norms of the matrices swept, deflated ones included: their stopping scale.
-    scale = np.linalg.norm(sym, axis=(1, 2))
-    final = np.array([h[-1] for h in history])
-    stuck = np.flatnonzero(final > _CONVERGED * scale)
+    stuck = np.flatnonzero(off > _CONVERGED * norms)
     if stuck.size:
         i = int(stuck[0])
         label = "" if single else f" (matrix {i})"
         raise RuntimeError(
             f"eigensolver did not converge within {_MAX_SWEEPS} sweeps{label}: "
-            f"off-diagonal mass {np.ldexp(final[i], -shift[i]):.3e} "
-            f"against scale {np.ldexp(scale[i], -shift[i]):.3e}"
+            f"off-diagonal mass {np.ldexp(off[i], -shift[i]):.3e} "
+            f"against scale {np.ldexp(norms[i], -shift[i]):.3e}"
         )
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(np.ldexp(vals, -shift[:, None]), order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    sweeps = sum(len(h) - 1 for h in history)
-    # Both arrays were built here and are referenced nowhere else.
     if single:
-        return EigenDecomposition._adopt(vals[0], vecs[0], sweeps)
-    return EigenDecomposition._adopt(vals, vecs, sweeps)
+        vals, vecs = vals[0], vecs[0]
+    # Both arrays were built here and are referenced nowhere else.
+    return EigenDecomposition._adopt(vals, vecs, int(sweeps.sum()))
 
 
 def _rank_one_certificate(sym: np.ndarray):
@@ -351,24 +339,24 @@ def _rank_one_certificate(sym: np.ndarray):
     return v, np.where(usable, r, np.inf)
 
 
-def _rank_one_states(projectors, certificate, spectrum, tol: float, prefix: str):
+def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, prefix: str):
     """Canonical-phase unit states of an (N, d, d) stack of rank-1 projectors.
 
-    Each projector must pass, in order: Hermitian symmetry, a top
-    eigenvalue separated from the rest by at least ``tol``, vanishing
-    remaining eigenvalues, a top eigenvalue of 1.  The one-column
-    ``certificate`` (v, r) of the symmetrized stack settles the last three by
-    Weyl's bounds: remaining eigenvalues at most r, the top within
-    |(||v||^2) - 1| + r of 1, the gap at least ||v||^2 - 2r.  When it settles
-    every projector with r at most 1e-8 the state is the power step M v,
-    normalized, equal to the top eigenvector to roundoff.  Otherwise
-    ``spectrum()`` supplies the decomposition of the symmetrized stack, the
-    states are its top eigenvectors, and the first projector in stack order
-    that fails raises ``ValueError`` naming its first failed check; the
-    message starts with ``prefix`` formatted with the labels ``a``,
-    ``alpha`` of stack index a*d + alpha.
+    Each projector must pass, in order: Hermitian symmetry (its entry of
+    ``defects``, max |M - M^dagger|), a top eigenvalue separated from the
+    rest by at least ``tol``, vanishing remaining eigenvalues, a top
+    eigenvalue of 1.  The one-column ``certificate`` (v, r) of the
+    symmetrized stack settles the last three by Weyl's bounds: remaining
+    eigenvalues at most r, the top within |(||v||^2) - 1| + r of 1, the gap
+    at least ||v||^2 - 2r.  When it settles every projector with r at most
+    1e-8 the state is the power step M v, normalized, equal to the top
+    eigenvector to roundoff.  Otherwise ``spectrum()`` supplies the
+    decomposition of the symmetrized stack, the states are its top
+    eigenvectors, and the first projector in stack order that fails raises
+    ``ValueError`` naming its first failed check; the message starts with
+    ``prefix`` formatted with the labels ``a``, ``alpha`` of stack index
+    a*d + alpha.
     """
-    defects = _hermitian_defects(projectors)
     v, r = certificate
     mass = np.einsum("ni,ni->n", v.conj(), v).real
     settled = (
@@ -424,24 +412,25 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     stack = _checked_stack(m[None])[0]
     certificate = _rank_one_certificate(_symmetrized(stack))
     spectrum = partial(eigen_hermitian, stack, hermiticity_tol=np.inf)
-    return _rank_one_states(stack, certificate, spectrum, tol, "")[0]
+    defects, _ = _hermitian_defects(stack)
+    return _rank_one_states(stack, defects, certificate, spectrum, tol, "")[0]
 
 
 def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     """State vectors for every projector of a family.
 
     Returns a (num_bases, d, d) array; entry [a, alpha] is the state for
-    projector (a, alpha).  The family's cached
+    projector (a, alpha).  The Hermitian defects are the family's cached
+    :attr:`~MubFamily.invariants`; its cached
     :attr:`~MubFamily.rank_one_certificate` settles a rank-1 family without
-    an eigensolve; otherwise the states come from its cached
-    :attr:`~MubFamily.spectrum`.  A failing projector is
-    annotated with its labels so bad entries are easy to locate.
+    an eigensolve, otherwise the states come from its cached
+    :attr:`~MubFamily.spectrum`.  A failing projector is annotated with its
+    labels so bad entries are easy to locate.
     """
     _check_tolerance(tol)
     n, d = family.num_bases, family.dim
     prefix = "projector (basis {a}, vector {alpha}): "
     stack = family.projectors.reshape(n * d, d, d)
-    states = _rank_one_states(
-        stack, family.rank_one_certificate, lambda: family.spectrum, tol, prefix
-    )
+    certificate, spectrum = family.rank_one_certificate, lambda: family.spectrum
+    states = _rank_one_states(stack, family.invariants[0], certificate, spectrum, tol, prefix)
     return states.reshape(n, d, d)

@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, unbiased_gram_target
+from .algebra import _MAX_ENTRY, MubFamily, _symmetrized, unbiased_gram_target
 from .construct import MAX_FAMILY_BYTES
-from .reconstruct import _hermitian_defects, _symmetrized
 
 __all__ = [
     "SearchConfig",
@@ -141,9 +140,9 @@ class SearchState:
 
     ``factors[a, alpha]`` is the d x d factor whose derived projector is
     B^dagger B / Tr(B^dagger B).  The factors are unconstrained apart from
-    finite parts up to 1e150, which keeps every trace norm finite;
-    objective and gradient norm are computed on demand and fail only if
-    some factor is degenerate (trace norm at roundoff scale).
+    finite parts up to 1e150, which keeps every trace norm finite; the
+    objective is computed on demand and fails only if some factor is
+    degenerate (trace norm at roundoff scale).
     """
 
     factors: np.ndarray
@@ -171,10 +170,6 @@ class SearchState:
     def objective(self) -> float:
         return objective(self)
 
-    @cached_property
-    def gradient_norm(self) -> float:
-        return float(np.linalg.norm(gradient(self)))
-
     def projectors(self) -> np.ndarray:
         """Derived projectors, shaped like a family's projector array."""
         n, d = self.num_bases, self.dim
@@ -185,9 +180,10 @@ class SearchState:
     def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
 
-        Hermitian defects above 1e-10 are refused first.  When every
-        symmetrized projector M has a one-column rank-1 certificate (v, r),
-        read from :attr:`MubFamily.rank_one_certificate`, with r at most
+        Hermitian defects above 1e-10 (the family's cached invariants) are
+        refused first.  When every symmetrized projector M has a one-column
+        rank-1 certificate (v, r), read from
+        :attr:`MubFamily.rank_one_certificate`, with r at most
         1e-10 ||v||^2, its factor is M / ||v||, the exact square root of a
         rank-1 matrix at any scale; no eigenvalue is below -r, so none needs
         a solve.  Otherwise each factor is the Hermitian square root of its
@@ -198,7 +194,7 @@ class SearchState:
         """
         n, d = family.num_bases, family.dim
         mats = family.projectors.reshape(n * d, d, d)
-        hermiticity = _hermitian_defects(mats)
+        hermiticity = family.invariants[0]
         bad = np.flatnonzero(hermiticity > _HERMITIAN_TOL)
         if bad.size:
             i = int(bad[0])

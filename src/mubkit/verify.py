@@ -97,23 +97,6 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
-def _projector_invariants(family: MubFamily):
-    """Per-projector invariants of a family, in stack order a*d + alpha.
-
-    Returns (hermiticity, worst_entry, trace): the Hermitian defect
-    max |M - M^dagger|, the row-major index of the first entry attaining it,
-    and the unit-trace defect |Tr M - 1|.  The verifier takes the maximum of
-    each; the loader reports the first projector that fails.
-    """
-    n, d = family.num_bases, family.dim
-    mats = family.projectors.reshape(n * d, d, d)
-    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).reshape(n * d, d * d)
-    worst_entry = defect.argmax(axis=1)
-    hermiticity = defect[np.arange(n * d), worst_entry]
-    trace = np.abs(np.einsum("nii->n", mats) - 1.0)
-    return hermiticity, worst_entry, trace
-
-
 def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray] = None):
     """(max_self, max_cross, angle_check) of an (n*d, n*d) overlap matrix.
 
@@ -149,12 +132,13 @@ def verify_family(
     most negative projector eigenvalue, Gram deviations split into same- and
     cross-basis parts, and cross-basis angles against arccos(1/d).  Passing
     requires every residual within ``tolerance``; the sign check on
-    eigenvalues allows ``-tolerance``.  Never raises on bad numbers, only on
-    malformed shapes: a corrupted family yields a failing report.
+    eigenvalues allows ``-tolerance``.  Reads the family's cached invariants
+    and spectrum.  Never raises on bad numbers, only on malformed shapes: a
+    corrupted family yields a failing report.
     """
     _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
-    hermiticity, _, traces = _projector_invariants(family)
+    hermiticity, _, traces = family.invariants
     trace_residual = float(traces.max())
     # The exact eigenvalues, from the family's cached spectrum of the
     # symmetrized stack: a non-Hermitian matrix shows up in its defect, not

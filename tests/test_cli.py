@@ -156,21 +156,43 @@ def counting_certificates(monkeypatch):
     return shapes
 
 
+def counting_invariants(monkeypatch):
+    """Record the stack shape of every Hermitian-defect pass; returns the list."""
+    import mubkit.algebra
+
+    shapes = []
+    real = mubkit.algebra._hermitian_defects
+
+    def counting(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mubkit" and vars(module).get("_hermitian_defects") is real:
+            monkeypatch.setattr(module, "_hermitian_defects", counting)
+    return shapes
+
+
+def pipeline_argv(tmp_path, command):
+    """Arguments of one pipeline command at d = 3; all but construct read a saved family."""
+    path = tmp_path / "family.json"
+    save_family(build_family(3), str(path))
+    out = str(tmp_path / "out.json")
+    return {
+        "construct": ["construct", "--d", "3", "--out", out],
+        "verify": ["verify", str(path)],
+        "reconstruct": ["reconstruct", str(path), "--out", out],
+        "search": ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", out],
+    }[command]
+
+
 class TestEigensolves:
     # construct and verify certify with exact eigenvalues; reconstruct and
     # search --from read a rank-1 family through the one-column certificate,
     # which the loader computes once and the readers after it reuse.
     @pytest.mark.parametrize("command", ["construct", "verify", "reconstruct", "search"])
     def test_one_stack_solve_per_command(self, tmp_path, monkeypatch, command):
-        path = tmp_path / "family.json"
-        save_family(build_family(3), str(path))
-        out = str(tmp_path / "out.json")
-        argv = {
-            "construct": ["construct", "--d", "3", "--out", out],
-            "verify": ["verify", str(path)],
-            "reconstruct": ["reconstruct", str(path), "--out", out],
-            "search": ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", out],
-        }[command]
+        argv = pipeline_argv(tmp_path, command)
         solves = {"construct": 1, "verify": 1, "reconstruct": 0, "search": 0}[command]
         certificates = {"construct": 0, "verify": 1, "reconstruct": 1, "search": 1}[command]
         shapes = counting_solves(monkeypatch)
@@ -181,6 +203,17 @@ class TestEigensolves:
             [("eigen_hermitian", (12, 3, 3))] * solves
             + [("rank_one_certificate", (12, 3, 3))] * certificates
         )
+
+    # A family computes its invariants once, whoever reads them; the only
+    # other pass is the solver's own check of the stack it is handed.
+    @pytest.mark.parametrize(
+        "command,passes", [("construct", 2), ("verify", 2), ("reconstruct", 1), ("search", 1)]
+    )
+    def test_invariants_once_per_family(self, tmp_path, monkeypatch, command, passes):
+        argv = pipeline_argv(tmp_path, command)
+        shapes = counting_invariants(monkeypatch)
+        assert cli_dispatch(argv) == 0
+        assert shapes == [(12, 3, 3)] * passes
 
     def test_construct_saves_without_the_eigenvector_stack(self, tmp_path, monkeypatch):
         import mubkit.cli

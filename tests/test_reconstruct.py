@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mubkit.algebra import MubFamily, canonical_phase, projector_from_state
+import mubkit.reconstruct
+from mubkit.algebra import MubFamily, _symmetrized, canonical_phase, projector_from_state
 from mubkit.construct import build_family
 from mubkit.io import FamilyDocument
 from mubkit.reconstruct import (
     EigenDecomposition,
     _CONVERGED,
+    _MAX_SWEEPS,
     _jacobi,
     _normalized,
     _off_mass,
     _rank_one_certificate,
-    _symmetrized,
     eigen_hermitian,
     reconstruct_all,
     state_from_projector,
@@ -73,13 +74,20 @@ class TestEigenHermitian:
         assert decomp.dim == 5
         assert np.max(np.abs(decomp.reconstruct() - m)) < 1e-12
 
-    def test_off_diagonal_mass_decreases_per_sweep(self):
+    def test_off_diagonal_mass_decreases_per_sweep(self, monkeypatch):
         rng = np.random.default_rng(13)
         for d in (3, 5, 8):
             m = random_hermitian(rng, d)
-            _, _, history = _jacobi(m)
-            assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(history, history[1:]))
-            assert history[-1] < 1e-12 * np.linalg.norm(m)
+            # The mass after k sweeps is what a solve capped at k sweeps returns.
+            masses = []
+            for cap in range(_MAX_SWEEPS + 1):
+                monkeypatch.setattr(mubkit.reconstruct, "_MAX_SWEEPS", cap)
+                _, _, sweeps, off, _ = _jacobi(m[None])
+                if sweeps[0] < cap:
+                    break
+                masses.append(off[0])
+            assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(masses, masses[1:]))
+            assert masses[-1] < 1e-12 * np.linalg.norm(m)
 
     def test_property_batch(self):
         # Reconstruction, trace conservation, and orthonormality on a
@@ -248,11 +256,11 @@ class TestBatchedEigen:
 
 def undeflated(stack):
     """eigen_hermitian's sorted result, with every member swept as it stands."""
-    vals, vecs, history = _jacobi(_symmetrized(stack))
+    vals, vecs, sweeps, _, _ = _jacobi(_symmetrized(stack))
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs, [len(h) - 1 for h in history]
+    return vals, vecs, sweeps
 
 
 def in_gate(stack):
@@ -313,7 +321,7 @@ class TestDeflation:
         outside = ~gate
         assert np.array_equal(decomp.eigenvalues[outside], vals[outside])
         assert np.array_equal(decomp.eigenvectors[outside], vecs[outside])
-        assert decomp.sweeps - sum(np.array(sweeps)[outside]) == sum(
+        assert decomp.sweeps - sweeps[outside].sum() == sum(
             eigen_hermitian(m).sweeps for m in stack[gate]
         )
 
