@@ -263,8 +263,9 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     ``hermiticity_tol`` times the larger of 1 and the member's largest real
     or imaginary part: an absolute gate at ordinary scale, a relative one
     above it, so a scaled matrix's roundoff asymmetry scales with its
-    bound.  The iteration itself then works on the symmetrized matrix
-    (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
+    bound; an infinite ``hermiticity_tol`` skips the check, which could
+    refuse nothing.  The iteration itself then works on the symmetrized
+    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
     scaled by an even power of two that brings its largest part near 1, so
     that entries as small as subnormals are swept like any others.
     A member that would sweep and whose one-column certificate meets the
@@ -272,15 +273,16 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     swept as they stand.
     """
     stack, single, largest = _checked_stack(matrix)
-    defects, _ = _hermitian_defects(stack)
-    bounds = hermiticity_tol * np.maximum(1.0, largest)
-    bad = np.flatnonzero(defects > bounds)
-    if bad.size:
-        i = int(bad[0])
-        label = "matrix" if single else f"matrix {i}"
-        raise ValueError(
-            f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
-        )
+    if hermiticity_tol < np.inf:  # an infinite gate could refuse nothing
+        defects, _ = _hermitian_defects(stack)
+        bounds = hermiticity_tol * np.maximum(1.0, largest)
+        bad = np.flatnonzero(defects > bounds)
+        if bad.size:
+            i = int(bad[0])
+            label = "matrix" if single else f"matrix {i}"
+            raise ValueError(
+                f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
+            )
     sym, shift = _normalized(_symmetrized(stack))
     v, r = _rank_one_certificate(sym)
     threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))

@@ -11,7 +11,12 @@ seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
 solution, then damped Gauss-Newton steps in skew-Hermitian coordinates
 U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
 Both step kinds return to the unitary group through one QR retraction, and
-runs are deterministic for a fixed configuration.
+runs are deterministic for a fixed configuration.  Every accepted step
+lowers the objective strictly.  A restart stops at the objective target, at
+the gradient floor, after a window of stalled progress, at the iteration
+cap, or when its line search is exhausted: the trial step has halved until
+the Armijo target f + c t <gradient, direction> rounds to f itself, where
+only roundoff could pass the test.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
@@ -48,10 +53,6 @@ GRADIENT_FLOOR = 1e-12
 # Factors with Tr(B^dagger B) at roundoff scale have no meaningful derived
 # projector; dividing by such a trace is refused.
 DEGENERATE_TRACE = 1e-14
-
-# Line-search steps below this mean no acceptable descent exists at double
-# precision; the restart terminates where it stands.
-_MIN_STEP = 1e-20
 
 # Armijo backtracking: first gradient trial step, shrink factor for a
 # rejected trial, and the fraction of the predicted decrease to achieve.
@@ -424,10 +425,14 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     Armijo backtracking along either the Riemannian steepest-descent
     direction (with a Barzilai-Borwein trial step) or, once the objective
     is small, the damped Gauss-Newton direction; every trial point is
-    retracted to the unitary group.  Stops on the objective target, on
-    gradient norms at the floor, on a stalled line search or stalled
-    progress window, or at the iteration cap.  The trajectory of accepted
-    objective values is non-increasing by construction.
+    retracted to the unitary group.  Each trial first forms its Armijo
+    target; when that rounds to f (or is NaN), the line search is exhausted
+    and the descent stops without evaluating the trial.  Halving the step
+    always gets there, since f stays positive, so no step floor is needed.
+    The other stops are the objective target, gradient norms at the floor,
+    a stalled progress window and the iteration cap.  An accepted trial
+    value f_t is at most its Armijo target, which is below f, so the
+    trajectory of accepted objective values is strictly decreasing.
     """
     u = u0
     n, d = u.shape[0], u.shape[1]
@@ -461,11 +466,13 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         else:
             trial = 1.0
 
+        # Once the Armijo target rounds to f (or is NaN), only roundoff could
+        # pass the test, so the line search is exhausted.
         accepted = False
-        while trial >= _MIN_STEP:
+        while (bound := f + _SLOPE * trial * slope_term) < f:
             candidate = _retract(u + trial * direction)
             x_t, q_t, r_t, f_t = _evaluate(candidate, target)
-            if f_t <= f + _SLOPE * trial * slope_term:
+            if f_t <= bound:
                 delta_u = candidate - u
                 u, x, q, r, f = candidate, x_t, q_t, r_t, f_t
                 g_next = _tangent_gradient(u, x, q, r)

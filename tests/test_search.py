@@ -14,6 +14,8 @@ from mubkit.search import (
     _derive,
     _evaluate,
     _gauss_newton_direction,
+    _INITIAL_STEP,
+    _SLOPE,
     _gradient_array,
     _minimize,
     _objective_value,
@@ -266,6 +268,113 @@ class TestMinimizeTrajectory:
         assert trajectory[-1] == f
         assert all(later <= earlier for earlier, later in zip(trajectory, trajectory[1:]))
         assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d))) < 1e-12
+
+
+def recorded_descents(monkeypatch):
+    """Record what every ``_minimize`` call returns; returns the list."""
+    import mubkit.search
+
+    descents = []
+    real = mubkit.search._minimize
+
+    def recording(u0, target, cfg):
+        descents.append(real(u0, target, cfg))
+        return descents[-1]
+
+    monkeypatch.setattr(mubkit.search, "_minimize", recording)
+    return descents
+
+
+def counting_retractions(monkeypatch):
+    """Count the trial points ``_minimize`` retracts; returns a one-item list."""
+    import mubkit.search
+
+    count = [0]
+    real = mubkit.search._retract
+
+    def counting(y):
+        count[0] += 1
+        return real(y)
+
+    monkeypatch.setattr(mubkit.search, "_retract", counting)
+    return count
+
+
+class TestLineSearchExhaustion:
+    # Each trial's Armijo target f + c t <g, direction> is formed first; once
+    # it rounds to f the line search is exhausted, so every accepted step
+    # lowers f strictly and no trial is spent on roundoff.
+    def test_trajectory_strictly_decreasing(self):
+        cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
+        n, d = cfg.num_bases, cfg.dim
+        _, f, _, trajectory = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
+        assert len(trajectory) >= 2
+        assert trajectory[-1] == f
+        assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
+
+    def test_trajectory_strictly_decreasing_at_dimension_six(self, monkeypatch):
+        # Keys 3, 4, 5 and 7 end on an exhausted line search, 0 and 1 converge.
+        descents = recorded_descents(monkeypatch)
+        converged = [
+            run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)).converged
+            for key in (0, 1, 3, 4, 5, 7)
+        ]
+        assert converged == [True, True, False, False, False, False]
+        for _, f, _, trajectory in descents:
+            assert trajectory[-1] == f
+            assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
+
+    def test_rounded_target_retracts_no_trial(self, monkeypatch):
+        # Where key 4's restart stopped, the first gradient trial's Armijo
+        # target (step 1) already rounds to f.
+        descents = recorded_descents(monkeypatch)
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=4)
+        assert not run_search(cfg).converged
+        u = descents[0][0]
+        target = unbiased_gram_target(3, 6)
+        x, q, r, f = _evaluate(u, target)
+        g = _tangent_gradient(u, x, q, r)
+        gnorm_sq = float(np.vdot(g, g).real)
+        assert f > cfg.target_residual and np.sqrt(gnorm_sq) > 1e-12
+        assert f + _SLOPE * _INITIAL_STEP * -gnorm_sq == f
+
+        retracted = counting_retractions(monkeypatch)
+        u_end, f_end, iterations, trajectory = _minimize(u, target, cfg)
+        assert retracted == [0]
+        assert (f_end, iterations, trajectory) == (f, 1, [f])
+        assert u_end is u
+
+    def test_nan_slope_retracts_no_trial(self, monkeypatch):
+        import mubkit.search
+
+        def nan_gradient(u, x, q, r):
+            return np.full(u.shape, np.nan)
+
+        monkeypatch.setattr(mubkit.search, "_tangent_gradient", nan_gradient)
+        retracted = counting_retractions(monkeypatch)
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
+        target = unbiased_gram_target(3, 6)
+        _, f, iterations, trajectory = _minimize(haar_unitaries(2, 3, 6), target, cfg)
+        assert retracted == [0]
+        assert iterations == 1 and trajectory == [f]
+
+
+class TestDimensionSixPins:
+    # Single restarts for 3 bases in d = 6, keys 0-29: which converge, and
+    # in how many iterations.  A change to the line search or its stop
+    # rules that moves a converged trajectory moves these counts.
+    CONVERGED_ITERATIONS = {
+        0: 37, 1: 26, 2: 31, 6: 52, 9: 39, 10: 47, 11: 43, 12: 25, 14: 70, 15: 88, 17: 61,
+        18: 45, 19: 24, 20: 24, 21: 21, 22: 72, 23: 59, 24: 33, 25: 28, 27: 68, 28: 27, 29: 27,
+    }
+
+    def test_converged_keys_and_iterations(self):
+        converged = {}
+        for key in range(30):
+            result = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
+            if result.converged:
+                converged[key] = result.restart_iterations[0]
+        assert converged == self.CONVERGED_ITERATIONS
 
 
 class TestUnitaryModel:
