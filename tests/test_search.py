@@ -9,13 +9,13 @@ from mubkit.algebra import MubFamily, unbiased_gram_target
 from mubkit.construct import build_family
 from mubkit.reconstruct import reconstruct_all
 from mubkit.search import (
+    _INITIAL_STEP,
+    _SLOPE,
     SearchConfig,
     SearchState,
     _derive,
     _evaluate,
     _gauss_newton_direction,
-    _INITIAL_STEP,
-    _SLOPE,
     _gradient_array,
     _minimize,
     _objective_value,
