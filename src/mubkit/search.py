@@ -10,13 +10,15 @@ The optimizer is monotone Riemannian descent with Armijo backtracking and
 seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
 solution, then damped Gauss-Newton steps in skew-Hermitian coordinates
 U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
-Both step kinds return to the unitary group through one QR retraction, and
-runs are deterministic for a fixed configuration.  Every accepted step
-lowers the objective strictly.  A restart stops at the objective target, at
-the gradient floor, after a window of stalled progress, at the iteration
-cap, or when its line search is exhausted: the trial step has halved until
-the Armijo target f + c t <gradient, direction> rounds to f itself, where
-only roundoff could pass the test.
+Both step kinds move along U Omega with Omega skew-Hermitian.  One
+eigendecomposition of i Omega per step gives the polar retraction of
+U + t U Omega, the nearest unitary, at every trial step t in closed form,
+and runs are deterministic for a fixed configuration.  Every accepted step
+lowers the objective strictly.  A restart stops at the objective target,
+after a window of stalled progress, at the iteration cap, or when its line
+search is exhausted: the trial step has halved until the Armijo target
+f + c t <gradient, direction> rounds to f itself, where only roundoff could
+pass the test.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
@@ -45,10 +47,6 @@ __all__ = [
     "polish",
     "run_search",
 ]
-
-# Descent stops on gradient norms below this even when the objective target
-# was not met; a flat point this deep is a residual floor, not progress.
-GRADIENT_FLOOR = 1e-12
 
 # Factors with Tr(B^dagger B) at roundoff scale have no meaningful derived
 # projector; dividing by such a trace is refused.
@@ -275,7 +273,7 @@ def _objective_value(r: np.ndarray) -> float:
     # so the Frobenius mass counts off-diagonal pairs twice and the
     # diagonal once; adding the diagonal again and halving fixes both.
     v = r.reshape(-1)
-    diag = np.diagonal(r)
+    diag = r.diagonal()
     return 0.5 * float(v @ v + diag @ diag)
 
 
@@ -337,11 +335,33 @@ def _retract(y: np.ndarray) -> np.ndarray:
 
     Fixing the phases makes the factor unique, so the retraction is smooth
     and a Gaussian matrix maps to a Haar-random unitary.  A rank-deficient
-    input still yields a unitary (its zero pivots keep phase 1).
+    input still yields a unitary (its zero pivots keep phase 1).  LAPACK's
+    pivots are real, so each phase is an exact sign.
     """
     q, r = np.linalg.qr(y)
-    pivots = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.exp(1j * np.angle(pivots))[..., None, :]
+    pivots = np.diagonal(r, axis1=-2, axis2=-1).real
+    return q * np.where(pivots < 0.0, -1.0, 1.0)[..., None, :]
+
+
+def _polar_factors(u: np.ndarray, omega: np.ndarray):
+    """Factor a step direction U Omega once for every trial point along it.
+
+    With i Omega = V diag(lam) V^dagger (one ``eigh`` per basis), U (I + t Omega)
+    is W diag(1 - i t lam) V^dagger for W = U V, so its polar factor, the
+    nearest unitary, is W diag(exp(-i arctan(t lam))) V^dagger at every t.
+    Returns (W, lam, V^dagger) for :func:`_polar_point`.
+    """
+    lam, v = np.linalg.eigh(1j * omega)
+    return u @ v, lam, v.conj().swapaxes(-1, -2)
+
+
+def _polar_point(factors, t: float) -> np.ndarray:
+    """The polar retraction of U + t U Omega from its :func:`_polar_factors`.
+
+    Unitary to roundoff at any t, since only the phases depend on it.
+    """
+    w, lam, vh = factors
+    return (w * np.exp(-1j * np.arctan(t * lam))[..., None, :]) @ vh
 
 
 def _evaluate(u: np.ndarray, target: np.ndarray):
@@ -354,17 +374,19 @@ def _evaluate(u: np.ndarray, target: np.ndarray):
 
 
 def _tangent_gradient(u, x, q, r):
-    """Riemannian gradient of the objective, one (d, d) block per basis.
+    """Riemannian gradient of the objective, as (g, Z) with one (d, d) block per basis.
 
     The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
-    diagonal doubled; its tangent part at U_a is G_a - U_a herm(U_a^dagger G_a).
+    diagonal doubled; its tangent part at U_a is g_a = U_a Z_a, with Z_a the
+    skew-Hermitian part of U_a^dagger G_a.
     """
     n, d = u.shape[0], u.shape[1]
     c = r.copy()
     c.flat[:: n * d + 1] *= 2.0
     g = (4.0 * (x @ (c * q))).reshape(d, n, d).transpose(1, 0, 2)
     h = u.conj().swapaxes(-1, -2) @ g
-    return g - u @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
+    z = 0.5 * (h - h.conj().swapaxes(-1, -2))
+    return u @ z, z
 
 
 def _skew_basis(d: int) -> np.ndarray:
@@ -380,43 +402,52 @@ def _skew_basis(d: int) -> np.ndarray:
 
 
 def _gauss_newton_direction(u, q, r, g, basis):
-    """Damped Gauss-Newton step in skew-Hermitian coordinates, as a tangent direction.
+    """Damped Gauss-Newton step in skew-Hermitian coordinates, as (Omega, slope).
 
     Basis a moves as U_a (I + Omega_a) with Omega_a = sum_k theta_ak E_k, so
     the overlap block Q_ab = U_a^dagger U_b changes by Q_ab Omega_b -
     Omega_a Q_ab.  Only the d^2 cross-basis residuals of pair (a, b) depend
-    on bases a and b, through a d^2 x 2 d^2 Jacobian block; the normal
-    matrix accumulates one such block per pair, and the full Jacobian is
-    never formed.  The gauge directions (a common left unitary, phases of
-    single vectors) are left to the damping.  Returns (None, 0) when the
-    solve fails or yields no descent direction (the caller then takes a
-    gradient step).
+    on bases a and b, through a d^2 x 2 d^2 Jacobian block; the blocks of
+    all pairs are built as one stack, the normal matrix adds in each pair's
+    product by slices, and the full Jacobian is never formed.  The gauge
+    directions (a common left unitary, phases of single vectors) are left
+    to the damping.  Returns the (n, d, d) skew-Hermitian Omega and the
+    slope <g, U Omega>, or (None, 0) when the solve fails or yields no
+    descent direction (the caller then takes a gradient step).
     """
     n, d = u.shape[0], u.shape[1]
     dof = d * d
-    normal = np.zeros((n * dof, n * dof))
-    rhs = np.zeros(n * dof)
-    for a, b in zip(*np.triu_indices(n, k=1)):
-        block = q[a * d : (a + 1) * d, b * d : (b + 1) * d]
-        w = 2.0 * block.conj()
-        # Transposed Jacobian block: row k holds the derivatives of the
-        # pair's residuals |Q_ab|^2 - 1/d in theta_ak (Q_ab moves by
-        # -E_k Q_ab), then in theta_bk (Q_ab moves by Q_ab E_k).
-        jt = np.concatenate([-(w * (basis @ block)).real, (w * (block @ basis)).real])
-        jt = jt.reshape(2 * dof, dof)
-        rows = np.r_[a * dof : (a + 1) * dof, b * dof : (b + 1) * dof]
-        normal[np.ix_(rows, rows)] += jt @ jt.T
-        rhs[rows] += jt @ r[a * d : (a + 1) * d, b * d : (b + 1) * d].reshape(-1)
+    first, second = np.triu_indices(n, k=1)
+    blocks = q.reshape(n, d, n, d).transpose(0, 2, 1, 3)[first, second][:, None]
+    w = 2.0 * blocks.conj()
+    # Transposed Jacobian blocks: row k of a pair's block holds the
+    # derivatives of its residuals |Q_ab|^2 - 1/d in theta_ak (Q_ab moves by
+    # -E_k Q_ab), then in theta_bk (Q_ab moves by Q_ab E_k).
+    jt = np.concatenate([-(w * (basis @ blocks)).real, (w * (blocks @ basis)).real], axis=1)
+    jt = jt.reshape(first.size, 2 * dof, dof)
+    products = jt @ jt.swapaxes(-1, -2)
+    residuals = r.reshape(n, d, n, d).transpose(0, 2, 1, 3)[first, second]
+    pair_rhs = jt @ residuals.reshape(first.size, dof, 1)
+    normal = np.zeros((n, dof, n, dof))
+    rhs = np.zeros((n, dof))
+    normal[first, :, second] = products[:, :dof, dof:]
+    normal[second, :, first] = products[:, dof:, :dof]
+    for pair, (a, b) in enumerate(zip(first, second)):
+        normal[a, :, a] += products[pair, :dof, :dof]
+        normal[b, :, b] += products[pair, dof:, dof:]
+        rhs[a] += pair_rhs[pair, :dof, 0]
+        rhs[b] += pair_rhs[pair, dof:, 0]
+    normal = normal.reshape(n * dof, n * dof)
     normal.flat[:: n * dof + 1] += 1e-10 * (float(np.trace(normal)) / (n * dof) + 1.0)
     try:
-        theta = np.linalg.solve(normal, -rhs)
+        theta = np.linalg.solve(normal, -rhs.reshape(-1))
     except np.linalg.LinAlgError:
         return None, 0.0
-    direction = u @ np.tensordot(theta.reshape(n, dof), basis, axes=1)
-    slope_term = float(np.vdot(g, direction).real)
+    omega = np.tensordot(theta.reshape(n, dof), basis, axes=1)
+    slope_term = float(np.vdot(g, u @ omega).real)
     if not slope_term < 0.0:
         return None, 0.0
-    return direction, slope_term
+    return omega, slope_term
 
 
 def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
@@ -424,13 +455,16 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
     Armijo backtracking along either the Riemannian steepest-descent
     direction (with a Barzilai-Borwein trial step) or, once the objective
-    is small, the damped Gauss-Newton direction; every trial point is
-    retracted to the unitary group.  Each trial first forms its Armijo
-    target; when that rounds to f (or is NaN), the line search is exhausted
-    and the descent stops without evaluating the trial.  Halving the step
-    always gets there, since f stays positive, so no step floor is needed.
-    The other stops are the objective target, gradient norms at the floor,
-    a stalled progress window and the iteration cap.  An accepted trial
+    is small, the damped Gauss-Newton direction.  Either is U Omega with
+    Omega skew-Hermitian, factored once per step by :func:`_polar_factors`;
+    every trial point is then the polar retraction of U + t U Omega in
+    closed form.  Each trial first forms its Armijo target; when that
+    rounds to f (or is NaN), the line search is exhausted and the descent
+    stops without evaluating the trial, or factoring the direction if it
+    is the first.  A factorization that fails ends the descent the same
+    way.  Halving the step always gets there, since f stays positive, so
+    no step floor is needed.  The other stops are the objective target, a
+    stalled progress window and the iteration cap.  An accepted trial
     value f_t is at most its Armijo target, which is below f, so the
     trajectory of accepted objective values is strictly decreasing.
     """
@@ -438,7 +472,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     n, d = u.shape[0], u.shape[1]
     basis = _skew_basis(d) if n * d * d <= _GAUSS_NEWTON_CAP else None
     x, q, r, f = _evaluate(u, target)
-    g = _tangent_gradient(u, x, q, r)
+    g, z = _tangent_gradient(u, x, q, r)
     trajectory = [f]
     step = _INITIAL_STEP
     window_f = np.inf
@@ -446,22 +480,19 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     while iterations < cfg.max_iterations:
         if f <= cfg.target_residual:
             break
-        gnorm_sq = float(np.vdot(g, g).real)
-        if np.sqrt(gnorm_sq) < GRADIENT_FLOOR:
-            break
         if iterations % _STALL_WINDOW == 0:
             if f > window_f * (1.0 - _STALL_GAIN):
                 break
             window_f = f
         iterations += 1
 
-        direction = None
+        omega = None
         if basis is not None and f < _GAUSS_NEWTON_CROSSOVER:
-            direction, slope_term = _gauss_newton_direction(u, q, r, g, basis)
-        gradient_step = direction is None
+            omega, slope_term = _gauss_newton_direction(u, q, r, g, basis)
+        gradient_step = omega is None
         if gradient_step:
-            direction = -g
-            slope_term = -gnorm_sq
+            omega = -z
+            slope_term = -float(np.vdot(g, g).real)
             trial = step
         else:
             trial = 1.0
@@ -469,13 +500,19 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         # Once the Armijo target rounds to f (or is NaN), only roundoff could
         # pass the test, so the line search is exhausted.
         accepted = False
+        factors = None
         while (bound := f + _SLOPE * trial * slope_term) < f:
-            candidate = _retract(u + trial * direction)
+            if factors is None:
+                try:
+                    factors = _polar_factors(u, omega)
+                except np.linalg.LinAlgError:
+                    break
+            candidate = _polar_point(factors, trial)
             x_t, q_t, r_t, f_t = _evaluate(candidate, target)
             if f_t <= bound:
                 delta_u = candidate - u
                 u, x, q, r, f = candidate, x_t, q_t, r_t, f_t
-                g_next = _tangent_gradient(u, x, q, r)
+                g_next, z = _tangent_gradient(u, x, q, r)
                 if gradient_step:
                     # Barzilai-Borwein curvature estimate seeds the next
                     # trial step; unusable estimates fall back to growth.

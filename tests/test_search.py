@@ -19,6 +19,8 @@ from mubkit.search import (
     _gradient_array,
     _minimize,
     _objective_value,
+    _polar_factors,
+    _polar_point,
     _residual,
     _retract,
     _skew_basis,
@@ -56,6 +58,28 @@ def reference_kernels(b, target):
     grad = (2.0 / traces)[:, None, None] * (b @ k - tr_mk[:, None, None] * b)
 
     return m, traces, r, value, grad
+
+
+def reference_gauss_newton(q, r, basis, n):
+    """The damped Gauss-Newton Omega, accumulating the normal matrix pair by pair.
+
+    Kept as an oracle for the stacked pair blocks in ``mubkit.search``.
+    """
+    d = q.shape[0] // n
+    dof = d * d
+    normal = np.zeros((n * dof, n * dof))
+    rhs = np.zeros(n * dof)
+    for a, b in zip(*np.triu_indices(n, k=1)):
+        block = q[a * d : (a + 1) * d, b * d : (b + 1) * d]
+        w = 2.0 * block.conj()
+        jt = np.concatenate([-(w * (basis @ block)).real, (w * (block @ basis)).real])
+        jt = jt.reshape(2 * dof, dof)
+        rows = np.r_[a * dof : (a + 1) * dof, b * dof : (b + 1) * dof]
+        normal[np.ix_(rows, rows)] += jt @ jt.T
+        rhs[rows] += jt @ r[a * d : (a + 1) * d, b * d : (b + 1) * d].reshape(-1)
+    normal.flat[:: n * dof + 1] += 1e-10 * (float(np.trace(normal)) / (n * dof) + 1.0)
+    theta = np.linalg.solve(normal, -rhs)
+    return np.tensordot(theta.reshape(n, dof), basis, axes=1)
 
 
 def assert_close(actual, expected, rel=1e-12):
@@ -285,19 +309,28 @@ def recorded_descents(monkeypatch):
     return descents
 
 
-def counting_retractions(monkeypatch):
-    """Count the trial points ``_minimize`` retracts; returns a one-item list."""
+def counting_trials(monkeypatch):
+    """Count objective evaluations and ``eigh`` factorizations; returns the live dict.
+
+    ``_minimize`` evaluates its start once, then each trial point once.
+    """
     import mubkit.search
 
-    count = [0]
-    real = mubkit.search._retract
+    counts = {"evaluations": 0, "factorizations": 0}
+    real_evaluate = mubkit.search._evaluate
+    real_eigh = np.linalg.eigh
 
-    def counting(y):
-        count[0] += 1
-        return real(y)
+    def evaluating(u, target):
+        counts["evaluations"] += 1
+        return real_evaluate(u, target)
 
-    monkeypatch.setattr(mubkit.search, "_retract", counting)
-    return count
+    def factoring(a, *args, **kwargs):
+        counts["factorizations"] += 1
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(mubkit.search, "_evaluate", evaluating)
+    monkeypatch.setattr(np.linalg, "eigh", factoring)
+    return counts
 
 
 class TestLineSearchExhaustion:
@@ -325,22 +358,22 @@ class TestLineSearchExhaustion:
             assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_rounded_target_retracts_no_trial(self, monkeypatch):
-        # Where key 4's restart stopped, the first gradient trial's Armijo
+        # Where key 7's restart stopped, the first gradient trial's Armijo
         # target (step 1) already rounds to f.
         descents = recorded_descents(monkeypatch)
-        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=4)
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=7)
         assert not run_search(cfg).converged
         u = descents[0][0]
         target = unbiased_gram_target(3, 6)
         x, q, r, f = _evaluate(u, target)
-        g = _tangent_gradient(u, x, q, r)
+        g, _ = _tangent_gradient(u, x, q, r)
         gnorm_sq = float(np.vdot(g, g).real)
         assert f > cfg.target_residual and np.sqrt(gnorm_sq) > 1e-12
         assert f + _SLOPE * _INITIAL_STEP * -gnorm_sq == f
 
-        retracted = counting_retractions(monkeypatch)
+        counts = counting_trials(monkeypatch)
         u_end, f_end, iterations, trajectory = _minimize(u, target, cfg)
-        assert retracted == [0]
+        assert counts == {"evaluations": 1, "factorizations": 0}
         assert (f_end, iterations, trajectory) == (f, 1, [f])
         assert u_end is u
 
@@ -348,15 +381,62 @@ class TestLineSearchExhaustion:
         import mubkit.search
 
         def nan_gradient(u, x, q, r):
-            return np.full(u.shape, np.nan)
+            return np.full(u.shape, np.nan), np.full(u.shape, np.nan)
 
         monkeypatch.setattr(mubkit.search, "_tangent_gradient", nan_gradient)
-        retracted = counting_retractions(monkeypatch)
+        counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
         target = unbiased_gram_target(3, 6)
         _, f, iterations, trajectory = _minimize(haar_unitaries(2, 3, 6), target, cfg)
-        assert retracted == [0]
+        assert counts == {"evaluations": 1, "factorizations": 0}
         assert iterations == 1 and trajectory == [f]
+
+
+class TestPolarRetraction:
+    # Each step factors its direction once; every trial along it is the
+    # polar factor of U + t U Omega in closed form.
+    def test_at_most_one_factorization_per_iteration(self, monkeypatch):
+        counts = counting_trials(monkeypatch)
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, max_iterations=400)
+        target = unbiased_gram_target(3, 6)
+        _, _, iterations, trajectory = _minimize(haar_unitaries(1, 3, 6), target, cfg)
+        trials = counts["evaluations"] - 1
+        assert len(trajectory) - 1 <= counts["factorizations"] <= iterations
+        assert trials > counts["factorizations"]
+
+    def test_matches_the_polar_factor(self):
+        rng = np.random.default_rng(12)
+        u = haar_unitaries(12, 3, 6)
+        omega = random_skew(rng, 3, 6)
+        factors = _polar_factors(u, omega)
+        for t in (1e-6, 0.3, 1.0, 40.0):
+            left, _, right = np.linalg.svd(u + t * (u @ omega))
+            assert np.max(np.abs(_polar_point(factors, t) - left @ right)) < 1e-13
+
+    def test_trials_unitary_up_to_the_step_cap(self):
+        # The Barzilai-Borwein trial step is capped at 1e8.
+        u = haar_unitaries(13, 3, 6)
+        target = unbiased_gram_target(3, 6)
+        _, z = _tangent_gradient(u, *_evaluate(u, target)[:3])
+        factors = _polar_factors(u, -z)
+        for t in 10.0 ** np.arange(-12, 9):
+            v = _polar_point(factors, t)
+            assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(6))) < 1e-14
+
+    def test_failed_factorization_ends_the_restart(self, monkeypatch):
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
+        target = unbiased_gram_target(3, 6)
+        u = haar_unitaries(2, 3, 6)
+        f = _evaluate(u, target)[3]
+        u_end, f_end, iterations, trajectory = _minimize(u, target, cfg)
+        assert (f_end, iterations, trajectory) == (f, 1, [f])
+        assert u_end is u
+        result = run_search(cfg)
+        assert not result.converged and result.restart_iterations == (1,)
 
 
 class TestDimensionSixPins:
@@ -364,8 +444,9 @@ class TestDimensionSixPins:
     # in how many iterations.  A change to the line search or its stop
     # rules that moves a converged trajectory moves these counts.
     CONVERGED_ITERATIONS = {
-        0: 37, 1: 26, 2: 31, 6: 52, 9: 39, 10: 47, 11: 43, 12: 25, 14: 70, 15: 88, 17: 61,
-        18: 45, 19: 24, 20: 24, 21: 21, 22: 72, 23: 59, 24: 33, 25: 28, 27: 68, 28: 27, 29: 27,
+        0: 35, 1: 23, 2: 29, 8: 31, 9: 32, 10: 30, 11: 103, 12: 19, 13: 47, 14: 88, 16: 27,
+        17: 54, 18: 37, 19: 23, 20: 25, 21: 21, 22: 55, 23: 34, 24: 36, 25: 31, 27: 38, 28: 22,
+        29: 33,
     }
 
     def test_converged_keys_and_iterations(self):
@@ -397,7 +478,7 @@ class TestUnitaryModel:
         for trial in range(5):
             u = haar_unitaries(100 * d + trial, num_bases, d)
             x, q, r, _ = _evaluate(u, target)
-            g = _tangent_gradient(u, x, q, r)
+            g, _ = _tangent_gradient(u, x, q, r)
             direction = u @ random_skew(rng, num_bases, d)
             plus = _evaluate(_retract(u + h * direction), target)[3]
             minus = _evaluate(_retract(u - h * direction), target)[3]
@@ -407,9 +488,11 @@ class TestUnitaryModel:
 
     def test_gradient_is_tangent(self):
         u = haar_unitaries(5, 3, 4)
-        g = _tangent_gradient(u, *_evaluate(u, unbiased_gram_target(3, 4))[:3])
+        g, z = _tangent_gradient(u, *_evaluate(u, unbiased_gram_target(3, 4))[:3])
         h = u.conj().swapaxes(-1, -2) @ g
         assert np.max(np.abs(h + h.conj().swapaxes(-1, -2))) < 1e-12
+        assert np.array_equal(z, -z.conj().swapaxes(-1, -2))
+        assert np.array_equal(g, u @ z)
 
     def test_retraction_is_unitary_and_fixes_unitaries(self):
         rng = np.random.default_rng(8)
@@ -417,16 +500,34 @@ class TestUnitaryModel:
         u = _retract(y)
         assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(5))) < 1e-14
         assert np.max(np.abs(_retract(u) - u)) < 1e-14
+        # R = U^dagger y is upper triangular with a positive diagonal.
+        pivots = np.diagonal(u.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
+        assert np.all(pivots.real > 0.0) and np.max(np.abs(pivots.imag)) < 1e-14
         # Rank-deficient input (two equal columns) still gives a unitary.
         y[:, :, 1] = y[:, :, 0]
         v = _retract(y)
         assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(5))) < 1e-14
+        pivots = np.diagonal(v.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
+        assert np.all(pivots.real > -1e-14)
 
     def test_skew_basis_is_orthonormal(self):
         basis = _skew_basis(4)
         assert np.array_equal(basis, -basis.conj().swapaxes(-1, -2))
         gram = np.einsum("pij,qij->pq", basis.conj(), basis).real
         assert np.max(np.abs(gram - np.eye(16))) < 1e-15
+
+    @pytest.mark.parametrize("num_bases,d", [(3, 6), (5, 4), (6, 5), (3, 7)])
+    def test_gauss_newton_matches_per_pair_loop(self, num_bases, d):
+        # The stacked pair blocks add the same products in the same order as
+        # a loop over pairs, so Omega is bit-identical.
+        u = haar_unitaries(40 + d, num_bases, d)
+        x, q, r, _ = _evaluate(u, unbiased_gram_target(num_bases, d))
+        g, _ = _tangent_gradient(u, x, q, r)
+        basis = _skew_basis(d)
+        omega, slope_term = _gauss_newton_direction(u, q, r, g, basis)
+        expected = reference_gauss_newton(q, r, basis, num_bases)
+        assert np.array_equal(omega, expected)
+        assert slope_term == float(np.vdot(g, u @ expected).real)
 
     def test_gauss_newton_step_converges_quadratically(self):
         # Near a solution one damped Gauss-Newton step takes the objective
@@ -437,10 +538,11 @@ class TestUnitaryModel:
         u = _retract(u + 1e-5 * (u @ random_skew(rng, num_bases, d)))
         target = unbiased_gram_target(num_bases, d)
         x, q, r, f = _evaluate(u, target)
-        g = _tangent_gradient(u, x, q, r)
-        direction, slope_term = _gauss_newton_direction(u, q, r, g, _skew_basis(d))
-        assert slope_term < 0.0
-        f_next = _evaluate(_retract(u + direction), target)[3]
+        g, _ = _tangent_gradient(u, x, q, r)
+        omega, slope_term = _gauss_newton_direction(u, q, r, g, _skew_basis(d))
+        assert np.array_equal(omega, -omega.conj().swapaxes(-1, -2))
+        assert slope_term == float(np.vdot(g, u @ omega).real) < 0.0
+        f_next = _evaluate(_polar_point(_polar_factors(u, omega), 1.0), target)[3]
         assert 1e-10 < f < 1e-6
         assert f_next < 1e-6 * f
 
