@@ -273,7 +273,7 @@ def _objective_value(r: np.ndarray) -> float:
     # so the Frobenius mass counts off-diagonal pairs twice and the
     # diagonal once; adding the diagonal again and halving fixes both.
     v = r.reshape(-1)
-    diag = r.diagonal()
+    diag = np.diagonal(r)
     return 0.5 * float(v @ v + diag @ diag)
 
 
