@@ -8,8 +8,11 @@ target is 1 on the diagonal, 0 within a basis and 1/d across bases.
 
 The optimizer is monotone Riemannian descent with Armijo backtracking and
 seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
-solution, then damped Gauss-Newton steps in skew-Hermitian coordinates
-U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
+solution, then, below an objective of 1e-3, damped Gauss-Newton steps in
+skew-Hermitian coordinates U_a -> U_a (I + Omega_a), since gradient steps
+crawl on the last decades.  The Gauss-Newton step fixes the gauge (basis 0
+stays put and no vector's phase moves), so it solves for (n-1)(d^2-d)
+unknowns read straight from the overlaps.
 Both step kinds move along U Omega with Omega skew-Hermitian.  One
 eigendecomposition of i Omega per step gives the polar retraction of
 U + t U Omega, the nearest unitary, at every trial step t in closed form,
@@ -73,13 +76,16 @@ _STEP_GROWTH = 2.0
 
 # Hand the endgame to Gauss-Newton steps only once the objective is this
 # small; the damped normal equations are reliable near a solution and
-# pointless far from one.
-_GAUSS_NEWTON_CROSSOVER = 1e-5
+# pointless far from one.  It must stay well below every local-minimum
+# floor, or restarts stuck there would spend their last steps on it: the
+# lowest seen are 0.029 (d = 7, 3 bases) and 0.047 (d = 6, 3 bases).
+_GAUSS_NEWTON_CROSSOVER = 1e-3
 
-# Skip the Gauss-Newton endgame above this many real parameters (d^2 per
-# basis; complete families up to d = 8); gradient steps still apply.  At 1
-# BLAS thread a step costs 0.03 s and 7 MB at 576 parameters, 0.64 s and
-# 94 MB at 2366 (complete d = 13), where gradient steps alone converge.
+# Skip the Gauss-Newton endgame above this many real parameters, n d^2
+# (complete families up to d = 8); gradient steps still apply.  The step
+# solves for the (n-1)(d^2-d) left once the gauge is fixed.  At 1 BLAS
+# thread it costs 7 ms and 4 MB at 576 parameters, 0.23 s and 74 MB at 2366
+# (complete d = 13), where gradient steps alone converge.
 _GAUSS_NEWTON_CAP = 800
 
 # A restart that cannot shave 0.1 percent off the objective across this
@@ -389,61 +395,73 @@ def _tangent_gradient(u, x, q, r):
     return u @ z, z
 
 
-def _skew_basis(d: int) -> np.ndarray:
-    """An orthonormal basis of the d x d skew-Hermitian matrices, shaped (d^2, d, d)."""
-    k, l = np.triu_indices(d, k=1)
-    pairs = np.arange(k.size)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[pairs, k, l], basis[pairs, l, k] = np.sqrt(0.5), -np.sqrt(0.5)
-    imag = pairs + k.size
-    basis[imag, k, l] = basis[imag, l, k] = 1j * np.sqrt(0.5)
-    basis[2 * k.size + np.arange(d), np.arange(d), np.arange(d)] = 1j
-    return basis
+def _gauss_newton_jacobian(q: np.ndarray, n: int):
+    """Cross-basis residual derivatives of bases 1..n-1, as two factors read from Q.
+
+    Generator k = (s, t), s < t, of a basis is E_k = (e_s e_t^T - e_t e_s^T) / sqrt 2
+    for k < d(d-1)/2 and i (e_s e_t^T + e_t e_s^T) / sqrt 2 for the imaginary
+    ones after them.  Moving basis a along E_k changes only rows s and t of
+    Q_ab (by -E_k Q_ab, a before b) and columns s and t of Q_ba (by Q_ba E_k,
+    b before a).  With P_k = 2 conj(Q[a s, :]) Q[a t, :], both give row s of
+    |Q|^2 the derivative -Re P_k / sqrt 2 (real E_k) or Im P_k / sqrt 2
+    (imaginary E_k), and row t its negative.  Returns (sign, values): the
+    derivative of residual |Q[a i, j]|^2 - 1/d in generator k of basis a is
+    sign[k, i] * values[a-1, k, j], where sign (d^2-d, d) holds +1 at s and
+    -1 at t, and values (n-1, d^2-d, nd) is zero where j lies in basis a.
+    """
+    d = q.shape[0] // n
+    upper = ~np.tri(d, dtype=bool)
+    rows = q[d:].reshape(n - 1, d, n * d)
+    p = (2.0 * rows.conj()[:, :, None] * rows[:, None])[:, upper]
+    own = np.arange(n - 1)
+    p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
+    values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
+    eye = np.eye(d)
+    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
+    return sign, values
 
 
-def _gauss_newton_direction(u, q, r, g, basis):
-    """Damped Gauss-Newton step in skew-Hermitian coordinates, as (Omega, slope).
+def _gauss_newton_direction(u, q, r, g):
+    """Damped Gauss-Newton step in gauge-reduced skew-Hermitian coordinates, as (Omega, slope).
 
-    Basis a moves as U_a (I + Omega_a) with Omega_a = sum_k theta_ak E_k, so
-    the overlap block Q_ab = U_a^dagger U_b changes by Q_ab Omega_b -
-    Omega_a Q_ab.  Only the d^2 cross-basis residuals of pair (a, b) depend
-    on bases a and b, through a d^2 x 2 d^2 Jacobian block; the blocks of
-    all pairs are built as one stack, the normal matrix adds in each pair's
-    product by slices, and the full Jacobian is never formed.  The gauge
-    directions (a common left unitary, phases of single vectors) are left
-    to the damping.  Returns the (n, d, d) skew-Hermitian Omega and the
-    slope <g, U Omega>, or (None, 0) when the solve fails or yields no
-    descent direction (the caller then takes a gradient step).
+    Basis a moves as U_a (I + Omega_a), so the overlap block
+    Q_ab = U_a^dagger U_b changes by Q_ab Omega_b - Omega_a Q_ab.  The
+    residuals |Q_ab|^2 - 1/d do not change when every basis moves by one
+    left unitary, nor when one vector's phase changes, so basis 0 stays
+    fixed (Omega_0 = 0) and the other bases drop their d diagonal
+    generators: (n-1)(d^2-d) unknowns reach every first-order change of the
+    residuals.  The Jacobian is the product of the two factors that
+    :func:`_gauss_newton_jacobian` reads from Q, so every block of the
+    normal matrix is an elementwise product of two small matrix products
+    and the Jacobian itself is never formed.  Returns the (n, d, d)
+    skew-Hermitian Omega and the slope <g, U Omega>, or (None, 0) when the
+    solve fails or yields no descent direction (the caller then takes a
+    gradient step).
     """
     n, d = u.shape[0], u.shape[1]
-    dof = d * d
-    first, second = np.triu_indices(n, k=1)
-    blocks = q.reshape(n, d, n, d).transpose(0, 2, 1, 3)[first, second][:, None]
-    w = 2.0 * blocks.conj()
-    # Transposed Jacobian blocks: row k of a pair's block holds the
-    # derivatives of its residuals |Q_ab|^2 - 1/d in theta_ak (Q_ab moves by
-    # -E_k Q_ab), then in theta_bk (Q_ab moves by Q_ab E_k).
-    jt = np.concatenate([-(w * (basis @ blocks)).real, (w * (blocks @ basis)).real], axis=1)
-    jt = jt.reshape(first.size, 2 * dof, dof)
-    products = jt @ jt.swapaxes(-1, -2)
-    residuals = r.reshape(n, d, n, d).transpose(0, 2, 1, 3)[first, second]
-    pair_rhs = jt @ residuals.reshape(first.size, dof, 1)
-    normal = np.zeros((n, dof, n, dof))
-    rhs = np.zeros((n, dof))
-    normal[first, :, second] = products[:, :dof, dof:]
-    normal[second, :, first] = products[:, dof:, :dof]
-    for pair, (a, b) in enumerate(zip(first, second)):
-        normal[a, :, a] += products[pair, :dof, :dof]
-        normal[b, :, b] += products[pair, dof:, dof:]
-        rhs[a] += pair_rhs[pair, :dof, 0]
-        rhs[b] += pair_rhs[pair, dof:, 0]
-    normal = normal.reshape(n * dof, n * dof)
-    normal.flat[:: n * dof + 1] += 1e-10 * (float(np.trace(normal)) / (n * dof) + 1.0)
+    sign, values = _gauss_newton_jacobian(q, n)
+    moved, dof = values.shape[0], values.shape[1]
+    size = moved * dof
+    # Entry (k, l) of block (a, b) sums sign[k, i] values[a, k, b j]
+    # sign[l, j] values[b, l, a i] over (i, j): the product of
+    # z[a, b, k, l] and z[b, a, l, k], with z[a, b] = values[a, :, b] sign^T.
+    # z[a, a] is zero, and a diagonal block sums over basis a's own rows.
+    z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
+    normal = np.empty((moved, dof, moved, dof))
+    np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
+    own = np.arange(moved)
+    normal[own, :, own] = (sign @ sign.T) * (values @ values.swapaxes(-1, -2))
+    normal = normal.reshape(size, size)
+    rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
+    normal.flat[:: size + 1] += 1e-10 * (float(np.trace(normal)) / size + 1.0)
     try:
         theta = np.linalg.solve(normal, -rhs.reshape(-1))
     except np.linalg.LinAlgError:
         return None, 0.0
-    omega = np.tensordot(theta.reshape(n, dof), basis, axes=1)
+    theta = np.sqrt(0.5) * theta.reshape(moved, 2, -1)
+    upper = np.zeros((n, d, d), dtype=complex)
+    upper[1:, ~np.tri(d, dtype=bool)] = theta[:, 0] + 1j * theta[:, 1]
+    omega = upper - upper.conj().swapaxes(-1, -2)
     slope_term = float(np.vdot(g, u @ omega).real)
     if not slope_term < 0.0:
         return None, 0.0
@@ -455,14 +473,16 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
     Armijo backtracking along either the Riemannian steepest-descent
     direction (with a Barzilai-Borwein trial step) or, once the objective
-    is small, the damped Gauss-Newton direction.  Either is U Omega with
-    Omega skew-Hermitian, factored once per step by :func:`_polar_factors`;
-    every trial point is then the polar retraction of U + t U Omega in
-    closed form.  Each trial first forms its Armijo target; when that
-    rounds to f (or is NaN), the line search is exhausted and the descent
-    stops without evaluating the trial, or factoring the direction if it
-    is the first.  A factorization that fails ends the descent the same
-    way.  Halving the step always gets there, since f stays positive, so
+    is below 1e-3 and the problem has at most 800 parameters, the
+    gauge-reduced damped Gauss-Newton direction, falling back to the
+    gradient when that solve fails or gives no descent.  Either is U Omega
+    with Omega skew-Hermitian, factored once per step by
+    :func:`_polar_factors`; every trial point is then the polar retraction
+    of U + t U Omega in closed form.  Each trial first forms its Armijo
+    target; when that rounds to f (or is NaN), the line search is exhausted
+    and the descent stops without evaluating the trial, or factoring the
+    direction if it is the first.  A factorization that fails ends the
+    descent the same way.  Halving the step always gets there, since f stays positive, so
     no step floor is needed.  The other stops are the objective target, a
     stalled progress window and the iteration cap.  An accepted trial
     value f_t is at most its Armijo target, which is below f, so the
@@ -470,7 +490,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     """
     u = u0
     n, d = u.shape[0], u.shape[1]
-    basis = _skew_basis(d) if n * d * d <= _GAUSS_NEWTON_CAP else None
+    gauss_newton = n * d * d <= _GAUSS_NEWTON_CAP
     x, q, r, f = _evaluate(u, target)
     g, z = _tangent_gradient(u, x, q, r)
     trajectory = [f]
@@ -487,8 +507,8 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         iterations += 1
 
         omega = None
-        if basis is not None and f < _GAUSS_NEWTON_CROSSOVER:
-            omega, slope_term = _gauss_newton_direction(u, q, r, g, basis)
+        if gauss_newton and f < _GAUSS_NEWTON_CROSSOVER:
+            omega, slope_term = _gauss_newton_direction(u, q, r, g)
         gradient_step = omega is None
         if gradient_step:
             omega = -z
