@@ -97,6 +97,25 @@ def pairwise_angle(v1, v2) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """``rows.conj() @ rows.T``, each entry independent of where its rows stand.
+
+    A BLAS product may round an entry differently at a different position
+    in the matrix, so the rows go through it sorted by their raw bytes, an
+    order fixed by the rows themselves, and the result is put back in the
+    given order.  Relisting the rows then relists the Gram matrix exactly,
+    and every residual read from it depends on the family, not on the
+    order in which its bases and vectors are listed.
+    """
+    rows = np.ascontiguousarray(rows)
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(as_bytes, kind="stable")
+    ordered = rows[order]
+    gram = np.empty((len(rows), len(rows)), dtype=complex)
+    gram[np.ix_(order, order)] = ordered.conj() @ ordered.T
+    return gram
+
+
 def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray] = None):
     """(max_self, max_cross, angle_check) of an (n*d, n*d) overlap matrix.
 
@@ -145,14 +164,13 @@ def verify_family(
     # as a crash here.
     min_eig = float(family.spectrum.eigenvalues[:, -1].min())
 
-    vectors = family.as_vectors()
-    gram_complex = vectors.conj() @ vectors.T
+    gram_complex = _gram(family.as_vectors())
     gram = gram_complex.real
     # Trace products of Hermitian matrices are real; any imaginary leakage
     # is another symptom of broken Hermitian symmetry.
     hermiticity = max(float(hermiticity.max()), float(np.max(np.abs(gram_complex.imag))))
 
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors.conj(), vectors).real)
+    norms = np.sqrt(np.diagonal(gram))
     max_self, max_cross, angle_check = _overlap_residuals(gram, d, norms)
     return VerificationReport(
         dim=d,
@@ -199,7 +217,7 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
 
     # The squared overlap is exactly the trace product of the rank-1
     # projectors these states generate, and also the cosine between them.
-    overlap_sq = np.abs(flat.conj() @ flat.T) ** 2
+    overlap_sq = np.abs(_gram(flat)) ** 2
     max_self, max_cross, angle_check = _overlap_residuals(overlap_sq, d)
     return VerificationReport(
         dim=d,
