@@ -117,6 +117,7 @@ def _cmd_search(args) -> int:
                 "restarts_used": result.restarts_used,
                 "restart_objectives": list(result.history),
                 "restart_iterations": list(result.restart_iterations),
+                "restart_stops": list(result.stop_reasons),
             },
             args.log,
         )

@@ -17,11 +17,13 @@ Both step kinds move along U Omega with Omega skew-Hermitian.  One
 eigendecomposition of i Omega per step gives the polar retraction of
 U + t U Omega, the nearest unitary, at every trial step t in closed form,
 and runs are deterministic for a fixed configuration.  Every accepted step
-lowers the objective strictly.  A restart stops at the objective target,
-after a window of stalled progress, at the iteration cap, or when its line
-search is exhausted: the trial step has halved until the Armijo target
+lowers the objective strictly.  A restart stops at the objective target;
+on a plateau, once its last 3 accepted steps together gained less than
+1e-6 of the objective, which is how restarts stuck at a local minimum end;
+at the iteration cap; when factoring a step fails; or when its line search
+is exhausted: the trial step has halved until the Armijo target
 f + c t <gradient, direction> rounds to f itself, where only roundoff could
-pass the test.
+pass the test.  The result names each restart's stop.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
@@ -33,8 +35,9 @@ no family exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,10 +91,12 @@ _GAUSS_NEWTON_CROSSOVER = 1e-3
 # (complete d = 13), where gradient steps alone converge.
 _GAUSS_NEWTON_CAP = 800
 
-# A restart that cannot shave 0.1 percent off the objective across this
-# many iterations sits at a residual floor and stops.
-_STALL_WINDOW = 250
-_STALL_GAIN = 1e-3
+# A restart whose last 3 accepted steps together lowered the objective by
+# less than 1e-6 of it sits on a plateau and stops.  Restarts stuck at a
+# local minimum crawl like that for dozens to hundreds of steps; in every
+# measured shape, no restart that converges ever met the rule.
+_PLATEAU_STEPS = 3
+_PLATEAU_GAIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -230,9 +235,11 @@ class SearchResult:
     """Outcome of a search: best point found plus per-restart accounting.
 
     ``converged`` means ``best_objective <= target_residual``.  ``history``
-    holds the penalty of each restart's returned family and
-    ``restart_iterations`` its iteration count, in restart order; both stop
-    at the restart where the search first converged.
+    holds the penalty of each restart's returned family,
+    ``restart_iterations`` its iteration count and ``stop_reasons`` why its
+    descent stopped (``"target"``, ``"plateau"``, ``"line search"``,
+    ``"factorization"`` or ``"iterations"``), in restart order; all three
+    stop at the restart where the search first converged.
     """
 
     best_family: MubFamily
@@ -242,6 +249,7 @@ class SearchResult:
     converged: bool
     history: tuple = field(default_factory=tuple)
     restart_iterations: tuple = field(default_factory=tuple)
+    stop_reasons: tuple = field(default_factory=tuple)
 
 
 def _derive(b: np.ndarray):
@@ -279,7 +287,7 @@ def _objective_value(r: np.ndarray) -> float:
     # so the Frobenius mass counts off-diagonal pairs twice and the
     # diagonal once; adding the diagonal again and halving fixes both.
     v = r.reshape(-1)
-    diag = np.diagonal(r)
+    diag = r.diagonal()
     return 0.5 * float(v @ v + diag @ diag)
 
 
@@ -375,21 +383,31 @@ def _evaluate(u: np.ndarray, target: np.ndarray):
     n, d = u.shape[0], u.shape[1]
     x = u.transpose(1, 0, 2).reshape(d, n * d)
     q = x.conj().T @ x
-    r = q.real**2 + q.imag**2 - target
+    r = q.real**2
+    r += q.imag**2
+    r -= target
     return x, q, r, _objective_value(r)
+
+
+@lru_cache(maxsize=8)
+def _gradient_weight(size: int) -> np.ndarray:
+    """The (size, size) weight W of :func:`_tangent_gradient`: 4 off the diagonal, 8 on it."""
+    weight = np.full((size, size), 4.0)
+    weight.flat[:: size + 1] = 8.0
+    weight.setflags(write=False)
+    return weight
 
 
 def _tangent_gradient(u, x, q, r):
     """Riemannian gradient of the objective, as (g, Z) with one (d, d) block per basis.
 
-    The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
-    diagonal doubled; its tangent part at U_a is g_a = U_a Z_a, with Z_a the
-    skew-Hermitian part of U_a^dagger G_a.
+    The Euclidean gradient in X is G = X (W o R o Q), W holding 4 off the
+    diagonal and 8 on it (the factor 4 and R's doubled diagonal; a power of
+    two, so the scaling is exact); its tangent part at U_a is g_a = U_a Z_a,
+    with Z_a the skew-Hermitian part of U_a^dagger G_a.
     """
     n, d = u.shape[0], u.shape[1]
-    c = r.copy()
-    c.flat[:: n * d + 1] *= 2.0
-    g = (4.0 * (x @ (c * q))).reshape(d, n, d).transpose(1, 0, 2)
+    g = (x @ (_gradient_weight(n * d) * r * q)).reshape(d, n, d).transpose(1, 0, 2)
     h = u.conj().swapaxes(-1, -2) @ g
     z = 0.5 * (h - h.conj().swapaxes(-1, -2))
     return u @ z, z
@@ -469,7 +487,7 @@ def _gauss_newton_direction(u, q, r, g):
 
 
 def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
-    """Descend from unitaries u0; returns (unitaries, objective, iterations, trajectory).
+    """Descend from unitaries u0; returns (unitaries, objective, iterations, trajectory, stop).
 
     Armijo backtracking along either the Riemannian steepest-descent
     direction (with a Barzilai-Borwein trial step) or, once the objective
@@ -478,15 +496,23 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     gradient when that solve fails or gives no descent.  Either is U Omega
     with Omega skew-Hermitian, factored once per step by
     :func:`_polar_factors`; every trial point is then the polar retraction
-    of U + t U Omega in closed form.  Each trial first forms its Armijo
-    target; when that rounds to f (or is NaN), the line search is exhausted
-    and the descent stops without evaluating the trial, or factoring the
-    direction if it is the first.  A factorization that fails ends the
-    descent the same way.  Halving the step always gets there, since f stays positive, so
-    no step floor is needed.  The other stops are the objective target, a
-    stalled progress window and the iteration cap.  An accepted trial
-    value f_t is at most its Armijo target, which is below f, so the
-    trajectory of accepted objective values is strictly decreasing.
+    of U + t U Omega in closed form.  An accepted trial value f_t is at most
+    its Armijo target, which is below f, so the trajectory of accepted
+    objective values is strictly decreasing.
+
+    ``stop`` names why the descent ended, checked in this order before each
+    iteration and during its line search:
+
+    - ``"target"``: f is at most ``cfg.target_residual``;
+    - ``"plateau"``: the last 3 accepted steps together lowered f by less
+      than 1e-6 of f;
+    - ``"iterations"``: the iteration cap is reached;
+    - ``"line search"``: a trial's Armijo target f + c t <g, direction> has
+      rounded to f (or is NaN), where only roundoff could pass the test; the
+      trial is not evaluated, nor the direction factored if it is the
+      first.  Halving the step always gets there, since f stays positive,
+      so no step floor is needed;
+    - ``"factorization"``: factoring the direction failed.
     """
     u = u0
     n, d = u.shape[0], u.shape[1]
@@ -495,15 +521,17 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     g, z = _tangent_gradient(u, x, q, r)
     trajectory = [f]
     step = _INITIAL_STEP
-    window_f = np.inf
     iterations = 0
-    while iterations < cfg.max_iterations:
+    while True:
         if f <= cfg.target_residual:
-            break
-        if iterations % _STALL_WINDOW == 0:
-            if f > window_f * (1.0 - _STALL_GAIN):
-                break
-            window_f = f
+            return u, f, iterations, trajectory, "target"
+        if (
+            len(trajectory) > _PLATEAU_STEPS
+            and f > trajectory[-1 - _PLATEAU_STEPS] * (1.0 - _PLATEAU_GAIN)
+        ):
+            return u, f, iterations, trajectory, "plateau"
+        if iterations == cfg.max_iterations:
+            return u, f, iterations, trajectory, "iterations"
         iterations += 1
 
         omega = None
@@ -517,40 +545,36 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         else:
             trial = 1.0
 
-        # Once the Armijo target rounds to f (or is NaN), only roundoff could
-        # pass the test, so the line search is exhausted.
-        accepted = False
         factors = None
         while (bound := f + _SLOPE * trial * slope_term) < f:
             if factors is None:
                 try:
                     factors = _polar_factors(u, omega)
                 except np.linalg.LinAlgError:
-                    break
+                    return u, f, iterations, trajectory, "factorization"
             candidate = _polar_point(factors, trial)
             x_t, q_t, r_t, f_t = _evaluate(candidate, target)
             if f_t <= bound:
-                delta_u = candidate - u
-                u, x, q, r, f = candidate, x_t, q_t, r_t, f_t
-                g_next, z = _tangent_gradient(u, x, q, r)
-                if gradient_step:
-                    # Barzilai-Borwein curvature estimate seeds the next
-                    # trial step; unusable estimates fall back to growth.
-                    delta_g = g_next - g
-                    denom = float(np.vdot(delta_u, delta_g).real)
-                    if denom > 0.0 and np.isfinite(denom):
-                        ratio = float(np.vdot(delta_u, delta_u).real) / denom
-                        step = min(max(ratio, 1e-12), 1e8)
-                    else:
-                        step = trial * _STEP_GROWTH
-                g = g_next
-                trajectory.append(f)
-                accepted = True
                 break
             trial *= _SHRINK
-        if not accepted:
-            break
-    return u, f, iterations, trajectory
+        else:
+            # The Armijo target has rounded to f (or is NaN): only roundoff
+            # could pass the test.
+            return u, f, iterations, trajectory, "line search"
+
+        g_next, z = _tangent_gradient(candidate, x_t, q_t, r_t)
+        if gradient_step:
+            # Barzilai-Borwein curvature estimate seeds the next trial step;
+            # unusable estimates fall back to growth.
+            delta_u = candidate - u
+            denom = float(np.vdot(delta_u, g_next - g).real)
+            if denom > 0.0 and math.isfinite(denom):
+                ratio = float(np.vdot(delta_u, delta_u).real) / denom
+                step = min(max(ratio, 1e-12), 1e8)
+            else:
+                step = trial * _STEP_GROWTH
+        u, q, r, f, g = candidate, q_t, r_t, f_t, g_next
+        trajectory.append(f)
 
 
 def _family_and_penalty(u: np.ndarray):
@@ -567,11 +591,13 @@ def _descend(starts, cfg: SearchConfig) -> SearchResult:
     best_f = np.inf
     finals = []
     iteration_counts = []
+    stops = []
     for u0 in starts:
-        u, _, iterations, _ = _minimize(u0, target, cfg)
+        u, _, iterations, _, stop = _minimize(u0, target, cfg)
         family, f = _family_and_penalty(u)
         finals.append(f)
         iteration_counts.append(iterations)
+        stops.append(stop)
         if f < best_f:
             best_f = f
             best_family = family
@@ -585,6 +611,7 @@ def _descend(starts, cfg: SearchConfig) -> SearchResult:
         converged=bool(best_f <= cfg.target_residual),
         history=tuple(finals),
         restart_iterations=tuple(iteration_counts),
+        stop_reasons=tuple(stops),
     )
 
 

@@ -400,14 +400,18 @@ class TestSearch:
             ("target_residual", 1e-16),
         ]
         assert len(payload["restart_objectives"]) == payload["restarts_used"]
+        assert len(payload["restart_stops"]) == payload["restarts_used"]
+        assert payload["restart_stops"][-1] == "target"
 
     def test_non_convergence_exits_one(self, tmp_path):
+        log = tmp_path / "log.json"
         proc = run(
             "search", "--d", "3", "--bases", "4",
             "--restarts", "1", "--iters", "3", "--seed", "0",
-            "--out", str(tmp_path / "attempt.json"),
+            "--out", str(tmp_path / "attempt.json"), "--log", str(log),
         )
         assert proc.returncode == 1
+        assert json.loads(log.read_text())["restart_stops"] == ["iterations"]
 
     def test_polish_existing_family(self, tmp_path):
         path = construct(tmp_path, d=3)

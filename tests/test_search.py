@@ -289,6 +289,8 @@ class TestRunSearch:
         assert result.converged
         assert result.restarts_used < 50
         assert len(result.history) == result.restarts_used
+        assert len(result.stop_reasons) == result.restarts_used
+        assert result.stop_reasons[-1] == "target"
 
     def test_honest_failure_keeps_best_family(self):
         # Seven bases in dimension 6 exceeds the d + 1 cap, so MubFamily
@@ -299,6 +301,7 @@ class TestRunSearch:
         result = run_search(cfg)
         assert not result.converged
         assert result.restarts_used == 2
+        assert result.stop_reasons == ("iterations", "iterations")
         # The reported family is still a legitimate set of projectors.
         report = verify_family(result.best_family, tolerance=1e-6)
         assert report.trace_residual < 1e-12
@@ -327,7 +330,7 @@ class TestMinimizeTrajectory:
     def test_objective_history_non_increasing(self):
         cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
         n, d = cfg.num_bases, cfg.dim
-        u, f, _, trajectory = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
+        u, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
         assert len(trajectory) >= 2
         assert trajectory[-1] == f
         assert all(later <= earlier for earlier, later in zip(trajectory, trajectory[1:]))
@@ -380,31 +383,39 @@ class TestLineSearchExhaustion:
     def test_trajectory_strictly_decreasing(self):
         cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
         n, d = cfg.num_bases, cfg.dim
-        _, f, _, trajectory = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
+        _, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
         assert len(trajectory) >= 2
         assert trajectory[-1] == f
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_trajectory_strictly_decreasing_at_dimension_six(self, monkeypatch):
-        # Keys 3, 4, 5 and 7 end on an exhausted line search, 0 and 1 converge.
+        # Keys 0 and 1 converge; keys 3, 4, 5 and 7 stop on a plateau.
         descents = recorded_descents(monkeypatch)
         converged = [
             run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)).converged
             for key in (0, 1, 3, 4, 5, 7)
         ]
         assert converged == [True, True, False, False, False, False]
-        for _, f, _, trajectory in descents:
+        assert [stop for *_, stop in descents] == ["target"] * 2 + ["plateau"] * 4
+        for _, f, _, trajectory, _ in descents:
             assert trajectory[-1] == f
             assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_rounded_target_retracts_no_trial(self, monkeypatch):
-        # Where key 7's restart stopped, the first gradient trial's Armijo
-        # target (step 1) already rounds to f.
+        # Key 4's restart stops on a plateau.  Descending again from where
+        # each descent stopped, the eighth ends on an exhausted line search,
+        # at a point where the first gradient trial's Armijo target (step 1)
+        # already rounds to f.
         descents = recorded_descents(monkeypatch)
-        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=7)
-        assert not run_search(cfg).converged
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=4)
+        assert run_search(cfg).stop_reasons == ("plateau",)
         u = descents[0][0]
         target = unbiased_gram_target(3, 6)
+        for _ in range(20):
+            u, *_, stop = _minimize(u, target, cfg)
+            if stop != "plateau":
+                break
+        assert stop == "line search"
         x, q, r, f = _evaluate(u, target)
         g, _ = _tangent_gradient(u, x, q, r)
         gnorm_sq = float(np.vdot(g, g).real)
@@ -412,10 +423,11 @@ class TestLineSearchExhaustion:
         assert f + _SLOPE * _INITIAL_STEP * -gnorm_sq == f
 
         counts = counting_trials(monkeypatch)
-        u_end, f_end, iterations, trajectory = _minimize(u, target, cfg)
+        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
         assert counts == {"evaluations": 1, "factorizations": 0}
         assert (f_end, iterations, trajectory) == (f, 1, [f])
         assert u_end is u
+        assert stop == "line search"
 
     def test_nan_slope_retracts_no_trial(self, monkeypatch):
         import mubkit.search
@@ -427,9 +439,10 @@ class TestLineSearchExhaustion:
         counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
         target = unbiased_gram_target(3, 6)
-        _, f, iterations, trajectory = _minimize(haar_unitaries(2, 3, 6), target, cfg)
+        _, f, iterations, trajectory, stop = _minimize(haar_unitaries(2, 3, 6), target, cfg)
         assert counts == {"evaluations": 1, "factorizations": 0}
         assert iterations == 1 and trajectory == [f]
+        assert stop == "line search"
 
 
 class TestPolarRetraction:
@@ -439,7 +452,7 @@ class TestPolarRetraction:
         counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1, max_iterations=400)
         target = unbiased_gram_target(3, 6)
-        _, _, iterations, trajectory = _minimize(haar_unitaries(1, 3, 6), target, cfg)
+        _, _, iterations, trajectory, _ = _minimize(haar_unitaries(1, 3, 6), target, cfg)
         trials = counts["evaluations"] - 1
         assert len(trajectory) - 1 <= counts["factorizations"] <= iterations
         assert trials > counts["factorizations"]
@@ -472,11 +485,12 @@ class TestPolarRetraction:
         target = unbiased_gram_target(3, 6)
         u = haar_unitaries(2, 3, 6)
         f = _evaluate(u, target)[3]
-        u_end, f_end, iterations, trajectory = _minimize(u, target, cfg)
-        assert (f_end, iterations, trajectory) == (f, 1, [f])
+        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
+        assert (f_end, iterations, trajectory, stop) == (f, 1, [f], "factorization")
         assert u_end is u
         result = run_search(cfg)
         assert not result.converged and result.restart_iterations == (1,)
+        assert result.stop_reasons == ("factorization",)
 
 
 class TestDimensionSixPins:
@@ -489,19 +503,20 @@ class TestDimensionSixPins:
         17: 23, 18: 33, 19: 18, 20: 20, 21: 16, 22: 26, 23: 26, 24: 34, 25: 25, 27: 34, 28: 19,
         29: 27,
     }
-    # Unconverged keys: (iterations, objective) where they stop on a local
-    # minimum, far above the Gauss-Newton crossover.
+    # Unconverged keys: (iterations, objective) where they stop on the
+    # plateau of a local minimum, far above the Gauss-Newton crossover.
     LOCAL_MINIMA = {
-        3: (86, 0.0655924656818567),
-        4: (52, 0.05124921899636542),
-        5: (80, 0.06559246568180449),
-        7: (55, 0.051249218996287066),
+        3: (59, 0.06559247035888745),
+        4: (35, 0.05124922915751219),
+        5: (51, 0.06559248139643067),
+        7: (43, 0.05124922071582663),
     }
 
     def test_converged_keys_and_iterations(self):
         converged = {}
         for key in range(30):
             result = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
+            assert result.stop_reasons == ("target" if result.converged else "plateau",)
             if result.converged:
                 converged[key] = result.restart_iterations[0]
         assert converged == self.CONVERGED_ITERATIONS
@@ -520,6 +535,7 @@ class TestDimensionSixPins:
         for key, stop in self.LOCAL_MINIMA.items():
             result = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
             assert (result.restart_iterations[0], result.best_objective) == stop
+            assert result.stop_reasons == ("plateau",)
         assert calls == []
         assert run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=0)).converged
         assert calls
@@ -675,6 +691,8 @@ class TestResultContract:
         gram = np.einsum("aip,ajp->aij", mats.conj(), mats).real
         assert np.max(np.abs(gram - np.eye(d))) < 1e-12
         assert result.history == (result.best_objective,)
+        assert len(result.stop_reasons) == 1
+        assert result.stop_reasons[0] in {"target", "plateau", "line search", "iterations"}
         recomputed = objective(SearchState(result.best_family.projectors))
         assert result.best_objective == pytest.approx(recomputed, rel=1e-12, abs=0.0)
         assert result.converged == (result.best_objective <= cfg.target_residual)
@@ -688,6 +706,7 @@ class TestPolish:
         assert result.converged
         assert result.iterations_used == 0
         assert result.restarts_used == 1
+        assert result.stop_reasons == ("target",)
 
     def test_recovers_from_small_noise(self):
         family = build_family(2)
