@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -389,27 +389,20 @@ def _evaluate(u: np.ndarray, target: np.ndarray):
     return x, q, r, _objective_value(r)
 
 
-@lru_cache(maxsize=8)
-def _gradient_weight(size: int) -> np.ndarray:
-    """The (size, size) weight W of :func:`_tangent_gradient`: 4 off the diagonal, 8 on it."""
-    weight = np.full((size, size), 4.0)
-    weight.flat[:: size + 1] = 8.0
-    weight.setflags(write=False)
-    return weight
-
-
 def _tangent_gradient(u, x, q, r):
     """Riemannian gradient of the objective, as (g, Z) with one (d, d) block per basis.
 
-    The Euclidean gradient in X is G = X (W o R o Q), W holding 4 off the
-    diagonal and 8 on it (the factor 4 and R's doubled diagonal; a power of
-    two, so the scaling is exact); its tangent part at U_a is g_a = U_a Z_a,
-    with Z_a the skew-Hermitian part of U_a^dagger G_a.
+    The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
+    diagonal doubled; its tangent part at U_a is g_a = U_a Z_a, with Z_a the
+    skew-Hermitian part of U_a^dagger G_a.  The factor 4 is applied with the
+    halving of that skew part, as 2, which is exact for powers of two.
     """
     n, d = u.shape[0], u.shape[1]
-    g = (x @ (_gradient_weight(n * d) * r * q)).reshape(d, n, d).transpose(1, 0, 2)
+    c = r * q
+    c.flat[:: n * d + 1] *= 2.0
+    g = (x @ c).reshape(d, n, d).transpose(1, 0, 2)
     h = u.conj().swapaxes(-1, -2) @ g
-    z = 0.5 * (h - h.conj().swapaxes(-1, -2))
+    z = 2.0 * (h - h.conj().swapaxes(-1, -2))
     return u @ z, z
 
 
