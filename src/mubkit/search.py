@@ -92,9 +92,9 @@ _GAUSS_NEWTON_CROSSOVER = 1e-3
 _GAUSS_NEWTON_CAP = 800
 
 # A restart whose last 3 accepted steps together lowered the objective by
-# less than 1e-6 of it sits on a plateau and stops.  Restarts stuck at a
-# local minimum crawl like that for dozens to hundreds of steps; in every
-# measured shape, no restart that converges ever met the rule.
+# less than 1e-6 of it sits on a plateau and stops.  That is how restarts
+# stuck at a local minimum end; in every measured shape, no restart that
+# converges ever met the rule.
 _PLATEAU_STEPS = 3
 _PLATEAU_GAIN = 1e-6
 
