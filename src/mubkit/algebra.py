@@ -41,6 +41,11 @@ _PIVOT_SLACK = 1e-8
 # eigensolver: their Frobenius norms stay finite for any d up to ~9000.
 _MAX_ENTRY = 1e150
 
+# Largest projector array, in bytes, that build_family or a search
+# allocates.  A complete family takes 16 (d + 1) d^3 bytes, which outgrows
+# memory long before anything else does; 1 GiB admits every prime d up to 89.
+MAX_FAMILY_BYTES = 1 << 30
+
 
 def _check_tolerance(tol) -> None:
     """Refuse a tolerance that is NaN, infinite or negative, naming it.
@@ -51,6 +56,19 @@ def _check_tolerance(tol) -> None:
     if not 0.0 <= tol < np.inf:
         shown = tol.item() if isinstance(tol, np.generic) else tol  # no np.float64(...) repr
         raise ValueError(f"tolerance must be finite and non-negative, got {shown!r}")
+
+
+def _check_family_size(num_bases: int, dim: int) -> None:
+    """Refuse a (num_bases, d, d, d) projector array above :data:`MAX_FAMILY_BYTES`.
+
+    Checked before anything is allocated.
+    """
+    nbytes = num_bases * dim**3 * np.dtype(complex).itemsize
+    if nbytes > MAX_FAMILY_BYTES:
+        raise ValueError(
+            f"a family of {num_bases} bases in dimension d = {dim} needs "
+            f"{nbytes} bytes of projectors, above the {MAX_FAMILY_BYTES}-byte limit"
+        )
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -64,6 +82,41 @@ def _hermitian_defects(m: np.ndarray):
     defect = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(n, -1)
     worst_entry = defect.argmax(axis=1)
     return defect[np.arange(n), worst_entry], worst_entry
+
+
+def _rank_one_certificate(sym: np.ndarray):
+    """One-column rank-1 certificate (v, r) of an (N, d, d) Hermitian stack.
+
+    For each M, k is the index of its largest diagonal entry,
+    v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F.  By Weyl's
+    inequality each eigenvalue of M lies within r of the matching one of
+    (||v||^2, 0, ..., 0); in particular none is below -r.  Where M_kk is not
+    positive, or the column is too large against it for v v^dagger to stay
+    within 1e150 (a positive-semidefinite M has |M_pk|^2 <= M_kk^2), v is
+    zero and r is inf: the certificate settles nothing there.  Parts up to
+    1e150 raise no floating-point warning.
+    """
+    n = sym.shape[0]
+    rows = np.arange(n)
+    diag = np.diagonal(sym, axis1=1, axis2=2).real
+    k = np.argmax(diag, axis=1)
+    pivot = diag[rows, k]
+    column = sym[rows, :, k]
+    largest = np.max(np.abs(column), axis=1)
+    usable = (pivot > 0.0) & (largest * largest <= _MAX_ENTRY * pivot)
+    v = np.where(usable[:, None], column, 0.0) / np.sqrt(np.where(usable, pivot, 1.0))[:, None]
+    size = np.abs(sym - v[:, :, None] * v[:, None, :].conj())
+    # Scaled by the largest entry, so squares neither overflow nor underflow.
+    scale = np.max(size, axis=(1, 2))
+    unit = size / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    r = scale * np.sqrt(np.einsum("nij,nij->n", unit, unit))
+    return v, np.where(usable, r, np.inf)
+
+
+def _same_basis(num_bases: int, dim: int) -> np.ndarray:
+    """(n*d, n*d) mask, true where rows a*d + alpha and b*d + beta share a basis (a = b)."""
+    labels = np.repeat(np.arange(num_bases), dim)
+    return labels[:, None] == labels[None, :]
 
 
 def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:
@@ -189,9 +242,7 @@ def unbiased_gram_target(num_bases: int, dim: int) -> np.ndarray:
     """
     if num_bases < 1 or dim < 1:
         raise ValueError(f"need num_bases >= 1 and dim >= 1, got ({num_bases}, {dim})")
-    labels = np.repeat(np.arange(num_bases), dim)
-    same_basis = labels[:, None] == labels[None, :]
-    target = np.where(same_basis, 0.0, 1.0 / dim)
+    target = np.where(_same_basis(num_bases, dim), 0.0, 1.0 / dim)
     np.fill_diagonal(target, 1.0)
     return target
 
@@ -261,7 +312,9 @@ class MubFamily:
         rank-1 family they read holds no eigenvector stack.  The projectors
         are read-only, so the cached solve never goes stale.
         """
-        from .reconstruct import eigen_hermitian  # reconstruct imports this module
+        # Looked up at call time: reconstruct imports this module, and a
+        # solver patched onto it (a tracer's, say) is the one called.
+        from .reconstruct import eigen_hermitian
 
         n, d = self.num_bases, self.dim
         return eigen_hermitian(self.projectors.reshape(n * d, d, d), hermiticity_tol=np.inf)
@@ -277,11 +330,8 @@ class MubFamily:
         reader compares r with its own threshold and reads :attr:`spectrum`
         for what the certificate cannot settle.  Both arrays are read-only.
         """
-        from . import reconstruct  # looked up at call time, like eigen_hermitian
-
         n, d = self.num_bases, self.dim
-        sym = _symmetrized(self.projectors.reshape(n * d, d, d))
-        v, r = reconstruct._rank_one_certificate(sym)
+        v, r = _rank_one_certificate(_symmetrized(self.projectors.reshape(n * d, d, d)))
         v.setflags(write=False)
         r.setflags(write=False)
         return v, r

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import MubFamily, _check_tolerance
+from .algebra import MubFamily, _check_family_size, _check_tolerance
 from .verify import verify_family
 
 __all__ = [
@@ -28,12 +28,6 @@ __all__ = [
     "is_prime",
     "w_coefficient",
 ]
-
-
-# Largest projector array, in bytes, that build_family or a search
-# allocates.  A complete family takes 16 (d + 1) d^3 bytes, which outgrows
-# memory long before anything else does; 1 GiB admits every prime d up to 89.
-MAX_FAMILY_BYTES = 1 << 30
 
 
 def is_prime(n: int) -> bool:
@@ -103,7 +97,8 @@ def build_family(
     need not verify a second time.
 
     Dimensions whose (num_bases, d, d, d) projector array would exceed
-    :data:`MAX_FAMILY_BYTES` are refused before anything is allocated.
+    :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
+    allocated.
 
     Every phase exponent is an integer mod 2d, so the entries are gathered
     from a table of the 2d distinct coefficients; each table entry is
@@ -115,12 +110,7 @@ def build_family(
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
     num_bases = d + 1 if include_computational else d
-    nbytes = num_bases * d**3 * np.dtype(complex).itemsize
-    if nbytes > MAX_FAMILY_BYTES:
-        raise ValueError(
-            f"a family in dimension d = {d} needs {nbytes} bytes of projectors, "
-            f"above the {MAX_FAMILY_BYTES}-byte limit"
-        )
+    _check_family_size(num_bases, d)
     a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
     exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
     table = np.array([_phase(k, d) / d for k in range(2 * d)])

@@ -1,12 +1,13 @@
 """State vectors from rank-1 projectors: a one-column certificate, else Jacobi.
 
-A Hermitian M that is rank 1 up to noise is certified from one column:
-with k the index of its largest diagonal entry, v = M[:, k] / sqrt(M_kk)
-and r = ||M - v v^dagger||_F, Weyl's inequality puts every eigenvalue of M
-within r of the spectrum (||v||^2, 0, ..., 0) of v v^dagger.  When r is
-small that settles every rank-1 check without an eigensolve, and one power
-step M v gives the state with a Davis-Kahan angle of order r^2 to the top
-eigenvector.  A family caches its certificate on
+A Hermitian M that is rank 1 up to noise is certified from one column
+(``algebra._rank_one_certificate``): with k the index of its largest
+diagonal entry, v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F,
+Weyl's inequality puts every eigenvalue of M within r of the spectrum
+(||v||^2, 0, ..., 0) of v v^dagger.  When r is small that settles every
+rank-1 check without an eigensolve, and one power step M v gives the state
+with a Davis-Kahan angle of order r^2 to the top eigenvector.  A family
+computes its certificate itself and caches it on
 :attr:`MubFamily.rank_one_certificate`, beside its Hermitian defects on
 :attr:`MubFamily.invariants`; the loader, :func:`reconstruct_all` and the
 search start read both, and only a stack the certificate cannot settle
@@ -43,6 +44,7 @@ from .algebra import (
     MubFamily,
     _check_tolerance,
     _hermitian_defects,
+    _rank_one_certificate,
     _symmetrized,
     canonical_phase,
 )
@@ -310,35 +312,6 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
         vals, vecs = vals[0], vecs[0]
     # Both arrays were built here and are referenced nowhere else.
     return EigenDecomposition._adopt(vals, vecs, int(sweeps.sum()))
-
-
-def _rank_one_certificate(sym: np.ndarray):
-    """One-column rank-1 certificate (v, r) of an (N, d, d) Hermitian stack.
-
-    For each M, k is the index of its largest diagonal entry,
-    v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F.  By Weyl's
-    inequality each eigenvalue of M lies within r of the matching one of
-    (||v||^2, 0, ..., 0); in particular none is below -r.  Where M_kk is not
-    positive, or the column is too large against it for v v^dagger to stay
-    within 1e150 (a positive-semidefinite M has |M_pk|^2 <= M_kk^2), v is
-    zero and r is inf: the certificate settles nothing there.  Parts up to
-    1e150 raise no floating-point warning.
-    """
-    n = sym.shape[0]
-    rows = np.arange(n)
-    diag = np.diagonal(sym, axis1=1, axis2=2).real
-    k = np.argmax(diag, axis=1)
-    pivot = diag[rows, k]
-    column = sym[rows, :, k]
-    largest = np.max(np.abs(column), axis=1)
-    usable = (pivot > 0.0) & (largest * largest <= _MAX_ENTRY * pivot)
-    v = np.where(usable[:, None], column, 0.0) / np.sqrt(np.where(usable, pivot, 1.0))[:, None]
-    size = np.abs(sym - v[:, :, None] * v[:, None, :].conj())
-    # Scaled by the largest entry, so squares neither overflow nor underflow.
-    scale = np.max(size, axis=(1, 2))
-    unit = size / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    r = scale * np.sqrt(np.einsum("nij,nij->n", unit, unit))
-    return v, np.where(usable, r, np.inf)
 
 
 def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, prefix: str):

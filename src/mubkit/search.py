@@ -36,13 +36,13 @@ no family exists.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, _symmetrized, unbiased_gram_target
-from .construct import MAX_FAMILY_BYTES
+from .algebra import _MAX_ENTRY, MubFamily, _check_family_size, _symmetrized, unbiased_gram_target
 
 __all__ = [
     "SearchConfig",
@@ -79,9 +79,12 @@ _STEP_GROWTH = 2.0
 
 # Hand the endgame to Gauss-Newton steps only once the objective is this
 # small; the damped normal equations are reliable near a solution and
-# pointless far from one.  It must stay well below every local-minimum
-# floor, or restarts stuck there would spend their last steps on it: the
-# lowest seen are 0.029 (d = 7, 3 bases) and 0.047 (d = 6, 3 bases).
+# pointless far from one.  It must stay below every local-minimum floor,
+# or restarts stuck there would spend their last steps on it.  The lowest
+# seen are 1.435e-3 and 2.163e-3 (d = 8, 3 bases, keys 9, 45 and 55 of
+# 0-59), a margin of only 1.4x; each such restart ends on the plateau rule
+# below (after 139, 201 and 134 iterations).  At d = 7 and d = 6 with 3
+# bases the lowest seen are 0.029 and 0.047.
 _GAUSS_NEWTON_CROSSOVER = 1e-3
 
 # Skip the Gauss-Newton endgame above this many real parameters, n d^2
@@ -106,9 +109,12 @@ class SearchConfig:
     ``dim`` and ``num_bases`` fix the problem; the rest control the
     optimizer.  ``target_residual`` is the objective value counted as
     convergence.  Identical configurations (seed included) give
-    bit-identical runs.  Problems whose (num_bases, d, d, d) family array
-    would exceed :data:`~mubkit.construct.MAX_FAMILY_BYTES` are refused
-    here, before a search allocates anything.
+    bit-identical runs.  The integer fields take anything
+    :func:`operator.index` accepts and are stored as ``int``.  Problems
+    whose (num_bases, d, d, d) family array would exceed
+    :data:`~mubkit.algebra.MAX_FAMILY_BYTES`, and seeds whose last restart
+    key ``seed + restarts - 1`` would leave the generator's key range
+    (below 2**128), are refused here, before a search allocates anything.
     """
 
     dim: int
@@ -119,24 +125,33 @@ class SearchConfig:
     target_residual: float = 1e-16
 
     def __post_init__(self):
+        # A float cap would never equal an iteration count, and a float
+        # dimension fails deep inside numpy.
+        for name in ("dim", "num_bases", "restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if not 2 <= self.num_bases <= self.dim + 1:
             raise ValueError(
                 f"num_bases must lie in 2..dim+1 = 2..{self.dim + 1}, got {self.num_bases}"
             )
-        nbytes = self.num_bases * self.dim**3 * np.dtype(complex).itemsize
-        if nbytes > MAX_FAMILY_BYTES:
-            raise ValueError(
-                f"a family of {self.num_bases} bases in dimension d = {self.dim} needs "
-                f"{nbytes} bytes of projectors, above the {MAX_FAMILY_BYTES}-byte limit"
-            )
+        _check_family_size(self.num_bases, self.dim)
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # Restart k draws from a Philox generator keyed by seed + k, below 2**128.
+        if self.seed + self.restarts > 2**128:
+            raise ValueError(
+                f"seed must be at most 2**128 - restarts = {2**128 - self.restarts}, "
+                f"got {self.seed}"
+            )
         # Against inf every objective "converges" before the first step.
         if not 0.0 < self.target_residual < np.inf:
             raise ValueError(

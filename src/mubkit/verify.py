@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, _check_tolerance, unbiased_gram_target
+from .algebra import MubFamily, _check_tolerance, _same_basis, unbiased_gram_target
 
 __all__ = [
     "VerificationReport",
@@ -127,8 +127,7 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     """
     n = overlaps.shape[0] // d
     deviation = np.abs(overlaps - unbiased_gram_target(n, d))
-    labels = np.repeat(np.arange(n), d)
-    same_basis = labels[:, None] == labels[None, :]
+    same_basis = _same_basis(n, d)
     max_self = float(deviation[same_basis].max())
     if n == 1:
         return max_self, 0.0, 0.0

@@ -90,7 +90,7 @@ class TestConstruct:
     def test_oversized_dimension_is_usage_error(self):
         proc = run("construct", "--d", "1009")
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: a family in dimension d = 1009 needs")
+        assert proc.stderr.startswith("error: a family of 1010 bases in dimension d = 1009 needs")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
@@ -143,16 +143,18 @@ def counting_certificates(monkeypatch):
     to pick the members it deflates, and ``rank_one_certificate`` for the
     family certificate the readers share.
     """
-    import mubkit.reconstruct
+    import mubkit.algebra
 
     shapes = []
-    real = mubkit.reconstruct._rank_one_certificate
+    real = mubkit.algebra._rank_one_certificate
 
     def counting(sym):
         shapes.append((sys._getframe(1).f_code.co_name, sym.shape))
         return real(sym)
 
-    monkeypatch.setattr(mubkit.reconstruct, "_rank_one_certificate", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mubkit" and vars(module).get("_rank_one_certificate") is real:
+            monkeypatch.setattr(module, "_rank_one_certificate", counting)
     return shapes
 
 
@@ -436,6 +438,20 @@ class TestSearch:
         assert captured.err.startswith("error: a family of 2 bases in dimension d = 2000 needs")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_seed_beyond_the_key_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # Restart keys seed..seed + 2 reach 2**128: the config refuses the
+        # seed before restart 0 runs, where numpy would refuse restart 1's key.
+        monkeypatch.setattr("mubkit.cli.run_search", lambda cfg: pytest.fail("search ran"))
+        out = tmp_path / "f.json"
+        argv = ["search", "--d", "2", "--bases", "3", "--seed", str(2**128 - 1)]
+        assert cli_dispatch([*argv, "--restarts", "3", "--iters", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: seed must be at most 2**128 - restarts = {2**128 - 3}, got {2**128 - 1}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
 
     def test_infinite_target_is_usage_error(self, tmp_path, capsys):

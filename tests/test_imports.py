@@ -1,0 +1,73 @@
+"""The package's import structure, read from its sources with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import mubkit
+
+SOURCES = sorted(Path(mubkit.__file__).parent.glob("*.py"))
+
+
+def parsed():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def intra_package(node):
+    """The mubkit module a ``from`` import names, or None for any other import."""
+    if not isinstance(node, ast.ImportFrom):
+        return None
+    if node.level:
+        return node.module or ""
+    if node.module and node.module.split(".")[0] == "mubkit":
+        return node.module.partition(".")[2]
+    return None
+
+
+def function_level_imports(tree):
+    """(qualified function name, imported module, names) of imports inside functions."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child])
+                continue
+            module = intra_package(child)
+            if module is not None and any(isinstance(s, ast.FunctionDef) for s in scope):
+                names = tuple(alias.name for alias in child.names)
+                found.append((".".join(s.name for s in scope), module, names))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_spectrum_imports_at_call_time():
+    # MubFamily.spectrum looks the solver up when called, so that a solver
+    # patched onto reconstruct is the one it runs; nothing else defers an
+    # import.
+    found = [
+        (stem, *entry) for stem, tree in parsed().items() for entry in function_level_imports(tree)
+    ]
+    assert found == [("algebra", "MubFamily.spectrum", "reconstruct", ("eigen_hermitian",))]
+
+
+def test_search_does_not_import_construct():
+    imported = {
+        intra_package(node) for node in ast.walk(parsed()["search"]) if intra_package(node)
+    }
+    assert imported == {"algebra"}
+
+
+def test_family_checks_are_defined_once_in_algebra():
+    names = {"_rank_one_certificate", "_check_family_size", "_same_basis", "MAX_FAMILY_BYTES"}
+    homes = {name: [] for name in names}
+    for stem, tree in parsed().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                homes[node.name].append(stem)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in names:
+                        homes[target.id].append(stem)
+    assert homes == {name: ["algebra"] for name in names}

@@ -189,6 +189,36 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=r"needs 1078344544 bytes"):
             SearchConfig(dim=323, num_bases=2)
 
+    def test_last_restart_key_must_fit_the_generator(self):
+        # Restart k is keyed seed + k, and Philox keys lie below 2**128.
+        highest = SearchConfig(dim=2, num_bases=3, restarts=3, seed=2**128 - 3, max_iterations=1)
+        assert run_search(highest).restarts_used == 3
+        with pytest.raises(
+            ValueError,
+            match=rf"^seed must be at most 2\*\*128 - restarts = {2**128 - 3}, got {2**128 - 2}$",
+        ):
+            SearchConfig(dim=2, num_bases=3, restarts=3, seed=2**128 - 2)
+
+    @pytest.mark.parametrize("field", ["dim", "num_bases", "restarts", "max_iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        # A float cap never equals an iteration count: max_iterations=2.5
+        # once ran 8 iterations, and dim=6.5 failed inside numpy.
+        kwargs = {"dim": 3, "num_bases": 4, field: value}
+        with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
+            SearchConfig(**kwargs)
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = SearchConfig(
+            dim=np.int64(2), num_bases=np.int32(3), restarts=np.uint8(1),
+            max_iterations=np.int16(3), seed=np.uint64(4),
+        )
+        fields = (cfg.dim, cfg.num_bases, cfg.restarts, cfg.max_iterations, cfg.seed)
+        assert fields == (2, 3, 1, 3, 4)
+        assert all(type(value) is int for value in fields)
+        result = run_search(cfg)
+        assert result.restart_iterations == (3,) and result.stop_reasons == ("iterations",)
+
 
 class TestObjective:
     def test_zero_on_constructed_family(self):
@@ -539,6 +569,89 @@ class TestDimensionSixPins:
         assert calls == []
         assert run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=0)).converged
         assert calls
+
+
+REAL_SOLVE = np.linalg.solve
+
+
+def failing_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def ascending_solve(a, b):
+    # The solution negated: a direction whose slope <g, U Omega> is positive.
+    return -REAL_SOLVE(a, b)
+
+
+def patched_solves(monkeypatch, solve):
+    """Route ``np.linalg.solve`` to ``solve``, recording each system's shape; returns the list."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+class TestGaussNewtonFallback:
+    # A Gauss-Newton solve that fails, or that yields no descent direction,
+    # hands the iteration to a gradient step: the descent is then the one a
+    # run without the Gauss-Newton endgame takes, bit for bit.
+    @staticmethod
+    def near_solution():
+        d, num_bases = 5, 6
+        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
+        rng = np.random.default_rng(9)
+        u = _retract(u + 1e-4 * (u @ random_skew(rng, num_bases, d)))
+        return u, unbiased_gram_target(num_bases, d), SearchConfig(dim=d, num_bases=num_bases)
+
+    @staticmethod
+    def gradient_only(monkeypatch, run):
+        import mubkit.search
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mubkit.search, "_GAUSS_NEWTON_CROSSOVER", 0.0)
+            return run()
+
+    @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
+    def test_direction_reports_no_step(self, monkeypatch, solve):
+        u, target, _ = self.near_solution()
+        x, q, r, f = _evaluate(u, target)
+        g, _ = _tangent_gradient(u, x, q, r)
+        assert _gauss_newton_direction(u, q, r, g)[1] < 0.0
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert _gauss_newton_direction(u, q, r, g) == (None, 0.0)
+
+    @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
+    def test_every_iteration_takes_a_gradient_step(self, monkeypatch, solve):
+        u0, target, cfg = self.near_solution()
+        expected = self.gradient_only(monkeypatch, lambda: _minimize(u0, target, cfg))
+        calls = patched_solves(monkeypatch, solve)
+        u, f, iterations, trajectory, stop = _minimize(u0, target, cfg)
+        assert stop == expected[4] == "target"
+        assert (f, iterations, trajectory) == expected[1:4]
+        assert np.array_equal(u, expected[0])
+        # One attempted solve per iteration: every f was below the crossover.
+        assert len(calls) == iterations > 1
+        assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
+
+    @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
+    def test_random_restart_ends_as_without_gauss_newton(self, monkeypatch, solve):
+        # Key 0 converges through Gauss-Newton steps (TestDimensionSixPins).
+        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=0)
+        expected = self.gradient_only(monkeypatch, lambda: run_search(cfg))
+        descents = recorded_descents(monkeypatch)
+        calls = patched_solves(monkeypatch, solve)
+        result = run_search(cfg)
+        assert calls
+        assert result.stop_reasons == expected.stop_reasons == ("target",)
+        assert result.restart_iterations == expected.restart_iterations
+        assert result.best_objective == expected.best_objective
+        ((_, f, _, trajectory, _),) = descents
+        assert trajectory[-1] == f
+        assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
 
 class TestUnitaryModel:
