@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mubkit.reconstruct
-from mubkit.algebra import MubFamily, _symmetrized, canonical_phase, projector_from_state
+from mubkit.algebra import (
+    MubFamily,
+    _rank_one_certificate,
+    _symmetrized,
+    canonical_phase,
+    projector_from_state,
+)
 from mubkit.construct import build_family
 from mubkit.io import FamilyDocument
 from mubkit.reconstruct import (
@@ -20,7 +26,6 @@ from mubkit.reconstruct import (
     _jacobi,
     _normalized,
     _off_mass,
-    _rank_one_certificate,
     eigen_hermitian,
     reconstruct_all,
     state_from_projector,
