@@ -65,7 +65,7 @@ def _cmd_reconstruct(args) -> int:
     family = load_family(args.family)
     try:
         states = reconstruct_all(family, tol=args.tol)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     meta = _metadata("reconstruct", source=args.family)

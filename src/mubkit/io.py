@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, _check_tolerance
+from .algebra import _MAX_ENTRY, MAX_FAMILY_BYTES, MubFamily, _check_tolerance
 from .verify import VerificationReport
 
 __all__ = [
@@ -64,6 +65,16 @@ _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 
 # Numbers whose texts the writer builds at once, from equally shaped arrays.
 _RUN = 1 << 14
+
+# Largest document a load reads, checked before reading: a family of
+# MAX_FAMILY_BYTES of projectors with every [re, im] entry spelled at the
+# writer's widest (54 bytes with its separator), and as many bytes again
+# for its states, brackets and keys, which take fewer from d = 3 on.
+_MAX_DOCUMENT_BYTES = (
+    2
+    * (MAX_FAMILY_BYTES // np.dtype(complex).itemsize)
+    * len(json.dumps([-2.2250738585072014e-308] * 2) + ", ")
+)
 
 
 def _is_number(x) -> bool:
@@ -448,8 +459,10 @@ def save_family(
 def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     """Read and validate a family document; returns its projectors.
 
-    Raises on unreadable files, malformed JSON, structural inconsistencies,
-    and projector-invariant violations (named per basis, vector, entry).
+    Raises on unreadable files, files larger than any document of a family
+    within :data:`~mubkit.algebra.MAX_FAMILY_BYTES` (refused before a byte
+    is read), malformed JSON, structural inconsistencies, and
+    projector-invariant violations (named per basis, vector, entry).
     When the numbers at the head and the tail of the document repeat, as
     in a closed-form family, float literals are parsed through a bounded
     per-load table keyed by their text, so a repeated literal costs a
@@ -458,6 +471,12 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     _check_tolerance(tolerance)
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > _MAX_DOCUMENT_BYTES:
+                raise ValueError(
+                    f"family document {path!r} has {size} bytes, "
+                    f"above the {_MAX_DOCUMENT_BYTES}-byte limit"
+                )
             text = handle.read()
         payload = json.loads(text, parse_float=_parse_float(text))
     except OSError as exc:

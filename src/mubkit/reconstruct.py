@@ -1,4 +1,4 @@
-"""State vectors from rank-1 projectors: a one-column certificate, else Jacobi.
+"""State vectors from rank-1 projectors: a one-column certificate, else LAPACK.
 
 A Hermitian M that is rank 1 up to noise is certified from one column
 (``algebra._rank_one_certificate``): with k the index of its largest
@@ -13,23 +13,14 @@ computes its certificate itself and caches it on
 search start read both, and only a stack the certificate cannot settle
 falls back to the spectrum, so every rejection keeps its message.
 
-The eigensolver is a cyclic-by-row Jacobi iteration for complex Hermitian
-matrices, written out here rather than delegated: each sweep visits every
-off-diagonal pivot once and annihilates it with a unitary plane rotation.
-Off-diagonal mass never increases, so convergence is monotone and the sweep
-cap is a hard safety net, not a tuning knob.  :func:`eigen_hermitian` takes
-one (d, d) matrix or an (N, d, d) stack; a stack is solved in one pass, each
-pivot rotating every still-unconverged matrix at once; a family's stack is
+:func:`eigen_hermitian` takes one (d, d) matrix or an (N, d, d) stack,
+checks it, and solves the symmetrized stack with one ``np.linalg.eigh``
+call (LAPACK's divide-and-conquer ``zheevd``; Golub & Van Loan, *Matrix
+Computations*, ch. 8), each member first scaled by an even power of two
+so that its solve does not depend on its size.  A family's stack is
 solved at most once and cached on :attr:`MubFamily.spectrum`, which the
-verifier always reads.  A member that would sweep but whose one-column
-certificate already meets the stopping rule, r <= 1e-13 ||M||_F, is deflated
-first (Householder deflation; Golub & Van Loan, *Matrix Computations*,
-ch. 8): with H the reflector taking the power step M v to a multiple of
-e_1, the sweeps run on H M H, which is diagonal up to r, and the
-eigenvectors are H V.  A
-closed-form family's stack thus solves in zero sweeps, and every other
-member is swept exactly as it stands.  The recovered states have their
-global phase fixed by :func:`canonical_phase`.
+verifier always reads.  The recovered states have their global phase
+fixed by :func:`canonical_phase`.
 """
 
 from __future__ import annotations
@@ -56,9 +47,6 @@ __all__ = [
     "state_from_projector",
 ]
 
-_MAX_SWEEPS = 30
-_CONVERGED = 1e-13  # off-diagonal mass, relative to the Frobenius norm
-
 # Largest one-column residual at which a certified state is returned without
 # a solve: the power step's angle to the top eigenvector is of order r^2,
 # below double-precision roundoff from here down, whatever the tolerance.
@@ -72,9 +60,9 @@ class EigenDecomposition:
     ``eigenvalues`` are real, sorted in descending order along the last
     axis; column j of ``eigenvectors`` is the unit eigenvector for
     ``eigenvalues[..., j]``.  For an (N, d, d) input both carry the leading
-    stack axis.  ``sweeps`` counts full Jacobi passes until the off-diagonal
-    mass fell below the convergence threshold, summed over the stack; a
-    deflated member counts the sweeps it ran, 0 for a closed form.
+    stack axis.  ``sweeps`` is always 0 for a solve of
+    :func:`eigen_hermitian`, which runs no iteration it could count; the
+    field stays because callers, a benchmark tracer among them, read it.
     """
 
     eigenvalues: np.ndarray
@@ -110,119 +98,19 @@ class EigenDecomposition:
         return (vecs * self.eigenvalues[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _off_mass(a: np.ndarray) -> np.ndarray:
-    """Off-diagonal Frobenius mass of each matrix in an (N, d, d) stack."""
-    return np.sqrt(2.0) * np.linalg.norm(np.triu(a, 1), axis=(1, 2))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Annihilate entry (p, q) of every matrix in the stack ``a``, in place.
-
-    Each matrix gets the unitary plane rotation in coordinates (p, q) that
-    makes its transformed (p, q) entry vanish exactly; ``v`` accumulates the
-    same rotations.  A matrix whose (p, q) entry is already zero gets the
-    identity rotation, which leaves it unchanged.
-    """
-    beta = a[:, p, q]
-    mod = np.abs(beta)
-    rotating = mod > 0.0
-    safe_mod = np.where(rotating, mod, 1.0)
-    # conj(beta) / |beta| from the angle: a subnormal pivot has too few
-    # significant bits for the quotient to have unit modulus, and a
-    # non-unit phi would scale column q instead of rotating it.
-    phi = np.where(rotating, np.exp(-1j * np.angle(beta)), 1.0)
-    # tau overflows only when the pivot is negligible against the diagonal
-    # gap; t then rounds to 0, which is the exact limit.
-    with np.errstate(over="ignore"):
-        tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_mod)
-        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    t = np.where(rotating, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    c_, s_ = c[:, None], s[:, None]
-    s_phi, c_phi = (s * phi)[:, None], (c * phi)[:, None]
-    s_phi_bar, c_phi_bar = (s * phi.conj())[:, None], (c * phi.conj())[:, None]
-
-    col_p, col_q = a[:, :, p], a[:, :, q]
-    a[:, :, p], a[:, :, q] = c_ * col_p - s_phi * col_q, s_ * col_p + c_phi * col_q
-    row_p, row_q = a[:, p, :], a[:, q, :]
-    a[:, p, :], a[:, q, :] = c_ * row_p - s_phi_bar * row_q, s_ * row_p + c_phi_bar * row_q
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
-    a[:, p, p] = a[:, p, p].real
-    a[:, q, q] = a[:, q, q].real
-
-    vec_p, vec_q = v[:, :, p], v[:, :, q]
-    v[:, :, p], v[:, :, q] = c_ * vec_p - s_phi * vec_q, s_ * vec_p + c_phi * vec_q
-
-
-def _jacobi(matrices: np.ndarray):
-    """Diagonalize an (N, d, d) stack of complex Hermitian matrices by cyclic Jacobi rotations.
-
-    Every sweep visits the pivots in cyclic-by-row order and applies each to
-    the whole stack at once; a matrix leaves the sweep loop as soon as its
-    own off-diagonal mass is within 1e-13 of its Frobenius norm.  Returns
-    the unsorted (eigenvalues, eigenvectors) and, per matrix, the sweeps it
-    ran, its off-diagonal mass after the last of them and its Frobenius norm.
-    """
-    a = np.array(matrices, dtype=complex)
-    n, d = a.shape[0], a.shape[-1]
-    v = np.broadcast_to(np.eye(d, dtype=complex), a.shape).copy()
-    norms = np.linalg.norm(a, axis=(1, 2))
-    threshold = _CONVERGED * norms
-    off = _off_mass(a)
-    sweeps = np.zeros(n, dtype=int)
-    pivots = [(p, q) for p in range(d - 1) for q in range(p + 1, d)]
-
-    for _ in range(_MAX_SWEEPS):
-        active = np.flatnonzero(off > threshold)
-        if active.size == 0:
-            break
-        sub_a, sub_v = a[active], v[active]
-        for p, q in pivots:
-            _rotate(sub_a, sub_v, p, q)
-        a[active], v[active] = sub_a, sub_v
-        off[active] = _off_mass(sub_a)
-        sweeps[active] += 1
-
-    vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    return vals, v, sweeps, off, norms
-
-
-def _householder(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Householder reflectors H taking the power step M v of each member onto e_1.
-
-    ``m`` is an (N, d, d) Hermitian stack and ``v`` its certificate columns.
-    One power step M v turns the certificate's O(r) angle to the top
-    eigenvector into O(r^2), so the first row of H M H is negligible and
-    its top eigenvector is H e_1 to roundoff.  Each
-    H = I - 2 w w^dagger / (w^dagger w) with w = u + e^{i theta} ||u|| e_1,
-    for u the power step scaled by its largest part and theta the angle of
-    u_0; H is Hermitian and unitary.  Scaling by the largest part, before
-    and after the step, keeps ||u|| in [1, sqrt(d)] for parts from
-    subnormal up to 1e150, and the sign choice keeps w^dagger w at least 2.
-    """
-    d = v.shape[1]
-    u = v / np.max(np.abs(v), axis=1, keepdims=True)
-    u = np.einsum("nij,nj->ni", m, u)
-    u /= np.max(np.abs(u), axis=1, keepdims=True)
-    w = u.copy()
-    w[:, 0] += np.exp(1j * np.angle(u[:, 0])) * np.linalg.norm(u, axis=1)
-    mass = np.einsum("ni,ni->n", w.conj(), w).real
-    return np.eye(d) - (2.0 / mass)[:, None, None] * w[:, :, None] * w[:, None, :].conj()
-
-
 def _normalized(sym: np.ndarray):
     """Each member of an (N, d, d) stack times an even power of two, and its exponent.
 
     The power brings the member's largest real or imaginary part into
-    [0.5, 2), so the squares in its norms neither underflow nor overflow:
-    unscaled, a member whose entries are all below about 1e-154 has zero
-    off-diagonal mass and zero norm, and would never be swept.  Scaling by
-    a power of two is exact, and an even one also scales the certificate's
-    square root exactly, so a solve at ordinary scale keeps every bit.
-    A member already in that range, or zero, is unchanged.
+    [0.5, 2).  LAPACK's solve is not exactly equivariant under scaling far
+    from ordinary scale: it rescales a matrix whose largest entry lies
+    outside about [1e-146, 1e146] by a factor that is not a power of two,
+    and its intermediate products underflow sooner (4^k times a d = 5
+    projector solves to other bits than the projector once its largest
+    entry is below about 1e-106).  Scaled here, exactly, every member is
+    solved at ordinary scale, and its result does not depend on its size.
+    A member already in that range, such as one with parts of 1, or zero,
+    is unchanged.
     """
     _, exponent = np.frexp(np.max(np.abs(sym.view(float)), axis=(1, 2)))
     shift = -2 * (exponent // 2)
@@ -266,13 +154,12 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     or imaginary part: an absolute gate at ordinary scale, a relative one
     above it, so a scaled matrix's roundoff asymmetry scales with its
     bound; an infinite ``hermiticity_tol`` skips the check, which could
-    refuse nothing.  The iteration itself then works on the symmetrized
-    matrix (M + M^dagger) / 2 so the arithmetic sees exact Hermitian data,
-    scaled by an even power of two that brings its largest part near 1, so
-    that entries as small as subnormals are swept like any others.
-    A member that would sweep and whose one-column certificate meets the
-    stopping rule is swept after Householder deflation; all others are
-    swept as they stand.
+    refuse nothing.  One ``np.linalg.eigh`` call (LAPACK) then solves the
+    symmetrized stack (M + M^dagger) / 2, so the solver sees exact
+    Hermitian data, each member scaled by an even power of two that brings
+    its largest part near 1; the eigenvalues are scaled back exactly.
+    Equal eigenvalues keep LAPACK's order.  A LAPACK failure raises
+    ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
     stack, single, largest = _checked_stack(matrix)
     if hermiticity_tol < np.inf:  # an infinite gate could refuse nothing
@@ -286,32 +173,14 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
                 f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
             )
     sym, shift = _normalized(_symmetrized(stack))
-    v, r = _rank_one_certificate(sym)
-    threshold = _CONVERGED * np.linalg.norm(sym, axis=(1, 2))
-    deflate = np.flatnonzero((r <= threshold) & (_off_mass(sym) > threshold))
-    if deflate.size:
-        reflectors = _householder(sym[deflate], v[deflate])
-        sym[deflate] = _symmetrized(reflectors @ sym[deflate] @ reflectors)
-    # The norms are of the matrices swept, deflated ones included.
-    vals, vecs, sweeps, off, norms = _jacobi(sym)
-    if deflate.size:
-        vecs[deflate] = reflectors @ vecs[deflate]
-    stuck = np.flatnonzero(off > _CONVERGED * norms)
-    if stuck.size:
-        i = int(stuck[0])
-        label = "" if single else f" (matrix {i})"
-        raise RuntimeError(
-            f"eigensolver did not converge within {_MAX_SWEEPS} sweeps{label}: "
-            f"off-diagonal mass {np.ldexp(off[i], -shift[i]):.3e} "
-            f"against scale {np.ldexp(norms[i], -shift[i]):.3e}"
-        )
+    vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(np.ldexp(vals, -shift[:, None]), order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     if single:
         vals, vecs = vals[0], vecs[0]
     # Both arrays were built here and are referenced nowhere else.
-    return EigenDecomposition._adopt(vals, vecs, int(sweeps.sum()))
+    return EigenDecomposition._adopt(vals, vecs, 0)
 
 
 def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, prefix: str):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mubkit.algebra import MubFamily
+from mubkit.algebra import MAX_FAMILY_BYTES, MubFamily
 from mubkit.construct import build_family
 from mubkit.io import (
     FORMAT_VERSION,
@@ -485,6 +485,32 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError, match="could not read"):
             load_family(str(tmp_path / "absent.json"))
+
+    def test_oversized_file_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "family.json"
+        write_doc(path)
+        size = path.stat().st_size
+        monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", size - 1)
+        with pytest.raises(ValueError) as caught:
+            load_family(str(path))
+        assert str(caught.value) == (
+            f"family document {str(path)!r} has {size} bytes, above the {size - 1}-byte limit"
+        )
+        monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", size)
+        assert load_family(str(path)).dim == 2
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_size_limit_admits_the_widest_document(self, tmp_path, d):
+        # Every part spelled at its widest, with states and metadata: per
+        # projector entry, no more bytes than the limit allows a family of
+        # MAX_FAMILY_BYTES.
+        widest = -2.2250738585072014e-308 * (1 + 1j)
+        family = MubFamily(np.full((d + 1, d, d, d), widest))
+        path = tmp_path / "widest.json"
+        metadata = {"generator": "reconstruct", "timestamp": "2026-01-01T00:00:00.000000+00:00"}
+        save_family(family, str(path), states=np.full((d + 1, d, d), widest), metadata=metadata)
+        per_entry = mubkit.io._MAX_DOCUMENT_BYTES / (MAX_FAMILY_BYTES // 16)
+        assert path.stat().st_size <= per_entry * family.projectors.size
 
     def test_root_not_object(self, tmp_path):
         path = tmp_path / "family.json"
