@@ -361,7 +361,7 @@ class TestSolverFailure:
         path = tmp_path / "mixed.json"
         save_family(MubFamily(mats), str(path))
 
-        def failing(a, UPLO="L"):
+        def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
