@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -138,7 +139,15 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser as it was, so every dispatch shares it.  A
+    parser is a web of cycles that only the cyclic collector frees, so one
+    built per command would be garbage left behind by each.  The commands
+    look the library's functions up when they run, so a patched one applies.
+    """
     parser = argparse.ArgumentParser(
         prog="mubkit",
         description="Construct, verify, reconstruct, and search for mutually unbiased bases.",

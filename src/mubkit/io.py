@@ -15,11 +15,16 @@ level, flattened, and converts their numbers with one ``np.array`` call;
 it reads matrix by matrix only when that check misses, to name the bad
 entry.  It validates all it reads at a fixed tolerance and names the
 offending (basis, vector, entry) when a matrix fails; a document is never
-trusted because this package wrote it.
+trusted because this package wrote it.  The cyclic garbage collector is
+held off while a document is parsed and validated: ``json.loads`` builds
+a tree of fresh lists and dicts with no cycle, which reference counting
+frees, and the collector walking it again and again as it grew (a million
+lists at d = 31) took about a third of a load.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -66,7 +71,8 @@ _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 # Numbers whose texts the writer builds at once, from equally shaped arrays.
 _RUN = 1 << 14
 
-# Largest document a load reads, checked before reading: a family of
+# Largest document a load reads, checked against a file's size before
+# reading and against a pipe's bytes as they are read: a family of
 # MAX_FAMILY_BYTES of projectors with every [re, im] entry spelled at the
 # writer's widest (54 bytes with its separator), and as many bytes again
 # for its states, brackets and keys, which take fewer from d = 3 on.
@@ -75,6 +81,9 @@ _MAX_DOCUMENT_BYTES = (
     * (MAX_FAMILY_BYTES // np.dtype(complex).itemsize)
     * len(json.dumps([-2.2250738585072014e-308] * 2) + ", ")
 )
+
+# Bytes a load reads at once.
+_CHUNK = 1 << 20
 
 
 def _is_number(x) -> bool:
@@ -459,28 +468,68 @@ def save_family(
 def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     """Read and validate a family document; returns its projectors.
 
-    Raises on unreadable files, files larger than any document of a family
-    within :data:`~mubkit.algebra.MAX_FAMILY_BYTES` (refused before a byte
-    is read), malformed JSON, structural inconsistencies, and
-    projector-invariant violations (named per basis, vector, entry).
-    When the numbers at the head and the tail of the document repeat, as
-    in a closed-form family, float literals are parsed through a bounded
-    per-load table keyed by their text, so a repeated literal costs a
-    lookup; otherwise each is parsed by ``float``.
+    Raises on unreadable files, documents larger than any document of a
+    family within :data:`~mubkit.algebra.MAX_FAMILY_BYTES` (a regular file
+    is refused by its size before a byte is read, a pipe once one byte
+    past the limit has been read), malformed JSON, structural
+    inconsistencies, and projector-invariant violations (named per basis,
+    vector, entry).  When the numbers at the head and the tail of the
+    document repeat, as in a closed-form family, float literals are parsed
+    through a bounded per-load table keyed by their text, so a repeated
+    literal costs a lookup; otherwise each is parsed by ``float``.
+
+    The cyclic garbage collector is switched off while the document is
+    parsed and validated, and put back in the state it had on entry, on
+    every path, once the parsed tree can no longer be reached.  This is
+    safe because ``json.loads`` builds only fresh dicts, lists, strings and
+    numbers: the tree holds no cycle for the collector to find, and
+    reference counting frees it.  The switch is process-wide, so a load in
+    another thread may see the collector come back on before its own tree
+    is freed; that costs the load time, never correctness.
     """
     _check_tolerance(tolerance)
+    text = _read_document(path)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        return _validated(text, path, tolerance)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_document(path: str) -> str:
+    """The text of the document at ``path``, refused when longer than _MAX_DOCUMENT_BYTES."""
+    try:
+        with open(path, "rb") as handle:
             size = os.fstat(handle.fileno()).st_size
             if size > _MAX_DOCUMENT_BYTES:
                 raise ValueError(
                     f"family document {path!r} has {size} bytes, "
                     f"above the {_MAX_DOCUMENT_BYTES}-byte limit"
                 )
-            text = handle.read()
-        payload = json.loads(text, parse_float=_parse_float(text))
+            # A regular file is read in one step; a pipe reports no size,
+            # so it is read in chunks, counted.
+            step, chunks, left = max(size + 1, _CHUNK), [], _MAX_DOCUMENT_BYTES + 1
+            while left and (chunk := handle.read(min(step, left))):
+                chunks.append(chunk)
+                left -= len(chunk)
     except OSError as exc:
         raise OSError(f"could not read {path!r}: {exc}") from exc
+    if not left:
+        raise ValueError(
+            f"family document {path!r} runs past the {_MAX_DOCUMENT_BYTES}-byte limit"
+        )
+    # Decoded as a text-mode read would: a BOM is kept, for json to refuse,
+    # and line ends are read as "\n", so JSON error positions stay the same.
+    text = b"".join(chunks).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _validated(text: str, path: str, tolerance: float) -> MubFamily:
+    """The family of a document's text; the parsed tree is freed when this returns."""
+    try:
+        payload = json.loads(text, parse_float=_parse_float(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
     return FamilyDocument.from_payload(payload).to_family(tolerance)

@@ -1,8 +1,11 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -325,6 +328,37 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("limit", [-1, 0], ids=["longer", "at_the_limit"])
+    def test_streamed_document_is_bounded(self, tmp_path, monkeypatch, capsys, limit):
+        # A pipe reports size 0, so only a counted read can refuse it.
+        data = construct(tmp_path, d=3).read_bytes()
+        monkeypatch.setattr("mubkit.io._MAX_DOCUMENT_BYTES", len(data) + limit)
+        fifo = str(tmp_path / "stream")
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as handle:
+                    handle.write(data)
+            except BrokenPipeError:  # the reader stopped one byte past the limit
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        code = cli_dispatch(["verify", fifo])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        captured = capsys.readouterr()
+        if limit:
+            assert code == 2
+            assert captured.err == (
+                f"error: family document {fifo!r} runs past the "
+                f"{len(data) + limit}-byte limit\n"
+            )
+        else:
+            assert code == 0, captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -594,6 +628,55 @@ class TestDispatch:
             assert stdout_code == file_code
             assert text.count("\n") == 1 and text.endswith("\n")
             assert value(text) == value(path.read_text())
+
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        family, out = str(tmp_path / "family.json"), str(tmp_path / "out.json")
+        commands = [
+            ["construct", "--d", "3", "--out", family],
+            ["verify", family],
+            ["reconstruct", family, "--out", out],
+            ["search", "--d", "3", "--bases", "4", "--from", family, "--out", out],
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in commands:
+                assert cli_dispatch(argv) == 0, capsys.readouterr().err
+                assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch):
+        family = str(tmp_path / "family.json")
+        commands = [
+            ["construct", "--d", "3", "--out", family],
+            ["verify", family],
+            ["gauss", "--u", "2", "--v", "0", "--w", "3"],
+            ["reconstruct", family, "--out", str(tmp_path / "states.json")],
+            ["--help"],
+            ["verify", "--help"],
+            ["--version"],
+            ["verify"],
+            ["frobnicate"],
+            ["construct", "--d", "3", "--frob"],
+            ["verify", family, "--tol", "1e-12"],
+        ]
+
+        def answers():
+            replies = []
+            for argv in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_dispatch(argv)
+                replies.append((code, out.getvalue(), err.getvalue()))
+            return replies
+
+        monkeypatch.setenv("COLUMNS", "80")
+        assert mubkit.cli._build_parser() is mubkit.cli._build_parser()
+        reused = answers()
+        monkeypatch.setattr(mubkit.cli, "_build_parser", mubkit.cli._build_parser.__wrapped__)
+        assert answers() == reused
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0]
 
     def test_dispatch_in_process(self, tmp_path, capsys):
         path = tmp_path / "family.json"

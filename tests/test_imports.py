@@ -71,3 +71,36 @@ def test_family_checks_are_defined_once_in_algebra():
                     if isinstance(target, ast.Name) and target.id in names:
                         homes[target.id].append(stem)
     assert homes == {name: ["algebra"] for name in names}
+
+
+def test_only_io_imports_gc():
+    importers = {
+        stem
+        for stem, tree in parsed().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+    }
+    assert importers == {"io"}
+
+
+def test_collector_is_switched_only_in_load_family():
+    found = []
+
+    def visit(node, stem, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "gc"
+                and func.attr in ("disable", "enable")
+            ):
+                found.append((stem, ".".join(scope), func.attr))
+            visit(child, stem, inner)
+
+    for stem, tree in parsed().items():
+        visit(tree, stem, [])
+    assert sorted(found) == [("io", "load_family", "disable"), ("io", "load_family", "enable")]

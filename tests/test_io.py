@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -499,6 +500,31 @@ class TestRejection:
         monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", size)
         assert load_family(str(path)).dim == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'\xef\xbb\xbf{"format_version": "1"}',
+            b'{"format_version":\r\n "1", \r\n"dimension": 2,\r\n "bases": [',
+            b'{"format_version": "1",\r "dimension": 2, "bases": [{"x\r": ',
+            b'{"format_version": "1", "metadata": "\xff"}',
+            b'{"format_version": "1", "meta\xc3\xa9": \r\n}',
+        ],
+        ids=["bom", "crlf", "lone_cr", "invalid_utf8", "non_ascii_crlf"],
+    )
+    def test_refused_like_a_text_mode_read(self, tmp_path, data):
+        # Read in binary, a document still fails where and as the text-mode
+        # read it replaces failed: BOM kept, line ends read as "\n".
+        path = tmp_path / "family.json"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                json.loads(handle.read())
+        except ValueError as exc:
+            expected = str(exc)
+        with pytest.raises(ValueError) as caught:
+            load_family(str(path))
+        assert expected in str(caught.value)
+
     @pytest.mark.parametrize("d", [3, 7])
     def test_size_limit_admits_the_widest_document(self, tmp_path, d):
         # Every part spelled at its widest, with states and metadata: per
@@ -902,6 +928,82 @@ class TestLoadTolerance:
             load_family(str(path))
         # A looser explicit tolerance accepts the same file.
         load_family(str(path), tolerance=1e-6)
+
+
+def collections_during(call):
+    """The generations of the cyclic collections that run while ``call()`` runs."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()  # so that no collection falls due in what the call does first
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+    return generations
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off for the block, then as it was."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+class TestCollector:
+    def test_closed_form_load_runs_no_collection(self, tmp_path):
+        family = build_family(13)
+        path = str(tmp_path / "family.json")
+        save_family(family, path)
+        loaded = []
+        with collector(True):
+            generations = collections_during(lambda: loaded.append(load_family(path)))
+        assert generations == []
+        assert loaded[0].projectors.tobytes() == family.projectors.tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (None, None),
+            ("{", "not valid JSON"),
+            ('{"format_version": "0"}', "unsupported format_version"),
+            ("refused matrix", "Hermitian symmetry"),
+            ("oversized", "above the"),
+            ("missing", "could not read"),
+        ],
+        ids=["loads", "invalid_json", "bad_structure", "refused_matrix", "oversized", "missing"],
+    )
+    def test_load_leaves_the_collector_as_it_found_it(
+        self, tmp_path, monkeypatch, enabled, text, error
+    ):
+        path = tmp_path / "family.json"
+
+        def asymmetric(p):
+            p["bases"][0]["projectors"][0]["matrix"][0][1][0] += 1e-3
+
+        write_doc(path, asymmetric if text == "refused matrix" else None)
+        if text == "oversized":
+            monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", path.stat().st_size - 1)
+        elif text == "missing":
+            path = tmp_path / "absent.json"
+        elif text not in (None, "refused matrix"):
+            path.write_text(text)
+        with collector(enabled):
+            if error is None:
+                assert load_family(str(path)).dim == 2
+            else:
+                with pytest.raises((OSError, ValueError), match=error):
+                    load_family(str(path))
+            assert gc.isenabled() == enabled
 
 
 class TestHashingAndReports:
