@@ -82,7 +82,7 @@ _MAX_DOCUMENT_BYTES = (
     * len(json.dumps([-2.2250738585072014e-308] * 2) + ", ")
 )
 
-# Bytes a load reads at once.
+# Bytes a load reads at once from a pipe, which has no size to read by.
 _CHUNK = 1 << 20
 
 

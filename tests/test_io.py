@@ -516,14 +516,12 @@ class TestRejection:
         # read it replaces failed: BOM kept, line ends read as "\n".
         path = tmp_path / "family.json"
         path.write_bytes(data)
-        try:
+        with pytest.raises(ValueError) as expected:
             with open(path, encoding="utf-8") as handle:
                 json.loads(handle.read())
-        except ValueError as exc:
-            expected = str(exc)
         with pytest.raises(ValueError) as caught:
             load_family(str(path))
-        assert expected in str(caught.value)
+        assert str(expected.value) in str(caught.value)
 
     @pytest.mark.parametrize("d", [3, 7])
     def test_size_limit_admits_the_widest_document(self, tmp_path, d):
@@ -971,32 +969,34 @@ class TestCollector:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
-        "text, error",
+        "case, error",
         [
-            (None, None),
-            ("{", "not valid JSON"),
-            ('{"format_version": "0"}', "unsupported format_version"),
-            ("refused matrix", "Hermitian symmetry"),
+            ("loads", None),
+            ("invalid_json", "not valid JSON"),
+            ("bad_structure", "unsupported format_version"),
+            ("refused_matrix", "Hermitian symmetry"),
             ("oversized", "above the"),
             ("missing", "could not read"),
         ],
         ids=["loads", "invalid_json", "bad_structure", "refused_matrix", "oversized", "missing"],
     )
     def test_load_leaves_the_collector_as_it_found_it(
-        self, tmp_path, monkeypatch, enabled, text, error
+        self, tmp_path, monkeypatch, enabled, case, error
     ):
         path = tmp_path / "family.json"
 
         def asymmetric(p):
             p["bases"][0]["projectors"][0]["matrix"][0][1][0] += 1e-3
 
-        write_doc(path, asymmetric if text == "refused matrix" else None)
-        if text == "oversized":
+        write_doc(path, asymmetric if case == "refused_matrix" else None)
+        if case == "invalid_json":
+            path.write_text("{")
+        elif case == "bad_structure":
+            path.write_text('{"format_version": "0"}')
+        elif case == "oversized":
             monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", path.stat().st_size - 1)
-        elif text == "missing":
+        elif case == "missing":
             path = tmp_path / "absent.json"
-        elif text not in (None, "refused matrix"):
-            path.write_text(text)
         with collector(enabled):
             if error is None:
                 assert load_family(str(path)).dim == 2
