@@ -143,9 +143,9 @@ def flatten(matrix) -> np.ndarray:
 def unflatten(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rebuild the (d, d) matrix whose row-major flattening is ``vec``.
 
-    Rejects vectors whose length is not a perfect square and vectors whose
-    components violate Hermitian symmetry (component (p, q) must equal the
-    conjugate of component (q, p)) beyond ``tol``.
+    Rejects vectors whose length is not a perfect square or with a
+    non-finite component, and components that violate Hermitian symmetry
+    (component (p, q) must equal the conjugate of (q, p)) beyond ``tol``.
     """
     _check_tolerance(tol)
     v = np.asarray(vec, dtype=complex)
@@ -154,9 +154,11 @@ def unflatten(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size or v.size == 0:
         raise ValueError(f"vector length {v.size} is not a positive perfect square")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("components must be finite")
     m = v.reshape(d, d).copy()
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
+    defect = float(_hermitian_defects(m[None])[0][0])
+    if not defect <= tol:
         raise ValueError(
             f"components are not Hermitian-symmetric: max deviation {defect:.3e} exceeds {tol:.1e}"
         )
@@ -189,6 +191,16 @@ def trace_product(m1, m2) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
+def _state_vector(state) -> np.ndarray:
+    """``state`` as a complex vector, refused unless nonempty, 1-D and finite."""
+    v = np.asarray(state, dtype=complex)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector entries must be finite")
+    return v
+
+
 def projector_from_state(state, tol: float = 1e-10) -> np.ndarray:
     """Rank-1 projector |v><v| of a unit-norm state vector ``v``.
 
@@ -196,9 +208,7 @@ def projector_from_state(state, tol: float = 1e-10) -> np.ndarray:
     only nonzero eigenvalue is 1.
     """
     _check_tolerance(tol)
-    v = np.asarray(state, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
+    v = _state_vector(state)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state vector norm {norm} deviates from 1 beyond {tol:.1e}")
@@ -213,9 +223,7 @@ def canonical_phase(state) -> np.ndarray:
     agree to roundoff after arithmetic).  Projectors are phase-blind, so this
     picks one representative per ray and makes round trips comparable.
     """
-    v = np.asarray(state, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
+    v = _state_vector(state)
     mods = np.abs(v)
     top = float(mods.max())
     if top == 0.0:

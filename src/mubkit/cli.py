@@ -24,7 +24,7 @@ from . import __version__
 from .algebra import _check_tolerance
 from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
-from .io import load_family, report_payload, save_family, write_json
+from .io import _load_family, load_family, report_payload, save_family, write_json
 from .reconstruct import reconstruct_all
 from .search import SearchConfig, polish, run_search
 from .verify import verify_family
@@ -53,10 +53,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family = load_family(args.family)
+    family, sha256 = _load_family(args.family, digest=bool(args.report))
     report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram)
     if args.report:
-        write_json(report_payload(report, __version__, source_path=args.family), args.report)
+        write_json(report_payload(report, __version__, source=(args.family, sha256)), args.report)
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -5,21 +5,16 @@ The interchange document stores every complex entry as an [re, im] pair.
 compact JSON, byte for byte what ``json.dumps`` writes, with numbers in
 Python's shortest round-trippable decimal form, so a save followed by a
 load reproduces each float bit for bit.  A save hands the writer the
-family's arrays as float [re, im] views, never as nested lists; they are
-spelled run by run, each run of up to 16 384 numbers from a table of its
-own distinct floats (at most 26 in a closed-form family at d = 13), so
-the writer's memory does not grow with the document.  The loader parses
-a document whose numbers repeat through a bounded table of literals.  It
-checks the types and shapes of all of a document's matrices level by
-level, flattened, and converts their numbers with one ``np.array`` call;
-it reads matrix by matrix only when that check misses, to name the bad
-entry.  It validates all it reads at a fixed tolerance and names the
+family's arrays as float [re, im] views, which it spells run by run, so
+its memory does not grow with the document.  ``_read_document`` is the
+only reader of an input document: it reads each once, bounded, and a
+certificate's SHA-256 is of the very bytes that were parsed and validated.
+The loader validates all it reads at a fixed tolerance and names the
 offending (basis, vector, entry) when a matrix fails; a document is never
 trusted because this package wrote it.  The cyclic garbage collector is
-held off while a document is parsed and validated: ``json.loads`` builds
-a tree of fresh lists and dicts with no cycle, which reference counting
-frees, and the collector walking it again and again as it grew (a million
-lists at d = 31) took about a third of a load.
+held off while a document is parsed and validated: walking the parsed
+tree again and again as it grew (a million lists at d = 31) took about a
+third of a load.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ __all__ = [
     "FORMAT_VERSION",
     "LOAD_TOLERANCE",
     "FamilyDocument",
-    "file_sha256",
     "load_family",
     "report_payload",
     "save_family",
@@ -471,35 +465,41 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     Raises on unreadable files, documents larger than any document of a
     family within :data:`~mubkit.algebra.MAX_FAMILY_BYTES` (a regular file
     is refused by its size before a byte is read, a pipe once one byte
-    past the limit has been read), malformed JSON, structural
-    inconsistencies, and projector-invariant violations (named per basis,
-    vector, entry).  When the numbers at the head and the tail of the
-    document repeat, as in a closed-form family, float literals are parsed
-    through a bounded per-load table keyed by their text, so a repeated
-    literal costs a lookup; otherwise each is parsed by ``float``.
+    past the limit has been read), malformed or too deeply nested JSON,
+    structural inconsistencies, and projector-invariant violations (named
+    per basis, vector, entry).  When the numbers at the head and the tail
+    of the document repeat, as in a closed-form family, float literals are
+    parsed through a bounded per-load table keyed by their text, so a
+    repeated literal costs a lookup; otherwise each is parsed by ``float``.
 
     The cyclic garbage collector is switched off while the document is
-    parsed and validated, and put back in the state it had on entry, on
-    every path, once the parsed tree can no longer be reached.  This is
-    safe because ``json.loads`` builds only fresh dicts, lists, strings and
-    numbers: the tree holds no cycle for the collector to find, and
-    reference counting frees it.  The switch is process-wide, so a load in
-    another thread may see the collector come back on before its own tree
-    is freed; that costs the load time, never correctness.
+    parsed and validated, and put back as it was on every path: the tree
+    ``json.loads`` builds has no cycle, and reference counting frees it.
+    The switch is process-wide, so a load in another thread may see the
+    collector back on before its own tree is freed, which costs it time,
+    never correctness.
     """
+    return _load_family(path, tolerance)[0]
+
+
+def _load_family(path: str, tolerance: float = LOAD_TOLERANCE, digest: bool = False) -> tuple:
+    """:func:`load_family`'s family, and with ``digest`` the SHA-256 of the bytes it read."""
     _check_tolerance(tolerance)
-    text = _read_document(path)
+    text, sha256 = _read_document(path, digest)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _validated(text, path, tolerance)
+        return _validated(text, path, tolerance), sha256
     finally:
         if enabled:
             gc.enable()
 
 
-def _read_document(path: str) -> str:
-    """The text of the document at ``path``, refused when longer than _MAX_DOCUMENT_BYTES."""
+def _read_document(path: str, digest: bool) -> tuple:
+    """The text of the document at ``path`` and, with ``digest``, the hex SHA-256 of its bytes.
+
+    Refused when longer than _MAX_DOCUMENT_BYTES.
+    """
     try:
         with open(path, "rb") as handle:
             size = os.fstat(handle.fileno()).st_size
@@ -520,10 +520,12 @@ def _read_document(path: str) -> str:
         raise ValueError(
             f"family document {path!r} runs past the {_MAX_DOCUMENT_BYTES}-byte limit"
         )
+    data = b"".join(chunks)
+    sha256 = hashlib.sha256(data).hexdigest() if digest else None
     # Decoded as a text-mode read would: a BOM is kept, for json to refuse,
     # and line ends are read as "\n", so JSON error positions stay the same.
-    text = b"".join(chunks).decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    text = data.decode("utf-8")
+    return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text), sha256
 
 
 def _validated(text: str, path: str, tolerance: float) -> MubFamily:
@@ -532,6 +534,8 @@ def _validated(text: str, path: str, tolerance: float) -> MubFamily:
         payload = json.loads(text, parse_float=_parse_float(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
     return FamilyDocument.from_payload(payload).to_family(tolerance)
 
 
@@ -554,32 +558,19 @@ def _parse_float(text: str):
     return float
 
 
-def file_sha256(path: str) -> str:
-    """Hex digest of a file's contents, for report provenance."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def report_payload(
-    report: VerificationReport,
-    tool_version: str,
-    source_path: Optional[str] = None,
-) -> dict:
+def report_payload(report: VerificationReport, tool_version: str, source=None) -> dict:
     """JSON payload for a verification certificate, with provenance fields.
 
     Every report field is a key, in field order; array fields (the Gram
     matrix) come last, after the provenance, and fields left at ``None``
-    are omitted.
+    are omitted.  ``source``, when given, is the (path, SHA-256 hex digest)
+    of the document the report judged, digested in the read that loaded it.
     """
     values = {f.name: getattr(report, f.name) for f in fields(report)}
     arrays = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
     payload = {"tool_version": tool_version}
     payload.update((k, v) for k, v in values.items() if k not in arrays and v is not None)
-    if source_path is not None:
-        payload["input_path"] = source_path
-        payload["input_sha256"] = file_sha256(source_path)
+    if source is not None:
+        payload["input_path"], payload["input_sha256"] = source
     payload.update(arrays)
     return payload

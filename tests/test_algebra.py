@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ from mubkit.verify import verify_family, verify_states
 
 HALVES = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 CIRCLE = 0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)]
+
+
+def strictly(f, *args):
+    """``f(*args)`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
 
 
 def random_hermitian(rng, d):
@@ -65,8 +76,17 @@ class TestUnflatten:
             unflatten([1.0, 0.0, 0.0])
 
     def test_rejects_symmetry_violation(self):
-        with pytest.raises(ValueError, match="Hermitian"):
+        expected = "components are not Hermitian-symmetric: max deviation 4.000e-01 exceeds 1.0e-12"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             unflatten([0.5, 0.2j, 0.2j, 0.5])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_non_finite_components(self, bad, at):
+        vec = [1.0, 0.0, 0.0, 0.0]
+        vec[at] = bad
+        with pytest.raises(ValueError, match="components must be finite"):
+            strictly(unflatten, vec)
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(11)
@@ -128,8 +148,14 @@ class TestProjectorFromState:
         assert np.allclose(projector_from_state(s), CIRCLE, atol=1e-15)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
+        expected = "state vector norm 1.4142135623730951 deviates from 1 beyond 1.0e-10"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             projector_from_state([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="state vector entries must be finite"):
+            strictly(projector_from_state, [bad, 0.0])
 
     def test_rank_one_traces(self):
         rng = np.random.default_rng(3)
@@ -185,6 +211,14 @@ class TestCanonicalPhase:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             canonical_phase([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_non_finite_entries(self, bad, at):
+        state = [1.0, 1.0]
+        state[at] = bad
+        with pytest.raises(ValueError, match="state vector entries must be finite"):
+            strictly(canonical_phase, state)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -273,8 +274,35 @@ class TestVerify:
         assert proc.returncode == 0
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
-        assert len(payload["input_sha256"]) == 64
+        assert payload["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert "gram" not in payload
+
+    @pytest.mark.parametrize("source", ["stdin", "fifo"])
+    def test_report_digests_the_bytes_verified(self, tmp_path, source):
+        # A pipe or FIFO can be read once: a second open would see nothing
+        # (stdin) or wait for a writer that never comes (FIFO).
+        data = construct(tmp_path, d=3).read_bytes()
+        report = tmp_path / "report.json"
+        target, stdin = "/dev/stdin", data
+        if source == "fifo":
+            target, stdin = str(tmp_path / "stream"), None
+            os.mkfifo(target)
+
+            def feed():
+                with open(target, "wb") as handle:
+                    handle.write(data)
+
+            threading.Thread(target=feed, daemon=True).start()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mubkit", "verify", target, "--report", str(report)],
+            input=stdin,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(report.read_text())
+        assert payload["input_path"] == target
+        assert payload["input_sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_full_gram_included_on_request(self, tmp_path):
         path = construct(tmp_path, d=2)
@@ -325,6 +353,23 @@ class TestVerify:
         assert cli_dispatch(["verify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: family document {str(path)!r} has {size} bytes")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_too_deep_document_is_usage_error(self, tmp_path, capsys, enabled):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = cli_dispatch(["verify", str(path)])
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {str(path)!r} is nested too deeply to parse: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

@@ -84,23 +84,40 @@ def test_only_io_imports_gc():
     assert importers == {"io"}
 
 
-def test_collector_is_switched_only_in_load_family():
+def calls():
+    """(module, qualified function name, call node) of every call in the package."""
     found = []
 
     def visit(node, stem, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            func = getattr(child, "func", None)
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "gc"
-                and func.attr in ("disable", "enable")
-            ):
-                found.append((stem, ".".join(scope), func.attr))
+            if isinstance(child, ast.Call):
+                found.append((stem, ".".join(scope), child))
             visit(child, stem, inner)
 
     for stem, tree in parsed().items():
         visit(tree, stem, [])
-    assert sorted(found) == [("io", "load_family", "disable"), ("io", "load_family", "enable")]
+    return found
+
+
+def test_collector_is_switched_only_in_load_family():
+    found = [
+        (stem, scope, call.func.attr)
+        for stem, scope, call in calls()
+        if isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "gc"
+        and call.func.attr in ("disable", "enable")
+    ]
+    assert sorted(found) == [("io", "_load_family", "disable"), ("io", "_load_family", "enable")]
+
+
+def test_documents_are_read_only_in_read_document():
+    # One reader, so a certificate's digest is of the bytes that were
+    # verified; the writer is the only other open.
+    found = [
+        (stem, scope)
+        for stem, scope, call in calls()
+        if getattr(call.func, "id", None) == "open" or getattr(call.func, "attr", None) == "open"
+    ]
+    assert sorted(found) == [("io", "_read_document"), ("io", "write_json")]

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -18,14 +19,13 @@ from mubkit.construct import build_family
 from mubkit.io import (
     FORMAT_VERSION,
     FamilyDocument,
-    file_sha256,
     load_family,
     report_payload,
     save_family,
     write_json,
 )
 import mubkit.io
-from mubkit.io import _FloatLiterals, _texts
+from mubkit.io import _FloatLiterals, _load_family, _texts
 from mubkit.reconstruct import reconstruct_all
 from mubkit.search import SearchConfig, polish, run_search
 from mubkit.verify import verify_family
@@ -977,8 +977,12 @@ class TestCollector:
             ("refused_matrix", "Hermitian symmetry"),
             ("oversized", "above the"),
             ("missing", "could not read"),
+            ("too_deep", "nested too deeply"),
         ],
-        ids=["loads", "invalid_json", "bad_structure", "refused_matrix", "oversized", "missing"],
+        ids=[
+            "loads", "invalid_json", "bad_structure", "refused_matrix", "oversized", "missing",
+            "too_deep",
+        ],
     )
     def test_load_leaves_the_collector_as_it_found_it(
         self, tmp_path, monkeypatch, enabled, case, error
@@ -997,6 +1001,8 @@ class TestCollector:
             monkeypatch.setattr(mubkit.io, "_MAX_DOCUMENT_BYTES", path.stat().st_size - 1)
         elif case == "missing":
             path = tmp_path / "absent.json"
+        elif case == "too_deep":
+            path.write_text("[" * 200_000)
         with collector(enabled):
             if error is None:
                 assert load_family(str(path)).dim == 2
@@ -1008,22 +1014,28 @@ class TestCollector:
 
 class TestHashingAndReports:
     def test_sha256_is_stable_and_content_sensitive(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text("payload")
-        b.write_text("payload")
-        assert file_sha256(str(a)) == file_sha256(str(b))
-        b.write_text("payload!")
-        assert file_sha256(str(a)) != file_sha256(str(b))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_doc(a)
+        write_doc(b)
+        assert _load_family(str(a), digest=True)[1] == _load_family(str(b), digest=True)[1]
+        # CRLF line ends are read as "\n": the same family from other bytes.
+        b.write_bytes(b.read_bytes().replace(b", ", b",\r\n"))
+        family, sha256 = _load_family(str(b), digest=True)
+        assert family.projectors.tobytes() == build_family(2).projectors.tobytes()
+        assert sha256 == hashlib.sha256(b.read_bytes()).hexdigest()
+        assert sha256 != hashlib.sha256(a.read_bytes()).hexdigest()
+        assert _load_family(str(b))[1] is None
 
     def test_report_payload_fields(self, tmp_path):
         family = build_family(2)
         path = tmp_path / "family.json"
         save_family(family, str(path))
         report = verify_family(family, keep_gram=True)
-        payload = report_payload(report, tool_version="0.1.0", source_path=str(path))
+        sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+        payload = report_payload(report, tool_version="0.1.0", source=(str(path), sha256))
         assert payload["tool_version"] == "0.1.0"
-        assert payload["input_sha256"] == file_sha256(str(path))
+        assert payload["input_path"] == str(path)
+        assert payload["input_sha256"] == sha256
         assert payload["passed"] is True
         assert payload["dim"] == 2
         assert len(payload["gram"]) == 6
