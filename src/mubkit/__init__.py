@@ -6,18 +6,7 @@ recovery via a small Hermitian eigensolver, quadratic exponential sum
 checks, and a seeded numerical search for families in arbitrary dimension.
 """
 
-from .algebra import (
-    DEFAULT_TOL,
-    MubFamily,
-    canonical_phase,
-    flatten,
-    matrix_unit,
-    projector_from_state,
-    trace_product,
-    unbiased_gram_target,
-    unflatten,
-    w_inner,
-)
+from .algebra import MubFamily, canonical_phase, projector_from_state, unbiased_gram_target
 from .construct import build_family, computational_coefficient, is_prime, w_coefficient
 from .gauss import GaussSumParams, check_factoring, gauss_sum, mub_gauss_params
 from .io import FamilyDocument, load_family, save_family
@@ -41,7 +30,6 @@ from .verify import VerificationReport, pairwise_angle, verify_family, verify_st
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "EigenDecomposition",
     "FamilyDocument",
     "GaussSumParams",
@@ -55,12 +43,10 @@ __all__ = [
     "check_factoring",
     "computational_coefficient",
     "eigen_hermitian",
-    "flatten",
     "gauss_sum",
     "gradient",
     "is_prime",
     "load_family",
-    "matrix_unit",
     "mub_gauss_params",
     "objective",
     "pairwise_angle",
@@ -70,11 +56,8 @@ __all__ = [
     "run_search",
     "save_family",
     "state_from_projector",
-    "trace_product",
     "unbiased_gram_target",
-    "unflatten",
     "verify_family",
     "verify_states",
     "w_coefficient",
-    "w_inner",
 ]

@@ -17,19 +17,11 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "MubFamily",
     "canonical_phase",
-    "flatten",
-    "matrix_unit",
     "projector_from_state",
-    "trace_product",
     "unbiased_gram_target",
-    "unflatten",
-    "w_inner",
 ]
-
-DEFAULT_TOL = 1e-12
 
 # Components whose modulus falls within this relative slack of the maximum
 # are treated as tied when picking the phase-fixing pivot.  Bases of interest
@@ -37,14 +29,31 @@ DEFAULT_TOL = 1e-12
 # canonical representative unstable.
 _PIVOT_SLACK = 1e-8
 
-# Largest real or imaginary part accepted by families, the loader and the
-# eigensolver: their Frobenius norms stay finite for any d up to ~9000.
+# Largest real or imaginary part that _bounded accepts, at every entry point
+# that takes an array: norms stay finite for any d up to ~9000.
 _MAX_ENTRY = 1e150
 
 # Largest projector array, in bytes, that build_family or a search
 # allocates.  A complete family takes 16 (d + 1) d^3 bytes, which outgrows
 # memory long before anything else does; 1 GiB admits every prime d up to 89.
 MAX_FAMILY_BYTES = 1 << 30
+
+
+def _bounded(values: np.ndarray) -> np.ndarray:
+    """Where each real and imaginary part of ``values`` is at most 1e150 in magnitude.
+
+    False for NaN and inf too.  Checked before any arithmetic: NaN passes every
+    ``x > tol`` test, inf - inf warns, and squares near the float limit overflow.
+    """
+    if np.iscomplexobj(values):
+        return (np.abs(values.real) <= _MAX_ENTRY) & (np.abs(values.imag) <= _MAX_ENTRY)
+    return np.abs(values) <= _MAX_ENTRY
+
+
+def _check_parts(values: np.ndarray, what: str, rule: str = "must be finite, with parts up to"):
+    """Refuse ``values``, naming them ``what``, unless :func:`_bounded` holds throughout."""
+    if not _bounded(values).all():
+        raise ValueError(f"{what} {rule} {_MAX_ENTRY:.0e}")
 
 
 def _check_tolerance(tol) -> None:
@@ -119,85 +128,12 @@ def _same_basis(num_bases: int, dim: int) -> np.ndarray:
     return labels[:, None] == labels[None, :]
 
 
-def matrix_unit(dim: int, p: int, q: int) -> np.ndarray:
-    """Matrix unit |p><q|: all zeros except a single one at row p, column q."""
-    if not (0 <= p < dim and 0 <= q < dim):
-        raise ValueError(f"matrix unit indices must lie in 0..{dim - 1}, got ({p}, {q})")
-    unit = np.zeros((dim, dim), dtype=complex)
-    unit[p, q] = 1.0
-    return unit
-
-
-def flatten(matrix) -> np.ndarray:
-    """Flatten a (d, d) matrix to a length d*d vector in row-major order.
-
-    Component p*d + q of the result is entry (p, q) of the matrix.  The map
-    is exact (a reordering, no arithmetic) and inverted by :func:`unflatten`.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.reshape(-1).copy()
-
-
-def unflatten(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Rebuild the (d, d) matrix whose row-major flattening is ``vec``.
-
-    Rejects vectors whose length is not a perfect square or with a
-    non-finite component, and components that violate Hermitian symmetry
-    (component (p, q) must equal the conjugate of (q, p)) beyond ``tol``.
-    """
-    _check_tolerance(tol)
-    v = np.asarray(vec, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size or v.size == 0:
-        raise ValueError(f"vector length {v.size} is not a positive perfect square")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("components must be finite")
-    m = v.reshape(d, d).copy()
-    defect = float(_hermitian_defects(m[None])[0][0])
-    if not defect <= tol:
-        raise ValueError(
-            f"components are not Hermitian-symmetric: max deviation {defect:.3e} exceeds {tol:.1e}"
-        )
-    return m
-
-
-def w_inner(x, y) -> complex:
-    """Inner product sum_i conj(x_i) * y_i of two flattened operators.
-
-    For Hermitian-symmetric inputs the value is real up to roundoff and
-    equals ``trace_product(unflatten(x), unflatten(y))``.
-    """
-    xv = np.asarray(x, dtype=complex)
-    yv = np.asarray(y, dtype=complex)
-    if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: got shapes {xv.shape} and {yv.shape}")
-    return complex(np.vdot(xv, yv))
-
-
-def trace_product(m1, m2) -> float:
-    """Hilbert-Schmidt product Tr(m1 @ m2) of two Hermitian matrices.
-
-    The trace of a product of Hermitian matrices is real; the real part is
-    returned.
-    """
-    a = np.asarray(m1, dtype=complex)
-    b = np.asarray(m2, dtype=complex)
-    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: got shapes {a.shape} and {b.shape}")
-    return float(np.einsum("ij,ji->", a, b).real)
-
-
 def _state_vector(state) -> np.ndarray:
-    """``state`` as a complex vector, refused unless nonempty, 1-D and finite."""
+    """``state`` as a complex vector, refused unless nonempty, 1-D and bounded."""
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("state vector entries must be finite")
+    _check_parts(v, "state vector entries")
     return v
 
 
@@ -223,19 +159,27 @@ def canonical_phase(state) -> np.ndarray:
     agree to roundoff after arithmetic).  Projectors are phase-blind, so this
     picks one representative per ray and makes round trips comparable.
     """
-    v = _state_vector(state)
-    mods = np.abs(v)
-    top = float(mods.max())
-    if top == 0.0:
+    return _canonical_phases(_state_vector(state)[None])[0]
+
+
+def _canonical_phases(states: np.ndarray) -> np.ndarray:
+    """:func:`canonical_phase` of each row of an (N, d) stack of bounded states."""
+    mods = np.abs(states)
+    top = mods.max(axis=1)
+    if not top.all():
         raise ValueError("cannot fix the phase of a zero vector")
-    pivot = int(np.argmax(mods >= top * (1.0 - _PIVOT_SLACK)))
-    # Python's complex division rounds each part once; numpy's scalar
-    # division goes through a reciprocal, so an already real pivot would
-    # not map to a phase of exactly 1.
-    out = v * (complex(v[pivot]).conjugate() / float(mods[pivot]))
+    rows = np.arange(len(states))
+    pivot = np.argmax(mods >= (top * (1.0 - _PIVOT_SLACK))[:, None], axis=1)
+    size = mods[rows, pivot]
+    # conj(v_pivot) / |v_pivot| as Python's complex division (_Py_c_quot)
+    # rounds it, each part once: a division through a reciprocal would not
+    # map an already real pivot to a phase of exactly 1.
+    a = states[rows, pivot].conj()
+    phase = np.stack((a.real + a.imag * 0.0, a.imag - a.real * 0.0), axis=1) / size[:, None]
+    out = states * phase.view(complex)
     # The rotated pivot equals |v_pivot| only to rounding; pinning it makes
     # the pivot exactly real and a second call a no-op.
-    out[pivot] = mods[pivot]
+    out[rows, pivot] = size
     return out
 
 
@@ -280,8 +224,7 @@ class MubFamily:
             raise ValueError("dimension must be positive")
         if num_bases < 1 or num_bases > d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {num_bases}")
-        if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
-            raise ValueError(f"projector entries must be finite, with parts up to {_MAX_ENTRY:.0e}")
+        _check_parts(arr, "projector entries")
         arr.setflags(write=False)
         object.__setattr__(self, "projectors", arr)
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MAX_FAMILY_BYTES, MubFamily, _check_tolerance
+from .algebra import MAX_FAMILY_BYTES, MubFamily, _bounded, _check_parts, _check_tolerance
 from .verify import VerificationReport
 
 __all__ = [
@@ -113,7 +113,7 @@ def _plain_numbers(matrices: list, d: int) -> Optional[np.ndarray]:
         numbers = np.array(level, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
         return None
-    return numbers if np.all(np.abs(numbers) <= _MAX_ENTRY) else None  # False for NaN too
+    return numbers if _bounded(numbers).all() else None
 
 
 def _indexed(array: np.ndarray, items: str, key: str) -> list:
@@ -175,10 +175,7 @@ class FamilyDocument:
                     f"states shaped {arr.shape} do not match the family "
                     f"({family.num_bases} bases, dim {family.dim})"
                 )
-            if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
-                raise ValueError(
-                    f"state amplitudes must be finite, with parts up to {_MAX_ENTRY:.0e}"
-                )
+            _check_parts(arr, "state amplitudes")
             states_doc = _indexed(arr, "vectors", "amplitudes")
         return cls(
             format_version=FORMAT_VERSION,
@@ -245,13 +242,8 @@ class FamilyDocument:
         try:
             pairs = np.array(raw, dtype=float)
         except OverflowError:  # an integer literal beyond the float range
-            pairs = None
-        # One comparison refuses NaN and inf as well as parts so large that
-        # the invariant checks would overflow.
-        if pairs is None or not np.all(np.abs(pairs) <= _MAX_ENTRY):
-            raise ValueError(
-                f"{where}: matrix entries must be finite, with parts up to {_MAX_ENTRY:.0e}"
-            )
+            pairs = np.array(np.inf)
+        _check_parts(pairs, f"{where}: matrix entries")
         return pairs.view(complex).reshape(d, d)
 
     def _where(self, row: int) -> str:
@@ -330,8 +322,9 @@ class FamilyDocument:
             self._stacked(matrices, rows)
             raise
 
-        # In label order; no stack but the family's own outlives this line.
-        family = MubFamily(self._stacked(matrices, rows)[np.argsort(rows)].reshape(n, d, d, d))
+        # In label order, a view if listed so; no stack but the family's own outlives this line.
+        order = slice(None) if rows == sorted(rows) else np.argsort(rows)
+        family = MubFamily(self._stacked(matrices, rows)[order].reshape(n, d, d, d))
         hermiticity, worst_entry, trace = family.invariants
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
@@ -485,18 +478,18 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 def _load_family(path: str, tolerance: float = LOAD_TOLERANCE, digest: bool = False) -> tuple:
     """:func:`load_family`'s family, and with ``digest`` the SHA-256 of the bytes it read."""
     _check_tolerance(tolerance)
-    text, sha256 = _read_document(path, digest)
+    document, sha256 = _read_document(path, digest)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _validated(text, path, tolerance), sha256
+        return _validated(document, path, tolerance), sha256
     finally:
         if enabled:
             gc.enable()
 
 
 def _read_document(path: str, digest: bool) -> tuple:
-    """The text of the document at ``path`` and, with ``digest``, the hex SHA-256 of its bytes.
+    """A one-item list of the text at ``path`` and, with ``digest``, the hex SHA-256 of its bytes.
 
     Refused when longer than _MAX_DOCUMENT_BYTES.
     """
@@ -525,17 +518,22 @@ def _read_document(path: str, digest: bool) -> tuple:
     # Decoded as a text-mode read would: a BOM is kept, for json to refuse,
     # and line ends are read as "\n", so JSON error positions stay the same.
     text = data.decode("utf-8")
-    return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text), sha256
+    return [text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text], sha256
 
 
-def _validated(text: str, path: str, tolerance: float) -> MubFamily:
-    """The family of a document's text; the parsed tree is freed when this returns."""
+def _validated(document: list, path: str, tolerance: float) -> MubFamily:
+    """The family of the text in the one-item list ``document``, which this empties.
+
+    No frame holds the text after ``json.loads``; the tree is freed when this returns.
+    """
+    text = document.pop()
     try:
         payload = json.loads(text, parse_float=_parse_float(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
+    del text
     return FamilyDocument.from_payload(payload).to_family(tolerance)
 
 

@@ -20,7 +20,7 @@ Computations*, ch. 8), each member first scaled by an even power of two
 so that its solve does not depend on its size.  A family's stack is
 solved at most once and cached on :attr:`MubFamily.spectrum`, which the
 verifier always reads.  The recovered states have their global phase
-fixed by :func:`canonical_phase`.
+fixed by :func:`~mubkit.algebra.canonical_phase`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from functools import partial
 import numpy as np
 
 from .algebra import (
-    _MAX_ENTRY,
     MubFamily,
+    _bounded,
+    _canonical_phases,
+    _check_parts,
     _check_tolerance,
     _hermitian_defects,
     _rank_one_certificate,
     _symmetrized,
-    canonical_phase,
 )
 
 __all__ = [
@@ -121,12 +122,8 @@ def _checked_stack(matrix):
     """``matrix`` as an (N, d, d) complex stack, whether it was one matrix, and sizes.
 
     The sizes are each member's largest real or imaginary part.  Refuses
-    anything but a nonempty square matrix or stack of them, and entries
-    that are non-finite or have a part above 1e150, naming the first such
-    stack member.  Checked before any arithmetic: NaN passes every "> tol"
-    test, inf - inf in a Hermitian defect would warn before anything could
-    reject it, and squares of entries near the float limit overflow the
-    norms.
+    anything but a nonempty square matrix or stack of them, and names the
+    first member with a part that is non-finite or above 1e150.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
@@ -136,11 +133,9 @@ def _checked_stack(matrix):
     single = m.ndim == 2
     stack = m.reshape(-1, *m.shape[-2:])
     largest = np.max(np.maximum(np.abs(stack.real), np.abs(stack.imag)), axis=(1, 2))
-    finite = largest <= _MAX_ENTRY  # False for NaN too
-    if not finite.all():
-        i = int(np.argmin(finite))
-        label = "matrix" if single else f"matrix {i}"
-        raise ValueError(f"{label} has non-finite entries or parts above {_MAX_ENTRY:.0e}")
+    i = int(np.argmin(_bounded(largest)))  # the first member out of bound, if any
+    label = "matrix" if single else f"matrix {i}"
+    _check_parts(largest[i], label, "has non-finite entries or parts above")
     return stack, single, largest
 
 
@@ -212,7 +207,7 @@ def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, pre
     if settled.all():
         states = np.einsum("nij,nj->ni", _symmetrized(projectors), v)
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        return np.array([canonical_phase(state) for state in states])
+        return _canonical_phases(states)
 
     decomp = spectrum()
     vals = decomp.eigenvalues
@@ -235,7 +230,7 @@ def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, pre
             message = f"top eigenvalue {top[i]:.3e} deviates from 1 beyond {tol:.1e}"
         a, alpha = divmod(i, vals.shape[1])
         raise ValueError(prefix.format(a=a, alpha=alpha) + message)
-    return np.array([canonical_phase(vec) for vec in decomp.eigenvectors[:, :, 0]])
+    return _canonical_phases(decomp.eigenvectors[:, :, 0])
 
 
 def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
@@ -247,7 +242,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     refused), the remaining eigenvalues vanish, and the top eigenvalue is 1.
     A projector the one-column certificate settles needs no eigensolve.
     The returned vector has its global phase fixed by
-    :func:`canonical_phase`.
+    :func:`~mubkit.algebra.canonical_phase`.
     """
     _check_tolerance(tol)
     m = np.asarray(projector, dtype=complex)

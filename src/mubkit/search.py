@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _MAX_ENTRY, MubFamily, _check_family_size, _symmetrized, unbiased_gram_target
+from .algebra import MubFamily, _check_family_size, _check_parts, _symmetrized, unbiased_gram_target
 
 __all__ = [
     "SearchConfig",
@@ -178,8 +178,7 @@ class SearchState:
             raise ValueError(
                 f"factors must be shaped (num_bases, d, d, d), got {arr.shape}"
             )
-        if not np.all(np.abs(arr.view(float)) <= _MAX_ENTRY):  # False for NaN too
-            raise ValueError(f"factor entries must be finite, with parts up to {_MAX_ENTRY:.0e}")
+        _check_parts(arr, "factor entries")
         arr.setflags(write=False)
         object.__setattr__(self, "factors", arr)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, _check_tolerance, _same_basis, unbiased_gram_target
+from .algebra import MubFamily, _bounded, _check_tolerance, _same_basis, unbiased_gram_target
 
 __all__ = [
     "VerificationReport",
@@ -204,7 +204,8 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
     if n < 1 or n > d + 1:
         raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-    flat = arr.reshape(n * d, d)
+    # A part _bounded refuses makes its norm NaN, unnormalized, before a square can overflow.
+    flat = np.where(_bounded(arr), arr, np.nan).reshape(n * d, d)
     norms = np.linalg.norm(flat, axis=1)
     trace_residual = float(np.max(np.abs(norms**2 - 1.0)))
     if not trace_residual <= tolerance:  # a NaN residual is not normalized either

@@ -1,26 +1,24 @@
+import json
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mubkit.algebra import (
     MubFamily,
+    _canonical_phases,
     canonical_phase,
-    flatten,
-    matrix_unit,
     projector_from_state,
-    trace_product,
     unbiased_gram_target,
-    unflatten,
-    w_inner,
 )
 from mubkit.construct import build_family
 from mubkit.io import FamilyDocument, load_family, save_family
-from mubkit.reconstruct import reconstruct_all, state_from_projector
+from mubkit.reconstruct import eigen_hermitian, reconstruct_all, state_from_projector
+from mubkit.search import SearchState
 from mubkit.verify import verify_family, verify_states
 
 HALVES = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -42,97 +40,93 @@ def random_hermitian(rng, d):
     return 0.5 * (a + a.conj().T)
 
 
+def hilbert_schmidt(m1, m2):
+    """Re Tr(m1 m2), summed by einsum: a route independent of the flattened vectors."""
+    return float(np.einsum("ij,ji->", m1, m2).real)
+
+
+def flattened(*projectors):
+    """``MubFamily.as_vectors`` of a one-basis family holding ``projectors``."""
+    return MubFamily(np.array([projectors], dtype=complex)).as_vectors()
+
+
+# The computational basis and the X basis of C^2: two unbiased bases.
+QUBIT_PAIR = MubFamily(
+    [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [HALVES, 0.5 * np.array([[1, -1], [-1, 1]])]]
+)
+
+
 class TestFlatten:
+    """The flattening of the paper, as ``MubFamily.as_vectors`` reads it: row-major."""
+
     def test_diagonal_projector(self):
-        assert np.array_equal(flatten(np.diag([1.0, 0.0])), [1, 0, 0, 0])
+        assert np.array_equal(flattened(np.diag([1.0, 0.0]), HALVES)[0], [1, 0, 0, 0])
 
     def test_uniform_projector(self):
-        assert np.array_equal(flatten(HALVES), [0.5, 0.5, 0.5, 0.5])
+        assert np.array_equal(flattened(np.diag([1.0, 0.0]), HALVES)[1], [0.5, 0.5, 0.5, 0.5])
 
     def test_circular_projector(self):
-        assert np.array_equal(flatten(CIRCLE), [0.5, 0.5j, -0.5j, 0.5])
+        assert np.array_equal(flattened(CIRCLE, HALVES)[0], [0.5, 0.5j, -0.5j, 0.5])
 
     def test_row_major_component_order(self):
         m = np.arange(9).reshape(3, 3) * 1.0
-        v = flatten(m)
+        v = flattened(m, m, m)[1]
         for p in range(3):
             for q in range(3):
                 assert v[p * 3 + q] == m[p, q]
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            flatten(np.zeros((2, 3)))
-
-
-class TestUnflatten:
-    def test_diagonal(self):
-        assert np.array_equal(unflatten([1, 0, 0, 0]), np.diag([1.0, 0.0]))
-
-    def test_uniform(self):
-        assert np.array_equal(unflatten([0.5, 0.5, 0.5, 0.5]), HALVES)
-
-    def test_rejects_non_square_length(self):
-        with pytest.raises(ValueError, match="perfect square"):
-            unflatten([1.0, 0.0, 0.0])
-
-    def test_rejects_symmetry_violation(self):
-        expected = "components are not Hermitian-symmetric: max deviation 4.000e-01 exceeds 1.0e-12"
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            unflatten([0.5, 0.2j, 0.2j, 0.5])
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("at", [0, 1])
-    def test_rejects_non_finite_components(self, bad, at):
-        vec = [1.0, 0.0, 0.0, 0.0]
-        vec[at] = bad
-        with pytest.raises(ValueError, match="components must be finite"):
-            strictly(unflatten, vec)
-
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(11)
-        for d in (2, 3, 5, 8):
-            m = random_hermitian(rng, d)
-            assert np.array_equal(unflatten(flatten(m)), m)
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            MubFamily(np.zeros((1, 2, 2, 3)))
 
 
 class TestWInner:
+    """Inner products of flattened projectors, as the verifier's Gram matrix holds them."""
+
     def test_self_inner_of_diagonal(self):
-        assert w_inner([1, 0, 0, 0], [1, 0, 0, 0]) == 1
+        assert verify_family(QUBIT_PAIR, keep_gram=True).gram[0, 0] == 1
 
     def test_cross_basis_value(self):
-        assert w_inner([1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
+        assert verify_family(QUBIT_PAIR, keep_gram=True).gram[0, 2] == pytest.approx(0.5)
 
     def test_orthogonal_same_basis(self):
-        assert w_inner([0.5, 0.5, 0.5, 0.5], [0.5, -0.5, -0.5, 0.5]) == pytest.approx(0.0)
+        assert verify_family(QUBIT_PAIR, keep_gram=True).gram[2, 3] == pytest.approx(0.0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            w_inner([1, 0], [1, 0, 0])
-
-    def test_matches_trace_product(self):
-        rng = np.random.default_rng(5)
-        for d in (2, 3, 5):
-            m1 = random_hermitian(rng, d)
-            m2 = random_hermitian(rng, d)
-            lhs = w_inner(flatten(m1), flatten(m2))
-            rhs = trace_product(m1, m2)
-            assert abs(lhs - rhs) < 1e-12
-            assert abs(lhs.imag) < 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(1, d + 1), st.just(d))), st.data())
+    def test_matches_trace_product(self, shape, data):
+        # The paper's identity: the Gram entry of flattened Hermitian matrices
+        # P_i and P_j is Re Tr(P_i P_j), here summed by einsum instead.
+        n, d = shape
+        parts = data.draw(
+            hnp.arrays(float, (n * d, d, d, 2), elements=st.floats(-10, 10, allow_subnormal=False))
+        )
+        m = parts.view(complex)[..., 0]
+        stack = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        # The report's angles divide by the norms, so no member may be zero
+        # or small enough for its squared norm to underflow.
+        assume(np.all(np.max(np.abs(stack), axis=(1, 2)) > 1e-100))
+        gram = verify_family(MubFamily(stack.reshape(n, d, d, d)), keep_gram=True).gram
+        expected = np.einsum("aij,bji->ab", stack, stack).real
+        roundoff = 1e-14 * d * d * max(1.0, float(np.max(np.abs(stack)))) ** 2
+        assert np.max(np.abs(gram - expected), initial=0.0) <= roundoff
 
 
 class TestTraceProduct:
+    """Re Tr(P Q) of projectors built from states, which verify_states reads as |<u|v>|^2."""
+
     def test_self(self):
-        assert trace_product(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) == pytest.approx(1.0)
+        m = projector_from_state([1.0, 0.0])
+        assert hilbert_schmidt(m, m) == 1.0
 
     def test_cross_basis(self):
-        assert trace_product(np.diag([1.0, 0.0]), HALVES) == pytest.approx(0.5)
+        plus = projector_from_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        assert hilbert_schmidt(projector_from_state([1.0, 0.0]), plus) == pytest.approx(0.5)
 
     def test_two_rotated_projectors(self):
-        assert trace_product(HALVES, CIRCLE) == pytest.approx(0.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_product(np.eye(2), np.eye(3))
+        plus = projector_from_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        right = projector_from_state(np.array([1.0, 1j]) / np.sqrt(2))
+        assert hilbert_schmidt(plus, right) == pytest.approx(0.5)
 
 
 class TestProjectorFromState:
@@ -164,28 +158,22 @@ class TestProjectorFromState:
             v /= np.linalg.norm(v)
             m = projector_from_state(v)
             assert abs(np.trace(m) - 1.0) < 1e-12
-            assert abs(trace_product(m, m) - 1.0) < 1e-12
+            assert abs(hilbert_schmidt(m, m) - 1.0) < 1e-12
 
 
-class TestMatrixUnit:
-    def test_single_entry(self):
-        e = matrix_unit(3, 1, 2)
-        assert e[1, 2] == 1.0
-        assert np.count_nonzero(e) == 1
+def per_vector_canonical_phase(v):
+    """The one-state formula that the stack implementation must reproduce bit for bit."""
+    mods = np.abs(v)
+    top = float(mods.max())
+    pivot = int(np.argmax(mods >= top * (1.0 - 1e-8)))
+    out = v * (complex(v[pivot]).conjugate() / float(mods[pivot]))
+    out[pivot] = mods[pivot]
+    return out
 
-    def test_product_rule_and_trace(self):
-        rng = np.random.default_rng(17)
-        d = 4
-        for _ in range(20):
-            p, q, r, s = rng.integers(0, d, size=4)
-            lhs = matrix_unit(d, p, q) @ matrix_unit(d, r, s)
-            rhs = (1.0 if q == r else 0.0) * matrix_unit(d, p, s)
-            assert np.array_equal(lhs, rhs)
-            assert np.trace(matrix_unit(d, p, q)) == (1.0 if p == q else 0.0)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            matrix_unit(2, 0, 2)
+# Parts where a division through a reciprocal, or a lost zero sign, would show.
+EDGE_REALS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 5e-324, 1e150, 2**-0.5]
+EDGE_PARTS = [1j, -1j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 1e-300j]
 
 
 class TestCanonicalPhase:
@@ -220,17 +208,40 @@ class TestCanonicalPhase:
         with pytest.raises(ValueError, match="state vector entries must be finite"):
             strictly(canonical_phase, state)
 
+    # Moduli up to 1e149: the canonical form puts the pivot's modulus, which
+    # parts up to 1e150 can take to sqrt(2) * 1e150, into a real part, and
+    # canonical_phase refuses a part above 1e150.
     @settings(max_examples=200, deadline=None)
     @given(
         hnp.arrays(
             complex,
             st.integers(1, 8),
-            elements=st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e150),
+            elements=st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e149),
         ).filter(lambda v: np.any(v != 0))
     )
     def test_idempotent(self, v):
         once = canonical_phase(v)
         assert np.array_equal(canonical_phase(once), once)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            complex,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.one_of(
+                st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e150),
+                st.sampled_from(EDGE_PARTS),
+                st.builds(complex, st.sampled_from(EDGE_REALS), st.sampled_from(EDGE_REALS)),
+            ),
+        )
+    )
+    def test_stack_matches_per_vector_reference(self, stack):
+        stack = stack[np.any(stack != 0, axis=1)]
+        assume(len(stack))
+        got = _canonical_phases(stack)
+        for row, state in enumerate(stack):
+            # Bit for bit, signed zeros included.
+            assert got[row].tobytes() == per_vector_canonical_phase(state).tobytes()
 
 
 class TestUnbiasedGramTarget:
@@ -279,7 +290,7 @@ class TestMubFamily:
         fam = self._trivial(num_bases=2, d=2)
         vecs = fam.as_vectors()
         for row, (a, alpha) in enumerate(fam.labels()):
-            assert np.array_equal(vecs[row], flatten(fam.projector(a, alpha)))
+            assert np.array_equal(vecs[row], fam.projector(a, alpha).reshape(-1))
 
     def test_rejects_too_many_bases(self):
         with pytest.raises(ValueError, match="num_bases"):
@@ -347,7 +358,6 @@ def _load_at(tol, path):
 
 # Every public function that takes a tolerance, called on valid input.
 TOLERANCE_CALLS = {
-    "unflatten": lambda tol, path: unflatten(flatten(HALVES), tol),
     "projector_from_state": lambda tol, path: projector_from_state(np.array([1.0, 0.0]), tol),
     "MubFamily.from_states": lambda tol, path: MubFamily.from_states([np.eye(2)], tol),
     "build_family": lambda tol, path: build_family(3, tol=tol),
@@ -380,4 +390,75 @@ class TestToleranceValidation:
     def test_numpy_scalar_named_as_plain_number(self, tol, shown):
         expected = rf"^tolerance must be finite and non-negative, got {re.escape(shown)}$"
         with pytest.raises(ValueError, match=expected):
-            unflatten(flatten(HALVES), tol)
+            projector_from_state(np.array([1.0, 0.0]), tol)
+
+
+def _with_part(shape, bad, base=None):
+    """A complex array of ``shape`` (zeros, or ``base``) whose first entry is ``bad``."""
+    arr = np.zeros(shape, dtype=complex) if base is None else np.array(base, dtype=complex)
+    arr.reshape(-1)[0] = bad
+    return arr
+
+
+def _load_with_part(bad, path):
+    save_family(build_family(2), str(path))
+    payload = json.loads(path.read_text())
+    payload["bases"][0]["projectors"][0]["matrix"][0][0][0] = bad
+    path.write_text(json.dumps(payload))
+    return load_family(str(path))
+
+
+BOUND = re.escape("1e+150")
+
+# Every public entry point that takes an array, the call with one part
+# ``bad``, and the message it must refuse that part with.
+BOUNDED_CALLS = {
+    "MubFamily": (
+        lambda bad, path: MubFamily(_with_part((1, 2, 2, 2), bad)),
+        f"^projector entries must be finite, with parts up to {BOUND}$",
+    ),
+    "SearchState": (
+        lambda bad, path: SearchState(_with_part((1, 2, 2, 2), bad)),
+        f"^factor entries must be finite, with parts up to {BOUND}$",
+    ),
+    "projector_from_state": (
+        lambda bad, path: projector_from_state(_with_part(2, bad)),
+        f"^state vector entries must be finite, with parts up to {BOUND}$",
+    ),
+    "canonical_phase": (
+        lambda bad, path: canonical_phase(_with_part(2, bad)),
+        f"^state vector entries must be finite, with parts up to {BOUND}$",
+    ),
+    "eigen_hermitian": (
+        lambda bad, path: eigen_hermitian(_with_part((2, 2), bad, np.eye(2))),
+        f"^matrix has non-finite entries or parts above {BOUND}$",
+    ),
+    "state_from_projector": (
+        lambda bad, path: state_from_projector(_with_part((2, 2), bad, np.diag([1.0, 0.0]))),
+        f"^matrix 0 has non-finite entries or parts above {BOUND}$",
+    ),
+    "verify_states": (
+        lambda bad, path: verify_states(_with_part((1, 2, 2), bad, [np.eye(2)])),
+        r"^state \(basis 0, vector 0\) is not normalized: squared norm deviates by nan$",
+    ),
+    "FamilyDocument.from_family": (
+        lambda bad, path: FamilyDocument.from_family(
+            build_family(2), states=_with_part((3, 2, 2), bad)
+        ),
+        f"^state amplitudes must be finite, with parts up to {BOUND}$",
+    ),
+    "load_family": (
+        _load_with_part,
+        f"^basis 0, vector 0: matrix entries must be finite, with parts up to {BOUND}$",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [1e200, 1e308, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", list(BOUNDED_CALLS.values()), ids=list(BOUNDED_CALLS))
+def test_entry_points_refuse_unbounded_parts_without_warning(call, bad, tmp_path):
+    # One bound for every array a caller hands in: a part that is non-finite
+    # or above 1e150 is refused before any arithmetic could warn on it.
+    entry, message = call
+    with pytest.raises(ValueError, match=message):
+        strictly(entry, bad, tmp_path / "family.json")

@@ -73,6 +73,19 @@ def test_family_checks_are_defined_once_in_algebra():
     assert homes == {name: ["algebra"] for name in names}
 
 
+def test_only_algebra_names_the_entry_bound():
+    # One home for "every part finite and at most 1e150": the other modules
+    # check it through algebra._bounded and algebra._check_parts.
+    namers = {
+        stem
+        for stem, tree in parsed().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_MAX_ENTRY")
+        or (isinstance(node, ast.alias) and node.name == "_MAX_ENTRY")
+    }
+    assert namers == {"algebra"}
+
+
 def test_only_io_imports_gc():
     importers = {
         stem

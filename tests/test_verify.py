@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.algebra import MubFamily, flatten, projector_from_state
+from mubkit.algebra import MubFamily, projector_from_state
 from mubkit.construct import build_family
 from mubkit.reconstruct import reconstruct_all
 from mubkit.verify import VerificationReport, pairwise_angle, verify_family, verify_states
@@ -230,18 +230,18 @@ class TestVerificationReport:
 class TestPairwiseAngle:
     def test_qubit_cross_basis_angle(self):
         family = build_family(2)
-        x = flatten(family.projector(0, 0))
-        y = flatten(family.projector(1, 0))
+        x = family.projector(0, 0).reshape(-1)
+        y = family.projector(1, 0).reshape(-1)
         assert pairwise_angle(x, y) == pytest.approx(np.pi / 3, abs=1e-12)
 
     def test_self_angle_is_zero(self):
-        v = flatten(projector_from_state([1.0, 0.0]))
+        v = projector_from_state([1.0, 0.0]).reshape(-1)
         assert pairwise_angle(v, v) == pytest.approx(0.0, abs=1e-7)
 
     def test_d5_cross_basis_angle(self):
         family = build_family(5)
-        x = flatten(family.projector(0, 2))
-        y = flatten(family.projector(3, 4))
+        x = family.projector(0, 2).reshape(-1)
+        y = family.projector(3, 4).reshape(-1)
         assert pairwise_angle(x, y) == pytest.approx(np.arccos(1 / 5), abs=1e-12)
 
     def test_rejects_zero_vector(self):
