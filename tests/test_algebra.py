@@ -93,7 +93,10 @@ class TestWInner:
         assert verify_family(QUBIT_PAIR, keep_gram=True).gram[2, 3] == pytest.approx(0.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(1, d + 1), st.just(d))), st.data())
+    @given(
+        st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(1, d + 1), st.just(d))),
+        st.data(),
+    )
     def test_matches_trace_product(self, shape, data):
         # The paper's identity: the Gram entry of flattened Hermitian matrices
         # P_i and P_j is Re Tr(P_i P_j), here summed by einsum instead.
