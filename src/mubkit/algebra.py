@@ -129,11 +129,16 @@ def _same_basis(num_bases: int, dim: int) -> np.ndarray:
 
 
 def _state_vector(state) -> np.ndarray:
-    """``state`` as a complex vector, refused unless nonempty, 1-D and bounded."""
+    """``state`` as a complex vector, refused unless nonempty, 1-D and bounded.
+
+    Bounded means parts and moduli alike up to 1e150: a canonical form puts
+    a modulus into a real part, so that form is a state this accepts too.
+    """
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D state vector, got shape {v.shape}")
     _check_parts(v, "state vector entries")
+    _check_parts(np.abs(v), "state vector moduli", "must be at most")
     return v
 
 
@@ -177,6 +182,9 @@ def _canonical_phases(states: np.ndarray) -> np.ndarray:
     a = states[rows, pivot].conj()
     phase = np.stack((a.real + a.imag * 0.0, a.imag - a.real * 0.0), axis=1) / size[:, None]
     out = states * phase.view(complex)
+    # Rotation can round a modulus up by a few ulps; one it takes past 1e150
+    # is scaled down by 2^-48 of itself, so the result is a state this accepts.
+    out[~_bounded(np.abs(out))] *= 1.0 - 2.0**-48
     # The rotated pivot equals |v_pivot| only to rounding; pinning it makes
     # the pivot exactly real and a second call a no-op.
     out[rows, pivot] = size
@@ -252,25 +260,6 @@ class MubFamily:
         return hermiticity, worst_entry, trace
 
     @cached_property
-    def spectrum(self):
-        """Eigendecomposition of the (n*d, d, d) projector stack, in label order.
-
-        Solved once, on first use, for the symmetrized matrices with no
-        Hermitian gate; each reader judges the Hermitian defect from
-        :attr:`invariants`.  The verifier always reads it.  The loader,
-        reconstruction and the search start read it only for a family
-        whose projectors :attr:`rank_one_certificate` cannot settle, so a
-        rank-1 family they read holds no eigenvector stack.  The projectors
-        are read-only, so the cached solve never goes stale.
-        """
-        # Looked up at call time: reconstruct imports this module, and a
-        # solver patched onto it (a tracer's, say) is the one called.
-        from .reconstruct import eigen_hermitian
-
-        n, d = self.num_bases, self.dim
-        return eigen_hermitian(self.projectors.reshape(n * d, d, d), hermiticity_tol=np.inf)
-
-    @cached_property
     def rank_one_certificate(self):
         """One-column rank-1 certificate (v, r) of the symmetrized stack, in label order.
 
@@ -278,7 +267,7 @@ class MubFamily:
         diagonal entry, v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F:
         every eigenvalue of M lies within r of (||v||^2, 0, ..., 0).  r is
         inf where M_kk is not positive.  Computed once, on first use; each
-        reader compares r with its own threshold and reads :attr:`spectrum`
+        reader compares r with its own threshold and solves the stack itself
         for what the certificate cannot settle.  Both arrays are read-only.
         """
         n, d = self.num_bases, self.dim

@@ -44,9 +44,6 @@ def _metadata(generator: str, **extra) -> dict:
 
 def _cmd_construct(args) -> int:
     family, report = build_family(args.d, with_report=True)
-    # The self-certificate cached the family's eigenvector stack; saving
-    # needs only the projectors, so the stack is dropped before encoding.
-    vars(family).pop("spectrum", None)
     save_family(family, args.out, metadata=_metadata("construct", dimension=args.d))
     print(report.summary(), file=sys.stderr)
     return 0

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MAX_FAMILY_BYTES, MubFamily, _bounded, _check_parts, _check_tolerance
+from .reconstruct import eigen_hermitian
 from .verify import VerificationReport
 
 __all__ = [
@@ -281,8 +282,8 @@ class FamilyDocument:
         document order, is reported with its first failed check in that
         order.  A family whose every projector is certified rank 1 within
         ``tolerance`` by its one-column residual passes the eigenvalue check
-        without an eigensolve; any other is solved once.  The returned
-        family keeps its certificate and any spectrum this check solved.
+        without an eigensolve; any other is solved here, and the solve is
+        not kept.  The returned family keeps its certificate.
         """
         _check_tolerance(tolerance)
         d = self.dimension
@@ -329,7 +330,11 @@ class FamilyDocument:
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
         _, r = family.rank_one_certificate
-        lowest = -r if np.all(r <= tolerance) else family.spectrum.eigenvalues[:, -1]
+        if np.all(r <= tolerance):
+            lowest = -r
+        else:
+            stack = family.projectors.reshape(n * d, d, d)
+            lowest = eigen_hermitian(stack, hermiticity_tol=np.inf).eigenvalues[:, -1]
         # The invariants come in label order; read them in document order.
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
@@ -478,18 +483,28 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
 def _load_family(path: str, tolerance: float = LOAD_TOLERANCE, digest: bool = False) -> tuple:
     """:func:`load_family`'s family, and with ``digest`` the SHA-256 of the bytes it read."""
     _check_tolerance(tolerance)
-    document, sha256 = _read_document(path, digest)
+    text, sha256 = _read_document(path, digest)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _validated(document, path, tolerance), sha256
+        try:
+            payload = json.loads(text, parse_float=_parse_float(text))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
+        # Both dropped while the collector is off: reference counting frees them.
+        del text
+        family = FamilyDocument.from_payload(payload).to_family(tolerance)
+        del payload
+        return family, sha256
     finally:
         if enabled:
             gc.enable()
 
 
 def _read_document(path: str, digest: bool) -> tuple:
-    """A one-item list of the text at ``path`` and, with ``digest``, the hex SHA-256 of its bytes.
+    """The text at ``path`` and, with ``digest``, the hex SHA-256 of its bytes.
 
     Refused when longer than _MAX_DOCUMENT_BYTES.
     """
@@ -518,23 +533,7 @@ def _read_document(path: str, digest: bool) -> tuple:
     # Decoded as a text-mode read would: a BOM is kept, for json to refuse,
     # and line ends are read as "\n", so JSON error positions stay the same.
     text = data.decode("utf-8")
-    return [text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text], sha256
-
-
-def _validated(document: list, path: str, tolerance: float) -> MubFamily:
-    """The family of the text in the one-item list ``document``, which this empties.
-
-    No frame holds the text after ``json.loads``; the tree is freed when this returns.
-    """
-    text = document.pop()
-    try:
-        payload = json.loads(text, parse_float=_parse_float(text))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
-    del text
-    return FamilyDocument.from_payload(payload).to_family(tolerance)
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text, sha256
 
 
 class _FloatLiterals(dict):

@@ -11,22 +11,22 @@ computes its certificate itself and caches it on
 :attr:`MubFamily.rank_one_certificate`, beside its Hermitian defects on
 :attr:`MubFamily.invariants`; the loader, :func:`reconstruct_all` and the
 search start read both, and only a stack the certificate cannot settle
-falls back to the spectrum, so every rejection keeps its message.
+falls back to an eigensolve, so every rejection keeps its message.
 
 :func:`eigen_hermitian` takes one (d, d) matrix or an (N, d, d) stack,
 checks it, and solves the symmetrized stack with one ``np.linalg.eigh``
 call (LAPACK's divide-and-conquer ``zheevd``; Golub & Van Loan, *Matrix
 Computations*, ch. 8), each member first scaled by an even power of two
-so that its solve does not depend on its size.  A family's stack is
-solved at most once and cached on :attr:`MubFamily.spectrum`, which the
-verifier always reads.  The recovered states have their global phase
-fixed by :func:`~mubkit.algebra.canonical_phase`.
+so that its solve does not depend on its size.  The verifier solves a
+family's stack every time; the loader, reconstruction and the search
+start solve it only for what the certificate cannot settle, and nothing
+keeps the solve.  The recovered states have their global phase fixed by
+:func:`~mubkit.algebra.canonical_phase`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     return EigenDecomposition._adopt(vals, vecs, 0)
 
 
-def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, prefix: str):
+def _rank_one_states(projectors, defects, certificate, tol: float, prefix: str):
     """Canonical-phase unit states of an (N, d, d) stack of rank-1 projectors.
 
     Each projector must pass, in order: Hermitian symmetry (its entry of
@@ -189,9 +189,9 @@ def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, pre
     eigenvalues at most r, the top within |(||v||^2) - 1| + r of 1, the gap
     at least ||v||^2 - 2r.  When it settles every projector with r at most
     1e-8 the state is the power step M v, normalized, equal to the top
-    eigenvector to roundoff.  Otherwise ``spectrum()`` supplies the
-    decomposition of the symmetrized stack, the states are its top
-    eigenvectors, and the first projector in stack order that fails raises
+    eigenvector to roundoff.  Otherwise the symmetrized stack is solved
+    here, with no Hermitian gate; the states are its top eigenvectors,
+    and the first projector in stack order that fails raises
     ``ValueError`` naming its first failed check; the message starts with
     ``prefix`` formatted with the labels ``a``, ``alpha`` of stack index
     a*d + alpha.
@@ -209,7 +209,7 @@ def _rank_one_states(projectors, defects, certificate, spectrum, tol: float, pre
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         return _canonical_phases(states)
 
-    decomp = spectrum()
+    decomp = eigen_hermitian(projectors, hermiticity_tol=np.inf)
     vals = decomp.eigenvalues
     top = vals[:, 0]
     gap = top - vals[:, 1] if vals.shape[1] > 1 else np.full(top.shape, np.inf)
@@ -248,11 +248,10 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(projector, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    stack = _checked_stack(m[None])[0]
+    stack = _checked_stack(m)[0]
     certificate = _rank_one_certificate(_symmetrized(stack))
-    spectrum = partial(eigen_hermitian, stack, hermiticity_tol=np.inf)
     defects, _ = _hermitian_defects(stack)
-    return _rank_one_states(stack, defects, certificate, spectrum, tol, "")[0]
+    return _rank_one_states(stack, defects, certificate, tol, "")[0]
 
 
 def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
@@ -262,14 +261,14 @@ def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     projector (a, alpha).  The Hermitian defects are the family's cached
     :attr:`~MubFamily.invariants`; its cached
     :attr:`~MubFamily.rank_one_certificate` settles a rank-1 family without
-    an eigensolve, otherwise the states come from its cached
-    :attr:`~MubFamily.spectrum`.  A failing projector is annotated with its
-    labels so bad entries are easy to locate.
+    an eigensolve, otherwise the states come from one solve of its stack.
+    A failing projector is annotated with its labels so bad entries are
+    easy to locate.
     """
     _check_tolerance(tol)
     n, d = family.num_bases, family.dim
     prefix = "projector (basis {a}, vector {alpha}): "
     stack = family.projectors.reshape(n * d, d, d)
-    certificate, spectrum = family.rank_one_certificate, lambda: family.spectrum
-    states = _rank_one_states(stack, family.invariants[0], certificate, spectrum, tol, prefix)
+    certificate = family.rank_one_certificate
+    states = _rank_one_states(stack, family.invariants[0], certificate, tol, prefix)
     return states.reshape(n, d, d)

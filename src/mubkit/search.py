@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import MubFamily, _check_family_size, _check_parts, _symmetrized, unbiased_gram_target
+from .reconstruct import eigen_hermitian
 
 __all__ = [
     "SearchConfig",
@@ -211,7 +212,7 @@ class SearchState:
         1e-10 ||v||^2, its factor is M / ||v||, the exact square root of a
         rank-1 matrix at any scale; no eigenvalue is below -r, so none needs
         a solve.  Otherwise each factor is the Hermitian square root of its
-        projector, from the family's cached spectrum: eigenvalues below
+        projector, from one solve of the family's stack: eigenvalues below
         -1e-8 are refused (no real square root) and smaller negatives are
         clamped to zero.  Either way B^dagger B reproduces each symmetrized
         projector, to within r on the first path.
@@ -231,7 +232,8 @@ class SearchState:
         if np.all(r <= _RANK_ONE_TOL * mass):
             factors = _symmetrized(mats) / np.sqrt(mass)[:, None, None]
             return cls(factors.reshape(n, d, d, d))
-        vals, vecs = family.spectrum.eigenvalues, family.spectrum.eigenvectors
+        spectrum = eigen_hermitian(mats, hermiticity_tol=np.inf)
+        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
         bad = np.flatnonzero(vals[:, -1] < _PSD_FLOOR)
         if bad.size:
             i = int(bad[0])

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MubFamily, _bounded, _check_tolerance, _same_basis, unbiased_gram_target
+from .reconstruct import eigen_hermitian
 
 __all__ = [
     "VerificationReport",
@@ -123,7 +124,9 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     ordered a*d + alpha, and is compared against
     :func:`unbiased_gram_target`.  The cross-basis entries, divided by the
     outer product of ``norms`` when given, are the cosines whose angles are
-    compared against arccos(1/d).  A single basis has no cross-basis terms.
+    compared against arccos(1/d); a cosine whose norm product is zero or
+    not finite is NaN, which fails the angle check without a floating-point
+    warning.  A single basis has no cross-basis terms.
     """
     n = overlaps.shape[0] // d
     deviation = np.abs(overlaps - unbiased_gram_target(n, d))
@@ -134,7 +137,9 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     max_cross = float(deviation[~same_basis].max())
     cosines = overlaps[~same_basis]
     if norms is not None:
-        cosines = cosines / np.outer(norms, norms)[~same_basis]
+        scale = np.outer(norms, norms)[~same_basis]
+        usable = (scale > 0.0) & (scale < np.inf)
+        cosines = np.where(usable, cosines, np.nan) / np.where(usable, scale, 1.0)
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     return max_self, max_cross, float(np.max(np.abs(angles - np.arccos(1.0 / d))))
 
@@ -151,17 +156,18 @@ def verify_family(
     cross-basis parts, and cross-basis angles against arccos(1/d).  Passing
     requires every residual within ``tolerance``; the sign check on
     eigenvalues allows ``-tolerance``.  Reads the family's cached invariants
-    and spectrum.  Never raises on bad numbers, only on malformed shapes: a
-    corrupted family yields a failing report.
+    and solves its projector stack, once per call.  Never raises on bad
+    numbers, only on malformed shapes: a corrupted family yields a failing
+    report.
     """
     _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
     hermiticity, _, traces = family.invariants
     trace_residual = float(traces.max())
-    # The exact eigenvalues, from the family's cached spectrum of the
-    # symmetrized stack: a non-Hermitian matrix shows up in its defect, not
-    # as a crash here.
-    min_eig = float(family.spectrum.eigenvalues[:, -1].min())
+    # The exact eigenvalues of the symmetrized stack, with no Hermitian
+    # gate: a non-Hermitian matrix shows up in its defect, not as a crash here.
+    stack = family.projectors.reshape(n * d, d, d)
+    min_eig = float(eigen_hermitian(stack, hermiticity_tol=np.inf).eigenvalues[:, -1].min())
 
     gram_complex = _gram(family.as_vectors())
     gram = gram_complex.real

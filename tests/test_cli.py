@@ -224,17 +224,19 @@ class TestEigensolves:
         held = []
 
         def spy(family, path, **kwargs):
-            held.append("spectrum" in vars(family))
+            held.append(sorted(vars(family)))
             save_family(family, path, **kwargs)
 
+        # The self-certificate's solve is not kept: the family saved holds
+        # its projectors and the invariants the verifier cached, nothing else.
         monkeypatch.setattr(mubkit.cli, "save_family", spy)
         assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
-        assert held == [False]
+        assert held == [["invariants", "projectors"]]
 
     def test_mixed_document_loads_with_one_solve(self, tmp_path, monkeypatch):
         # The maximally mixed I/2 is a valid density matrix the certificate
-        # cannot settle, so the loader solves the stack once, and the
-        # verifier reads that solve instead of making its own.
+        # cannot settle, so the loader solves the stack once; the family
+        # keeps no solve, and the verifier makes its own.
         mats = build_family(2).projectors.copy()
         mats[0, 0] = 0.5 * np.eye(2)
         path = tmp_path / "mixed.json"
@@ -242,9 +244,8 @@ class TestEigensolves:
         shapes = counting_solves(monkeypatch)
         family = load_family(str(path))
         assert shapes == [(6, 2, 2)]
-        assert "spectrum" in vars(family)
         assert not verify_family(family).passed
-        assert shapes == [(6, 2, 2)]
+        assert shapes == [(6, 2, 2)] * 2
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import tracemalloc
 
@@ -201,3 +202,18 @@ class TestBuildFamily:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_family_holds_one_copy_of_its_projectors(self):
+        # A built family keeps its projectors and small per-projector arrays,
+        # nothing the size of its stack: its self-certificate's eigenvectors
+        # are freed with the certificate.
+        build_family(13)  # imports and caches warmed outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            family = build_family(13)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * family.projectors.nbytes

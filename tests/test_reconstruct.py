@@ -386,6 +386,18 @@ class TestStateFromProjector:
         state = state_from_projector(CIRCLE)
         assert np.max(np.abs(projector_from_state(state) - CIRCLE)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_bad_matrix_named_as_eigen_hermitian_names_it(self, bad):
+        # One matrix, so neither function gives it a stack index.
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[0, 1] = bad
+        messages = []
+        for call in (state_from_projector, eigen_hermitian):
+            with pytest.raises(ValueError) as caught:
+                call(m)
+            messages.append(str(caught.value))
+        assert messages == ["matrix has non-finite entries or parts above 1e+150"] * 2
+
 
 class TestReconstructAll:
     def test_qubit_family_states(self):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +131,17 @@ class TestVerifyFamily:
         report = verify_family(MubFamily(mats))
         assert not report.passed
         assert report.hermiticity_residual > 1e-4
+
+    @pytest.mark.parametrize("size", [0.0, 1e-170])
+    def test_vanishing_projector_fails_without_warning(self, size):
+        # A zero norm, or one whose square underflows, has no angle: the
+        # cosine is NaN and fails the angle check instead of dividing by 0.
+        family = MubFamily(np.full((2, 1, 1, 1), size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_family(family)
+        assert not report.passed
+        assert math.isnan(report.angle_check)
 
     def test_indefinite_matrix_lowers_min_eigenvalue(self):
         family = build_family(2)
