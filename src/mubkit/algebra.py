@@ -29,6 +29,11 @@ __all__ = [
 # canonical representative unstable.
 _PIVOT_SLACK = 1e-8
 
+# Relative margin around the tie threshold, (1 - _PIVOT_SLACK) times the
+# largest modulus, inside which roundoff decides a tie: a rotation moves a
+# modulus by a few ulps (about 2^-50), and the 1e150 guard below by 2^-48.
+_PIVOT_ROUNDOFF = 2.0**-46
+
 # Largest real or imaginary part that _bounded accepts, at every entry point
 # that takes an array: norms stay finite for any d up to ~9000.
 _MAX_ENTRY = 1e150
@@ -162,7 +167,9 @@ def canonical_phase(state) -> np.ndarray:
     The pivot is the lowest-index component whose modulus ties the maximum
     (ties meaning within a small relative slack, since equal moduli only
     agree to roundoff after arithmetic).  Projectors are phase-blind, so this
-    picks one representative per ray and makes round trips comparable.
+    picks one representative per ray and makes round trips comparable.  A
+    second call returns its input: where a tie is decided by roundoff, a
+    component already real and positive stays the pivot.
     """
     return _canonical_phases(_state_vector(state)[None])[0]
 
@@ -175,6 +182,16 @@ def _canonical_phases(states: np.ndarray) -> np.ndarray:
         raise ValueError("cannot fix the phase of a zero vector")
     rows = np.arange(len(states))
     pivot = np.argmax(mods >= (top * (1.0 - _PIVOT_SLACK))[:, None], axis=1)
+    # Rotation rounds each modulus by a few ulps, so a second call can see a
+    # tie the first did not, or miss the one it saw.  A real positive
+    # component tied within roundoff of the slack, with no component before
+    # it tied beyond roundoff, is the pivot: its phase is exactly 1, so the
+    # state is kept, and the pivot a first call leaves is such a component.
+    near = (top * ((1.0 - _PIVOT_SLACK) * (1.0 - _PIVOT_ROUNDOFF)))[:, None]
+    clear = (top * ((1.0 - _PIVOT_SLACK) * (1.0 + _PIVOT_ROUNDOFF)))[:, None]
+    kept = (states.imag == 0.0) & (states.real > 0.0) & (mods >= near)
+    kept &= np.arange(states.shape[1]) <= np.argmax(mods >= clear, axis=1)[:, None]
+    pivot = np.where(kept.any(axis=1), np.argmax(kept, axis=1), pivot)
     size = mods[rows, pivot]
     # conj(v_pivot) / |v_pivot| as Python's complex division (_Py_c_quot)
     # rounds it, each part once: a division through a reciprocal would not

@@ -11,10 +11,12 @@ only reader of an input document: it reads each once, bounded, and a
 certificate's SHA-256 is of the very bytes that were parsed and validated.
 The loader validates all it reads at a fixed tolerance and names the
 offending (basis, vector, entry) when a matrix fails; a document is never
-trusted because this package wrote it.  The cyclic garbage collector is
-held off while a document is parsed and validated: walking the parsed
-tree again and again as it grew (a million lists at d = 31) took about a
-third of a load.
+trusted because this package wrote it.  Each projector's matrix becomes
+a float array as ``json.loads`` finishes it, so the nested [re, im] lists
+of a whole document never exist at once: a load's peak memory is its
+bytes and their text, about twice the file.  The cyclic garbage collector
+is held off while a document is parsed and validated: every container the
+parser makes would count toward a collection that walks the live objects.
 """
 
 from __future__ import annotations
@@ -90,31 +92,47 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _plain_numbers(matrices: list, d: int) -> Optional[np.ndarray]:
-    """Every number of ``matrices``, in order, as one float array; None unless all are plain.
+def _plain_matrix(raw: list) -> Optional[np.ndarray]:
+    """``raw`` as a float (m, m, 2) array, m its length; None unless it is plain.
 
-    Plain means each matrix is a list of d rows of d [re, im] lists of
-    ``int`` and ``float`` values whose parts are finite and at most 1e150.
-    Each level is flattened with ``chain.from_iterable`` and checked by
-    exact type and length through ``set(map(...))``, at C speed, so a
-    well-formed document costs no Python call per matrix or entry.  None
-    means only that the per-matrix checks must look, not that a matrix is
-    invalid: numeric subclasses such as ``np.float64`` miss here but are
-    accepted there, and only there is a bad entry named.  ``bool`` is its
-    own type, so true/false never pass.
+    Plain means m rows of m [re, im] lists of ``int`` and ``float`` values,
+    none an integer beyond the float range.  Each level is flattened with
+    ``chain.from_iterable`` and checked by exact type and length through
+    ``set(map(...))``, at C speed, so a well-formed matrix costs no Python
+    call per entry.  None means only that the per-matrix checks must look,
+    not that the matrix is invalid: numeric subclasses such as
+    ``np.float64`` miss here but are accepted there, and only there is a
+    bad entry named.  ``bool`` is its own type, so true/false never pass.
+    Parts are not bounded here; the caller checks them all at once.
     """
-    level = matrices
-    for length in (d, d, 2):
+    m, level = len(raw), raw
+    for length in (m, 2):
         if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
             return None
         level = list(chain.from_iterable(level))
     if not set(map(type, level)) <= {int, float}:
         return None
     try:
-        numbers = np.array(level, dtype=float)
+        return np.array(level, dtype=float).reshape(m, m, 2)
     except OverflowError:  # an integer literal beyond the float range
         return None
-    return numbers if _bounded(numbers).all() else None
+
+
+def _converted(entry: dict) -> dict:
+    """``json.loads`` object hook: a projector entry with its plain matrix as a float array.
+
+    Called as the parser finishes each object, so a matrix's nested lists
+    are freed as soon as it is read, and a document's tree of [re, im]
+    lists never exists whole.  Any object with an ``alpha`` and a list
+    ``matrix`` is converted; anything else, a matrix that is not plain
+    among them, is returned as parsed, for the loader to judge.
+    """
+    matrix = entry.get("matrix")
+    if "alpha" in entry and type(matrix) is list:
+        array = _plain_matrix(matrix)
+        if array is not None:
+            entry["matrix"] = array
+    return entry
 
 
 def _indexed(array: np.ndarray, items: str, key: str) -> list:
@@ -145,8 +163,10 @@ class FamilyDocument:
     ``basis_index`` and a ``projectors`` list of {alpha, matrix} dicts.
     ``states`` optionally mirrors that structure with amplitude vectors.
     ``metadata`` is free-form (generator, seed, timestamp and the like).
-    Read from JSON, matrices and amplitudes are nested [re, im] lists; built
-    by :meth:`from_family`, float (..., 2) views of the family's arrays.
+    Loaded by :func:`load_family`, each plain matrix is a float (d, d, 2)
+    array, converted as it was parsed, and everything else, amplitudes
+    among it, is nested [re, im] lists; built by :meth:`from_family`,
+    matrices and amplitudes are float (..., 2) views of the family's arrays.
     """
 
     format_version: str
@@ -253,17 +273,24 @@ class FamilyDocument:
     def _stacked(self, matrices: list, rows: list) -> np.ndarray:
         """The raw matrices as one (N, d, d) complex array, in their order.
 
-        All at once when every number is plain; otherwise each matrix in
-        turn, so the first bad one is named with its first bad entry.
+        At once when every matrix is a float (d, d, 2) array, as a load
+        converts it while parsing or :meth:`from_family` views it, or a
+        plain list of that shape, and every part is bounded; otherwise each
+        matrix in turn, so the first bad one is named with its first bad
+        entry.
         """
         d = self.dimension
-        # A document built by from_family holds arrays: read as their lists.
+        arrays = [_plain_matrix(raw) if type(raw) is list else raw for raw in matrices]
+        if arrays and all(
+            type(a) is np.ndarray and a.dtype == float and a.shape == (d, d, 2) for a in arrays
+        ):
+            numbers = np.concatenate(arrays)
+            if _bounded(numbers).all():
+                return numbers.view(complex).reshape(-1, d, d)
+        # An array is read as its lists, which name a bad entry as the document spells it.
         matrices = [raw.tolist() if isinstance(raw, np.ndarray) else raw for raw in matrices]
-        numbers = _plain_numbers(matrices, d)
-        if numbers is None:
-            parsed = [self._parse_matrix(raw, self._where(row)) for raw, row in zip(matrices, rows)]
-            return np.array(parsed, dtype=complex).reshape(-1, d, d)
-        return numbers.view(complex).reshape(-1, d, d)
+        parsed = [self._parse_matrix(raw, self._where(row)) for raw, row in zip(matrices, rows)]
+        return np.array(parsed, dtype=complex).reshape(-1, d, d)
 
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
@@ -271,8 +298,8 @@ class FamilyDocument:
         Checks structure first (index completeness, projector counts, matrix
         shapes and entries), so nothing larger than the document itself is
         allocated for a document that declares a huge dimension.  The
-        matrices are checked and converted together, every level of their
-        nesting at once; only a document with a bad or non-plain number (a
+        matrices are joined and their parts bounded at once; only a
+        document with a misshapen matrix or a bad or non-plain number (a
         numeric subclass such as ``np.float64``) is read matrix by matrix,
         which names the first bad entry.  A structural error is reported
         after any bad matrix before it in the document.  Then the family's
@@ -334,7 +361,8 @@ class FamilyDocument:
             lowest = -r
         else:
             stack = family.projectors.reshape(n * d, d, d)
-            lowest = eigen_hermitian(stack, hermiticity_tol=np.inf).eigenvalues[:, -1]
+            spectrum = eigen_hermitian(stack, hermiticity_tol=np.inf, values_only=True)
+            lowest = spectrum.eigenvalues[:, -1]
         # The invariants come in label order; read them in document order.
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
@@ -469,6 +497,9 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     of the document repeat, as in a closed-form family, float literals are
     parsed through a bounded per-load table keyed by their text, so a
     repeated literal costs a lookup; otherwise each is parsed by ``float``.
+    Each projector's plain matrix is converted to a float array as the
+    parser finishes it, and its lists are freed then, so the peak memory of
+    a load is the document's bytes plus its text, about twice its size.
 
     The cyclic garbage collector is switched off while the document is
     parsed and validated, and put back as it was on every path: the tree
@@ -488,7 +519,7 @@ def _load_family(path: str, tolerance: float = LOAD_TOLERANCE, digest: bool = Fa
     gc.disable()
     try:
         try:
-            payload = json.loads(text, parse_float=_parse_float(text))
+            payload = json.loads(text, parse_float=_parse_float(text), object_hook=_converted)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
         except RecursionError as exc:

@@ -16,11 +16,13 @@ falls back to an eigensolve, so every rejection keeps its message.
 :func:`eigen_hermitian` takes one (d, d) matrix or an (N, d, d) stack,
 checks it, and solves the symmetrized stack with one ``np.linalg.eigh``
 call (LAPACK's divide-and-conquer ``zheevd``; Golub & Van Loan, *Matrix
-Computations*, ch. 8), each member first scaled by an even power of two
-so that its solve does not depend on its size.  The verifier solves a
-family's stack every time; the loader, reconstruction and the search
-start solve it only for what the certificate cannot settle, and nothing
-keeps the solve.  The recovered states have their global phase fixed by
+Computations*, ch. 8), or ``np.linalg.eigvalsh`` when only eigenvalues
+are asked for, each member first scaled by an even power of two so that
+its solve does not depend on its size.  The verifier solves a family's
+stack for eigenvalues every time; the loader (for eigenvalues too),
+reconstruction and the search start solve it only for what the
+certificate cannot settle, and nothing keeps the solve.  The recovered
+states have their global phase fixed by
 :func:`~mubkit.algebra.canonical_phase`.
 """
 
@@ -61,7 +63,10 @@ class EigenDecomposition:
     ``eigenvalues`` are real, sorted in descending order along the last
     axis; column j of ``eigenvectors`` is the unit eigenvector for
     ``eigenvalues[..., j]``.  For an (N, d, d) input both carry the leading
-    stack axis.  ``sweeps`` is always 0 for a solve of
+    stack axis.  A values-only solve (``eigen_hermitian(...,
+    values_only=True)``) marks its missing eigenvectors with an empty
+    complex array of zero columns, shaped (..., d, 0), and :meth:`reconstruct`
+    refuses it.  ``sweeps`` is always 0 for a solve of
     :func:`eigen_hermitian`, which runs no iteration it could count; the
     field stays because callers, a benchmark tracer among them, read it.
     """
@@ -94,8 +99,13 @@ class EigenDecomposition:
         return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        """Reassemble V diag(w) V^dagger; equals the input up to roundoff."""
+        """Reassemble V diag(w) V^dagger; equals the input up to roundoff.
+
+        Raises ``ValueError`` for a values-only solve, which kept no eigenvectors.
+        """
         vecs = self.eigenvectors
+        if self.dim and not vecs.shape[-1]:
+            raise ValueError("a values-only decomposition has no eigenvectors to reassemble")
         return (vecs * self.eigenvalues[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -139,7 +149,9 @@ def _checked_stack(matrix):
     return stack, single, largest
 
 
-def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
+def eigen_hermitian(
+    matrix, hermiticity_tol: float = 1e-10, *, values_only: bool = False
+) -> EigenDecomposition:
     """Eigenvalues and eigenvectors of Hermitian matrices, descending order.
 
     ``matrix`` is one (d, d) matrix or an (N, d, d) stack of them; the
@@ -153,7 +165,10 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
     symmetrized stack (M + M^dagger) / 2, so the solver sees exact
     Hermitian data, each member scaled by an even power of two that brings
     its largest part near 1; the eigenvalues are scaled back exactly.
-    Equal eigenvalues keep LAPACK's order.  A LAPACK failure raises
+    Equal eigenvalues keep LAPACK's order.  With ``values_only`` the solve
+    is ``np.linalg.eigvalsh`` of the same scaled stack, which forms no
+    eigenvector, and the result's eigenvectors are the empty marker
+    described on :class:`EigenDecomposition`.  A LAPACK failure raises
     ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
     stack, single, largest = _checked_stack(matrix)
@@ -168,10 +183,14 @@ def eigen_hermitian(matrix, hermiticity_tol: float = 1e-10) -> EigenDecompositio
                 f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
             )
     sym, shift = _normalized(_symmetrized(stack))
-    vals, vecs = np.linalg.eigh(sym)
+    if values_only:
+        vals, vecs = np.linalg.eigvalsh(sym), np.empty((*sym.shape[:-1], 0), dtype=complex)
+    else:
+        vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(np.ldexp(vals, -shift[:, None]), order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    if not values_only:
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     if single:
         vals, vecs = vals[0], vecs[0]
     # Both arrays were built here and are referenced nowhere else.

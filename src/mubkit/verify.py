@@ -156,9 +156,9 @@ def verify_family(
     cross-basis parts, and cross-basis angles against arccos(1/d).  Passing
     requires every residual within ``tolerance``; the sign check on
     eigenvalues allows ``-tolerance``.  Reads the family's cached invariants
-    and solves its projector stack, once per call.  Never raises on bad
-    numbers, only on malformed shapes: a corrupted family yields a failing
-    report.
+    and solves its projector stack for eigenvalues only, once per call.
+    Never raises on bad numbers, only on malformed shapes: a corrupted
+    family yields a failing report.
     """
     _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
@@ -167,7 +167,8 @@ def verify_family(
     # The exact eigenvalues of the symmetrized stack, with no Hermitian
     # gate: a non-Hermitian matrix shows up in its defect, not as a crash here.
     stack = family.projectors.reshape(n * d, d, d)
-    min_eig = float(eigen_hermitian(stack, hermiticity_tol=np.inf).eigenvalues[:, -1].min())
+    spectrum = eigen_hermitian(stack, hermiticity_tol=np.inf, values_only=True)
+    min_eig = float(spectrum.eigenvalues[:, -1].min())
 
     gram_complex = _gram(family.as_vectors())
     gram = gram_complex.real

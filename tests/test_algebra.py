@@ -162,15 +162,37 @@ class TestProjectorFromState:
             assert abs(hilbert_schmidt(m, m) - 1.0) < 1e-12
 
 
-def per_vector_canonical_phase(v):
-    """The one-state formula that the stack implementation must reproduce bit for bit."""
+def first_tie(v) -> int:
+    """Index of the first component whose modulus is within 1e-8 of the largest, relatively."""
     mods = np.abs(v)
-    top = float(mods.max())
-    pivot = int(np.argmax(mods >= top * (1.0 - 1e-8)))
+    return int(np.argmax(mods >= float(mods.max()) * (1.0 - 1e-8)))
+
+
+def rotated(v, pivot):
+    """``v`` times the phase that makes component ``pivot`` real and positive."""
+    mods = np.abs(v)
     out = v * (complex(v[pivot]).conjugate() / float(mods[pivot]))
     out[np.abs(out) > 1e150] *= 1.0 - 2.0**-48  # a modulus rotated past the bound
     out[pivot] = mods[pivot]
     return out
+
+
+def per_vector_canonical_phase(v):
+    """The one-state formula that the stack implementation must reproduce bit for bit."""
+    mods = np.abs(v)
+    top = float(mods.max())
+    pivot = first_tie(v)
+    # A real positive component tied within 2^-46 of the slack's threshold,
+    # before any component tied beyond it, is kept as the pivot.
+    near = top * ((1.0 - 1e-8) * (1.0 - 2.0**-46))
+    clear = top * ((1.0 - 1e-8) * (1.0 + 2.0**-46))
+    for i, z in enumerate(v):
+        if z.imag == 0.0 and z.real > 0.0 and mods[i] >= near:
+            pivot = i
+            break
+        if mods[i] >= clear:
+            break
+    return rotated(v, pivot)
 
 
 # Parts where a division through a reciprocal, or a lost zero sign, would show.
@@ -234,6 +256,32 @@ class TestCanonicalPhase:
                 once = strictly(canonical_phase, v)
                 assert np.abs(once).max() <= 1e150
                 assert np.array_equal(strictly(canonical_phase, once), once)
+
+    # Angle pairs (theta, phi) for states [x e^{i theta}, e^{i phi}].
+    ANGLES = np.random.default_rng(2026).uniform(0.0, 2.0 * np.pi, (2000, 2))
+
+    def test_idempotent_at_the_tie_slack(self):
+        # The first modulus sits one ulp below (1 - 1e-8) times the second,
+        # so rotation can round it across the slack either way; a second
+        # call changed about a quarter of these states.
+        x = np.nextafter(1.0 - 1e-8, 0.0)
+        for theta, phi in self.ANGLES:
+            once = strictly(canonical_phase, [x * np.exp(1j * theta), np.exp(1j * phi)])
+            assert np.array_equal(strictly(canonical_phase, once), once)
+
+    @pytest.mark.parametrize(
+        "x",
+        [1.0, 1.0 - 0.5e-8, (1.0 - 1e-8) * (1.0 + 1e-12), (1.0 - 1e-8) * (1.0 - 1e-12), 1.0 - 2e-8],
+        ids=["equal", "tied", "tied_by_1e-12", "untied_by_1e-12", "untied"],
+    )
+    def test_no_pivot_moves_beyond_roundoff(self, x):
+        # Tied or untied by more than roundoff, the pivot is the first tie,
+        # whether or not a component is already real and positive.
+        a, b = x * np.exp(1j * self.ANGLES[:, 0]), np.exp(1j * self.ANGLES[:, 1])
+        pairs = ((a, b), (x, b), (a, 1.0), (b, a))
+        stack = np.concatenate([np.column_stack(np.broadcast_arrays(*pair)) for pair in pairs])
+        for v, got in zip(stack, _canonical_phases(stack)):
+            assert got.tobytes() == rotated(v, first_tie(v)).tobytes()
 
     @pytest.mark.parametrize("state", [[1e150 + 1e150j], [1.0, 2e149 - 1e150j]])
     def test_rejects_moduli_above_the_bound(self, state):

@@ -218,6 +218,21 @@ class TestEigensolves:
         assert cli_dispatch(argv) == 0
         assert shapes == [(12, 3, 3)] * passes
 
+    def test_verify_solves_for_eigenvalues_only(self, tmp_path, monkeypatch):
+        argv = pipeline_argv(tmp_path, "verify")
+        shapes = counting_solves(monkeypatch)
+        vector_solves = []
+        real = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            vector_solves.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert cli_dispatch(argv) == 0
+        assert shapes == [(12, 3, 3)]
+        assert vector_solves == []
+
     def test_construct_saves_without_the_eigenvector_stack(self, tmp_path, monkeypatch):
         import mubkit.cli
 
@@ -445,6 +460,7 @@ class TestSolverFailure:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         assert cli_dispatch([command, str(path)]) == code
         captured = capsys.readouterr()
         assert captured.err == "error: Eigenvalues did not converge\n"

@@ -536,6 +536,23 @@ class TestRejection:
         per_entry = mubkit.io._MAX_DOCUMENT_BYTES / (MAX_FAMILY_BYTES // 16)
         assert path.stat().st_size <= per_entry * family.projectors.size
 
+    def test_plain_matrix_of_the_wrong_size_in_a_later_basis(self, tmp_path):
+        # Plain, so converted as parsed; its shape, not its numbers, is refused.
+        path = tmp_path / "family.json"
+        square = [[[0.25, 0.0]] * 3] * 3
+        write_doc(path, lambda p: p["bases"][2]["projectors"][1].update(matrix=square))
+        with pytest.raises(ValueError) as caught:
+            load_family(str(path))
+        assert str(caught.value) == "basis 2, vector 1: matrix must have 2 rows"
+
+    def test_metadata_with_alpha_and_matrix_keys_loads(self, tmp_path):
+        # Shaped like a projector entry, so converted as parsed, and ignored
+        # as any metadata is; a matrix the converter leaves alone is too.
+        for matrix in ([[[1.0, 0.0]]], [[[1e400, True]]]):
+            path = tmp_path / "family.json"
+            family = write_doc(path, lambda p: p.update(metadata={"alpha": 0, "matrix": matrix}))
+            assert load_family(str(path)).projectors.tobytes() == family.projectors.tobytes()
+
     def test_root_not_object(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text("[1, 2, 3]")
@@ -907,12 +924,20 @@ class TestBatchedParse:
 
 
 class TestLoadMemory:
-    def test_closed_form_load_peaks_below_4_6_times_its_file(self, tmp_path):
-        # The text is freed once parsed, and a document in label order is
-        # not copied into it: the traced peak of one d = 13 load went from
-        # about 5.2 to 4.2 times the file's size.
+    @pytest.mark.parametrize("noise", [0.0, 1e-12], ids=["closed", "noisy"])
+    def test_load_peaks_below_2_5_times_its_file(self, tmp_path, noise):
+        # Each matrix becomes an array as json finishes it, so the tree of
+        # [re, im] lists never exists whole: the traced peak of one d = 13
+        # load is the bytes and the text, about 2 times the file, where the
+        # whole tree took 4.19 (closed) and 4.89 (noisy) times.
+        projectors = build_family(13).projectors
+        if noise:
+            rng = np.random.default_rng(13)
+            parts = rng.standard_normal((2, *projectors.shape))
+            bumps = parts[0] + 1j * parts[1]
+            projectors = projectors + noise / 2 * (bumps + bumps.conj().swapaxes(-1, -2))
         path = tmp_path / "family.json"
-        save_family(build_family(13), str(path))
+        save_family(MubFamily(projectors), str(path))
         load_family(str(path))  # imports and caches warmed outside the trace
         tracemalloc.start()
         try:
@@ -920,7 +945,7 @@ class TestLoadMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.6 * path.stat().st_size
+        assert peak < 2.5 * path.stat().st_size
 
 
 class TestLoadTolerance:

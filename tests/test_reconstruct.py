@@ -140,6 +140,22 @@ class TestBatchedEigen:
         scale = np.linalg.norm(stack, axis=(1, 2))[:, None]
         assert np.all(np.abs(vals - reference) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("make_stack", STACKS)
+    def test_values_only_solve(self, make_stack):
+        # The same scaled stack through eigvalsh: eigenvalues to roundoff,
+        # descending, and no eigenvector, which reconstruct() refuses.
+        stack = make_stack()
+        full = eigen_hermitian(stack)
+        for matrix, expected in ((stack, full.eigenvalues), (stack[0], full.eigenvalues[0])):
+            decomp = eigen_hermitian(matrix, values_only=True)
+            scale = max(np.linalg.norm(matrix), 1.0)
+            assert np.max(np.abs(decomp.eigenvalues - expected)) <= 1e-13 * scale
+            assert np.all(np.diff(decomp.eigenvalues, axis=-1) <= 0.0)
+            assert decomp.eigenvectors.shape == (*matrix.shape[:-1], 0)
+            assert decomp.sweeps == 0
+            with pytest.raises(ValueError, match="values-only"):
+                decomp.reconstruct()
+
     def test_zero_and_diagonal_members_are_exact(self):
         batched = eigen_hermitian(edge_case_stack())
         assert np.array_equal(batched.eigenvectors[0], np.eye(4))
@@ -169,6 +185,8 @@ class TestBatchedEigen:
         stack[2, 0, 1] += 0.1
         with pytest.raises(ValueError, match="matrix 2 is not Hermitian"):
             eigen_hermitian(stack)
+        with pytest.raises(ValueError, match="matrix 2 is not Hermitian"):
+            eigen_hermitian(stack, values_only=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_before_any_warning(self, bad):

@@ -132,6 +132,21 @@ class TestVerifyFamily:
         assert not report.passed
         assert report.hermiticity_residual > 1e-4
 
+    def test_hermitian_defect_below_tolerance_fails_on_the_gram_leak(self):
+        # P_10 + 1.5e-10 i (P_00 - I/d): each entry breaks Hermitian symmetry
+        # by 2.3e-11, within tolerance, but Tr(P_00 M) has an imaginary part
+        # of 1.5e-10 (1 - 1/d), which only the complex Gram product sees.
+        d = 13
+        mats = build_family(d).projectors.copy()
+        mats[1, 0] = mats[1, 0] + 1.5e-10j * (mats[0, 0] - np.eye(d) / d)
+        family = MubFamily(mats)
+        assert family.invariants[0].max() == pytest.approx(2 * 1.5e-10 / d, rel=1e-3)
+        report = verify_family(family)
+        assert not report.passed
+        assert report.hermiticity_residual == pytest.approx(1.5e-10 * (1 - 1 / d), rel=1e-3)
+        others = [report.trace_residual, report.max_self_residual, report.max_cross_residual]
+        assert max(others + [report.angle_check, -report.psd_min_eigenvalue]) <= 1e-10
+
     @pytest.mark.parametrize("size", [0.0, 1e-170])
     def test_vanishing_projector_fails_without_warning(self, size):
         # A zero norm, or one whose square underflows, has no angle: the
