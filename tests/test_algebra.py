@@ -234,13 +234,15 @@ class TestCanonicalPhase:
 
     # Moduli up to the 1e150 bound, which the draw reaches often: the
     # canonical form of every state canonical_phase accepts is one it accepts.
+    # A drawn modulus can round to one ulp above the bound, a state
+    # canonical_phase refuses (test_rejects_moduli_above_the_bound).
     @settings(max_examples=200, deadline=None)
     @given(
         hnp.arrays(
             complex,
             st.integers(1, 8),
             elements=st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e150),
-        ).filter(lambda v: np.any(v != 0))
+        ).filter(lambda v: np.any(v != 0) and np.abs(v).max() <= 1e150)
     )
     def test_idempotent(self, v):
         once = strictly(canonical_phase, v)
