@@ -11,17 +11,15 @@ only reader of an input document: it reads each once, bounded, and a
 certificate's SHA-256 is of the very bytes that were parsed and validated.
 The loader validates all it reads at a fixed tolerance and names the
 offending (basis, vector, entry) when a matrix fails; a document is never
-trusted because this package wrote it.  Each projector's matrix becomes
-a float array as ``json.loads`` finishes it, so the nested [re, im] lists
-of a whole document never exist at once: a load's peak memory is its
-bytes and their text, about twice the file.  The cyclic garbage collector
-is held off while a document is parsed and validated: every container the
-parser makes would count toward a collection that walks the live objects.
+trusted because this package wrote it, and an object that repeats a key
+is refused rather than read as its last value.  Each projector's matrix
+becomes a float array as ``json.loads`` finishes it, so the nested
+[re, im] lists of a whole document never exist at once: a load's peak
+memory is its bytes and their text, about twice the file.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -118,15 +116,24 @@ def _plain_matrix(raw: list) -> Optional[np.ndarray]:
         return None
 
 
-def _converted(entry: dict) -> dict:
-    """``json.loads`` object hook: a projector entry with its plain matrix as a float array.
+def _converted(pairs: list) -> dict:
+    """``json.loads`` object pairs hook: the object's dict, a plain matrix as a float array.
 
     Called as the parser finishes each object, so a matrix's nested lists
     are freed as soon as it is read, and a document's tree of [re, im]
-    lists never exists whole.  Any object with an ``alpha`` and a list
+    lists never exists whole.  An object that repeats a key is refused:
+    ``json.loads`` alone would keep the last value and load bytes whose
+    first value is bad.  Any object with an ``alpha`` and a list
     ``matrix`` is converted; anything else, a matrix that is not plain
     among them, is returned as parsed, for the loader to judge.
     """
+    entry = dict(pairs)
+    if len(entry) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} is repeated in one object")
+            seen.add(key)
     matrix = entry.get("matrix")
     if "alpha" in entry and type(matrix) is list:
         array = _plain_matrix(matrix)
@@ -500,13 +507,8 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     Each projector's plain matrix is converted to a float array as the
     parser finishes it, and its lists are freed then, so the peak memory of
     a load is the document's bytes plus its text, about twice its size.
-
-    The cyclic garbage collector is switched off while the document is
-    parsed and validated, and put back as it was on every path: the tree
-    ``json.loads`` builds has no cycle, and reference counting frees it.
-    The switch is process-wide, so a load in another thread may see the
-    collector back on before its own tree is freed, which costs it time,
-    never correctness.
+    A document that is not UTF-8, or has an object that repeats a key, is
+    refused with its path named.
     """
     return _load_family(path, tolerance)[0]
 
@@ -515,23 +517,16 @@ def _load_family(path: str, tolerance: float = LOAD_TOLERANCE, digest: bool = Fa
     """:func:`load_family`'s family, and with ``digest`` the SHA-256 of the bytes it read."""
     _check_tolerance(tolerance)
     text, sha256 = _read_document(path, digest)
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            payload = json.loads(text, parse_float=_parse_float(text), object_hook=_converted)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
-        # Both dropped while the collector is off: reference counting frees them.
-        del text
-        family = FamilyDocument.from_payload(payload).to_family(tolerance)
-        del payload
-        return family, sha256
-    finally:
-        if enabled:
-            gc.enable()
+        payload = json.loads(text, parse_float=_parse_float(text), object_pairs_hook=_converted)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path!r} is nested too deeply to parse: {exc}") from exc
+    except ValueError as exc:  # a repeated key, or an integer too long for int()
+        raise ValueError(f"{path!r}: {exc}") from exc
+    del text  # freed before the family is allocated
+    return FamilyDocument.from_payload(payload).to_family(tolerance), sha256
 
 
 def _read_document(path: str, digest: bool) -> tuple:
@@ -563,7 +558,10 @@ def _read_document(path: str, digest: bool) -> tuple:
     sha256 = hashlib.sha256(data).hexdigest() if digest else None
     # Decoded as a text-mode read would: a BOM is kept, for json to refuse,
     # and line ends are read as "\n", so JSON error positions stay the same.
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path!r} is not UTF-8 text: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text, sha256
 
 

@@ -170,7 +170,7 @@ def verify_family(
     spectrum = eigen_hermitian(stack, hermiticity_tol=np.inf, values_only=True)
     min_eig = float(spectrum.eigenvalues[:, -1].min())
 
-    gram_complex = _gram(family.as_vectors())
+    gram_complex = _gram(family.projectors.reshape(n * d, d * d))
     gram = gram_complex.real
     # Trace products of Hermitian matrices are real; any imaginary leakage
     # is another symptom of broken Hermitian symmetry.

@@ -389,6 +389,37 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "opening, key, bad",
+        [
+            ("{", "format_version", '"0"'),
+            ('"metadata": {', "generator", "[]"),
+            ('"bases": [{', "basis_index", "7"),
+            ('"projectors": [{', "matrix", "[[[9.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+        ],
+        ids=["root", "metadata", "basis", "projector"],
+    )
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys, opening, key, bad):
+        # The last value of each repeated key is valid, so without the check
+        # --report would certify the SHA-256 of bytes whose first value is bad.
+        path = construct(tmp_path)
+        path.write_text(path.read_text().replace(opening, f'{opening}"{key}": {bad}, ', 1))
+        report = tmp_path / "report.json"
+        assert cli_dispatch(["verify", str(path), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {str(path)!r}: key {key!r} is repeated in one object\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+    def test_document_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli_dispatch(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {str(path)!r} is not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("limit", [-1, 0], ids=["longer", "at_the_limit"])
     def test_streamed_document_is_bounded(self, tmp_path, monkeypatch, capsys, limit):
         # A pipe reports size 0, so only a counted read can refuse it.

@@ -508,8 +508,9 @@ class TestRejection:
             b'{"format_version": "1",\r "dimension": 2, "bases": [{"x\r": ',
             b'{"format_version": "1", "metadata": "\xff"}',
             b'{"format_version": "1", "meta\xc3\xa9": \r\n}',
+            b'{"dimension": ' + b"1" * 5000 + b"}",  # past int()'s 4300-digit default
         ],
-        ids=["bom", "crlf", "lone_cr", "invalid_utf8", "non_ascii_crlf"],
+        ids=["bom", "crlf", "lone_cr", "invalid_utf8", "non_ascii_crlf", "long_integer"],
     )
     def test_refused_like_a_text_mode_read(self, tmp_path, data):
         # Read in binary, a document still fails where and as the text-mode
@@ -522,6 +523,7 @@ class TestRejection:
         with pytest.raises(ValueError) as caught:
             load_family(str(path))
         assert str(expected.value) in str(caught.value)
+        assert repr(str(path)) in str(caught.value)
 
     @pytest.mark.parametrize("d", [3, 7])
     def test_size_limit_admits_the_widest_document(self, tmp_path, d):
@@ -552,6 +554,28 @@ class TestRejection:
             path = tmp_path / "family.json"
             family = write_doc(path, lambda p: p.update(metadata={"alpha": 0, "matrix": matrix}))
             assert load_family(str(path)).projectors.tobytes() == family.projectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "opening, key, bad",
+        [
+            ("{", "format_version", '"0"'),
+            ('"metadata": {', "generator", "[]"),
+            ('"bases": [{', "basis_index", "7"),
+            ('"projectors": [{', "matrix", "[[[9.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+        ],
+        ids=["root", "metadata", "basis", "projector"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, opening, key, bad):
+        # json.loads alone keeps the last value, so these bytes, each with a
+        # bad first value, would load as the valid d = 2 family.
+        path = tmp_path / "family.json"
+        write_doc(path, lambda p: p.update(metadata={"generator": "construct"}))
+        text = path.read_text()
+        path.write_text(text.replace(opening, f'{opening}"{key}": {bad}, ', 1))
+        assert json.loads(path.read_text()) == json.loads(text)
+        with pytest.raises(ValueError) as caught:
+            load_family(str(path))
+        assert str(caught.value) == f"{str(path)!r}: key {key!r} is repeated in one object"
 
     def test_root_not_object(self, tmp_path):
         path = tmp_path / "family.json"
@@ -1001,6 +1025,9 @@ def collector(enabled):
 
 class TestCollector:
     def test_closed_form_load_runs_no_collection(self, tmp_path):
+        # The object hook frees each matrix's lists as the parser finishes
+        # it, so a load never holds enough new containers for a collection
+        # to fall due, with the collector left on.
         family = build_family(13)
         path = str(tmp_path / "family.json")
         save_family(family, path)
@@ -1030,6 +1057,8 @@ class TestCollector:
     def test_load_leaves_the_collector_as_it_found_it(
         self, tmp_path, monkeypatch, enabled, case, error
     ):
+        # A load changes no process-wide state: it loads or names its error
+        # the same way with the collector on or off, and leaves it so.
         path = tmp_path / "family.json"
 
         def asymmetric(p):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mubkit.algebra import MubFamily, projector_from_state
 from mubkit.construct import build_family
 from mubkit.reconstruct import reconstruct_all
-from mubkit.verify import VerificationReport, pairwise_angle, verify_family, verify_states
+from mubkit.verify import VerificationReport, _gram, pairwise_angle, verify_family, verify_states
 
 
 def computational_family(d):
@@ -185,6 +185,20 @@ class TestVerifyFamily:
         report = verify_family(family, keep_gram=True)
         assert report.gram.shape == (6, 6)
         assert report.gram[0, 0] == pytest.approx(1.0)
+
+    def test_gram_reads_the_projectors_without_a_copy(self, monkeypatch):
+        # The Gram product reads a view of the family's projectors; the
+        # copy as_vectors makes is not taken.
+        family = build_family(13)
+        expected = _gram(family.as_vectors()).real
+
+        def refused(self):
+            raise AssertionError("verify_family copied the projectors")
+
+        monkeypatch.setattr(MubFamily, "as_vectors", refused)
+        report = verify_family(family, keep_gram=True)
+        assert report.passed
+        assert report.gram.tobytes() == expected.tobytes()
 
     def test_summary_states_verdict(self):
         family = build_family(2)
