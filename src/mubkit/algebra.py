@@ -90,12 +90,9 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _hermitian_defects(m: np.ndarray):
-    """Each (N, d, d) member's max |M - M^dagger| and the row-major index where it first occurs."""
-    n = m.shape[0]
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(n, -1)
-    worst_entry = defect.argmax(axis=1)
-    return defect[np.arange(n), worst_entry], worst_entry
+def _hermitian_defects(m: np.ndarray) -> np.ndarray:
+    """Each (N, d, d) member's max |M - M^dagger|."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2))
 
 
 def _rank_one_certificate(sym: np.ndarray):
@@ -263,18 +260,18 @@ class MubFamily:
 
     @cached_property
     def invariants(self):
-        """Per-projector (hermiticity, worst_entry, trace), in label order, computed once.
+        """Per-projector (hermiticity, trace), in label order, computed once.
 
-        max |M - M^dagger|, the row-major index of its first worst entry, and
-        |Tr M - 1|, as read-only arrays; each reader applies its own tolerance.
+        max |M - M^dagger| and |Tr M - 1|, as read-only arrays; each reader
+        applies its own tolerance.
         """
         n, d = self.num_bases, self.dim
         mats = self.projectors.reshape(n * d, d, d)
-        hermiticity, worst_entry = _hermitian_defects(mats)
+        hermiticity = _hermitian_defects(mats)
         trace = np.abs(np.einsum("nii->n", mats) - 1.0)
-        for array in (hermiticity, worst_entry, trace):
+        for array in (hermiticity, trace):
             array.setflags(write=False)
-        return hermiticity, worst_entry, trace
+        return hermiticity, trace
 
     @cached_property
     def rank_one_certificate(self):

@@ -15,7 +15,7 @@ trusted because this package wrote it, and an object that repeats a key
 is refused rather than read as its last value.  Each projector's matrix
 becomes a float array as ``json.loads`` finishes it, so the nested
 [re, im] lists of a whole document never exist at once: a load's peak
-memory is its bytes and their text, about twice the file.
+memory, a refusal's too, is its bytes and their text, about twice the file.
 """
 
 from __future__ import annotations
@@ -258,7 +258,16 @@ class FamilyDocument:
         )
 
     def _parse_matrix(self, raw, where: str) -> np.ndarray:
+        """``raw`` as a float (d, d, 2) array, read entry by entry; its parts are not bounded.
+
+        Names the first bad entry and accepts numeric subclasses such as
+        ``np.float64``.  An array is read as its lists, which name a bad
+        entry as the document spells it; an integer beyond the float range
+        reads as inf, for the bound to refuse.
+        """
         d = self.dimension
+        if isinstance(raw, np.ndarray):
+            raw = raw.tolist()
         if not isinstance(raw, list) or len(raw) != d:
             raise ValueError(f"{where}: matrix must have {d} rows")
         for p, row in enumerate(raw):
@@ -268,52 +277,38 @@ class FamilyDocument:
                 if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
                     raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
         try:
-            pairs = np.array(raw, dtype=float)
+            return np.array(raw, dtype=float)
         except OverflowError:  # an integer literal beyond the float range
-            pairs = np.array(np.inf)
-        _check_parts(pairs, f"{where}: matrix entries")
-        return pairs.view(complex).reshape(d, d)
+            return np.full((d, d, 2), np.inf)
 
     def _where(self, row: int) -> str:
         return "basis {}, vector {}".format(*divmod(row, self.dimension))
 
-    def _stacked(self, matrices: list, rows: list) -> np.ndarray:
-        """The raw matrices as one (N, d, d) complex array, in their order.
-
-        At once when every matrix is a float (d, d, 2) array, as a load
-        converts it while parsing or :meth:`from_family` views it, or a
-        plain list of that shape, and every part is bounded; otherwise each
-        matrix in turn, so the first bad one is named with its first bad
-        entry.
-        """
-        d = self.dimension
-        arrays = [_plain_matrix(raw) if type(raw) is list else raw for raw in matrices]
-        if arrays and all(
-            type(a) is np.ndarray and a.dtype == float and a.shape == (d, d, 2) for a in arrays
-        ):
-            numbers = np.concatenate(arrays)
-            if _bounded(numbers).all():
-                return numbers.view(complex).reshape(-1, d, d)
-        # An array is read as its lists, which name a bad entry as the document spells it.
-        matrices = [raw.tolist() if isinstance(raw, np.ndarray) else raw for raw in matrices]
-        parsed = [self._parse_matrix(raw, self._where(row)) for raw, row in zip(matrices, rows)]
-        return np.array(parsed, dtype=complex).reshape(-1, d, d)
+    def _joined(self, arrays: list, rows: list) -> np.ndarray:
+        """The float (d, d, 2) matrices joined; the first with a part out of bound is named."""
+        numbers = np.stack(arrays)
+        inside = _bounded(numbers).reshape(len(arrays), -1).all(axis=1)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            _check_parts(arrays[i], f"{self._where(rows[i])}: matrix entries")
+        return numbers
 
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
         Checks structure first (index completeness, projector counts, matrix
         shapes and entries), so nothing larger than the document itself is
-        allocated for a document that declares a huge dimension.  The
-        matrices are joined and their parts bounded at once; only a
-        document with a misshapen matrix or a bad or non-plain number (a
-        numeric subclass such as ``np.float64``) is read matrix by matrix,
-        which names the first bad entry.  A structural error is reported
-        after any bad matrix before it in the document.  Then the family's
-        cached :attr:`~MubFamily.invariants` at ``tolerance``: Hermitian
-        symmetry (worst entry named), unit trace, and no eigenvalue below
-        ``-tolerance``.  The first failing matrix, by basis index and then
-        document order, is reported with its first failed check in that
+        allocated for a document that declares a huge dimension.  Each matrix
+        is resolved once, in document order: a float (d, d, 2) array, as a
+        load converts it while parsing or :meth:`from_family` views it,
+        passes as it is, a plain list is converted, and any other is read
+        entry by entry, which names its first bad entry.  Their parts are
+        bounded at once, over the joined stack.  A structural error is
+        reported after any bad matrix before it in the document.  Then the
+        family's cached :attr:`~MubFamily.invariants` at ``tolerance``:
+        Hermitian symmetry (worst entry named), unit trace, and no eigenvalue
+        below ``-tolerance``.  The first failing matrix, by basis index and
+        then document order, is reported with its first failed check in that
         order.  A family whose every projector is certified rank 1 within
         ``tolerance`` by its one-column residual passes the eigenvalue check
         without an eigensolve; any other is solved here, and the solve is
@@ -335,7 +330,7 @@ class FamilyDocument:
         if not 1 <= n <= d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        rows, matrices = [], []
+        rows, arrays = [], []
         try:
             for a in range(n):
                 projectors = indexed[a].get("projectors")
@@ -349,25 +344,31 @@ class FamilyDocument:
                     if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
                         raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
                     seen.add(alpha)
+                    raw = entry.get("matrix")
+                    array = _plain_matrix(raw) if type(raw) is list else raw
+                    ready = type(array) is np.ndarray and array.dtype == float
+                    if not ready or array.shape != (d, d, 2):
+                        array = self._parse_matrix(raw, self._where(a * d + alpha))
                     rows.append(a * d + alpha)
-                    matrices.append(entry.get("matrix"))
+                    arrays.append(array)
         except ValueError:
-            # The document is checked in order: a bad matrix before the
-            # structural error is named instead.
-            self._stacked(matrices, rows)
+            # The document is checked in order: a matrix out of bound before
+            # the error is named instead.
+            if arrays:
+                self._joined(arrays, rows)
             raise
 
         # In label order, a view if listed so; no stack but the family's own outlives this line.
         order = slice(None) if rows == sorted(rows) else np.argsort(rows)
-        family = MubFamily(self._stacked(matrices, rows)[order].reshape(n, d, d, d))
-        hermiticity, worst_entry, trace = family.invariants
+        family = MubFamily(self._joined(arrays, rows).view(complex)[order].reshape(n, d, d, d))
+        hermiticity, trace = family.invariants
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
+        stack = family.projectors.reshape(n * d, d, d)
         _, r = family.rank_one_certificate
         if np.all(r <= tolerance):
             lowest = -r
         else:
-            stack = family.projectors.reshape(n * d, d, d)
             spectrum = eigen_hermitian(stack, hermiticity_tol=np.inf, values_only=True)
             lowest = spectrum.eigenvalues[:, -1]
         # The invariants come in label order; read them in document order.
@@ -376,7 +377,7 @@ class FamilyDocument:
             i = rows[int(np.argmax(failing))]
             where = self._where(i)
             if hermiticity[i] > tolerance:
-                p, q = divmod(int(worst_entry[i]), d)
+                p, q = divmod(int(np.abs(stack[i] - stack[i].conj().T).argmax()), d)
                 raise ValueError(
                     f"{where}, entry ({p}, {q}): Hermitian symmetry violated "
                     f"by {hermiticity[i]:.3e} (tolerance {tolerance:.1e})"
@@ -506,7 +507,8 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     repeated literal costs a lookup; otherwise each is parsed by ``float``.
     Each projector's plain matrix is converted to a float array as the
     parser finishes it, and its lists are freed then, so the peak memory of
-    a load is the document's bytes plus its text, about twice its size.
+    a load is the document's bytes plus its text, about twice its size;
+    only the matrix that fails, if one does, is read entry by entry.
     A document that is not UTF-8, or has an object that repeats a key, is
     refused with its path named.
     """

@@ -173,7 +173,7 @@ def eigen_hermitian(
     """
     stack, single, largest = _checked_stack(matrix)
     if hermiticity_tol < np.inf:  # an infinite gate could refuse nothing
-        defects, _ = _hermitian_defects(stack)
+        defects = _hermitian_defects(stack)
         bounds = hermiticity_tol * np.maximum(1.0, largest)
         bad = np.flatnonzero(defects > bounds)
         if bad.size:
@@ -269,7 +269,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     stack = _checked_stack(m)[0]
     certificate = _rank_one_certificate(_symmetrized(stack))
-    defects, _ = _hermitian_defects(stack)
+    defects = _hermitian_defects(stack)
     return _rank_one_states(stack, defects, certificate, tol, "")[0]
 
 

@@ -162,7 +162,7 @@ def verify_family(
     """
     _check_tolerance(tolerance)
     n, d = family.num_bases, family.dim
-    hermiticity, _, traces = family.invariants
+    hermiticity, traces = family.invariants
     trace_residual = float(traces.max())
     # The exact eigenvalues of the symmetrized stack, with no Hermitian
     # gate: a non-Hermitian matrix shows up in its defect, not as a crash here.

@@ -411,6 +411,37 @@ class TestVerify:
         assert captured.out == ""
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda p: p.update(metadata=[]), "metadata must be a JSON object"),
+            (lambda p: p.update(states={}), "'states', when present, must be a list"),
+            (lambda p: p["bases"].append([]), "each basis must be an object with a 'basis_index'"),
+            (
+                lambda p: p["bases"][1].pop("basis_index"),
+                "each basis must be an object with a 'basis_index'",
+            ),
+            (
+                lambda p: p["bases"].append({"basis_index": 4}),
+                "num_bases must lie in 1..d+1 = 1..4, got 5",
+            ),
+            (
+                lambda p: p["bases"][2]["projectors"][1].pop("alpha"),
+                "basis 2: each projector needs an 'alpha'",
+            ),
+        ],
+        ids=["metadata", "states", "basis_not_object", "no_basis_index", "bases", "no_alpha"],
+    )
+    def test_structural_refusal_is_usage_error(self, tmp_path, capsys, mutate, message):
+        payload = json.loads(json.dumps(FAMILY_PAYLOAD))
+        mutate(payload)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(payload))
+        assert cli_dispatch(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_document_not_utf8_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "family.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -581,6 +612,23 @@ class TestSearch:
         )
         assert proc.returncode == 0, proc.stderr
         assert run("verify", str(out)).returncode == 0
+
+    def test_family_polish_refuses_exits_one(self, tmp_path, capsys):
+        # A Hermitian defect of 5e-10 is within the loader's 1e-9 but not
+        # within the 1e-10 that polishing starts from.
+        mats = build_family(3).projectors.copy()
+        mats[0, 0, 0, 1] += 5e-10
+        path, out = tmp_path / "family.json", tmp_path / "polished.json"
+        save_family(MubFamily(mats), str(path))
+        argv = ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: projector (basis 0, vector 0) is not Hermitian: "
+            "max deviation 5.000e-10 exceeds 1.0e-10\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_bad_config_is_usage_error(self):
         proc = run("search", "--d", "3", "--bases", "9")

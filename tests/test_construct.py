@@ -155,6 +155,17 @@ class TestBuildFamily:
                     value = hilbert_schmidt(family.projector(a, alpha), family.projector(a, beta))
                     assert abs(value - (1.0 if alpha == beta else 0.0)) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_phase_shift_moves_each_vector_down_by_one(self, d):
+        # Z = diag(w^p), w = exp(2 pi i / d), multiplies entry (p, q) by
+        # w^(p - q), which turns -2 alpha into -2 (alpha - 1) in the phase
+        # exponent; the computational basis is diagonal, so Z fixes it.
+        mats = build_family(d).projectors
+        z = np.exp(2j * np.pi * np.arange(d) / d)
+        shifted = z[:, None] * mats * z.conj()
+        assert np.max(np.abs(shifted[:d] - np.roll(mats[:d], 1, axis=1))) <= 1e-15
+        assert np.max(np.abs(shifted[d] - mats[d])) <= 1e-15
+
     def test_result_is_certified(self):
         report = verify_family(build_family(5))
         assert report.passed

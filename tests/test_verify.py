@@ -83,6 +83,17 @@ class TestInvariances:
         for name in RESIDUALS:
             assert getattr(after, name) == getattr(before, name), name
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_complex_conjugate_family(self, d):
+        # The conjugate of a set of unbiased bases is one: every overlap
+        # |<u|v>|^2 is real and kept.
+        family = build_family(d)
+        before = verify_family(family)
+        after = verify_family(MubFamily(family.projectors.conj()))
+        assert after.passed
+        assert abs(after.max_self_residual - before.max_self_residual) <= 1e-15
+        assert abs(after.max_cross_residual - before.max_cross_residual) <= 1e-15
+
     def test_relisting_two_vectors_changes_no_residual(self):
         # Swapping two vectors of one basis of this random family moved a
         # cross-basis Gram entry by 5 ulp when the BLAS product took the
@@ -230,6 +241,11 @@ class TestVerifyStates:
         states = qubit_trio_states()
         states[1, 0] *= 1.1
         with pytest.raises(ValueError, match="not normalized"):
+            verify_states(states)
+
+    def test_rejects_more_than_d_plus_one_bases(self):
+        states = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+        with pytest.raises(ValueError, match=r"^num_bases must lie in 1\.\.d\+1 = 1\.\.3, got 4$"):
             verify_states(states)
 
     def test_rejects_bad_shape(self):
