@@ -26,7 +26,7 @@ from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
 from .io import _load_family, load_family, report_payload, save_family, write_json
 from .reconstruct import reconstruct_all
-from .search import SearchConfig, polish, run_search
+from .search import SearchConfig, _check_shape, polish, run_search
 from .verify import verify_family
 
 __all__ = ["cli_dispatch", "main"]
@@ -87,6 +87,7 @@ def _cmd_search(args) -> int:
     )
     if args.from_family:
         start = load_family(args.from_family)
+        _check_shape(start, cfg)  # a usage error (exit 2), not a failed polish
         try:
             result = polish(start, cfg)
         except ValueError as exc:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MAX_FAMILY_BYTES, MubFamily, _bounded, _check_parts, _check_tolerance
+from .algebra import MAX_FAMILY_BYTES, MubFamily, _check_parts, _check_tolerance
 from .reconstruct import eigen_hermitian
 from .verify import VerificationReport
 
@@ -101,7 +101,7 @@ def _plain_matrix(raw: list) -> Optional[np.ndarray]:
     not that the matrix is invalid: numeric subclasses such as
     ``np.float64`` miss here but are accepted there, and only there is a
     bad entry named.  ``bool`` is its own type, so true/false never pass.
-    Parts are not bounded here; the caller checks them all at once.
+    Parts are not bounded here; the caller bounds each matrix it resolves.
     """
     m, level = len(raw), raw
     for length in (m, 2):
@@ -281,18 +281,6 @@ class FamilyDocument:
         except OverflowError:  # an integer literal beyond the float range
             return np.full((d, d, 2), np.inf)
 
-    def _where(self, row: int) -> str:
-        return "basis {}, vector {}".format(*divmod(row, self.dimension))
-
-    def _joined(self, arrays: list, rows: list) -> np.ndarray:
-        """The float (d, d, 2) matrices joined; the first with a part out of bound is named."""
-        numbers = np.stack(arrays)
-        inside = _bounded(numbers).reshape(len(arrays), -1).all(axis=1)
-        if not inside.all():
-            i = int(np.argmin(inside))
-            _check_parts(arrays[i], f"{self._where(rows[i])}: matrix entries")
-        return numbers
-
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
@@ -302,10 +290,10 @@ class FamilyDocument:
         is resolved once, in document order: a float (d, d, 2) array, as a
         load converts it while parsing or :meth:`from_family` views it,
         passes as it is, a plain list is converted, and any other is read
-        entry by entry, which names its first bad entry.  Their parts are
-        bounded at once, over the joined stack.  A structural error is
-        reported after any bad matrix before it in the document.  Then the
-        family's cached :attr:`~MubFamily.invariants` at ``tolerance``:
+        entry by entry, which names its first bad entry.  Its parts are
+        bounded as each is resolved, so the first error in document order is
+        the one reported.  Then the family's cached
+        :attr:`~MubFamily.invariants` at ``tolerance``:
         Hermitian symmetry (worst entry named), unit trace, and no eigenvalue
         below ``-tolerance``.  The first failing matrix, by basis index and
         then document order, is reported with its first failed check in that
@@ -330,37 +318,31 @@ class FamilyDocument:
         if not 1 <= n <= d + 1:
             raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
 
-        rows, arrays = [], []
-        try:
-            for a in range(n):
-                projectors = indexed[a].get("projectors")
-                if not isinstance(projectors, list) or len(projectors) != d:
-                    raise ValueError(f"basis {a}: expected {d} projectors")
-                seen = set()
-                for entry in projectors:
-                    if not isinstance(entry, dict) or "alpha" not in entry:
-                        raise ValueError(f"basis {a}: each projector needs an 'alpha'")
-                    alpha = entry["alpha"]
-                    if not _is_index(alpha) or not 0 <= alpha < d or alpha in seen:
-                        raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
-                    seen.add(alpha)
-                    raw = entry.get("matrix")
-                    array = _plain_matrix(raw) if type(raw) is list else raw
-                    ready = type(array) is np.ndarray and array.dtype == float
-                    if not ready or array.shape != (d, d, 2):
-                        array = self._parse_matrix(raw, self._where(a * d + alpha))
-                    rows.append(a * d + alpha)
-                    arrays.append(array)
-        except ValueError:
-            # The document is checked in order: a matrix out of bound before
-            # the error is named instead.
-            if arrays:
-                self._joined(arrays, rows)
-            raise
+        # Each matrix's complex view, in label order; rows keep document order.
+        # A basis's slots are made once its projector count is checked, so
+        # they are no longer than its list in the document.
+        slots, rows = [], []
+        for a in range(n):
+            projectors = indexed[a].get("projectors")
+            if not isinstance(projectors, list) or len(projectors) != d:
+                raise ValueError(f"basis {a}: expected {d} projectors")
+            slots.append([None] * d)
+            for entry in projectors:
+                if not isinstance(entry, dict) or "alpha" not in entry:
+                    raise ValueError(f"basis {a}: each projector needs an 'alpha'")
+                alpha = entry["alpha"]
+                if not _is_index(alpha) or not 0 <= alpha < d or slots[a][alpha] is not None:
+                    raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
+                raw = entry.get("matrix")
+                array = _plain_matrix(raw) if type(raw) is list else raw
+                ready = type(array) is np.ndarray and array.dtype == float
+                if not ready or array.shape != (d, d, 2) or not array.flags.c_contiguous:
+                    array = self._parse_matrix(raw, f"basis {a}, vector {alpha}")
+                _check_parts(array, f"basis {a}, vector {alpha}: matrix entries")
+                slots[a][alpha] = array.view(complex).reshape(d, d)
+                rows.append(a * d + alpha)
 
-        # In label order, a view if listed so; no stack but the family's own outlives this line.
-        order = slice(None) if rows == sorted(rows) else np.argsort(rows)
-        family = MubFamily(self._joined(arrays, rows).view(complex)[order].reshape(n, d, d, d))
+        family = MubFamily(slots)  # the only copy of the projectors
         hermiticity, trace = family.invariants
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
@@ -375,7 +357,7 @@ class FamilyDocument:
         failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
         if failing.any():
             i = rows[int(np.argmax(failing))]
-            where = self._where(i)
+            where = "basis {}, vector {}".format(*divmod(i, d))
             if hermiticity[i] > tolerance:
                 p, q = divmod(int(np.abs(stack[i] - stack[i].conj().T).argmax()), d)
                 raise ValueError(

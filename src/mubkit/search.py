@@ -648,6 +648,15 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     return _descend(haar_starts(), cfg)
 
 
+def _check_shape(family: MubFamily, cfg: SearchConfig) -> None:
+    """Refuse a family whose bases and dimension are not the config's."""
+    if family.dim != cfg.dim or family.num_bases != cfg.num_bases:
+        raise ValueError(
+            f"family shape ({family.num_bases} bases, dim {family.dim}) does not match "
+            f"config ({cfg.num_bases} bases, dim {cfg.dim})"
+        )
+
+
 def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     """Refine an existing family by descending from its own states.
 
@@ -658,11 +667,7 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     thus converges at once.  This is one descent of the loop that
     :func:`run_search` runs per restart; ``cfg.restarts`` is ignored.
     """
-    if family.dim != cfg.dim or family.num_bases != cfg.num_bases:
-        raise ValueError(
-            f"family shape ({family.num_bases} bases, dim {family.dim}) does not match "
-            f"config ({cfg.num_bases} bases, dim {cfg.dim})"
-        )
+    _check_shape(family, cfg)
     n, d = cfg.num_bases, cfg.dim
     m = SearchState.from_family(family).projectors().reshape(n * d, d, d)
     pivot = np.argmax(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1)

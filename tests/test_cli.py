@@ -429,8 +429,33 @@ class TestVerify:
                 lambda p: p["bases"][2]["projectors"][1].pop("alpha"),
                 "basis 2: each projector needs an 'alpha'",
             ),
+            # The first error in document order wins: a matrix out of bound
+            # before a structural error, and a structural error before one.
+            (
+                lambda p: (
+                    p["bases"][0]["projectors"][0]["matrix"][0][0].__setitem__(0, 1e151),
+                    p["bases"][2]["projectors"][1].pop("alpha"),
+                ),
+                "basis 0, vector 0: matrix entries must be finite, with parts up to 1e+150",
+            ),
+            (
+                lambda p: (
+                    p["bases"][0]["projectors"][1].pop("alpha"),
+                    p["bases"][2]["projectors"][0]["matrix"][0][0].__setitem__(0, 1e151),
+                ),
+                "basis 0: each projector needs an 'alpha'",
+            ),
         ],
-        ids=["metadata", "states", "basis_not_object", "no_basis_index", "bases", "no_alpha"],
+        ids=[
+            "metadata",
+            "states",
+            "basis_not_object",
+            "no_basis_index",
+            "bases",
+            "no_alpha",
+            "bound_before_no_alpha",
+            "no_alpha_before_bound",
+        ],
     )
     def test_structural_refusal_is_usage_error(self, tmp_path, capsys, mutate, message):
         payload = json.loads(json.dumps(FAMILY_PAYLOAD))
@@ -626,6 +651,17 @@ class TestSearch:
         assert captured.err == (
             "error: projector (basis 0, vector 0) is not Hermitian: "
             "max deviation 5.000e-10 exceeds 1.0e-10\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_family_of_another_shape_is_usage_error(self, tmp_path, capsys):
+        path, out = construct(tmp_path, d=3), tmp_path / "polished.json"
+        argv = ["search", "--d", "5", "--bases", "4", "--from", str(path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: family shape (4 bases, dim 3) does not match config (4 bases, dim 5)\n"
         )
         assert captured.out == ""
         assert not out.exists()

@@ -758,6 +758,18 @@ class TestRejection:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dimension", [2**62, 2**63])
+    def test_dimension_beyond_any_list_rejected_as_structure(self, dimension):
+        # No per-basis list of the declared length is made before the
+        # document's own list is checked against it.
+        payload = {
+            "format_version": FORMAT_VERSION,
+            "dimension": dimension,
+            "bases": [{"basis_index": 0, "projectors": [{"alpha": 0, "matrix": [[[1.0, 0.0]]]}]}],
+        }
+        with pytest.raises(ValueError, match=f"expected {dimension} projectors"):
+            FamilyDocument.from_payload(payload).to_family()
+
     def test_first_failing_matrix_reported_with_first_failed_check(self, tmp_path):
         path = tmp_path / "family.json"
 
@@ -813,8 +825,8 @@ class TestRejection:
 def per_matrix_projectors(doc):
     """The label-ordered projector stack as a matrix-by-matrix loader reads it, or its error.
 
-    A copy of the loader's structure checks with the per-matrix parse it
-    used before it checked all matrices at once: the reference for which
+    A copy of the loader's structure checks that reads and bounds each
+    matrix entry by entry as the walk reaches it: the reference for which
     error wins and for every bit of what loads.
     """
     d = doc.dimension
@@ -944,6 +956,15 @@ class TestBatchedParse:
         assert spy.call_count == 0
         assert loaded.projectors.tobytes() == family.projectors.tobytes()
         assert built.projectors.tobytes() == family.projectors.tobytes()
+
+    def test_matrix_arrays_of_any_layout_load(self):
+        # A caller's float arrays need not be C-contiguous; the family is the same.
+        family = build_family(5)
+        doc = FamilyDocument.from_family(family)
+        for basis in doc.bases:
+            for entry in basis["projectors"]:
+                entry["matrix"] = np.asfortranarray(entry["matrix"])
+        assert doc.to_family().projectors.tobytes() == family.projectors.tobytes()
 
     def test_numpy_float_entry_loads_matrix_by_matrix(self):
         family = build_family(13)
