@@ -87,7 +87,9 @@ def _check_family_size(num_bases: int, dim: int) -> None:
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    total = m + m.conj().swapaxes(-1, -2)
+    total *= 0.5
+    return total
 
 
 def _hermitian_defects(m: np.ndarray) -> np.ndarray:
@@ -95,10 +97,12 @@ def _hermitian_defects(m: np.ndarray) -> np.ndarray:
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2))
 
 
-def _rank_one_certificate(sym: np.ndarray):
-    """One-column rank-1 certificate (v, r) of an (N, d, d) Hermitian stack.
+def _rank_one_certificate(stack: np.ndarray):
+    """One-column rank-1 certificate (v, r) of an (N, d, d) stack, symmetrized.
 
-    For each M, k is the index of its largest diagonal entry,
+    For each M of the symmetrized stack (a scratch array of its own, worked
+    in place, so ``stack`` is unchanged and an already Hermitian stack is
+    certified as it is), k is the index of its largest diagonal entry,
     v = M[:, k] / sqrt(M_kk) and r = ||M - v v^dagger||_F.  By Weyl's
     inequality each eigenvalue of M lies within r of the matching one of
     (||v||^2, 0, ..., 0); in particular none is below -r.  Where M_kk is not
@@ -107,6 +111,7 @@ def _rank_one_certificate(sym: np.ndarray):
     zero and r is inf: the certificate settles nothing there.  Parts up to
     1e150 raise no floating-point warning.
     """
+    sym = _symmetrized(stack)
     n = sym.shape[0]
     rows = np.arange(n)
     diag = np.diagonal(sym, axis1=1, axis2=2).real
@@ -116,11 +121,12 @@ def _rank_one_certificate(sym: np.ndarray):
     largest = np.max(np.abs(column), axis=1)
     usable = (pivot > 0.0) & (largest * largest <= _MAX_ENTRY * pivot)
     v = np.where(usable[:, None], column, 0.0) / np.sqrt(np.where(usable, pivot, 1.0))[:, None]
-    size = np.abs(sym - v[:, :, None] * v[:, None, :].conj())
+    sym -= v[:, :, None] * v[:, None, :].conj()
+    size = np.abs(sym)
     # Scaled by the largest entry, so squares neither overflow nor underflow.
     scale = np.max(size, axis=(1, 2))
-    unit = size / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    r = scale * np.sqrt(np.einsum("nij,nij->n", unit, unit))
+    size /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    r = scale * np.sqrt(np.einsum("nij,nij->n", size, size))
     return v, np.where(usable, r, np.inf)
 
 
@@ -285,7 +291,7 @@ class MubFamily:
         for what the certificate cannot settle.  Both arrays are read-only.
         """
         n, d = self.num_bases, self.dim
-        v, r = _rank_one_certificate(_symmetrized(self.projectors.reshape(n * d, d, d)))
+        v, r = _rank_one_certificate(self.projectors.reshape(n * d, d, d))
         v.setflags(write=False)
         r.setflags(write=False)
         return v, r

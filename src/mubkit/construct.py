@@ -80,23 +80,16 @@ def computational_coefficient(d: int, alpha: int, p: int, q: int) -> complex:
     return 1.0 + 0.0j if p == q == alpha else 0.0j
 
 
-def build_family(
-    d: int,
-    include_computational: bool = True,
-    tol: float = 1e-10,
-    *,
-    with_report: bool = False,
-):
-    """Construct a complete family in prime dimension ``d``.
+def build_family(d: int, tol: float = 1e-10, *, with_report: bool = False):
+    """Construct the complete family of d + 1 bases in prime dimension ``d``.
 
-    The result is self-certified: construction runs verify_family at
-    ``tol`` and raises rather than hand out a family with violations.
-    With ``include_computational`` the family has d + 1 bases (complete),
-    otherwise just the d rotated ones.  With ``with_report`` the return
-    value is (family, report), so a caller that shows the certificate
-    need not verify a second time.
+    The d rotated bases come first and the computational basis last.  The
+    result is self-certified: construction runs verify_family at ``tol``
+    and raises rather than hand out a family with violations.  With
+    ``with_report`` the return value is (family, report), so a caller that
+    shows the certificate need not verify a second time.
 
-    Dimensions whose (num_bases, d, d, d) projector array would exceed
+    Dimensions whose (d + 1, d, d, d) projector array would exceed
     :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
     allocated.
 
@@ -109,16 +102,14 @@ def build_family(
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
-    num_bases = d + 1 if include_computational else d
-    _check_family_size(num_bases, d)
+    _check_family_size(d + 1, d)
     a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
     exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
     table = np.array([_phase(k, d) / d for k in range(2 * d)])
-    mats = np.zeros((num_bases, d, d, d), dtype=complex)
+    mats = np.zeros((d + 1, d, d, d), dtype=complex)
     mats[:d] = table[exponent]
-    if include_computational:
-        labels = np.arange(d)
-        mats[d, labels, labels, labels] = 1.0
+    labels = np.arange(d)
+    mats[d, labels, labels, labels] = 1.0
 
     family = MubFamily(mats)
     del mats  # freed before the family certifies itself

@@ -68,16 +68,18 @@ def gauss_sum(params: GaussSumParams) -> complex:
 
     The phase integer k (u k + v) is reduced mod 2 w in exact arithmetic
     before exponentiation, so terms with equal phases are bit-identical and
-    the result does not degrade for large labels.  The real and imaginary
-    parts are each summed by ``math.fsum``, exactly rounded at any length.
-    For parameters passing :class:`GaussSumParams` validation,
-    |result|^2 = |w|.
+    the result does not degrade for large labels.  The cosines and the sines
+    are each summed by ``math.fsum`` as they are made, exactly rounded at
+    any length, so no term is kept.  For parameters passing
+    :class:`GaussSumParams` validation, |result|^2 = |w|.
     """
     u, v, w = params.u, params.v, params.w
-    n = params.length
     modulus = 2 * w
-    terms = [cmath.exp(1j * math.pi * ((k * (u * k + v)) % modulus) / w) for k in range(n)]
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+    def phases():
+        return (math.pi * ((k * (u * k + v)) % modulus) / w for k in range(params.length))
+
+    return complex(math.fsum(map(math.cos, phases())), math.fsum(map(math.sin, phases())))
 
 
 def mub_gauss_params(a: int, b: int, alpha: int, beta: int, d: int) -> GaussSumParams:

@@ -151,17 +151,6 @@ def _indexed(array: np.ndarray, items: str, key: str) -> list:
     ]
 
 
-def _listed(value):
-    """``value`` with each array in it, among nested dicts and lists, as nested lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _listed(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_listed(item) for item in value]
-    return value
-
-
 @dataclass(frozen=True)
 class FamilyDocument:
     """In-memory form of the interchange JSON for a projector family.
@@ -174,6 +163,7 @@ class FamilyDocument:
     array, converted as it was parsed, and everything else, amplitudes
     among it, is nested [re, im] lists; built by :meth:`from_family`,
     matrices and amplitudes are float (..., 2) views of the family's arrays.
+    :meth:`to_payload` hands out these lists and arrays as they are.
     """
 
     format_version: str
@@ -213,20 +203,19 @@ class FamilyDocument:
             metadata=dict(metadata or {}),
         )
 
-    def to_payload(self, arrays: bool = False) -> dict:
-        """The document as a JSON payload of plain nested lists.
+    def to_payload(self) -> dict:
+        """The document as a JSON payload, holding the document's own lists and arrays.
 
-        With ``arrays``, the float arrays of a document built by
-        :meth:`from_family` stay arrays, for :func:`write_json` to encode.
+        :func:`write_json` encodes it as ``json.dumps`` would with each
+        array read as its ``tolist()``.
         """
-        listed = (lambda value: value) if arrays else _listed
         payload = {
             "format_version": self.format_version,
             "dimension": self.dimension,
-            "bases": listed(self.bases),
+            "bases": self.bases,
         }
         if self.states is not None:
-            payload["states"] = listed(self.states)
+            payload["states"] = self.states
         payload["metadata"] = self.metadata
         return payload
 
@@ -287,10 +276,10 @@ class FamilyDocument:
         Checks structure first (index completeness, projector counts, matrix
         shapes and entries), so nothing larger than the document itself is
         allocated for a document that declares a huge dimension.  Each matrix
-        is resolved once, in document order: a float (d, d, 2) array, as a
-        load converts it while parsing or :meth:`from_family` views it,
-        passes as it is, a plain list is converted, and any other is read
-        entry by entry, which names its first bad entry.  Its parts are
+        is resolved once, in document order: a float, C-contiguous
+        (d, d, 2) array, as a load converts it while parsing or
+        :meth:`from_family` views it, passes as it is, and anything else is
+        read entry by entry, which names its first bad entry.  Its parts are
         bounded as each is resolved, so the first error in document order is
         the one reported.  Then the family's cached
         :attr:`~MubFamily.invariants` at ``tolerance``:
@@ -333,11 +322,10 @@ class FamilyDocument:
                 alpha = entry["alpha"]
                 if not _is_index(alpha) or not 0 <= alpha < d or slots[a][alpha] is not None:
                     raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
-                raw = entry.get("matrix")
-                array = _plain_matrix(raw) if type(raw) is list else raw
+                array = entry.get("matrix")
                 ready = type(array) is np.ndarray and array.dtype == float
                 if not ready or array.shape != (d, d, 2) or not array.flags.c_contiguous:
-                    array = self._parse_matrix(raw, f"basis {a}, vector {alpha}")
+                    array = self._parse_matrix(array, f"basis {a}, vector {alpha}")
                 _check_parts(array, f"basis {a}, vector {alpha}: matrix entries")
                 slots[a][alpha] = array.view(complex).reshape(d, d)
                 rows.append(a * d + alpha)
@@ -472,7 +460,7 @@ def save_family(
     bit-exactly.  Filesystem problems surface as errors carrying the path.
     """
     doc = FamilyDocument.from_family(family, states=states, metadata=metadata)
-    write_json(doc.to_payload(arrays=True), path)
+    write_json(doc.to_payload(), path)
 
 
 def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
@@ -568,19 +556,18 @@ def _parse_float(text: str):
     return float
 
 
-def report_payload(report: VerificationReport, tool_version: str, source=None) -> dict:
+def report_payload(report: VerificationReport, tool_version: str, source: tuple) -> dict:
     """JSON payload for a verification certificate, with provenance fields.
 
     Every report field is a key, in field order; array fields (the Gram
     matrix) come last, after the provenance, and fields left at ``None``
-    are omitted.  ``source``, when given, is the (path, SHA-256 hex digest)
-    of the document the report judged, digested in the read that loaded it.
+    are omitted.  ``source`` is the (path, SHA-256 hex digest) of the
+    document the report judged, digested in the read that loaded it.
     """
     values = {f.name: getattr(report, f.name) for f in fields(report)}
     arrays = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
     payload = {"tool_version": tool_version}
     payload.update((k, v) for k, v in values.items() if k not in arrays and v is not None)
-    if source is not None:
-        payload["input_path"], payload["input_sha256"] = source
+    payload["input_path"], payload["input_sha256"] = source
     payload.update(arrays)
     return payload

@@ -66,7 +66,8 @@ class EigenDecomposition:
     stack axis.  A values-only solve (``eigen_hermitian(...,
     values_only=True)``) marks its missing eigenvectors with an empty
     complex array of zero columns, shaped (..., d, 0), and :meth:`reconstruct`
-    refuses it.  ``sweeps`` is always 0 for a solve of
+    refuses it.  Both arrays are read-only copies of those it is given,
+    a solve's own among them.  ``sweeps`` is always 0 for a solve of
     :func:`eigen_hermitian`, which runs no iteration it could count; the
     field stays because callers, a benchmark tracer among them, read it.
     """
@@ -77,22 +78,10 @@ class EigenDecomposition:
 
     def __post_init__(self):
         # Copied, so a caller's arrays are neither frozen nor aliased.
-        vals = np.array(self.eigenvalues, dtype=float)
-        self._freeze(vals, np.array(self.eigenvectors, dtype=complex))
-
-    def _freeze(self, vals: np.ndarray, vecs: np.ndarray) -> None:
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-    @classmethod
-    def _adopt(cls, vals: np.ndarray, vecs: np.ndarray, sweeps: int) -> "EigenDecomposition":
-        """Wrap float and complex arrays nobody else holds, without copying them."""
-        decomp = object.__new__(cls)
-        decomp._freeze(vals, vecs)
-        object.__setattr__(decomp, "sweeps", sweeps)
-        return decomp
+        for name, dtype in (("eigenvalues", float), ("eigenvectors", complex)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dim(self) -> int:
@@ -193,8 +182,7 @@ def eigen_hermitian(
         vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     if single:
         vals, vecs = vals[0], vecs[0]
-    # Both arrays were built here and are referenced nowhere else.
-    return EigenDecomposition._adopt(vals, vecs, 0)
+    return EigenDecomposition(vals, vecs, 0)
 
 
 def _rank_one_states(projectors, defects, certificate, tol: float, prefix: str):
@@ -268,7 +256,7 @@ def state_from_projector(projector, tol: float = 1e-10) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     stack = _checked_stack(m)[0]
-    certificate = _rank_one_certificate(_symmetrized(stack))
+    certificate = _rank_one_certificate(stack)
     defects = _hermitian_defects(stack)
     return _rank_one_states(stack, defects, certificate, tol, "")[0]
 

@@ -56,9 +56,12 @@ def replace_at(node, path, value):
     node[path[-1]] = value
 
 
-FAMILY_PAYLOAD = FamilyDocument.from_family(
-    build_family(3), metadata={"generator": "test"}
-).to_payload()
+FAMILY_PAYLOAD = json.loads(
+    json.dumps(
+        FamilyDocument.from_family(build_family(3), metadata={"generator": "test"}).to_payload(),
+        default=np.ndarray.tolist,
+    )
+)
 
 CORRUPT_LEAVES = st.one_of(
     st.none(),
@@ -728,7 +731,7 @@ class TestWrittenBytes:
 
         def save(family, path, states=None, metadata=None):
             doc = FamilyDocument.from_family(family, states=states, metadata=metadata)
-            expected[path] = json.dumps(doc.to_payload()) + "\n"
+            expected[path] = json.dumps(doc.to_payload(), default=np.ndarray.tolist) + "\n"
             real_save(family, path, states=states, metadata=metadata)
 
         def write(payload, path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,35 @@ class TestGaussSum:
         # every term on the unit circle at full precision.
         params = GaussSumParams(u=101, v=101, w=997)
         assert abs(abs(gauss_sum(params)) ** 2 - 997) < 1e-9
+
+
+    def test_bit_identical_to_summing_a_list_of_terms(self):
+        # Each term's exp(i y) is exactly (cos y, sin y), and fsum rounds
+        # correctly in any order, so streaming the terms changes no bit.
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            params = random_valid_params(rng, max_w=400)
+            if rng.integers(2):
+                params = GaussSumParams(u=params.u, v=params.v, w=-params.w)
+            u, v, w = params.u, params.v, params.w
+            terms = [
+                cmath.exp(1j * math.pi * ((k * (u * k + v)) % (2 * w)) / w) for k in range(abs(w))
+            ]
+            listed = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            value = gauss_sum(params)
+            assert (value.real.hex(), value.imag.hex()) == (listed.real.hex(), listed.imag.hex())
+
+    def test_holds_no_list_of_terms(self):
+        # A list of 30 001 complex terms takes about 1.2 MB.
+        params = GaussSumParams(u=1, v=1, w=30_001)
+        tracemalloc.start()
+        try:
+            value = gauss_sum(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert abs(abs(value) ** 2 - 30_001) < 1e-7
 
 
 class TestMubGaussParams:

@@ -296,6 +296,63 @@ class TestGradient:
         assert abs(objective(SearchState(rotated)) - objective(state)) < 1e-10
 
 
+@st.composite
+def symmetry_draws(draw):
+    """Random (n, d, d, d) factors, d in 2..5 and n in 1..d + 1, with the rng that made them."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, d + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, d, d, d)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2), rng
+
+
+class TestObjectiveSymmetries:
+    # The objective sees a factor B only through B^dagger B / Tr(B^dagger B),
+    # and the Gram of all projectors only up to a relabelling.  With
+    # g = df/dRe B + i df/dIm B, f(BW) = f(B) gives g(BW) = g(B) W, and
+    # f(VB) = f(B) gives g(VB) = V g(B).
+    @staticmethod
+    def check(factors, moved, expected_gradient):
+        state, image = SearchState(factors), SearchState(moved)
+        assert objective(image) == pytest.approx(objective(state), rel=1e-12)
+        assert_close(gradient(image), expected_gradient(gradient(state)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetry_draws())
+    def test_one_unitary_on_the_right(self, drawn):
+        factors, rng = drawn
+        w = haar_unitaries(int(rng.integers(2**32)), 1, factors.shape[1])[0]
+        self.check(factors, factors @ w, lambda g: g @ w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetry_draws())
+    def test_own_unitary_on_the_left(self, drawn):
+        factors, rng = drawn
+        n, d = factors.shape[:2]
+        v = haar_unitaries(int(rng.integers(2**32)), n * d, d).reshape(n, d, d, d)
+        self.check(factors, v @ factors, lambda g: v @ g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetry_draws())
+    def test_own_phase(self, drawn):
+        factors, rng = drawn
+        phases = np.exp(2j * np.pi * rng.random(factors.shape[:2]))[:, :, None, None]
+        self.check(factors, phases * factors, lambda g: phases * g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetry_draws())
+    def test_relisting_bases_and_vectors(self, drawn):
+        factors, rng = drawn
+        n, d = factors.shape[:2]
+        bases = rng.permutation(n)
+        vectors = np.array([rng.permutation(d) for _ in range(n)])
+
+        def relisted(x):
+            return x[bases[:, None], vectors]
+
+        self.check(factors, relisted(factors), relisted)
+
+
 class TestRunSearch:
     def test_qubit_triple_converges(self):
         cfg = SearchConfig(dim=2, num_bases=3, restarts=20, seed=42)
