@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .algebra import _check_tolerance
@@ -36,7 +35,6 @@ def _metadata(generator: str, **extra) -> dict:
     meta = {
         "generator": generator,
         "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     meta.update(extra)
     return meta

@@ -158,7 +158,7 @@ class FamilyDocument:
     ``bases`` is the raw JSON-shaped list: one dict per basis with its
     ``basis_index`` and a ``projectors`` list of {alpha, matrix} dicts.
     ``states`` optionally mirrors that structure with amplitude vectors.
-    ``metadata`` is free-form (generator, seed, timestamp and the like).
+    ``metadata`` is free-form (generator, seed, source and the like).
     Loaded by :func:`load_family`, each plain matrix is a float (d, d, 2)
     array, converted as it was parsed, and everything else, amplitudes
     among it, is nested [re, im] lists; built by :meth:`from_family`,

@@ -758,6 +758,78 @@ class TestWrittenBytes:
                 assert handle.read() == text, path
 
 
+class TestReproducibleOutputs:
+    # Every output is a function of the command's inputs and argv.  Paths
+    # are relative, since metadata records the source path as given.  The
+    # closed form and its reconstruction are byte-identical under every
+    # OpenBLAS kernel, so their digests are pinned; certificates and search
+    # outputs end in bits that follow the kernel, so they are checked run
+    # to run only.
+    DIGESTS = {
+        "family2.json": "a00da44d2153941e1f4e9af33604fa90627609b3575b590615947a764df5379b",
+        "states2.json": "c3aefd4b0dffa9715d4e06982c5d201fec9ce562d02fc7df10f5114dad3097a0",
+        "family3.json": "dd4a733776e036529215cd7d23c198b878b1d76979b5c13cf4833b9d67bda7c6",
+        "states3.json": "45d7dbaaccff598793e288731c43f7bc216351ad848fe197f6efebca543a7717",
+        "family5.json": "b59bdfbabe3d5795ffc492ab05873964798cdb3941a51bf95f95b9e4c56fe335",
+        "states5.json": "46d69294fa7f376585706fdef57379a4faaae0c156dd436e536f870ab2e76f79",
+        "family7.json": "b4ea9c98bb8ab052f801c49fc2d8ef0f007f19b2197040541d53a165421c2b93",
+        "states7.json": "6663ed3af1b0563feda1cc6468d8957b728f7ef6ba8cbed73483738f9043c42d",
+    }
+
+    @staticmethod
+    def pipeline(d):
+        family = f"family{d}.json"
+        return [
+            ["construct", "--d", str(d), "--out", family],
+            ["verify", family, "--report", f"report{d}.json", "--full-gram"],
+            ["reconstruct", family, "--out", f"states{d}.json"],
+            ["search", "--d", str(d), "--bases", str(d + 1), "--from", family,
+             "--out", f"polished{d}.json", "--log", f"log{d}.json"],
+        ]
+
+    def outputs(self, work, dims, dispatch):
+        """Each command's (exit code, stdout, stderr), and every file written."""
+        replies = [dispatch(argv) for d in dims for argv in self.pipeline(d)]
+        return replies, {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+
+    def in_process(self, work, dims, monkeypatch):
+        def dispatch(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_dispatch(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        monkeypatch.chdir(work)
+        return self.outputs(work, dims, dispatch)
+
+    def test_pipeline_writes_the_same_bytes(self, tmp_path_factory, monkeypatch):
+        dims = [2, 3, 5, 7]
+        first = self.in_process(tmp_path_factory.mktemp("first"), dims, monkeypatch)
+        assert self.in_process(tmp_path_factory.mktemp("second"), dims, monkeypatch) == first
+        replies, files = first
+        assert [code for code, _, _ in replies] == [0] * len(replies)
+        assert len(files) == 5 * len(dims)
+        digests = {name: hashlib.sha256(files[name]).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS
+
+    def test_fresh_interpreter_writes_the_same_bytes(self, tmp_path_factory, monkeypatch):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mubkit.cli.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+        work = tmp_path_factory.mktemp("fresh")
+
+        def dispatch(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mubkit", *argv],
+                cwd=work, env=env, capture_output=True, text=True, timeout=300,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        fresh = self.outputs(work, [3], dispatch)
+        assert fresh == self.in_process(tmp_path_factory.mktemp("here"), [3], monkeypatch)
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         proc = run("frobnicate")
@@ -786,11 +858,6 @@ class TestDispatch:
                 code = cli_dispatch(argv)
             return code, out.getvalue()
 
-        def value(text):
-            payload = json.loads(text)
-            del payload["metadata"]["timestamp"]
-            return payload
-
         work = tmp_path_factory.mktemp("stdout")
         family = str(work / "family.json")
         commands = [
@@ -807,7 +874,7 @@ class TestDispatch:
             assert printed == ""
             assert stdout_code == file_code
             assert text.count("\n") == 1 and text.endswith("\n")
-            assert value(text) == value(path.read_text())
+            assert text == path.read_text()
 
     def test_commands_leave_no_cyclic_garbage(self, tmp_path, capsys):
         family, out = str(tmp_path / "family.json"), str(tmp_path / "out.json")

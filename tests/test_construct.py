@@ -240,4 +240,4 @@ class TestBuildFamily:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6.2 * family.projectors.nbytes
+        assert peak < 6.0 * family.projectors.nbytes  # 5.77x measured

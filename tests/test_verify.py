@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,6 +212,19 @@ class TestVerifyFamily:
         report = verify_family(family, keep_gram=True)
         assert report.passed
         assert report.gram.tobytes() == expected.tobytes()
+
+    def test_peak_below_four_and_a_half_times_the_projectors(self):
+        # 4.29x measured at d = 13, set by the Gram product (see ROADMAP).
+        family = build_family(13)
+        verify_family(family)  # imports and caches warmed outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            verify_family(family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * family.projectors.nbytes
 
     def test_summary_states_verdict(self):
         family = build_family(2)
