@@ -86,15 +86,17 @@ def _check_family_size(num_bases: int, dim: int) -> None:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack."""
-    total = m + m.conj().swapaxes(-1, -2)
+    """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack, in one new array."""
+    total = np.conjugate(m.swapaxes(-1, -2), order="C")
+    total += m
     total *= 0.5
     return total
 
 
 def _hermitian_defects(m: np.ndarray) -> np.ndarray:
     """Each (N, d, d) member's max |M - M^dagger|."""
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    diff = np.conjugate(m.swapaxes(-1, -2), order="C")
+    return np.abs(np.subtract(m, diff, out=diff)).max(axis=(1, 2))
 
 
 def _rank_one_certificate(stack: np.ndarray):
@@ -121,7 +123,9 @@ def _rank_one_certificate(stack: np.ndarray):
     largest = np.max(np.abs(column), axis=1)
     usable = (pivot > 0.0) & (largest * largest <= _MAX_ENTRY * pivot)
     v = np.where(usable[:, None], column, 0.0) / np.sqrt(np.where(usable, pivot, 1.0))[:, None]
-    sym -= v[:, :, None] * v[:, None, :].conj()
+    conj = v.conj()
+    for p in range(sym.shape[1]):  # a row at a time: no second (N, d, d) array
+        sym[:, p, :] -= v[:, p, None] * conj
     size = np.abs(sym)
     # Scaled by the largest entry, so squares neither overflow nor underflow.
     scale = np.max(size, axis=(1, 2))

@@ -23,7 +23,14 @@ from . import __version__
 from .algebra import _check_tolerance
 from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
-from .io import _load_family, load_family, report_payload, save_family, write_json
+from .io import (
+    LOAD_TOLERANCE,
+    _load_family,
+    load_family,
+    report_payload,
+    save_family,
+    write_json,
+)
 from .reconstruct import reconstruct_all
 from .search import SearchConfig, _check_shape, polish, run_search
 from .verify import verify_family
@@ -48,7 +55,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family, sha256 = _load_family(args.family, digest=bool(args.report))
+    family, sha256 = _load_family(args.family, max(LOAD_TOLERANCE, args.tol), bool(args.report))
     report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram)
     if args.report:
         write_json(report_payload(report, __version__, source=(args.family, sha256)), args.report)
@@ -58,7 +65,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     _check_tolerance(args.tol)  # a usage error (exit 2), not a failed reconstruction
-    family = load_family(args.family)
+    family = load_family(args.family, max(LOAD_TOLERANCE, args.tol))
     try:
         states = reconstruct_all(family, tol=args.tol)
     except ValueError as exc:

@@ -17,13 +17,12 @@ falls back to an eigensolve, so every rejection keeps its message.
 checks it, and solves the symmetrized stack with one ``np.linalg.eigh``
 call (LAPACK's divide-and-conquer ``zheevd``; Golub & Van Loan, *Matrix
 Computations*, ch. 8), or ``np.linalg.eigvalsh`` when only eigenvalues
-are asked for, each member first scaled by an even power of two so that
-its solve does not depend on its size.  The verifier solves a family's
-stack for eigenvalues every time; the loader (for eigenvalues too),
-reconstruction and the search start solve it only for what the
-certificate cannot settle, and nothing keeps the solve.  The recovered
-states have their global phase fixed by
-:func:`~mubkit.algebra.canonical_phase`.
+are asked for; LAPACK rescales a matrix of extreme size itself, and its
+ascending order is reversed.  The verifier solves a family's stack for
+eigenvalues every time; the loader (for eigenvalues too), reconstruction
+and the search start solve it only for what the certificate cannot
+settle, and nothing keeps the solve.  The recovered states have their
+global phase fixed by :func:`~mubkit.algebra.canonical_phase`.
 """
 
 from __future__ import annotations
@@ -98,25 +97,6 @@ class EigenDecomposition:
         return (vecs * self.eigenvalues[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _normalized(sym: np.ndarray):
-    """Each member of an (N, d, d) stack times an even power of two, and its exponent.
-
-    The power brings the member's largest real or imaginary part into
-    [0.5, 2).  LAPACK's solve is not exactly equivariant under scaling far
-    from ordinary scale: it rescales a matrix whose largest entry lies
-    outside about [1e-146, 1e146] by a factor that is not a power of two,
-    and its intermediate products underflow sooner (4^k times a d = 5
-    projector solves to other bits than the projector once its largest
-    entry is below about 1e-106).  Scaled here, exactly, every member is
-    solved at ordinary scale, and its result does not depend on its size.
-    A member already in that range, such as one with parts of 1, or zero,
-    is unchanged.
-    """
-    _, exponent = np.frexp(np.max(np.abs(sym.view(float)), axis=(1, 2)))
-    shift = -2 * (exponent // 2)
-    return np.ldexp(sym.view(float), shift[:, None, None]).view(complex), shift
-
-
 def _checked_stack(matrix):
     """``matrix`` as an (N, d, d) complex stack, whether it was one matrix, and sizes.
 
@@ -152,12 +132,12 @@ def eigen_hermitian(
     bound; an infinite ``hermiticity_tol`` skips the check, which could
     refuse nothing.  One ``np.linalg.eigh`` call (LAPACK) then solves the
     symmetrized stack (M + M^dagger) / 2, so the solver sees exact
-    Hermitian data, each member scaled by an even power of two that brings
-    its largest part near 1; the eigenvalues are scaled back exactly.
-    Equal eigenvalues keep LAPACK's order.  With ``values_only`` the solve
-    is ``np.linalg.eigvalsh`` of the same scaled stack, which forms no
-    eigenvector, and the result's eigenvectors are the empty marker
-    described on :class:`EigenDecomposition`.  A LAPACK failure raises
+    Hermitian data, and its ascending order is reversed: equal eigenvalues
+    come out in reverse LAPACK order, and the zero matrix gives the
+    reversed identity.  With ``values_only`` the solve is
+    ``np.linalg.eigvalsh`` of the same stack, which forms no eigenvector,
+    and the result's eigenvectors are the empty marker described on
+    :class:`EigenDecomposition`.  A LAPACK failure raises
     ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
     stack, single, largest = _checked_stack(matrix)
@@ -171,15 +151,12 @@ def eigen_hermitian(
             raise ValueError(
                 f"{label} is not Hermitian: max deviation {defects[i]:.3e} exceeds {bounds[i]:.1e}"
             )
-    sym, shift = _normalized(_symmetrized(stack))
+    sym = _symmetrized(stack)
     if values_only:
         vals, vecs = np.linalg.eigvalsh(sym), np.empty((*sym.shape[:-1], 0), dtype=complex)
     else:
         vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(np.ldexp(vals, -shift[:, None]), order, axis=1)
-    if not values_only:
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    vals, vecs = vals[:, ::-1], vecs[:, :, ::-1]  # descending; the result copies the views
     if single:
         vals, vecs = vals[0], vecs[0]
     return EigenDecomposition(vals, vecs, 0)

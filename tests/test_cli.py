@@ -580,7 +580,8 @@ class TestReconstruct:
         assert "degenerate" in proc.stderr
 
     @pytest.mark.parametrize(
-        "command,tol", [("reconstruct", "nan"), ("reconstruct", "-1"), ("verify", "nan")]
+        "command,tol",
+        [("reconstruct", "nan"), ("reconstruct", "-1"), ("verify", "nan"), ("verify", "inf")],
     )
     def test_bad_tolerance_is_usage_error(self, tmp_path, command, tol):
         # Projector (0, 0) is the mixed 0.5 (P_00 + P_01): it loads, and any
@@ -594,6 +595,32 @@ class TestReconstruct:
         message = f"tolerance must be finite and non-negative, got {float(tol)!r}"
         assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
+
+
+class TestLooseTolerance:
+    @pytest.fixture
+    def noisy(self, tmp_path):
+        # The d = 5 closed form plus Hermitian noise of 1e-8 per part: its
+        # traces miss 1 by more than the loader's 1e-9.
+        mats = build_family(5).projectors
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+        path = tmp_path / "noisy.json"
+        save_family(MubFamily(mats + 0.5e-8 * (noise + noise.conj().swapaxes(-1, -2))), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["verify", "reconstruct"])
+    def test_default_tolerance_refuses_the_load(self, noisy, capsys, command):
+        assert cli_dispatch([command, noisy]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis 0, vector 0: trace deviates from 1 by ")
+        assert err.endswith(" (tolerance 1.0e-09)\n")
+
+    @pytest.mark.parametrize("command", ["verify", "reconstruct"])
+    def test_looser_tol_loosens_the_load(self, tmp_path, noisy, capsys, command):
+        out = ["--out", str(tmp_path / "states.json")] if command == "reconstruct" else []
+        assert cli_dispatch([command, noisy, "--tol", "1e-6", *out]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestSearch:
