@@ -94,20 +94,27 @@ def _plain_matrix(raw: list) -> Optional[np.ndarray]:
     """``raw`` as a float (m, m, 2) array, m its length; None unless it is plain.
 
     Plain means m rows of m [re, im] lists of ``int`` and ``float`` values,
-    none an integer beyond the float range.  Each level is flattened with
-    ``chain.from_iterable`` and checked by exact type and length through
-    ``set(map(...))``, at C speed, so a well-formed matrix costs no Python
-    call per entry.  None means only that the per-matrix checks must look,
-    not that the matrix is invalid: numeric subclasses such as
-    ``np.float64`` miss here but are accepted there, and only there is a
-    bad entry named.  ``bool`` is its own type, so true/false never pass.
-    Parts are not bounded here; the caller bounds each matrix it resolves.
+    none an integer beyond the float range.  Each level's lengths are
+    checked through ``set(map(len, ...))`` before it is flattened with
+    ``chain.from_iterable``, and the leaves' exact types are checked once,
+    all at C speed, so a well-formed matrix costs no Python call per entry.
+    Containers need no type check of their own: in a JSON tree, a string
+    or object where a list belongs either yields string leaves or fails a
+    length, and a number, true/false or null makes ``len`` raise.  None
+    means only that the per-matrix checks must look, not that the matrix
+    is invalid: numeric subclasses such as ``np.float64`` miss here but are
+    accepted there, and only there is a bad entry named.  ``bool`` is its
+    own type, so true/false never pass.  Parts are not bounded here; the
+    caller bounds each matrix it resolves.
     """
     m, level = len(raw), raw
-    for length in (m, 2):
-        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
-            return None
-        level = list(chain.from_iterable(level))
+    try:
+        for length in (m, 2):
+            if set(map(len, level)) != {length}:
+                return None
+            level = list(chain.from_iterable(level))
+    except TypeError:  # a leaf where a list belongs
+        return None
     if not set(map(type, level)) <= {int, float}:
         return None
     try:

@@ -8,11 +8,17 @@ target is 1 on the diagonal, 0 within a basis and 1/d across bases.
 
 The optimizer is monotone Riemannian descent with Armijo backtracking and
 seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
-solution, then, below an objective of 1e-3, damped Gauss-Newton steps in
-skew-Hermitian coordinates U_a -> U_a (I + Omega_a), since gradient steps
-crawl on the last decades.  The Gauss-Newton step fixes the gauge (basis 0
-stays put and no vector's phase moves), so it solves for (n-1)(d^2-d)
-unknowns read straight from the overlaps.
+solution, then damped Gauss-Newton steps in skew-Hermitian coordinates
+U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
+Gauss-Newton is first tried once the objective is below 3e-2, and kept
+there only while it works: the first attempt above 1e-3 that yields no
+direction, or whose step leaves the objective above a quarter of where it
+started, hands the restart back to gradient steps until the objective is
+below 1e-3, where Gauss-Newton is tried at every step.  A restart stuck on
+a low local-minimum floor thus spends one attempt on it, not one per step.
+The Gauss-Newton step fixes the gauge (basis 0 stays put and no vector's
+phase moves), so it solves for (n-1)(d^2-d) unknowns read straight from
+the overlaps.
 Both step kinds move along U Omega with Omega skew-Hermitian.  One
 eigendecomposition of i Omega per step gives the polar retraction of
 U + t U Omega, the nearest unitary, at every trial step t in closed form,
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -78,15 +84,25 @@ _RANK_ONE_TOL = 1e-10
 # trial that fails the acceptance slope.
 _STEP_GROWTH = 2.0
 
-# Hand the endgame to Gauss-Newton steps only once the objective is this
-# small; the damped normal equations are reliable near a solution and
-# pointless far from one.  It must stay below every local-minimum floor,
-# or restarts stuck there would spend their last steps on it.  The lowest
-# seen are 1.435e-3 and 2.163e-3 (d = 8, 3 bases, keys 9, 45 and 55 of
-# 0-59), a margin of only 1.4x; each such restart ends on the plateau rule
-# below (after 139, 201 and 134 iterations).  At d = 7 and d = 6 with 3
+# Below this objective every step tries Gauss-Newton first; the damped
+# normal equations are reliable near a solution and pointless far from one.
+# This fallback rule must stay below every local-minimum floor, or restarts
+# stuck there would spend their last steps on it.  The lowest seen are
+# 1.435e-3 and 2.163e-3 (d = 8, 3 bases, keys 9, 45 and 55 of 0-59); each
+# such restart ends on the plateau rule below.  At d = 7 and d = 6 with 3
 # bases the lowest seen are 0.029 and 0.047.
 _GAUSS_NEWTON_CROSSOVER = 1e-3
+
+# Gauss-Newton is tried early, below this multiple of the crossover (3e-2),
+# until an attempt there fails: it yields no direction, or its accepted
+# step leaves the objective above this fraction of where it started.  From
+# then on the restart waits for the crossover.  Converging restarts at d = 6
+# with 3 bases spend about a fifth of their iterations between 3e-2 and
+# 1e-3 on gradient steps otherwise; every d = 6 local-minimum floor seen
+# (0.047 and up) lies above the window, and the low d = 8 floors make one
+# failed attempt each.
+_GAUSS_NEWTON_REACH = 30.0
+_GAUSS_NEWTON_DROP = 0.25
 
 # Skip the Gauss-Newton endgame above this many real parameters, n d^2
 # (complete families up to d = 8); gradient steps still apply.  The step
@@ -327,11 +343,11 @@ def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndar
     return (2.0 / traces)[:, None, None] * (bk - tr_mk[:, None, None] * b)
 
 
-def _penalty(factors: np.ndarray) -> float:
+def _penalty(factors: np.ndarray, target: np.ndarray) -> float:
     """The Gram penalty of the projectors derived from (n, d, d, d) factors."""
     n, d = factors.shape[0], factors.shape[1]
     m, _ = _derive(factors.reshape(n * d, d, d))
-    return _objective_value(_residual(m, unbiased_gram_target(n, d)))
+    return _objective_value(_residual(m, target))
 
 
 def objective(state: SearchState) -> float:
@@ -342,7 +358,7 @@ def objective(state: SearchState) -> float:
     [Tr(M_i^2) - 1]^2 for every projector.  Zero exactly on families of
     mutually unbiased bases.
     """
-    return _penalty(state.factors)
+    return _penalty(state.factors, unbiased_gram_target(state.num_bases, state.dim))
 
 
 def gradient(state: SearchState) -> np.ndarray:
@@ -415,11 +431,27 @@ def _tangent_gradient(u, x, q, r):
     """
     n, d = u.shape[0], u.shape[1]
     c = r * q
-    c.flat[:: n * d + 1] *= 2.0
+    c.reshape(-1)[:: n * d + 1] *= 2.0
     g = (x @ c).reshape(d, n, d).transpose(1, 0, 2)
     h = u.conj().swapaxes(-1, -2) @ g
-    z = 2.0 * (h - h.conj().swapaxes(-1, -2))
+    z = h - h.conj().swapaxes(-1, -2)
+    z *= 2.0
     return u @ z, z
+
+
+@cache
+def _gauss_newton_pattern(d: int):
+    """The strict upper-triangle mask (d, d) and sign (d^2-d, d) of :func:`_gauss_newton_jacobian`.
+
+    Both depend on d alone, and Gauss-Newton runs only up to n d^2 = 800,
+    so d <= 20; they are built once per d and kept read-only.
+    """
+    upper = ~np.tri(d, dtype=bool)
+    eye = np.eye(d)
+    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
+    upper.setflags(write=False)
+    sign.setflags(write=False)
+    return upper, sign
 
 
 def _gauss_newton_jacobian(q: np.ndarray, n: int):
@@ -437,14 +469,12 @@ def _gauss_newton_jacobian(q: np.ndarray, n: int):
     -1 at t, and values (n-1, d^2-d, nd) is zero where j lies in basis a.
     """
     d = q.shape[0] // n
-    upper = ~np.tri(d, dtype=bool)
+    upper, sign = _gauss_newton_pattern(d)
     rows = q[d:].reshape(n - 1, d, n * d)
     p = (2.0 * rows.conj()[:, :, None] * rows[:, None])[:, upper]
     own = np.arange(n - 1)
     p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
     values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
-    eye = np.eye(d)
-    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
     return sign, values
 
 
@@ -476,18 +506,19 @@ def _gauss_newton_direction(u, q, r, g):
     z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
     normal = np.empty((moved, dof, moved, dof))
     np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
-    own = np.arange(moved)
-    normal[own, :, own] = (sign @ sign.T) * (values @ values.swapaxes(-1, -2))
+    blocks = np.einsum("aiaj->aij", normal)
+    np.multiply(sign @ sign.T, values @ values.swapaxes(-1, -2), out=blocks)
     normal = normal.reshape(size, size)
     rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
-    normal.flat[:: size + 1] += 1e-10 * (float(np.trace(normal)) / size + 1.0)
+    diagonal = normal.reshape(-1)[:: size + 1]
+    diagonal += 1e-10 * (float(diagonal.sum()) / size + 1.0)
     try:
         theta = np.linalg.solve(normal, -rhs.reshape(-1))
     except np.linalg.LinAlgError:
         return None, 0.0
     theta = np.sqrt(0.5) * theta.reshape(moved, 2, -1)
     upper = np.zeros((n, d, d), dtype=complex)
-    upper[1:, ~np.tri(d, dtype=bool)] = theta[:, 0] + 1j * theta[:, 1]
+    upper[1:, _gauss_newton_pattern(d)[0]] = theta[:, 0] + 1j * theta[:, 1]
     omega = upper - upper.conj().swapaxes(-1, -2)
     slope_term = float(np.vdot(g, u @ omega).real)
     if not slope_term < 0.0:
@@ -499,10 +530,12 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     """Descend from unitaries u0; returns (unitaries, objective, iterations, trajectory, stop).
 
     Armijo backtracking along either the Riemannian steepest-descent
-    direction (with a Barzilai-Borwein trial step) or, once the objective
-    is below 1e-3 and the problem has at most 800 parameters, the
-    gauge-reduced damped Gauss-Newton direction, falling back to the
-    gradient when that solve fails or gives no descent.  Either is U Omega
+    direction (with a Barzilai-Borwein trial step) or, when the problem has
+    at most 800 parameters and f is below 3e-2, the gauge-reduced damped
+    Gauss-Newton direction, falling back to the gradient when that solve
+    fails or gives no descent.  The first attempt at or above 1e-3 that
+    fails (see ``_GAUSS_NEWTON_REACH``) confines Gauss-Newton to f below
+    1e-3 for the rest of the descent.  Either direction is U Omega
     with Omega skew-Hermitian, factored once per step by
     :func:`_polar_factors`; every trial point is then the polar retraction
     of U + t U Omega in closed form.  An accepted trial value f_t is at most
@@ -525,7 +558,11 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     """
     u = u0
     n, d = u.shape[0], u.shape[1]
-    gauss_newton = n * d * d <= _GAUSS_NEWTON_CAP
+    # Gauss-Newton is tried while f < reach, which drops to the crossover
+    # once an early attempt fails.
+    reach = 0.0
+    if n * d * d <= _GAUSS_NEWTON_CAP:
+        reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
     x, q, r, f = _evaluate(u, target)
     g, z = _tangent_gradient(u, x, q, r)
     trajectory = [f]
@@ -544,7 +581,9 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         iterations += 1
 
         omega = None
-        if gauss_newton and f < _GAUSS_NEWTON_CROSSOVER:
+        early = False
+        if f < reach:
+            early = f >= _GAUSS_NEWTON_CROSSOVER
             omega, slope_term = _gauss_newton_direction(u, q, r, g)
         gradient_step = omega is None
         if gradient_step:
@@ -571,6 +610,8 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
             # could pass the test.
             return u, f, iterations, trajectory, "line search"
 
+        if early and (gradient_step or f_t > _GAUSS_NEWTON_DROP * f):
+            reach = _GAUSS_NEWTON_CROSSOVER
         g_next, z = _tangent_gradient(candidate, x_t, q_t, r_t)
         if gradient_step:
             # Barzilai-Borwein curvature estimate seeds the next trial step;
@@ -586,11 +627,11 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         trajectory.append(f)
 
 
-def _family_and_penalty(u: np.ndarray):
+def _family_and_penalty(u: np.ndarray, target: np.ndarray):
     """The family of U's columns and its Gram penalty, each projector its own factor."""
     states = u.swapaxes(-1, -2)
     family = MubFamily(states[..., :, None] * states.conj()[..., None, :])
-    return family, _penalty(family.projectors)
+    return family, _penalty(family.projectors, target)
 
 
 def _descend(starts, cfg: SearchConfig) -> SearchResult:
@@ -603,7 +644,7 @@ def _descend(starts, cfg: SearchConfig) -> SearchResult:
     stops = []
     for u0 in starts:
         u, _, iterations, _, stop = _minimize(u0, target, cfg)
-        family, f = _family_and_penalty(u)
+        family, f = _family_and_penalty(u, target)
         finals.append(f)
         iteration_counts.append(iterations)
         stops.append(stop)

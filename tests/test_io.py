@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -982,6 +984,72 @@ class TestBatchedParse:
         # entry, the one holding the numpy float among them.
         assert spy.call_count == family.num_bases * family.dim
         assert loaded.projectors.tobytes() == family.projectors.tobytes()
+
+
+def plain_matrix_reference(raw):
+    """The loader's plain-matrix check as it was, with a container-type scan per level."""
+    m, level = len(raw), raw
+    for length in (m, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        return np.array(level, dtype=float).reshape(m, m, 2)
+    except OverflowError:
+        return None
+
+
+def lists_in(tree):
+    """``tree`` and every list nested in it."""
+    found = [tree]
+    for item in tree:
+        if type(item) is list:
+            found += lists_in(item)
+    return found
+
+
+@st.composite
+def near_matrices(draw):
+    """JSON-typed trees near the (m, m, 2) shape of a matrix: m rows of m
+    [re, im] pairs of numbers, then up to two edits, each dropping an entry
+    of some list, repeating one, or replacing one by true, false, null, an
+    integer beyond the float range, a string of the entry's length or any
+    other JSON value."""
+    m = draw(st.integers(0, 4))
+    number = st.one_of(EDGE_FLOATS, st.integers())
+    raw = [[[draw(number), draw(number)] for _ in range(m)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(lists_in(raw)))
+        if not target:
+            continue
+        i = draw(st.integers(0, len(target) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "scalar", "text", "json"]))
+        if kind == "drop":
+            del target[i]
+        elif kind == "repeat":
+            target.insert(i, copy.deepcopy(target[i]))
+        elif kind == "scalar":
+            target[i] = draw(st.sampled_from([True, False, None, 10**400]))
+        elif kind == "text":
+            size = len(target[i]) if type(target[i]) is list else 2
+            target[i] = draw(st.text(min_size=size, max_size=size))
+        else:
+            target[i] = draw(JSON_VALUES)
+    return raw
+
+
+class TestPlainMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(near_matrices())
+    def test_matches_the_container_scanning_reference(self, raw):
+        expected = plain_matrix_reference(raw)
+        actual = mubkit.io._plain_matrix(raw)
+        if expected is None:
+            assert actual is None
+        else:
+            assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
 
 
 class TestLoadMemory:
