@@ -2,14 +2,14 @@
 
 A thin shell over the library: every subcommand parses flags, calls one
 module operation, and serializes the result.  No numerical logic lives
-here.  Family documents are written by :func:`mubkit.io.save_family`, the
-certificate and the search log by :func:`mubkit.io.write_json`; each goes
-to a file or, without a path, to stdout, as one line of compact JSON, and
-all diagnostics go to stderr.  Exit codes: 0 success or verification
-pass, 1 verification failure, non-convergence or a failed reconstruction
-or polish, 2 usage or IO error.  :func:`cli_dispatch` maps every
-``OSError`` and ``ValueError`` to exit 2 in one place, so no command can
-leak a traceback for bad input.
+here.  Family documents are written by :func:`mubkit.io.save_family`; the
+certificate and the search log are laid out here and written, arrays and
+all, by :func:`mubkit.io.write_json`.  Each goes to a file or, without a
+path, to stdout, as one line of compact JSON, and all diagnostics go to
+stderr.  Exit codes: 0 success or verification pass, 1 verification
+failure, non-convergence or a failed reconstruction or polish, 2 usage or
+IO error.  :func:`cli_dispatch` maps every ``OSError`` and ``ValueError``
+to exit 2 in one place, so no command can leak a traceback for bad input.
 """
 
 from __future__ import annotations
@@ -19,21 +19,16 @@ import dataclasses
 import functools
 import sys
 
+import numpy as np
+
 from . import __version__
 from .algebra import _check_tolerance
 from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
-from .io import (
-    LOAD_TOLERANCE,
-    _load_family,
-    load_family,
-    report_payload,
-    save_family,
-    write_json,
-)
+from .io import LOAD_TOLERANCE, _load_family, load_family, save_family, write_json
 from .reconstruct import reconstruct_all
 from .search import SearchConfig, _check_shape, polish, run_search
-from .verify import verify_family
+from .verify import VerificationReport, verify_family
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -47,6 +42,23 @@ def _metadata(generator: str, **extra) -> dict:
     return meta
 
 
+def _report_payload(report: VerificationReport, source: tuple) -> dict:
+    """JSON payload for a verification certificate, with provenance fields.
+
+    Every report field is a key, in field order; array fields (the Gram
+    matrix) come last, after the provenance, and fields left at ``None``
+    are omitted.  ``source`` is the (path, SHA-256 hex digest) of the
+    document the report judged, digested in the read that loaded it.
+    """
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    arrays = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
+    payload = {"tool_version": __version__}
+    payload.update((k, v) for k, v in values.items() if k not in arrays and v is not None)
+    payload["input_path"], payload["input_sha256"] = source
+    payload.update(arrays)
+    return payload
+
+
 def _cmd_construct(args) -> int:
     family, report = build_family(args.d, with_report=True)
     save_family(family, args.out, metadata=_metadata("construct", dimension=args.d))
@@ -58,7 +70,7 @@ def _cmd_verify(args) -> int:
     family, sha256 = _load_family(args.family, max(LOAD_TOLERANCE, args.tol), bool(args.report))
     report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram)
     if args.report:
-        write_json(report_payload(report, __version__, source=(args.family, sha256)), args.report)
+        write_json(_report_payload(report, (args.family, sha256)), args.report)
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
 

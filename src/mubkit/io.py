@@ -1,14 +1,14 @@
-"""JSON persistence for families, reconstructed states, and certificates.
+"""JSON persistence for families and reconstructed states.
 
 The interchange document stores every complex entry as an [re, im] pair.
-:func:`write_json` writes every document and certificate as one line of
+:func:`write_json` writes every payload it is given as one line of
 compact JSON, byte for byte what ``json.dumps`` writes, with numbers in
 Python's shortest round-trippable decimal form, so a save followed by a
 load reproduces each float bit for bit.  A save hands the writer the
 family's arrays as float [re, im] views, which it spells run by run, so
 its memory does not grow with the document.  ``_read_document`` is the
 only reader of an input document: it reads each once, bounded, and a
-certificate's SHA-256 is of the very bytes that were parsed and validated.
+document's SHA-256 is of the very bytes that were parsed and validated.
 The loader validates all it reads at a fixed tolerance and names the
 offending (basis, vector, entry) when a matrix fails; a document is never
 trusted because this package wrote it, and an object that repeats a key
@@ -26,7 +26,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, groupby
 from typing import Optional
@@ -35,14 +35,12 @@ import numpy as np
 
 from .algebra import MAX_FAMILY_BYTES, MubFamily, _check_parts, _check_tolerance
 from .reconstruct import eigen_hermitian
-from .verify import VerificationReport
 
 __all__ = [
     "FORMAT_VERSION",
     "LOAD_TOLERANCE",
     "FamilyDocument",
     "load_family",
-    "report_payload",
     "save_family",
     "write_json",
 ]
@@ -562,19 +560,3 @@ def _parse_float(text: str):
         return _FloatLiterals().__getitem__
     return float
 
-
-def report_payload(report: VerificationReport, tool_version: str, source: tuple) -> dict:
-    """JSON payload for a verification certificate, with provenance fields.
-
-    Every report field is a key, in field order; array fields (the Gram
-    matrix) come last, after the provenance, and fields left at ``None``
-    are omitted.  ``source`` is the (path, SHA-256 hex digest) of the
-    document the report judged, digested in the read that loaded it.
-    """
-    values = {f.name: getattr(report, f.name) for f in fields(report)}
-    arrays = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
-    payload = {"tool_version": tool_version}
-    payload.update((k, v) for k, v in values.items() if k not in arrays and v is not None)
-    payload["input_path"], payload["input_sha256"] = source
-    payload.update(arrays)
-    return payload

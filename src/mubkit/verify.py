@@ -112,9 +112,10 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(as_bytes, kind="stable")
     ordered = rows[order]
-    gram = np.empty((len(rows), len(rows)), dtype=complex)
-    gram[np.ix_(order, order)] = ordered.conj() @ ordered.T
-    return gram
+    product = ordered.conj() @ ordered.T
+    del ordered  # so the gather below stands beside the product alone
+    rank = np.argsort(order)
+    return product[np.ix_(rank, rank)]
 
 
 def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray] = None):
@@ -126,22 +127,23 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     outer product of ``norms`` when given, are the cosines whose angles are
     compared against arccos(1/d); a cosine whose norm product is zero or
     not finite is NaN, which fails the angle check without a floating-point
-    warning.  A single basis has no cross-basis terms.
+    warning.  Each maximum is one masked reduction over the whole matrix,
+    which reads 0.0 where its mask is empty: a single basis has no
+    cross-basis terms.
     """
     n = overlaps.shape[0] // d
     deviation = np.abs(overlaps - unbiased_gram_target(n, d))
     same_basis = _same_basis(n, d)
-    max_self = float(deviation[same_basis].max())
-    if n == 1:
-        return max_self, 0.0, 0.0
-    max_cross = float(deviation[~same_basis].max())
-    cosines = overlaps[~same_basis]
+    max_self = float(deviation.max(where=same_basis, initial=0.0))
+    max_cross = float(deviation.max(where=~same_basis, initial=0.0))
+    del deviation  # so the angle term's arrays stand without it
+    cosines = overlaps
     if norms is not None:
-        scale = np.outer(norms, norms)[~same_basis]
+        scale = np.outer(norms, norms)
         usable = (scale > 0.0) & (scale < np.inf)
-        cosines = np.where(usable, cosines, np.nan) / np.where(usable, scale, 1.0)
-    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-    return max_self, max_cross, float(np.max(np.abs(angles - np.arccos(1.0 / d))))
+        cosines = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
+    angles = np.abs(np.arccos(np.clip(cosines, -1.0, 1.0)) - np.arccos(1.0 / d))
+    return max_self, max_cross, float(angles.max(where=~same_basis, initial=0.0))
 
 
 def verify_family(

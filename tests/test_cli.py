@@ -762,7 +762,7 @@ class TestWrittenBytes:
             real_save(family, path, states=states, metadata=metadata)
 
         def write(payload, path):
-            expected[path] = json.dumps(payload) + "\n"
+            expected[path] = json.dumps(payload, default=np.ndarray.tolist) + "\n"
             real_write(payload, path)
 
         monkeypatch.setattr(mubkit.cli, "save_family", save)

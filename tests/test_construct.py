@@ -1,7 +1,5 @@
 import cmath
-import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,40 +202,26 @@ class TestBuildFamily:
         assert report.passed
         assert report.summary() == verify_family(family).summary()
 
-    def test_oversized_dimension_refused_before_allocating(self):
-        tracemalloc.start()
-        try:
+    def test_oversized_dimension_refused_before_allocating(self, traced_peak):
+        def refuse():
             with pytest.raises(ValueError, match=r"d = 1009 needs 16600258660640 bytes"):
                 build_family(1009)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refuse)
         assert peak < 1 << 20
 
-    def test_family_holds_one_copy_of_its_projectors(self):
+    def test_family_holds_one_copy_of_its_projectors(self, traced_peak):
         # A built family keeps its projectors and small per-projector arrays,
         # nothing the size of its stack: its self-certificate's eigenvectors
         # are freed with the certificate.
         build_family(13)  # imports and caches warmed outside the trace
-        gc.collect()
-        tracemalloc.start()
-        try:
-            family = build_family(13)
-            gc.collect()
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held <= 1.25 * family.projectors.nbytes
+        families = []
+        held, _ = traced_peak(lambda: families.append(build_family(13)))
+        assert held <= 1.25 * families[0].projectors.nbytes
 
-    def test_certificate_runs_without_the_scratch_array(self):
+    def test_certificate_runs_without_the_scratch_array(self, traced_peak):
         # The array the family is copied from is freed before the family
         # certifies itself; held beside the copy, it adds 1x to the peak.
-        build_family(13)  # imports and caches warmed outside the trace
-        gc.collect()
-        tracemalloc.start()
-        try:
-            family = build_family(13)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.0 * family.projectors.nbytes  # 5.77x measured
+        family = build_family(13)  # imports and caches warmed outside the trace
+        _, peak = traced_peak(lambda: build_family(13))
+        assert peak < 5.1 * family.projectors.nbytes  # 4.89x measured

@@ -58,6 +58,12 @@ def test_search_does_not_import_construct():
     assert imported == {"algebra", "reconstruct"}
 
 
+def test_io_does_not_import_verify():
+    # The CLI lays out the certificate; io writes what it is given.
+    imported = {intra_package(node) for node in ast.walk(parsed()["io"]) if intra_package(node)}
+    assert imported == {"algebra", "reconstruct"}
+
+
 def test_family_checks_are_defined_once_in_algebra():
     names = {"_rank_one_certificate", "_check_family_size", "_same_basis", "MAX_FAMILY_BYTES"}
     homes = {name: [] for name in names}

@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import math
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,12 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mubkit.algebra import MAX_FAMILY_BYTES, MubFamily
+from mubkit.cli import _report_payload
 from mubkit.construct import build_family
 from mubkit.io import (
     FORMAT_VERSION,
     FamilyDocument,
     load_family,
-    report_payload,
     save_family,
     write_json,
 )
@@ -470,7 +469,7 @@ class TestFloatTable:
         expected = json.dumps({"a": [[1.0, 1.0], np.empty(shape).tolist(), [1.0, 1.0]]}) + "\n"
         assert written(payload, tmp_path / "out.json") == expected
 
-    def test_writer_memory_does_not_grow_with_the_document(self, tmp_path):
+    def test_writer_memory_does_not_grow_with_the_document(self, tmp_path, traced_peak):
         # 100 and 800 matrices of 26 values, as in a closed-form family.
         # Spelled run by run, eight times the numbers take about the same
         # memory; one table of the whole document took eight times as much.
@@ -478,12 +477,7 @@ class TestFloatTable:
         peaks = []
         for count in (100, 800):
             payload = {"matrices": list(values[:count])}
-            tracemalloc.start()
-            try:
-                write_json(payload, str(tmp_path / "out.json"))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: write_json(payload, str(tmp_path / "out.json")))[1])
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_signed_zeros_keep_their_sign(self):
@@ -744,7 +738,7 @@ class TestRejection:
         with pytest.raises(ValueError, match="finite"):
             load_family(str(path))
 
-    def test_huge_dimension_rejected_before_allocating(self):
+    def test_huge_dimension_rejected_before_allocating(self, traced_peak):
         payload = {
             "format_version": FORMAT_VERSION,
             "dimension": 100000,
@@ -756,13 +750,12 @@ class TestRejection:
             ],
         }
         doc = FamilyDocument.from_payload(payload)
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(ValueError, match="expected 100000 projectors"):
                 doc.to_family()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refuse)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("dimension", [2**62, 2**63])
@@ -1054,7 +1047,7 @@ class TestPlainMatrix:
 
 class TestLoadMemory:
     @pytest.mark.parametrize("noise", [0.0, 1e-12], ids=["closed", "noisy"])
-    def test_load_peaks_below_2_5_times_its_file(self, tmp_path, noise):
+    def test_load_peaks_below_2_5_times_its_file(self, tmp_path, noise, traced_peak):
         # Each matrix becomes an array as json finishes it, so the tree of
         # [re, im] lists never exists whole: the traced peak of one d = 13
         # load is the bytes and the text, about 2 times the file, where the
@@ -1068,15 +1061,12 @@ class TestLoadMemory:
         path = tmp_path / "family.json"
         save_family(MubFamily(projectors), str(path))
         load_family(str(path))  # imports and caches warmed outside the trace
-        tracemalloc.start()
-        try:
-            load_family(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: load_family(str(path)))
         assert peak < 2.5 * path.stat().st_size
 
-    def test_to_family_after_a_parse_peaks_below_3_1_times_the_projectors(self, tmp_path):
+    def test_to_family_after_a_parse_peaks_below_3_1_times_the_projectors(
+        self, tmp_path, traced_peak
+    ):
         # The family's one copy, its invariants and its certificate, each
         # helper working in one scratch array: 3.84x at d = 13 before.
         path = tmp_path / "family.json"
@@ -1085,14 +1075,9 @@ class TestLoadMemory:
         original, peaks = FamilyDocument.to_family, []
 
         def traced(doc, *args):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                family = original(doc, *args)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            return family
+            families = []
+            peaks.append(traced_peak(lambda: families.append(original(doc, *args)))[1])
+            return families[0]
 
         with mock.patch.object(FamilyDocument, "to_family", traced):
             family = load_family(str(path))
@@ -1111,7 +1096,9 @@ class TestLoadMemory:
         ],
         ids=["first_true", "last_true", "last_out_of_bound"],
     )
-    def test_refusal_peaks_below_2_5_times_its_file(self, tmp_path, last, literal, message):
+    def test_refusal_peaks_below_2_5_times_its_file(
+        self, tmp_path, last, literal, message, traced_peak
+    ):
         # Only the bad matrix is read entry by entry, and the matrices before
         # it are bounded as arrays, so a refusal holds what a load holds;
         # reading every matrix as lists again took 3.7 to 4.6 times the file.
@@ -1122,14 +1109,13 @@ class TestLoadMemory:
         start = (text.rindex(key) if last else text.index(key)) + len(key)
         path.write_text(text[:start] + literal + text[text.index(",", start) :])
         del text
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(ValueError) as caught:
                 load_family(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(caught.value) == message
+            assert str(caught.value) == message
+
+        _, peak = traced_peak(refuse)
         assert peak < 2.5 * path.stat().st_size
 
 
@@ -1265,8 +1251,8 @@ class TestHashingAndReports:
         save_family(family, str(path))
         report = verify_family(family, keep_gram=True)
         sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
-        payload = report_payload(report, tool_version="0.1.0", source=(str(path), sha256))
-        assert payload["tool_version"] == "0.1.0"
+        payload = _report_payload(report, (str(path), sha256))
+        assert payload["tool_version"] == mubkit.__version__
         assert payload["input_path"] == str(path)
         assert payload["input_sha256"] == sha256
         assert payload["passed"] is True

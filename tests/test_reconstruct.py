@@ -1,6 +1,4 @@
-import gc
 import sys
-import tracemalloc
 import warnings
 from contextlib import ExitStack
 from unittest import mock
@@ -158,18 +156,12 @@ class TestBatchedEigen:
             with pytest.raises(ValueError, match="values-only"):
                 decomp.reconstruct()
 
-    def test_values_only_peak_below_1_6_times_the_stack(self):
+    def test_values_only_peak_below_1_6_times_the_stack(self, traced_peak):
         # The symmetrized stack and the Hermitian check's one scratch array:
         # a conjugate copy beside each, and a difference array, took 2.28x.
         stack = build_family(13).projectors.reshape(-1, 13, 13)
         eigen_hermitian(stack, values_only=True)  # LAPACK warmed outside the trace
-        gc.collect()
-        tracemalloc.start()
-        try:
-            eigen_hermitian(stack, values_only=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: eigen_hermitian(stack, values_only=True))
         assert peak < 1.6 * stack.nbytes  # 1.51x measured
 
     def test_zero_and_diagonal_members_are_exact(self):
@@ -549,19 +541,13 @@ class TestRankOneCertificate:
         v_sym, r_sym = _rank_one_certificate(_symmetrized(stack))
         assert v.tobytes() == v_sym.tobytes() and r.tobytes() == r_sym.tobytes()
 
-    def test_peak_below_three_times_the_projectors(self):
+    def test_peak_below_three_times_the_projectors(self, traced_peak):
         # The certificate symmetrizes into its own scratch and works there in
         # place, subtracting v v^dagger a row at a time: a copy per step
         # (sym, sym - v v^dagger, its modulus and its scaled copy) peaked at
         # 3.17 times at d = 13, and the whole v v^dagger beside sym at 2.78.
         family = build_family(13)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            family.rank_one_certificate
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: family.rank_one_certificate)
         assert peak < 2.0 * family.projectors.nbytes  # 1.89x measured
 
     def test_exact_projector_has_roundoff_residual(self):

@@ -1,9 +1,7 @@
-import gc
 import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -969,18 +967,12 @@ class TestPolish:
         ):
             polish(MubFamily(p), cfg)
 
-    def test_peak_below_five_and_a_quarter_times_the_projectors(self):
+    def test_peak_below_five_and_a_quarter_times_the_projectors(self, traced_peak):
         # 4.98x measured at d = 13, for a family that needs no steps.
         family = build_family(13)
         cfg = SearchConfig(dim=13, num_bases=14)
         polish(family, cfg)  # imports and caches warmed outside the trace
-        gc.collect()
-        tracemalloc.start()
-        try:
-            polish(family, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: polish(family, cfg))
         assert peak < 5.25 * family.projectors.nbytes
 
 
