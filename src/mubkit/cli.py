@@ -110,6 +110,7 @@ def _cmd_search(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        del start  # freed before the polished family is written
     else:
         result = run_search(cfg)
 

@@ -112,7 +112,7 @@ def build_family(d: int, tol: float = 1e-10, *, with_report: bool = False):
     mats[d, labels, labels, labels] = 1.0
 
     family = MubFamily(mats)
-    del mats  # freed before the family certifies itself
+    del mats, exponent  # freed before the family certifies itself
     report = verify_family(family, tolerance=tol)
     if not report.passed:
         raise ValueError(f"constructed family failed its own certificate: {report.summary()}")

@@ -302,7 +302,8 @@ def _derive(b: np.ndarray):
             f"factor (basis {i // d}, vector {i % d}) has trace norm {traces[i]:.3e} "
             f"below {DEGENERATE_TRACE:.1e}; derived projector undefined"
         )
-    return raw / traces[:, None, None], traces
+    raw /= traces[:, None, None]
+    return raw, traces
 
 
 def _residual(m: np.ndarray, target: np.ndarray):
@@ -311,7 +312,9 @@ def _residual(m: np.ndarray, target: np.ndarray):
     G_ij = Re Tr(M_i^dagger M_j) is one real product of the (re, im) views.
     """
     w = m.reshape(m.shape[0], -1).view(float)
-    return w @ w.T - target
+    r = w @ w.T
+    r -= target
+    return r
 
 
 def _objective_value(r: np.ndarray) -> float:
@@ -336,11 +339,15 @@ def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndar
     coeff.flat[:: n_total + 1] *= 2.0
     mv = m.reshape(n_total, -1).view(float)
     kv = coeff @ mv
-    k = kv.view(complex).reshape(m.shape)
-    bk = b @ k
+    del coeff
     # M_i and K_i are Hermitian, so Tr(M_i K_i) = Re <M_i, K_i>.
     tr_mk = np.einsum("ij,ij->i", mv, kv)
-    return (2.0 / traces)[:, None, None] * (bk - tr_mk[:, None, None] * b)
+    k = kv.view(complex).reshape(m.shape)
+    bk = b @ k
+    del kv, k  # k views kv: both go before the correction is formed
+    bk -= tr_mk[:, None, None] * b
+    bk *= (2.0 / traces)[:, None, None]
+    return bk
 
 
 def _penalty(factors: np.ndarray, target: np.ndarray) -> float:
@@ -564,7 +571,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     if n * d * d <= _GAUSS_NEWTON_CAP:
         reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
     x, q, r, f = _evaluate(u, target)
-    g, z = _tangent_gradient(u, x, q, r)
+    g = None  # the start's gradient is formed only if a step is taken
     trajectory = [f]
     step = _INITIAL_STEP
     iterations = 0
@@ -579,6 +586,8 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         if iterations == cfg.max_iterations:
             return u, f, iterations, trajectory, "iterations"
         iterations += 1
+        if g is None:
+            g, z = _tangent_gradient(u, x, q, r)
 
         omega = None
         early = False
@@ -713,4 +722,5 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     m = SearchState.from_family(family).projectors().reshape(n * d, d, d)
     pivot = np.argmax(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1)
     u0 = _retract(m[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
+    del m  # so the descent runs beside the family alone
     return _descend([u0], cfg)

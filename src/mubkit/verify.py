@@ -137,12 +137,18 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     max_self = float(deviation.max(where=same_basis, initial=0.0))
     max_cross = float(deviation.max(where=~same_basis, initial=0.0))
     del deviation  # so the angle term's arrays stand without it
-    cosines = overlaps
-    if norms is not None:
+    # The angle terms are formed in one array of their own, never in
+    # ``overlaps``: it may be the Gram matrix a report keeps.
+    if norms is None:
+        angles = np.clip(overlaps, -1.0, 1.0)
+    else:
         scale = np.outer(norms, norms)
         usable = (scale > 0.0) & (scale < np.inf)
-        cosines = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
-    angles = np.abs(np.arccos(np.clip(cosines, -1.0, 1.0)) - np.arccos(1.0 / d))
+        angles = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
+        np.clip(angles, -1.0, 1.0, out=angles)
+    np.arccos(angles, out=angles)
+    angles -= np.arccos(1.0 / d)
+    np.abs(angles, out=angles)
     return max_self, max_cross, float(angles.max(where=~same_basis, initial=0.0))
 
 
