@@ -134,12 +134,6 @@ def _rank_one_certificate(stack: np.ndarray):
     return v, np.where(usable, r, np.inf)
 
 
-def _same_basis(num_bases: int, dim: int) -> np.ndarray:
-    """(n*d, n*d) mask, true where rows a*d + alpha and b*d + beta share a basis (a = b)."""
-    labels = np.repeat(np.arange(num_bases), dim)
-    return labels[:, None] == labels[None, :]
-
-
 def _state_vector(state) -> np.ndarray:
     """``state`` as a complex vector, refused unless nonempty, 1-D and bounded.
 
@@ -218,17 +212,18 @@ def _canonical_phases(states: np.ndarray) -> np.ndarray:
 def unbiased_gram_target(num_bases: int, dim: int) -> np.ndarray:
     """Target Gram matrix of flattened projectors for unbiased bases.
 
-    Row/column index a*dim + alpha labels projector (a, alpha).  Entries are
-    1 on the diagonal, 0 for distinct vectors of the same basis, and 1/dim
-    across bases.  Both the verifier and the numerical search measure
-    distance to this one matrix, which keeps certificate and penalty
-    consistent.
+    Row/column index a*dim + alpha labels projector (a, alpha).  Read as
+    (num_bases, dim, num_bases, dim) blocks, it is I_dim on each same-basis
+    block and 1/dim across bases.  Both the verifier and the numerical
+    search measure distance to this one matrix, which keeps certificate
+    and penalty consistent.
     """
     if num_bases < 1 or dim < 1:
         raise ValueError(f"need num_bases >= 1 and dim >= 1, got ({num_bases}, {dim})")
-    target = np.where(_same_basis(num_bases, dim), 0.0, 1.0 / dim)
-    np.fill_diagonal(target, 1.0)
-    return target
+    target = np.full((num_bases, dim, num_bases, dim), 1.0 / dim)
+    b = np.arange(num_bases)
+    target[b, :, b, :] = np.eye(dim)  # I_d on each same-basis block
+    return target.reshape(num_bases * dim, num_bases * dim)
 
 
 @dataclass(frozen=True)

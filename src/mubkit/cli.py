@@ -198,9 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="numerically search for unbiased bases")
     p_search.add_argument("--d", type=int, required=True, help="dimension")
     p_search.add_argument("--bases", type=int, required=True, help="number of bases")
-    p_search.add_argument("--restarts", type=int, default=20)
+    p_search.add_argument(
+        "--restarts", type=int, default=20, help="random restarts (ignored with --from)"
+    )
     p_search.add_argument("--iters", type=int, default=50000, help="max iterations per restart")
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument(
+        "--seed", type=int, default=0, help="seed of the first restart (ignored with --from)"
+    )
     p_search.add_argument("--target", type=float, default=1e-16, help="objective target")
     p_search.add_argument("--out", default=None, help="output family JSON path")
     p_search.add_argument("--log", default=None, help="per-restart log JSON path")

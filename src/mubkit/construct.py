@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import MubFamily, _check_family_size, _check_tolerance
+from .algebra import MubFamily, _check_family_size
 from .verify import verify_family
 
 __all__ = [
@@ -80,14 +80,15 @@ def computational_coefficient(d: int, alpha: int, p: int, q: int) -> complex:
     return 1.0 + 0.0j if p == q == alpha else 0.0j
 
 
-def build_family(d: int, tol: float = 1e-10, *, with_report: bool = False):
+def build_family(d: int, *, with_report: bool = False):
     """Construct the complete family of d + 1 bases in prime dimension ``d``.
 
     The d rotated bases come first and the computational basis last.  The
-    result is self-certified: construction runs verify_family at ``tol``
-    and raises rather than hand out a family with violations.  With
-    ``with_report`` the return value is (family, report), so a caller that
-    shows the certificate need not verify a second time.
+    result is self-certified: construction runs verify_family at its
+    default tolerance, 1e-10, and raises rather than hand out a family
+    with violations.  With ``with_report`` the return value is (family,
+    report), so a caller that shows the certificate need not verify a
+    second time.
 
     Dimensions whose (d + 1, d, d, d) projector array would exceed
     :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
@@ -98,7 +99,6 @@ def build_family(d: int, tol: float = 1e-10, *, with_report: bool = False):
     computed exactly as :func:`w_coefficient` computes it, so the family
     is bit-identical to one assembled coefficient by coefficient.
     """
-    _check_tolerance(tol)
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
@@ -113,7 +113,7 @@ def build_family(d: int, tol: float = 1e-10, *, with_report: bool = False):
 
     family = MubFamily(mats)
     del mats, exponent  # freed before the family certifies itself
-    report = verify_family(family, tolerance=tol)
+    report = verify_family(family)
     if not report.passed:
         raise ValueError(f"constructed family failed its own certificate: {report.summary()}")
     return (family, report) if with_report else family

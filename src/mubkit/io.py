@@ -9,13 +9,15 @@ family's arrays as float [re, im] views, which it spells run by run, so
 its memory does not grow with the document.  ``_read_document`` is the
 only reader of an input document: it reads each once, bounded, and a
 document's SHA-256 is of the very bytes that were parsed and validated.
-The loader validates all it reads at a fixed tolerance and names the
-offending (basis, vector, entry) when a matrix fails; a document is never
-trusted because this package wrote it, and an object that repeats a key
-is refused rather than read as its last value.  Each projector's matrix
-becomes a float array as ``json.loads`` finishes it, so the nested
-[re, im] lists of a whole document never exist at once: a load's peak
-memory, a refusal's too, is its bytes and their text, about twice the file.
+The loader validates all it reads at a fixed tolerance, a document's
+states against its projectors too, though it returns only the family, and
+names the offending (basis, vector, entry) when a matrix or a state fails;
+a document is never trusted because this package wrote it, and an object
+that repeats a key is refused rather than read as its last value.  Each
+projector's matrix, and each state's amplitudes, becomes a float array as
+``json.loads`` finishes it, so the nested [re, im] lists of a whole
+document never exist at once: a load's peak memory, a refusal's too, is
+its bytes and their text, about twice the file.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MAX_FAMILY_BYTES, MubFamily, _check_parts, _check_tolerance
+from .algebra import MAX_FAMILY_BYTES, MubFamily, _bounded, _check_parts, _check_tolerance
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -88,11 +90,28 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _plain_matrix(raw: list) -> Optional[np.ndarray]:
+def _by_basis(items: list, what: str = "") -> dict:
+    """``items`` keyed by basis index; each must be an object with its own ``basis_index``.
+
+    ``what`` prefixes each refusal, naming the section.
+    """
+    indexed = {}
+    for item in items:
+        if not isinstance(item, dict) or "basis_index" not in item:
+            raise ValueError(f"{what}each basis must be an object with a 'basis_index'")
+        a = item["basis_index"]
+        if not _is_index(a) or a in indexed:
+            raise ValueError(f"{what}basis_index {a!r} is invalid or duplicated")
+        indexed[a] = item
+    return indexed
+
+
+def _plain_matrix(raw: list, shape: Optional[tuple] = None) -> Optional[np.ndarray]:
     """``raw`` as a float (m, m, 2) array, m its length; None unless it is plain.
 
     Plain means m rows of m [re, im] lists of ``int`` and ``float`` values,
-    none an integer beyond the float range.  Each level's lengths are
+    none an integer beyond the float range; with a ``shape`` of (m, 2), m
+    [re, im] lists, as a state's amplitudes are.  Each level's lengths are
     checked through ``set(map(len, ...))`` before it is flattened with
     ``chain.from_iterable``, and the leaves' exact types are checked once,
     all at C speed, so a well-formed matrix costs no Python call per entry.
@@ -105,9 +124,9 @@ def _plain_matrix(raw: list) -> Optional[np.ndarray]:
     own type, so true/false never pass.  Parts are not bounded here; the
     caller bounds each matrix it resolves.
     """
-    m, level = len(raw), raw
+    shape, level = shape or (len(raw), len(raw), 2), raw
     try:
-        for length in (m, 2):
+        for length in shape[1:]:
             if set(map(len, level)) != {length}:
                 return None
             level = list(chain.from_iterable(level))
@@ -116,21 +135,22 @@ def _plain_matrix(raw: list) -> Optional[np.ndarray]:
     if not set(map(type, level)) <= {int, float}:
         return None
     try:
-        return np.array(level, dtype=float).reshape(m, m, 2)
+        return np.array(level, dtype=float).reshape(shape)
     except OverflowError:  # an integer literal beyond the float range
         return None
 
 
 def _converted(pairs: list) -> dict:
-    """``json.loads`` object pairs hook: the object's dict, a plain matrix as a float array.
+    """``json.loads`` object pairs hook: the object's dict, plain [re, im] lists as float arrays.
 
-    Called as the parser finishes each object, so a matrix's nested lists
-    are freed as soon as it is read, and a document's tree of [re, im]
-    lists never exists whole.  An object that repeats a key is refused:
-    ``json.loads`` alone would keep the last value and load bytes whose
-    first value is bad.  Any object with an ``alpha`` and a list
-    ``matrix`` is converted; anything else, a matrix that is not plain
-    among them, is returned as parsed, for the loader to judge.
+    Called as the parser finishes each object, so a matrix's or a state's
+    nested lists are freed as soon as it is read, and a document's tree of
+    [re, im] lists never exists whole.  An object that repeats a key is
+    refused: ``json.loads`` alone would keep the last value and load bytes
+    whose first value is bad.  In any object with an ``alpha``, a list
+    ``matrix`` or ``amplitudes`` is converted; anything else, a matrix or
+    amplitude list that is not plain among them, is returned as parsed,
+    for the loader to judge.
     """
     entry = dict(pairs)
     if len(entry) != len(pairs):
@@ -139,11 +159,13 @@ def _converted(pairs: list) -> dict:
             if key in seen:
                 raise ValueError(f"key {key!r} is repeated in one object")
             seen.add(key)
-    matrix = entry.get("matrix")
-    if "alpha" in entry and type(matrix) is list:
-        array = _plain_matrix(matrix)
-        if array is not None:
+    if "alpha" in entry:
+        matrix, amplitudes = entry.get("matrix"), entry.get("amplitudes")
+        if type(matrix) is list and (array := _plain_matrix(matrix)) is not None:
             entry["matrix"] = array
+        if type(amplitudes) is list:
+            if (array := _plain_matrix(amplitudes, (len(amplitudes), 2))) is not None:
+                entry["amplitudes"] = array
     return entry
 
 
@@ -165,9 +187,10 @@ class FamilyDocument:
     ``states`` optionally mirrors that structure with amplitude vectors.
     ``metadata`` is free-form (generator, seed, source and the like).
     Loaded by :func:`load_family`, each plain matrix is a float (d, d, 2)
-    array, converted as it was parsed, and everything else, amplitudes
-    among it, is nested [re, im] lists; built by :meth:`from_family`,
-    matrices and amplitudes are float (..., 2) views of the family's arrays.
+    array and each plain amplitude list a float (d, 2) array, converted as
+    it was parsed, and everything else is as parsed; built by
+    :meth:`from_family`, matrices and amplitudes are float (..., 2) views
+    of the family's arrays.
     :meth:`to_payload` hands out these lists and arrays as they are.
     """
 
@@ -275,6 +298,95 @@ class FamilyDocument:
         except OverflowError:  # an integer literal beyond the float range
             return np.full((d, d, 2), np.inf)
 
+    def _parse_amplitudes(self, raw, where: str) -> np.ndarray:
+        """``raw`` as a float (d, 2) array, read entry by entry as :meth:`_parse_matrix` reads."""
+        d = self.dimension
+        if isinstance(raw, np.ndarray):
+            raw = raw.tolist()
+        if not isinstance(raw, list) or len(raw) != d:
+            raise ValueError(f"{where}: amplitudes must have {d} entries")
+        for p, pair in enumerate(raw):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+                raise ValueError(f"{where}, entry {p}: expected an [re, im] pair")
+        try:
+            return np.array(raw, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            return np.full((d, 2), np.inf)
+
+    def _check_states(self, family: MubFamily, tolerance: float) -> None:
+        """Refuse a ``states`` section that is malformed or contradicts ``family``.
+
+        Structure first, in document order, as the bases are checked: one
+        {basis_index, vectors} object per basis of the family, indices
+        covering its bases, each with d {alpha, amplitudes} objects whose
+        alphas cover 0..d-1, each ``amplitudes`` d [re, im] number pairs.
+        A float (d, 2) array, as a load converts a plain list while parsing
+        or :meth:`from_family` views it, passes as it is; anything else is
+        read entry by entry, which names its first bad entry.  Nothing the
+        section's size is made before its structure is checked.  Then, check
+        by check: parts bounded as a matrix's are, ||v||^2 within
+        ``tolerance`` of 1, and Re <v|P|v> within it of 1 for the projector
+        P of the same label.  Each check names its first failing state, by
+        basis index and then document order.
+        """
+        n, d = family.num_bases, family.dim
+        indexed = _by_basis(self.states, "states: ")
+        if sorted(indexed) != list(range(n)):
+            raise ValueError(
+                f"states: basis_index values must cover 0..{n - 1}, got {sorted(indexed)}"
+            )
+
+        def where(i: int) -> str:
+            return "states: basis {}, vector {}".format(*divmod(i, d))
+
+        # Each state's amplitudes in label order; rows keep document order.
+        amplitudes, rows = [None] * (n * d), []
+        for a in range(n):
+            vectors = indexed[a].get("vectors")
+            if not isinstance(vectors, list) or len(vectors) != d:
+                raise ValueError(f"states: basis {a}: expected {d} vectors")
+            for entry in vectors:
+                if not isinstance(entry, dict) or "alpha" not in entry:
+                    raise ValueError(f"states: basis {a}: each vector needs an 'alpha'")
+                alpha = entry["alpha"]
+                i = a * d + alpha if _is_index(alpha) and 0 <= alpha < d else None
+                if i is None or amplitudes[i] is not None:
+                    raise ValueError(f"states: basis {a}: alpha {alpha!r} is invalid or duplicated")
+                raw = entry.get("amplitudes")
+                if not (type(raw) is np.ndarray and raw.dtype == float and raw.shape == (d, 2)):
+                    raw = self._parse_amplitudes(raw, where(i))
+                amplitudes[i] = raw
+                rows.append(i)
+        values = np.array(amplitudes)
+
+        def first(failing: np.ndarray) -> Optional[int]:
+            """The label row of the first failing state in document order, or None."""
+            failing = failing[rows]
+            return rows[int(np.argmax(failing))] if failing.any() else None
+
+        if (i := first(~_bounded(values).all(axis=(1, 2)))) is not None:
+            _check_parts(values[i], f"{where(i)}: amplitudes")
+        flat = values.reshape(n * d, 2 * d)
+        squared = np.einsum("ij,ij->i", flat, flat)
+        if (i := first(~(np.abs(squared - 1.0) <= tolerance))) is not None:
+            raise ValueError(
+                f"{where(i)}: squared norm deviates from 1 by {abs(squared[i] - 1.0):.3e} "
+                f"(tolerance {tolerance:.1e})"
+            )
+        # <v|P|v> = ||v||^2 <u|P|u> for the unit u = v / ||v||, whose terms
+        # stay finite; the product passes the float range only at a
+        # tolerance past 1e150, and then reads inf, which no tolerance passes.
+        norms = np.sqrt(squared)
+        unit = values.view(complex).reshape(n * d, d) / np.where(norms > 0.0, norms, 1.0)[:, None]
+        stack = family.projectors.reshape(n * d, d, d)
+        with np.errstate(over="ignore"):
+            overlap = squared * (unit.conj()[:, None] @ stack @ unit[:, :, None])[:, 0, 0].real
+        if (i := first(~(np.abs(overlap - 1.0) <= tolerance))) is not None:
+            raise ValueError(
+                f"{where(i)}: <v|P|v> with its projector deviates from 1 by "
+                f"{abs(overlap[i] - 1.0):.3e} (tolerance {tolerance:.1e})"
+            )
+
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
@@ -294,18 +406,12 @@ class FamilyDocument:
         order.  A family whose every projector is certified rank 1 within
         ``tolerance`` by its one-column residual passes the eigenvalue check
         without an eigensolve; any other is solved here, and the solve is
-        not kept.  The returned family keeps its certificate.
+        not kept.  The returned family keeps its certificate.  A ``states``
+        section is checked last, against the family, and then dropped.
         """
         _check_tolerance(tolerance)
         d = self.dimension
-        indexed = {}
-        for item in self.bases:
-            if not isinstance(item, dict) or "basis_index" not in item:
-                raise ValueError("each basis must be an object with a 'basis_index'")
-            a = item["basis_index"]
-            if not _is_index(a) or a in indexed:
-                raise ValueError(f"basis_index {a!r} is invalid or duplicated")
-            indexed[a] = item
+        indexed = _by_basis(self.bases)
         n = len(indexed)
         if sorted(indexed) != list(range(n)):
             raise ValueError(f"basis_index values must cover 0..{n - 1}, got {sorted(indexed)}")
@@ -365,6 +471,8 @@ class FamilyDocument:
             raise ValueError(
                 f"{where}: eigenvalue {lowest[i]:.3e} below -{tolerance:.1e}; not positive-semidefinite"
             )
+        if self.states is not None:
+            self._check_states(family, tolerance)
         return family
 
 
@@ -475,15 +583,18 @@ def load_family(path: str, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
     family within :data:`~mubkit.algebra.MAX_FAMILY_BYTES` (a regular file
     is refused by its size before a byte is read, a pipe once one byte
     past the limit has been read), malformed or too deeply nested JSON,
-    structural inconsistencies, and projector-invariant violations (named
-    per basis, vector, entry).  When the numbers at the head and the tail
-    of the document repeat, as in a closed-form family, float literals are
-    parsed through a bounded per-load table keyed by their text, so a
-    repeated literal costs a lookup; otherwise each is parsed by ``float``.
-    Each projector's plain matrix is converted to a float array as the
-    parser finishes it, and its lists are freed then, so the peak memory of
-    a load is the document's bytes plus its text, about twice its size;
-    only the matrix that fails, if one does, is read entry by entry.
+    structural inconsistencies, projector-invariant violations (named
+    per basis, vector, entry), and states that are malformed or contradict
+    their projectors (named per basis and vector).  When the numbers at the
+    head and the tail of the document repeat, as in a closed-form family,
+    float literals are parsed through a bounded per-load table keyed by
+    their text, so a repeated literal costs a lookup; otherwise each is
+    parsed by ``float``.
+    Each projector's plain matrix, and each state's plain amplitude list,
+    is converted to a float array as the parser finishes it, and its lists
+    are freed then, so the peak memory of a load is the document's bytes
+    plus its text, about twice its size; only the matrix or amplitude list
+    that fails, if one does, is read entry by entry.
     A document that is not UTF-8, or has an object that repeats a key, is
     refused with its path named.
     """

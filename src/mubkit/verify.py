@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, _bounded, _check_tolerance, _same_basis, unbiased_gram_target
+from .algebra import MubFamily, _bounded, _check_tolerance, unbiased_gram_target
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -127,13 +127,13 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     outer product of ``norms`` when given, are the cosines whose angles are
     compared against arccos(1/d); a cosine whose norm product is zero or
     not finite is NaN, which fails the angle check without a floating-point
-    warning.  Each maximum is one masked reduction over the whole matrix,
-    which reads 0.0 where its mask is empty: a single basis has no
-    cross-basis terms.
+    warning.  Each maximum is one reduction over the whole matrix read as
+    (n, d, n, d) blocks, masked by basis pair, which reads 0.0 where its
+    mask is empty: a single basis has no cross-basis terms.
     """
     n = overlaps.shape[0] // d
-    deviation = np.abs(overlaps - unbiased_gram_target(n, d))
-    same_basis = _same_basis(n, d)
+    same_basis = np.eye(n, dtype=bool)[:, None, :, None]  # by basis pair, over the blocks
+    deviation = np.abs(overlaps - unbiased_gram_target(n, d)).reshape(n, d, n, d)
     max_self = float(deviation.max(where=same_basis, initial=0.0))
     max_cross = float(deviation.max(where=~same_basis, initial=0.0))
     del deviation  # so the angle term's arrays stand without it
@@ -149,7 +149,8 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     np.arccos(angles, out=angles)
     angles -= np.arccos(1.0 / d)
     np.abs(angles, out=angles)
-    return max_self, max_cross, float(angles.max(where=~same_basis, initial=0.0))
+    angle_check = angles.reshape(n, d, n, d).max(where=~same_basis, initial=0.0)
+    return max_self, max_cross, float(angle_check)
 
 
 def verify_family(

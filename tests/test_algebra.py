@@ -431,7 +431,6 @@ def _load_at(tol, path):
 TOLERANCE_CALLS = {
     "projector_from_state": lambda tol, path: projector_from_state(np.array([1.0, 0.0]), tol),
     "MubFamily.from_states": lambda tol, path: MubFamily.from_states([np.eye(2)], tol),
-    "build_family": lambda tol, path: build_family(3, tol=tol),
     "verify_family": lambda tol, path: verify_family(build_family(3), tolerance=tol),
     "verify_states": lambda tol, path: verify_states(reconstruct_all(build_family(3)), tol),
     "reconstruct_all": lambda tol, path: reconstruct_all(build_family(3), tol=tol),

@@ -597,6 +597,40 @@ class TestReconstruct:
         assert proc.stdout == ""
 
 
+class TestStatesSection:
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                [{"basis_index": 0, "vectors": "not a vector"}, 42],
+                "states: each basis must be an object with a 'basis_index'",
+            ),
+            (None, "states: basis 3, vector 2: squared norm deviates from 1 by 4.040e+02"),
+        ],
+        ids=["malformed", "not_normalized"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_refused_by_every_reader(self, tmp_path, capsys, section, message, command):
+        path = tmp_path / "states.json"
+        assert cli_dispatch(["reconstruct", str(construct(tmp_path, d=5)), "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        if section is None:  # five [9, 0] amplitudes: |v|^2 = 405
+            payload["states"][3]["vectors"][2]["amplitudes"] = [[9.0, 0.0]] * 5
+        else:
+            payload["states"] = section
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        if command == "verify":
+            argv = ["verify", str(path)]
+        else:
+            argv = ["search", "--d", "5", "--bases", "6", "--from", str(path)]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestLooseTolerance:
     @pytest.fixture
     def noisy(self, tmp_path):
@@ -624,6 +658,15 @@ class TestLooseTolerance:
 
 
 class TestSearch:
+    def test_help_names_what_from_ignores(self, capsys, monkeypatch):
+        # polish runs one descent from the family: no restarts, no seed.
+        monkeypatch.setenv("COLUMNS", "200")
+        assert cli_dispatch(["search", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for flag in ("--restarts RESTARTS", "--seed SEED"):
+            (line,) = [line for line in lines if line.lstrip().startswith(flag)]
+            assert line.endswith("(ignored with --from)")
+
     def test_qubit_search_with_log(self, tmp_path):
         out = tmp_path / "found.json"
         log = tmp_path / "log.json"

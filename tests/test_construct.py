@@ -200,6 +200,7 @@ class TestBuildFamily:
     def test_with_report_returns_its_certificate(self):
         family, report = build_family(5, with_report=True)
         assert report.passed
+        assert report.tolerance == 1e-10  # verify_family's default
         assert report.summary() == verify_family(family).summary()
 
     def test_oversized_dimension_refused_before_allocating(self, traced_peak):

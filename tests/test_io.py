@@ -1142,6 +1142,248 @@ class TestLoadTolerance:
         load_family(str(path), tolerance=1e-6)
 
 
+def write_states_doc(path, mutate=None):
+    """Save a d=2 family with its reconstructed states, optionally rewriting their section first."""
+    family = build_family(2)
+    save_family(family, str(path), states=reconstruct_all(family))
+    if mutate is not None:
+        payload = json.loads(path.read_text())
+        mutate(payload["states"])
+        path.write_text(json.dumps(payload))
+    return family
+
+
+def set_amplitudes(a, alpha, amplitudes):
+    """A mutation that sets the amplitudes of state (a, alpha), listed at that position."""
+    return lambda states: states[a]["vectors"][alpha].update(amplitudes=amplitudes)
+
+
+def swap_vectors(states):
+    """Basis 1's two states trade amplitudes: each is unit, and orthogonal to its projector."""
+    first, second = states[1]["vectors"]
+    first["amplitudes"], second["amplitudes"] = second["amplitudes"], first["amplitudes"]
+
+
+# One mutation of a d = 2 document's three-basis states section per refusal.
+STATE_REFUSALS = {
+    "too_few_bases": (
+        lambda s: s.pop(),
+        "states: basis_index values must cover 0..2, got [0, 1]",
+    ),
+    "non_objects": (
+        lambda s: s.__setitem__(slice(None), [{"basis_index": 0, "vectors": "not a vector"}, 42]),
+        "states: each basis must be an object with a 'basis_index'",
+    ),
+    "basis_not_object": (
+        lambda s: s.__setitem__(1, 42),
+        "states: each basis must be an object with a 'basis_index'",
+    ),
+    "no_basis_index": (
+        lambda s: s[1].pop("basis_index"),
+        "states: each basis must be an object with a 'basis_index'",
+    ),
+    "basis_index_past_the_family": (
+        lambda s: s[2].update(basis_index=3),
+        "states: basis_index values must cover 0..2, got [0, 1, 3]",
+    ),
+    "too_many_bases": (
+        lambda s: s.append(dict(s[0], basis_index=3)),
+        "states: basis_index values must cover 0..2, got [0, 1, 2, 3]",
+    ),
+    "basis_index_repeated": (
+        lambda s: s[2].update(basis_index=0),
+        "states: basis_index 0 is invalid or duplicated",
+    ),
+    "basis_index_boolean": (
+        lambda s: s[0].update(basis_index=False),
+        "states: basis_index False is invalid or duplicated",
+    ),
+    "vectors_not_a_list": (
+        lambda s: s[0].update(vectors="not a vector"),
+        "states: basis 0: expected 2 vectors",
+    ),
+    "too_few_vectors": (lambda s: s[1]["vectors"].pop(), "states: basis 1: expected 2 vectors"),
+    "vector_not_object": (
+        lambda s: s[1]["vectors"].__setitem__(0, []),
+        "states: basis 1: each vector needs an 'alpha'",
+    ),
+    "no_alpha": (
+        lambda s: s[1]["vectors"][0].pop("alpha"),
+        "states: basis 1: each vector needs an 'alpha'",
+    ),
+    "alpha_repeated": (
+        lambda s: s[1]["vectors"][1].update(alpha=0),
+        "states: basis 1: alpha 0 is invalid or duplicated",
+    ),
+    "alpha_past_the_dimension": (
+        lambda s: s[1]["vectors"][1].update(alpha=2),
+        "states: basis 1: alpha 2 is invalid or duplicated",
+    ),
+    "no_amplitudes": (
+        lambda s: s[1]["vectors"][0].pop("amplitudes"),
+        "states: basis 1, vector 0: amplitudes must have 2 entries",
+    ),
+    "too_many_amplitudes": (
+        lambda s: s[1]["vectors"][0]["amplitudes"].append([0.0, 0.0]),
+        "states: basis 1, vector 0: amplitudes must have 2 entries",
+    ),
+    "boolean_pair": (
+        set_amplitudes(1, 0, [[0.6, 0.0], [True, False]]),
+        "states: basis 1, vector 0, entry 1: expected an [re, im] pair",
+    ),
+    "string_part": (
+        set_amplitudes(2, 1, [[0.6, "0.0"], [0.8, 0.0]]),
+        "states: basis 2, vector 1, entry 0: expected an [re, im] pair",
+    ),
+    "triple": (
+        set_amplitudes(0, 1, [[0.6, 0.0, 0.0], [0.8, 0.0]]),
+        "states: basis 0, vector 1, entry 0: expected an [re, im] pair",
+    ),
+    "part_out_of_bound": (
+        set_amplitudes(1, 1, [[0.6, 0.0], [1e151, 0.0]]),
+        "states: basis 1, vector 1: amplitudes must be finite, with parts up to 1e+150",
+    ),
+    "integer_beyond_floats": (
+        set_amplitudes(1, 1, [[0.6, 0.0], [0.0, 10**400]]),
+        "states: basis 1, vector 1: amplitudes must be finite, with parts up to 1e+150",
+    ),
+    "not_normalized": (
+        set_amplitudes(0, 0, [[9.0, 0.0], [9.0, 0.0]]),
+        "states: basis 0, vector 0: squared norm deviates from 1 by 1.610e+02 "
+        "(tolerance 1.0e-09)",
+    ),
+    "not_its_projector": (
+        swap_vectors,
+        "states: basis 1, vector 0: <v|P|v> with its projector deviates from 1 by 1.000e+00 "
+        "(tolerance 1.0e-09)",
+    ),
+    # Check by check: a bad pair anywhere before a bound, a bound before a
+    # norm, and within one check, basis index then document order.
+    "pair_before_norm": (
+        lambda s: (
+            set_amplitudes(0, 0, [[9.0, 0.0], [9.0, 0.0]])(s),
+            set_amplitudes(2, 1, [[0.6, 0.0], [None, 0.0]])(s),
+        ),
+        "states: basis 2, vector 1, entry 1: expected an [re, im] pair",
+    ),
+    "bound_before_norm": (
+        lambda s: (
+            set_amplitudes(0, 0, [[9.0, 0.0], [9.0, 0.0]])(s),
+            set_amplitudes(2, 1, [[0.6, 0.0], [1e151, 0.0]])(s),
+        ),
+        "states: basis 2, vector 1: amplitudes must be finite, with parts up to 1e+150",
+    ),
+    "listed_order_within_a_basis": (
+        lambda s: (
+            s[1]["vectors"].reverse(),
+            set_amplitudes(1, 0, [[2.0, 0.0], [0.0, 0.0]])(s),
+            set_amplitudes(1, 1, [[3.0, 0.0], [0.0, 0.0]])(s),
+        ),
+        "states: basis 1, vector 1: squared norm deviates from 1 by 3.000e+00 "
+        "(tolerance 1.0e-09)",
+    ),
+    "basis_index_before_listed_order": (
+        lambda s: (
+            s.reverse(),
+            set_amplitudes(0, 0, [[2.0, 0.0], [0.0, 0.0]])(s),
+            set_amplitudes(2, 0, [[3.0, 0.0], [0.0, 0.0]])(s),
+        ),
+        "states: basis 0, vector 0: squared norm deviates from 1 by 8.000e+00 "
+        "(tolerance 1.0e-09)",
+    ),
+}
+
+
+class TestStatesSection:
+    @pytest.mark.parametrize("mutate, message", STATE_REFUSALS.values(), ids=list(STATE_REFUSALS))
+    def test_refused_and_named(self, tmp_path, mutate, message):
+        path = tmp_path / "family.json"
+        write_states_doc(path, mutate)
+        with pytest.raises(ValueError) as caught:
+            load_family(str(path))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12], ids=["closed", "noisy"])
+    def test_reconstructed_documents_load_as_their_families(self, tmp_path, noise):
+        projectors = build_family(13).projectors
+        if noise:
+            rng = np.random.default_rng(13)
+            parts = rng.standard_normal((2, *projectors.shape))
+            bumps = parts[0] + 1j * parts[1]
+            projectors = projectors + noise / 2 * (bumps + bumps.conj().swapaxes(-1, -2))
+        family = MubFamily(projectors)
+        path = tmp_path / "states.json"
+        save_family(family, str(path), states=reconstruct_all(family))
+        assert load_family(str(path)).projectors.tobytes() == family.projectors.tobytes()
+
+    def test_documents_in_memory_and_numpy_numbers_are_checked_too(self):
+        family = build_family(3)
+        states = reconstruct_all(family)
+        doc = FamilyDocument.from_family(family, states=states)  # amplitudes as arrays
+        assert doc.to_family().projectors.tobytes() == family.projectors.tobytes()
+        payload = listed(doc)
+        pair = payload["states"][2]["vectors"][1]["amplitudes"][0]
+        pair[0] = np.float64(pair[0])  # not plain: read entry by entry, and accepted
+        assert FamilyDocument.from_payload(payload).to_family().num_bases == 4
+        states[0, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"^states: basis 0, vector 0: squared norm"):
+            FamilyDocument.from_family(family, states=states).to_family()
+
+    def test_checked_at_the_load_tolerance(self, tmp_path):
+        family = write_states_doc(tmp_path / "family.json")
+        states = reconstruct_all(family)
+        states[2, 1] *= 1.0 + 1e-8  # ||v||^2 and <v|P|v> both 2e-8 off
+        path = tmp_path / "off.json"
+        save_family(family, str(path), states=states)
+        with pytest.raises(ValueError, match=r"^states: basis 2, vector 1: squared norm"):
+            load_family(str(path))
+        assert load_family(str(path), tolerance=1e-6).num_bases == 3
+
+    def test_extreme_values_raise_no_warning(self, tmp_path):
+        # At tolerance 1e300, ||v||^2 = 1e298 passes and <v|P|v> = 1e448
+        # reads inf; a zero state passes at tolerance 1.  No warning either way.
+        mats = np.zeros((1, 2, 2, 2), dtype=complex)
+        mats[0, 0, 0, 0] = mats[0, 1, 1, 1] = 1e150
+        path = tmp_path / "huge.json"
+        save_family(MubFamily(mats), str(path), states=np.diag([1e149, 1e149])[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                load_family(str(path), tolerance=1e300)
+            zero = tmp_path / "zero.json"
+            save_family(build_family(2), str(zero), states=np.zeros((3, 2, 2)))
+            assert load_family(str(zero), tolerance=1.0).num_bases == 3
+        assert str(caught.value) == (
+            "states: basis 0, vector 0: <v|P|v> with its projector deviates from 1 by inf "
+            "(tolerance 1.0e+300)"
+        )
+
+    def test_load_with_states_peaks_below_2_5_times_its_file(self, tmp_path, traced_peak):
+        # The amplitude lists are freed as parsed, like the matrices: 2.0x measured.
+        family = build_family(13)
+        path = tmp_path / "states.json"
+        save_family(family, str(path), states=reconstruct_all(family))
+        load_family(str(path))  # imports and caches warmed outside the trace
+        _, peak = traced_peak(lambda: load_family(str(path)))
+        assert peak < 2.5 * path.stat().st_size
+
+    def test_plain_section_reads_no_vector_alone(self, tmp_path):
+        # Each plain amplitude list is an array once parsed, so the check
+        # makes no Python call per pair: 0.24 ms at d = 13.
+        family = build_family(13)
+        path = str(tmp_path / "states.json")
+        save_family(family, path, states=reconstruct_all(family))
+        spy = mock.patch.object(
+            FamilyDocument,
+            "_parse_amplitudes",
+            autospec=True,
+            side_effect=FamilyDocument._parse_amplitudes,
+        )
+        with spy as parses:
+            load_family(path)
+        assert parses.call_count == 0
+
+
 def collections_during(call):
     """The generations of the cyclic collections that run while ``call()`` runs."""
     generations = []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mubkit.algebra import MubFamily, _same_basis, projector_from_state, unbiased_gram_target
+from mubkit.algebra import MubFamily, projector_from_state, unbiased_gram_target
 from mubkit.construct import build_family
 from mubkit.reconstruct import reconstruct_all
 from mubkit.verify import (
@@ -25,6 +25,21 @@ def computational_family(d):
     for alpha in range(d):
         mats[0, alpha, alpha, alpha] = 1.0
     return MubFamily(mats)
+
+
+def gram_leak_family(d):
+    """P_10 + 1.5e-10 i (P_00 - I/d): the closed form with a leak only the complex Gram sees."""
+    mats = build_family(d).projectors.copy()
+    mats[1, 0] = mats[1, 0] + 1.5e-10j * (mats[0, 0] - np.eye(d) / d)
+    return MubFamily(mats)
+
+
+def noisy_family(d, size):
+    """The closed form plus Hermitian Gaussian noise of ``size`` per part, seeded."""
+    mats = build_family(d).projectors
+    rng = np.random.default_rng(13)
+    noise = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+    return MubFamily(mats + size / 2 * (noise + noise.conj().swapaxes(-1, -2)))
 
 
 def qubit_trio_states():
@@ -156,9 +171,7 @@ class TestVerifyFamily:
         # by 2.3e-11, within tolerance, but Tr(P_00 M) has an imaginary part
         # of 1.5e-10 (1 - 1/d), which only the complex Gram product sees.
         d = 13
-        mats = build_family(d).projectors.copy()
-        mats[1, 0] = mats[1, 0] + 1.5e-10j * (mats[0, 0] - np.eye(d) / d)
-        family = MubFamily(mats)
+        family = gram_leak_family(d)
         assert family.invariants[0].max() == pytest.approx(2 * 1.5e-10 / d, rel=1e-3)
         report = verify_family(family)
         assert not report.passed
@@ -340,11 +353,24 @@ def reference_gram(rows):
     return gram
 
 
+def reference_same_basis(n, d):
+    """(n*d, n*d) mask, true where rows a*d + alpha and b*d + beta share a basis (a = b)."""
+    labels = np.repeat(np.arange(n), d)
+    return labels[:, None] == labels[None, :]
+
+
+def reference_gram_target(n, d):
+    """``unbiased_gram_target`` as it was: 1/d off the same-basis mask, then a unit diagonal."""
+    target = np.where(reference_same_basis(n, d), 0.0, 1.0 / d)
+    np.fill_diagonal(target, 1.0)
+    return target
+
+
 def reference_overlap_residuals(overlaps, d, norms=None):
     """``_overlap_residuals`` as it was: boolean-index copies and a single-basis branch."""
     n = overlaps.shape[0] // d
     deviation = np.abs(overlaps - unbiased_gram_target(n, d))
-    same_basis = _same_basis(n, d)
+    same_basis = reference_same_basis(n, d)
     max_self = float(deviation[same_basis].max())
     if n == 1:
         return max_self, 0.0, 0.0
@@ -388,6 +414,32 @@ def repeated_rows(draw):
 
 
 class TestReferenceImplementations:
+    def test_gram_target_matches_the_mask_construction(self):
+        # Every shape a family takes up to d = 13: n <= d + 1 bases.
+        for d in range(1, 14):
+            for n in range(1, d + 2):
+                got, expected = unbiased_gram_target(n, d), reference_gram_target(n, d)
+                assert got.shape == expected.shape == (n * d, n * d)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes(), (n, d)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_family(13), lambda: noisy_family(13, 1e-12), lambda: gram_leak_family(13)],
+        ids=["closed", "noisy", "leak"],
+    )
+    def test_overlap_residuals_match_the_reference_on_a_family_gram(self, make):
+        # At full size, on the very Gram and norms verify_family reads.
+        family = make()
+        report = verify_family(family, keep_gram=True)
+        gram = report.gram
+        norms = np.sqrt(np.diagonal(gram))
+        got = _overlap_residuals(gram, family.dim, norms)
+        assert [x.hex() for x in got] == [
+            x.hex() for x in reference_overlap_residuals(gram, family.dim, norms)
+        ]
+        assert got == (report.max_self_residual, report.max_cross_residual, report.angle_check)
+
     @settings(max_examples=300, deadline=None)
     @given(overlap_problems())
     def test_overlap_residuals_match_the_reference(self, problem):
