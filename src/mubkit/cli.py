@@ -122,12 +122,15 @@ def _cmd_search(args) -> int:
         best_objective=result.best_objective,
         converged=result.converged,
     )
+    config = dataclasses.asdict(cfg)
+    if args.from_family:  # a polish is one descent from the family: no restarts, no seed
+        del meta["seed"], config["restarts"], config["seed"]
     save_family(result.best_family, args.out, metadata=meta)
     if args.log:
         write_json(
             {
                 "tool_version": __version__,
-                "config": dataclasses.asdict(cfg),
+                "config": config,
                 "best_objective": result.best_objective,
                 "converged": result.converged,
                 "iterations_used": result.iterations_used,

@@ -10,14 +10,15 @@ its memory does not grow with the document.  ``_read_document`` is the
 only reader of an input document: it reads each once, bounded, and a
 document's SHA-256 is of the very bytes that were parsed and validated.
 The loader validates all it reads at a fixed tolerance, a document's
-states against its projectors too, though it returns only the family, and
-names the offending (basis, vector, entry) when a matrix or a state fails;
-a document is never trusted because this package wrote it, and an object
-that repeats a key is refused rather than read as its last value.  Each
-projector's matrix, and each state's amplitudes, becomes a float array as
-``json.loads`` finishes it, so the nested [re, im] lists of a whole
-document never exist at once: a load's peak memory, a refusal's too, is
-its bytes and their text, about twice the file.
+states against its projectors too, though it returns only the family; a
+document is never trusted because this package wrote it, and an object
+that repeats a key is refused rather than read as its last value.  One
+walk reads the ``bases`` and the ``states`` sections alike and names the
+first defect in document order, structural or a bound, by (basis,
+vector, entry).  Each projector's matrix, and each state's amplitudes,
+becomes a float array as ``json.loads`` finishes it, so the nested
+[re, im] lists of a whole document never exist at once: a load's peak
+memory, a refusal's too, is its bytes and their text, about twice the file.
 """
 
 from __future__ import annotations
@@ -90,20 +91,15 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _by_basis(items: list, what: str = "") -> dict:
-    """``items`` keyed by basis index; each must be an object with its own ``basis_index``.
+def _where(i: int, d: int, prefix: str = "") -> str:
+    """``prefix`` and the (basis, vector) labels of row ``i`` of a section."""
+    return "{}basis {}, vector {}".format(prefix, *divmod(i, d))
 
-    ``what`` prefixes each refusal, naming the section.
-    """
-    indexed = {}
-    for item in items:
-        if not isinstance(item, dict) or "basis_index" not in item:
-            raise ValueError(f"{what}each basis must be an object with a 'basis_index'")
-        a = item["basis_index"]
-        if not _is_index(a) or a in indexed:
-            raise ValueError(f"{what}basis_index {a!r} is invalid or duplicated")
-        indexed[a] = item
-    return indexed
+
+def _first(failing: np.ndarray, rows: list) -> Optional[int]:
+    """The label row of the first ``failing`` entry in document order ``rows``, or None."""
+    failing = failing[rows]
+    return rows[int(np.argmax(failing))] if failing.any() else None
 
 
 def _plain_matrix(raw: list, shape: Optional[tuple] = None) -> Optional[np.ndarray]:
@@ -122,7 +118,7 @@ def _plain_matrix(raw: list, shape: Optional[tuple] = None) -> Optional[np.ndarr
     is invalid: numeric subclasses such as ``np.float64`` miss here but are
     accepted there, and only there is a bad entry named.  ``bool`` is its
     own type, so true/false never pass.  Parts are not bounded here; the
-    caller bounds each matrix it resolves.
+    loader's walk bounds what it resolves.
     """
     shape, level = shape or (len(raw), len(raw), 2), raw
     try:
@@ -138,6 +134,34 @@ def _plain_matrix(raw: list, shape: Optional[tuple] = None) -> Optional[np.ndarr
         return np.array(level, dtype=float).reshape(shape)
     except OverflowError:  # an integer literal beyond the float range
         return None
+
+
+def _parse_entry(raw, shape: tuple, where: str) -> np.ndarray:
+    """``raw`` as a float array of ``shape``, a matrix's (d, d, 2) or a state's (d, 2).
+
+    Read entry by entry: names the first bad entry and accepts numeric
+    subclasses such as ``np.float64``.  An array is read as its lists,
+    which name a bad entry as the document spells it; an integer beyond the
+    float range reads as inf, for the walk's bound to refuse.  Its parts
+    are not bounded here.
+    """
+    d, matrix = shape[0], len(shape) == 3
+    if isinstance(raw, np.ndarray):
+        raw = raw.tolist()
+    if not isinstance(raw, list) or len(raw) != d:
+        rows = "matrix must have {} rows" if matrix else "amplitudes must have {} entries"
+        raise ValueError(f"{where}: {rows.format(d)}")
+    for p, row in enumerate(raw if matrix else [raw]):
+        if not isinstance(row, list) or len(row) != d:
+            raise ValueError(f"{where}: row {p} must have {d} entries")
+        for q, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+                entry = (p, q) if matrix else q
+                raise ValueError(f"{where}, entry {entry}: expected an [re, im] pair")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return np.full(shape, np.inf)
 
 
 def _converted(pairs: list) -> dict:
@@ -223,13 +247,7 @@ class FamilyDocument:
                 )
             _check_parts(arr, "state amplitudes")
             states_doc = _indexed(arr, "vectors", "amplitudes")
-        return cls(
-            format_version=FORMAT_VERSION,
-            dimension=family.dim,
-            bases=bases,
-            states=states_doc,
-            metadata=dict(metadata or {}),
-        )
+        return cls(FORMAT_VERSION, family.dim, bases, states_doc, dict(metadata or {}))
 
     def to_payload(self) -> dict:
         """The document as a JSON payload, holding the document's own lists and arrays.
@@ -264,111 +282,88 @@ class FamilyDocument:
         if not isinstance(metadata, dict):
             raise ValueError("metadata must be a JSON object")
         states = payload.get("states")
-        if states is not None and not isinstance(states, list):
+        if "states" in payload and not isinstance(states, list):
             raise ValueError("'states', when present, must be a list")
-        return cls(
-            format_version=version,
-            dimension=dimension,
-            bases=bases,
-            states=states,
-            metadata=metadata,
-        )
+        return cls(version, dimension, bases, states, metadata)
 
-    def _parse_matrix(self, raw, where: str) -> np.ndarray:
-        """``raw`` as a float (d, d, 2) array, read entry by entry; its parts are not bounded.
+    def _walk(self, section: list, n: Optional[int], items: str, key: str, prefix: str = ""):
+        """A section's float arrays, per basis in label order, and its label rows in document order.
 
-        Names the first bad entry and accepts numeric subclasses such as
-        ``np.float64``.  An array is read as its lists, which name a bad
-        entry as the document spells it; an integer beyond the float range
-        reads as inf, for the bound to refuse.
+        ``bases`` is walked with ("projectors", "matrix") and ``n`` None, for
+        its own count; ``states`` with ("vectors", "amplitudes"), the
+        family's ``n`` and the ``prefix`` "states: " on each refusal.  In
+        document order: one object per basis with its own ``basis_index``,
+        indices covering 0..n-1, n in 1..d+1, then, basis by basis, a list
+        of d objects whose alphas cover 0..d-1, its slots made only then.
+        An entry's float, C-contiguous array of its shape, as the parse hook
+        or :meth:`from_family` makes it, passes as it is; anything else is
+        read by :func:`_parse_entry`.  One vectorised bound over what is
+        resolved runs at the end and before any structural refusal, so the
+        first defect in document order is named, structural or a bound.
         """
-        d = self.dimension
-        if isinstance(raw, np.ndarray):
-            raw = raw.tolist()
-        if not isinstance(raw, list) or len(raw) != d:
-            raise ValueError(f"{where}: matrix must have {d} rows")
-        for p, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != d:
-                raise ValueError(f"{where}: row {p} must have {d} entries")
-            for q, pair in enumerate(row):
-                if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-                    raise ValueError(f"{where}, entry ({p}, {q}): expected an [re, im] pair")
+        d, indexed = self.dimension, {}
+        for item in section:
+            if not isinstance(item, dict) or "basis_index" not in item:
+                raise ValueError(f"{prefix}each basis must be an object with a 'basis_index'")
+            a = item["basis_index"]
+            if not _is_index(a) or a in indexed:
+                raise ValueError(f"{prefix}basis_index {a!r} is invalid or duplicated")
+            indexed[a] = item
+        n = len(indexed) if n is None else n
+        if sorted(indexed) != list(range(n)):
+            raise ValueError(
+                f"{prefix}basis_index values must cover 0..{n - 1}, got {sorted(indexed)}"
+            )
+        if not 1 <= n <= d + 1:
+            raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
+        shape, parts = ((d, d, 2), "matrix entries") if key == "matrix" else ((d, 2), key)
+        slots, resolved, rows = [], [], []
         try:
-            return np.array(raw, dtype=float)
-        except OverflowError:  # an integer literal beyond the float range
-            return np.full((d, d, 2), np.inf)
-
-    def _parse_amplitudes(self, raw, where: str) -> np.ndarray:
-        """``raw`` as a float (d, 2) array, read entry by entry as :meth:`_parse_matrix` reads."""
-        d = self.dimension
-        if isinstance(raw, np.ndarray):
-            raw = raw.tolist()
-        if not isinstance(raw, list) or len(raw) != d:
-            raise ValueError(f"{where}: amplitudes must have {d} entries")
-        for p, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-                raise ValueError(f"{where}, entry {p}: expected an [re, im] pair")
-        try:
-            return np.array(raw, dtype=float)
-        except OverflowError:  # an integer literal beyond the float range
-            return np.full((d, 2), np.inf)
+            for a in range(n):
+                entries, basis = indexed[a].get(items), f"{prefix}basis {a}"
+                if not isinstance(entries, list) or len(entries) != d:
+                    raise ValueError(f"{basis}: expected {d} {items}")
+                slots.append([None] * d)
+                for entry in entries:
+                    if not isinstance(entry, dict) or "alpha" not in entry:
+                        raise ValueError(f"{basis}: each {items[:-1]} needs an 'alpha'")
+                    alpha = entry["alpha"]
+                    if not _is_index(alpha) or not 0 <= alpha < d or slots[a][alpha] is not None:
+                        raise ValueError(f"{basis}: alpha {alpha!r} is invalid or duplicated")
+                    array = entry.get(key)
+                    ready = type(array) is np.ndarray and array.dtype == float
+                    if not ready or array.shape != shape or not array.flags.c_contiguous:
+                        array = _parse_entry(array, shape, f"{basis}, vector {alpha}")
+                    slots[a][alpha] = array
+                    resolved.append(array)
+                    rows.append(a * d + alpha)
+        finally:
+            if resolved:
+                bounded = _bounded(np.array(resolved)).reshape(len(resolved), -1).all(axis=1)
+                if not bounded.all():
+                    k = int(np.argmin(bounded))
+                    _check_parts(resolved[k], f"{_where(rows[k], d, prefix)}: {parts}")
+        return slots, rows
 
     def _check_states(self, family: MubFamily, tolerance: float) -> None:
         """Refuse a ``states`` section that is malformed or contradicts ``family``.
 
-        Structure first, in document order, as the bases are checked: one
-        {basis_index, vectors} object per basis of the family, indices
-        covering its bases, each with d {alpha, amplitudes} objects whose
-        alphas cover 0..d-1, each ``amplitudes`` d [re, im] number pairs.
-        A float (d, 2) array, as a load converts a plain list while parsing
-        or :meth:`from_family` views it, passes as it is; anything else is
-        read entry by entry, which names its first bad entry.  Nothing the
-        section's size is made before its structure is checked.  Then, check
-        by check: parts bounded as a matrix's are, ||v||^2 within
+        Structure and bounds as :meth:`_walk` reads the bases: one
+        {basis_index, vectors} object per basis of the family, each with d
+        {alpha, amplitudes} objects, each ``amplitudes`` d [re, im] number
+        pairs with parts bounded as a matrix's are, the first defect in
+        document order named.  Then, check by check: ||v||^2 within
         ``tolerance`` of 1, and Re <v|P|v> within it of 1 for the projector
-        P of the same label.  Each check names its first failing state, by
-        basis index and then document order.
+        P of the same label.  Each names its first failing state, by basis
+        index and then document order.
         """
         n, d = family.num_bases, family.dim
-        indexed = _by_basis(self.states, "states: ")
-        if sorted(indexed) != list(range(n)):
-            raise ValueError(
-                f"states: basis_index values must cover 0..{n - 1}, got {sorted(indexed)}"
-            )
-
-        def where(i: int) -> str:
-            return "states: basis {}, vector {}".format(*divmod(i, d))
-
-        # Each state's amplitudes in label order; rows keep document order.
-        amplitudes, rows = [None] * (n * d), []
-        for a in range(n):
-            vectors = indexed[a].get("vectors")
-            if not isinstance(vectors, list) or len(vectors) != d:
-                raise ValueError(f"states: basis {a}: expected {d} vectors")
-            for entry in vectors:
-                if not isinstance(entry, dict) or "alpha" not in entry:
-                    raise ValueError(f"states: basis {a}: each vector needs an 'alpha'")
-                alpha = entry["alpha"]
-                i = a * d + alpha if _is_index(alpha) and 0 <= alpha < d else None
-                if i is None or amplitudes[i] is not None:
-                    raise ValueError(f"states: basis {a}: alpha {alpha!r} is invalid or duplicated")
-                raw = entry.get("amplitudes")
-                if not (type(raw) is np.ndarray and raw.dtype == float and raw.shape == (d, 2)):
-                    raw = self._parse_amplitudes(raw, where(i))
-                amplitudes[i] = raw
-                rows.append(i)
-        values = np.array(amplitudes)
-
-        def first(failing: np.ndarray) -> Optional[int]:
-            """The label row of the first failing state in document order, or None."""
-            failing = failing[rows]
-            return rows[int(np.argmax(failing))] if failing.any() else None
-
-        if (i := first(~_bounded(values).all(axis=(1, 2)))) is not None:
-            _check_parts(values[i], f"{where(i)}: amplitudes")
+        slots, rows = self._walk(self.states, n, "vectors", "amplitudes", "states: ")
+        where = partial(_where, d=d, prefix="states: ")
+        values = np.array(slots).reshape(n * d, d, 2)
         flat = values.reshape(n * d, 2 * d)
         squared = np.einsum("ij,ij->i", flat, flat)
-        if (i := first(~(np.abs(squared - 1.0) <= tolerance))) is not None:
+        if (i := _first(~(np.abs(squared - 1.0) <= tolerance), rows)) is not None:
             raise ValueError(
                 f"{where(i)}: squared norm deviates from 1 by {abs(squared[i] - 1.0):.3e} "
                 f"(tolerance {tolerance:.1e})"
@@ -381,7 +376,7 @@ class FamilyDocument:
         stack = family.projectors.reshape(n * d, d, d)
         with np.errstate(over="ignore"):
             overlap = squared * (unit.conj()[:, None] @ stack @ unit[:, :, None])[:, 0, 0].real
-        if (i := first(~(np.abs(overlap - 1.0) <= tolerance))) is not None:
+        if (i := _first(~(np.abs(overlap - 1.0) <= tolerance), rows)) is not None:
             raise ValueError(
                 f"{where(i)}: <v|P|v> with its projector deviates from 1 by "
                 f"{abs(overlap[i] - 1.0):.3e} (tolerance {tolerance:.1e})"
@@ -390,62 +385,27 @@ class FamilyDocument:
     def to_family(self, tolerance: float = LOAD_TOLERANCE) -> MubFamily:
         """Validate the document and return its projector family.
 
-        Checks structure first (index completeness, projector counts, matrix
-        shapes and entries), so nothing larger than the document itself is
-        allocated for a document that declares a huge dimension.  Each matrix
-        is resolved once, in document order: a float, C-contiguous
-        (d, d, 2) array, as a load converts it while parsing or
-        :meth:`from_family` views it, passes as it is, and anything else is
-        read entry by entry, which names its first bad entry.  Its parts are
-        bounded as each is resolved, so the first error in document order is
-        the one reported.  Then the family's cached
-        :attr:`~MubFamily.invariants` at ``tolerance``:
-        Hermitian symmetry (worst entry named), unit trace, and no eigenvalue
-        below ``-tolerance``.  The first failing matrix, by basis index and
-        then document order, is reported with its first failed check in that
-        order.  A family whose every projector is certified rank 1 within
+        :meth:`_walk` reads the ``bases`` before the family is stacked, so a
+        document declaring a huge dimension allocates nothing larger than
+        itself.  Then the family's cached :attr:`~MubFamily.invariants` at
+        ``tolerance``: Hermitian symmetry (worst entry named), unit trace,
+        and no eigenvalue below ``-tolerance``; the first failing matrix, by
+        basis index and then document order, is named with its first failed
+        check.  A family whose every projector is certified rank 1 within
         ``tolerance`` by its one-column residual passes the eigenvalue check
         without an eigensolve; any other is solved here, and the solve is
         not kept.  The returned family keeps its certificate.  A ``states``
-        section is checked last, against the family, and then dropped.
+        section is checked last, by :meth:`_check_states`, and then dropped.
         """
         _check_tolerance(tolerance)
         d = self.dimension
-        indexed = _by_basis(self.bases)
-        n = len(indexed)
-        if sorted(indexed) != list(range(n)):
-            raise ValueError(f"basis_index values must cover 0..{n - 1}, got {sorted(indexed)}")
-        if not 1 <= n <= d + 1:
-            raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {n}")
-
-        # Each matrix's complex view, in label order; rows keep document order.
-        # A basis's slots are made once its projector count is checked, so
-        # they are no longer than its list in the document.
-        slots, rows = [], []
-        for a in range(n):
-            projectors = indexed[a].get("projectors")
-            if not isinstance(projectors, list) or len(projectors) != d:
-                raise ValueError(f"basis {a}: expected {d} projectors")
-            slots.append([None] * d)
-            for entry in projectors:
-                if not isinstance(entry, dict) or "alpha" not in entry:
-                    raise ValueError(f"basis {a}: each projector needs an 'alpha'")
-                alpha = entry["alpha"]
-                if not _is_index(alpha) or not 0 <= alpha < d or slots[a][alpha] is not None:
-                    raise ValueError(f"basis {a}: alpha {alpha!r} is invalid or duplicated")
-                array = entry.get("matrix")
-                ready = type(array) is np.ndarray and array.dtype == float
-                if not ready or array.shape != (d, d, 2) or not array.flags.c_contiguous:
-                    array = self._parse_matrix(array, f"basis {a}, vector {alpha}")
-                _check_parts(array, f"basis {a}, vector {alpha}: matrix entries")
-                slots[a][alpha] = array.view(complex).reshape(d, d)
-                rows.append(a * d + alpha)
-
-        family = MubFamily(slots)  # the only copy of the projectors
+        slots, rows = self._walk(self.bases, None, "projectors", "matrix")
+        # The only copy of the projectors, from complex views of the arrays.
+        family = MubFamily([[m.view(complex).reshape(d, d) for m in basis] for basis in slots])
         hermiticity, trace = family.invariants
         # Weyl's inequality puts no eigenvalue below -r, so a family whose
         # every residual is within tolerance passes without a solve.
-        stack = family.projectors.reshape(n * d, d, d)
+        stack = family.projectors.reshape(-1, d, d)
         _, r = family.rank_one_certificate
         if np.all(r <= tolerance):
             lowest = -r
@@ -453,10 +413,9 @@ class FamilyDocument:
             spectrum = eigen_hermitian(stack, hermiticity_tol=np.inf, values_only=True)
             lowest = spectrum.eigenvalues[:, -1]
         # The invariants come in label order; read them in document order.
-        failing = ((hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance))[rows]
-        if failing.any():
-            i = rows[int(np.argmax(failing))]
-            where = "basis {}, vector {}".format(*divmod(i, d))
+        failing = (hermiticity > tolerance) | (trace > tolerance) | (lowest < -tolerance)
+        if (i := _first(failing, rows)) is not None:
+            where = _where(i, d)
             if hermiticity[i] > tolerance:
                 p, q = divmod(int(np.abs(stack[i] - stack[i].conj().T).argmax()), d)
                 raise ValueError(

@@ -711,6 +711,24 @@ class TestSearch:
         assert proc.returncode == 0, proc.stderr
         assert run("verify", str(out)).returncode == 0
 
+    def test_polish_records_no_setting_it_ignored(self, tmp_path, capsys):
+        # polish uses neither --restarts nor --seed, so neither file records them.
+        path, out, log = construct(tmp_path, d=3), tmp_path / "polished.json", tmp_path / "log.json"
+        argv = [
+            "search", "--d", "3", "--bases", "4", "--from", str(path),
+            "--restarts", "7", "--seed", "42", "--out", str(out), "--log", str(log),
+        ]
+        assert cli_dispatch(argv) == 0, capsys.readouterr().err
+        assert list(json.loads(log.read_text())["config"].items()) == [
+            ("dim", 3),
+            ("num_bases", 4),
+            ("max_iterations", 50000),
+            ("target_residual", 1e-16),
+        ]
+        assert list(json.loads(out.read_text())["metadata"]) == [
+            "generator", "tool_version", "dimension", "num_bases", "best_objective", "converged",
+        ]
+
     def test_family_polish_refuses_exits_one(self, tmp_path, capsys):
         # A Hermitian defect of 5e-10 is within the loader's 1e-9 but not
         # within the 1e-10 that polishing starts from.

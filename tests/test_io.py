@@ -605,6 +605,18 @@ class TestRejection:
         with pytest.raises(ValueError, match="'bases'"):
             load_family(str(path))
 
+    def test_null_states_refused_like_null_metadata(self, tmp_path):
+        # A present section must be a list: null is not an absent one.
+        path = tmp_path / "family.json"
+        for key, message in [
+            ("states", "'states', when present, must be a list"),
+            ("metadata", "metadata must be a JSON object"),
+        ]:
+            write_doc(path, lambda p: p.update({key: None}))
+            with pytest.raises(ValueError) as caught:
+                load_family(str(path))
+            assert str(caught.value) == message
+
     def test_non_hermitian_entry_is_located(self, tmp_path):
         path = tmp_path / "family.json"
 
@@ -925,10 +937,8 @@ def mutated_payloads(draw):
 
 
 def counting_parses():
-    """A spy on the per-matrix parse that still parses."""
-    return mock.patch.object(
-        FamilyDocument, "_parse_matrix", autospec=True, side_effect=FamilyDocument._parse_matrix
-    )
+    """A spy on the entry-by-entry read of a matrix or a state that still reads."""
+    return mock.patch.object(mubkit.io, "_parse_entry", wraps=mubkit.io._parse_entry)
 
 
 class TestBatchedParse:
@@ -1291,10 +1301,66 @@ STATE_REFUSALS = {
         "states: basis 0, vector 0: squared norm deviates from 1 by 8.000e+00 "
         "(tolerance 1.0e-09)",
     ),
+    # One rule with the bases: the first defect in document order is named,
+    # a bound before a later structural defect.
+    "bound_before_later_structure": (
+        lambda s: (
+            set_amplitudes(0, 0, [[1e151, 0.0], [0.0, 0.0]])(s),
+            s[2]["vectors"][0].pop("alpha"),
+        ),
+        "states: basis 0, vector 0: amplitudes must be finite, with parts up to 1e+150",
+    ),
 }
 
 
+@st.composite
+def states_with_one_bad_entry(draw):
+    """A closed-form payload with its states, d <= 5, one NUMBER_MUTATIONS or
+    PAIR_MUTATIONS edit at a random state, at times a later basis missing an
+    alpha too; with the start of the refusal it must meet, None if none."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    family = build_family(d)
+    payload = listed(FamilyDocument.from_family(family, states=reconstruct_all(family)))
+    states = payload["states"]
+    a, alpha, p = (draw(st.integers(0, k - 1)) for k in (d + 1, d, d))
+    amplitudes = states[a]["vectors"][alpha]["amplitudes"]
+    kind = draw(st.sampled_from(["number", *sorted(PAIR_MUTATIONS)]))
+    if kind == "number":
+        amplitudes[p][draw(st.integers(0, 1))] = draw(st.sampled_from(NUMBER_MUTATIONS))
+    else:
+        amplitudes[p] = PAIR_MUTATIONS[kind](amplitudes[p])
+    # The numpy float is accepted; every other edit is named at its state.
+    expected = None if kind == "numpy float" else f"states: basis {a}, vector {alpha}"
+    if a < d and draw(st.booleans()):
+        b = draw(st.integers(a + 1, d))
+        states[b]["vectors"][draw(st.integers(0, d - 1))].pop("alpha")
+        expected = expected or f"states: basis {b}: each vector needs an 'alpha'"
+    if draw(st.booleans()):
+        states.reverse()  # the walk reads the bases by index, whatever their order
+    return payload, expected
+
+
 class TestStatesSection:
+    @settings(max_examples=150, deadline=None)
+    @given(states_with_one_bad_entry())
+    def test_one_bad_entry_is_named_at_its_state(self, tmp_path_factory, edit):
+        payload, expected = edit
+        path = tmp_path_factory.mktemp("states") / "family.json"
+        path.write_text(json.dumps(payload))
+        # In memory every list is read entry by entry; from a file only the edited one is.
+        for load in (
+            lambda: FamilyDocument.from_payload(payload).to_family(),
+            lambda: load_family(str(path)),
+        ):
+            if expected is None:
+                assert load().num_bases == payload["dimension"] + 1
+                continue
+            with pytest.raises(ValueError) as caught:
+                load()
+            message = str(caught.value)
+            assert message.startswith(expected), message
+            assert message[len(expected) :][:1] in ("", ":", ","), message
+
     @pytest.mark.parametrize("mutate, message", STATE_REFUSALS.values(), ids=list(STATE_REFUSALS))
     def test_refused_and_named(self, tmp_path, mutate, message):
         path = tmp_path / "family.json"
@@ -1373,13 +1439,7 @@ class TestStatesSection:
         family = build_family(13)
         path = str(tmp_path / "states.json")
         save_family(family, path, states=reconstruct_all(family))
-        spy = mock.patch.object(
-            FamilyDocument,
-            "_parse_amplitudes",
-            autospec=True,
-            side_effect=FamilyDocument._parse_amplitudes,
-        )
-        with spy as parses:
+        with counting_parses() as parses:
             load_family(path)
         assert parses.call_count == 0
 
