@@ -10,8 +10,8 @@ import numpy as np
 
 from mubkit import build_family, verify_family
 
-# The constructor needs a prime dimension; it refuses anything else and
-# re-verifies its own output before returning.
+# The constructor needs a prime dimension and refuses anything else.  It
+# builds and does not certify: verify_family, below, does.
 family = build_family(3)
 print(f"built {family.num_bases} bases of {family.dim} projectors each")
 

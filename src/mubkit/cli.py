@@ -60,7 +60,10 @@ def _report_payload(report: VerificationReport, source: tuple) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    family, report = build_family(args.d, with_report=True)
+    family = build_family(args.d)
+    report = verify_family(family)
+    if not report.passed:
+        raise ValueError(f"constructed family failed its own certificate: {report.summary()}")
     save_family(family, args.out, metadata=_metadata("construct", dimension=args.d))
     print(report.summary(), file=sys.stderr)
     return 0
@@ -94,13 +97,14 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # polish ignores --restarts and --seed, so they are not checked either.
+    restart_settings = {} if args.from_family else {"restarts": args.restarts, "seed": args.seed}
     cfg = SearchConfig(
         dim=args.d,
         num_bases=args.bases,
-        restarts=args.restarts,
         max_iterations=args.iters,
-        seed=args.seed,
         target_residual=args.target,
+        **restart_settings,
     )
     if args.from_family:
         start = load_family(args.from_family)

@@ -9,7 +9,9 @@ before touching floating point; equal phases are then bit-identical.
 
 Primality is what makes the construction work: for composite d the same
 formula produces bases that are not unbiased, so the entry point refuses
-composite dimensions outright.
+composite dimensions outright.  The module builds and does not certify:
+:func:`mubkit.verify.verify_family` does, as the ``construct`` command
+does before it writes a family.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 import numpy as np
 
 from .algebra import MubFamily, _check_family_size
-from .verify import verify_family
 
 __all__ = [
     "build_family",
@@ -80,15 +81,12 @@ def computational_coefficient(d: int, alpha: int, p: int, q: int) -> complex:
     return 1.0 + 0.0j if p == q == alpha else 0.0j
 
 
-def build_family(d: int, *, with_report: bool = False):
+def build_family(d: int) -> MubFamily:
     """Construct the complete family of d + 1 bases in prime dimension ``d``.
 
     The d rotated bases come first and the computational basis last.  The
-    result is self-certified: construction runs verify_family at its
-    default tolerance, 1e-10, and raises rather than hand out a family
-    with violations.  With ``with_report`` the return value is (family,
-    report), so a caller that shows the certificate need not verify a
-    second time.
+    family is returned uncertified: :func:`mubkit.verify.verify_family`
+    certifies it.
 
     Dimensions whose (d + 1, d, d, d) projector array would exceed
     :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
@@ -110,10 +108,4 @@ def build_family(d: int, *, with_report: bool = False):
     mats[:d] = table[exponent]
     labels = np.arange(d)
     mats[d, labels, labels, labels] = 1.0
-
-    family = MubFamily(mats)
-    del mats, exponent  # freed before the family certifies itself
-    report = verify_family(family)
-    if not report.passed:
-        raise ValueError(f"constructed family failed its own certificate: {report.summary()}")
-    return (family, report) if with_report else family
+    return MubFamily(mats)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -109,20 +110,35 @@ class TestConstruct:
         assert "Traceback" not in proc.stderr
 
     def test_verifies_once(self, tmp_path, monkeypatch):
-        import mubkit.cli
-        import mubkit.construct
-
         calls = []
-        real = mubkit.construct.verify_family
+        real = mubkit.cli.verify_family
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mubkit.construct, "verify_family", counting)
         monkeypatch.setattr(mubkit.cli, "verify_family", counting)
         assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_prints_the_certificate_summary(self, tmp_path, capsys, d):
+        assert cli_dispatch(["construct", "--d", str(d), "--out", str(tmp_path / "f.json")]) == 0
+        summary = verify_family(build_family(d)).summary()
+        assert capsys.readouterr() == ("", summary + "\n")
+
+    def test_failed_certificate_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def failing(family):
+            return dataclasses.replace(verify_family(family), max_cross_residual=0.5)
+
+        monkeypatch.setattr(mubkit.cli, "verify_family", failing)
+        out = tmp_path / "f.json"
+        assert cli_dispatch(["construct", "--d", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: constructed family failed its own certificate: FAIL")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def counting_solves(monkeypatch):
@@ -245,7 +261,7 @@ class TestEigensolves:
             held.append(sorted(vars(family)))
             save_family(family, path, **kwargs)
 
-        # The self-certificate's solve is not kept: the family saved holds
+        # The certificate's solve is not kept: the family saved holds
         # its projectors and the invariants the verifier cached, nothing else.
         monkeypatch.setattr(mubkit.cli, "save_family", spy)
         assert cli_dispatch(["construct", "--d", "3", "--out", str(tmp_path / "f.json")]) == 0
@@ -728,6 +744,18 @@ class TestSearch:
         assert list(json.loads(out.read_text())["metadata"]) == [
             "generator", "tool_version", "dimension", "num_bases", "best_objective", "converged",
         ]
+
+    def test_polish_ignores_restarts_and_seed(self, tmp_path, capsys):
+        # Neither flag reaches the polish, so neither is checked: values a
+        # random search would refuse change no byte of the outputs.
+        path = construct(tmp_path, d=3)
+        outputs = []
+        for flags in ([], ["--restarts", "0", "--seed", "-1"]):
+            out, log = tmp_path / f"p{len(flags)}.json", tmp_path / f"l{len(flags)}.json"
+            argv = ["search", "--d", "3", "--bases", "4", "--from", str(path), *flags]
+            assert cli_dispatch([*argv, "--out", str(out), "--log", str(log)]) == 0
+            outputs.append((out.read_bytes(), log.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_family_polish_refuses_exits_one(self, tmp_path, capsys):
         # A Hermitian defect of 5e-10 is within the loader's 1e-9 but not

@@ -58,6 +58,14 @@ def test_search_does_not_import_construct():
     assert imported == {"algebra", "reconstruct"}
 
 
+def test_construct_imports_only_algebra():
+    # build_family builds; the caller certifies with verify_family.
+    imported = {
+        intra_package(node) for node in ast.walk(parsed()["construct"]) if intra_package(node)
+    }
+    assert imported == {"algebra"}
+
+
 def test_io_does_not_import_verify():
     # The CLI lays out the certificate; io writes what it is given.
     imported = {intra_package(node) for node in ast.walk(parsed()["io"]) if intra_package(node)}

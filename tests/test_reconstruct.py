@@ -437,6 +437,20 @@ class TestReconstructAll:
                 rebuilt = projector_from_state(states[a, alpha])
                 assert np.max(np.abs(rebuilt - family.projector(a, alpha))) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2**32 - 1))
+    def test_covariant_under_unitaries(self, d, seed):
+        # Reconstruction commutes with a change of basis: the states of
+        # U P U^dagger are U v, up to the canonical phase.
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar: R's diagonal made positive
+        family = build_family(d)
+        rotated = MubFamily(u @ family.projectors @ u.conj().T)
+        states = reconstruct_all(rotated)
+        expected = [canonical_phase(u @ v) for v in reconstruct_all(family).reshape(-1, d)]
+        assert np.max(np.abs(states.reshape(-1, d) - expected)) <= 1e-12
+
     def test_non_hermitian_projector_named(self):
         mats = build_family(2).projectors.copy()
         mats[1, 1, 0, 1] += 1e-3
