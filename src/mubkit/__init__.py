@@ -7,7 +7,7 @@ checks, and a seeded numerical search for families in arbitrary dimension.
 """
 
 from .algebra import MubFamily, canonical_phase, projector_from_state, unbiased_gram_target
-from .construct import build_family, computational_coefficient, is_prime, w_coefficient
+from .construct import build_family, is_prime, w_coefficient
 from .gauss import GaussSumParams, check_factoring, gauss_sum, mub_gauss_params
 from .io import FamilyDocument, load_family, save_family
 from .reconstruct import (
@@ -41,7 +41,6 @@ __all__ = [
     "build_family",
     "canonical_phase",
     "check_factoring",
-    "computational_coefficient",
     "eigen_hermitian",
     "gauss_sum",
     "gradient",

@@ -152,13 +152,15 @@ def projector_from_state(state, tol: float = 1e-10) -> np.ndarray:
     """Rank-1 projector |v><v| of a unit-norm state vector ``v``.
 
     The result is Hermitian, positive-semidefinite, and has unit trace; its
-    only nonzero eigenvalue is 1.
+    only nonzero eigenvalue is 1.  A state counts as unit when ||v||^2, the
+    projector's trace, lies within ``tol`` of 1, as a family's trace
+    invariant is judged.
     """
     _check_tolerance(tol)
     v = _state_vector(state)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {tol:.1e}")
+    squared = float(np.vdot(v, v).real)
+    if abs(squared - 1.0) > tol:
+        raise ValueError(f"state vector squared norm {squared} deviates from 1 beyond {tol:.1e}")
     return np.outer(v, v.conj())
 
 

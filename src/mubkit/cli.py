@@ -5,11 +5,12 @@ module operation, and serializes the result.  No numerical logic lives
 here.  Family documents are written by :func:`mubkit.io.save_family`; the
 certificate and the search log are laid out here and written, arrays and
 all, by :func:`mubkit.io.write_json`.  Each goes to a file or, without a
-path, to stdout, as one line of compact JSON, and all diagnostics go to
-stderr.  Exit codes: 0 success or verification pass, 1 verification
-failure, non-convergence or a failed reconstruction or polish, 2 usage or
-IO error.  :func:`cli_dispatch` maps every ``OSError`` and ``ValueError``
-to exit 2 in one place, so no command can leak a traceback for bad input.
+path or with an empty one, to stdout, as one line of compact JSON, and all
+diagnostics go to stderr.  Exit codes: 0 success or verification pass, 1
+verification failure, non-convergence or a failed reconstruction or
+polish, 2 usage or IO error.  :func:`cli_dispatch` maps every ``OSError``
+and ``ValueError`` to exit 2 in one place, so no command can leak a
+traceback for bad input.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family, sha256 = _load_family(args.family, max(LOAD_TOLERANCE, args.tol), bool(args.report))
-    report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram)
-    if args.report:
+    certify = args.report is not None  # an empty path writes the certificate to stdout
+    family, sha256 = _load_family(args.family, max(LOAD_TOLERANCE, args.tol), certify)
+    report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram and certify)
+    if certify:
         write_json(_report_payload(report, (args.family, sha256)), args.report)
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
@@ -130,7 +132,7 @@ def _cmd_search(args) -> int:
     if args.from_family:  # a polish is one descent from the family: no restarts, no seed
         del meta["seed"], config["restarts"], config["seed"]
     save_family(result.best_family, args.out, metadata=meta)
-    if args.log:
+    if args.log is not None:
         write_json(
             {
                 "tool_version": __version__,

@@ -25,7 +25,6 @@ from .algebra import MubFamily, _check_family_size
 
 __all__ = [
     "build_family",
-    "computational_coefficient",
     "is_prime",
     "w_coefficient",
 ]
@@ -70,15 +69,6 @@ def w_coefficient(d: int, a: int, alpha: int, p: int, q: int) -> complex:
         raise ValueError(f"entry indices must lie in 0..{d - 1}, got ({p}, {q})")
     exponent = (p - q) * ((d - 2 - p - q) * a - 2 * alpha)
     return _phase(exponent, d) / d
-
-
-def computational_coefficient(d: int, alpha: int, p: int, q: int) -> complex:
-    """Entry (p, q) of computational-basis projector ``alpha``: 1 iff p = q = alpha."""
-    if not 0 <= alpha < d:
-        raise ValueError(f"vector label must lie in 0..{d - 1}, got {alpha}")
-    if not (0 <= p < d and 0 <= q < d):
-        raise ValueError(f"entry indices must lie in 0..{d - 1}, got ({p}, {q})")
-    return 1.0 + 0.0j if p == q == alpha else 0.0j
 
 
 def build_family(d: int) -> MubFamily:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -182,9 +182,9 @@ class SearchState:
 
     ``factors[a, alpha]`` is the d x d factor whose derived projector is
     B^dagger B / Tr(B^dagger B).  The factors are unconstrained apart from
-    finite parts up to 1e150, which keeps every trace norm finite; the
-    objective is computed on demand and fails only if some factor is
-    degenerate (trace norm at roundoff scale).
+    finite parts up to 1e150, which keeps every trace norm finite;
+    :func:`objective` of a state fails only if some factor is degenerate
+    (trace norm at roundoff scale).
     """
 
     factors: np.ndarray
@@ -206,10 +206,6 @@ class SearchState:
     @property
     def num_bases(self) -> int:
         return self.factors.shape[0]
-
-    @cached_property
-    def objective(self) -> float:
-        return objective(self)
 
     def projectors(self) -> np.ndarray:
         """Derived projectors, shaped like a family's projector array."""

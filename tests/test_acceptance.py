@@ -18,7 +18,7 @@ from mubkit.construct import build_family
 from mubkit.gauss import check_factoring, gauss_sum, mub_gauss_params
 from mubkit.io import load_family, save_family
 from mubkit.reconstruct import eigen_hermitian, reconstruct_all
-from mubkit.search import SearchConfig, SearchState, gradient, run_search
+from mubkit.search import SearchConfig, SearchState, gradient, objective, run_search
 from mubkit.verify import pairwise_angle, verify_family, verify_states
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -177,8 +177,8 @@ def test_criterion_7_gradient_matches_finite_differences():
                     delta = np.zeros(shape, dtype=complex)
                     delta[idx] = unit * h
                     diff = (
-                        SearchState(factors + delta).objective
-                        - SearchState(factors - delta).objective
+                        objective(SearchState(factors + delta))
+                        - objective(SearchState(factors - delta))
                     ) / (2 * h)
                     if part == 0:
                         fd[idx] += diff

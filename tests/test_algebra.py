@@ -143,7 +143,7 @@ class TestProjectorFromState:
         assert np.allclose(projector_from_state(s), CIRCLE, atol=1e-15)
 
     def test_rejects_unnormalized(self):
-        expected = "state vector norm 1.4142135623730951 deviates from 1 beyond 1.0e-10"
+        expected = "state vector squared norm 2.0 deviates from 1 beyond 1.0e-10"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             projector_from_state([1.0, 1.0])
 
@@ -421,6 +421,16 @@ class TestMubFamily:
         assert np.allclose(fam.projector(0, 0), HALVES, atol=1e-15)
         assert fam.num_bases == 1
 
+    def test_from_states_judges_unit_states_by_their_trace(self):
+        # Each norm is within 1e-10 of 1 but each trace only within 1.8e-10,
+        # so these states are refused here as the certificate would fail them.
+        states = reconstruct_all(build_family(5)) * (1 + 0.9e-10)
+        message = r"^state vector squared norm 1\.00000000018\d* deviates from 1 beyond 1\.0e-10$"
+        with pytest.raises(ValueError, match=message):
+            MubFamily.from_states(states)
+        with pytest.raises(ValueError, match="not normalized"):
+            verify_states(states)
+
 
 def _load_at(tol, path):
     save_family(build_family(3), str(path))
@@ -522,6 +532,42 @@ BOUNDED_CALLS = {
         f"^basis 0, vector 0: matrix entries must be finite, with parts up to {BOUND}$",
     ),
 }
+
+
+# Empty or misshapen input to each entry point, and the message refusing it.
+SHAPE_REFUSALS = {
+    "canonical_phase-matrix": (
+        lambda: canonical_phase(np.zeros((2, 2))),
+        "expected a nonempty 1-D state vector, got shape (2, 2)",
+    ),
+    "projector_from_state-empty": (
+        lambda: projector_from_state([]),
+        "expected a nonempty 1-D state vector, got shape (0,)",
+    ),
+    "MubFamily-zero-dimension": (
+        lambda: MubFamily(np.zeros((1, 0, 0, 0))),
+        "dimension must be positive",
+    ),
+    "from_states-no-basis": (
+        lambda: MubFamily.from_states([]),
+        "need at least one basis with at least one state",
+    ),
+    "from_states-empty-basis": (
+        lambda: MubFamily.from_states([[]]),
+        "need at least one basis with at least one state",
+    ),
+    "state_from_projector-stack": (
+        lambda: state_from_projector(np.eye(2)[None]),
+        "expected a square matrix, got shape (1, 2, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(SHAPE_REFUSALS.values()), ids=list(SHAPE_REFUSALS))
+def test_entry_points_refuse_empty_or_misshapen_input(call):
+    entry, message = call
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry()
 
 
 @pytest.mark.parametrize("bad", [1e200, 1e308, np.nan, np.inf, -np.inf])

@@ -312,6 +312,29 @@ class TestVerify:
         assert payload["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert "gram" not in payload
 
+    def test_empty_report_path_prints_the_certificate(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        save_family(build_family(3), str(path))
+        assert cli_dispatch(["verify", str(path), "--report", ""]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+        assert payload["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_gram_kept_only_for_a_certificate(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "family.json"
+        save_family(build_family(3), str(path))
+        kept = []
+
+        def spy(family, tolerance, keep_gram):
+            kept.append(keep_gram)
+            return verify_family(family, tolerance=tolerance, keep_gram=keep_gram)
+
+        monkeypatch.setattr(mubkit.cli, "verify_family", spy)
+        assert cli_dispatch(["verify", str(path), "--full-gram"]) == 0
+        assert cli_dispatch(["verify", str(path), "--full-gram", "--report", ""]) == 0
+        assert kept == [False, True]
+        assert "gram" in json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize("source", ["stdin", "fifo"])
     def test_report_digests_the_bytes_verified(self, tmp_path, source):
         # A pipe or FIFO can be read once: a second open would see nothing
@@ -706,6 +729,18 @@ class TestSearch:
         assert len(payload["restart_objectives"]) == payload["restarts_used"]
         assert len(payload["restart_stops"]) == payload["restarts_used"]
         assert payload["restart_stops"][-1] == "target"
+
+    def test_empty_log_path_prints_the_log(self, tmp_path, capsys):
+        out = tmp_path / "found.json"
+        argv = ["search", "--d", "2", "--bases", "3", "--seed", "42", "--out", str(out)]
+        assert cli_dispatch([*argv, "--log", ""]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "tool_version", "config", "best_objective", "converged", "iterations_used",
+            "restarts_used", "restart_objectives", "restart_iterations", "restart_stops",
+        ]
+        assert payload["config"]["seed"] == 42
+        assert payload["converged"] is True
 
     def test_non_convergence_exits_one(self, tmp_path):
         log = tmp_path / "log.json"

@@ -6,12 +6,7 @@ import pytest
 
 from mubkit.algebra import MubFamily, projector_from_state
 from mubkit.cli import cli_dispatch
-from mubkit.construct import (
-    build_family,
-    computational_coefficient,
-    is_prime,
-    w_coefficient,
-)
+from mubkit.construct import build_family, is_prime, w_coefficient
 from mubkit.verify import verify_family
 
 TEST_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -83,21 +78,6 @@ class TestWCoefficient:
         # with congruent exponents are the same float, not merely close.
         assert w_coefficient(5, 1, 0, 0, 1) == w_coefficient(5, 1, 5 % 5, 0, 1)
         assert w_coefficient(3, 2, 1, 0, 2) == w_coefficient(3, 2, 1, 0, 2)
-
-
-class TestComputationalCoefficient:
-    def test_matching_indices(self):
-        assert computational_coefficient(3, 1, 1, 1) == 1.0
-
-    def test_wrong_diagonal(self):
-        assert computational_coefficient(3, 1, 0, 0) == 0.0
-
-    def test_off_diagonal(self):
-        assert computational_coefficient(3, 1, 1, 2) == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            computational_coefficient(3, 3, 0, 0)
 
 
 class TestBuildFamily:

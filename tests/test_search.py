@@ -247,10 +247,6 @@ class TestObjective:
             factors[0, alpha, alpha, alpha] = 1.0
         assert objective(SearchState(factors)) == 0.0
 
-    def test_cached_on_state(self):
-        state = random_state(3, 2, 2)
-        assert state.objective == objective(state)
-
 
 class TestGradient:
     def test_vanishes_at_solution(self):
@@ -1046,7 +1042,7 @@ class TestSearchState:
         state = SearchState(factors)
         assert state.factors.flags.c_contiguous
         assert np.array_equal(state.factors, factors)
-        assert state.objective == objective(SearchState(np.ascontiguousarray(factors)))
+        assert objective(state) == objective(SearchState(np.ascontiguousarray(factors)))
 
     def test_rejects_non_finite(self):
         factors = np.zeros((1, 2, 2, 2), dtype=complex)
@@ -1070,5 +1066,5 @@ class TestSearchState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = SearchState(factors)
-            assert np.isfinite(state.objective)
+            assert np.isfinite(objective(state))
             assert np.all(np.isfinite(gradient(state)))
