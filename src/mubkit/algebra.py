@@ -43,6 +43,11 @@ _MAX_ENTRY = 1e150
 # memory long before anything else does; 1 GiB admits every prime d up to 89.
 MAX_FAMILY_BYTES = 1 << 30
 
+# Looser than construction tolerances: serialized third-party families may
+# carry a few more ulps of noise than freshly built ones.  The loader judges
+# a document's invariants at it, and a search start its Hermitian defects.
+LOAD_TOLERANCE = 1e-9
+
 
 def _bounded(values: np.ndarray) -> np.ndarray:
     """Where each real and imaginary part of ``values`` is at most 1e150 in magnitude.

@@ -7,10 +7,10 @@ certificate and the search log are laid out here and written, arrays and
 all, by :func:`mubkit.io.write_json`.  Each goes to a file or, without a
 path or with an empty one, to stdout, as one line of compact JSON, and all
 diagnostics go to stderr.  Exit codes: 0 success or verification pass, 1
-verification failure, non-convergence or a failed reconstruction or
-polish, 2 usage or IO error.  :func:`cli_dispatch` maps every ``OSError``
-and ``ValueError`` to exit 2 in one place, so no command can leak a
-traceback for bad input.
+verification failure, non-convergence or a failed reconstruction, 2 usage
+or IO error; ``search --from`` exits 1 only when its polish does not
+converge.  :func:`cli_dispatch` maps every ``OSError`` and ``ValueError``
+to exit 2 in one place, so no command can leak a traceback for bad input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .construct import build_family
 from .gauss import GaussSumParams, gauss_sum
 from .io import LOAD_TOLERANCE, _load_family, load_family, save_family, write_json
 from .reconstruct import reconstruct_all
-from .search import SearchConfig, _check_shape, polish, run_search
+from .search import SearchConfig, polish, run_search
 from .verify import VerificationReport, verify_family
 
 __all__ = ["cli_dispatch", "main"]
@@ -71,6 +71,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_tolerance(args.tol)  # refused before the document is read
     certify = args.report is not None  # an empty path writes the certificate to stdout
     family, sha256 = _load_family(args.family, max(LOAD_TOLERANCE, args.tol), certify)
     report = verify_family(family, tolerance=args.tol, keep_gram=args.full_gram and certify)
@@ -99,8 +100,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    polishing = args.from_family is not None  # an empty path is still a path
     # polish ignores --restarts and --seed, so they are not checked either.
-    restart_settings = {} if args.from_family else {"restarts": args.restarts, "seed": args.seed}
+    restart_settings = {} if polishing else {"restarts": args.restarts, "seed": args.seed}
     cfg = SearchConfig(
         dim=args.d,
         num_bases=args.bases,
@@ -108,14 +110,9 @@ def _cmd_search(args) -> int:
         target_residual=args.target,
         **restart_settings,
     )
-    if args.from_family:
+    if polishing:
         start = load_family(args.from_family)
-        _check_shape(start, cfg)  # a usage error (exit 2), not a failed polish
-        try:
-            result = polish(start, cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result = polish(start, cfg)  # a loaded family always starts
         del start  # freed before the polished family is written
     else:
         result = run_search(cfg)
@@ -129,7 +126,7 @@ def _cmd_search(args) -> int:
         converged=result.converged,
     )
     config = dataclasses.asdict(cfg)
-    if args.from_family:  # a polish is one descent from the family: no restarts, no seed
+    if polishing:  # a polish is one descent from the family: no restarts, no seed
         del meta["seed"], config["restarts"], config["seed"]
     save_family(result.best_family, args.out, metadata=meta)
     if args.log is not None:

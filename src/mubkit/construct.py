@@ -80,17 +80,19 @@ def build_family(d: int) -> MubFamily:
 
     Dimensions whose (d + 1, d, d, d) projector array would exceed
     :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
-    allocated.
+    allocated, and before primality is tested: trial division costs
+    O(sqrt(d)), seconds from d = 10**16 on.
 
     Every phase exponent is an integer mod 2d, so the entries are gathered
     from a table of the 2d distinct coefficients; each table entry is
     computed exactly as :func:`w_coefficient` computes it, so the family
     is bit-identical to one assembled coefficient by coefficient.
     """
+    if d >= 2:  # any smaller d gets the primality message
+        _check_family_size(d + 1, d)
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
-    _check_family_size(d + 1, d)
     a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
     exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
     table = np.array([_phase(k, d) / d for k in range(2 * d)])

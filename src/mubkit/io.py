@@ -36,7 +36,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MAX_FAMILY_BYTES, MubFamily, _bounded, _check_parts, _check_tolerance
+from .algebra import (
+    LOAD_TOLERANCE,
+    MAX_FAMILY_BYTES,
+    MubFamily,
+    _bounded,
+    _check_parts,
+    _check_tolerance,
+)
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -49,10 +56,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-
-# Looser than construction tolerances: serialized third-party families may
-# carry a few more ulps of noise than freshly built ones.
-LOAD_TOLERANCE = 1e-9
 
 # Distinct float literals a load remembers.  A closed-form document spells
 # a few dozen values tens of thousands of times; the bound caps what a

@@ -48,7 +48,14 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import MubFamily, _check_family_size, _check_parts, _symmetrized, unbiased_gram_target
+from .algebra import (
+    LOAD_TOLERANCE,
+    MubFamily,
+    _check_family_size,
+    _check_parts,
+    _symmetrized,
+    unbiased_gram_target,
+)
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -71,8 +78,8 @@ _INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _SLOPE = 1e-4
 
-# Starting factors: largest accepted Hermitian defect and lowest accepted eigenvalue.
-_HERMITIAN_TOL = 1e-10
+# Starting factors: lowest accepted eigenvalue.  Hermitian defects are judged
+# at the loader's LOAD_TOLERANCE, so every family a load accepts starts.
 _PSD_FLOOR = -1e-8
 
 # Largest one-column rank-1 residual, relative to ||v||^2, at which a
@@ -217,12 +224,14 @@ class SearchState:
     def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
 
-        Hermitian defects above 1e-10 (the family's cached invariants) are
-        refused first.  When every symmetrized projector M has a one-column
-        rank-1 certificate (v, r), read from
-        :attr:`MubFamily.rank_one_certificate`, with r at most
-        1e-10 ||v||^2, its factor is M / ||v||, the exact square root of a
-        rank-1 matrix at any scale; no eigenvalue is below -r, so none needs
+        Hermitian defects above the loader's
+        :data:`~mubkit.algebra.LOAD_TOLERANCE` (1e-9), read from the
+        family's cached invariants as the loader reads them, are refused
+        first, so every family a load accepts starts.  When every
+        symmetrized projector M has a one-column rank-1 certificate
+        (v, r), read from :attr:`MubFamily.rank_one_certificate`, with r
+        at most 1e-10 ||v||^2, its factor is M / ||v||, the exact square
+        root of a rank-1 matrix at any scale; no eigenvalue is below -r, so none needs
         a solve.  Otherwise each factor is the Hermitian square root of its
         projector, from one solve of the family's stack: eigenvalues below
         -1e-8 are refused (no real square root) and smaller negatives are
@@ -232,12 +241,12 @@ class SearchState:
         n, d = family.num_bases, family.dim
         mats = family.projectors.reshape(n * d, d, d)
         hermiticity = family.invariants[0]
-        bad = np.flatnonzero(hermiticity > _HERMITIAN_TOL)
+        bad = np.flatnonzero(hermiticity > LOAD_TOLERANCE)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"projector (basis {i // d}, vector {i % d}) is not Hermitian: "
-                f"max deviation {hermiticity[i]:.3e} exceeds {_HERMITIAN_TOL:.1e}"
+                f"max deviation {hermiticity[i]:.3e} exceeds {LOAD_TOLERANCE:.1e}"
             )
         v, r = family.rank_one_certificate
         mass = np.einsum("ni,ni->n", v.conj(), v).real

@@ -95,6 +95,22 @@ class TestConstruct:
         assert "requires prime d" in proc.stderr
 
 
+    @pytest.mark.parametrize("d", ["4", "1", "-7"])
+    def test_small_non_prime_gets_the_primality_message(self, capsys, d):
+        assert cli_dispatch(["construct", "--d", d]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: closed-form construction requires prime d, got {d}\n"
+        )
+
+    @pytest.mark.parametrize("d", [2**61 - 1, 10**18])
+    def test_huge_dimension_is_refused_by_its_size(self, capsys, d):
+        # Prime or composite, the size refuses it: trial division would
+        # take minutes on 2**61 - 1.
+        assert cli_dispatch(["construct", "--d", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: a family of {d + 1} bases in dimension d = {d}")
+        assert captured.out == ""
+
     def test_oversized_dimension_is_usage_error(self):
         proc = run("construct", "--d", "1009")
         assert proc.returncode == 2
@@ -301,6 +317,15 @@ class TestVerify:
         proc = run("verify", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
         assert "could not read" in proc.stderr
+
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf")])
+    def test_bad_tolerance_refused_before_reading(self, tmp_path, monkeypatch, capsys, tol, shown):
+        # As reconstruct does: a missing document is not the first complaint.
+        monkeypatch.setattr("mubkit.cli._load_family", lambda *a: pytest.fail("document read"))
+        assert cli_dispatch(["verify", str(tmp_path / "absent.json"), "--tol", tol]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: tolerance must be finite and non-negative, got {shown}\n"
+        )
 
     def test_report_carries_input_hash(self, tmp_path):
         path = construct(tmp_path, d=5)
@@ -792,20 +817,28 @@ class TestSearch:
             outputs.append((out.read_bytes(), log.read_bytes(), capsys.readouterr()))
         assert outputs[0] == outputs[1]
 
-    def test_family_polish_refuses_exits_one(self, tmp_path, capsys):
-        # A Hermitian defect of 5e-10 is within the loader's 1e-9 but not
-        # within the 1e-10 that polishing starts from.
+    def test_family_within_the_load_tolerance_polishes(self, tmp_path, capsys):
+        # A Hermitian defect of 5e-10 is within the loader's 1e-9, which
+        # the search start judges it by too: what the load accepts polishes.
         mats = build_family(3).projectors.copy()
         mats[0, 0, 0, 1] += 5e-10
         path, out = tmp_path / "family.json", tmp_path / "polished.json"
         save_family(MubFamily(mats), str(path))
         argv = ["search", "--d", "3", "--bases", "4", "--from", str(path), "--out", str(out)]
-        assert cli_dispatch(argv) == 1
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().err.startswith("converged: ")
+        assert cli_dispatch(["verify", str(out), "--tol", "1e-9"]) == 0
+
+    def test_empty_from_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # An empty --from is a path, read and refused as reconstruct "" is,
+        # not the absence of --from.
+        monkeypatch.setattr("mubkit.cli.run_search", lambda cfg: pytest.fail("search ran"))
+        out = tmp_path / "f.json"
+        argv = ["search", "--d", "3", "--bases", "4", "--from", "", "--out", str(out)]
+        assert cli_dispatch(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: projector (basis 0, vector 0) is not Hermitian: "
-            "max deviation 5.000e-10 exceeds 1.0e-10\n"
-        )
+        assert captured.err.startswith("error: could not read ''")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 

@@ -178,6 +178,12 @@ class TestBuildFamily:
         )
         assert np.array_equal(family.projectors[:d], looped)
 
+    def test_oversized_dimension_refused_before_primality(self, monkeypatch):
+        # Trial division of the prime 2**61 - 1 would take minutes.
+        monkeypatch.setattr("mubkit.construct.is_prime", lambda n: pytest.fail("primality tested"))
+        with pytest.raises(ValueError, match=r"d = 2305843009213693951 needs \d+ bytes"):
+            build_family(2**61 - 1)
+
     def test_oversized_dimension_refused_before_allocating(self, traced_peak):
         def refuse():
             with pytest.raises(ValueError, match=r"d = 1009 needs 16600258660640 bytes"):

@@ -73,7 +73,7 @@ def test_io_does_not_import_verify():
 
 
 def test_family_checks_are_defined_once_in_algebra():
-    names = {"_rank_one_certificate", "_check_family_size", "MAX_FAMILY_BYTES"}
+    names = {"_rank_one_certificate", "_check_family_size", "MAX_FAMILY_BYTES", "LOAD_TOLERANCE"}
     homes = {name: [] for name in names}
     for stem, tree in parsed().items():
         for node in tree.body:

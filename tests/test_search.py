@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mubkit.algebra import MubFamily, unbiased_gram_target
 from mubkit.construct import build_family
+from mubkit.io import FamilyDocument
 from mubkit.reconstruct import reconstruct_all
 from mubkit.search import (
     _INITIAL_STEP,
@@ -972,6 +973,32 @@ class TestPolish:
         ):
             polish(MubFamily(p), cfg)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 5]),
+        kind=st.sampled_from(["anti-Hermitian", "Hermitian", "entry"]),
+        size=st.floats(0.0, 2e-9),
+        seed=st.integers(0, 10_000),
+    )
+    def test_every_family_the_loader_accepts_polishes(self, d, kind, size, seed):
+        # The start judges Hermitian symmetry at the loader's 1e-9, and the
+        # loader's eigenvalue floor, -1e-9, lies well above the start's -1e-8.
+        rng = np.random.default_rng(seed)
+        mats = build_family(d).projectors.copy()
+        if kind == "entry":
+            index = tuple(rng.integers(0, (d + 1, d, d, d)))
+            mats[index] += size * np.exp(2j * np.pi * rng.random())
+        else:
+            noise = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+            noise += (1 if kind == "Hermitian" else -1) * noise.conj().swapaxes(-1, -2)
+            mats += size * noise / np.abs(noise).max()
+        try:
+            family = FamilyDocument.from_family(MubFamily(mats)).to_family()
+        except ValueError:
+            return  # nothing loaded, so nothing to start from
+        SearchState.from_family(family)
+        polish(family, SearchConfig(dim=d, num_bases=d + 1, max_iterations=3))
+
     def test_peak_below_3_75_times_the_projectors(self, traced_peak):
         # 3.62x measured at d = 13, for a family that needs no steps: the
         # derived start stack is dropped before the descent.
@@ -1012,6 +1039,22 @@ class TestSearchState:
         family = build_family(5)
         state = SearchState.from_family(family)
         assert np.max(np.abs(state.projectors() - family.projectors)) < 1e-12
+
+    def test_from_family_starts_within_the_load_tolerance(self):
+        mats = build_family(3).projectors.copy()
+        mats[1, 2, 0, 1] += 0.9e-9
+        state = SearchState.from_family(MubFamily(mats))
+        assert np.max(np.abs(state.projectors() - build_family(3).projectors)) < 1e-9
+
+    def test_from_family_refuses_beyond_the_load_tolerance(self):
+        mats = build_family(3).projectors.copy()
+        mats[1, 2, 0, 1] += 1.5e-9
+        with pytest.raises(
+            ValueError,
+            match=r"^projector \(basis 1, vector 2\) is not Hermitian: "
+            r"max deviation 1\.500e-09 exceeds 1\.0e-09$",
+        ):
+            SearchState.from_family(MubFamily(mats))
 
     def test_from_family_rejects_indefinite_projector(self):
         mats = build_family(2).projectors.copy()
