@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -30,19 +31,43 @@ __all__ = [
 ]
 
 
+# The first 13 primes.  Strong-probable-prime tests to these bases decide
+# primality of every n below psi_13, the least composite that passes all 13
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017): 1 287 836 182 261 * 2 575 672 364 521.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for the small dimensions used here."""
+    """Deterministic Miller-Rabin primality test, proven for every n below psi_13.
+
+    Trial division by the 13 primes up to 41, then a strong-probable-prime
+    test to each of them as base: O(log n) multiplications per base.  From
+    psi_13 = 3 317 044 064 679 887 385 961 981 on, these bases could call a
+    composite prime, so such n are refused with ValueError.
+    """
+    n = operator.index(n)
+    if n >= _PSI_13:
+        raise ValueError(f"primality is proven only below psi_13 = {_PSI_13}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _BASES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -80,8 +105,8 @@ def build_family(d: int) -> MubFamily:
 
     Dimensions whose (d + 1, d, d, d) projector array would exceed
     :data:`mubkit.algebra.MAX_FAMILY_BYTES` are refused before anything is
-    allocated, and before primality is tested: trial division costs
-    O(sqrt(d)), seconds from d = 10**16 on.
+    allocated, and before primality is tested, so a huge d gets the size
+    message whether or not :func:`is_prime` could decide it.
 
     Every phase exponent is an integer mod 2d, so the entries are gathered
     from a table of the 2d distinct coefficients; each table entry is

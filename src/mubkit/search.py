@@ -453,37 +453,38 @@ def _tangent_gradient(u, x, q, r):
 
 @cache
 def _gauss_newton_pattern(d: int):
-    """The strict upper-triangle mask (d, d) and sign (d^2-d, d) of :func:`_gauss_newton_jacobian`.
+    """Generator pairs (s, t) = ``np.triu_indices(d, 1)``, their sign and its Gram.
 
-    Both depend on d alone, and Gauss-Newton runs only up to n d^2 = 800,
-    so d <= 20; they are built once per d and kept read-only.
+    sign (d^2-d, d) holds +1 at s and -1 at t, for the real then the imaginary
+    generators; gram = sign sign^T.  Gauss-Newton runs only up to n d^2 = 800,
+    so d <= 20; the table is built once per d and kept read-only.
     """
-    upper = ~np.tri(d, dtype=bool)
+    s, t = np.triu_indices(d, 1)
     eye = np.eye(d)
-    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
-    upper.setflags(write=False)
-    sign.setflags(write=False)
-    return upper, sign
+    sign = np.tile(eye[s] - eye[t], (2, 1))
+    gram = sign @ sign.T
+    for table in (s, t, sign, gram):
+        table.setflags(write=False)
+    return s, t, sign, gram
 
 
 def _gauss_newton_jacobian(q: np.ndarray, n: int):
     """Cross-basis residual derivatives of bases 1..n-1, as two factors read from Q.
 
-    Generator k = (s, t), s < t, of a basis is E_k = (e_s e_t^T - e_t e_s^T) / sqrt 2
-    for k < d(d-1)/2 and i (e_s e_t^T + e_t e_s^T) / sqrt 2 for the imaginary
-    ones after them.  Moving basis a along E_k changes only rows s and t of
-    Q_ab (by -E_k Q_ab, a before b) and columns s and t of Q_ba (by Q_ba E_k,
-    b before a).  With P_k = 2 conj(Q[a s, :]) Q[a t, :], both give row s of
-    |Q|^2 the derivative -Re P_k / sqrt 2 (real E_k) or Im P_k / sqrt 2
-    (imaginary E_k), and row t its negative.  Returns (sign, values): the
-    derivative of residual |Q[a i, j]|^2 - 1/d in generator k of basis a is
-    sign[k, i] * values[a-1, k, j], where sign (d^2-d, d) holds +1 at s and
-    -1 at t, and values (n-1, d^2-d, nd) is zero where j lies in basis a.
+    Generator k of a basis is E_k = (e_s e_t^T - e_t e_s^T) / sqrt 2 for pair k = (s, t) of
+    :func:`_gauss_newton_pattern`, then i (e_s e_t^T + e_t e_s^T) / sqrt 2 for each pair
+    again.  Moving basis a along E_k changes only rows s and t of Q_ab (by -E_k Q_ab, a
+    before b) and columns s and t of Q_ba (by Q_ba E_k, b before a).  With the pair product
+    P_k = 2 conj(Q[a s, :]) Q[a t, :], the only product formed, both give row s of |Q|^2
+    the derivative -Re P_k / sqrt 2 (real E_k) or Im P_k / sqrt 2 (imaginary E_k), and
+    row t its negative.  Returns (sign, values) with the table's sign: the derivative of
+    residual |Q[a i, j]|^2 - 1/d in generator k of basis a is sign[k, i] * values[a-1, k, j],
+    and values (n-1, d^2-d, nd) is zero where j lies in basis a.
     """
     d = q.shape[0] // n
-    upper, sign = _gauss_newton_pattern(d)
+    s, t, sign, _ = _gauss_newton_pattern(d)
     rows = q[d:].reshape(n - 1, d, n * d)
-    p = (2.0 * rows.conj()[:, :, None] * rows[:, None])[:, upper]
+    p = 2.0 * rows.conj()[:, s] * rows[:, t]
     own = np.arange(n - 1)
     p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
     values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
@@ -508,6 +509,7 @@ def _gauss_newton_direction(u, q, r, g):
     gradient step).
     """
     n, d = u.shape[0], u.shape[1]
+    s, t, _, gram = _gauss_newton_pattern(d)
     sign, values = _gauss_newton_jacobian(q, n)
     moved, dof = values.shape[0], values.shape[1]
     size = moved * dof
@@ -519,7 +521,7 @@ def _gauss_newton_direction(u, q, r, g):
     normal = np.empty((moved, dof, moved, dof))
     np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
     blocks = np.einsum("aiaj->aij", normal)
-    np.multiply(sign @ sign.T, values @ values.swapaxes(-1, -2), out=blocks)
+    np.multiply(gram, values @ values.swapaxes(-1, -2), out=blocks)
     normal = normal.reshape(size, size)
     rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
     diagonal = normal.reshape(-1)[:: size + 1]
@@ -530,7 +532,7 @@ def _gauss_newton_direction(u, q, r, g):
         return None, 0.0
     theta = np.sqrt(0.5) * theta.reshape(moved, 2, -1)
     upper = np.zeros((n, d, d), dtype=complex)
-    upper[1:, _gauss_newton_pattern(d)[0]] = theta[:, 0] + 1j * theta[:, 1]
+    upper[1:, s, t] = theta[:, 0] + 1j * theta[:, 1]
     omega = upper - upper.conj().swapaxes(-1, -2)
     slope_term = float(np.vdot(g, u @ omega).real)
     if not slope_term < 0.0:

@@ -104,8 +104,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize("d", [2**61 - 1, 10**18])
     def test_huge_dimension_is_refused_by_its_size(self, capsys, d):
-        # Prime or composite, the size refuses it: trial division would
-        # take minutes on 2**61 - 1.
+        # Prime or composite, the size refuses it before primality is
+        # tested.
         assert cli_dispatch(["construct", "--d", str(d)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: a family of {d + 1} bases in dimension d = {d}")

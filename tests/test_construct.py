@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,13 +30,56 @@ def oracle_state(d, a, alpha):
 
 
 class TestIsPrime:
-    @pytest.mark.parametrize("n", [2, 3, 5, 13, 101])
+    # np.int64(2**61 - 1) is squared mod n as a Python int, never in 64 bits.
+    @pytest.mark.parametrize("n", [2, 3, 5, 13, 101, 2**61 - 1, np.int64(2**61 - 1), 10**16 + 61])
     def test_primes(self, n):
         assert is_prime(n)
 
-    @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 91])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            0,
+            1,
+            4,
+            6,
+            9,
+            91,
+            # Carmichael numbers: Fermat pseudoprimes to every coprime base.
+            561,
+            41_041,
+            825_265,
+            # The least strong pseudoprimes to the first 4, 6, 8 and 11 prime bases.
+            3_215_031_751,
+            3_474_749_660_383,
+            341_550_071_728_321,
+            3_825_123_056_546_413_051,
+        ],
+    )
     def test_non_primes(self, n):
         assert not is_prime(n)
+
+    def test_agrees_with_a_sieve(self):
+        stop = 200_000
+        sieve = np.ones(stop, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(stop) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        assert [is_prime(n) for n in range(-5, 0)] == [False] * 5
+        assert [is_prime(n) for n in range(stop)] == sieve.tolist()
+
+    def test_refuses_psi_13(self):
+        # The least composite that passes the strong test to all 13 prime
+        # bases up to 41: no answer is proven from there on.
+        psi_13 = 1_287_836_182_261 * 2_575_672_364_521
+        for n in (psi_13, psi_13 + 2, 10**30):
+            with pytest.raises(ValueError, match=rf"proven only below psi_13 = {psi_13}, got {n}"):
+                is_prime(n)
+
+    def test_coefficient_of_a_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert w_coefficient(10**16 + 61, 0, 0, 0, 0) == 1 / (10**16 + 61)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWCoefficient:
@@ -179,7 +223,7 @@ class TestBuildFamily:
         assert np.array_equal(family.projectors[:d], looped)
 
     def test_oversized_dimension_refused_before_primality(self, monkeypatch):
-        # Trial division of the prime 2**61 - 1 would take minutes.
+        # The size alone refuses it; primality is never tested.
         monkeypatch.setattr("mubkit.construct.is_prime", lambda n: pytest.fail("primality tested"))
         with pytest.raises(ValueError, match=r"d = 2305843009213693951 needs \d+ bytes"):
             build_family(2**61 - 1)

@@ -114,6 +114,47 @@ def reference_gauss_newton(q, r, basis, n):
     return np.tensordot(theta.reshape(n, dof), basis, axes=1)
 
 
+def masked_gauss_newton_jacobian(q, n):
+    """The Gauss-Newton Jacobian factors through a strict upper-triangle mask.
+
+    Kept as a bit-level oracle for the pair table of ``mubkit.search``: all
+    d^2 products 2 conj(Q[a s, :]) Q[a t, :] are formed and the mask keeps
+    the pairs s < t; sign comes from a (d, d, d) difference tensor.
+    """
+    d = q.shape[0] // n
+    upper = ~np.tri(d, dtype=bool)
+    eye = np.eye(d)
+    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
+    rows = q[d:].reshape(n - 1, d, n * d)
+    p = (2.0 * rows.conj()[:, :, None] * rows[:, None])[:, upper]
+    own = np.arange(n - 1)
+    p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
+    values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
+    return upper, sign, values
+
+
+def masked_gauss_newton_direction(u, q, r, g):
+    """The Gauss-Newton (Omega, slope) from the masked factors, Omega written through the mask."""
+    n, d = u.shape[0], u.shape[1]
+    upper, sign, values = masked_gauss_newton_jacobian(q, n)
+    moved, dof = values.shape[0], values.shape[1]
+    size = moved * dof
+    z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
+    normal = np.empty((moved, dof, moved, dof))
+    np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
+    blocks = np.einsum("aiaj->aij", normal)
+    np.multiply(sign @ sign.T, values @ values.swapaxes(-1, -2), out=blocks)
+    normal = normal.reshape(size, size)
+    rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
+    diagonal = normal.reshape(-1)[:: size + 1]
+    diagonal += 1e-10 * (float(diagonal.sum()) / size + 1.0)
+    theta = np.sqrt(0.5) * np.linalg.solve(normal, -rhs.reshape(-1)).reshape(moved, 2, -1)
+    upper_omega = np.zeros((n, d, d), dtype=complex)
+    upper_omega[1:, upper] = theta[:, 0] + 1j * theta[:, 1]
+    omega = upper_omega - upper_omega.conj().swapaxes(-1, -2)
+    return omega, float(np.vdot(g, u @ omega).real)
+
+
 def linearized_change(q, omega, n):
     """First-order change of every cross-basis |Q_ab|^2 when U_a moves to U_a (I + Omega_a)."""
     d = q.shape[0] // n
@@ -873,6 +914,21 @@ class TestUnitaryModel:
         assert_close(
             linearized_change(q, omega, num_bases), linearized_change(q, expected, num_bases), rel
         )
+
+    @pytest.mark.parametrize(
+        "num_bases,d", [(2, 2), (2, 5), (3, 6), (5, 4), (6, 5), (3, 7), (9, 8)]
+    )
+    def test_pair_table_matches_the_masked_reference_bit_for_bit(self, num_bases, d):
+        u = haar_unitaries(60 + d, num_bases, d)
+        x, q, r, _ = _evaluate(u, unbiased_gram_target(num_bases, d))
+        g, _ = _tangent_gradient(u, x, q, r)
+        _, sign_ref, values_ref = masked_gauss_newton_jacobian(q, num_bases)
+        sign, values = _gauss_newton_jacobian(q, num_bases)
+        assert np.array_equal(sign, sign_ref) and np.array_equal(values, values_ref)
+        omega_ref, slope_ref = masked_gauss_newton_direction(u, q, r, g)
+        omega, slope_term = _gauss_newton_direction(u, q, r, g)
+        assert np.array_equal(omega, omega_ref)
+        assert slope_term == slope_ref < 0.0
 
     def test_gauss_newton_step_converges_quadratically(self):
         # Near a solution one damped Gauss-Newton step takes the objective
