@@ -90,6 +90,11 @@ def _check_family_size(num_bases: int, dim: int) -> None:
         )
 
 
+def _where(i: int, d: int, prefix: str = "") -> str:
+    """``prefix`` and the (basis, vector) labels of row i = a*d + alpha of a family's stack."""
+    return "{}basis {}, vector {}".format(prefix, *divmod(i, d))
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """(M + M^dagger) / 2 of each matrix in an (N, d, d) stack, in one new array."""
     total = np.conjugate(m.swapaxes(-1, -2), order="C")

@@ -157,7 +157,9 @@ def _cmd_gauss(args) -> int:
     params = GaussSumParams(u=args.u, v=args.v, w=args.w)
     value = gauss_sum(params)
     print(f"S({params.u}, {params.v}, {params.w}) = {value.real!r} + {value.imag!r}j")
-    print(f"|S|^2 = {abs(value) ** 2!r}")
+    # |S| is sqrt|w| rounded once, so the square's last bit is noise
+    # (2.9999999999999996 for w = 3): 15 digits are all a double holds.
+    print(f"|S|^2 = {abs(value) ** 2:#.15g}")
     return 0
 
 

@@ -15,6 +15,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .construct import is_prime
 
@@ -64,22 +65,29 @@ class GaussSumParams:
 
 
 def gauss_sum(params: GaussSumParams) -> complex:
-    """Evaluate sum_{k=0}^{|w|-1} exp(i pi (u k^2 + v k) / w).
+    """Evaluate sum_{k=0}^{|w|-1} exp(i pi (u k^2 + v k) / w) in O(log |w|) steps.
 
-    The phase integer k (u k + v) is reduced mod 2 w in exact arithmetic
-    before exponentiation, so terms with equal phases are bit-identical and
-    the result does not degrade for large labels.  The cosines and the sines
-    are each summed by ``math.fsum`` as they are made, exactly rounded at
-    any length, so no term is kept.  For parameters passing
-    :class:`GaussSumParams` validation, |result|^2 = |w|.
+    Each step first maps (u, v) to (u - t w, v + t w) with t = round(u / w),
+    which changes no term since k^2 - k is even, and reduces v mod 2|w|, so
+    |u| <= |w| / 2.  The reciprocity law (Berndt, Evans & Williams, *Gauss
+    and Jacobi Sums*, Thm 1.2.2) then gives
+    S(u, v, w) = sqrt|w/u| exp(i pi (|u w| - v^2) / (4 u w)) S(-w, -v, u),
+    a sum of at most half as many terms, down to the single term of |w| = 1.
+    The factors sqrt|w/u| telescope to sqrt|w|, and the phases are summed
+    as exact fractions mod 2, so one sine and cosine round once at the end.
+    For parameters passing :class:`GaussSumParams` validation, which is
+    the law's hypothesis and is kept by every step, |result|^2 = |w|.
     """
     u, v, w = params.u, params.v, params.w
-    modulus = 2 * w
-
-    def phases():
-        return (math.pi * ((k * (u * k + v)) % modulus) / w for k in range(params.length))
-
-    return complex(math.fsum(map(math.cos, phases())), math.fsum(map(math.sin, phases())))
+    modulus = math.sqrt(params.length)
+    turns = Fraction(0)  # the phase, in units of pi, mod 2
+    while abs(w) > 1:
+        t = (2 * u + w) // (2 * w)  # round(u / w), in exact integers
+        u, v = u - t * w, (v + t * w) % (2 * abs(w))
+        turns = (turns + Fraction(abs(u * w) - v * v, 4 * u * w)) % 2
+        u, v, w = -w, -v, u
+    angle = math.pi * float(turns)
+    return complex(modulus * math.cos(angle), modulus * math.sin(angle))
 
 
 def mub_gauss_params(a: int, b: int, alpha: int, beta: int, d: int) -> GaussSumParams:

@@ -43,6 +43,7 @@ from .algebra import (
     _bounded,
     _check_parts,
     _check_tolerance,
+    _where,
 )
 from .reconstruct import eigen_hermitian
 
@@ -92,11 +93,6 @@ def _is_number(x) -> bool:
 
 def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _where(i: int, d: int, prefix: str = "") -> str:
-    """``prefix`` and the (basis, vector) labels of row ``i`` of a section."""
-    return "{}basis {}, vector {}".format(prefix, *divmod(i, d))
 
 
 def _first(failing: np.ndarray, rows: list) -> Optional[int]:

@@ -40,6 +40,7 @@ from .algebra import (
     _hermitian_defects,
     _rank_one_certificate,
     _symmetrized,
+    _where,
 )
 
 __all__ = [
@@ -177,8 +178,8 @@ def _rank_one_states(projectors, defects, certificate, tol: float, prefix: str):
     here, with no Hermitian gate; the states are its top eigenvectors,
     and the first projector in stack order that fails raises
     ``ValueError`` naming its first failed check; the message starts with
-    ``prefix`` formatted with the labels ``a``, ``alpha`` of stack index
-    a*d + alpha.
+    ``prefix`` formatted with the labels "basis a, vector alpha" of stack
+    index a*d + alpha.
     """
     v, r = certificate
     mass = np.einsum("ni,ni->n", v.conj(), v).real
@@ -212,8 +213,7 @@ def _rank_one_states(projectors, defects, certificate, tol: float, prefix: str):
             message = f"matrix has rank above 1: residual eigenvalue mass {residual[i]:.3e}"
         else:
             message = f"top eigenvalue {top[i]:.3e} deviates from 1 beyond {tol:.1e}"
-        a, alpha = divmod(i, vals.shape[1])
-        raise ValueError(prefix.format(a=a, alpha=alpha) + message)
+        raise ValueError(prefix.format(_where(i, vals.shape[1])) + message)
     return _canonical_phases(decomp.eigenvectors[:, :, 0])
 
 
@@ -251,7 +251,7 @@ def reconstruct_all(family: MubFamily, tol: float = 1e-10) -> np.ndarray:
     """
     _check_tolerance(tol)
     n, d = family.num_bases, family.dim
-    prefix = "projector (basis {a}, vector {alpha}): "
+    prefix = "projector ({}): "
     stack = family.projectors.reshape(n * d, d, d)
     certificate = family.rank_one_certificate
     states = _rank_one_states(stack, family.invariants[0], certificate, tol, prefix)

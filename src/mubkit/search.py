@@ -54,6 +54,7 @@ from .algebra import (
     _check_family_size,
     _check_parts,
     _symmetrized,
+    _where,
     unbiased_gram_target,
 )
 from .reconstruct import eigen_hermitian
@@ -214,12 +215,6 @@ class SearchState:
     def num_bases(self) -> int:
         return self.factors.shape[0]
 
-    def projectors(self) -> np.ndarray:
-        """Derived projectors, shaped like a family's projector array."""
-        n, d = self.num_bases, self.dim
-        m, _ = _derive(self.factors.reshape(n * d, d, d))
-        return m.reshape(n, d, d, d)
-
     @classmethod
     def from_family(cls, family: MubFamily) -> "SearchState":
         """Factors whose derived projectors reproduce ``family``.
@@ -245,7 +240,7 @@ class SearchState:
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                f"projector (basis {i // d}, vector {i % d}) is not Hermitian: "
+                f"projector ({_where(i, d)}) is not Hermitian: "
                 f"max deviation {hermiticity[i]:.3e} exceeds {LOAD_TOLERANCE:.1e}"
             )
         v, r = family.rank_one_certificate
@@ -259,7 +254,7 @@ class SearchState:
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                f"projector (basis {i // d}, vector {i % d}) has eigenvalue "
+                f"projector ({_where(i, d)}) has eigenvalue "
                 f"{vals[i, -1]:.3e} below {_PSD_FLOOR:.1e}; no real square root"
             )
         roots = np.sqrt(np.clip(vals, 0.0, None))
@@ -289,24 +284,26 @@ class SearchResult:
     stop_reasons: tuple = field(default_factory=tuple)
 
 
-def _derive(b: np.ndarray):
-    """Projectors M = B^dagger B / Tr(B^dagger B) for a stack of factors.
+def _traces(b: np.ndarray) -> np.ndarray:
+    """Tr(B^dagger B) of each factor in a label-order stack; one at roundoff scale is refused.
 
-    ``b`` stacks the (d, d) factors of every (basis, vector) in label order.
-    Returns (projectors, traces).  A factor whose trace norm is at roundoff
-    scale has no derived projector; the error names its labels.
+    Such a factor has no derived projector; the error names its labels.
     """
-    n_total, d = b.shape[0], b.shape[1]
-    raw = b.conj().swapaxes(-1, -2) @ b
-    # Tr(B^dagger B) is the squared Frobenius norm of B.
-    flat = b.reshape(n_total, -1).view(float)
+    flat = b.reshape(b.shape[0], -1).view(float)  # Tr(B^dagger B) = ||B||_F^2
     traces = np.einsum("ij,ij->i", flat, flat)
     if traces.min() < DEGENERATE_TRACE:
         i = int(np.flatnonzero(traces < DEGENERATE_TRACE)[0])
         raise ValueError(
-            f"factor (basis {i // d}, vector {i % d}) has trace norm {traces[i]:.3e} "
+            f"factor ({_where(i, b.shape[1])}) has trace norm {traces[i]:.3e} "
             f"below {DEGENERATE_TRACE:.1e}; derived projector undefined"
         )
+    return traces
+
+
+def _derive(b: np.ndarray):
+    """(M, traces) with M = B^dagger B / Tr(B^dagger B) for a label-order stack of factors."""
+    traces = _traces(b)
+    raw = b.conj().swapaxes(-1, -2) @ b
     raw /= traces[:, None, None]
     return raw, traces
 
@@ -717,17 +714,19 @@ def _check_shape(family: MubFamily, cfg: SearchConfig) -> None:
 def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     """Refine an existing family by descending from its own states.
 
-    The start is :meth:`SearchState.from_family` (which refuses indefinite
-    projectors).  Each derived projector gives its column at its largest
-    diagonal entry, which for rank 1 is its state up to scale and phase,
-    and the QR retraction orthonormalizes every basis; an unbiased family
-    thus converges at once.  This is one descent of the loop that
-    :func:`run_search` runs per restart; ``cfg.restarts`` is ignored.
+    The start is :meth:`SearchState.from_family`'s factors (it refuses
+    indefinite projectors; a zero factor is refused as :func:`objective`
+    refuses it).  A factor, M / ||v|| or sqrt(M) for rank-1 M = v v^dagger,
+    holds its state up to scale and phase in its column at its largest
+    diagonal entry, and the QR retraction orthonormalizes every basis; an
+    unbiased family thus converges at once.  This is one descent of the
+    loop that :func:`run_search` runs per restart; ``cfg.restarts`` is ignored.
     """
     _check_shape(family, cfg)
     n, d = cfg.num_bases, cfg.dim
-    m = SearchState.from_family(family).projectors().reshape(n * d, d, d)
-    pivot = np.argmax(np.diagonal(m, axis1=-2, axis2=-1).real, axis=-1)
-    u0 = _retract(m[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
-    del m  # so the descent runs beside the family alone
+    b = SearchState.from_family(family).factors.reshape(n * d, d, d)
+    _traces(b)  # a zero factor holds no state
+    pivot = np.argmax(np.diagonal(b, axis1=-2, axis2=-1).real, axis=-1)
+    u0 = _retract(b[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
+    del b  # so the descent runs beside the family alone
     return _descend([u0], cfg)

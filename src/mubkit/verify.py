@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, _bounded, _check_tolerance, unbiased_gram_target
+from .algebra import MubFamily, _bounded, _check_tolerance, _where, unbiased_gram_target
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -227,7 +227,7 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
     if not trace_residual <= tolerance:  # a NaN residual is not normalized either
         worst = int(np.argmax(np.abs(norms**2 - 1.0)))
         raise ValueError(
-            f"state (basis {worst // d}, vector {worst % d}) is not normalized: "
+            f"state ({_where(worst, d)}) is not normalized: "
             f"squared norm deviates by {trace_residual:.3e}"
         )
 

@@ -120,30 +120,29 @@ class TestGaussSum:
         params = GaussSumParams(u=101, v=101, w=997)
         assert abs(abs(gauss_sum(params)) ** 2 - 997) < 1e-9
 
-
-    def test_bit_identical_to_summing_a_list_of_terms(self):
-        # Each term's exp(i y) is exactly (cos y, sin y), and fsum rounds
-        # correctly in any order, so streaming the terms changes no bit.
+    def test_within_roundoff_of_the_direct_sum(self):
+        # The reciprocity steps against the exactly rounded sum of the terms
+        # on reduced phases, both signs of w.
         rng = np.random.default_rng(30)
         for _ in range(300):
-            params = random_valid_params(rng, max_w=400)
+            params = random_valid_params(rng, max_w=1001)
             if rng.integers(2):
                 params = GaussSumParams(u=params.u, v=params.v, w=-params.w)
             u, v, w = params.u, params.v, params.w
             terms = [
                 cmath.exp(1j * math.pi * ((k * (u * k + v)) % (2 * w)) / w) for k in range(abs(w))
             ]
-            listed = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-            value = gauss_sum(params)
-            assert (value.real.hex(), value.imag.hex()) == (listed.real.hex(), listed.imag.hex())
+            direct = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            assert abs(gauss_sum(params) - direct) <= 1e-14 * math.sqrt(abs(w))
 
-    def test_holds_no_list_of_terms(self, traced_peak):
-        # A list of 30 001 complex terms takes about 1.2 MB.
-        params = GaussSumParams(u=1, v=1, w=30_001)
+    @pytest.mark.parametrize("p, quarter", [(1_000_000_007, 1j), (1_000_000_009, 1)])
+    def test_classical_gauss_sums_at_a_billion(self, traced_peak, p, quarter):
+        # Gauss: sum_k exp(2 pi i k^2 / p) is sqrt(p) for a prime p = 1 mod 4
+        # and i sqrt(p) for p = 3 mod 4.  A billion terms are never formed.
         values = []
-        _, peak = traced_peak(lambda: values.append(gauss_sum(params)))
+        _, peak = traced_peak(lambda: values.append(gauss_sum(GaussSumParams(u=2, v=0, w=p))))
         assert peak < 100_000
-        assert abs(abs(values[0]) ** 2 - 30_001) < 1e-7
+        assert abs(values[0] - quarter * math.sqrt(p)) <= 1e-14 * math.sqrt(p)
 
 
 class TestMubGaussParams:

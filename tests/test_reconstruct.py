@@ -24,7 +24,7 @@ from mubkit.reconstruct import (
     reconstruct_all,
     state_from_projector,
 )
-from mubkit.search import SearchState
+from mubkit.search import SearchState, _derive
 
 HALVES = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 CIRCLE = 0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)
@@ -646,7 +646,9 @@ class TestCertificateAgreesWithSpectrum:
             "state_from_projector": lambda: np.array(
                 [state_from_projector(m, tol) for m in mats.reshape(n * d, d, d)]
             ),
-            "from_family": lambda: SearchState.from_family(MubFamily(mats)).projectors(),
+            "from_family": lambda: _derive(
+                SearchState.from_family(MubFamily(mats)).factors.reshape(n * d, d, d)
+            )[0].reshape(mats.shape),
         }
         new = {name: outcome(call) for name, call in calls.items()}
         with spectrum_path():

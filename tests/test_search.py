@@ -986,13 +986,14 @@ class TestResultContract:
 
 class TestPolish:
     def test_constructed_family_needs_no_steps(self):
-        family = build_family(3)
-        cfg = SearchConfig(dim=3, num_bases=4, target_residual=1e-16)
-        result = polish(family, cfg)
-        assert result.converged
-        assert result.iterations_used == 0
-        assert result.restarts_used == 1
-        assert result.stop_reasons == ("target",)
+        for d in (2, 3, 5, 7, 11, 13):
+            cfg = SearchConfig(dim=d, num_bases=d + 1, target_residual=1e-16)
+            result = polish(build_family(d), cfg)
+            assert result.converged
+            assert result.iterations_used == 0
+            assert result.restarts_used == 1
+            assert result.stop_reasons == ("target",)
+            assert verify_family(result.best_family, tolerance=1e-10).passed
 
     def test_recovers_from_small_noise(self):
         family = build_family(2)
@@ -1017,6 +1018,17 @@ class TestPolish:
         mats[0, 0] = 1.5 * mats[0, 0] - 0.5 * mats[0, 1]
         cfg = SearchConfig(dim=2, num_bases=3)
         with pytest.raises(ValueError, match="no real square root"):
+            polish(MubFamily(mats), cfg)
+
+    def test_zero_projector_named_by_labels(self):
+        mats = build_family(3).projectors.copy()
+        mats[1, 2] = 0.0
+        cfg = SearchConfig(dim=3, num_bases=4)
+        with pytest.raises(
+            ValueError,
+            match=r"^factor \(basis 1, vector 2\) has trace norm 0\.000e\+00 below 1\.0e-14; "
+            r"derived projector undefined$",
+        ):
             polish(MubFamily(mats), cfg)
 
     def test_non_hermitian_projector_named_by_labels(self):
@@ -1083,7 +1095,7 @@ class TestPolish:
 class TestSearchState:
     def test_projectors_are_unit_trace_hermitian_psd(self):
         state = random_state(30, 3, 4)
-        mats = state.projectors()
+        mats = _derive(state.factors.reshape(12, 4, 4))[0].reshape(3, 4, 4, 4)
         assert mats.shape == (3, 4, 4, 4)
         flat = mats.reshape(-1, 4, 4)
         for m in flat:
@@ -1094,13 +1106,15 @@ class TestSearchState:
     def test_from_family_round_trip(self):
         family = build_family(5)
         state = SearchState.from_family(family)
-        assert np.max(np.abs(state.projectors() - family.projectors)) < 1e-12
+        mats = _derive(state.factors.reshape(30, 5, 5))[0].reshape(6, 5, 5, 5)
+        assert np.max(np.abs(mats - family.projectors)) < 1e-12
 
     def test_from_family_starts_within_the_load_tolerance(self):
         mats = build_family(3).projectors.copy()
         mats[1, 2, 0, 1] += 0.9e-9
         state = SearchState.from_family(MubFamily(mats))
-        assert np.max(np.abs(state.projectors() - build_family(3).projectors)) < 1e-9
+        derived = _derive(state.factors.reshape(12, 3, 3))[0].reshape(4, 3, 3, 3)
+        assert np.max(np.abs(derived - build_family(3).projectors)) < 1e-9
 
     def test_from_family_refuses_beyond_the_load_tolerance(self):
         mats = build_family(3).projectors.copy()
