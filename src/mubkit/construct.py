@@ -5,7 +5,9 @@ entries: projector (a, alpha) of the d "rotated" bases has entry (p, q)
 equal to exp(i pi (p - q) ((d - 2 - p - q) a - 2 alpha) / d) / d, and the
 final basis is the computational one.  The phase exponent is an integer
 multiple of pi/d, so it is computed in exact integer arithmetic modulo 2d
-before touching floating point; equal phases are then bit-identical.
+before touching floating point; equal phases are then bit-identical.  It
+separates as g(p) - g(q) with g(p) = ((d - 2) a - 2 alpha) p - a p^2, so
+a family is built one basis at a time, with one basis of scratch.
 
 Primality is what makes the construction work: for composite d the same
 formula produces bases that are not unbiased, so the entry point refuses
@@ -111,18 +113,23 @@ def build_family(d: int) -> MubFamily:
     Every phase exponent is an integer mod 2d, so the entries are gathered
     from a table of the 2d distinct coefficients; each table entry is
     computed exactly as :func:`w_coefficient` computes it, so the family
-    is bit-identical to one assembled coefficient by coefficient.
+    is bit-identical to one assembled coefficient by coefficient.  Basis a
+    gathers its (d, d, d) entries through the separable exponent
+    g(p) - g(q), from the (d, d) integers g(p) of its d vectors, so the
+    only scratch beside the family is one basis's index and entries.
     """
     if d >= 2:  # any smaller d gets the primality message
         _check_family_size(d + 1, d)
     if not is_prime(d):
         raise ValueError(f"closed-form construction requires prime d, got {d}")
 
-    a, alpha, p, q = np.ogrid[:d, :d, :d, :d]
-    exponent = ((p - q) * ((d - 2 - p - q) * a - 2 * alpha)) % (2 * d)
+    alpha, p = np.ogrid[:d, :d]
     table = np.array([_phase(k, d) / d for k in range(2 * d)])
     mats = np.zeros((d + 1, d, d, d), dtype=complex)
-    mats[:d] = table[exponent]
+    for a in range(d):
+        g = (((d - 2) * a - 2 * alpha) * p - a * p * p) % (2 * d)
+        # g(p) - g(q) lies in (-2d, 2d); a negative index wraps to its residue mod 2d.
+        mats[a] = table[g[:, :, None] - g[:, None, :]]
     labels = np.arange(d)
     mats[d, labels, labels, labels] = 1.0
     return MubFamily(mats)

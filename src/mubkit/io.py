@@ -493,7 +493,8 @@ def write_json(payload: dict, path: Optional[str]) -> None:
     error and leaves an existing file untouched.  The arrays' texts (a
     family document's [re, im] pairs) are built while writing, each run of
     equally shaped arrays from its own table of distinct floats, so the
-    whole document is never held as one string.
+    whole document is never held as one string; a file takes them through
+    a 64 KiB buffer.
     """
     for attempt in count():
         arrays, slot = [], f"\0array {attempt}"
@@ -512,7 +513,7 @@ def write_json(payload: dict, path: Optional[str]) -> None:
         write(sys.stdout)
         return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", buffering=1 << 16) as handle:
             write(handle)
     except OSError as exc:
         raise OSError(f"could not write {path!r}: {exc}") from exc

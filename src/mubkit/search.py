@@ -2,9 +2,10 @@
 
 Basis a is a unitary U_a whose columns are its vectors, so orthonormality
 within a basis and rank 1 of every projector hold by construction.  With
-the columns stacked as X (d x nd), the objective is the Gram penalty of the
-projectors written through overlaps, R = |X^dagger X|^2 - target, where the
-target is 1 on the diagonal, 0 within a basis and 1/d across bases.
+the columns stacked as X (d x nd), the objective, its gradient and the
+Gauss-Newton step all read one matrix, the overlaps Q = X^dagger X: the
+objective is the Gram penalty of the projectors, R = |Q|^2 - target, where
+the target is 1 on the diagonal, 0 within a basis and 1/d across bases.
 
 The optimizer is monotone Riemannian descent with Armijo backtracking and
 seeded Haar-random restarts: Barzilai-Borwein gradient steps far from a
@@ -17,8 +18,7 @@ started, hands the restart back to gradient steps until the objective is
 below 1e-3, where Gauss-Newton is tried at every step.  A restart stuck on
 a low local-minimum floor thus spends one attempt on it, not one per step.
 The Gauss-Newton step fixes the gauge (basis 0 stays put and no vector's
-phase moves), so it solves for (n-1)(d^2-d) unknowns read straight from
-the overlaps.
+phase moves), so it solves for (n-1)(d^2-d) unknowns.
 Both step kinds move along U Omega with Omega skew-Hermitian.  One
 eigendecomposition of i Omega per step gives the polar retraction of
 U + t U Omega, the nearest unitary, at every trial step t in closed form,
@@ -420,29 +420,28 @@ def _polar_point(factors, t: float) -> np.ndarray:
 
 
 def _evaluate(u: np.ndarray, target: np.ndarray):
-    """Stacked columns X, overlaps Q = X^dagger X, residual R = |Q|^2 - target, objective."""
+    """Overlaps Q = X^dagger X of the stacked columns X, residual R = |Q|^2 - target, objective."""
     n, d = u.shape[0], u.shape[1]
     x = u.transpose(1, 0, 2).reshape(d, n * d)
     q = x.conj().T @ x
     r = q.real**2
     r += q.imag**2
     r -= target
-    return x, q, r, _objective_value(r)
+    return q, r, _objective_value(r)
 
 
-def _tangent_gradient(u, x, q, r):
+def _tangent_gradient(u, q, r):
     """Riemannian gradient of the objective, as (g, Z) with one (d, d) block per basis.
 
     The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
-    diagonal doubled; its tangent part at U_a is g_a = U_a Z_a, with Z_a the
-    skew-Hermitian part of U_a^dagger G_a.  The factor 4 is applied with the
-    halving of that skew part, as 2, which is exact for powers of two.
+    diagonal doubled.  U_a^dagger X is block row a of Q, so the tangent part
+    at U_a is U_a Z_a with Z_a the skew part of 4 Q[a, :] (C o Q)[:, a]; the
+    4 and the skew part's halving are applied as 2, exact for powers of two.
     """
     n, d = u.shape[0], u.shape[1]
     c = r * q
     c.reshape(-1)[:: n * d + 1] *= 2.0
-    g = (x @ c).reshape(d, n, d).transpose(1, 0, 2)
-    h = u.conj().swapaxes(-1, -2) @ g
+    h = q.reshape(n, d, n * d) @ c.reshape(n * d, n, d).transpose(1, 0, 2)
     z = h - h.conj().swapaxes(-1, -2)
     z *= 2.0
     return u @ z, z
@@ -574,7 +573,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     reach = 0.0
     if n * d * d <= _GAUSS_NEWTON_CAP:
         reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
-    x, q, r, f = _evaluate(u, target)
+    q, r, f = _evaluate(u, target)
     g = None  # the start's gradient is formed only if a step is taken
     trajectory = [f]
     step = _INITIAL_STEP
@@ -591,7 +590,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
             return u, f, iterations, trajectory, "iterations"
         iterations += 1
         if g is None:
-            g, z = _tangent_gradient(u, x, q, r)
+            g, z = _tangent_gradient(u, q, r)
 
         omega = None
         early = False
@@ -614,7 +613,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
                 except np.linalg.LinAlgError:
                     return u, f, iterations, trajectory, "factorization"
             candidate = _polar_point(factors, trial)
-            x_t, q_t, r_t, f_t = _evaluate(candidate, target)
+            q_t, r_t, f_t = _evaluate(candidate, target)
             if f_t <= bound:
                 break
             trial *= _SHRINK
@@ -625,7 +624,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
         if early and (gradient_step or f_t > _GAUSS_NEWTON_DROP * f):
             reach = _GAUSS_NEWTON_CROSSOVER
-        g_next, z = _tangent_gradient(candidate, x_t, q_t, r_t)
+        g_next, z = _tangent_gradient(candidate, q_t, r_t)
         if gradient_step:
             # Barzilai-Borwein curvature estimate seeds the next trial step;
             # unusable estimates fall back to growth.
