@@ -77,8 +77,17 @@ def gauss_sum(params: GaussSumParams) -> complex:
     as exact fractions mod 2, so one sine and cosine round once at the end.
     For parameters passing :class:`GaussSumParams` validation, which is
     the law's hypothesis and is kept by every step, |result|^2 = |w|.
+    Raises ``ValueError`` for |w| above 2**1024 - 2**976, where sqrt|w|
+    and |S|^2 could leave the float range.
     """
     u, v, w = params.u, params.v, params.w
+    # 2**-48 below the float range: the few roundings of sqrt|w|, the phase
+    # and |S| cannot carry |S|^2 past it from here down.
+    if params.length > 2**1024 - 2**976:
+        raise ValueError(
+            "|w| must be at most 2**1024 - 2**976 (about 1.798e+308), the largest "
+            "length accepted, so that sqrt|w| and |S|^2 stay finite floats"
+        )
     modulus = math.sqrt(params.length)
     turns = Fraction(0)  # the phase, in units of pi, mod 2
     while abs(w) > 1:

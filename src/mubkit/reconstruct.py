@@ -99,11 +99,11 @@ class EigenDecomposition:
 
 
 def _checked_stack(matrix):
-    """``matrix`` as an (N, d, d) complex stack, whether it was one matrix, and sizes.
+    """``matrix`` as a contiguous (N, d, d) complex stack, and whether it was one matrix.
 
-    The sizes are each member's largest real or imaginary part.  Refuses
-    anything but a nonempty square matrix or stack of them, and names the
-    first member with a part that is non-finite or above 1e150.
+    Refuses anything but a nonempty square matrix or stack of them, and
+    names the first member with a part that :func:`~mubkit.algebra._bounded`
+    refuses: non-finite or above 1e150.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
@@ -111,12 +111,11 @@ def _checked_stack(matrix):
             f"expected a nonempty square matrix or stack of them, got shape {m.shape}"
         )
     single = m.ndim == 2
-    stack = m.reshape(-1, *m.shape[-2:])
-    largest = np.max(np.maximum(np.abs(stack.real), np.abs(stack.imag)), axis=(1, 2))
-    i = int(np.argmin(_bounded(largest)))  # the first member out of bound, if any
+    stack = np.ascontiguousarray(m.reshape(-1, *m.shape[-2:]))
+    i = int(np.argmin(_bounded(stack).all(axis=(1, 2))))  # the first member out of bound, if any
     label = "matrix" if single else f"matrix {i}"
-    _check_parts(largest[i], label, "has non-finite entries or parts above")
-    return stack, single, largest
+    _check_parts(stack[i], label, "has non-finite entries or parts above")
+    return stack, single
 
 
 def eigen_hermitian(
@@ -141,9 +140,10 @@ def eigen_hermitian(
     :class:`EigenDecomposition`.  A LAPACK failure raises
     ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
-    stack, single, largest = _checked_stack(matrix)
+    stack, single = _checked_stack(matrix)
     if hermiticity_tol < np.inf:  # an infinite gate could refuse nothing
         defects = _hermitian_defects(stack)
+        largest = np.abs(stack.view(float)).max(axis=(1, 2))  # each member's largest part
         bounds = hermiticity_tol * np.maximum(1.0, largest)
         bad = np.flatnonzero(defects > bounds)
         if bad.size:

@@ -246,7 +246,8 @@ class SearchState:
         v, r = family.rank_one_certificate
         mass = np.einsum("ni,ni->n", v.conj(), v).real
         if np.all(r <= _RANK_ONE_TOL * mass):
-            factors = _symmetrized(mats) / np.sqrt(mass)[:, None, None]
+            factors = _symmetrized(mats)
+            factors /= np.sqrt(mass)[:, None, None]
             return cls(factors.reshape(n, d, d, d))
         spectrum = eigen_hermitian(mats, hermiticity_tol=np.inf)
         vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors

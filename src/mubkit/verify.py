@@ -127,30 +127,28 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     outer product of ``norms`` when given, are the cosines whose angles are
     compared against arccos(1/d); a cosine whose norm product is zero or
     not finite is NaN, which fails the angle check without a floating-point
-    warning.  Each maximum is one reduction over the whole matrix read as
-    (n, d, n, d) blocks, masked by basis pair, which reads 0.0 where its
-    mask is empty: a single basis has no cross-basis terms.
+    warning.  Each reduction reads the whole matrix as (n, d, n, d) blocks,
+    masked by basis pair.  arccos is monotone, so the worst angle is that
+    of the smallest or the largest cosine.  Those two start at 1/d and the
+    residual maxima at 0.0: a single basis, with no cross-basis terms,
+    reads 0.0 throughout.
     """
     n = overlaps.shape[0] // d
     same_basis = np.eye(n, dtype=bool)[:, None, :, None]  # by basis pair, over the blocks
     deviation = np.abs(overlaps - unbiased_gram_target(n, d)).reshape(n, d, n, d)
     max_self = float(deviation.max(where=same_basis, initial=0.0))
     max_cross = float(deviation.max(where=~same_basis, initial=0.0))
-    del deviation  # so the angle term's arrays stand without it
-    # The angle terms are formed in one array of their own, never in
-    # ``overlaps``: it may be the Gram matrix a report keeps.
-    if norms is None:
-        angles = np.clip(overlaps, -1.0, 1.0)
-    else:
+    del deviation  # so the cosines stand without it
+    cosines = overlaps
+    if norms is not None:
         scale = np.outer(norms, norms)
         usable = (scale > 0.0) & (scale < np.inf)
-        angles = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
-        np.clip(angles, -1.0, 1.0, out=angles)
-    np.arccos(angles, out=angles)
-    angles -= np.arccos(1.0 / d)
-    np.abs(angles, out=angles)
-    angle_check = angles.reshape(n, d, n, d).max(where=~same_basis, initial=0.0)
-    return max_self, max_cross, float(angle_check)
+        cosines = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
+    cosines = cosines.reshape(n, d, n, d)
+    low = cosines.min(where=~same_basis, initial=1.0 / d)
+    high = cosines.max(where=~same_basis, initial=1.0 / d)
+    angles = np.arccos(np.clip([low, high, 1.0 / d], -1.0, 1.0))
+    return max_self, max_cross, float(np.abs(angles[:2] - angles[2]).max())
 
 
 def verify_family(

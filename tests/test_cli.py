@@ -906,6 +906,16 @@ class TestGauss:
         assert proc.returncode == 2
         assert "gcd(u, w) must be 1" in proc.stderr
 
+    def test_length_beyond_the_float_range_is_usage_error(self):
+        # It ended in an OverflowError traceback from sqrt|w|.
+        proc = run("gauss", "--u", "1", "--v", "1", "--w", str(10**400 + 1))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: |w| must be at most 2**1024 - 2**976 (about 1.798e+308), the largest "
+            "length accepted, so that sqrt|w| and |S|^2 stay finite floats\n"
+        )
+
 
 class TestWrittenBytes:
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])

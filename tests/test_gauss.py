@@ -144,6 +144,28 @@ class TestGaussSum:
         assert peak < 100_000
         assert abs(values[0] - quarter * math.sqrt(p)) <= 1e-14 * math.sqrt(p)
 
+    @pytest.mark.parametrize(
+        "w",
+        [10**400 + 1, -(10**400 + 1), 2**1024 - 2**976 + 1],
+        ids=["10**400+1", "-(10**400+1)", "2**1024-2**976+1"],
+    )
+    def test_length_beyond_the_float_range_is_refused(self, w):
+        # Valid parameters above the largest accepted |w|, 10**400 + 1 among
+        # them, whose sqrt|w| is no float: a ValueError naming that bound, not
+        # an OverflowError.
+        with pytest.raises(ValueError, match=r"^\|w\| must be at most 2\*\*1024 - 2\*\*976 "):
+            gauss_sum(GaussSumParams(u=1, v=1, w=w))
+
+    @pytest.mark.parametrize(
+        "w",
+        [2**1024 - 2**976, -(2**1024 - 2**976), 2**1023 + 1],
+        ids=["2**1024-2**976", "-(2**1024-2**976)", "2**1023+1"],
+    )
+    def test_largest_accepted_length_keeps_the_modulus(self, w):
+        v = w % 2  # u = 1: u*w + v is even
+        modulus_sq = abs(gauss_sum(GaussSumParams(u=1, v=v, w=w))) ** 2
+        assert abs(modulus_sq - abs(w)) <= 1e-15 * abs(w)
+
 
 class TestMubGaussParams:
     def test_direct_substitution(self):

@@ -207,6 +207,10 @@ class TestBatchedEigen:
                 eigen_hermitian(matrix)
             with pytest.raises(ValueError, match="^matrix 1 has non-finite entries"):
                 eigen_hermitian(stack)
+            # Of two members out of bound, the first is named.
+            stack[0] = stack[2] = matrix
+            with pytest.raises(ValueError, match="^matrix 0 has non-finite entries"):
+                eigen_hermitian(stack)
 
     @pytest.mark.parametrize("huge", [1e308, -1e308j, 2e150])
     def test_rejects_huge_entries_before_any_warning(self, huge):
@@ -216,7 +220,12 @@ class TestBatchedEigen:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^matrix 2 has non-finite entries or parts above"):
                 eigen_hermitian(stack)
+            # Of two members out of bound, the first is named.
+            stack[0, 1, 1] = huge
+            with pytest.raises(ValueError, match=r"^matrix 0 has non-finite entries or parts above"):
+                eigen_hermitian(stack)
         # The bound itself is accepted.
+        stack[0, 1, 1] = 1e150
         stack[2, 0, 0] = 1e150
         assert eigen_hermitian(stack).eigenvalues.shape == (3, 2)
 

@@ -42,6 +42,26 @@ def noisy_family(d, size):
     return MubFamily(mats + size / 2 * (noise + noise.conj().swapaxes(-1, -2)))
 
 
+def zeroed_projector_family(d):
+    """The closed form with projector (1, 0) zeroed: its cosines are NaN."""
+    mats = build_family(d).projectors.copy()
+    mats[1, 0] = 0.0
+    return MubFamily(mats)
+
+
+def family_route(family):
+    """``verify_family``'s report on ``family``, with the Gram, d and norms it read."""
+    report = verify_family(family, keep_gram=True)
+    return report, report.gram, family.dim, np.sqrt(np.diagonal(report.gram))
+
+
+def states_route(family):
+    """``verify_states``' report on ``family``'s states, with |Gram|^2, d and no norms."""
+    states = reconstruct_all(family)
+    n, d = states.shape[:2]
+    return verify_states(states), np.abs(_gram(states.reshape(n * d, d))) ** 2, d, None
+
+
 def qubit_trio_states():
     sq = 1 / np.sqrt(2)
     return np.array(
@@ -425,20 +445,25 @@ class TestReferenceImplementations:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: build_family(13), lambda: noisy_family(13, 1e-12), lambda: gram_leak_family(13)],
-        ids=["closed", "noisy", "leak"],
+        [
+            lambda: family_route(build_family(13)),
+            lambda: family_route(noisy_family(13, 1e-12)),
+            lambda: family_route(gram_leak_family(13)),
+            lambda: family_route(MubFamily(build_family(13).projectors[:1])),
+            lambda: family_route(zeroed_projector_family(13)),
+            lambda: family_route(noisy_family(13, 1e-2)),
+            lambda: states_route(build_family(13)),
+        ],
+        ids=["closed", "noisy", "leak", "one_basis", "zeroed", "noisy_1e-2", "states"],
     )
     def test_overlap_residuals_match_the_reference_on_a_family_gram(self, make):
-        # At full size, on the very Gram and norms verify_family reads.
-        family = make()
-        report = verify_family(family, keep_gram=True)
-        gram = report.gram
-        norms = np.sqrt(np.diagonal(gram))
-        got = _overlap_residuals(gram, family.dim, norms)
-        assert [x.hex() for x in got] == [
-            x.hex() for x in reference_overlap_residuals(gram, family.dim, norms)
-        ]
-        assert got == (report.max_self_residual, report.max_cross_residual, report.angle_check)
+        # At full size, on the very overlaps and norms the report was read from.
+        report, overlaps, d, norms = make()
+        got = [x.hex() for x in _overlap_residuals(overlaps, d, norms)]
+        assert got == [x.hex() for x in reference_overlap_residuals(overlaps, d, norms)]
+        # Bit for bit, so a NaN angle (the zeroed projector's) matches too.
+        residuals = (report.max_self_residual, report.max_cross_residual, report.angle_check)
+        assert got == [x.hex() for x in residuals]
 
     @settings(max_examples=300, deadline=None)
     @given(overlap_problems())
