@@ -19,16 +19,19 @@ from mubkit.search import (
     SearchConfig,
     SearchState,
     _derive,
+    _descend,
     _evaluate,
     _gauss_newton_direction,
     _gauss_newton_jacobian,
     _gradient_array,
+    _group_fourier,
     _minimize,
     _objective_value,
     _polar_factors,
     _polar_point,
     _residual,
     _retract,
+    _structured_start,
     _tangent_gradient,
     gradient,
     objective,
@@ -435,7 +438,8 @@ class TestRunSearch:
         # cannot even hold the request; the config itself refuses it.
         with pytest.raises(ValueError, match="num_bases"):
             SearchConfig(dim=6, num_bases=8)
-        cfg = SearchConfig(dim=2, num_bases=3, restarts=2, seed=0, max_iterations=3)
+        # Structured starts converge here in 2 iterations, so one is the cap.
+        cfg = SearchConfig(dim=2, num_bases=3, restarts=2, seed=0, max_iterations=1)
         result = run_search(cfg)
         assert not result.converged
         assert result.restarts_used == 2
@@ -453,10 +457,105 @@ class TestRunSearch:
         assert all(n <= cfg.max_iterations for n in result.restart_iterations)
 
 
+def fourier(p):
+    k = np.arange(p)
+    return np.exp(2j * np.pi * np.outer(k, k) / p) / np.sqrt(p)
+
+
+# Prime factors with multiplicity, ascending.
+FACTORS = {
+    2: [2], 3: [3], 4: [2, 2], 5: [5], 6: [2, 3], 7: [7], 8: [2, 2, 2], 9: [3, 3], 10: [2, 5],
+    11: [11], 12: [2, 2, 3],
+}
+
+
+class TestStructuredStarts:
+    # Basis 0 is I and basis a >= 1 is diag(exp(i theta_a)) H, H the
+    # Kronecker product of F_p over d's prime factors.
+    def test_group_fourier_is_the_kronecker_product(self):
+        assert np.allclose(_group_fourier(4), np.kron(fourier(2), fourier(2)), rtol=0, atol=1e-15)
+        twelve = np.kron(np.kron(fourier(2), fourier(2)), fourier(3))
+        assert np.allclose(_group_fourier(12), twelve, rtol=0, atol=1e-15)
+        # Not the cyclic F_4, whose starts converge far less often.
+        assert not np.allclose(_group_fourier(4), fourier(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 12), num_bases=st.integers(2, 13), key=st.integers(0, 2**64))
+    def test_start_shape(self, d, num_bases, key):
+        num_bases = min(num_bases, d + 1)
+        h = _group_fourier(d)
+        expected = np.ones((1, 1))
+        for p in FACTORS[d]:
+            expected = np.kron(expected, fourier(p))
+        assert np.max(np.abs(h - expected)) < 1e-14
+        assert np.max(np.abs(h.conj().T @ h - np.eye(d))) < 1e-14
+        u = _structured_start(h, num_bases, key)
+        assert u.shape == (num_bases, d, d)
+        assert np.array_equal(u[0], np.eye(d))
+        overlaps = np.abs(u[0].conj().T @ u[1:]) ** 2
+        assert np.max(np.abs(overlaps - 1.0 / d)) < 1e-14
+        # Each later basis is H with its rows phased.
+        phases = u[1:] / h
+        assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-14
+        assert np.max(np.abs(phases - phases[:, :, :1])) < 1e-14
+        again = _structured_start(_group_fourier(d), num_bases, key)
+        assert np.array_equal(u, again)
+
+    def test_run_search_descends_from_the_structured_starts(self, monkeypatch):
+        import mubkit.search
+
+        starts = []
+        real = mubkit.search._minimize
+
+        def recording(u0, target, cfg):
+            starts.append(u0)
+            return real(u0, target, cfg)
+
+        monkeypatch.setattr(mubkit.search, "_minimize", recording)
+        cfg = SearchConfig(dim=6, num_bases=4, restarts=3, seed=17, max_iterations=2)
+        assert run_search(cfg).restarts_used == 3
+        h = _group_fourier(6)
+        for key, u0 in zip(range(17, 20), starts, strict=True):
+            assert np.array_equal(u0, _structured_start(h, 4, key))
+
+    def test_two_bases_converge_at_the_start(self):
+        for d in range(2, 13):
+            result = run_search(SearchConfig(dim=d, num_bases=2, restarts=3, seed=d))
+            assert result.converged and result.iterations_used == 0
+
+    def test_complete_family_in_dimension_seven(self):
+        # From Haar starts 9 of keys 0-199 converged; from structured starts
+        # key 0 plateaus and key 1 converges.
+        result = run_search(SearchConfig(dim=7, num_bases=8, restarts=2, seed=0))
+        assert result.converged
+        assert result.stop_reasons == ("plateau", "target")
+        assert verify_family(result.best_family, tolerance=1e-6).passed
+
+
 def haar_unitaries(seed, num_bases, d):
     rng = np.random.default_rng(seed)
     shape = (num_bases, d, d)
     return _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def haar_start(key, num_bases, d):
+    """The Haar-random start that restart key ``key`` once drew, bit for bit.
+
+    ``run_search`` used to draw x, then y, from ``standard_normal`` on the
+    restart's Philox generator and retract x + iy; the descent pins below
+    were taken from these starts.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    shape = (num_bases, d, d)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape)
+    return _retract(x + 1j * y)
+
+
+def haar_search(cfg):
+    """``run_search``'s restart loop, fed the Haar starts of keys seed .. seed + restarts - 1."""
+    keys = range(cfg.seed, cfg.seed + cfg.restarts)
+    return _descend((haar_start(key, cfg.num_bases, cfg.dim) for key in keys), cfg)
 
 
 def random_skew(rng, num_bases, d):
@@ -527,10 +626,10 @@ class TestLineSearchExhaustion:
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_trajectory_strictly_decreasing_at_dimension_six(self, monkeypatch):
-        # Keys 0 and 1 converge; keys 3, 4, 5 and 7 stop on a plateau.
+        # From Haar starts keys 0 and 1 converge; keys 3, 4, 5 and 7 stop on a plateau.
         descents = recorded_descents(monkeypatch)
         converged = [
-            run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)).converged
+            haar_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)).converged
             for key in (0, 1, 3, 4, 5, 7)
         ]
         assert converged == [True, True, False, False, False, False]
@@ -540,13 +639,13 @@ class TestLineSearchExhaustion:
             assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_rounded_target_retracts_no_trial(self, monkeypatch):
-        # Key 4's restart stops on a plateau.  Descending again from where
+        # Key 4's Haar restart stops on a plateau.  Descending again from where
         # each descent stopped, the eighth ends on an exhausted line search,
         # at a point where the first gradient trial's Armijo target (step 1)
         # already rounds to f.
         descents = recorded_descents(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=4)
-        assert run_search(cfg).stop_reasons == ("plateau",)
+        assert haar_search(cfg).stop_reasons == ("plateau",)
         u = descents[0][0]
         target = unbiased_gram_target(3, 6)
         for _ in range(20):
@@ -632,16 +731,16 @@ class TestPolarRetraction:
 
 
 class TestDimensionSixPins:
-    # Single restarts for 3 bases in d = 6, keys 0-29: which converge, and
-    # in how many iterations.  A change to the line search, its stop rules
-    # or the Gauss-Newton endgame that moves a converged trajectory moves
-    # these counts.
+    # Single restarts for 3 bases in d = 6, keys 0-29, from the Haar starts
+    # of haar_start: which converge, and in how many iterations.  A change
+    # to the line search, its stop rules or the Gauss-Newton endgame that
+    # moves a converged trajectory moves these counts.
     CONVERGED_ITERATIONS = {
         0: 27, 1: 16, 2: 20, 8: 23, 9: 17, 10: 24, 11: 51, 12: 11, 13: 33, 14: 36, 16: 18,
         17: 17, 18: 26, 19: 14, 20: 17, 21: 14, 22: 24, 23: 24, 24: 36, 25: 18, 27: 32, 28: 14,
         29: 23,
     }
-    # Unconverged keys: (iterations, objective) where they stop on the
+    # Unconverged Haar keys: (iterations, objective) where they stop on the
     # plateau of a local minimum, above the 3e-2 below which Gauss-Newton
     # is first tried.
     # The objectives' last bits follow the OpenBLAS kernel, so they are
@@ -656,8 +755,15 @@ class TestDimensionSixPins:
     # the stops and counts as JSON, whose floats round-trip exactly.
     FIXED_KERNEL_SEARCHES = """
 import json
+import numpy as np
 import mubkit.search
-from mubkit.search import SearchConfig, run_search
+from mubkit.search import SearchConfig, _descend, _retract
+
+def haar_search(key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = rng.standard_normal((3, 6, 6))
+    y = rng.standard_normal((3, 6, 6))
+    return _descend([_retract(x + 1j * y)], SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
 
 calls = []
 real = mubkit.search._gauss_newton_direction
@@ -669,21 +775,31 @@ def counting(*args):
 mubkit.search._gauss_newton_direction = counting
 stops = {}
 for key in (3, 4, 5, 7):
-    result = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
+    result = haar_search(key)
     stops[key] = [result.restart_iterations[0], result.best_objective, result.stop_reasons]
 minima_calls = len(calls)
-converged = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=0)).converged
+converged = haar_search(0).converged
 print(json.dumps([stops, minima_calls, converged, len(calls)]))
 """
 
     def test_converged_keys_and_iterations(self):
         converged = {}
         for key in range(30):
-            result = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
+            result = haar_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
             assert result.stop_reasons == ("target" if result.converged else "plateau",)
             if result.converged:
                 converged[key] = result.restart_iterations[0]
         assert converged == self.CONVERGED_ITERATIONS
+
+    def test_structured_starts_converge_every_key(self):
+        # run_search's own starts: all 30 keys converge, in 251 iterations
+        # together (871 from the Haar starts above, 7 of them unconverged).
+        results = [
+            run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)) for key in range(30)
+        ]
+        assert all(result.stop_reasons == ("target",) for result in results)
+        assert results[0].iterations_used == 7
+        assert sum(result.iterations_used for result in results) == 251
 
     def test_local_minima_never_reach_gauss_newton(self):
         import mubkit
@@ -789,8 +905,9 @@ class TestGaussNewtonFallback:
 class TestGaussNewtonHandover:
     # Gauss-Newton is first tried below 30 times the crossover (3e-2) and
     # kept there only while it works.  The lowest local-minimum floors seen
-    # (d = 8, 3 bases) lie in that window: a restart stuck on one makes a
-    # single attempt above the crossover and still stops on its plateau.
+    # from Haar starts (d = 8, 3 bases) lie in that window: a restart stuck
+    # on one makes a single attempt above the crossover and still stops on
+    # its plateau.
     FLOORS = {9: "1.435e-03", 45: "2.163e-03", 55: "2.163e-03"}
 
     @pytest.mark.parametrize("key", sorted(FLOORS))
@@ -805,7 +922,7 @@ class TestGaussNewtonHandover:
             return real(*args)
 
         monkeypatch.setattr(mubkit.search, "_gauss_newton_direction", counting)
-        result = run_search(SearchConfig(dim=8, num_bases=3, restarts=1, seed=key))
+        result = haar_search(SearchConfig(dim=8, num_bases=3, restarts=1, seed=key))
         assert result.stop_reasons == ("plateau",)
         assert f"{result.best_objective:.3e}" == self.FLOORS[key]
         # Every attempt was above the crossover, since the floor is.
