@@ -99,23 +99,28 @@ _STEP_GROWTH = 2.0
 # Below this objective every step tries Gauss-Newton first; the damped
 # normal equations are reliable near a solution and pointless far from one.
 # This fallback rule must stay below every local-minimum floor, or restarts
-# stuck there would spend their last steps on it.  The floors were measured
-# from Haar-random starts, and the tests that pin them still start there:
-# the lowest seen are 1.435e-3 and 2.163e-3 (d = 8, 3 bases, keys 9, 45 and
-# 55 of 0-59); each such restart ends on the plateau rule below.  At d = 7
-# and d = 6 with 3 bases the lowest seen are 0.029 and 0.047.  Structured
-# starts meet other floors, not yet measured against this rule.
+# stuck there would spend their last steps on it.  From run_search's starts
+# (d = 3..12 with 3 to min(d + 1, 6) bases, and complete d = 7 and 8, keys
+# 0-39) the lowest floor is 1.769e-2, at d = 12 with 4 bases: 17.7 times
+# above this.  Each restart on a floor ends on the plateau rule below.
+# Converging restarts whose early attempt failed (see _GAUSS_NEWTON_REACH)
+# need the return to Gauss-Newton here.  If a failed attempt ended
+# Gauss-Newton for the restart, 3 bases in d = 9 would take 360 631
+# iterations over keys 0-39 instead of 535 and converge on 33 keys, not 40;
+# in d = 11 they would take 26 834 instead of 533.
 _GAUSS_NEWTON_CROSSOVER = 1e-3
 
 # Gauss-Newton is tried early, below this multiple of the crossover (3e-2),
 # until an attempt there fails: it yields no direction, or its accepted
 # step leaves the objective above this fraction of where it started.  From
-# then on the restart waits for the crossover.  Measured from Haar-random
-# starts (as the tests that pin it still are): converging restarts at d = 6
-# with 3 bases spend about a fifth of their iterations between 3e-2 and
-# 1e-3 on gradient steps otherwise; every d = 6 local-minimum floor seen
-# (0.047 and up) lies above the window, and the low d = 8 floors make one
-# failed attempt each.
+# then on the restart waits for the crossover.  Measured from run_search's
+# starts with 3 bases, the early window saves iterations: keys 0-29 in d = 6
+# take 251 with it and 284 without, keys 0-19 in d = 10 266 and 400.  The
+# only floors seen inside the window, 1.769e-2 (d = 12) and 2.049e-2
+# (d = 10), both with 4 bases, make one failed attempt each; without the
+# drop they make 14 to 45, one per step below 3e-2 until the plateau rule
+# ends them.  The drop costs converging restarts little: keys 0-19 in d = 7
+# with 3 bases take 176 iterations with it and 169 without.
 _GAUSS_NEWTON_REACH = 30.0
 _GAUSS_NEWTON_DROP = 0.25
 
@@ -128,8 +133,12 @@ _GAUSS_NEWTON_CAP = 800
 
 # A restart whose last 3 accepted steps together lowered the objective by
 # less than 1e-6 of it sits on a plateau and stops.  That is how restarts
-# stuck at a local minimum end; in every shape measured from Haar-random
-# starts, no restart that converges ever met the rule.
+# stuck at a local minimum end.  In the scan of _GAUSS_NEWTON_CROSSOVER,
+# 535 of 1 560 restarts stop on it.  Without it, 532 of those run on until
+# the line search runs out, still on a floor, and take 58 308 iterations
+# instead of 34 406.  The other 3 would crawl off and converge, but late:
+# complete d = 7 key 0 after 235 iterations, while the rule stops it at 29
+# and key 1 then converges in 25.
 _PLATEAU_STEPS = 3
 _PLATEAU_GAIN = 1e-6
 
@@ -396,10 +405,12 @@ def gradient(state: SearchState) -> np.ndarray:
 def _retract(y: np.ndarray) -> np.ndarray:
     """The unitary QR factor of each (d, d) matrix, with R's diagonal made positive.
 
-    Fixing the phases makes the factor unique, so the retraction is smooth
-    and a Gaussian matrix maps to a Haar-random unitary.  A rank-deficient
-    input still yields a unitary (its zero pivots keep phase 1).  LAPACK's
-    pivots are real, so each phase is an exact sign.
+    Fixing the phases makes the factor unique: it depends on the input
+    alone, not on the signs a LAPACK build's Householder reflections pick,
+    and a unitary input comes back as itself.  So :func:`polish`, the one
+    caller, starts from a point fixed by the family it is given.  A
+    rank-deficient input still yields a unitary (its zero pivots keep
+    phase 1).  LAPACK's pivots are real, so each phase is an exact sign.
     """
     q, r = np.linalg.qr(y)
     pivots = np.diagonal(r, axis1=-2, axis2=-1).real

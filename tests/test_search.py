@@ -19,7 +19,6 @@ from mubkit.search import (
     SearchConfig,
     SearchState,
     _derive,
-    _descend,
     _evaluate,
     _gauss_newton_direction,
     _gauss_newton_jacobian,
@@ -524,8 +523,7 @@ class TestStructuredStarts:
             assert result.converged and result.iterations_used == 0
 
     def test_complete_family_in_dimension_seven(self):
-        # From Haar starts 9 of keys 0-199 converged; from structured starts
-        # key 0 plateaus and key 1 converges.
+        # Key 0 stops on a plateau and key 1 converges.
         result = run_search(SearchConfig(dim=7, num_bases=8, restarts=2, seed=0))
         assert result.converged
         assert result.stop_reasons == ("plateau", "target")
@@ -536,26 +534,6 @@ def haar_unitaries(seed, num_bases, d):
     rng = np.random.default_rng(seed)
     shape = (num_bases, d, d)
     return _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def haar_start(key, num_bases, d):
-    """The Haar-random start that restart key ``key`` once drew, bit for bit.
-
-    ``run_search`` used to draw x, then y, from ``standard_normal`` on the
-    restart's Philox generator and retract x + iy; the descent pins below
-    were taken from these starts.
-    """
-    rng = np.random.Generator(np.random.Philox(key=key))
-    shape = (num_bases, d, d)
-    x = rng.standard_normal(shape)
-    y = rng.standard_normal(shape)
-    return _retract(x + 1j * y)
-
-
-def haar_search(cfg):
-    """``run_search``'s restart loop, fed the Haar starts of keys seed .. seed + restarts - 1."""
-    keys = range(cfg.seed, cfg.seed + cfg.restarts)
-    return _descend((haar_start(key, cfg.num_bases, cfg.dim) for key in keys), cfg)
 
 
 def random_skew(rng, num_bases, d):
@@ -626,11 +604,11 @@ class TestLineSearchExhaustion:
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_trajectory_strictly_decreasing_at_dimension_six(self, monkeypatch):
-        # From Haar starts keys 0 and 1 converge; keys 3, 4, 5 and 7 stop on a plateau.
+        # 3 bases: keys 0 and 1 converge.  4 bases: keys 0-3 stop on a plateau.
         descents = recorded_descents(monkeypatch)
         converged = [
-            haar_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)).converged
-            for key in (0, 1, 3, 4, 5, 7)
+            run_search(SearchConfig(dim=6, num_bases=n, restarts=1, seed=key)).converged
+            for n, key in [(3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]
         ]
         assert converged == [True, True, False, False, False, False]
         assert [stop for *_, stop in descents] == ["target"] * 2 + ["plateau"] * 4
@@ -639,20 +617,22 @@ class TestLineSearchExhaustion:
             assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
     def test_rounded_target_retracts_no_trial(self, monkeypatch):
-        # Key 4's Haar restart stops on a plateau.  Descending again from where
-        # each descent stopped, the eighth ends on an exhausted line search,
-        # at a point where the first gradient trial's Armijo target (step 1)
-        # already rounds to f.
+        # Key 0 with 4 bases in d = 6 stops on a plateau.  Descending again
+        # from where each descent stopped, the fourth ends on an exhausted
+        # line search, at a point where the first gradient trial's Armijo
+        # target (step 1) already rounds to f.
         descents = recorded_descents(monkeypatch)
-        cfg = SearchConfig(dim=6, num_bases=3, restarts=1, seed=4)
-        assert haar_search(cfg).stop_reasons == ("plateau",)
+        cfg = SearchConfig(dim=6, num_bases=4, restarts=1, seed=0)
+        assert run_search(cfg).stop_reasons == ("plateau",)
         u = descents[0][0]
-        target = unbiased_gram_target(3, 6)
+        target = unbiased_gram_target(4, 6)
+        stops = []
         for _ in range(20):
             u, *_, stop = _minimize(u, target, cfg)
+            stops.append(stop)
             if stop != "plateau":
                 break
-        assert stop == "line search"
+        assert stops == ["plateau"] * 3 + ["line search"]
         q, r, f = _evaluate(u, target)
         g, _ = _tangent_gradient(u, q, r)
         gnorm_sq = float(np.vdot(g, g).real)
@@ -731,39 +711,37 @@ class TestPolarRetraction:
 
 
 class TestDimensionSixPins:
-    # Single restarts for 3 bases in d = 6, keys 0-29, from the Haar starts
-    # of haar_start: which converge, and in how many iterations.  A change
-    # to the line search, its stop rules or the Gauss-Newton endgame that
-    # moves a converged trajectory moves these counts.
+    # Single restarts of run_search, keys 0-29 for 3 bases in d = 6 and keys
+    # 0-19 for 3 bases in d = 7: every key converges, in this many
+    # iterations.  A change to the line search, its stop rules or the
+    # Gauss-Newton endgame that moves a converged trajectory moves these
+    # counts.  In d = 7 early Gauss-Newton attempts fail on converging
+    # restarts, so the early window, the drop rule and the return to
+    # Gauss-Newton at the crossover each move them too.
     CONVERGED_ITERATIONS = {
-        0: 27, 1: 16, 2: 20, 8: 23, 9: 17, 10: 24, 11: 51, 12: 11, 13: 33, 14: 36, 16: 18,
-        17: 17, 18: 26, 19: 14, 20: 17, 21: 14, 22: 24, 23: 24, 24: 36, 25: 18, 27: 32, 28: 14,
-        29: 23,
+        (6, 3): [
+            7, 6, 7, 4, 6, 7, 8, 7, 9, 14, 7, 12, 8, 7, 6,
+            9, 7, 10, 10, 9, 11, 9, 5, 16, 7, 7, 5, 9, 10, 12,
+        ],
+        (7, 3): [12, 12, 7, 9, 7, 7, 12, 8, 8, 10, 8, 9, 9, 7, 10, 6, 9, 10, 7, 9],
     }
-    # Unconverged Haar keys: (iterations, objective) where they stop on the
-    # plateau of a local minimum, above the 3e-2 below which Gauss-Newton
-    # is first tried.
-    # The objectives' last bits follow the OpenBLAS kernel, so they are
-    # taken under one fixed kernel (Haswell, single-threaded).
+    # 4 bases in d = 6, keys 0-3: (iterations, objective) where they stop on
+    # the plateau of a local minimum, far above the 3e-2 below which
+    # Gauss-Newton is first tried.  The objectives' last bits follow the
+    # OpenBLAS kernel, so they are taken under one fixed kernel (Haswell,
+    # single-threaded).
     LOCAL_MINIMA = {
-        3: (59, 0.06559247035904467),
-        4: (35, 0.05124922915751215),
-        5: (51, 0.0655924813964274),
-        7: (43, 0.05124922071582663),
+        0: (22, 0.3628866004461815),
+        1: (21, 0.2122322636645518),
+        2: (29, 0.21223226243541063),
+        3: (18, 0.3628865754204401),
     }
     # Runs the searches with _gauss_newton_direction counted, and prints
     # the stops and counts as JSON, whose floats round-trip exactly.
     FIXED_KERNEL_SEARCHES = """
 import json
-import numpy as np
 import mubkit.search
-from mubkit.search import SearchConfig, _descend, _retract
-
-def haar_search(key):
-    rng = np.random.Generator(np.random.Philox(key=key))
-    x = rng.standard_normal((3, 6, 6))
-    y = rng.standard_normal((3, 6, 6))
-    return _descend([_retract(x + 1j * y)], SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
+from mubkit.search import SearchConfig, run_search
 
 calls = []
 real = mubkit.search._gauss_newton_direction
@@ -774,32 +752,27 @@ def counting(*args):
 
 mubkit.search._gauss_newton_direction = counting
 stops = {}
-for key in (3, 4, 5, 7):
-    result = haar_search(key)
+for key in range(4):
+    result = run_search(SearchConfig(dim=6, num_bases=4, restarts=1, seed=key))
     stops[key] = [result.restart_iterations[0], result.best_objective, result.stop_reasons]
 minima_calls = len(calls)
-converged = haar_search(0).converged
+converged = run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=0)).converged
 print(json.dumps([stops, minima_calls, converged, len(calls)]))
 """
 
+    def converged_iterations(self, dim, num_bases):
+        iterations = []
+        for key in range(len(self.CONVERGED_ITERATIONS[dim, num_bases])):
+            result = run_search(SearchConfig(dim=dim, num_bases=num_bases, restarts=1, seed=key))
+            assert result.stop_reasons == ("target",)
+            iterations.append(result.iterations_used)
+        return iterations
+
     def test_converged_keys_and_iterations(self):
-        converged = {}
-        for key in range(30):
-            result = haar_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key))
-            assert result.stop_reasons == ("target" if result.converged else "plateau",)
-            if result.converged:
-                converged[key] = result.restart_iterations[0]
-        assert converged == self.CONVERGED_ITERATIONS
+        assert self.converged_iterations(6, 3) == self.CONVERGED_ITERATIONS[6, 3]
 
     def test_structured_starts_converge_every_key(self):
-        # run_search's own starts: all 30 keys converge, in 251 iterations
-        # together (871 from the Haar starts above, 7 of them unconverged).
-        results = [
-            run_search(SearchConfig(dim=6, num_bases=3, restarts=1, seed=key)) for key in range(30)
-        ]
-        assert all(result.stop_reasons == ("target",) for result in results)
-        assert results[0].iterations_used == 7
-        assert sum(result.iterations_used for result in results) == 251
+        assert self.converged_iterations(7, 3) == self.CONVERGED_ITERATIONS[7, 3]
 
     def test_local_minima_never_reach_gauss_newton(self):
         import mubkit
@@ -816,7 +789,8 @@ print(json.dumps([stops, minima_calls, converged, len(calls)]))
         assert {int(key): (it, obj) for key, (it, obj, _) in stops.items()} == self.LOCAL_MINIMA
         assert all(reasons == ["plateau"] for _, _, reasons in stops.values())
         assert minima_calls == 0
-        assert converged and calls
+        # 3 bases in d = 6, key 0, converges through 4 Gauss-Newton attempts.
+        assert converged and calls == 4
 
 
 REAL_SOLVE = np.linalg.solve
@@ -905,13 +879,18 @@ class TestGaussNewtonFallback:
 class TestGaussNewtonHandover:
     # Gauss-Newton is first tried below 30 times the crossover (3e-2) and
     # kept there only while it works.  The lowest local-minimum floors seen
-    # from Haar starts (d = 8, 3 bases) lie in that window: a restart stuck
-    # on one makes a single attempt above the crossover and still stops on
-    # its plateau.
-    FLOORS = {9: "1.435e-03", 45: "2.163e-03", 55: "2.163e-03"}
+    # from run_search's starts, 4 bases in d = 12 and d = 10, lie in that
+    # window: a restart stuck on one makes a single attempt above the
+    # crossover and still stops on its plateau.
+    FLOORS = {
+        (12, 4, 6): "1.769e-02",
+        (12, 4, 32): "1.769e-02",
+        (10, 4, 1): "2.049e-02",
+        (10, 4, 21): "2.049e-02",
+    }
 
-    @pytest.mark.parametrize("key", sorted(FLOORS))
-    def test_low_floor_makes_at_most_one_attempt(self, monkeypatch, key):
+    @pytest.mark.parametrize("dim,num_bases,key", sorted(FLOORS))
+    def test_floor_in_the_window_makes_one_attempt(self, monkeypatch, dim, num_bases, key):
         import mubkit.search
 
         calls = []
@@ -922,11 +901,11 @@ class TestGaussNewtonHandover:
             return real(*args)
 
         monkeypatch.setattr(mubkit.search, "_gauss_newton_direction", counting)
-        result = haar_search(SearchConfig(dim=8, num_bases=3, restarts=1, seed=key))
+        result = run_search(SearchConfig(dim=dim, num_bases=num_bases, restarts=1, seed=key))
         assert result.stop_reasons == ("plateau",)
-        assert f"{result.best_objective:.3e}" == self.FLOORS[key]
-        # Every attempt was above the crossover, since the floor is.
-        assert len(calls) <= 1
+        assert f"{result.best_objective:.3e}" == self.FLOORS[dim, num_bases, key]
+        # The attempt was above the crossover, since the floor is.
+        assert len(calls) == 1
 
 
 class TestUnitaryModel:
