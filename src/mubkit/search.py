@@ -37,10 +37,10 @@ pass the test.  The result names each restart's stop.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
-reports that penalty evaluated on the projectors it returns, each its own
-factor.  Non-convergence is an outcome, not an error: the result reports
-the best residual floor reached and never interprets it as evidence that
-no family exists.
+reports the penalty its descent reached on the unitaries' overlaps, that of
+the projectors it returns to within :class:`SearchResult`'s roundoff bound.
+Non-convergence is an outcome, not an error: the result reports the best
+residual floor reached and never interprets it as evidence that no family exists.
 """
 
 from __future__ import annotations
@@ -283,12 +283,24 @@ class SearchState:
 class SearchResult:
     """Outcome of a search: best point found plus per-restart accounting.
 
-    ``converged`` means ``best_objective <= target_residual``.  ``history``
-    holds the penalty of each restart's returned family,
-    ``restart_iterations`` its iteration count and ``stop_reasons`` why its
-    descent stopped (``"target"``, ``"plateau"``, ``"line search"``,
-    ``"factorization"`` or ``"iterations"``), in restart order; all three
-    stop at the restart where the search first converged.
+    ``history``, ``restart_iterations`` and ``stop_reasons`` hold each restart's descent objective
+    bit for bit, its iterations and why it stopped (``"target"``, ``"plateau"``, ``"line search"``,
+    ``"factorization"`` or ``"iterations"``), up to the first ``"target"``; ``converged`` holds
+    exactly when the last stop is ``"target"``.  The least objective, f = ``best_objective``, and
+    f' = ``objective(SearchState(best_family.projectors))`` differ at roundoff: with N = n d and
+    gamma_k = k u / (1 - k u), u = 2**-53 (Higham 2002, sections 3.1 and 3.6; see README),
+    |f - f'| <= N (dQ + dM) (sqrt(2 f) + sqrt(2 f')) / sqrt(2) + gamma_(N^2 + 1) (f + f').
+    Each is ||R||_w^2 / 2, weighted 2 on the diagonal (the weights sum to at most 2 N^2), of an R
+    within dQ or dM entrywise of that of the states' normalized projectors: Cauchy-Schwarz gives
+    the first term, summing the N^2 + N squares the second.  dQ = 4 gamma_(2d) + 2 eta + eta^2:
+    an overlap (a length-d complex inner product) is off by sqrt(2) gamma_(2d), its squared
+    modulus twice that plus gamma_2, the target's subtraction u; the states are unit to
+    eta = max |<v|v> - 1| <= tau + gamma_(d+2) (1 + tau) only, tau the largest of
+    ``best_family.invariants[1]``.  dM = 8 gamma_(2 d^2): forming v v^dagger moves a normalized
+    projector by 4 sqrt(2) gamma_2, B^dagger B by sqrt(2) gamma_(2d), its trace norm by
+    gamma_(2 d^2) and the quotient by u, twice over in a Gram entry; the Gram product adds
+    gamma_(2 d^2), the target u.  To first order these sum to 3.6 gamma_(2d) and
+    7.7 gamma_(2 d^2); rounding up covers the rest while eta < 1e-2.
     """
 
     best_family: MubFamily
@@ -369,13 +381,6 @@ def _gradient_array(b: np.ndarray, m: np.ndarray, traces: np.ndarray, r: np.ndar
     return bk
 
 
-def _penalty(factors: np.ndarray, target: np.ndarray) -> float:
-    """The Gram penalty of the projectors derived from (n, d, d, d) factors."""
-    n, d = factors.shape[0], factors.shape[1]
-    m, _ = _derive(factors.reshape(n * d, d, d))
-    return _objective_value(_residual(m, target))
-
-
 def objective(state: SearchState) -> float:
     """Penalty value of a state: squared Gram residuals plus rank-1 terms.
 
@@ -384,7 +389,9 @@ def objective(state: SearchState) -> float:
     [Tr(M_i^2) - 1]^2 for every projector.  Zero exactly on families of
     mutually unbiased bases.
     """
-    return _penalty(state.factors, unbiased_gram_target(state.num_bases, state.dim))
+    n, d = state.num_bases, state.dim
+    m, _ = _derive(state.factors.reshape(n * d, d, d))
+    return _objective_value(_residual(m, unbiased_gram_target(n, d)))
 
 
 def gradient(state: SearchState) -> np.ndarray:
@@ -658,38 +665,30 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         trajectory.append(f)
 
 
-def _family_and_penalty(u: np.ndarray, target: np.ndarray):
-    """The family of U's columns and its Gram penalty, each projector its own factor."""
-    states = u.swapaxes(-1, -2)
-    family = MubFamily(states[..., :, None] * states.conj()[..., None, :])
-    return family, _penalty(family.projectors, target)
-
-
 def _descend(starts, cfg: SearchConfig) -> SearchResult:
     """The restart loop of :func:`run_search`, over the (n, d, d) unitaries ``starts`` yields."""
     target = unbiased_gram_target(cfg.num_bases, cfg.dim)
-    best_family = None
+    best_u = None
     best_f = np.inf
     finals = []
     iteration_counts = []
     stops = []
     for u0 in starts:
-        u, _, iterations, _, stop = _minimize(u0, target, cfg)
-        family, f = _family_and_penalty(u, target)
+        u, f, iterations, _, stop = _minimize(u0, target, cfg)
         finals.append(f)
         iteration_counts.append(iterations)
         stops.append(stop)
         if f < best_f:
-            best_f = f
-            best_family = family
-        if best_f <= cfg.target_residual:
+            best_f, best_u = f, u
+        if stop == "target":
             break
+    states = best_u.swapaxes(-1, -2)
     return SearchResult(
-        best_family=best_family,
+        best_family=MubFamily(states[..., :, None] * states.conj()[..., None, :]),
         best_objective=best_f,
         iterations_used=sum(iteration_counts),
         restarts_used=len(finals),
-        converged=bool(best_f <= cfg.target_residual),
+        converged=stops[-1] == "target",
         history=tuple(finals),
         restart_iterations=tuple(iteration_counts),
         stop_reasons=tuple(stops),
@@ -741,9 +740,9 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     ``cfg.seed`` plus the restart index.  Every start basis is unbiased to
     basis 0, so a two-basis search converges at iteration 0.  Each restart
     descends through the loop that :func:`polish` shares.  A restart's
-    objective is the Gram penalty of the family it returns.  The best
-    restart wins (ties go to the lowest index); later restarts are skipped
-    once one converges.  Non-convergence is reported through ``converged`` and the residual
+    objective is the value its descent reached (see :class:`SearchResult`).
+    The best restart wins (ties go to the lowest index); later restarts are
+    skipped once one converges.  Non-convergence is reported through ``converged`` and the residual
     floor in ``best_objective``, never as an exception.
     """
     fourier = _group_fourier(cfg.dim)

@@ -731,10 +731,10 @@ class TestDimensionSixPins:
     # OpenBLAS kernel, so they are taken under one fixed kernel (Haswell,
     # single-threaded).
     LOCAL_MINIMA = {
-        0: (22, 0.3628866004461815),
-        1: (21, 0.2122322636645518),
-        2: (29, 0.21223226243541063),
-        3: (18, 0.3628865754204401),
+        0: (22, 0.36288660044618193),
+        1: (21, 0.21223226366455142),
+        2: (29, 0.2122322624354085),
+        3: (18, 0.362886575420438),
     }
     # Runs the searches with _gauss_newton_direction counted, and prints
     # the stops and counts as JSON, whose floats round-trip exactly.
@@ -1076,6 +1076,28 @@ class TestUnitaryModel:
         assert f_next < 1e-6 * f
 
 
+def roundoff_bound(result):
+    """The bound on |best_objective - objective(family)| that ``SearchResult`` derives."""
+    family = result.best_family
+    n, d = family.num_bases, family.dim
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    f = result.best_objective
+    f_family = objective(SearchState(family.projectors))
+    tau = float(family.invariants[1].max())
+    eta = tau + gamma(d + 2) * (1 + tau)
+    delta_q = 4 * gamma(2 * d) + 2 * eta + eta**2
+    delta_m = 8 * gamma(2 * d * d)
+    size = n * d
+    return (
+        size * (delta_q + delta_m) * (np.sqrt(2 * f) + np.sqrt(2 * f_family)) / np.sqrt(2)
+        + gamma(size**2 + 1) * (f + f_family)
+    )
+
+
 class TestResultContract:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1107,9 +1129,38 @@ class TestResultContract:
         assert result.history == (result.best_objective,)
         assert len(result.stop_reasons) == 1
         assert result.stop_reasons[0] in {"target", "plateau", "line search", "iterations"}
+        # The descent's objective and the returned family's penalty, read
+        # through derived projectors, differ at roundoff only.
         recomputed = objective(SearchState(result.best_family.projectors))
-        assert result.best_objective == pytest.approx(recomputed, rel=1e-12, abs=0.0)
+        assert abs(result.best_objective - recomputed) <= roundoff_bound(result)
         assert result.converged == (result.best_objective <= cfg.target_residual)
+        assert result.converged == (result.stop_reasons[-1] == "target")
+
+    def test_each_family_is_scored_once(self, monkeypatch):
+        # history is each descent's own objective, and the one family is
+        # built after the restart loop, with no projector derived to score it.
+        import mubkit.search
+
+        descents = recorded_descents(monkeypatch)
+        calls = {"families": 0, "derivations": 0}
+        real_family, real_derive = mubkit.search.MubFamily, mubkit.search._derive
+
+        def family(*args):
+            calls["families"] += 1
+            return real_family(*args)
+
+        def derive(*args):
+            calls["derivations"] += 1
+            return real_derive(*args)
+
+        monkeypatch.setattr(mubkit.search, "MubFamily", family)
+        monkeypatch.setattr(mubkit.search, "_derive", derive)
+        result = run_search(SearchConfig(dim=6, num_bases=4, restarts=3, seed=0))
+        assert result.restarts_used == 3
+        assert result.history == tuple(f for _, f, *_ in descents)
+        assert calls == {"families": 1, "derivations": 0}
+        polish(build_family(5), SearchConfig(dim=5, num_bases=6))
+        assert calls == {"families": 2, "derivations": 0}
 
 
 class TestPolish:
@@ -1195,14 +1246,15 @@ class TestPolish:
         SearchState.from_family(family)
         polish(family, SearchConfig(dim=d, num_bases=d + 1, max_iterations=3))
 
-    def test_peak_below_3_75_times_the_projectors(self, traced_peak):
-        # 3.62x measured at d = 13, for a family that needs no steps: the
-        # derived start stack is dropped before the descent.
+    def test_peak_below_3_4_times_the_projectors(self, traced_peak):
+        # 3.25x measured at d = 13, for a family that needs no steps: the
+        # derived start stack is dropped before the descent, and the one
+        # family is built after it, with no projector derived to score it.
         family = build_family(13)
         cfg = SearchConfig(dim=13, num_bases=14)
         polish(family, cfg)  # imports and caches warmed outside the trace
         _, peak = traced_peak(lambda: polish(family, cfg))
-        assert peak < 3.75 * family.projectors.nbytes
+        assert peak < 3.4 * family.projectors.nbytes
 
     def test_start_at_its_target_forms_no_gradient(self, monkeypatch):
         import mubkit.search
