@@ -238,6 +238,22 @@ def unbiased_gram_target(num_bases: int, dim: int) -> np.ndarray:
     return target.reshape(num_bases * dim, num_bases * dim)
 
 
+def _checked_projectors(arr: np.ndarray) -> np.ndarray:
+    """``arr``, set read-only, once its shape and entry bounds are a family's."""
+    if arr.ndim != 4:
+        raise ValueError(f"projectors must be a (num_bases, d, d, d) array, got {arr.ndim} axes")
+    num_bases, d = arr.shape[0], arr.shape[1]
+    if arr.shape[2] != d or arr.shape[3] != d:
+        raise ValueError(f"inconsistent dimensions in projector array: shape {arr.shape}")
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    if num_bases < 1 or num_bases > d + 1:
+        raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {num_bases}")
+    _check_parts(arr, "projector entries")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class MubFamily:
     """A set of rank-1 projector bases indexed by (basis, vector) labels.
@@ -252,20 +268,21 @@ class MubFamily:
 
     def __post_init__(self):
         arr = np.array(self.projectors, dtype=complex, order="C")
-        if arr.ndim != 4:
-            raise ValueError(
-                f"projectors must be a (num_bases, d, d, d) array, got {arr.ndim} axes"
-            )
-        num_bases, d = arr.shape[0], arr.shape[1]
-        if arr.shape[2] != d or arr.shape[3] != d:
-            raise ValueError(f"inconsistent dimensions in projector array: shape {arr.shape}")
-        if d < 1:
-            raise ValueError("dimension must be positive")
-        if num_bases < 1 or num_bases > d + 1:
-            raise ValueError(f"num_bases must lie in 1..d+1 = 1..{d + 1}, got {num_bases}")
-        _check_parts(arr, "projector entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "projectors", arr)
+        object.__setattr__(self, "projectors", _checked_projectors(arr))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "MubFamily":
+        """A family holding ``arr`` itself, checked as the constructor checks a copy.
+
+        For complex C-order arrays the package has just made and keeps no
+        other reference to: ``arr`` is set read-only in place, so the
+        family's peak is one projector array, not two.
+        """
+        if arr.dtype != complex or not arr.flags.c_contiguous:
+            raise ValueError("a family owns only C-order complex arrays")
+        family = object.__new__(cls)
+        object.__setattr__(family, "projectors", _checked_projectors(arr))
+        return family
 
     @property
     def dim(self) -> int:

@@ -116,7 +116,8 @@ def build_family(d: int) -> MubFamily:
     is bit-identical to one assembled coefficient by coefficient.  Basis a
     gathers its (d, d, d) entries through the separable exponent
     g(p) - g(q), from the (d, d) integers g(p) of its d vectors, so the
-    only scratch beside the family is one basis's index and entries.
+    only scratch beside the family is one basis's index and entries; the
+    family takes the array it was built in, without a copy.
     """
     if d >= 2:  # any smaller d gets the primality message
         _check_family_size(d + 1, d)
@@ -132,4 +133,4 @@ def build_family(d: int) -> MubFamily:
         mats[a] = table[g[:, :, None] - g[:, None, :]]
     labels = np.arange(d)
     mats[d, labels, labels, labels] = 1.0
-    return MubFamily(mats)
+    return MubFamily._own(mats)

@@ -22,7 +22,8 @@ started, hands the restart back to gradient steps until the objective is
 below 1e-3, where Gauss-Newton is tried at every step.  A restart stuck on
 a low local-minimum floor thus spends one attempt on it, not one per step.
 The Gauss-Newton step fixes the gauge (basis 0 stays put and no vector's
-phase moves), so it solves for (n-1)(d^2-d) unknowns.
+phase moves), so it solves for (n-1)(d^2-d) unknowns and leaves basis 0
+where it is, bit for bit: i Omega_0 = 0 factors as lam = 0 and V = I exactly.
 Both step kinds move along U Omega with Omega skew-Hermitian.  One
 eigendecomposition of i Omega per step gives the polar retraction of
 U + t U Omega, the nearest unitary, at every trial step t in closed form,
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -313,6 +314,14 @@ class SearchResult:
     stop_reasons: tuple = field(default_factory=tuple)
 
 
+@lru_cache(maxsize=8)
+def _gram_target(num_bases, dim):
+    """:func:`~mubkit.algebra.unbiased_gram_target`, read-only, kept for the last 8 problems."""
+    target = unbiased_gram_target(num_bases, dim)
+    target.setflags(write=False)
+    return target
+
+
 def _traces(b: np.ndarray) -> np.ndarray:
     """Tr(B^dagger B) of each factor in a label-order stack; one at roundoff scale is refused.
 
@@ -507,9 +516,11 @@ def _gauss_newton_jacobian(q: np.ndarray, n: int):
     s, t, sign, _ = _gauss_newton_pattern(d)
     rows = q[d:].reshape(n - 1, d, n * d)
     p = 2.0 * rows.conj()[:, s] * rows[:, t]
-    own = np.arange(n - 1)
-    p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
-    values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
+    for a in range(1, n):
+        p[a - 1, :, a * d : (a + 1) * d] = 0.0
+    values = np.empty((n - 1, 2 * s.size, n * d))
+    np.multiply(p.real, -np.sqrt(0.5), out=values[:, : s.size])
+    np.multiply(p.imag, np.sqrt(0.5), out=values[:, s.size :])
     return sign, values
 
 
@@ -542,8 +553,9 @@ def _gauss_newton_direction(u, q, r, g):
     z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
     normal = np.empty((moved, dof, moved, dof))
     np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
-    blocks = np.einsum("aiaj->aij", normal)
-    np.multiply(gram, values @ values.swapaxes(-1, -2), out=blocks)
+    blocks = values @ values.swapaxes(-1, -2)
+    for a in range(moved):
+        np.multiply(gram, blocks[a], out=normal[a, :, a])
     normal = normal.reshape(size, size)
     rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
     diagonal = normal.reshape(-1)[:: size + 1]
@@ -600,7 +612,7 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
     if n * d * d <= _GAUSS_NEWTON_CAP:
         reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
     q, r, f = _evaluate(u, target)
-    g = None  # the start's gradient is formed only if a step is taken
+    g = None  # at the start and after a Gauss-Newton step, formed only if a step follows
     trajectory = [f]
     step = _INITIAL_STEP
     iterations = 0
@@ -650,10 +662,11 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
         if early and (gradient_step or f_t > _GAUSS_NEWTON_DROP * f):
             reach = _GAUSS_NEWTON_CROSSOVER
-        g_next, z = _tangent_gradient(candidate, q_t, r_t)
+        g_next = None
         if gradient_step:
             # Barzilai-Borwein curvature estimate seeds the next trial step;
             # unusable estimates fall back to growth.
+            g_next, z = _tangent_gradient(candidate, q_t, r_t)
             delta_u = candidate - u
             denom = float(np.vdot(delta_u, g_next - g).real)
             if denom > 0.0 and math.isfinite(denom):
@@ -667,7 +680,12 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
 
 def _descend(starts, cfg: SearchConfig) -> SearchResult:
     """The restart loop of :func:`run_search`, over the (n, d, d) unitaries ``starts`` yields."""
-    target = unbiased_gram_target(cfg.num_bases, cfg.dim)
+    n, d = cfg.num_bases, cfg.dim
+    # Targets of n d <= 90 (64 KiB; every problem Gauss-Newton reaches has
+    # n d <= 72) are kept between searches.  Larger ones, up to 512 MiB for
+    # complete d = 89, cost little against their descents, and keeping them
+    # would hold them for the process's life.
+    target = (_gram_target if n * d <= 90 else unbiased_gram_target)(n, d)
     best_u = None
     best_f = np.inf
     finals = []
@@ -695,13 +713,16 @@ def _descend(starts, cfg: SearchConfig) -> SearchResult:
     )
 
 
+@lru_cache(maxsize=8)
 def _group_fourier(d: int) -> np.ndarray:
     """The character table of Z_p1 x Z_p2 x ... for d = p1 p2 ..., as a unitary.
 
     H is the Kronecker product of F_p = (omega_p^(jk)) / sqrt(p) over d's
     prime factors in ascending order, with multiplicity: F_2 (x) F_2 at
     d = 4, not the cyclic F_4.  Each exponent jk is reduced mod p first,
-    so equal phases are bit-identical.
+    so equal phases are bit-identical.  H is read-only and kept for the
+    last 8 dimensions asked for, at most 1.6 MB each (d = 322, the largest
+    two-basis problem under the family size limit).
     """
     h = np.ones((1, 1), dtype=complex)
     p = 2
@@ -711,6 +732,7 @@ def _group_fourier(d: int) -> np.ndarray:
             h = np.kron(h, np.exp(2j * np.pi * (np.outer(k, k) % p) / p) / np.sqrt(p))
             d //= p
         p += 1
+    h.setflags(write=False)
     return h
 
 
@@ -735,7 +757,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     Every restart starts from the shape of the known complete families in
     prime-power dimension: basis 0 is the computational basis and basis
     a >= 1 is diag(exp(i theta_a)) H, with H the group Fourier matrix of
-    :func:`_group_fourier`, built once per search, and theta uniform on
+    :func:`_group_fourier`, kept between searches, and theta uniform on
     [0, 2 pi)^((n-1) x d) from a counter-based generator keyed by
     ``cfg.seed`` plus the restart index.  Every start basis is unbiased to
     basis 0, so a two-basis search converges at iteration 0.  Each restart

@@ -356,6 +356,35 @@ class TestMubFamily:
         with pytest.raises(ValueError):
             fam.projectors[0, 0, 0, 0] = 5.0
 
+    def test_caller_array_is_copied(self):
+        mats = build_family(3).projectors.copy()
+        fam = MubFamily(mats)
+        assert mats.flags.writeable
+        assert not np.shares_memory(mats, fam.projectors)
+        mats[0, 0, 0, 0] = 5.0
+        assert fam.projectors[0, 0, 0, 0] == 1.0 / 3.0
+
+    def test_own_takes_the_array_itself(self):
+        mats = build_family(3).projectors.copy()
+        fam = MubFamily._own(mats)
+        assert fam.projectors is mats and not mats.flags.writeable
+        assert np.array_equal(fam.invariants[1], MubFamily(mats).invariants[1])
+
+    @pytest.mark.parametrize(
+        "mats,message",
+        [
+            (np.zeros((2, 2, 2), dtype=complex), "axes"),
+            (np.zeros((4, 2, 2, 2), dtype=complex), "num_bases"),
+            (np.full((1, 2, 2, 2), np.nan, dtype=complex), "finite"),
+            (np.zeros((1, 2, 2, 2)), "C-order complex"),
+            (np.asfortranarray(np.zeros((1, 2, 2, 2), dtype=complex)), "C-order complex"),
+        ],
+        ids=["axes", "bases", "nan", "real", "fortran"],
+    )
+    def test_own_checks_what_the_constructor_checks(self, mats, message):
+        with pytest.raises(ValueError, match=message):
+            MubFamily._own(mats)
+
     def test_as_vectors_matches_labels(self):
         fam = self._trivial(num_bases=2, d=2)
         vecs = fam.as_vectors()

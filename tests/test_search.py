@@ -23,6 +23,7 @@ from mubkit.search import (
     _gauss_newton_direction,
     _gauss_newton_jacobian,
     _gradient_array,
+    _gram_target,
     _group_fourier,
     _minimize,
     _objective_value,
@@ -499,6 +500,40 @@ class TestStructuredStarts:
         assert np.max(np.abs(phases - phases[:, :, :1])) < 1e-14
         again = _structured_start(_group_fourier(d), num_bases, key)
         assert np.array_equal(u, again)
+
+    def test_group_fourier_is_kept_read_only(self):
+        h = _group_fourier(6)
+        assert _group_fourier(6) is h and not h.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 0.0
+
+    def test_gram_target_is_kept_read_only(self):
+        target = _gram_target(3, 6)
+        assert _gram_target(3, 6) is target and not target.flags.writeable
+        assert np.array_equal(target, unbiased_gram_target(3, 6))
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 0.0
+        # The public target stays a fresh, writable array.
+        public = unbiased_gram_target(3, 6)
+        assert public.flags.writeable and public is not unbiased_gram_target(3, 6)
+
+    def test_tables_are_bounded(self):
+        for table in (_group_fourier, _gram_target):
+            assert table.cache_info().maxsize == 8
+        for d in range(2, 14):
+            _group_fourier(d)
+            _gram_target(2, d)
+            assert _group_fourier.cache_info().currsize <= 8
+            assert _gram_target.cache_info().currsize <= 8
+
+    def test_searches_keep_targets_up_to_64_kib(self):
+        # n d = 56 is kept; n d = 132 (139 KiB) is built for its search alone.
+        calls = _gram_target.cache_info()
+        polish(build_family(7), SearchConfig(dim=7, num_bases=8))
+        kept = _gram_target.cache_info()
+        assert kept.hits + kept.misses == calls.hits + calls.misses + 1
+        polish(build_family(11), SearchConfig(dim=11, num_bases=12))
+        assert _gram_target.cache_info() == kept
 
     def test_run_search_descends_from_the_structured_starts(self, monkeypatch):
         import mubkit.search
@@ -1057,6 +1092,21 @@ class TestUnitaryModel:
         omega, slope_term = _gauss_newton_direction(u, q, r, g)
         assert np.array_equal(omega, omega_ref)
         assert slope_term == slope_ref < 0.0
+
+    def test_gauss_newton_step_leaves_basis_zero_bit_for_bit(self):
+        # Omega_0 = 0, and i Omega_0 factors as lam = 0 and V = I exactly, so
+        # the polar retraction returns U_0 itself.
+        d, num_bases = 5, 6
+        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
+        rng = np.random.default_rng(9)
+        u = _retract(u + 1e-5 * (u @ random_skew(rng, num_bases, d)))
+        target = unbiased_gram_target(num_bases, d)
+        cfg = SearchConfig(dim=d, num_bases=num_bases, max_iterations=1)
+        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
+        # One Gauss-Newton step: the objective falls from about eps^2 to eps^4.
+        assert (iterations, stop) == (1, "iterations") and f_end < 1e-6 * trajectory[0]
+        assert u_end[0].tobytes() == u[0].tobytes()
+        assert not np.array_equal(u_end[1:], u[1:])
 
     def test_gauss_newton_step_converges_quadratically(self):
         # Near a solution one damped Gauss-Newton step takes the objective

@@ -37,8 +37,10 @@ def test_search_starts_prints_one_record_per_restart():
     for r in restarts:
         assert set(r) == {
             "record", "set", "dim", "bases", "key", "converged", "iterations", "stop",
-            "objective", "seconds", "certified",
+            "objective", "objective_hex", "family_sha256", "seconds", "certified",
         }
+        assert float.fromhex(r["objective_hex"]) == r["objective"]
+        assert len(r["family_sha256"]) == 64 and set(r["family_sha256"]) <= set("0123456789abcdef")
         assert isinstance(r["converged"], bool) and isinstance(r["certified"], bool)
         assert isinstance(r["iterations"], int) and r["seconds"] > 0.0
         assert r["stop"] in {"target", "plateau", "line search", "factorization", "iterations"}

@@ -15,12 +15,23 @@ build and the kernel it runs), then per set one ``restart`` record per key
 and one ``set`` record summing them.  ``seconds`` times the search alone,
 not its certificate.  ``--sets`` picks sets by name and ``--keys`` keeps the
 first keys of each.
+
+Each ``restart`` record also fingerprints its result bit for bit:
+``family_sha256`` is the SHA-256 of ``best_family.projectors.tobytes()`` and
+``objective_hex`` is ``float.hex`` of ``best_objective``.  Two trees that
+should give the same results are compared by diffing their restart records
+with the ``seconds`` fields dropped:
+
+    jq -c 'select(.record == "restart") | del(.seconds)' parent.jsonl > parent.txt
+    jq -c 'select(.record == "restart") | del(.seconds)' change.jsonl > change.txt
+    diff parent.txt change.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -107,6 +118,8 @@ def measure(name, dim, bases, keys):
             "iterations": result.iterations_used,
             "stop": result.stop_reasons[0],
             "objective": result.best_objective,
+            "objective_hex": float(result.best_objective).hex(),
+            "family_sha256": hashlib.sha256(result.best_family.projectors.tobytes()).hexdigest(),
             "seconds": seconds,
             "certified": report.passed,
         }
