@@ -226,9 +226,9 @@ def unbiased_gram_target(num_bases: int, dim: int) -> np.ndarray:
 
     Row/column index a*dim + alpha labels projector (a, alpha).  Read as
     (num_bases, dim, num_bases, dim) blocks, it is I_dim on each same-basis
-    block and 1/dim across bases.  Both the verifier and the numerical
-    search measure distance to this one matrix, which keeps certificate
-    and penalty consistent.
+    block and 1/dim across bases.  The numerical search's penalty measures
+    distance to this matrix; the verifier holds each block of the Gram to
+    the same targets without forming it, so certificate and penalty agree.
     """
     if num_bases < 1 or dim < 1:
         raise ValueError(f"need num_bases >= 1 and dim >= 1, got ({num_bases}, {dim})")

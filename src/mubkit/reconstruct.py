@@ -130,18 +130,19 @@ def eigen_hermitian(
     or imaginary part: an absolute gate at ordinary scale, a relative one
     above it, so a scaled matrix's roundoff asymmetry scales with its
     bound; an infinite ``hermiticity_tol`` skips the check, which could
-    refuse nothing.  One ``np.linalg.eigh`` call (LAPACK) then solves the
-    symmetrized stack (M + M^dagger) / 2, so the solver sees exact
-    Hermitian data, and its ascending order is reversed: equal eigenvalues
-    come out in reverse LAPACK order, and the zero matrix gives the
-    reversed identity.  With ``values_only`` the solve is
-    ``np.linalg.eigvalsh`` of the same stack, which forms no eigenvector,
-    and the result's eigenvectors are the empty marker described on
-    :class:`EigenDecomposition`.  A LAPACK failure raises
-    ``np.linalg.LinAlgError``, which is a ``ValueError``.
+    refuse nothing, and a NaN or negative one is refused.  One
+    ``np.linalg.eigh`` call (LAPACK) then solves the symmetrized stack
+    (M + M^dagger) / 2, so the solver sees exact Hermitian data, and its
+    ascending order is reversed: equal eigenvalues come out in reverse
+    LAPACK order, and the zero matrix gives the reversed identity.  With
+    ``values_only`` the solve is ``np.linalg.eigvalsh`` of the same stack,
+    which forms no eigenvector, and the result's eigenvectors are the
+    empty marker described on :class:`EigenDecomposition`.  A LAPACK
+    failure raises ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
     stack, single = _checked_stack(matrix)
-    if hermiticity_tol < np.inf:  # an infinite gate could refuse nothing
+    if hermiticity_tol != np.inf:  # an infinite gate could refuse nothing
+        _check_tolerance(hermiticity_tol)
         defects = _hermitian_defects(stack)
         largest = np.abs(stack.view(float)).max(axis=(1, 2))  # each member's largest part
         bounds = hermiticity_tol * np.maximum(1.0, largest)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MubFamily, _bounded, _check_tolerance, _where, unbiased_gram_target
+from .algebra import MubFamily, _bounded, _check_tolerance, _where
 from .reconstruct import eigen_hermitian
 
 __all__ = [
@@ -122,31 +122,33 @@ def _overlap_residuals(overlaps: np.ndarray, d: int, norms: Optional[np.ndarray]
     """(max_self, max_cross, angle_check) of an (n*d, n*d) overlap matrix.
 
     ``overlaps[i, j]`` is the trace product of projectors i and j, rows
-    ordered a*d + alpha, and is compared against
-    :func:`unbiased_gram_target`.  The cross-basis entries, divided by the
-    outer product of ``norms`` when given, are the cosines whose angles are
-    compared against arccos(1/d); a cosine whose norm product is zero or
-    not finite is NaN, which fails the angle check without a floating-point
-    warning.  Each reduction reads the whole matrix as (n, d, n, d) blocks,
-    masked by basis pair.  arccos is monotone, so the worst angle is that
-    of the smallest or the largest cosine.  Those two start at 1/d and the
-    residual maxima at 0.0: a single basis, with no cross-basis terms,
-    reads 0.0 throughout.
+    ordered a*d + alpha, read as (n, d, n, d) blocks: the n same-basis
+    blocks against I_d, every cross-basis entry against 1/d.  Rounded
+    subtraction is monotone (x <= y gives fl(x - c) <= fl(y - c)), so the
+    largest |x - 1/d| over the cross-basis entries is that of their
+    smallest or their largest, and arccos is monotone, so the worst angle
+    is that of the smallest or the largest cosine.  Each pair of extremes
+    is read through a broadcast (n, 1, n, 1) basis-pair mask.  The cosines
+    are the overlaps themselves, one pair of extremes serving both checks,
+    unless ``norms`` is given; then they are the overlaps divided, in
+    place, into the outer product of ``norms``, the one N x N array formed,
+    and a cosine whose norm product is zero or not finite is NaN, which
+    fails the angle check without a floating-point warning.  The extremes
+    start at 1/d: a single basis, with no cross-basis terms, reads 0.0 for
+    both.
     """
     n = overlaps.shape[0] // d
-    same_basis = np.eye(n, dtype=bool)[:, None, :, None]  # by basis pair, over the blocks
-    deviation = np.abs(overlaps - unbiased_gram_target(n, d)).reshape(n, d, n, d)
-    max_self = float(deviation.max(where=same_basis, initial=0.0))
-    max_cross = float(deviation.max(where=~same_basis, initial=0.0))
-    del deviation  # so the cosines stand without it
-    cosines = overlaps
+    across = ~np.eye(n, dtype=bool)[:, None, :, None]  # by basis pair, over the blocks
+    blocks = overlaps.reshape(n, d, n, d)
+    same = np.diagonal(blocks, axis1=0, axis2=2)  # a (d, d, n) view, basis a's own block last
+    max_self = float(np.abs(same - np.eye(d)[:, :, None]).max())
+    low, high = (f(blocks, where=across, initial=1.0 / d) for f in (np.min, np.max))
+    max_cross = float(max(abs(low - 1.0 / d), abs(high - 1.0 / d)))
     if norms is not None:
-        scale = np.outer(norms, norms)
-        usable = (scale > 0.0) & (scale < np.inf)
-        cosines = np.divide(overlaps, scale, out=np.full_like(scale, np.nan), where=usable)
-    cosines = cosines.reshape(n, d, n, d)
-    low = cosines.min(where=~same_basis, initial=1.0 / d)
-    high = cosines.max(where=~same_basis, initial=1.0 / d)
+        cosines = np.outer(norms, norms)
+        cosines[~((cosines > 0.0) & (cosines < np.inf))] = np.nan
+        blocks = np.divide(overlaps, cosines, out=cosines).reshape(n, d, n, d)
+        low, high = (f(blocks, where=across, initial=1.0 / d) for f in (np.min, np.max))
     angles = np.arccos(np.clip([low, high, 1.0 / d], -1.0, 1.0))
     return max_self, max_cross, float(np.abs(angles[:2] - angles[2]).max())
 
@@ -206,9 +208,9 @@ def verify_states(states, tolerance: float = 1e-10) -> VerificationReport:
     overlaps |<v_a_alpha | v_b_beta>|^2 against the same targets as
     :func:`verify_family`.  Useful as the second leg of a round trip
     projectors -> states -> overlaps that never reuses the Gram route.
-    Rejects vectors whose norm deviates from 1 beyond ``tolerance``; the
-    overlap targets assume normalization, so checking unnormalized input
-    would misreport.
+    Rejects vectors whose squared norm deviates from 1 beyond
+    ``tolerance``; the overlap targets assume normalization, so checking
+    unnormalized input would misreport.
     """
     _check_tolerance(tolerance)
     arr = np.asarray(states, dtype=complex)

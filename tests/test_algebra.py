@@ -467,6 +467,7 @@ def _load_at(tol, path):
 
 
 # Every public function that takes a tolerance, called on valid input.
+# eigen_hermitian is tested on its own below: an infinite gate is its "no gate".
 TOLERANCE_CALLS = {
     "projector_from_state": lambda tol, path: projector_from_state(np.array([1.0, 0.0]), tol),
     "MubFamily.from_states": lambda tol, path: MubFamily.from_states([np.eye(2)], tol),
@@ -490,6 +491,15 @@ class TestToleranceValidation:
         expected = rf"^tolerance must be finite and non-negative, got {re.escape(repr(tol))}$"
         with pytest.raises(ValueError, match=expected):
             call(tol, tmp_path / "family.json")
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_eigen_hermitian_gate_refused_and_named(self, tol):
+        # A NaN gate skipped the Hermitian check: [[1, 1], [0, 1]] solved as
+        # its symmetrized part.  A negative one refused even the identity.
+        expected = rf"^tolerance must be finite and non-negative, got {re.escape(repr(tol))}$"
+        for matrix in ([[1.0, 1.0], [0.0, 1.0]], np.eye(2)):
+            with pytest.raises(ValueError, match=expected):
+                eigen_hermitian(matrix, hermiticity_tol=tol)
 
     @pytest.mark.parametrize(
         "tol,shown",

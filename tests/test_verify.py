@@ -118,13 +118,18 @@ class TestInvariances:
         d, n, seed = shape
         family = seeded_family(d, n, seed)
         bases = random.sample(range(n), n)
-        mats = np.array([family.projectors[a][random.sample(range(d), d)] for a in bases])
-        before, after = verify_family(family), verify_family(MubFamily(mats))
+        vectors = [random.sample(range(d), d) for _ in bases]
+        mats = np.array([family.projectors[a][p] for a, p in zip(bases, vectors)])
+        states = reconstruct_all(family)
+        relisted = np.array([states[a][p] for a, p in zip(bases, vectors)])
+        before = verify_family(family), verify_states(states)
+        after = verify_family(MubFamily(mats)), verify_states(relisted)
         # Per-matrix checks see the same matrices, and the Gram matrix is
         # formed with its rows in an order fixed by their contents, so every
-        # residual agrees exactly.
-        for name in RESIDUALS:
-            assert getattr(after, name) == getattr(before, name), name
+        # residual agrees exactly, on the projectors and on their states.
+        for old, new in zip(before, after):
+            for name in RESIDUALS:
+                assert getattr(new, name) == getattr(old, name), name
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
     def test_complex_conjugate_family(self, d):
@@ -261,6 +266,15 @@ class TestVerifyFamily:
         _, peak = traced_peak(lambda: verify_family(family))
         assert peak < 3.25 * family.projectors.nbytes
 
+    def test_residual_read_peaks_below_1_6_times_the_gram(self, traced_peak):
+        # The cosines, divided in place into the norms' outer product, are
+        # the one N x N array the read forms: 1.51x measured at d = 13, where
+        # an N x N target, its deviation and a NaN-filled copy took 2.16x.
+        _, gram, d, norms = family_route(build_family(13))
+        _overlap_residuals(gram, d, norms)  # warmed outside the trace
+        _, peak = traced_peak(lambda: _overlap_residuals(gram, d, norms))
+        assert peak <= 1.6 * gram.nbytes
+
     def test_summary_states_verdict(self):
         family = build_family(2)
         assert verify_family(family).summary().startswith("pass")
@@ -301,6 +315,15 @@ class TestVerifyStates:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shaped"):
             verify_states(np.zeros((2, 3)))
+
+    def test_residual_read_peaks_below_0_3_times_the_gram(self, traced_peak):
+        # The squared overlaps are their own cosines, so the read forms no
+        # N x N array, only the same-basis blocks' deviations: 0.23x measured
+        # at d = 13, where an N x N target and its deviation took 2.00x.
+        _, overlaps, d, _ = states_route(build_family(13))
+        _overlap_residuals(overlaps, d)  # warmed outside the trace
+        _, peak = traced_peak(lambda: _overlap_residuals(overlaps, d))
+        assert peak <= 0.3 * overlaps.nbytes
 
     @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 1), slice(None)])
     def test_rejects_nan_states_as_unnormalized(self, where):
