@@ -66,15 +66,16 @@ def _check_parts(values: np.ndarray, what: str, rule: str = "must be finite, wit
         raise ValueError(f"{what} {rule} {_MAX_ENTRY:.0e}")
 
 
-def _check_tolerance(tol) -> None:
-    """Refuse a tolerance that is NaN, infinite or negative, naming it.
+def _check_tolerance(tol, *, infinite: bool = False) -> None:
+    """Refuse a tolerance that is NaN, negative or (unless ``infinite``) infinite, naming it.
 
     Against NaN every ``x > tol`` test is False, so such a tolerance would
     switch off the checks it gates instead of failing them.
     """
-    if not 0.0 <= tol < np.inf:
+    if not (0.0 <= tol < np.inf or infinite and tol == np.inf):
         shown = tol.item() if isinstance(tol, np.generic) else tol  # no np.float64(...) repr
-        raise ValueError(f"tolerance must be finite and non-negative, got {shown!r}")
+        rule = "non-negative (inf for no gate)" if infinite else "finite and non-negative"
+        raise ValueError(f"tolerance must be {rule}, got {shown!r}")
 
 
 def _check_family_size(num_bases: int, dim: int) -> None:

@@ -141,8 +141,8 @@ def eigen_hermitian(
     failure raises ``np.linalg.LinAlgError``, which is a ``ValueError``.
     """
     stack, single = _checked_stack(matrix)
+    _check_tolerance(hermiticity_tol, infinite=True)
     if hermiticity_tol != np.inf:  # an infinite gate could refuse nothing
-        _check_tolerance(hermiticity_tol)
         defects = _hermitian_defects(stack)
         largest = np.abs(stack.view(float)).max(axis=(1, 2))  # each member's largest part
         bounds = hermiticity_tol * np.maximum(1.0, largest)

@@ -1,47 +1,36 @@
 """Numerical search for mutually unbiased bases in arbitrary dimension.
 
-Basis a is a unitary U_a whose columns are its vectors, so orthonormality
-within a basis and rank 1 of every projector hold by construction.  With
-the columns stacked as X (d x nd), the objective, its gradient and the
-Gauss-Newton step all read one matrix, the overlaps Q = X^dagger X: the
-objective is the Gram penalty of the projectors, R = |Q|^2 - target, where
-the target is 1 on the diagonal, 0 within a basis and 1/d across bases.
+Every restart of :func:`run_search` searches where the paper's closed form
+puts a complete family in prime dimension, basis a at D_a F: basis 0 is the
+computational basis and basis a >= 1 is diag(exp(i theta_a)) H, with H the
+Fourier matrix of the group Z_p1 x Z_p2 x ... over d's prime factors.  Each
+such basis is orthonormal and unbiased to basis 0, and bases a and b are
+unbiased exactly when g = exp(i (theta_b - theta_a)) is biunimodular: every
+entry of g C, C = sqrt(d) H, has modulus sqrt(d) (Bjorck 1990; Haagerup,
+arXiv:0803.2629).  So the search descends in the (n-1) x d phases theta
+(:class:`_PhaseChart`), on the Gram penalty of those bases' projectors,
+f = d^-3 sum_(a<b) sum_m (|(g_ab C)_m|^2 - d)^2, and builds their family
+once, from the phases it ends at.  :func:`polish` starts from a family's
+own states, which need not lie on that manifold, and descends on the
+unitaries whose columns they are (:class:`_UnitaryChart`), with gradient
+steps only.
 
-The optimizer is monotone Riemannian descent with Armijo backtracking and
-seeded restarts: Barzilai-Borwein gradient steps far from a solution, then
-damped Gauss-Newton steps in skew-Hermitian coordinates
-U_a -> U_a (I + Omega_a), since gradient steps crawl on the last decades.
-Each restart of :func:`run_search` starts where the known complete families
-in prime-power dimension lie: the computational basis, then randomly phased
-copies diag(exp(i theta_a)) H of the Fourier matrix H of the group
-Z_p1 x Z_p2 x ... over d's prime factors.
-Gauss-Newton is first tried once the objective is below 3e-2, and kept
-there only while it works: the first attempt above 1e-3 that yields no
-direction, or whose step leaves the objective above a quarter of where it
-started, hands the restart back to gradient steps until the objective is
-below 1e-3, where Gauss-Newton is tried at every step.  A restart stuck on
-a low local-minimum floor thus spends one attempt on it, not one per step.
-The Gauss-Newton step fixes the gauge (basis 0 stays put and no vector's
-phase moves), so it solves for (n-1)(d^2-d) unknowns and leaves basis 0
-where it is, bit for bit: i Omega_0 = 0 factors as lam = 0 and V = I exactly.
-Both step kinds move along U Omega with Omega skew-Hermitian.  One
-eigendecomposition of i Omega per step gives the polar retraction of
-U + t U Omega, the nearest unitary, at every trial step t in closed form,
-and runs are deterministic for a fixed configuration.  Every accepted step
-lowers the objective strictly.  A restart stops at the objective target;
-on a plateau, once its last 3 accepted steps together gained less than
-1e-6 of the objective, which is how restarts stuck at a local minimum end;
-at the iteration cap; when factoring a step fails; or when its line search
-is exhausted: the trial step has halved until the Armijo target
-f + c t <gradient, direction> rounds to f itself, where only roundoff could
-pass the test.  The result names each restart's stop.
+The optimizer is one loop, :func:`_minimize`, of monotone descent with
+Armijo backtracking and seeded restarts: Barzilai-Borwein gradient steps
+far from a solution, then damped Gauss-Newton steps on the last decades,
+where gradient steps crawl.  The Gauss-Newton step solves for the
+(n-2)(d-1) phases left once the gauge is fixed, and every trial point is
+theta + arctan(t delta), the polar retraction of the unitaries along the
+matching skew-Hermitian move.  Every accepted step lowers the objective
+strictly, runs are deterministic for a fixed configuration, and the result
+names why each restart stopped.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
-reports the penalty its descent reached on the unitaries' overlaps, that of
-the projectors it returns to within :class:`SearchResult`'s roundoff bound.
-Non-convergence is an outcome, not an error: the result reports the best
-residual floor reached and never interprets it as evidence that no family exists.
+reports the penalty its descent reached, that of the projectors it returns
+to within :class:`SearchResult`'s roundoff bound.  Non-convergence is an
+outcome, not an error: the result reports the best residual floor reached
+and never interprets it as evidence that no family exists.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,49 +86,51 @@ _RANK_ONE_TOL = 1e-10
 # trial that fails the acceptance slope.
 _STEP_GROWTH = 2.0
 
+# The numbers below come from run_search's starts, one restart per key: the
+# scan is d = 3..12 with 3 to min(d + 1, 6) bases and complete d = 7 and 8,
+# keys 0-39, 1 560 restarts taking 50 222 iterations.
+
 # Below this objective every step tries Gauss-Newton first; the damped
 # normal equations are reliable near a solution and pointless far from one.
 # This fallback rule must stay below every local-minimum floor, or restarts
-# stuck there would spend their last steps on it.  From run_search's starts
-# (d = 3..12 with 3 to min(d + 1, 6) bases, and complete d = 7 and 8, keys
-# 0-39) the lowest floor is 1.769e-2, at d = 12 with 4 bases: 17.7 times
-# above this.  Each restart on a floor ends on the plateau rule below.
-# Converging restarts whose early attempt failed (see _GAUSS_NEWTON_REACH)
-# need the return to Gauss-Newton here.  If a failed attempt ended
-# Gauss-Newton for the restart, 3 bases in d = 9 would take 360 631
-# iterations over keys 0-39 instead of 535 and converge on 33 keys, not 40;
-# in d = 11 they would take 26 834 instead of 533.
+# stuck there would spend their last steps on it.  The lowest floor in the
+# scan is 1.769e-2, at d = 12 with 4 bases (1.362e-2 over keys 0-199): 13.6
+# times above this.  Converging restarts whose early attempt failed (see
+# _GAUSS_NEWTON_REACH) need the return to Gauss-Newton here.  If a failed
+# attempt ended Gauss-Newton for the restart, the scan would take 420 975
+# iterations and converge on 1 018 keys, not 1 025: 4 bases in d = 9 would
+# take 160 173 instead of 727 and converge on 37 keys, not 40.
 _GAUSS_NEWTON_CROSSOVER = 1e-3
 
 # Gauss-Newton is tried early, below this multiple of the crossover (3e-2),
 # until an attempt there fails: it yields no direction, or its accepted
 # step leaves the objective above this fraction of where it started.  From
-# then on the restart waits for the crossover.  Measured from run_search's
-# starts with 3 bases, the early window saves iterations: keys 0-29 in d = 6
-# take 251 with it and 284 without, keys 0-19 in d = 10 266 and 400.  The
-# only floors seen inside the window, 1.769e-2 (d = 12) and 2.049e-2
-# (d = 10), both with 4 bases, make one failed attempt each; without the
-# drop they make 14 to 45, one per step below 3e-2 until the plateau rule
-# ends them.  The drop costs converging restarts little: keys 0-19 in d = 7
-# with 3 bases take 176 iterations with it and 169 without.
+# then on the restart waits for the crossover.  The early window saves
+# iterations: keys 0-29 with 3 bases in d = 6 take 266 with it and 297
+# without, keys 0-39 with 4 bases in d = 9 727 and 918.  The only floors
+# in the window, at d = 12 with 4 bases, make one failed attempt each;
+# without the drop they make 88 and 135, one per step until the plateau
+# rule ends them.  The drop costs some converging restarts iterations: keys
+# 0-19 with 3 bases in d = 10 take 374 with it and 265 without.
 _GAUSS_NEWTON_REACH = 30.0
 _GAUSS_NEWTON_DROP = 0.25
 
-# Skip the Gauss-Newton endgame above this many real parameters, n d^2
-# (complete families up to d = 8); gradient steps still apply.  The step
-# solves for the (n-1)(d^2-d) left once the gauge is fixed.  At 1 BLAS
-# thread it costs 7 ms and 4 MB at 576 parameters, 0.23 s and 74 MB at 2366
-# (complete d = 13), where gradient steps alone converge.
-_GAUSS_NEWTON_CAP = 800
+# Skip Gauss-Newton above this many unknowns, (n-2)(d-1); gradient steps
+# still apply.  A step forms a Jacobian of (n-1)(n-2)/2 d rows, so at 1 BLAS
+# thread it takes 0.95 ms and 1.5 MB at 144 unknowns (complete d = 13), 35
+# ms and 25 MB at 484 (complete d = 23), and about 4 d^5 bytes for complete
+# d: 22 GB at d = 89, the largest complete family a SearchConfig admits.
+# Where it runs it pays: keys 0-9 with 4 bases in d = 16 take 306
+# iterations with it and 3 380 without.
+_GAUSS_NEWTON_CAP = 400
 
 # A restart whose last 3 accepted steps together lowered the objective by
 # less than 1e-6 of it sits on a plateau and stops.  That is how restarts
-# stuck at a local minimum end.  In the scan of _GAUSS_NEWTON_CROSSOVER,
-# 535 of 1 560 restarts stop on it.  Without it, 532 of those run on until
-# the line search runs out, still on a floor, and take 58 308 iterations
-# instead of 34 406.  The other 3 would crawl off and converge, but late:
-# complete d = 7 key 0 after 235 iterations, while the rule stops it at 29
-# and key 1 then converges in 25.
+# stuck at a local minimum end: 535 of the scan's.  Without it, 532 of those
+# run on until the line search runs out, still on a floor, and take 48 098
+# iterations instead of 33 853.  The other 3 would crawl off and converge,
+# but late: complete d = 7 key 0 after 212 iterations, while the rule stops
+# it at 29 and key 1 then converges in 30.
 _PLATEAU_STEPS = 3
 _PLATEAU_GAIN = 1e-6
 
@@ -301,7 +292,9 @@ class SearchResult:
     projector by 4 sqrt(2) gamma_2, B^dagger B by sqrt(2) gamma_(2d), its trace norm by
     gamma_(2 d^2) and the quotient by u, twice over in a Gram entry; the Gram product adds
     gamma_(2 d^2), the target u.  To first order these sum to 3.6 gamma_(2d) and
-    7.7 gamma_(2 d^2); rounding up covers the rest while eta < 1e-2.
+    7.7 gamma_(2 d^2); rounding up covers the rest while eta < 1e-2.  :func:`run_search` forms its
+    overlaps as gh_m / d from exp(i theta) and C, not from the states: up to about 20 u more each,
+    which the derivation covers from d = 14 on; below that the bound holds in measurement only.
     """
 
     best_family: MubFamily
@@ -312,14 +305,6 @@ class SearchResult:
     history: tuple = field(default_factory=tuple)
     restart_iterations: tuple = field(default_factory=tuple)
     stop_reasons: tuple = field(default_factory=tuple)
-
-
-@lru_cache(maxsize=8)
-def _gram_target(num_bases, dim):
-    """:func:`~mubkit.algebra.unbiased_gram_target`, read-only, kept for the last 8 problems."""
-    target = unbiased_gram_target(num_bases, dim)
-    target.setflags(write=False)
-    return target
 
 
 def _traces(b: np.ndarray) -> np.ndarray:
@@ -446,10 +431,7 @@ def _polar_factors(u: np.ndarray, omega: np.ndarray):
 
 
 def _polar_point(factors, t: float) -> np.ndarray:
-    """The polar retraction of U + t U Omega from its :func:`_polar_factors`.
-
-    Unitary to roundoff at any t, since only the phases depend on it.
-    """
+    """The polar retraction of U + t U Omega from its :func:`_polar_factors`; unitary at any t."""
     w, lam, vh = factors
     return (w * np.exp(-1j * np.arctan(t * lam))[..., None, :]) @ vh
 
@@ -482,112 +464,139 @@ def _tangent_gradient(u, q, r):
     return u @ z, z
 
 
-@cache
-def _gauss_newton_pattern(d: int):
-    """Generator pairs (s, t) = ``np.triu_indices(d, 1)``, their sign and its Gram.
+class _UnitaryChart:
+    """Bases as unitaries U_a, moved along U_a Omega_a with Omega_a skew-Hermitian: polish's chart.
 
-    sign (d^2-d, d) holds +1 at s and -1 at t, for the real then the imaginary
-    generators; gram = sign sign^T.  Gauss-Newton runs only up to n d^2 = 800,
-    so d <= 20; the table is built once per d and kept read-only.
+    It has no Gauss-Newton step; a gradient step factors its direction once.
     """
-    s, t = np.triu_indices(d, 1)
-    eye = np.eye(d)
-    sign = np.tile(eye[s] - eye[t], (2, 1))
-    gram = sign @ sign.T
-    for table in (s, t, sign, gram):
-        table.setflags(write=False)
-    return s, t, sign, gram
+
+    gauss_newton = None
+
+    def __init__(self, num_bases: int, dim: int):
+        self.target = unbiased_gram_target(num_bases, dim)
+
+    def evaluate(self, u):
+        q, r, f = _evaluate(u, self.target)
+        return (q, r), f
+
+    @staticmethod
+    def gradient(u, state):
+        return _tangent_gradient(u, *state)
+
+    @staticmethod
+    def curve(u, omega):
+        """Trial points t -> polar retraction of U + t U Omega; factoring may raise LinAlgError."""
+        factors = _polar_factors(u, omega)
+        return lambda t: _polar_point(factors, t)
+
+    @staticmethod
+    def unitaries(u):
+        return u
 
 
-def _gauss_newton_jacobian(q: np.ndarray, n: int):
-    """Cross-basis residual derivatives of bases 1..n-1, as two factors read from Q.
+class _PhaseChart:
+    """Phases theta (n-1, d) of bases I and diag(exp(i theta_a)) H: :func:`run_search`'s chart.
 
-    Generator k of a basis is E_k = (e_s e_t^T - e_t e_s^T) / sqrt 2 for pair k = (s, t) of
-    :func:`_gauss_newton_pattern`, then i (e_s e_t^T + e_t e_s^T) / sqrt 2 for each pair
-    again.  Moving basis a along E_k changes only rows s and t of Q_ab (by -E_k Q_ab, a
-    before b) and columns s and t of Q_ba (by Q_ba E_k, b before a).  With the pair product
-    P_k = 2 conj(Q[a s, :]) Q[a t, :], the only product formed, both give row s of |Q|^2
-    the derivative -Re P_k / sqrt 2 (real E_k) or Im P_k / sqrt 2 (imaginary E_k), and
-    row t its negative.  Returns (sign, values) with the table's sign: the derivative of
-    residual |Q[a i, j]|^2 - 1/d in generator k of basis a is sign[k, i] * values[a-1, k, j],
-    and values (n-1, d^2-d, nd) is zero where j lies in basis a.
+    For each pair a < b of phased bases, g = exp(i (theta_b - theta_a)) and
+    its transform gh = g C, with C = sqrt(d) H (symmetric, as H is): overlap
+    (alpha, beta) of the two bases is gh_m / d at m = beta - alpha in the
+    group, so rho = |gh|^2 - d gives f = d^-3 sum rho^2 and
+    df/d(theta_b - theta_a) = -(4 / d^3) Im(g o C(rho o conj(gh))).  Basis 0
+    is unbiased to every phased basis, and each basis orthonormal, exactly.
+    A move delta of theta_a is Omega_a = H^dagger i diag(delta_a) H.
     """
-    d = q.shape[0] // n
-    s, t, sign, _ = _gauss_newton_pattern(d)
-    rows = q[d:].reshape(n - 1, d, n * d)
-    p = 2.0 * rows.conj()[:, s] * rows[:, t]
-    for a in range(1, n):
-        p[a - 1, :, a * d : (a + 1) * d] = 0.0
-    values = np.empty((n - 1, 2 * s.size, n * d))
-    np.multiply(p.real, -np.sqrt(0.5), out=values[:, : s.size])
-    np.multiply(p.imag, np.sqrt(0.5), out=values[:, s.size :])
-    return sign, values
+
+    def __init__(self, num_bases: int, dim: int):
+        self.dim = dim
+        self.fourier = _group_fourier(dim)
+        self.characters = np.sqrt(dim) * self.fourier
+        self.unknowns = (num_bases - 2) * (dim - 1)
+        self.first, self.second = np.triu_indices(num_bases - 1, 1)
+        # d(theta_b - theta_a) / d theta, one row per pair.
+        phased = np.eye(num_bases - 1)
+        self.incidence = phased[self.second] - phased[self.first]
+
+    def evaluate(self, theta):
+        """((g, gh, rho) of every pair, f)."""
+        d = self.dim
+        e = np.exp(1j * theta)
+        g = e[self.first].conj() * e[self.second]
+        gh = g @ self.characters
+        rho = gh.real**2 + gh.imag**2 - d
+        return (g, gh, rho), float(np.vdot(rho, rho)) / d**3
+
+    def gradient(self, theta, state):
+        """df/dtheta, as both the gradient and its coordinates."""
+        g, gh, rho = state
+        grad = self.incidence.T @ (g * ((rho * gh.conj()) @ self.characters)).imag
+        grad *= -4.0 / self.dim**3
+        return grad, grad
+
+    def jacobian(self, state):
+        """Derivatives of the residuals rho / d^1.5 in the gauge-fixed phases, (pairs d, unknowns).
+
+        f is unchanged when every theta_a moves by one vector (one diagonal
+        unitary on the left of every basis) and when one theta_a moves by a
+        constant (one phase on all of basis a's vectors).  So theta_1 and
+        entry 0 of every later theta_a are fixed, and the other (n-2)(d-1)
+        are the unknowns, with d rho_m / d(theta_b - theta_a)_p =
+        -2 Im(conj(gh_m) C_mp g_p).
+        """
+        g, gh, rho = state
+        pair = (gh.conj()[:, :, None] * self.characters * g[:, None, :]).imag
+        pair *= -2.0 * self.dim**-1.5
+        return (self.incidence[:, None, 1:, None] * pair[:, :, None, 1:]).reshape(rho.size, -1)
+
+    def gauss_newton(self, theta, state, grad):
+        """Damped Gauss-Newton step in the :meth:`jacobian`'s unknowns, as (delta, slope).
+
+        The damping is f itself (Levenberg-Marquardt with mu = ||residual||^2;
+        Yamashita and Fukushima 2001): it vanishes near a solution and keeps
+        the step short where the Jacobian is nearly singular away from one.
+        The fixed phases stay put, bit for bit.  Returns (None, 0.0) when the
+        solve fails or yields no descent direction (then a gradient step is taken).
+        """
+        jac = self.jacobian(state)
+        residual = self.dim**-1.5 * state[2].reshape(-1)
+        normal = jac.T @ jac
+        normal.reshape(-1)[:: self.unknowns + 1] += float(residual @ residual)
+        try:
+            delta = np.linalg.solve(normal, -(jac.T @ residual))
+        except np.linalg.LinAlgError:
+            return None, 0.0
+        slope = float(grad[1:, 1:].reshape(-1) @ delta)
+        if not slope < 0.0:
+            return None, 0.0
+        step = np.zeros_like(theta)
+        step[1:, 1:] = delta.reshape(step[1:, 1:].shape)
+        return step, slope
+
+    @staticmethod
+    def curve(theta, delta):
+        """The trial points t -> theta + arctan(t delta)."""
+        return lambda t: theta + np.arctan(t * delta)
+
+    def unitaries(self, theta):
+        """I, then diag(exp(i theta_a)) H: the bases the phases stand for."""
+        d = self.dim
+        u = np.empty((theta.shape[0] + 1, d, d), dtype=complex)
+        u[0] = np.eye(d)
+        u[1:] = np.exp(1j * theta)[:, :, None] * self.fourier
+        return u
 
 
-def _gauss_newton_direction(u, q, r, g):
-    """Damped Gauss-Newton step in gauge-reduced skew-Hermitian coordinates, as (Omega, slope).
+def _minimize(x0, chart, cfg: SearchConfig):
+    """Descend from ``x0`` in ``chart``; returns (point, objective, iterations, trajectory, stop).
 
-    Basis a moves as U_a (I + Omega_a), so the overlap block
-    Q_ab = U_a^dagger U_b changes by Q_ab Omega_b - Omega_a Q_ab.  The
-    residuals |Q_ab|^2 - 1/d do not change when every basis moves by one
-    left unitary, nor when one vector's phase changes, so basis 0 stays
-    fixed (Omega_0 = 0) and the other bases drop their d diagonal
-    generators: (n-1)(d^2-d) unknowns reach every first-order change of the
-    residuals.  The Jacobian is the product of the two factors that
-    :func:`_gauss_newton_jacobian` reads from Q, so every block of the
-    normal matrix is an elementwise product of two small matrix products
-    and the Jacobian itself is never formed.  Returns the (n, d, d)
-    skew-Hermitian Omega and the slope <g, U Omega>, or (None, 0) when the
-    solve fails or yields no descent direction (the caller then takes a
-    gradient step).
-    """
-    n, d = u.shape[0], u.shape[1]
-    s, t, _, gram = _gauss_newton_pattern(d)
-    sign, values = _gauss_newton_jacobian(q, n)
-    moved, dof = values.shape[0], values.shape[1]
-    size = moved * dof
-    # Entry (k, l) of block (a, b) sums sign[k, i] values[a, k, b j]
-    # sign[l, j] values[b, l, a i] over (i, j): the product of
-    # z[a, b, k, l] and z[b, a, l, k], with z[a, b] = values[a, :, b] sign^T.
-    # z[a, a] is zero, and a diagonal block sums over basis a's own rows.
-    z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
-    normal = np.empty((moved, dof, moved, dof))
-    np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
-    blocks = values @ values.swapaxes(-1, -2)
-    for a in range(moved):
-        np.multiply(gram, blocks[a], out=normal[a, :, a])
-    normal = normal.reshape(size, size)
-    rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
-    diagonal = normal.reshape(-1)[:: size + 1]
-    diagonal += 1e-10 * (float(diagonal.sum()) / size + 1.0)
-    try:
-        theta = np.linalg.solve(normal, -rhs.reshape(-1))
-    except np.linalg.LinAlgError:
-        return None, 0.0
-    theta = np.sqrt(0.5) * theta.reshape(moved, 2, -1)
-    upper = np.zeros((n, d, d), dtype=complex)
-    upper[1:, s, t] = theta[:, 0] + 1j * theta[:, 1]
-    omega = upper - upper.conj().swapaxes(-1, -2)
-    slope_term = float(np.vdot(g, u @ omega).real)
-    if not slope_term < 0.0:
-        return None, 0.0
-    return omega, slope_term
-
-
-def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
-    """Descend from unitaries u0; returns (unitaries, objective, iterations, trajectory, stop).
-
-    Armijo backtracking along either the Riemannian steepest-descent
-    direction (with a Barzilai-Borwein trial step) or, when the problem has
-    at most 800 parameters and f is below 3e-2, the gauge-reduced damped
-    Gauss-Newton direction, falling back to the gradient when that solve
-    fails or gives no descent.  The first attempt at or above 1e-3 that
-    fails (see ``_GAUSS_NEWTON_REACH``) confines Gauss-Newton to f below
-    1e-3 for the rest of the descent.  Either direction is U Omega
-    with Omega skew-Hermitian, factored once per step by
-    :func:`_polar_factors`; every trial point is then the polar retraction
-    of U + t U Omega in closed form.  An accepted trial value f_t is at most
-    its Armijo target, which is below f, so the trajectory of accepted
+    Armijo backtracking along either the steepest-descent direction (with a
+    Barzilai-Borwein trial step) or, when the chart has a Gauss-Newton step
+    with at most 400 unknowns and f is below 3e-2, the damped Gauss-Newton
+    direction, falling back to the gradient when that solve fails or gives
+    no descent.  The first attempt at or above 1e-3 that fails (see
+    ``_GAUSS_NEWTON_REACH``) confines Gauss-Newton to f below 1e-3 for the
+    rest of the descent.  The chart factors a direction once per step and
+    gives every trial point along it.  An accepted trial value f_t is at
+    most its Armijo target, which is below f, so the trajectory of accepted
     objective values is strictly decreasing.
 
     ``stop`` names why the descent ended, checked in this order before each
@@ -604,61 +613,60 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
       so no step floor is needed;
     - ``"factorization"``: factoring the direction failed.
     """
-    u = u0
-    n, d = u.shape[0], u.shape[1]
+    x = x0
     # Gauss-Newton is tried while f < reach, which drops to the crossover
     # once an early attempt fails.
     reach = 0.0
-    if n * d * d <= _GAUSS_NEWTON_CAP:
+    if chart.gauss_newton is not None and chart.unknowns <= _GAUSS_NEWTON_CAP:
         reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
-    q, r, f = _evaluate(u, target)
+    state, f = chart.evaluate(x)
     g = None  # at the start and after a Gauss-Newton step, formed only if a step follows
     trajectory = [f]
     step = _INITIAL_STEP
     iterations = 0
     while True:
         if f <= cfg.target_residual:
-            return u, f, iterations, trajectory, "target"
+            return x, f, iterations, trajectory, "target"
         if (
             len(trajectory) > _PLATEAU_STEPS
             and f > trajectory[-1 - _PLATEAU_STEPS] * (1.0 - _PLATEAU_GAIN)
         ):
-            return u, f, iterations, trajectory, "plateau"
+            return x, f, iterations, trajectory, "plateau"
         if iterations == cfg.max_iterations:
-            return u, f, iterations, trajectory, "iterations"
+            return x, f, iterations, trajectory, "iterations"
         iterations += 1
         if g is None:
-            g, z = _tangent_gradient(u, q, r)
+            g, z = chart.gradient(x, state)
 
-        omega = None
+        direction = None
         early = False
         if f < reach:
             early = f >= _GAUSS_NEWTON_CROSSOVER
-            omega, slope_term = _gauss_newton_direction(u, q, r, g)
-        gradient_step = omega is None
+            direction, slope_term = chart.gauss_newton(x, state, g)
+        gradient_step = direction is None
         if gradient_step:
-            omega = -z
+            direction = -z
             slope_term = -float(np.vdot(g, g).real)
             trial = step
         else:
             trial = 1.0
 
-        factors = None
+        curve = None
         while (bound := f + _SLOPE * trial * slope_term) < f:
-            if factors is None:
+            if curve is None:
                 try:
-                    factors = _polar_factors(u, omega)
+                    curve = chart.curve(x, direction)
                 except np.linalg.LinAlgError:
-                    return u, f, iterations, trajectory, "factorization"
-            candidate = _polar_point(factors, trial)
-            q_t, r_t, f_t = _evaluate(candidate, target)
+                    return x, f, iterations, trajectory, "factorization"
+            candidate = curve(trial)
+            state_t, f_t = chart.evaluate(candidate)
             if f_t <= bound:
                 break
             trial *= _SHRINK
         else:
             # The Armijo target has rounded to f (or is NaN): only roundoff
             # could pass the test.
-            return u, f, iterations, trajectory, "line search"
+            return x, f, iterations, trajectory, "line search"
 
         if early and (gradient_step or f_t > _GAUSS_NEWTON_DROP * f):
             reach = _GAUSS_NEWTON_CROSSOVER
@@ -666,41 +674,35 @@ def _minimize(u0: np.ndarray, target: np.ndarray, cfg: SearchConfig):
         if gradient_step:
             # Barzilai-Borwein curvature estimate seeds the next trial step;
             # unusable estimates fall back to growth.
-            g_next, z = _tangent_gradient(candidate, q_t, r_t)
-            delta_u = candidate - u
-            denom = float(np.vdot(delta_u, g_next - g).real)
+            g_next, z = chart.gradient(candidate, state_t)
+            delta = candidate - x
+            denom = float(np.vdot(delta, g_next - g).real)
             if denom > 0.0 and math.isfinite(denom):
-                ratio = float(np.vdot(delta_u, delta_u).real) / denom
+                ratio = float(np.vdot(delta, delta).real) / denom
                 step = min(max(ratio, 1e-12), 1e8)
             else:
                 step = trial * _STEP_GROWTH
-        u, q, r, f, g = candidate, q_t, r_t, f_t, g_next
+        x, state, f, g = candidate, state_t, f_t, g_next
         trajectory.append(f)
 
 
-def _descend(starts, cfg: SearchConfig) -> SearchResult:
-    """The restart loop of :func:`run_search`, over the (n, d, d) unitaries ``starts`` yields."""
-    n, d = cfg.num_bases, cfg.dim
-    # Targets of n d <= 90 (64 KiB; every problem Gauss-Newton reaches has
-    # n d <= 72) are kept between searches.  Larger ones, up to 512 MiB for
-    # complete d = 89, cost little against their descents, and keeping them
-    # would hold them for the process's life.
-    target = (_gram_target if n * d <= 90 else unbiased_gram_target)(n, d)
-    best_u = None
+def _descend(starts, chart, cfg: SearchConfig) -> SearchResult:
+    """The restart loop, over the points of ``chart`` that ``starts`` yields."""
+    best_x = None
     best_f = np.inf
     finals = []
     iteration_counts = []
     stops = []
-    for u0 in starts:
-        u, f, iterations, _, stop = _minimize(u0, target, cfg)
+    for x0 in starts:
+        x, f, iterations, _, stop = _minimize(x0, chart, cfg)
         finals.append(f)
         iteration_counts.append(iterations)
         stops.append(stop)
         if f < best_f:
-            best_f, best_u = f, u
+            best_f, best_x = f, x
         if stop == "target":
             break
-    states = best_u.swapaxes(-1, -2)
+    states = chart.unitaries(best_x).swapaxes(-1, -2)
     return SearchResult(
         best_family=MubFamily(states[..., :, None] * states.conj()[..., None, :]),
         best_objective=best_f,
@@ -736,40 +738,31 @@ def _group_fourier(d: int) -> np.ndarray:
     return h
 
 
-def _structured_start(fourier: np.ndarray, num_bases: int, key: int) -> np.ndarray:
-    """Restart ``key``'s start: I, then diag(exp(i theta_a)) H for bases a = 1..n-1.
-
-    theta is uniform on [0, 2 pi)^((n-1) x d), drawn from the Philox
-    generator keyed by ``key``; H is ``fourier``.
-    """
-    d = fourier.shape[0]
+def _structured_start(num_bases: int, dim: int, key: int) -> np.ndarray:
+    """Restart ``key``'s phases theta, uniform on [0, 2 pi)^((n-1) x d), from Philox keyed by it."""
     rng = np.random.Generator(np.random.Philox(key=key))
-    theta = rng.uniform(0.0, 2.0 * np.pi, (num_bases - 1, d))
-    u = np.empty((num_bases, d, d), dtype=complex)
-    u[0] = np.eye(d)
-    u[1:] = np.exp(1j * theta)[:, :, None] * fourier
-    return u
+    return rng.uniform(0.0, 2.0 * np.pi, (num_bases - 1, dim))
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Multi-restart search for ``cfg.num_bases`` unbiased bases in dimension ``cfg.dim``.
 
-    Every restart starts from the shape of the known complete families in
+    Every restart searches the shape of the known complete families in
     prime-power dimension: basis 0 is the computational basis and basis
     a >= 1 is diag(exp(i theta_a)) H, with H the group Fourier matrix of
-    :func:`_group_fourier`, kept between searches, and theta uniform on
-    [0, 2 pi)^((n-1) x d) from a counter-based generator keyed by
-    ``cfg.seed`` plus the restart index.  Every start basis is unbiased to
-    basis 0, so a two-basis search converges at iteration 0.  Each restart
-    descends through the loop that :func:`polish` shares.  A restart's
+    :func:`_group_fourier`, kept between searches.  It descends in the
+    phases theta (:class:`_PhaseChart`) from theta uniform on
+    [0, 2 pi)^((n-1) x d), drawn from a counter-based generator keyed by
+    ``cfg.seed`` plus the restart index.  Every such basis is unbiased to
+    basis 0, so a two-basis search converges at iteration 0.  A restart's
     objective is the value its descent reached (see :class:`SearchResult`).
     The best restart wins (ties go to the lowest index); later restarts are
     skipped once one converges.  Non-convergence is reported through ``converged`` and the residual
     floor in ``best_objective``, never as an exception.
     """
-    fourier = _group_fourier(cfg.dim)
     keys = range(cfg.seed, cfg.seed + cfg.restarts)
-    return _descend((_structured_start(fourier, cfg.num_bases, key) for key in keys), cfg)
+    starts = (_structured_start(cfg.num_bases, cfg.dim, key) for key in keys)
+    return _descend(starts, _PhaseChart(cfg.num_bases, cfg.dim), cfg)
 
 
 def _check_shape(family: MubFamily, cfg: SearchConfig) -> None:
@@ -790,7 +783,9 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     holds its state up to scale and phase in its column at its largest
     diagonal entry, and the QR retraction orthonormalizes every basis; an
     unbiased family thus converges at once.  This is one descent of the
-    loop that :func:`run_search` runs per restart; ``cfg.restarts`` is ignored.
+    loop that :func:`run_search` runs per restart, on the unitaries
+    (:class:`_UnitaryChart`) and with gradient steps only; ``cfg.restarts``
+    is ignored.
     """
     _check_shape(family, cfg)
     n, d = cfg.num_bases, cfg.dim
@@ -799,4 +794,4 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     pivot = np.argmax(np.diagonal(b, axis1=-2, axis2=-1).real, axis=-1)
     u0 = _retract(b[np.arange(n * d), :, pivot].reshape(n, d, d).swapaxes(-1, -2))
     del b  # so the descent runs beside the family alone
-    return _descend([u0], cfg)
+    return _descend([u0], _UnitaryChart(n, d), cfg)

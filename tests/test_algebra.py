@@ -496,10 +496,19 @@ class TestToleranceValidation:
     def test_eigen_hermitian_gate_refused_and_named(self, tol):
         # A NaN gate skipped the Hermitian check: [[1, 1], [0, 1]] solved as
         # its symmetrized part.  A negative one refused even the identity.
-        expected = rf"^tolerance must be finite and non-negative, got {re.escape(repr(tol))}$"
+        # inf is eigen_hermitian's "no gate", so the message asks for no
+        # finite value.
+        expected = (
+            rf"^tolerance must be non-negative \(inf for no gate\), got {re.escape(repr(tol))}$"
+        )
         for matrix in ([[1.0, 1.0], [0.0, 1.0]], np.eye(2)):
             with pytest.raises(ValueError, match=expected):
                 eigen_hermitian(matrix, hermiticity_tol=tol)
+
+    def test_eigen_hermitian_infinite_gate_accepted(self):
+        # The rule its message states: inf passes, and skips the gate.
+        solved = eigen_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]), hermiticity_tol=np.inf)
+        assert np.allclose(solved.eigenvalues, [1.5, 0.5])
 
     @pytest.mark.parametrize(
         "tol,shown",

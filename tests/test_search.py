@@ -20,19 +20,18 @@ from mubkit.search import (
     SearchState,
     _derive,
     _evaluate,
-    _gauss_newton_direction,
-    _gauss_newton_jacobian,
     _gradient_array,
-    _gram_target,
     _group_fourier,
     _minimize,
     _objective_value,
+    _PhaseChart,
     _polar_factors,
     _polar_point,
     _residual,
     _retract,
     _structured_start,
     _tangent_gradient,
+    _UnitaryChart,
     gradient,
     objective,
     polish,
@@ -68,107 +67,83 @@ def reference_kernels(b, target):
     return m, traces, r, value, grad
 
 
-def skew_basis(d):
-    """An orthonormal basis of the d x d skew-Hermitian matrices, shaped (d^2, d, d).
+def closed_form_phases(p):
+    """theta (p, p) with build_family(p)'s rotated basis a equal to D_a H, up to vector order.
 
-    The d(d-1)/2 real generators come first, then the imaginary ones with
-    the same (s, t) order, then the d diagonal ones.
+    The closed form's vector alpha of basis a has components
+    exp(i pi g(x) / p) / sqrt(p), g(x) = ((p - 2) a - 2 alpha) x - a x^2:
+    column -alpha (mod p) of H, phased by theta_a(x) = pi a ((p - 2) x - x^2) / p.
+    The exponent is reduced mod 2p in integers first.
     """
-    k, l = np.triu_indices(d, k=1)
-    pairs = np.arange(k.size)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[pairs, k, l], basis[pairs, l, k] = np.sqrt(0.5), -np.sqrt(0.5)
-    imag = pairs + k.size
-    basis[imag, k, l] = basis[imag, l, k] = 1j * np.sqrt(0.5)
-    basis[2 * k.size + np.arange(d), np.arange(d), np.arange(d)] = 1j
-    return basis
+    a, x = np.ogrid[:p, :p]
+    return np.pi * (a * ((p - 2) * x - x * x) % (2 * p)) / p
 
 
-def reference_pair_jacobian(block, basis):
-    """Transposed Jacobian of |Q_ab|^2 - 1/d in every generator of bases a then b.
+def near_closed_form(p, eps, seed):
+    """(theta, chart, cfg): the closed form's phases in prime ``p``, each moved by eps N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    theta = closed_form_phases(p) + eps * rng.standard_normal((p, p))
+    return theta, _PhaseChart(p + 1, p), SearchConfig(dim=p, num_bases=p + 1)
 
-    Row k holds the derivatives of the d^2 residuals in theta_ak (Q_ab moves
-    by -E_k Q_ab), row d^2 + k those in theta_bk (Q_ab moves by Q_ab E_k).
+
+def masked_phase_state(theta, chart):
+    """The chart's (g, gh, rho), f and gradient with every ordered pair formed, then masked.
+
+    Kept as a bit-level oracle for the chart's pair table: all (n-1)^2
+    products conj(e_a) e_b are formed and the mask keeps the pairs a < b.
     """
-    dof = basis.shape[0]
-    w = 2.0 * block.conj()
-    jt = np.concatenate([-(w * (basis @ block)).real, (w * (block @ basis)).real])
-    return jt.reshape(2 * dof, dof)
+    d, moved = theta.shape[1], theta.shape[0]
+    upper = ~np.tri(moved, dtype=bool)
+    e = np.exp(1j * theta)
+    g = (e.conj()[:, None] * e[None, :])[upper]
+    gh = g @ (np.sqrt(d) * _group_fourier(d))
+    rho = gh.real**2 + gh.imag**2 - d
+    eye = np.eye(moved)
+    incidence = (eye[None, :] - eye[:, None])[upper]
+    grad = incidence.T @ (g * ((rho * gh.conj()) @ chart.characters)).imag
+    grad *= -4.0 / d**3
+    return (g, gh, rho), float(np.vdot(rho, rho)) / d**3, grad
 
 
-def reference_gauss_newton(q, r, basis, n):
-    """The damped Gauss-Newton Omega over all n d^2 generators, pair by pair.
+def reference_phase_jacobian(theta, chart):
+    """d(rho / d^1.5) / d theta in every phase, (pairs d, n-1, d), pair by pair.
 
-    Kept as the full-system oracle for the gauge-reduced step in
-    ``mubkit.search``: every basis moves, and the gauge directions are left
-    to the damping.
+    Pair (a, b) moves with phi = theta_b - theta_a, and
+    d|gh_m|^2 / d phi_p = -2 Im(conj(gh_m) C_mp g_p).
     """
-    d = q.shape[0] // n
-    dof = d * d
-    normal = np.zeros((n * dof, n * dof))
-    rhs = np.zeros(n * dof)
-    for a, b in zip(*np.triu_indices(n, k=1)):
-        jt = reference_pair_jacobian(q[a * d : (a + 1) * d, b * d : (b + 1) * d], basis)
-        rows = np.r_[a * dof : (a + 1) * dof, b * dof : (b + 1) * dof]
-        normal[np.ix_(rows, rows)] += jt @ jt.T
-        rhs[rows] += jt @ r[a * d : (a + 1) * d, b * d : (b + 1) * d].reshape(-1)
-    normal.flat[:: n * dof + 1] += 1e-10 * (float(np.trace(normal)) / (n * dof) + 1.0)
-    theta = np.linalg.solve(normal, -rhs)
-    return np.tensordot(theta.reshape(n, dof), basis, axes=1)
+    d, moved = chart.dim, theta.shape[0]
+    e = np.exp(1j * theta)
+    blocks = []
+    for a, b in zip(*np.triu_indices(moved, 1)):
+        g = e[a].conj() * e[b]
+        gh = g @ chart.characters
+        block = np.zeros((d, moved, d))
+        block[:, b] = -2.0 * (gh.conj()[:, None] * chart.characters * g[None, :]).imag / d**1.5
+        block[:, a] = -block[:, b]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def masked_gauss_newton_jacobian(q, n):
-    """The Gauss-Newton Jacobian factors through a strict upper-triangle mask.
+def finite_difference_jacobian(theta, chart, h=1e-6):
+    """Central differences of the residuals rho / d^1.5 in every phase, (pairs d, n-1, d)."""
+    columns = []
+    for index in np.ndindex(theta.shape):
+        moved = np.zeros_like(theta)
+        moved[index] = h
+        plus, minus = chart.evaluate(theta + moved)[0][2], chart.evaluate(theta - moved)[0][2]
+        columns.append((plus - minus).reshape(-1) / (2 * h * chart.dim**1.5))
+    return np.stack(columns, axis=-1).reshape(-1, *theta.shape)
 
-    Kept as a bit-level oracle for the pair table of ``mubkit.search``: all
-    d^2 products 2 conj(Q[a s, :]) Q[a t, :] are formed and the mask keeps
-    the pairs s < t; sign comes from a (d, d, d) difference tensor.
+
+def full_gauss_newton(theta, chart, jacobian):
+    """The damped Gauss-Newton delta over all (n-1) d phases, the gauge left to the damping.
+
+    Kept as the full-system oracle for the chart's gauge-fixed step.
     """
-    d = q.shape[0] // n
-    upper = ~np.tri(d, dtype=bool)
-    eye = np.eye(d)
-    sign = np.tile((eye[:, None] - eye)[upper], (2, 1))
-    rows = q[d:].reshape(n - 1, d, n * d)
-    p = (2.0 * rows.conj()[:, :, None] * rows[:, None])[:, upper]
-    own = np.arange(n - 1)
-    p.reshape(n - 1, -1, n, d)[own, :, own + 1] = 0.0
-    values = np.sqrt(0.5) * np.concatenate([-p.real, p.imag], axis=1)
-    return upper, sign, values
-
-
-def masked_gauss_newton_direction(u, q, r, g):
-    """The Gauss-Newton (Omega, slope) from the masked factors, Omega written through the mask."""
-    n, d = u.shape[0], u.shape[1]
-    upper, sign, values = masked_gauss_newton_jacobian(q, n)
-    moved, dof = values.shape[0], values.shape[1]
-    size = moved * dof
-    z = values.reshape(moved, dof, n, d)[:, :, 1:].transpose(0, 2, 1, 3) @ sign.T
-    normal = np.empty((moved, dof, moved, dof))
-    np.multiply(z, z.transpose(1, 0, 3, 2), out=normal.transpose(0, 2, 1, 3))
-    blocks = np.einsum("aiaj->aij", normal)
-    np.multiply(sign @ sign.T, values @ values.swapaxes(-1, -2), out=blocks)
-    normal = normal.reshape(size, size)
-    rhs = (values * (sign @ r[d:].reshape(moved, d, n * d))).sum(axis=-1)
-    diagonal = normal.reshape(-1)[:: size + 1]
-    diagonal += 1e-10 * (float(diagonal.sum()) / size + 1.0)
-    theta = np.sqrt(0.5) * np.linalg.solve(normal, -rhs.reshape(-1)).reshape(moved, 2, -1)
-    upper_omega = np.zeros((n, d, d), dtype=complex)
-    upper_omega[1:, upper] = theta[:, 0] + 1j * theta[:, 1]
-    omega = upper_omega - upper_omega.conj().swapaxes(-1, -2)
-    return omega, float(np.vdot(g, u @ omega).real)
-
-
-def linearized_change(q, omega, n):
-    """First-order change of every cross-basis |Q_ab|^2 when U_a moves to U_a (I + Omega_a)."""
-    d = q.shape[0] // n
-    change = np.zeros(q.shape)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                rows, cols = slice(a * d, (a + 1) * d), slice(b * d, (b + 1) * d)
-                moved = q[rows, cols] @ omega[b] - omega[a] @ q[rows, cols]
-                change[rows, cols] = 2.0 * (q[rows, cols].conj() * moved).real
-    return change
+    residual = chart.evaluate(theta)[0][2].reshape(-1) / chart.dim**1.5
+    jac = jacobian.reshape(residual.size, -1)
+    normal = jac.T @ jac + float(residual @ residual) * np.eye(jac.shape[1])
+    return np.linalg.solve(normal, -jac.T @ residual).reshape(theta.shape)
 
 
 def assert_close(actual, expected, rel=1e-12):
@@ -240,7 +215,7 @@ class TestSearchConfig:
 
     def test_last_restart_key_must_fit_the_generator(self):
         # Restart k is keyed seed + k, and Philox keys lie below 2**128.
-        highest = SearchConfig(dim=2, num_bases=3, restarts=3, seed=2**128 - 3, max_iterations=1)
+        highest = SearchConfig(dim=3, num_bases=4, restarts=3, seed=2**128 - 3, max_iterations=1)
         assert run_search(highest).restarts_used == 3
         with pytest.raises(
             ValueError,
@@ -259,11 +234,11 @@ class TestSearchConfig:
 
     def test_integer_fields_stored_as_int(self):
         cfg = SearchConfig(
-            dim=np.int64(2), num_bases=np.int32(3), restarts=np.uint8(1),
+            dim=np.int64(3), num_bases=np.int32(4), restarts=np.uint8(1),
             max_iterations=np.int16(3), seed=np.uint64(4),
         )
         fields = (cfg.dim, cfg.num_bases, cfg.restarts, cfg.max_iterations, cfg.seed)
-        assert fields == (2, 3, 1, 3, 4)
+        assert fields == (3, 4, 1, 3, 4)
         assert all(type(value) is int for value in fields)
         result = run_search(cfg)
         assert result.restart_iterations == (3,) and result.stop_reasons == ("iterations",)
@@ -438,8 +413,8 @@ class TestRunSearch:
         # cannot even hold the request; the config itself refuses it.
         with pytest.raises(ValueError, match="num_bases"):
             SearchConfig(dim=6, num_bases=8)
-        # Structured starts converge here in 2 iterations, so one is the cap.
-        cfg = SearchConfig(dim=2, num_bases=3, restarts=2, seed=0, max_iterations=1)
+        # Keys 1 and 2 converge here in 3 iterations, so one is the cap.
+        cfg = SearchConfig(dim=2, num_bases=3, restarts=2, seed=1, max_iterations=1)
         result = run_search(cfg)
         assert not result.converged
         assert result.restarts_used == 2
@@ -489,7 +464,10 @@ class TestStructuredStarts:
             expected = np.kron(expected, fourier(p))
         assert np.max(np.abs(h - expected)) < 1e-14
         assert np.max(np.abs(h.conj().T @ h - np.eye(d))) < 1e-14
-        u = _structured_start(h, num_bases, key)
+        theta = _structured_start(num_bases, d, key)
+        assert theta.shape == (num_bases - 1, d)
+        assert np.all((0.0 <= theta) & (theta < 2.0 * np.pi))
+        u = _PhaseChart(num_bases, d).unitaries(theta)
         assert u.shape == (num_bases, d, d)
         assert np.array_equal(u[0], np.eye(d))
         overlaps = np.abs(u[0].conj().T @ u[1:]) ** 2
@@ -498,8 +476,7 @@ class TestStructuredStarts:
         phases = u[1:] / h
         assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-14
         assert np.max(np.abs(phases - phases[:, :, :1])) < 1e-14
-        again = _structured_start(_group_fourier(d), num_bases, key)
-        assert np.array_equal(u, again)
+        assert np.array_equal(theta, _structured_start(num_bases, d, key))
 
     def test_group_fourier_is_kept_read_only(self):
         h = _group_fourier(6)
@@ -507,33 +484,11 @@ class TestStructuredStarts:
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0] = 0.0
 
-    def test_gram_target_is_kept_read_only(self):
-        target = _gram_target(3, 6)
-        assert _gram_target(3, 6) is target and not target.flags.writeable
-        assert np.array_equal(target, unbiased_gram_target(3, 6))
-        with pytest.raises(ValueError, match="read-only"):
-            target[0, 0] = 0.0
-        # The public target stays a fresh, writable array.
-        public = unbiased_gram_target(3, 6)
-        assert public.flags.writeable and public is not unbiased_gram_target(3, 6)
-
     def test_tables_are_bounded(self):
-        for table in (_group_fourier, _gram_target):
-            assert table.cache_info().maxsize == 8
+        assert _group_fourier.cache_info().maxsize == 8
         for d in range(2, 14):
             _group_fourier(d)
-            _gram_target(2, d)
             assert _group_fourier.cache_info().currsize <= 8
-            assert _gram_target.cache_info().currsize <= 8
-
-    def test_searches_keep_targets_up_to_64_kib(self):
-        # n d = 56 is kept; n d = 132 (139 KiB) is built for its search alone.
-        calls = _gram_target.cache_info()
-        polish(build_family(7), SearchConfig(dim=7, num_bases=8))
-        kept = _gram_target.cache_info()
-        assert kept.hits + kept.misses == calls.hits + calls.misses + 1
-        polish(build_family(11), SearchConfig(dim=11, num_bases=12))
-        assert _gram_target.cache_info() == kept
 
     def test_run_search_descends_from_the_structured_starts(self, monkeypatch):
         import mubkit.search
@@ -541,16 +496,16 @@ class TestStructuredStarts:
         starts = []
         real = mubkit.search._minimize
 
-        def recording(u0, target, cfg):
-            starts.append(u0)
-            return real(u0, target, cfg)
+        def recording(x0, chart, cfg):
+            starts.append((x0, chart))
+            return real(x0, chart, cfg)
 
         monkeypatch.setattr(mubkit.search, "_minimize", recording)
         cfg = SearchConfig(dim=6, num_bases=4, restarts=3, seed=17, max_iterations=2)
         assert run_search(cfg).restarts_used == 3
-        h = _group_fourier(6)
-        for key, u0 in zip(range(17, 20), starts, strict=True):
-            assert np.array_equal(u0, _structured_start(h, 4, key))
+        for key, (theta, chart) in zip(range(17, 20), starts, strict=True):
+            assert isinstance(chart, _PhaseChart) and chart is starts[0][1]
+            assert np.array_equal(theta, _structured_start(4, 6, key))
 
     def test_two_bases_converge_at_the_start(self):
         for d in range(2, 13):
@@ -580,7 +535,7 @@ class TestMinimizeTrajectory:
     def test_objective_history_non_increasing(self):
         cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
         n, d = cfg.num_bases, cfg.dim
-        u, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
+        u, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), _UnitaryChart(n, d), cfg)
         assert len(trajectory) >= 2
         assert trajectory[-1] == f
         assert all(later <= earlier for earlier, later in zip(trajectory, trajectory[1:]))
@@ -594,8 +549,8 @@ def recorded_descents(monkeypatch):
     descents = []
     real = mubkit.search._minimize
 
-    def recording(u0, target, cfg):
-        descents.append(real(u0, target, cfg))
+    def recording(x0, chart, cfg):
+        descents.append(real(x0, chart, cfg))
         return descents[-1]
 
     monkeypatch.setattr(mubkit.search, "_minimize", recording)
@@ -603,25 +558,39 @@ def recorded_descents(monkeypatch):
 
 
 def counting_trials(monkeypatch):
-    """Count objective evaluations and ``eigh`` factorizations; returns the live dict.
+    """Count objective evaluations and factorizations in either chart; returns the live dict.
 
-    ``_minimize`` evaluates its start once, then each trial point once.
+    ``_minimize`` evaluates its start once, then each trial point once.  A
+    unitary step factors its direction with one ``eigh``; a phase step
+    forms its curve of trial points once.
     """
     import mubkit.search
 
     counts = {"evaluations": 0, "factorizations": 0}
     real_evaluate = mubkit.search._evaluate
+    real_phase_evaluate = _PhaseChart.evaluate
+    real_phase_curve = _PhaseChart.curve
     real_eigh = np.linalg.eigh
 
     def evaluating(u, target):
         counts["evaluations"] += 1
         return real_evaluate(u, target)
 
+    def phase_evaluating(chart, theta):
+        counts["evaluations"] += 1
+        return real_phase_evaluate(chart, theta)
+
+    def phase_factoring(theta, delta):
+        counts["factorizations"] += 1
+        return real_phase_curve(theta, delta)
+
     def factoring(a, *args, **kwargs):
         counts["factorizations"] += 1
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(mubkit.search, "_evaluate", evaluating)
+    monkeypatch.setattr(_PhaseChart, "evaluate", phase_evaluating)
+    monkeypatch.setattr(_PhaseChart, "curve", staticmethod(phase_factoring))
     monkeypatch.setattr(np.linalg, "eigh", factoring)
     return counts
 
@@ -633,7 +602,7 @@ class TestLineSearchExhaustion:
     def test_trajectory_strictly_decreasing(self):
         cfg = SearchConfig(dim=3, num_bases=4, restarts=1, seed=7, max_iterations=400)
         n, d = cfg.num_bases, cfg.dim
-        _, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), unbiased_gram_target(n, d), cfg)
+        _, f, _, trajectory, _ = _minimize(haar_unitaries(7, n, d), _UnitaryChart(n, d), cfg)
         assert len(trajectory) >= 2
         assert trajectory[-1] == f
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
@@ -653,32 +622,32 @@ class TestLineSearchExhaustion:
 
     def test_rounded_target_retracts_no_trial(self, monkeypatch):
         # Key 0 with 4 bases in d = 6 stops on a plateau.  Descending again
-        # from where each descent stopped, the fourth ends on an exhausted
+        # from where each descent stopped, the third ends on an exhausted
         # line search, at a point where the first gradient trial's Armijo
         # target (step 1) already rounds to f.
         descents = recorded_descents(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=4, restarts=1, seed=0)
         assert run_search(cfg).stop_reasons == ("plateau",)
-        u = descents[0][0]
-        target = unbiased_gram_target(4, 6)
+        theta = descents[0][0]
+        chart = _PhaseChart(4, 6)
         stops = []
         for _ in range(20):
-            u, *_, stop = _minimize(u, target, cfg)
+            theta, *_, stop = _minimize(theta, chart, cfg)
             stops.append(stop)
             if stop != "plateau":
                 break
-        assert stops == ["plateau"] * 3 + ["line search"]
-        q, r, f = _evaluate(u, target)
-        g, _ = _tangent_gradient(u, q, r)
-        gnorm_sq = float(np.vdot(g, g).real)
+        assert stops == ["plateau"] * 2 + ["line search"]
+        state, f = chart.evaluate(theta)
+        grad, _ = chart.gradient(theta, state)
+        gnorm_sq = float(grad.reshape(-1) @ grad.reshape(-1))
         assert f > cfg.target_residual and np.sqrt(gnorm_sq) > 1e-12
         assert f + _SLOPE * _INITIAL_STEP * -gnorm_sq == f
 
         counts = counting_trials(monkeypatch)
-        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
+        theta_end, f_end, iterations, trajectory, stop = _minimize(theta, chart, cfg)
         assert counts == {"evaluations": 1, "factorizations": 0}
         assert (f_end, iterations, trajectory) == (f, 1, [f])
-        assert u_end is u
+        assert theta_end is theta
         assert stop == "line search"
 
     def test_nan_slope_retracts_no_trial(self, monkeypatch):
@@ -690,21 +659,21 @@ class TestLineSearchExhaustion:
         monkeypatch.setattr(mubkit.search, "_tangent_gradient", nan_gradient)
         counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
-        target = unbiased_gram_target(3, 6)
-        _, f, iterations, trajectory, stop = _minimize(haar_unitaries(2, 3, 6), target, cfg)
+        u = haar_unitaries(2, 3, 6)
+        _, f, iterations, trajectory, stop = _minimize(u, _UnitaryChart(3, 6), cfg)
         assert counts == {"evaluations": 1, "factorizations": 0}
         assert iterations == 1 and trajectory == [f]
         assert stop == "line search"
 
 
 class TestPolarRetraction:
-    # Each step factors its direction once; every trial along it is the
-    # polar factor of U + t U Omega in closed form.
+    # Each step of polish's chart factors its direction once; every trial
+    # along it is the polar factor of U + t U Omega in closed form.
     def test_at_most_one_factorization_per_iteration(self, monkeypatch):
         counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1, max_iterations=400)
-        target = unbiased_gram_target(3, 6)
-        _, _, iterations, trajectory, _ = _minimize(haar_unitaries(1, 3, 6), target, cfg)
+        u = haar_unitaries(1, 3, 6)
+        _, _, iterations, trajectory, _ = _minimize(u, _UnitaryChart(3, 6), cfg)
         trials = counts["evaluations"] - 1
         assert len(trajectory) - 1 <= counts["factorizations"] <= iterations
         assert trials > counts["factorizations"]
@@ -734,13 +703,15 @@ class TestPolarRetraction:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
-        target = unbiased_gram_target(3, 6)
         u = haar_unitaries(2, 3, 6)
-        f = _evaluate(u, target)[2]
-        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
+        chart = _UnitaryChart(3, 6)
+        f = chart.evaluate(u)[1]
+        u_end, f_end, iterations, trajectory, stop = _minimize(u, chart, cfg)
         assert (f_end, iterations, trajectory, stop) == (f, 1, [f], "factorization")
         assert u_end is u
-        result = run_search(cfg)
+        # Only polish factors its steps: its states are orthonormal, so no
+        # eigenvalue solve forms the start.
+        result = polish(MubFamily.from_states(u.swapaxes(-1, -2)), cfg)
         assert not result.converged and result.restart_iterations == (1,)
         assert result.stop_reasons == ("factorization",)
 
@@ -755,10 +726,10 @@ class TestDimensionSixPins:
     # Gauss-Newton at the crossover each move them too.
     CONVERGED_ITERATIONS = {
         (6, 3): [
-            7, 6, 7, 4, 6, 7, 8, 7, 9, 14, 7, 12, 8, 7, 6,
-            9, 7, 10, 10, 9, 11, 9, 5, 16, 7, 7, 5, 9, 10, 12,
+            7, 6, 7, 4, 7, 7, 9, 7, 9, 15, 7, 19, 7, 7, 6,
+            10, 7, 10, 10, 9, 11, 10, 5, 17, 7, 7, 5, 10, 11, 13,
         ],
-        (7, 3): [12, 12, 7, 9, 7, 7, 12, 8, 8, 10, 8, 9, 9, 7, 10, 6, 9, 10, 7, 9],
+        (7, 3): [9, 11, 7, 8, 7, 8, 10, 8, 8, 11, 8, 11, 9, 7, 8, 7, 9, 8, 7, 9],
     }
     # 4 bases in d = 6, keys 0-3: (iterations, objective) where they stop on
     # the plateau of a local minimum, far above the 3e-2 below which
@@ -766,26 +737,26 @@ class TestDimensionSixPins:
     # OpenBLAS kernel, so they are taken under one fixed kernel (Haswell,
     # single-threaded).
     LOCAL_MINIMA = {
-        0: (22, 0.36288660044618193),
-        1: (21, 0.21223226366455142),
-        2: (29, 0.2122322624354085),
-        3: (18, 0.362886575420438),
+        0: (24, 0.36288657539638225),
+        1: (21, 0.21223226555624652),
+        2: (29, 0.21223225975071913),
+        3: (19, 0.36288657526577656),
     }
-    # Runs the searches with _gauss_newton_direction counted, and prints
-    # the stops and counts as JSON, whose floats round-trip exactly.
+    # Runs the searches with the phase chart's Gauss-Newton step counted, and
+    # prints the stops and counts as JSON, whose floats round-trip exactly.
     FIXED_KERNEL_SEARCHES = """
 import json
 import mubkit.search
 from mubkit.search import SearchConfig, run_search
 
 calls = []
-real = mubkit.search._gauss_newton_direction
+real = mubkit.search._PhaseChart.gauss_newton
 
 def counting(*args):
     calls.append(None)
     return real(*args)
 
-mubkit.search._gauss_newton_direction = counting
+mubkit.search._PhaseChart.gauss_newton = counting
 stops = {}
 for key in range(4):
     result = run_search(SearchConfig(dim=6, num_bases=4, restarts=1, seed=key))
@@ -836,7 +807,7 @@ def failing_solve(a, b):
 
 
 def ascending_solve(a, b):
-    # The solution negated: a direction whose slope <g, U Omega> is positive.
+    # The solution negated: a direction whose slope <grad, delta> is positive.
     return -REAL_SOLVE(a, b)
 
 
@@ -858,11 +829,7 @@ class TestGaussNewtonFallback:
     # run without the Gauss-Newton endgame takes, bit for bit.
     @staticmethod
     def near_solution():
-        d, num_bases = 5, 6
-        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
-        rng = np.random.default_rng(9)
-        u = _retract(u + 1e-4 * (u @ random_skew(rng, num_bases, d)))
-        return u, unbiased_gram_target(num_bases, d), SearchConfig(dim=d, num_bases=num_bases)
+        return near_closed_form(5, 1e-4, 9)
 
     @staticmethod
     def gradient_only(monkeypatch, run):
@@ -874,22 +841,22 @@ class TestGaussNewtonFallback:
 
     @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
     def test_direction_reports_no_step(self, monkeypatch, solve):
-        u, target, _ = self.near_solution()
-        q, r, f = _evaluate(u, target)
-        g, _ = _tangent_gradient(u, q, r)
-        assert _gauss_newton_direction(u, q, r, g)[1] < 0.0
+        theta, chart, _ = self.near_solution()
+        state, _ = chart.evaluate(theta)
+        grad, _ = chart.gradient(theta, state)
+        assert chart.gauss_newton(theta, state, grad)[1] < 0.0
         monkeypatch.setattr(np.linalg, "solve", solve)
-        assert _gauss_newton_direction(u, q, r, g) == (None, 0.0)
+        assert chart.gauss_newton(theta, state, grad) == (None, 0.0)
 
     @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
     def test_every_iteration_takes_a_gradient_step(self, monkeypatch, solve):
-        u0, target, cfg = self.near_solution()
-        expected = self.gradient_only(monkeypatch, lambda: _minimize(u0, target, cfg))
+        theta0, chart, cfg = self.near_solution()
+        expected = self.gradient_only(monkeypatch, lambda: _minimize(theta0, chart, cfg))
         calls = patched_solves(monkeypatch, solve)
-        u, f, iterations, trajectory, stop = _minimize(u0, target, cfg)
+        theta, f, iterations, trajectory, stop = _minimize(theta0, chart, cfg)
         assert stop == expected[4] == "target"
         assert (f, iterations, trajectory) == expected[1:4]
-        assert np.array_equal(u, expected[0])
+        assert np.array_equal(theta, expected[0])
         # One attempted solve per iteration: every f was below the crossover.
         assert len(calls) == iterations > 1
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
@@ -913,15 +880,15 @@ class TestGaussNewtonFallback:
 
 class TestGaussNewtonHandover:
     # Gauss-Newton is first tried below 30 times the crossover (3e-2) and
-    # kept there only while it works.  The lowest local-minimum floors seen
-    # from run_search's starts, 4 bases in d = 12 and d = 10, lie in that
-    # window: a restart stuck on one makes a single attempt above the
-    # crossover and still stops on its plateau.
+    # kept there only while it works.  The only local-minimum floors seen
+    # in that window from run_search's starts are those of 4 bases in
+    # d = 12 (13 of keys 0-199): a restart stuck on one makes a single
+    # attempt above the crossover and still stops on its plateau.
     FLOORS = {
         (12, 4, 6): "1.769e-02",
         (12, 4, 32): "1.769e-02",
-        (10, 4, 1): "2.049e-02",
-        (10, 4, 21): "2.049e-02",
+        (12, 4, 42): "1.769e-02",
+        (12, 4, 50): "1.769e-02",
     }
 
     @pytest.mark.parametrize("dim,num_bases,key", sorted(FLOORS))
@@ -929,13 +896,13 @@ class TestGaussNewtonHandover:
         import mubkit.search
 
         calls = []
-        real = mubkit.search._gauss_newton_direction
+        real = mubkit.search._PhaseChart.gauss_newton
 
         def counting(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(mubkit.search, "_gauss_newton_direction", counting)
+        monkeypatch.setattr(mubkit.search._PhaseChart, "gauss_newton", counting)
         result = run_search(SearchConfig(dim=dim, num_bases=num_bases, restarts=1, seed=key))
         assert result.stop_reasons == ("plateau",)
         assert f"{result.best_objective:.3e}" == self.FLOORS[dim, num_bases, key]
@@ -1027,103 +994,160 @@ class TestUnitaryModel:
         pivots = np.diagonal(v.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
         assert np.all(pivots.real > -1e-14)
 
-    def test_skew_basis_is_orthonormal(self):
-        basis = skew_basis(4)
-        assert np.array_equal(basis, -basis.conj().swapaxes(-1, -2))
-        gram = np.einsum("pij,qij->pq", basis.conj(), basis).real
-        assert np.max(np.abs(gram - np.eye(16))) < 1e-15
-
+    # The search's unitaries are I and diag(exp(i theta_a)) H, and its
+    # Gauss-Newton step moves the phases theta (_PhaseChart).
     @pytest.mark.parametrize("num_bases,d", [(3, 6), (5, 4), (6, 5), (3, 7)])
     def test_gauss_newton_jacobian_is_the_reference_kept_columns(self, num_bases, d):
-        # Bases 1..n-1 keep their d^2 - d off-diagonal generators; basis 0
-        # and every diagonal (phase) generator are dropped.
-        u = haar_unitaries(40 + d, num_bases, d)
-        q = _evaluate(u, unbiased_gram_target(num_bases, d))[0]
-        sign, values = _gauss_newton_jacobian(q, num_bases)
-        jac = sign[None, :, :, None] * values[:, :, None, :]
-        kept, dof = d * d - d, d * d
-        basis = skew_basis(d)
-        for a, b in zip(*np.triu_indices(num_bases, k=1)):
-            jt = reference_pair_jacobian(q[a * d : (a + 1) * d, b * d : (b + 1) * d], basis)
-            if a > 0:
-                left = jac[a - 1, :, :, b * d : (b + 1) * d].reshape(kept, dof)
-                assert_close(left, jt[:kept], rel=1e-15)
-            right = jac[b - 1, :, :, a * d : (a + 1) * d].swapaxes(-1, -2).reshape(kept, dof)
-            assert_close(right, jt[dof : dof + kept], rel=1e-15)
-            # The phase generators move no residual.
-            assert np.max(np.abs(jt[kept:dof])) <= 1e-15 * np.max(np.abs(jt))
-            assert np.max(np.abs(jt[dof + kept :])) <= 1e-15 * np.max(np.abs(jt))
-        for a in range(1, num_bases):
-            assert not np.any(jac[a - 1, :, :, a * d : (a + 1) * d])
+        # theta_1 and entry 0 of every later theta_a are dropped: they move
+        # no residual, since only differences of phases count, and a
+        # constant added to one theta_a phases a whole basis.
+        theta = _structured_start(num_bases, d, 40 + d)
+        chart = _PhaseChart(num_bases, d)
+        reference = reference_phase_jacobian(theta, chart)
+        assert_close(reference, finite_difference_jacobian(theta, chart), rel=1e-8)
+        kept = reference[:, 1:, 1:].reshape(reference.shape[0], -1)
+        assert_close(chart.jacobian(chart.evaluate(theta)[0]), kept, rel=1e-15)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(reference.sum(axis=1))) <= 1e-14 * scale
+        assert np.max(np.abs(reference.sum(axis=2))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("num_bases,d", [(3, 6), (5, 4), (6, 5), (3, 7), (2, 5)])
     def test_gauss_newton_direction_matches_the_full_system(self, num_bases, d):
-        # The reduced step fixes the gauge the full system leaves to its
-        # damping: Omega differs, but its slope and its first-order change
-        # of the residuals agree with the full system's, up to that
-        # damping's pull on the gauge directions (larger for two bases).
-        rel = 1e-7 if num_bases == 2 else 1e-8
-        u = haar_unitaries(40 + d, num_bases, d)
-        q, r, _ = _evaluate(u, unbiased_gram_target(num_bases, d))
-        g, _ = _tangent_gradient(u, q, r)
-        omega, slope_term = _gauss_newton_direction(u, q, r, g)
-        assert np.array_equal(omega, -omega.conj().swapaxes(-1, -2))
-        assert not np.any(omega[0])
-        assert not np.any(np.diagonal(omega, axis1=-2, axis2=-1))
-        assert slope_term == float(np.vdot(g, u @ omega).real) < 0.0
-        expected = reference_gauss_newton(q, r, skew_basis(d), num_bases)
-        expected_slope = float(np.vdot(g, u @ expected).real)
-        assert abs(slope_term - expected_slope) <= rel * abs(expected_slope)
-        assert_close(
-            linearized_change(q, omega, num_bases), linearized_change(q, expected, num_bases), rel
-        )
+        # The gauge-fixed step fixes the phases the full system leaves to
+        # its damping: delta differs, but near a solution, where the
+        # damping f is small, its slope and its first-order change of the
+        # residuals agree with the full system's.
+        chart = _PhaseChart(num_bases, d)
+        cfg = SearchConfig(dim=d, num_bases=num_bases)
+        key = 0
+        while (found := _minimize(_structured_start(num_bases, d, key), chart, cfg))[4] != "target":
+            key += 1
+        theta = found[0] + 1e-5 * np.random.default_rng(d).standard_normal(found[0].shape)
+        state, f = chart.evaluate(theta)
+        if num_bases == 2:
+            # No pair of phased bases: nothing to solve, and f is 0 anywhere.
+            assert chart.unknowns == 0 and f == 0.0 and state[2].size == 0
+            return
+        grad, _ = chart.gradient(theta, state)
+        delta, slope_term = chart.gauss_newton(theta, state, grad)
+        assert not np.any(delta[0]) and not np.any(delta[:, 0])
+        assert slope_term == float(grad[1:, 1:].reshape(-1) @ delta[1:, 1:].reshape(-1)) < 0.0
+        jacobian = reference_phase_jacobian(theta, chart)
+        expected = full_gauss_newton(theta, chart, jacobian)
+        expected_slope = float(np.vdot(grad, expected))
+        assert abs(slope_term - expected_slope) <= 1e-8 * abs(expected_slope)
+        jac = jacobian.reshape(jacobian.shape[0], -1)
+        assert_close(jac @ delta.reshape(-1), jac @ expected.reshape(-1), rel=1e-8)
 
     @pytest.mark.parametrize(
         "num_bases,d", [(2, 2), (2, 5), (3, 6), (5, 4), (6, 5), (3, 7), (9, 8)]
     )
     def test_pair_table_matches_the_masked_reference_bit_for_bit(self, num_bases, d):
-        u = haar_unitaries(60 + d, num_bases, d)
-        q, r, _ = _evaluate(u, unbiased_gram_target(num_bases, d))
-        g, _ = _tangent_gradient(u, q, r)
-        _, sign_ref, values_ref = masked_gauss_newton_jacobian(q, num_bases)
-        sign, values = _gauss_newton_jacobian(q, num_bases)
-        assert np.array_equal(sign, sign_ref) and np.array_equal(values, values_ref)
-        omega_ref, slope_ref = masked_gauss_newton_direction(u, q, r, g)
-        omega, slope_term = _gauss_newton_direction(u, q, r, g)
-        assert np.array_equal(omega, omega_ref)
-        assert slope_term == slope_ref < 0.0
+        theta = _structured_start(num_bases, d, 60 + d)
+        chart = _PhaseChart(num_bases, d)
+        state, f = chart.evaluate(theta)
+        state_ref, f_ref, grad_ref = masked_phase_state(theta, chart)
+        for part, part_ref in zip(state, state_ref, strict=True):
+            assert np.array_equal(part, part_ref)
+        assert f == f_ref
+        assert np.array_equal(chart.gradient(theta, state)[0], grad_ref)
 
     def test_gauss_newton_step_leaves_basis_zero_bit_for_bit(self):
-        # Omega_0 = 0, and i Omega_0 factors as lam = 0 and V = I exactly, so
-        # the polar retraction returns U_0 itself.
-        d, num_bases = 5, 6
-        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
-        rng = np.random.default_rng(9)
-        u = _retract(u + 1e-5 * (u @ random_skew(rng, num_bases, d)))
-        target = unbiased_gram_target(num_bases, d)
-        cfg = SearchConfig(dim=d, num_bases=num_bases, max_iterations=1)
-        u_end, f_end, iterations, trajectory, stop = _minimize(u, target, cfg)
+        # Basis 0 is I by construction, and the step leaves the fixed phases
+        # (theta_1 and entry 0 of every later theta_a) as they are.
+        theta, chart, _ = near_closed_form(5, 1e-5, 9)
+        cfg = SearchConfig(dim=5, num_bases=6, max_iterations=1)
+        theta_end, f_end, iterations, trajectory, stop = _minimize(theta, chart, cfg)
         # One Gauss-Newton step: the objective falls from about eps^2 to eps^4.
-        assert (iterations, stop) == (1, "iterations") and f_end < 1e-6 * trajectory[0]
-        assert u_end[0].tobytes() == u[0].tobytes()
-        assert not np.array_equal(u_end[1:], u[1:])
+        assert iterations == 1 and f_end < 1e-6 * trajectory[0]
+        assert theta_end[0].tobytes() == theta[0].tobytes()
+        assert theta_end[:, 0].tobytes() == theta[:, 0].tobytes()
+        assert np.all(theta_end[1:, 1:] != theta[1:, 1:])
+        assert np.array_equal(chart.unitaries(theta_end)[0], np.eye(5))
 
     def test_gauss_newton_step_converges_quadratically(self):
         # Near a solution one damped Gauss-Newton step takes the objective
         # from its order eps^2 to about eps^4.
-        d, num_bases = 5, 6
-        u = reconstruct_all(build_family(d)).swapaxes(-1, -2)
-        rng = np.random.default_rng(9)
-        u = _retract(u + 1e-5 * (u @ random_skew(rng, num_bases, d)))
-        target = unbiased_gram_target(num_bases, d)
-        q, r, f = _evaluate(u, target)
-        g, _ = _tangent_gradient(u, q, r)
-        omega, slope_term = _gauss_newton_direction(u, q, r, g)
-        assert np.array_equal(omega, -omega.conj().swapaxes(-1, -2))
-        assert slope_term == float(np.vdot(g, u @ omega).real) < 0.0
-        f_next = _evaluate(_polar_point(_polar_factors(u, omega), 1.0), target)[2]
+        theta, chart, _ = near_closed_form(5, 1e-5, 9)
+        state, f = chart.evaluate(theta)
+        grad, _ = chart.gradient(theta, state)
+        delta, slope_term = chart.gauss_newton(theta, state, grad)
+        assert slope_term < 0.0
+        f_next = chart.evaluate(chart.curve(theta, delta)(1.0))[1]
         assert 1e-10 < f < 1e-6
         assert f_next < 1e-6 * f
+
+
+class TestPhaseChart:
+    # run_search's chart: bases I and diag(exp(i theta_a)) H, with the
+    # objective, gradient and Gauss-Newton step written in theta.
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_closed_form_lies_on_the_chart(self, p):
+        # The paper's tie: rotated basis a of the closed form is D_a H, its
+        # vector alpha column -alpha of D_a H, and its computational basis
+        # (last) is the chart's basis 0, so f is at roundoff there.
+        family = build_family(p)
+        theta = closed_form_phases(p)
+        chart = _PhaseChart(p + 1, p)
+        states = chart.unitaries(theta).swapaxes(-1, -2)
+        states = np.concatenate([states[1:, (-np.arange(p)) % p], states[:1]])
+        projectors = states[..., :, None] * states.conj()[..., None, :]
+        assert np.max(np.abs(projectors[:p] - family.projectors[:p])) < 1e-14
+        assert np.array_equal(family.projectors[p], projectors[p])
+        # Every residual |gh|^2 - d within a few d u, so f is near its square.
+        assert chart.evaluate(theta)[1] < 1e-28
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 9), extra=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_chart_is_the_unitary_model_on_its_bases(self, d, extra, seed):
+        # The unitary model's objective at the chart's bases is the chart's,
+        # and its gradient is the chart's seen as skew-Hermitian moves:
+        # Z_a = H^dagger i diag(df/dtheta_a) H for a >= 1, and Z_0 = 0.  So
+        # the descent in theta is the unitary descent restricted to the
+        # bases the structured starts lie on, where its gradient stays.
+        num_bases = min(2 + extra, d + 1)
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (num_bases - 1, d))
+        chart = _PhaseChart(num_bases, d)
+        state, f = chart.evaluate(theta)
+        grad, _ = chart.gradient(theta, state)
+        u = chart.unitaries(theta)
+        q, r, f_unitary = _evaluate(u, unbiased_gram_target(num_bases, d))
+        assert f == pytest.approx(f_unitary, rel=1e-12)
+        _, z = _tangent_gradient(u, q, r)
+        h = chart.fourier
+        expected = h.conj().T @ (1j * grad[:, :, None] * h)
+        assert_close(z[1:], expected, rel=1e-12)
+        assert np.max(np.abs(z[0])) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_found_states_are_unit_to_a_few_u(self):
+        # The family is built once, from exp(i theta) H, so its states are
+        # unit to the rounding of exp and H however long the descent ran
+        # (6 u at most measured; polar steps on unitaries drifted to 632 u).
+        worst = 0.0
+        for d, num_bases, keys in [(6, 4, 4), (7, 8, 2), (9, 10, 2), (12, 4, 4)]:
+            for key in range(keys):
+                cfg = SearchConfig(dim=d, num_bases=num_bases, restarts=1, seed=key)
+                worst = max(worst, float(run_search(cfg).best_family.invariants[1].max()))
+        assert worst <= 16 * 2.0**-53
+
+    def test_gauss_newton_is_skipped_above_400_unknowns(self, monkeypatch, traced_peak):
+        # Complete d = 23 has 484 unknowns; near its closed form every step
+        # would try Gauss-Newton, whose Jacobian alone takes 22 MB there.
+        calls = []
+        real = _PhaseChart.gauss_newton
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(_PhaseChart, "gauss_newton", counting)
+        theta, chart, _ = near_closed_form(23, 1e-5, 3)
+        cfg = SearchConfig(dim=23, num_bases=24, max_iterations=2)
+        assert chart.unknowns == 484 and chart.evaluate(theta)[1] < 1e-3
+        _, _, iterations, _, stop = _minimize(theta, chart, cfg)
+        assert (iterations, stop, calls) == (2, "iterations", [])
+        _, peak = traced_peak(lambda: _minimize(theta, chart, cfg))
+        assert peak < 2e6
 
 
 def roundoff_bound(result):

@@ -55,11 +55,14 @@ SETS = {
     "d6_b4": (6, 4, 20),
     "d2_b3": (2, 3, 40),
     "d3_b4": (3, 4, 40),
-    # The early Gauss-Newton window's traffic: d7_b3's converging restarts
-    # drop out of it, and d10_b4 and d12_b4 hold the only floors seen inside it.
+    # The early Gauss-Newton window's traffic: some of d7_b3's converging
+    # restarts drop out of it, d12_b4 holds the only floors seen inside it,
+    # and d10_b4's lowest floors lie just above it (3.39e-2).
     "d7_b3": (7, 3, 20),
     "d10_b4": (10, 4, 40),
     "d12_b4": (12, 4, 40),
+    # A rare basin: about 1 key in 100 converges.
+    "d11_b4": (11, 4, 100),
 }
 
 CERTIFY_TOLERANCE = 1e-6
