@@ -13,17 +13,18 @@ f = d^-3 sum_(a<b) sum_m (|(g_ab C)_m|^2 - d)^2, and builds their family
 once, from the phases it ends at.  :func:`polish` starts from a family's
 own states, which need not lie on that manifold, and descends on the
 unitaries whose columns they are (:class:`_UnitaryChart`), with gradient
-steps only.
+steps only, each trial point put back on the unitaries by a QR factor.
 
 The optimizer is one loop, :func:`_minimize`, of monotone descent with
 Armijo backtracking and seeded restarts: Barzilai-Borwein gradient steps
-far from a solution, then damped Gauss-Newton steps on the last decades,
-where gradient steps crawl.  The Gauss-Newton step solves for the
-(n-2)(d-1) phases left once the gauge is fixed, and every trial point is
-theta + arctan(t delta), the polar retraction of the unitaries along the
-matching skew-Hermitian move.  Every accepted step lowers the objective
-strictly, runs are deterministic for a fixed configuration, and the result
-names why each restart stopped.
+far from a solution, then, once the objective is below 3e-2, a damped
+Gauss-Newton step first on every iteration, where gradient steps crawl;
+a gradient step stands in when it gives none.  The Gauss-Newton step
+solves for the (n-2)(d-1) phases left once the gauge is fixed, and every
+trial point is theta + arctan(t delta), the polar retraction of the
+unitaries along the matching skew-Hermitian move.  Every accepted step
+lowers the objective strictly, runs are deterministic for a fixed
+configuration, and the result names why each restart stopped.
 
 :func:`objective` and :func:`gradient` keep the paper's factor form
 M = B^dagger B / Tr(B^dagger B) for any :class:`SearchState`; a search
@@ -88,47 +89,35 @@ _STEP_GROWTH = 2.0
 
 # The numbers below come from run_search's starts, one restart per key: the
 # scan is d = 3..12 with 3 to min(d + 1, 6) bases and complete d = 7 and 8,
-# keys 0-39, 1 560 restarts taking 50 222 iterations.
+# keys 0-39, 1 560 restarts taking 49 658 iterations.
 
-# Below this objective every step tries Gauss-Newton first; the damped
+# Below this objective every step tries Gauss-Newton first, and takes a
+# gradient step when the attempt yields no descent direction; the damped
 # normal equations are reliable near a solution and pointless far from one.
-# This fallback rule must stay below every local-minimum floor, or restarts
-# stuck there would spend their last steps on it.  The lowest floor in the
-# scan is 1.769e-2, at d = 12 with 4 bases (1.362e-2 over keys 0-199): 13.6
-# times above this.  Converging restarts whose early attempt failed (see
-# _GAUSS_NEWTON_REACH) need the return to Gauss-Newton here.  If a failed
-# attempt ended Gauss-Newton for the restart, the scan would take 420 975
-# iterations and converge on 1 018 keys, not 1 025: 4 bases in d = 9 would
-# take 160 173 instead of 727 and converge on 37 keys, not 40.
-_GAUSS_NEWTON_CROSSOVER = 1e-3
-
-# Gauss-Newton is tried early, below this multiple of the crossover (3e-2),
-# until an attempt there fails: it yields no direction, or its accepted
-# step leaves the objective above this fraction of where it started.  From
-# then on the restart waits for the crossover.  The early window saves
-# iterations: keys 0-29 with 3 bases in d = 6 take 266 with it and 297
-# without, keys 0-39 with 4 bases in d = 9 727 and 918.  The only floors
-# in the window, at d = 12 with 4 bases, make one failed attempt each;
-# without the drop they make 88 and 135, one per step until the plateau
-# rule ends them.  The drop costs some converging restarts iterations: keys
-# 0-19 with 3 bases in d = 10 take 374 with it and 265 without.
-_GAUSS_NEWTON_REACH = 30.0
-_GAUSS_NEWTON_DROP = 0.25
+# Damped by f, the normal matrix is positive definite, so all 4 493 attempts
+# in the scan gave a step.  The window pays: with Gauss-Newton only below
+# 1e-3 the scan takes 51 810 iterations, and 3 bases in d = 12 take 1 025,
+# not 600.  Its cost is the floors inside it, at d = 12 with 4 bases
+# (1.769e-2, and 1.362e-2 over keys 0-199): a restart stuck on one takes a
+# Gauss-Newton step each time, which crawls there as gradient steps do,
+# until the plateau rule ends it (keys 6 and 32 after 111 and 147
+# iterations, 88 and 135 of them Gauss-Newton).
+_GAUSS_NEWTON_BELOW = 3e-2
 
 # Skip Gauss-Newton above this many unknowns, (n-2)(d-1); gradient steps
 # still apply.  A step forms a Jacobian of (n-1)(n-2)/2 d rows, so at 1 BLAS
 # thread it takes 0.95 ms and 1.5 MB at 144 unknowns (complete d = 13), 35
 # ms and 25 MB at 484 (complete d = 23), and about 4 d^5 bytes for complete
 # d: 22 GB at d = 89, the largest complete family a SearchConfig admits.
-# Where it runs it pays: keys 0-9 with 4 bases in d = 16 take 306
+# Where it runs it pays: keys 0-9 with 4 bases in d = 16 take 245
 # iterations with it and 3 380 without.
 _GAUSS_NEWTON_CAP = 400
 
 # A restart whose last 3 accepted steps together lowered the objective by
 # less than 1e-6 of it sits on a plateau and stops.  That is how restarts
 # stuck at a local minimum end: 535 of the scan's.  Without it, 532 of those
-# run on until the line search runs out, still on a floor, and take 48 098
-# iterations instead of 33 853.  The other 3 would crawl off and converge,
+# run on until the line search runs out, still on a floor, and take 47 941
+# iterations instead of 33 796.  The other 3 would crawl off and converge,
 # but late: complete d = 7 key 0 after 212 iterations, while the rule stops
 # it at 29 and key 1 then converges in 30.
 _PLATEAU_STEPS = 3
@@ -276,8 +265,8 @@ class SearchResult:
     """Outcome of a search: best point found plus per-restart accounting.
 
     ``history``, ``restart_iterations`` and ``stop_reasons`` hold each restart's descent objective
-    bit for bit, its iterations and why it stopped (``"target"``, ``"plateau"``, ``"line search"``,
-    ``"factorization"`` or ``"iterations"``), up to the first ``"target"``; ``converged`` holds
+    bit for bit, its iterations and why it stopped (``"target"``, ``"plateau"``, ``"line search"``
+    or ``"iterations"``), up to the first ``"target"``; ``converged`` holds
     exactly when the last stop is ``"target"``.  The least objective, f = ``best_objective``, and
     f' = ``objective(SearchState(best_family.projectors))`` differ at roundoff: with N = n d and
     gamma_k = k u / (1 - k u), u = 2**-53 (Higham 2002, sections 3.1 and 3.6; see README),
@@ -408,32 +397,17 @@ def _retract(y: np.ndarray) -> np.ndarray:
 
     Fixing the phases makes the factor unique: it depends on the input
     alone, not on the signs a LAPACK build's Householder reflections pick,
-    and a unitary input comes back as itself.  So :func:`polish`, the one
-    caller, starts from a point fixed by the family it is given.  A
-    rank-deficient input still yields a unitary (its zero pivots keep
-    phase 1).  LAPACK's pivots are real, so each phase is an exact sign.
+    and a unitary input comes back as itself.  So :func:`polish` starts from
+    a point fixed by the family it is given, and each of its trial points
+    U + S is put back on the unitaries, with columns unit to a few u
+    however many steps came before (a retraction: Absil, Mahony and
+    Sepulchre 2008, section 4.1).  A rank-deficient input still yields a
+    unitary (its zero pivots keep phase 1), and QR refuses no input, NaN or
+    inf included.  LAPACK's pivots are real, so each phase is an exact sign.
     """
     q, r = np.linalg.qr(y)
     pivots = np.diagonal(r, axis1=-2, axis2=-1).real
     return q * np.where(pivots < 0.0, -1.0, 1.0)[..., None, :]
-
-
-def _polar_factors(u: np.ndarray, omega: np.ndarray):
-    """Factor a step direction U Omega once for every trial point along it.
-
-    With i Omega = V diag(lam) V^dagger (one ``eigh`` per basis), U (I + t Omega)
-    is W diag(1 - i t lam) V^dagger for W = U V, so its polar factor, the
-    nearest unitary, is W diag(exp(-i arctan(t lam))) V^dagger at every t.
-    Returns (W, lam, V^dagger) for :func:`_polar_point`.
-    """
-    lam, v = np.linalg.eigh(1j * omega)
-    return u @ v, lam, v.conj().swapaxes(-1, -2)
-
-
-def _polar_point(factors, t: float) -> np.ndarray:
-    """The polar retraction of U + t U Omega from its :func:`_polar_factors`; unitary at any t."""
-    w, lam, vh = factors
-    return (w * np.exp(-1j * np.arctan(t * lam))[..., None, :]) @ vh
 
 
 def _evaluate(u: np.ndarray, target: np.ndarray):
@@ -448,7 +422,7 @@ def _evaluate(u: np.ndarray, target: np.ndarray):
 
 
 def _tangent_gradient(u, q, r):
-    """Riemannian gradient of the objective, as (g, Z) with one (d, d) block per basis.
+    """Riemannian gradient of the objective, U Z with one (d, d) block per basis.
 
     The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
     diagonal doubled.  U_a^dagger X is block row a of Q, so the tangent part
@@ -461,13 +435,13 @@ def _tangent_gradient(u, q, r):
     h = q.reshape(n, d, n * d) @ c.reshape(n * d, n, d).transpose(1, 0, 2)
     z = h - h.conj().swapaxes(-1, -2)
     z *= 2.0
-    return u @ z, z
+    return u @ z
 
 
 class _UnitaryChart:
     """Bases as unitaries U_a, moved along U_a Omega_a with Omega_a skew-Hermitian: polish's chart.
 
-    It has no Gauss-Newton step; a gradient step factors its direction once.
+    It has no Gauss-Newton step; a step S retracts to the QR factor of U + S.
     """
 
     gauss_newton = None
@@ -484,10 +458,8 @@ class _UnitaryChart:
         return _tangent_gradient(u, *state)
 
     @staticmethod
-    def curve(u, omega):
-        """Trial points t -> polar retraction of U + t U Omega; factoring may raise LinAlgError."""
-        factors = _polar_factors(u, omega)
-        return lambda t: _polar_point(factors, t)
+    def retract(u, step):
+        return _retract(u + step)
 
     @staticmethod
     def unitaries(u):
@@ -526,11 +498,11 @@ class _PhaseChart:
         return (g, gh, rho), float(np.vdot(rho, rho)) / d**3
 
     def gradient(self, theta, state):
-        """df/dtheta, as both the gradient and its coordinates."""
+        """df/dtheta."""
         g, gh, rho = state
         grad = self.incidence.T @ (g * ((rho * gh.conj()) @ self.characters)).imag
         grad *= -4.0 / self.dim**3
-        return grad, grad
+        return grad
 
     def jacobian(self, state):
         """Derivatives of the residuals rho / d^1.5 in the gauge-fixed phases, (pairs d, unknowns).
@@ -572,9 +544,9 @@ class _PhaseChart:
         return step, slope
 
     @staticmethod
-    def curve(theta, delta):
-        """The trial points t -> theta + arctan(t delta)."""
-        return lambda t: theta + np.arctan(t * delta)
+    def retract(theta, step):
+        """theta + arctan(step): the unitaries' polar retraction along H^dagger i diag(step) H."""
+        return theta + np.arctan(step)
 
     def unitaries(self, theta):
         """I, then diag(exp(i theta_a)) H: the bases the phases stand for."""
@@ -591,13 +563,11 @@ def _minimize(x0, chart, cfg: SearchConfig):
     Armijo backtracking along either the steepest-descent direction (with a
     Barzilai-Borwein trial step) or, when the chart has a Gauss-Newton step
     with at most 400 unknowns and f is below 3e-2, the damped Gauss-Newton
-    direction, falling back to the gradient when that solve fails or gives
-    no descent.  The first attempt at or above 1e-3 that fails (see
-    ``_GAUSS_NEWTON_REACH``) confines Gauss-Newton to f below 1e-3 for the
-    rest of the descent.  The chart factors a direction once per step and
-    gives every trial point along it.  An accepted trial value f_t is at
-    most its Armijo target, which is below f, so the trajectory of accepted
-    objective values is strictly decreasing.
+    direction, falling back to the gradient whenever that solve fails or
+    gives no descent.  A trial point is ``chart.retract(x, t * direction)``.
+    An accepted trial value f_t is at most its Armijo target, which is below
+    f, so the trajectory of accepted objective values is strictly
+    decreasing.
 
     ``stop`` names why the descent ended, checked in this order before each
     iteration and during its line search:
@@ -608,17 +578,13 @@ def _minimize(x0, chart, cfg: SearchConfig):
     - ``"iterations"``: the iteration cap is reached;
     - ``"line search"``: a trial's Armijo target f + c t <g, direction> has
       rounded to f (or is NaN), where only roundoff could pass the test; the
-      trial is not evaluated, nor the direction factored if it is the
-      first.  Halving the step always gets there, since f stays positive,
-      so no step floor is needed;
-    - ``"factorization"``: factoring the direction failed.
+      trial is not retracted or evaluated.  Halving the step always gets
+      there, since f stays positive, so no step floor is needed.
     """
     x = x0
-    # Gauss-Newton is tried while f < reach, which drops to the crossover
-    # once an early attempt fails.
-    reach = 0.0
+    window = 0.0  # Gauss-Newton is tried while f < window
     if chart.gauss_newton is not None and chart.unknowns <= _GAUSS_NEWTON_CAP:
-        reach = _GAUSS_NEWTON_REACH * _GAUSS_NEWTON_CROSSOVER
+        window = _GAUSS_NEWTON_BELOW
     state, f = chart.evaluate(x)
     g = None  # at the start and after a Gauss-Newton step, formed only if a step follows
     trajectory = [f]
@@ -636,29 +602,21 @@ def _minimize(x0, chart, cfg: SearchConfig):
             return x, f, iterations, trajectory, "iterations"
         iterations += 1
         if g is None:
-            g, z = chart.gradient(x, state)
+            g = chart.gradient(x, state)
 
         direction = None
-        early = False
-        if f < reach:
-            early = f >= _GAUSS_NEWTON_CROSSOVER
+        if f < window:
             direction, slope_term = chart.gauss_newton(x, state, g)
         gradient_step = direction is None
         if gradient_step:
-            direction = -z
+            direction = -g
             slope_term = -float(np.vdot(g, g).real)
             trial = step
         else:
             trial = 1.0
 
-        curve = None
         while (bound := f + _SLOPE * trial * slope_term) < f:
-            if curve is None:
-                try:
-                    curve = chart.curve(x, direction)
-                except np.linalg.LinAlgError:
-                    return x, f, iterations, trajectory, "factorization"
-            candidate = curve(trial)
+            candidate = chart.retract(x, trial * direction)
             state_t, f_t = chart.evaluate(candidate)
             if f_t <= bound:
                 break
@@ -668,13 +626,11 @@ def _minimize(x0, chart, cfg: SearchConfig):
             # could pass the test.
             return x, f, iterations, trajectory, "line search"
 
-        if early and (gradient_step or f_t > _GAUSS_NEWTON_DROP * f):
-            reach = _GAUSS_NEWTON_CROSSOVER
         g_next = None
         if gradient_step:
             # Barzilai-Borwein curvature estimate seeds the next trial step;
             # unusable estimates fall back to growth.
-            g_next, z = chart.gradient(candidate, state_t)
+            g_next = chart.gradient(candidate, state_t)
             delta = candidate - x
             denom = float(np.vdot(delta, g_next - g).real)
             if denom > 0.0 and math.isfinite(denom):
@@ -784,8 +740,9 @@ def polish(family: MubFamily, cfg: SearchConfig) -> SearchResult:
     diagonal entry, and the QR retraction orthonormalizes every basis; an
     unbiased family thus converges at once.  This is one descent of the
     loop that :func:`run_search` runs per restart, on the unitaries
-    (:class:`_UnitaryChart`) and with gradient steps only; ``cfg.restarts``
-    is ignored.
+    (:class:`_UnitaryChart`) and with gradient steps only, each trial point
+    retracted by the same QR, so the states it returns are unit to a few u
+    however long it ran; ``cfg.restarts`` is ignored.
     """
     _check_shape(family, cfg)
     n, d = cfg.num_bases, cfg.dim

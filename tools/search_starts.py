@@ -55,9 +55,10 @@ SETS = {
     "d6_b4": (6, 4, 20),
     "d2_b3": (2, 3, 40),
     "d3_b4": (3, 4, 40),
-    # The early Gauss-Newton window's traffic: some of d7_b3's converging
-    # restarts drop out of it, d12_b4 holds the only floors seen inside it,
-    # and d10_b4's lowest floors lie just above it (3.39e-2).
+    # The Gauss-Newton window's traffic (below 3e-2): d7_b3's converging
+    # restarts, whose counts follow where the window starts, d12_b4 with the
+    # only floors seen inside it, and d10_b4, whose lowest floors lie just
+    # above it (3.39e-2).
     "d7_b3": (7, 3, 20),
     "d10_b4": (10, 4, 40),
     "d12_b4": (12, 4, 40),
