@@ -36,7 +36,6 @@ and never interprets it as evidence that no family exists.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -82,22 +81,17 @@ _PSD_FLOOR = -1e-8
 # projector's scaled copy M / ||v|| is taken as its square root.
 _RANK_ONE_TOL = 1e-10
 
-# Fallback growth for the trial step when the Barzilai-Borwein curvature
-# estimate is unusable (non-positive); backtracking still shrinks every
-# trial that fails the acceptance slope.
-_STEP_GROWTH = 2.0
-
 # The numbers below come from run_search's starts, one restart per key: the
 # scan is d = 3..12 with 3 to min(d + 1, 6) bases and complete d = 7 and 8,
-# keys 0-39, 1 560 restarts taking 49 658 iterations.
+# keys 0-39, 1 560 restarts taking 48 448 iterations.
 
 # Below this objective every step tries Gauss-Newton first, and takes a
 # gradient step when the attempt yields no descent direction; the damped
 # normal equations are reliable near a solution and pointless far from one.
-# Damped by f, the normal matrix is positive definite, so all 4 493 attempts
+# Damped by f, the normal matrix is positive definite, so all 4 492 attempts
 # in the scan gave a step.  The window pays: with Gauss-Newton only below
-# 1e-3 the scan takes 51 810 iterations, and 3 bases in d = 12 take 1 025,
-# not 600.  Its cost is the floors inside it, at d = 12 with 4 bases
+# 1e-3 the scan takes 50 569 iterations, and 3 bases in d = 12 take 1 015,
+# not 596.  Its cost is the floors inside it, at d = 12 with 4 bases
 # (1.769e-2, and 1.362e-2 over keys 0-199): a restart stuck on one takes a
 # Gauss-Newton step each time, which crawls there as gradient steps do,
 # until the plateau rule ends it (keys 6 and 32 after 111 and 147
@@ -109,17 +103,17 @@ _GAUSS_NEWTON_BELOW = 3e-2
 # thread it takes 0.95 ms and 1.5 MB at 144 unknowns (complete d = 13), 35
 # ms and 25 MB at 484 (complete d = 23), and about 4 d^5 bytes for complete
 # d: 22 GB at d = 89, the largest complete family a SearchConfig admits.
-# Where it runs it pays: keys 0-9 with 4 bases in d = 16 take 245
-# iterations with it and 3 380 without.
+# Where it runs it pays: keys 0-9 with 4 bases in d = 16 take 243
+# iterations with it and 3 378 without.
 _GAUSS_NEWTON_CAP = 400
 
 # A restart whose last 3 accepted steps together lowered the objective by
 # less than 1e-6 of it sits on a plateau and stops.  That is how restarts
-# stuck at a local minimum end: 535 of the scan's.  Without it, 532 of those
-# run on until the line search runs out, still on a floor, and take 47 941
-# iterations instead of 33 796.  The other 3 would crawl off and converge,
-# but late: complete d = 7 key 0 after 212 iterations, while the rule stops
-# it at 29 and key 1 then converges in 30.
+# stuck at a local minimum end: 536 of the scan's.  Without it, 533 of those
+# run on until the line search runs out, still on a floor, and take 46 912
+# iterations instead of 33 023.  The other 3 would crawl off and converge,
+# but late: complete d = 7 key 0 after 181 iterations, while the rule stops
+# it at 29 and key 1 then converges in 27.
 _PLATEAU_STEPS = 3
 _PLATEAU_GAIN = 1e-6
 
@@ -273,17 +267,21 @@ class SearchResult:
     |f - f'| <= N (dQ + dM) (sqrt(2 f) + sqrt(2 f')) / sqrt(2) + gamma_(N^2 + 1) (f + f').
     Each is ||R||_w^2 / 2, weighted 2 on the diagonal (the weights sum to at most 2 N^2), of an R
     within dQ or dM entrywise of that of the states' normalized projectors: Cauchy-Schwarz gives
-    the first term, summing the N^2 + N squares the second.  dQ = 4 gamma_(2d) + 2 eta + eta^2:
-    an overlap (a length-d complex inner product) is off by sqrt(2) gamma_(2d), its squared
-    modulus twice that plus gamma_2, the target's subtraction u; the states are unit to
-    eta = max |<v|v> - 1| <= tau + gamma_(d+2) (1 + tau) only, tau the largest of
-    ``best_family.invariants[1]``.  dM = 8 gamma_(2 d^2): forming v v^dagger moves a normalized
-    projector by 4 sqrt(2) gamma_2, B^dagger B by sqrt(2) gamma_(2d), its trace norm by
+    the first term, summing the N^2 + N squares the second.  dQ = 4 gamma_(2d) + 2 eta + eta^2
+    + 11 gamma_2 + 6 kappa: an overlap (a length-d complex inner product) is off by
+    sqrt(2) gamma_(2d), its squared modulus twice that plus gamma_2, the target's subtraction u;
+    the states are unit to eta = max |<v|v> - 1| <= tau + gamma_(d+2) (1 + tau) only, tau the
+    largest of ``best_family.invariants[1]``.  dM = 8 gamma_(2 d^2): forming v v^dagger moves a
+    normalized projector by 4 sqrt(2) gamma_2, B^dagger B by sqrt(2) gamma_(2d), its trace norm by
     gamma_(2 d^2) and the quotient by u, twice over in a Gram entry; the Gram product adds
     gamma_(2 d^2), the target u.  To first order these sum to 3.6 gamma_(2d) and
     7.7 gamma_(2 d^2); rounding up covers the rest while eta < 1e-2.  :func:`run_search` forms its
-    overlaps as gh_m / d from exp(i theta) and C, not from the states: up to about 20 u more each,
-    which the derivation covers from d = 14 on; below that the bound holds in measurement only.
+    overlaps as gh_m / d from g = conj(e_a) e_b, e = exp(i theta), and C = sqrt(d) H, its states
+    as e o H from the same e: rounding g, C and the states adds (3 sqrt(2) + 1) gamma_2 to an
+    overlap, and H's character defect sum_p |conj(H_p alpha) H_p beta - H_p(beta-alpha) / sqrt(d)|
+    at most 3 kappa, kappa = 30 k u bounding the relative error of an entry of H for d with k
+    prime factors, counted with multiplicity (see README).  The entries the descent does not form,
+    with basis 0 or within a basis, are within that of zero.
     """
 
     best_family: MubFamily
@@ -628,16 +626,16 @@ def _minimize(x0, chart, cfg: SearchConfig):
 
         g_next = None
         if gradient_step:
-            # Barzilai-Borwein curvature estimate seeds the next trial step;
-            # unusable estimates fall back to growth.
+            # Barzilai-Borwein step <s, s> / |<s, y>|, the modulus taken as
+            # Wen and Yin (2013) take it, so negative curvature needs no
+            # other rule; <s, y> = 0 alone keeps the accepted trial.
             g_next = chart.gradient(candidate, state_t)
             delta = candidate - x
-            denom = float(np.vdot(delta, g_next - g).real)
-            if denom > 0.0 and math.isfinite(denom):
-                ratio = float(np.vdot(delta, delta).real) / denom
-                step = min(max(ratio, 1e-12), 1e8)
+            curvature = abs(float(np.vdot(delta, g_next - g).real))
+            if curvature:
+                step = float(np.vdot(delta, delta).real) / curvature
             else:
-                step = trial * _STEP_GROWTH
+                step = trial
         x, state, f, g = candidate, state_t, f_t, g_next
         trajectory.append(f)
 

@@ -660,6 +660,44 @@ class TestLineSearchExhaustion:
         assert stop == "line search"
 
 
+class LineChart:
+    """A stub chart on the real line: f and f' given, retract x + step; records every step tried."""
+
+    gauss_newton = None
+
+    def __init__(self, f, df):
+        self.f, self.df, self.steps = f, df, []
+
+    def evaluate(self, x):
+        return None, self.f(x[0])
+
+    def gradient(self, x, state):
+        return np.array([self.df(x[0])])
+
+    def retract(self, x, step):
+        self.steps.append(float(step[0]))
+        return x + step
+
+
+class TestStepRule:
+    # After a gradient step s with gradient change y, the next trial step is
+    # <s, s> / |<s, y>|; only <s, y> = 0 keeps the accepted trial.
+    def test_negative_curvature_takes_the_modulus(self):
+        # f = 10 - x^2 from x = 1: the first trial, t = 1, moves to x = 3,
+        # so s = 2 and y = -6 - (-2) = -4; the next trial is 4 / 8 = 0.5,
+        # along the new direction -f'(3) = 6.
+        chart = LineChart(lambda x: 10.0 - x * x, lambda x: -2.0 * x)
+        _minimize(np.array([1.0]), chart, SearchConfig(dim=2, num_bases=2, max_iterations=2))
+        assert chart.steps[:2] == [2.0, 0.5 * 6.0]
+
+    def test_zero_curvature_keeps_the_accepted_trial(self):
+        # f = 10 - x, walled at x > 0.75: t = 1 is rejected and t = 0.5
+        # accepted, and f' does not change, so the next trial is 0.5 again.
+        chart = LineChart(lambda x: 10.0 - x if x <= 0.75 else 100.0, lambda x: -1.0)
+        _minimize(np.array([0.0]), chart, SearchConfig(dim=2, num_bases=2, max_iterations=2))
+        assert chart.steps[:3] == [1.0, 0.5, 0.5]
+
+
 class TestPolarRetraction:
     # run_search's trial point theta + arctan(t delta) is, seen on the
     # unitaries, the polar factor of U + t U Omega with
@@ -685,14 +723,14 @@ class TestDimensionSixPins:
     # iterations.  A change to the line search, its stop rules or the
     # Gauss-Newton endgame that moves a converged trajectory moves these
     # counts.  Where the Gauss-Newton window starts moves the d = 7 ones
-    # too: its keys 0-39 take 352 iterations with the window at 3e-2 and
-    # 441 with it at 1e-3.
+    # too: its keys 0-39 take 349 iterations with the window at 3e-2 and
+    # 438 with it at 1e-3.
     CONVERGED_ITERATIONS = {
         (6, 3): [
-            7, 6, 7, 4, 7, 7, 9, 7, 9, 15, 7, 19, 7, 7, 6,
-            10, 7, 10, 10, 9, 11, 10, 5, 17, 7, 7, 5, 10, 11, 13,
+            7, 6, 7, 4, 7, 7, 9, 7, 9, 13, 7, 22, 7, 7, 6,
+            9, 7, 10, 10, 9, 11, 10, 5, 17, 7, 7, 5, 10, 9, 13,
         ],
-        (7, 3): [9, 11, 7, 8, 7, 8, 10, 8, 8, 11, 8, 9, 9, 7, 8, 7, 9, 8, 7, 9],
+        (7, 3): [7, 11, 7, 8, 7, 8, 10, 8, 8, 11, 8, 9, 9, 7, 8, 7, 9, 8, 7, 9],
     }
     # 4 bases in d = 6, keys 0-3: (iterations, objective) where they stop on
     # the plateau of a local minimum, far above the 3e-2 below which
@@ -702,7 +740,7 @@ class TestDimensionSixPins:
     LOCAL_MINIMA = {
         0: (24, 0.36288657539638225),
         1: (21, 0.21223226555624652),
-        2: (29, 0.21223225975071913),
+        2: (28, 0.21223226087974123),
         3: (19, 0.36288657526577656),
     }
     # Runs the searches with the phase chart's Gauss-Newton step counted, and
@@ -957,13 +995,14 @@ class TestUnitaryModel:
         pivots = np.diagonal(v.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
         assert np.all(pivots.real > -1e-14)
 
-    def test_trials_unitary_up_to_the_step_cap(self):
-        # polish's trial point is the QR factor of U + S, S = -t U Z; the
-        # Barzilai-Borwein trial step t is capped at 1e8.
+    def test_trials_unitary_beyond_the_largest_step_seen(self):
+        # polish's trial point is the QR factor of U + S, S = -t U Z.  The
+        # Barzilai-Borwein trial step t has no bound; the largest seen over
+        # the searches and polishes README cites was below 1e5.
         u = haar_unitaries(13, 3, 6)
         chart = _UnitaryChart(3, 6)
         g = chart.gradient(u, chart.evaluate(u)[0])
-        for t in 10.0 ** np.arange(-12, 9):
+        for t in 10.0 ** np.arange(-12, 25, 2):
             v = chart.retract(u, -t * g)
             assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(6))) < 1e-14
 
@@ -1136,7 +1175,14 @@ def roundoff_bound(result):
     f_family = objective(SearchState(family.projectors))
     tau = float(family.invariants[1].max())
     eta = tau + gamma(d + 2) * (1 + tau)
-    delta_q = 4 * gamma(2 * d) + 2 * eta + eta**2
+    factors, rest, p = 0, d, 2  # d's prime factors, with multiplicity
+    while rest > 1:
+        while rest % p == 0:
+            rest //= p
+            factors += 1
+        p += 1
+    kappa = 30 * factors * u
+    delta_q = 4 * gamma(2 * d) + 2 * eta + eta**2 + 11 * gamma(2) + 6 * kappa
     delta_m = 8 * gamma(2 * d * d)
     size = n * d
     return (
