@@ -2,8 +2,9 @@
 
 Construction of complete families in prime dimension from a closed form,
 residual-certificate verification through flattened projectors, state
-recovery via a small Hermitian eigensolver, quadratic exponential sum
-checks, and a seeded numerical search for families in arbitrary dimension.
+recovery from a one-column rank-1 certificate (or else one batched LAPACK
+Hermitian solve), quadratic exponential sum checks, and a seeded numerical
+search for families in arbitrary dimension.
 """
 
 from .algebra import MubFamily, canonical_phase, projector_from_state, unbiased_gram_target

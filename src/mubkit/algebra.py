@@ -11,6 +11,7 @@ operations are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +90,16 @@ def _check_family_size(num_bases: int, dim: int) -> None:
             f"a family of {num_bases} bases in dimension d = {dim} needs "
             f"{nbytes} bytes of projectors, above the {MAX_FAMILY_BYTES}-byte limit"
         )
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``, by :func:`operator.index`; a ``bool`` or non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _where(i: int, d: int, prefix: str = "") -> str:
@@ -326,7 +337,8 @@ class MubFamily:
         return v, r
 
     def projector(self, a: int, alpha: int) -> np.ndarray:
-        """The projector for vector ``alpha`` of basis ``a``."""
+        """The projector for vector ``alpha`` of basis ``a``; both labels are integers."""
+        a, alpha = _integer("a", a), _integer("alpha", alpha)
         if not (0 <= a < self.num_bases and 0 <= alpha < self.dim):
             raise ValueError(f"no projector with labels ({a}, {alpha}) in this family")
         return self.projectors[a, alpha]

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .algebra import MubFamily, _check_family_size
+from .algebra import MubFamily, _check_family_size, _integer
 
 __all__ = [
     "build_family",
@@ -82,10 +82,13 @@ def w_coefficient(d: int, a: int, alpha: int, p: int, q: int) -> complex:
     """Coefficient (p, q) of projector (a, alpha) in one of the d rotated bases.
 
     ``a`` labels the basis (0..d-1), ``alpha`` the vector within it
-    (0..d-1).  The diagonal entries are all 1/d; the phases encode the
-    basis and vector labels.  Only defined for prime d; elsewhere the
-    formula stops producing unbiased bases.
+    (0..d-1); labels and entry indices are integers, ``bool`` refused.  The
+    diagonal entries are all 1/d; the phases encode the basis and vector
+    labels.  Only defined for prime d; elsewhere the formula stops
+    producing unbiased bases.
     """
+    a, alpha = _integer("a", a), _integer("alpha", alpha)
+    p, q = _integer("p", p), _integer("q", q)
     if not is_prime(d):
         raise ValueError(f"closed-form coefficients require prime d, got {d}")
     if not 0 <= a < d:

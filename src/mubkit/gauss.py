@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import _integer
 from .construct import is_prime
 
 __all__ = [
@@ -34,6 +34,7 @@ class GaussSumParams:
     Construction fails unless gcd(u, w) = 1, u w != 0, and u w + v is even;
     those three conditions are exactly what the modulus identity
     |S(u, v, w)|^2 = |w| requires.  All violations are reported at once.
+    Each of u, v and w is an integer, ``bool`` refused, stored as ``int``.
     """
 
     u: int
@@ -41,9 +42,7 @@ class GaussSumParams:
     w: int
 
     def __post_init__(self):
-        u = operator.index(self.u)
-        v = operator.index(self.v)
-        w = operator.index(self.w)
+        u, v, w = map(_integer, ("u", "v", "w"), (self.u, self.v, self.w))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -104,15 +103,18 @@ def mub_gauss_params(a: int, b: int, alpha: int, beta: int, d: int) -> GaussSumP
 
     ``(a, alpha)`` and ``(b, beta)`` label vectors of two distinct rotated
     bases in prime dimension ``d``; the resulting sum S satisfies
-    |S|^2 = d, which is the unbiasedness of the pair.  Requires a != b,
-    since same-basis overlaps are not quadratic sums.  Validity of the
-    resulting triple is asserted on every call, never assumed; on paper
+    |S|^2 = d, which is the unbiasedness of the pair.  Requires integer
+    labels (``bool`` refused) and a != b, since same-basis overlaps are not
+    quadratic sums.  Validity of the resulting triple is asserted on every
+    call, never assumed; on paper
     u*w + v = 2(a-b) + 2(alpha-beta) is even and 0 < |u| < d prime gives
     gcd(u, d) = 1, but the constructor re-checks both.
     """
+    names = ("a", "b", "alpha", "beta")
+    a, b, alpha, beta = map(_integer, names, (a, b, alpha, beta))
     if not is_prime(d):
         raise ValueError(f"quadratic-sum overlap parameters require prime d, got {d}")
-    for name, label in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
+    for name, label in zip(names, (a, b, alpha, beta)):
         if not 0 <= label < d:
             raise ValueError(f"label {name} must lie in 0..{d - 1}, got {label}")
     if a == b:

@@ -36,7 +36,6 @@ and never interprets it as evidence that no family exists.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,6 +46,7 @@ from .algebra import (
     MubFamily,
     _check_family_size,
     _check_parts,
+    _integer,
     _symmetrized,
     _where,
     unbiased_gram_target,
@@ -126,8 +126,8 @@ class SearchConfig:
     optimizer.  ``target_residual`` is the objective value counted as
     convergence.  Identical configurations (seed included) give
     bit-identical runs.  The integer fields take anything
-    :func:`operator.index` accepts and are stored as ``int``.  Problems
-    whose (num_bases, d, d, d) family array would exceed
+    :func:`operator.index` accepts but ``bool``, and are stored as ``int``.
+    Problems whose (num_bases, d, d, d) family array would exceed
     :data:`~mubkit.algebra.MAX_FAMILY_BYTES`, and seeds whose last restart
     key ``seed + restarts - 1`` would leave the generator's key range
     (below 2**128), are refused here, before a search allocates anything.
@@ -144,11 +144,7 @@ class SearchConfig:
         # A float cap would never equal an iteration count, and a float
         # dimension fails deep inside numpy.
         for name in ("dim", "num_bases", "restarts", "max_iterations", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if not 2 <= self.num_bases <= self.dim + 1:
@@ -408,52 +404,44 @@ def _retract(y: np.ndarray) -> np.ndarray:
     return q * np.where(pivots < 0.0, -1.0, 1.0)[..., None, :]
 
 
-def _evaluate(u: np.ndarray, target: np.ndarray):
-    """Overlaps Q = X^dagger X of the stacked columns X, residual R = |Q|^2 - target, objective."""
-    n, d = u.shape[0], u.shape[1]
-    x = u.transpose(1, 0, 2).reshape(d, n * d)
-    q = x.conj().T @ x
-    r = q.real**2
-    r += q.imag**2
-    r -= target
-    return q, r, _objective_value(r)
-
-
-def _tangent_gradient(u, q, r):
-    """Riemannian gradient of the objective, U Z with one (d, d) block per basis.
-
-    The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
-    diagonal doubled.  U_a^dagger X is block row a of Q, so the tangent part
-    at U_a is U_a Z_a with Z_a the skew part of 4 Q[a, :] (C o Q)[:, a]; the
-    4 and the skew part's halving are applied as 2, exact for powers of two.
-    """
-    n, d = u.shape[0], u.shape[1]
-    c = r * q
-    c.reshape(-1)[:: n * d + 1] *= 2.0
-    h = q.reshape(n, d, n * d) @ c.reshape(n * d, n, d).transpose(1, 0, 2)
-    z = h - h.conj().swapaxes(-1, -2)
-    z *= 2.0
-    return u @ z
-
-
 class _UnitaryChart:
     """Bases as unitaries U_a, moved along U_a Omega_a with Omega_a skew-Hermitian: polish's chart.
 
-    It has no Gauss-Newton step; a step S retracts to the QR factor of U + S.
+    Its window is 0, so it needs no Gauss-Newton step; a step S retracts to the QR factor of U + S.
     """
 
-    gauss_newton = None
+    window = 0.0
 
     def __init__(self, num_bases: int, dim: int):
         self.target = unbiased_gram_target(num_bases, dim)
 
     def evaluate(self, u):
-        q, r, f = _evaluate(u, self.target)
-        return (q, r), f
+        """((Q, R), f): overlaps Q = X^dagger X of the stacked columns X, R = |Q|^2 - target."""
+        n, d = u.shape[0], u.shape[1]
+        x = u.transpose(1, 0, 2).reshape(d, n * d)
+        q = x.conj().T @ x
+        r = q.real**2
+        r += q.imag**2
+        r -= self.target
+        return (q, r), _objective_value(r)
 
     @staticmethod
     def gradient(u, state):
-        return _tangent_gradient(u, *state)
+        """Riemannian gradient of the objective, U Z with one (d, d) block per basis.
+
+        The Euclidean gradient in X is G = 4 X (C o Q), C being R with its
+        diagonal doubled.  U_a^dagger X is block row a of Q, so the tangent part
+        at U_a is U_a Z_a with Z_a the skew part of 4 Q[a, :] (C o Q)[:, a]; the
+        4 and the skew part's halving are applied as 2, exact for powers of two.
+        """
+        q, r = state
+        n, d = u.shape[0], u.shape[1]
+        c = r * q
+        c.reshape(-1)[:: n * d + 1] *= 2.0
+        h = q.reshape(n, d, n * d) @ c.reshape(n * d, n, d).transpose(1, 0, 2)
+        z = h - h.conj().swapaxes(-1, -2)
+        z *= 2.0
+        return u @ z
 
     @staticmethod
     def retract(u, step):
@@ -481,6 +469,7 @@ class _PhaseChart:
         self.fourier = _group_fourier(dim)
         self.characters = np.sqrt(dim) * self.fourier
         self.unknowns = (num_bases - 2) * (dim - 1)
+        self.window = _GAUSS_NEWTON_BELOW if self.unknowns <= _GAUSS_NEWTON_CAP else 0.0
         self.first, self.second = np.triu_indices(num_bases - 1, 1)
         # d(theta_b - theta_a) / d theta, one row per pair.
         phased = np.eye(num_bases - 1)
@@ -558,14 +547,17 @@ class _PhaseChart:
 def _minimize(x0, chart, cfg: SearchConfig):
     """Descend from ``x0`` in ``chart``; returns (point, objective, iterations, trajectory, stop).
 
-    Armijo backtracking along either the steepest-descent direction (with a
-    Barzilai-Borwein trial step) or, when the chart has a Gauss-Newton step
-    with at most 400 unknowns and f is below 3e-2, the damped Gauss-Newton
-    direction, falling back to the gradient whenever that solve fails or
-    gives no descent.  A trial point is ``chart.retract(x, t * direction)``.
-    An accepted trial value f_t is at most its Armijo target, which is below
-    f, so the trajectory of accepted objective values is strictly
-    decreasing.
+    A chart is all the loop reads: ``evaluate(x)`` gives (state, f),
+    ``gradient(x, state)`` the gradient g, ``retract(x, step)`` a trial point
+    and ``unitaries(x)`` (for :func:`_descend`) the bases; while f is below
+    ``window``, ``gauss_newton(x, state, g)`` is tried first, giving
+    (direction, slope) or (None, 0.0), so a chart whose window is 0 needs none.
+
+    Armijo backtracking along the Gauss-Newton direction where one is tried
+    and gives descent, else along the steepest-descent one (with a
+    Barzilai-Borwein trial step).  An accepted trial value f_t is
+    at most its Armijo target, which is below f, so the trajectory of
+    accepted objective values is strictly decreasing.
 
     ``stop`` names why the descent ended, checked in this order before each
     iteration and during its line search:
@@ -580,9 +572,6 @@ def _minimize(x0, chart, cfg: SearchConfig):
       there, since f stays positive, so no step floor is needed.
     """
     x = x0
-    window = 0.0  # Gauss-Newton is tried while f < window
-    if chart.gauss_newton is not None and chart.unknowns <= _GAUSS_NEWTON_CAP:
-        window = _GAUSS_NEWTON_BELOW
     state, f = chart.evaluate(x)
     g = None  # at the start and after a Gauss-Newton step, formed only if a step follows
     trajectory = [f]
@@ -603,7 +592,7 @@ def _minimize(x0, chart, cfg: SearchConfig):
             g = chart.gradient(x, state)
 
         direction = None
-        if f < window:
+        if f < chart.window:
             direction, slope_term = chart.gauss_newton(x, state, g)
         gradient_step = direction is None
         if gradient_step:

@@ -351,6 +351,16 @@ class TestMubFamily:
         with pytest.raises(ValueError, match="labels"):
             fam.projector(1, 0)
 
+    @pytest.mark.parametrize(
+        "name,value,labels",
+        [("a", True, (True, 0)), ("a", 1.5, (1.5, 0)), ("alpha", False, (0, False))],
+    )
+    def test_projector_refuses_non_integer_labels(self, name, value, labels):
+        # numpy read True as a boolean index: all of basis 0, shaped (1, d, d, d).
+        fam = self._trivial(num_bases=2, d=3)
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            fam.projector(*labels)
+
     def test_storage_is_read_only(self):
         fam = self._trivial()
         with pytest.raises(ValueError):

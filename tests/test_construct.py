@@ -107,6 +107,21 @@ class TestWCoefficient:
         with pytest.raises(ValueError, match="entry indices"):
             w_coefficient(3, 0, 0, 0, 3)
 
+    @pytest.mark.parametrize(
+        "name,value,args",
+        [
+            ("a", 1.5, (1.5, 0, 1, 0)),
+            ("a", True, (True, 0, 1, 0)),
+            ("alpha", False, (1, False, 1, 0)),
+            ("p", 1.0, (1, 0, 1.0, 0)),
+            ("q", 0.5, (1, 0, 1, 0.5)),
+        ],
+    )
+    def test_refuses_non_integer_labels(self, name, value, args):
+        # 1.5 named a basis that does not exist, and True read as basis 1.
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            w_coefficient(5, *args)
+
     def test_hermitian_symmetry(self):
         for d in (2, 3, 5):
             for a in range(d):

@@ -71,6 +71,14 @@ class TestGaussSumParams:
         with pytest.raises(TypeError):
             GaussSumParams(u=1.0, v=1, w=1)
 
+    @pytest.mark.parametrize("field", ["u", "v", "w"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_booleans(self, field, value):
+        # GaussSumParams(u=True, v=1, w=3) once passed as u = 1.
+        kwargs = {"u": 1, "v": 1, "w": 3, field: value}
+        with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
+            GaussSumParams(**kwargs)
+
     def test_negative_w_length(self):
         params = GaussSumParams(u=1, v=1, w=-3)
         assert params.length == 3
@@ -187,6 +195,23 @@ class TestMubGaussParams:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError, match="label"):
             mub_gauss_params(3, 0, 0, 0, d=3)
+
+    @pytest.mark.parametrize(
+        "name,value,labels",
+        [
+            ("a", True, (True, 0, 0, 0)),
+            ("b", 0.0, (1, 0.0, 0, 0)),
+            ("alpha", 1.5, (1, 0, 1.5, 0)),
+            ("beta", False, (1, 0, 0, False)),
+        ],
+    )
+    def test_refuses_non_integer_labels(self, name, value, labels):
+        # True once read as basis 1, here and in check_factoring.
+        match = rf"^{name} must be an integer, got {value!r}$"
+        with pytest.raises(TypeError, match=match):
+            mub_gauss_params(*labels, d=5)
+        with pytest.raises(TypeError, match=match):
+            check_factoring(*labels, d=5)
 
     @pytest.mark.parametrize("d", TEST_PRIMES)
     def test_modulus_identity_small_primes(self, d):

@@ -19,7 +19,6 @@ from mubkit.search import (
     SearchConfig,
     SearchState,
     _derive,
-    _evaluate,
     _gradient_array,
     _group_fourier,
     _minimize,
@@ -28,7 +27,6 @@ from mubkit.search import (
     _residual,
     _retract,
     _structured_start,
-    _tangent_gradient,
     _UnitaryChart,
     gradient,
     objective,
@@ -222,7 +220,7 @@ class TestSearchConfig:
             SearchConfig(dim=2, num_bases=3, restarts=3, seed=2**128 - 2)
 
     @pytest.mark.parametrize("field", ["dim", "num_bases", "restarts", "max_iterations", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False])
     def test_integer_fields_refuse_non_integers(self, field, value):
         # A float cap never equals an iteration count: max_iterations=2.5
         # once ran 8 iterations, and dim=6.5 failed inside numpy.
@@ -561,19 +559,14 @@ def counting_trials(monkeypatch):
     ``_minimize`` evaluates its start once, then retracts and evaluates
     each trial point once.
     """
-    import mubkit.search
-
     counts = {"evaluations": 0, "retractions": 0}
-    real_evaluate = mubkit.search._evaluate
-    real_phase_evaluate = _PhaseChart.evaluate
 
-    def evaluating(u, target):
-        counts["evaluations"] += 1
-        return real_evaluate(u, target)
+    def counted_evaluate(evaluate):
+        def evaluating(chart, x):
+            counts["evaluations"] += 1
+            return evaluate(chart, x)
 
-    def phase_evaluating(chart, theta):
-        counts["evaluations"] += 1
-        return real_phase_evaluate(chart, theta)
+        return evaluating
 
     def counted(retract):
         def retracting(x, step):
@@ -582,10 +575,9 @@ def counting_trials(monkeypatch):
 
         return staticmethod(retracting)
 
-    monkeypatch.setattr(mubkit.search, "_evaluate", evaluating)
-    monkeypatch.setattr(_PhaseChart, "evaluate", phase_evaluating)
-    monkeypatch.setattr(_PhaseChart, "retract", counted(_PhaseChart.retract))
-    monkeypatch.setattr(_UnitaryChart, "retract", counted(_UnitaryChart.retract))
+    for chart in (_PhaseChart, _UnitaryChart):
+        monkeypatch.setattr(chart, "evaluate", counted_evaluate(chart.evaluate))
+        monkeypatch.setattr(chart, "retract", counted(chart.retract))
     return counts
 
 
@@ -645,12 +637,10 @@ class TestLineSearchExhaustion:
         assert stop == "line search"
 
     def test_nan_slope_retracts_no_trial(self, monkeypatch):
-        import mubkit.search
-
-        def nan_gradient(u, q, r):
+        def nan_gradient(u, state):
             return np.full(u.shape, np.nan)
 
-        monkeypatch.setattr(mubkit.search, "_tangent_gradient", nan_gradient)
+        monkeypatch.setattr(_UnitaryChart, "gradient", staticmethod(nan_gradient))
         counts = counting_trials(monkeypatch)
         cfg = SearchConfig(dim=6, num_bases=3, restarts=1)
         u = haar_unitaries(2, 3, 6)
@@ -663,7 +653,7 @@ class TestLineSearchExhaustion:
 class LineChart:
     """A stub chart on the real line: f and f' given, retract x + step; records every step tried."""
 
-    gauss_newton = None
+    window = 0.0
 
     def __init__(self, f, df):
         self.f, self.df, self.steps = f, df, []
@@ -852,7 +842,10 @@ class TestGaussNewtonFallback:
     @pytest.mark.parametrize("solve", [failing_solve, ascending_solve])
     def test_every_iteration_takes_a_gradient_step(self, monkeypatch, solve):
         theta0, chart, cfg = self.near_solution()
-        expected = self.gradient_only(monkeypatch, lambda: _minimize(theta0, chart, cfg))
+        # A chart reads its window when made, so the gradient-only run makes its own.
+        expected = self.gradient_only(
+            monkeypatch, lambda: _minimize(theta0, _PhaseChart(6, 5), cfg)
+        )
         calls = patched_solves(monkeypatch, solve)
         theta, f, iterations, trajectory, stop = _minimize(theta0, chart, cfg)
         assert stop == expected[4] == "target"
@@ -924,7 +917,7 @@ class TestUnitaryModel:
         u = haar_unitaries(3, 3, 4)
         states = u.swapaxes(-1, -2)
         projectors = states[..., :, None] * states.conj()[..., None, :]
-        _, _, f = _evaluate(u, unbiased_gram_target(3, 4))
+        _, f = _UnitaryChart(3, 4).evaluate(u)
         assert f == pytest.approx(objective(SearchState(projectors)), rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -932,15 +925,14 @@ class TestUnitaryModel:
         # Criterion 7's step and tolerance, along random tangent directions
         # U_a Omega_a with Omega_a skew-Hermitian, through the retraction.
         num_bases, h = 3, 1e-6
-        target = unbiased_gram_target(num_bases, d)
+        chart = _UnitaryChart(num_bases, d)
         rng = np.random.default_rng(70 + d)
         for trial in range(5):
             u = haar_unitaries(100 * d + trial, num_bases, d)
-            q, r, _ = _evaluate(u, target)
-            g = _tangent_gradient(u, q, r)
+            g = chart.gradient(u, chart.evaluate(u)[0])
             direction = u @ random_skew(rng, num_bases, d)
-            plus = _evaluate(_retract(u + h * direction), target)[2]
-            minus = _evaluate(_retract(u - h * direction), target)[2]
+            plus = chart.evaluate(chart.retract(u, h * direction))[1]
+            minus = chart.evaluate(chart.retract(u, -h * direction))[1]
             fd = (plus - minus) / (2 * h)
             analytic = float(np.vdot(g, direction).real)
             assert abs(fd - analytic) < 1e-5 * abs(fd)
@@ -958,7 +950,7 @@ class TestUnitaryModel:
             h = u.conj().swapaxes(-1, -2) @ g
             return u @ (2.0 * (h - h.conj().swapaxes(-1, -2)))
 
-        target = unbiased_gram_target(num_bases, d)
+        chart = _UnitaryChart(num_bases, d)
         rng = np.random.default_rng(80 + d)
         # Near-solution points start from the closed form for prime d, else from a search.
         if is_prime(d):
@@ -966,16 +958,17 @@ class TestUnitaryModel:
         else:
             family = run_search(SearchConfig(dim=d, num_bases=num_bases, restarts=1)).best_family
         solution = reconstruct_all(family)[:num_bases].swapaxes(-1, -2)
-        assert _evaluate(solution, target)[2] < 1e-16
+        assert chart.evaluate(solution)[1] < 1e-16
         for seed in range(5):
             near = _retract(solution + 1e-6 * (solution @ random_skew(rng, num_bases, d)))
             for u in (haar_unitaries(200 * d + seed, num_bases, d), near):
-                q, r, _ = _evaluate(u, target)
-                assert_close(_tangent_gradient(u, q, r), x_route(u, q, r), rel=1e-14)
+                state, _ = chart.evaluate(u)
+                assert_close(chart.gradient(u, state), x_route(u, *state), rel=1e-14)
 
     def test_gradient_is_tangent(self):
         u = haar_unitaries(5, 3, 4)
-        g = _tangent_gradient(u, *_evaluate(u, unbiased_gram_target(3, 4))[:2])
+        chart = _UnitaryChart(3, 4)
+        g = chart.gradient(u, chart.evaluate(u)[0])
         h = u.conj().swapaxes(-1, -2) @ g
         assert np.max(np.abs(h + h.conj().swapaxes(-1, -2))) < 1e-12
 
@@ -1123,9 +1116,10 @@ class TestPhaseChart:
         state, f = chart.evaluate(theta)
         grad = chart.gradient(theta, state)
         u = chart.unitaries(theta)
-        q, r, f_unitary = _evaluate(u, unbiased_gram_target(num_bases, d))
+        unitary = _UnitaryChart(num_bases, d)
+        unitary_state, f_unitary = unitary.evaluate(u)
         assert f == pytest.approx(f_unitary, rel=1e-12)
-        z = u.conj().swapaxes(-1, -2) @ _tangent_gradient(u, q, r)
+        z = u.conj().swapaxes(-1, -2) @ unitary.gradient(u, unitary_state)
         h = chart.fourier
         expected = h.conj().T @ (1j * grad[:, :, None] * h)
         assert_close(z[1:], expected, rel=1e-12)
@@ -1371,16 +1365,14 @@ class TestPolish:
         assert peak < 3.4 * family.projectors.nbytes
 
     def test_start_at_its_target_forms_no_gradient(self, monkeypatch):
-        import mubkit.search
-
         calls = []
-        real = mubkit.search._tangent_gradient
+        real = _UnitaryChart.gradient
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(mubkit.search, "_tangent_gradient", counting)
+        monkeypatch.setattr(_UnitaryChart, "gradient", staticmethod(counting))
         result = polish(build_family(13), SearchConfig(dim=13, num_bases=14))
         assert result.stop_reasons == ("target",)
         assert calls == []

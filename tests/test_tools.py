@@ -27,9 +27,11 @@ def test_search_starts_prints_one_record_per_restart():
     env_record = records[0]
     assert set(env_record) == {
         "record", "python", "numpy", "blas", "openblas_kernel", "openblas_coretype",
-        "openblas_num_threads",
+        "openblas_num_threads", "mubkit", "mubkit_version",
     }
     assert env_record["numpy"] == __import__("numpy").__version__
+    assert env_record["mubkit"] == os.path.dirname(os.path.abspath(mubkit.__file__))
+    assert env_record["mubkit_version"] == mubkit.__version__
     restarts = [r for r in records if r["record"] == "restart"]
     assert [(r["set"], r["dim"], r["bases"], r["key"]) for r in restarts] == [
         ("d2_b3", 2, 3, 0), ("d2_b3", 2, 3, 1), ("d6_b3", 6, 3, 0), ("d6_b3", 6, 3, 1),

@@ -11,7 +11,8 @@ nothing but ``run_search``, ``SearchConfig``, ``verify_family`` and
     PYTHONPATH=../parent/src python tools/search_starts.py > parent.jsonl
 
 Output, in order: one ``environment`` record (Python, numpy, the OpenBLAS
-build and the kernel it runs), then per set one ``restart`` record per key
+build and the kernel it runs, and the directory and version of the
+``mubkit`` it measured, so each output names its tree), then per set one ``restart`` record per key
 and one ``set`` record summing them.  ``seconds`` times the search alone,
 not its certificate.  ``--sets`` picks sets by name and ``--keys`` keeps the
 first keys of each.
@@ -40,6 +41,7 @@ import time
 
 import numpy as np
 
+import mubkit
 from mubkit import SearchConfig, run_search, verify_family
 
 # name: (dimension, bases, number of keys from 0)
@@ -100,6 +102,8 @@ def environment():
         "openblas_kernel": openblas_kernel(),
         "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "mubkit": os.path.dirname(os.path.abspath(mubkit.__file__)),
+        "mubkit_version": mubkit.__version__,
     }
 
 
